@@ -7,7 +7,7 @@ DK_BENCH_SCALE ?= 1.0
 BENCHTIME ?= 2s
 BENCHCOUNT ?= 1
 
-.PHONY: all build test race vet fmt-check bench bench2 bench3 bench5 bench6 bench7 bench8 bench9 bench10 bench-baseline bench-guard profile-build stress fuzz-smoke serve-smoke shard-smoke ci clean
+.PHONY: all build test race vet fmt-check bench-compile bench bench2 bench3 bench5 bench6 bench7 bench8 bench9 bench10 bench-baseline bench-guard profile-build stress fuzz-smoke serve-smoke shard-smoke ci clean
 
 all: build test
 
@@ -18,9 +18,10 @@ all: build test
 # faults, and the sharded engine's reader/writer stress) under the race
 # detector, a short end-to-end serving run through the load harness, the
 # shard bit-identity smoke (merged scatter-gather results must fingerprint
-# identically to the monolithic index), and the benchmark regression guard
-# against the recorded baseline.
-ci: build vet fmt-check race fuzz-smoke stress serve-smoke shard-smoke bench-guard
+# identically to the monolithic index), the benchmark regression guard
+# against the recorded baseline, and the check that the untouched benchmark
+# module still builds and passes against this tree.
+ci: build vet fmt-check bench-compile race fuzz-smoke stress serve-smoke shard-smoke bench-guard
 
 build:
 	$(GO) build ./...
@@ -66,6 +67,16 @@ fuzz-smoke:
 
 vet:
 	$(GO) vet ./...
+
+# bench-compile vets and tests the benchmark/ module (a Go module of its own
+# that imports dkindex/internal/...) against the working tree, and fails if
+# benchmark/ or BENCHMARK.json differ from HEAD: a change that claims a gain
+# may not edit the benchmark, so an API change that would force such an edit
+# is caught here rather than by the pipeline.
+bench-compile:
+	@out=$$(git status --porcelain -- benchmark BENCHMARK.json); if [ -n "$$out" ]; then \
+		echo "the benchmark may not be edited:"; echo "$$out"; exit 1; fi
+	cd benchmark && $(GO) vet ./... && $(GO) test ./...
 
 fmt-check:
 	@out=$$(gofmt -l .); if [ -n "$$out" ]; then \

@@ -668,7 +668,7 @@ func (x *Index) autoPromoteLabel(hm *sync.Map, h *heatEntry, last graph.LabelID,
 	maxLen := int(h.maxLen.Load())
 	count := int(h.count.Load())
 	before, start := x.preOp(cur)
-	nd := cur.dk.CloneIndex()
+	nd := cur.dk.Clone()
 	x.instrument(nd)
 	stats := nd.PromoteLabel(last, maxLen)
 	name := cur.dk.IG.Data().Labels().Name(last)

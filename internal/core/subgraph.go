@@ -29,29 +29,23 @@ func (dk *DK) AddSubgraph(h *graph.Graph) ([]graph.NodeID, error) {
 		return nil, fmt.Errorf("core: subgraph has no root")
 	}
 
-	// Graft h's nodes into the data graph and, in parallel, build hg: a
-	// standalone copy of h sharing g's label table, over which I_H is
-	// constructed. hgToG translates hg node ids to data-graph ids.
-	mapping := make([]graph.NodeID, h.NumNodes())
-	hg := graph.NewWithLabels(g.Labels())
-	hgRoot := hg.AddRoot()
+	// Build hg first: a standalone copy of h over a scratch copy of g's label
+	// table (same ids, so I_H composes with I_G), and I_H over it. Nothing of
+	// g is written until the document is known to be acceptable — a rejected
+	// document must leave the index exactly as it found it, interned labels
+	// included, because a batch's surviving members publish this very clone.
+	hg := graph.NewWithLabels(g.Labels().Clone())
 	hgOf := make([]graph.NodeID, h.NumNodes())
-	hgToG := []graph.NodeID{g.Root()}
+	hgRoot := hg.AddRoot()
 	for n := 0; n < h.NumNodes(); n++ {
-		hn := graph.NodeID(n)
-		if hn == h.Root() {
-			mapping[n] = g.Root()
+		if hn := graph.NodeID(n); hn == h.Root() {
 			hgOf[n] = hgRoot
-			continue
+		} else {
+			hgOf[n] = hg.AddNode(h.LabelName(hn))
 		}
-		l := g.Labels().Intern(h.LabelName(hn))
-		mapping[n] = g.AddNodeID(l)
-		hgOf[n] = hg.AddNodeID(l)
-		hgToG = append(hgToG, mapping[n])
 	}
 	for n := 0; n < h.NumNodes(); n++ {
 		for _, c := range h.Children(graph.NodeID(n)) {
-			g.AddEdge(mapping[n], mapping[c])
 			hg.AddEdge(hgOf[n], hgOf[c])
 		}
 	}
@@ -60,12 +54,31 @@ func (dk *DK) AddSubgraph(h *graph.Graph) ([]graph.NodeID, error) {
 	// requirements ("index nodes with the same label should have the same
 	// local similarity").
 	ih, _ := buildFromSource(index.DataSource{G: hg}, dk.LabelReqs, nil, false)
+	if ih.ExtentSize(ih.IndexOf(hgRoot)) != 1 {
+		return nil, fmt.Errorf("core: subgraph index root class is not a singleton")
+	}
+
+	// Graft h's nodes and edges into the data graph. Labels are interned in
+	// the order hg interned them into its copy of the same table, so the ids
+	// agree. hgToG translates hg node ids to data-graph ids.
+	mapping := make([]graph.NodeID, h.NumNodes())
+	hgToG := make([]graph.NodeID, hg.NumNodes())
+	for n := 0; n < h.NumNodes(); n++ {
+		if hn := graph.NodeID(n); hn == h.Root() {
+			mapping[n] = g.Root()
+		} else {
+			mapping[n] = g.AddNode(h.LabelName(hn))
+		}
+		hgToG[hgOf[n]] = mapping[n]
+	}
+	for n := 0; n < h.NumNodes(); n++ {
+		for _, c := range h.Children(graph.NodeID(n)) {
+			g.AddEdge(mapping[n], mapping[c])
+		}
+	}
 
 	// Steps 2+3: rebuild over the composite of I_G and I_H.
-	comp, err := newCompositeSource(dk.IG, ih, hgToG)
-	if err != nil {
-		return nil, err
-	}
+	comp := newCompositeSource(dk.IG, ih, hgToG)
 	dk.IG, dk.Stats = buildFromSource(comp, dk.LabelReqs, comp.memberK, false)
 	return mapping, nil
 }
@@ -83,20 +96,18 @@ type compositeSource struct {
 	numNodes int
 }
 
-func newCompositeSource(ig, ih *index.IndexGraph, hgToG []graph.NodeID) (*compositeSource, error) {
-	ihRoot := ih.IndexOf(ih.Data().Root())
-	if ih.ExtentSize(ihRoot) != 1 {
-		return nil, fmt.Errorf("core: subgraph index root class is not a singleton")
-	}
+// newCompositeSource requires I_H's root class to be a singleton (the root
+// alone), which AddSubgraph checks before it writes anything.
+func newCompositeSource(ig, ih *index.IndexGraph, hgToG []graph.NodeID) *compositeSource {
 	return &compositeSource{
 		ig:       ig,
 		ih:       ih,
 		base:     ig.NumNodes(),
-		ihRoot:   ihRoot,
+		ihRoot:   ih.IndexOf(ih.Data().Root()),
 		igRoot:   ig.IndexOf(ig.Data().Root()),
 		hgToG:    hgToG,
 		numNodes: ig.NumNodes() + ih.NumNodes() - 1,
-	}, nil
+	}
 }
 
 // toIH translates a composite id >= base to an I_H node id, skipping the

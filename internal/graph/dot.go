@@ -21,12 +21,12 @@ func (g *Graph) WriteDOT(w io.Writer, name string) error {
 			shape = "doublecircle"
 		}
 		if _, err := fmt.Fprintf(w, "  n%d [label=%q shape=%s];\n",
-			n, fmt.Sprintf("%d:%s", n, g.labels.Name(g.nodeLabel[n])), shape); err != nil {
+			n, fmt.Sprintf("%d:%s", n, g.labels.Name(g.nodeLabel.At(n))), shape); err != nil {
 			return err
 		}
 	}
 	for n := 0; n < g.NumNodes(); n++ {
-		for _, c := range g.children[n] {
+		for _, c := range g.children.At(n) {
 			if _, err := fmt.Fprintf(w, "  n%d -> n%d;\n", n, c); err != nil {
 				return err
 			}
@@ -67,10 +67,10 @@ func (g *Graph) ComputeStats() Stats {
 		MaxDepth: g.MaxDepth(),
 	}
 	for n := 0; n < g.NumNodes(); n++ {
-		if d := len(g.children[n]); d > s.MaxOutDeg {
+		if d := len(g.children.At(n)); d > s.MaxOutDeg {
 			s.MaxOutDeg = d
 		}
-		if d := len(g.parents[n]); d > s.MaxInDeg {
+		if d := len(g.parents.At(n)); d > s.MaxInDeg {
 			s.MaxInDeg = d
 		}
 	}

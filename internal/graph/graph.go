@@ -3,6 +3,10 @@ package graph
 import (
 	"errors"
 	"fmt"
+	"slices"
+	"sync/atomic"
+
+	"dkindex/internal/cow"
 )
 
 // NodeID identifies a node within a Graph. Node identifiers are dense and
@@ -17,26 +21,43 @@ const InvalidNode NodeID = -1
 // bisimulation (which partitions nodes by their incoming structure) and
 // forward query evaluation are both efficient.
 //
-// A Graph owns (or shares) a LabelTable. Graphs derived from the same
-// document share one table so LabelIDs are comparable across them.
+// A Graph owns a LabelTable (NewWithLabels lets a graph built beside another
+// share its table so LabelIDs are comparable across them; Clone copies it,
+// preserving ids).
 //
-// Graph is not safe for concurrent mutation; concurrent reads are fine.
+// Node labels and both adjacency directions live in copy-on-write pages
+// (internal/cow): Clone copies page tables only, and a write copies the page
+// it lands in unless this graph already owns it. Adjacency rows are kept
+// ascending, and a row with spare capacity is referenced by exactly one
+// page — copying a page clips every row to its length — so a row is edited
+// in place only when no other graph can see it.
+//
+// Graph is not safe for concurrent mutation; concurrent reads are fine, and
+// so is Clone beside them.
 type Graph struct {
 	labels    *LabelTable
-	nodeLabel []LabelID
-	children  [][]NodeID
-	parents   [][]NodeID
-	edgeSet   map[edgeKey]struct{}
+	own       atomic.Pointer[cow.Owner]
+	nodeLabel cow.Paged[LabelID]
+	children  cow.Paged[[]NodeID]
+	parents   cow.Paged[[]NodeID]
 	numEdges  int
 	root      NodeID
 	// byLabel[l] lists the nodes carrying label l in ascending order (node
 	// ids are assigned ascending and labels never change, so appending on
 	// node creation keeps the lists sorted). Query evaluation seeds from
 	// these posting lists in O(|matches|) instead of scanning all nodes.
+	// A clone's lists are clipped to their length, so the first append to a
+	// label on either side leaves the other side's list as it was.
 	byLabel [][]NodeID
 }
 
-type edgeKey struct{ from, to NodeID }
+// clipRows marks every row of a freshly copied adjacency page as shared; it
+// is the OnCopy hook of both adjacency columns.
+func clipRows(rows *[cow.PageSize][]NodeID) {
+	for i, r := range rows {
+		rows[i] = r[:len(r):len(r)]
+	}
+}
 
 // New returns an empty graph with a fresh label table.
 func New() *Graph {
@@ -45,18 +66,17 @@ func New() *Graph {
 
 // NewWithLabels returns an empty graph that shares the given label table.
 func NewWithLabels(t *LabelTable) *Graph {
-	return &Graph{
-		labels:  t,
-		edgeSet: make(map[edgeKey]struct{}),
-		root:    InvalidNode,
-	}
+	g := &Graph{labels: t, root: InvalidNode}
+	g.children.OnCopy = clipRows
+	g.parents.OnCopy = clipRows
+	return g
 }
 
 // Labels returns the label table shared by this graph.
 func (g *Graph) Labels() *LabelTable { return g.labels }
 
 // NumNodes returns the number of nodes.
-func (g *Graph) NumNodes() int { return len(g.nodeLabel) }
+func (g *Graph) NumNodes() int { return g.nodeLabel.Len() }
 
 // NumEdges returns the number of (distinct) directed edges.
 func (g *Graph) NumEdges() int { return g.numEdges }
@@ -71,10 +91,11 @@ func (g *Graph) AddNodeID(label LabelID) NodeID {
 	if label < 0 || int(label) >= g.labels.Len() {
 		panic(fmt.Sprintf("graph: AddNodeID with foreign label id %d", label))
 	}
-	id := NodeID(len(g.nodeLabel))
-	g.nodeLabel = append(g.nodeLabel, label)
-	g.children = append(g.children, nil)
-	g.parents = append(g.parents, nil)
+	id := NodeID(g.nodeLabel.Len())
+	own := g.own.Load()
+	g.nodeLabel.Append(own, label)
+	g.children.Append(own, nil)
+	g.parents.Append(own, nil)
 	for int(label) >= len(g.byLabel) {
 		g.byLabel = append(g.byLabel, nil)
 	}
@@ -109,13 +130,16 @@ func (g *Graph) Root() NodeID { return g.root }
 func (g *Graph) AddEdge(from, to NodeID) bool {
 	g.checkNode(from)
 	g.checkNode(to)
-	k := edgeKey{from, to}
-	if _, dup := g.edgeSet[k]; dup {
+	i, dup := slices.BinarySearch(g.children.At(int(from)), to)
+	if dup {
 		return false
 	}
-	g.edgeSet[k] = struct{}{}
-	g.children[from] = insertSorted(g.children[from], to)
-	g.parents[to] = insertSorted(g.parents[to], from)
+	own := g.own.Load()
+	row := g.children.Mut(own, int(from))
+	*row = slices.Insert(*row, i, to)
+	row = g.parents.Mut(own, int(to))
+	i, _ = slices.BinarySearch(*row, from)
+	*row = slices.Insert(*row, i, from)
 	g.numEdges++
 	return true
 }
@@ -125,49 +149,44 @@ func (g *Graph) AddEdge(from, to NodeID) bool {
 func (g *Graph) RemoveEdge(from, to NodeID) bool {
 	g.checkNode(from)
 	g.checkNode(to)
-	k := edgeKey{from, to}
-	if _, ok := g.edgeSet[k]; !ok {
+	i, ok := slices.BinarySearch(g.children.At(int(from)), to)
+	if !ok {
 		return false
 	}
-	delete(g.edgeSet, k)
-	g.children[from] = removeSorted(g.children[from], to)
-	g.parents[to] = removeSorted(g.parents[to], from)
+	own := g.own.Load()
+	row := g.children.Mut(own, int(from))
+	*row = removeAt(*row, i)
+	row = g.parents.Mut(own, int(to))
+	i, _ = slices.BinarySearch(*row, from)
+	*row = removeAt(*row, i)
 	g.numEdges--
 	return true
 }
 
-// removeSorted deletes one occurrence of id from the ascending slice s.
-func removeSorted(s []NodeID, id NodeID) []NodeID {
-	for i, v := range s {
-		if v == id {
-			return append(s[:i], s[i+1:]...)
-		}
+// removeAt deletes s[i]. A row without spare capacity may be shared with
+// another graph's page (see Graph), so it is rebuilt instead of shifted.
+func removeAt(s []NodeID, i int) []NodeID {
+	if cap(s) > len(s) {
+		return slices.Delete(s, i, i+1)
 	}
-	return s
+	if len(s) == 1 {
+		return nil
+	}
+	out := make([]NodeID, len(s)-1)
+	copy(out[copy(out, s[:i]):], s[i+1:])
+	return out
 }
 
-// insertSorted inserts id into the ascending slice s.
-func insertSorted(s []NodeID, id NodeID) []NodeID {
-	i := len(s)
-	for i > 0 && s[i-1] > id {
-		i--
-	}
-	s = append(s, 0)
-	copy(s[i+1:], s[i:])
-	s[i] = id
-	return s
-}
-
-// HasEdge reports whether the directed edge from -> to exists.
+// HasEdge reports whether the directed edge from -> to exists: rows are
+// ascending, so it is a binary search of from's children.
 func (g *Graph) HasEdge(from, to NodeID) bool {
-	_, ok := g.edgeSet[edgeKey{from, to}]
+	_, ok := slices.BinarySearch(g.Children(from), to)
 	return ok
 }
 
 // Label returns the label id of node n.
 func (g *Graph) Label(n NodeID) LabelID {
-	g.checkNode(n)
-	return g.nodeLabel[n]
+	return g.nodeLabel.At(g.checkNode(n))
 }
 
 // LabelName returns the label string of node n.
@@ -178,15 +197,13 @@ func (g *Graph) LabelName(n NodeID) string {
 // Children returns the out-neighbors of n. The returned slice is owned by the
 // graph and must not be mutated.
 func (g *Graph) Children(n NodeID) []NodeID {
-	g.checkNode(n)
-	return g.children[n]
+	return g.children.At(g.checkNode(n))
 }
 
 // Parents returns the in-neighbors of n. The returned slice is owned by the
 // graph and must not be mutated.
 func (g *Graph) Parents(n NodeID) []NodeID {
-	g.checkNode(n)
-	return g.parents[n]
+	return g.parents.At(g.checkNode(n))
 }
 
 // OutDegree returns the number of children of n.
@@ -222,47 +239,38 @@ func (g *Graph) NodesWithLabel(l LabelID) []NodeID {
 // NumLabels returns the number of labels interned in the shared table.
 func (g *Graph) NumLabels() int { return g.labels.Len() }
 
-// Clone returns a deep copy of the graph sharing the same label table.
+// Clone returns an independent copy in O(nodes / page size): the page tables
+// and posting-list headers are copied, the pages and lists behind them are
+// shared until either side writes, and the label table is copied with ids
+// preserved (queries parsed against the original stay valid; labels interned
+// afterwards are private to the side that interned them). A write through
+// either graph is never visible through the other. Clone only reads the
+// receiver apart from retiring its write token, so a published graph may be
+// cloned beside its readers and beside other Clone calls.
 func (g *Graph) Clone() *Graph {
 	c := &Graph{
-		labels:    g.labels,
-		nodeLabel: append([]LabelID(nil), g.nodeLabel...),
-		children:  make([][]NodeID, len(g.children)),
-		parents:   make([][]NodeID, len(g.parents)),
-		edgeSet:   make(map[edgeKey]struct{}, len(g.edgeSet)),
+		labels:    g.labels.Clone(),
+		nodeLabel: g.nodeLabel.Clone(),
+		children:  g.children.Clone(),
+		parents:   g.parents.Clone(),
 		numEdges:  g.numEdges,
 		root:      g.root,
 		byLabel:   make([][]NodeID, len(g.byLabel)),
 	}
-	for i := range g.children {
-		c.children[i] = append([]NodeID(nil), g.children[i]...)
-		c.parents[i] = append([]NodeID(nil), g.parents[i]...)
+	for l, list := range g.byLabel {
+		c.byLabel[l] = list[:len(list):len(list)]
 	}
-	for i := range g.byLabel {
-		c.byLabel[i] = append([]NodeID(nil), g.byLabel[i]...)
-	}
-	for k := range g.edgeSet {
-		c.edgeSet[k] = struct{}{}
-	}
-	return c
-}
-
-// CloneDetached is Clone with a private copy of the label table as well, so
-// operations that intern new labels (document insertion, requirement
-// resolution) cannot be observed through previously shared graphs. Label ids
-// are preserved, so queries parsed against the original table stay valid.
-func (g *Graph) CloneDetached() *Graph {
-	c := g.Clone()
-	c.labels = g.labels.Clone()
+	c.own.Store(new(cow.Owner))
+	g.own.Store(new(cow.Owner))
 	return c
 }
 
 // ErrNoRoot is returned by operations that require a rooted graph.
 var ErrNoRoot = errors.New("graph: no root node set")
 
-// Validate performs structural sanity checks: adjacency symmetry, edge-set
-// consistency and root validity. It is intended for tests and for validating
-// loaded data, not for hot paths.
+// Validate performs structural sanity checks: adjacency symmetry and
+// ordering, edge count, posting lists and root validity. It is intended for
+// tests and for validating loaded data, not for hot paths.
 func (g *Graph) Validate() error {
 	if g.root != InvalidNode {
 		if int(g.root) >= g.NumNodes() {
@@ -270,34 +278,39 @@ func (g *Graph) Validate() error {
 		}
 	}
 	fwd := 0
-	for n := range g.children {
-		for _, c := range g.children[n] {
+	for n := 0; n < g.NumNodes(); n++ {
+		row := g.children.At(n)
+		for i, c := range row {
 			if int(c) >= g.NumNodes() {
 				return fmt.Errorf("graph: edge %d->%d points past node range", n, c)
 			}
-			if _, ok := g.edgeSet[edgeKey{NodeID(n), c}]; !ok {
-				return fmt.Errorf("graph: edge %d->%d missing from edge set", n, c)
+			if i > 0 && row[i-1] >= c {
+				return fmt.Errorf("graph: children of %d not strictly ascending at %d", n, i)
 			}
-			found := false
-			for _, p := range g.parents[c] {
-				if p == NodeID(n) {
-					found = true
-					break
-				}
-			}
-			if !found {
+			if _, ok := slices.BinarySearch(g.parents.At(int(c)), NodeID(n)); !ok {
 				return fmt.Errorf("graph: edge %d->%d missing reverse adjacency", n, c)
 			}
 			fwd++
 		}
 	}
-	if fwd != g.numEdges || len(g.edgeSet) != g.numEdges {
-		return fmt.Errorf("graph: edge count mismatch: adjacency %d, set %d, counter %d",
-			fwd, len(g.edgeSet), g.numEdges)
+	bwd := 0
+	for n := 0; n < g.NumNodes(); n++ {
+		row := g.parents.At(n)
+		for i := 1; i < len(row); i++ {
+			if row[i-1] >= row[i] {
+				return fmt.Errorf("graph: parents of %d not strictly ascending at %d", n, i)
+			}
+		}
+		bwd += len(row)
+	}
+	if fwd != g.numEdges || bwd != g.numEdges {
+		return fmt.Errorf("graph: edge count mismatch: children %d, parents %d, counter %d",
+			fwd, bwd, g.numEdges)
 	}
 	// Posting lists must exactly re-derive from the node labels.
 	want := make([][]NodeID, len(g.byLabel))
-	for n, l := range g.nodeLabel {
+	for n := 0; n < g.NumNodes(); n++ {
+		l := g.nodeLabel.At(n)
 		if int(l) >= len(want) {
 			return fmt.Errorf("graph: posting lists missing label %d", l)
 		}
@@ -317,10 +330,23 @@ func (g *Graph) Validate() error {
 	return nil
 }
 
-func (g *Graph) checkNode(n NodeID) {
-	if n < 0 || int(n) >= len(g.nodeLabel) {
-		panic(fmt.Sprintf("graph: node id %d out of range [0,%d)", n, len(g.nodeLabel)))
+// checkNode panics unless n is a node of g and returns n as a column index.
+// Panicking with a value (formatted only if it is ever printed) keeps the
+// check, and with it Label, Children and Parents, within the inlining budget.
+func (g *Graph) checkNode(n NodeID) int {
+	if uint(n) >= uint(g.nodeLabel.Len()) {
+		panic(nodeRangeError{n, g.nodeLabel.Len()})
 	}
+	return int(n)
+}
+
+type nodeRangeError struct {
+	n     NodeID
+	nodes int
+}
+
+func (e nodeRangeError) Error() string {
+	return fmt.Sprintf("graph: node id %d out of range [0,%d)", e.n, e.nodes)
 }
 
 // CompactReachable returns a new graph containing only the nodes reachable
@@ -340,7 +366,7 @@ func (g *Graph) CompactReachable() (*Graph, []NodeID, error) {
 	out := NewWithLabels(g.labels)
 	for n := 0; n < g.NumNodes(); n++ {
 		if keep[NodeID(n)] {
-			mapping[n] = out.AddNodeID(g.nodeLabel[n])
+			mapping[n] = out.AddNodeID(g.nodeLabel.At(n))
 		}
 	}
 	out.SetRoot(mapping[g.root])
@@ -348,7 +374,7 @@ func (g *Graph) CompactReachable() (*Graph, []NodeID, error) {
 		if mapping[n] == InvalidNode {
 			continue
 		}
-		for _, c := range g.children[n] {
+		for _, c := range g.children.At(n) {
 			if mapping[c] != InvalidNode {
 				out.AddEdge(mapping[n], mapping[c])
 			}

@@ -23,7 +23,7 @@ func (g *Graph) BFS(start NodeID, visit func(n NodeID, depth int) bool) {
 		if !visit(cur.n, cur.d) {
 			continue
 		}
-		for _, c := range g.children[cur.n] {
+		for _, c := range g.children.At(int(cur.n)) {
 			if !seen[c] {
 				seen[c] = true
 				queue = append(queue, item{c, cur.d + 1})
@@ -88,7 +88,7 @@ func (g *Graph) LabelPathMatchesNode(labels []LabelID, n NodeID, visited func(No
 		if visited != nil {
 			visited(n)
 		}
-		if g.nodeLabel[n] != labels[pos] {
+		if g.nodeLabel.At(int(n)) != labels[pos] {
 			return false
 		}
 		if pos == 0 {
@@ -102,7 +102,7 @@ func (g *Graph) LabelPathMatchesNode(labels []LabelID, n NodeID, visited func(No
 		// progress by revisiting the same (node, position) pair.
 		memo[k] = false
 		res := false
-		for _, p := range g.parents[n] {
+		for _, p := range g.parents.At(int(n)) {
 			if match(p, pos-1) {
 				res = true
 				break
@@ -162,12 +162,12 @@ func (g *Graph) EvalLabelPath(labels []LabelID, visited func(NodeID)) []NodeID {
 		}
 	}
 	for pos := 1; pos < len(labels) && len(cur) > 0; pos++ {
-		sc.seen.Reset(len(g.nodeLabel))
+		sc.seen.Reset(g.NumNodes())
 		next = next[:0]
 		want := labels[pos]
 		for _, n := range cur {
-			for _, c := range g.children[n] {
-				if g.nodeLabel[c] == want && sc.seen.Add(c) {
+			for _, c := range g.children.At(int(n)) {
+				if g.nodeLabel.At(int(c)) == want && sc.seen.Add(c) {
 					next = append(next, c)
 					if visited != nil {
 						visited(c)

@@ -82,14 +82,14 @@ func AKEdgeUpdate(ig *IndexGraph, k int, u, v graph.NodeID) UpdateStats {
 	}
 	intersectsAffected := func(b graph.NodeID) bool {
 		hit := false
-		ig.extents[b].Iterate(func(d graph.NodeID) bool {
+		ig.ExtentSet(b).Iterate(func(d graph.NodeID) bool {
 			hit = affected[d]
 			return !hit
 		})
 		return hit
 	}
 	for d := range affected {
-		push(ig.nodeOf[d])
+		push(ig.IndexOf(d))
 	}
 	// The paper's baseline always re-checks the children of the newly
 	// created index node ("it recursively checks if the newly created index
@@ -123,12 +123,12 @@ func AKEdgeUpdate(ig *IndexGraph, k int, u, v graph.NodeID) UpdateStats {
 // the ids of all fragments (including b itself) if any split happened, or
 // nil when the extent was already homogeneous.
 func (ig *IndexGraph) repartitionByParents(b graph.NodeID, stats *UpdateStats) []graph.NodeID {
-	if ig.extents[b].Len() == 1 {
+	if ig.ExtentSize(b) == 1 {
 		stats.DataNodesTouched++
 		return nil
 	}
 	ext := extentScratchGet()
-	ext = ig.extents[b].AppendTo(ext)
+	ext = ig.AppendExtent(ext, b)
 	defer extentScratchPut(ext)
 	groups := make(map[string][]graph.NodeID)
 	var order []string
@@ -139,7 +139,7 @@ func (ig *IndexGraph) repartitionByParents(b graph.NodeID, stats *UpdateStats) [
 		sig = sig[:0]
 		for _, p := range ig.data.Parents(d) {
 			stats.DataNodesTouched++
-			sig = append(sig, ig.nodeOf[p])
+			sig = append(sig, ig.IndexOf(p))
 		}
 		slices.Sort(sig)
 		key = key[:0]

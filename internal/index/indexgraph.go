@@ -2,10 +2,13 @@ package index
 
 import (
 	"fmt"
+	"maps"
 	"math"
 	"slices"
 	"sync"
+	"sync/atomic"
 
+	"dkindex/internal/cow"
 	"dkindex/internal/graph"
 	"dkindex/internal/nodeset"
 	"dkindex/internal/partition"
@@ -26,33 +29,31 @@ const Exact = math.MaxInt32 / 4
 //
 // Adjacency is maintained with data-edge counts so that extent splits and
 // incremental edge additions update the index graph without global rebuilds.
+//
+// Storage is copy-on-write under one ownership token (internal/cow): the
+// per-node and per-data-node columns are paged, each node's adjacency and
+// each label's posting builder records the token that may write it in place,
+// and every mutator goes through mutAdj / Paged.Mut / appendPosting, which copy
+// what the token does not own. Clone therefore copies tables only.
 type IndexGraph struct {
 	data   *graph.Graph
-	labels []graph.LabelID
+	own    atomic.Pointer[cow.Owner]
+	labels cow.Paged[graph.LabelID]
 	// extents holds each node's extent as an immutable succinct set
-	// (internal/nodeset): clones share them, and query-side set algebra
-	// operates on the compressed form directly. Mutation paths (splits,
-	// repartitioning) decompress through extentScratch, recombine, and
-	// swap in fresh sets.
-	extents []nodeset.Set
-	k       []int
-	// children[a][b] = number of data edges from extent(a) into extent(b);
-	// parents is the mirror. An index edge exists iff its count is > 0.
-	children []map[graph.NodeID]int
-	parents  []map[graph.NodeID]int
-	// childList/parentList mirror the maps as ascending adjacency slices,
-	// maintained incrementally on edge appearance/disappearance so the query
-	// hot path never sorts map keys. Returned slices are owned by the index.
-	childList  [][]graph.NodeID
-	parentList [][]graph.NodeID
+	// (internal/nodeset): query-side set algebra operates on the compressed
+	// form directly. Mutation paths (splits, repartitioning) decompress
+	// through extentScratch, recombine, and swap in fresh sets.
+	extents cow.Paged[nodeset.Set]
+	k       cow.Paged[int]
+	adj     []*adjacency
 	// byLabel[l] lists index nodes carrying label l in ascending order (new
 	// nodes always receive the largest id, so appending keeps lists sorted).
 	// Each posting list is a succinct-set builder: the sealed prefix is
 	// compressed, the open chunk stays as raw low-16 values, and query
 	// seeding reads PostingSet views instead of scanning all nodes.
-	byLabel  []*nodeset.Builder
+	byLabel  []posting
 	numEdges int
-	nodeOf   []graph.NodeID // data node -> index node
+	nodeOf   cow.Paged[graph.NodeID] // data node -> index node
 	// fbStable records that extents are forward-and-backward bisimilar
 	// (F&B classes): branching path queries are then sound on the index
 	// alone. Data mutations clear it.
@@ -64,61 +65,116 @@ type IndexGraph struct {
 	onSplit func(orig, created graph.NodeID)
 }
 
+// adjacency is one index node's edges. children[b] = number of data edges
+// from this node's extent into extent(b); parents is the mirror. An index
+// edge exists iff its count is > 0. childList/parentList mirror the maps as
+// ascending slices, maintained incrementally on edge appearance and
+// disappearance so the query hot path never sorts map keys.
+type adjacency struct {
+	own                   *cow.Owner
+	children, parents     map[graph.NodeID]int
+	childList, parentList []graph.NodeID
+}
+
+// posting is one label's posting-list builder and the token that may append
+// to it in place.
+type posting struct {
+	own *cow.Owner
+	b   *nodeset.Builder
+}
+
+func newAdjacency(own *cow.Owner) *adjacency {
+	return &adjacency{own: own, children: make(map[graph.NodeID]int), parents: make(map[graph.NodeID]int)}
+}
+
+// newIndexGraph allocates an index graph of nb nodes over data with empty
+// adjacency, for FromPartition and Reconstruct to fill in. Everything in it
+// belongs to the nil token — the token of a graph that has never been cloned
+// — so the builders write it in place.
+func newIndexGraph(data *graph.Graph, nb int) *IndexGraph {
+	ig := &IndexGraph{
+		data:    data,
+		labels:  cow.Make[graph.LabelID](nb),
+		extents: cow.Make[nodeset.Set](nb),
+		k:       cow.Make[int](nb),
+		adj:     make([]*adjacency, nb),
+		nodeOf:  cow.Make[graph.NodeID](data.NumNodes()),
+	}
+	for b := range ig.adj {
+		ig.adj[b] = newAdjacency(nil)
+	}
+	return ig
+}
+
+// mutAdj returns index node n's adjacency for writing, copying it first
+// unless this graph already owns it.
+func (ig *IndexGraph) mutAdj(n graph.NodeID) *adjacency {
+	a := ig.adj[n]
+	if own := ig.own.Load(); a.own != own {
+		a = &adjacency{
+			own:        own,
+			children:   maps.Clone(a.children),
+			parents:    maps.Clone(a.parents),
+			childList:  slices.Clone(a.childList),
+			parentList: slices.Clone(a.parentList),
+		}
+		ig.adj[n] = a
+	}
+	return a
+}
+
 // FromPartition materializes the index graph induced by a partition of src.
 // kOf supplies the local similarity recorded for each block; blocks become
 // index nodes with the same ids.
 func FromPartition(src Source, p *partition.Partition, kOf func(partition.BlockID) int) *IndexGraph {
 	data := src.Data()
 	nb := p.NumBlocks()
-	ig := &IndexGraph{
-		data:       data,
-		labels:     make([]graph.LabelID, nb),
-		extents:    make([]nodeset.Set, nb),
-		k:          make([]int, nb),
-		children:   make([]map[graph.NodeID]int, nb),
-		parents:    make([]map[graph.NodeID]int, nb),
-		childList:  make([][]graph.NodeID, nb),
-		parentList: make([][]graph.NodeID, nb),
-		nodeOf:     make([]graph.NodeID, data.NumNodes()),
-	}
+	ig := newIndexGraph(data, nb)
 	for b := 0; b < nb; b++ {
 		mem := p.Members(partition.BlockID(b))
-		ig.labels[b] = src.Label(mem[0])
-		ig.k[b] = kOf(partition.BlockID(b))
-		ig.children[b] = make(map[graph.NodeID]int)
-		ig.parents[b] = make(map[graph.NodeID]int)
-		ig.appendPosting(ig.labels[b], graph.NodeID(b))
+		label := src.Label(mem[0])
+		*ig.labels.Mut(nil, b) = label
+		*ig.k.Mut(nil, b) = kOf(partition.BlockID(b))
+		ig.appendPosting(label, graph.NodeID(b))
 		ext := extentScratchGet()
 		for _, m := range mem {
 			ext = src.AppendExtent(ext, m)
 		}
 		slices.Sort(ext)
-		ig.extents[b] = nodeset.FromSorted(ext)
+		*ig.extents.Mut(nil, b) = nodeset.FromSorted(ext)
 		for _, d := range ext {
-			ig.nodeOf[d] = graph.NodeID(b)
+			*ig.nodeOf.Mut(nil, int(d)) = graph.NodeID(b)
 		}
 		extentScratchPut(ext)
 	}
-	// Derive index edges from data edges, counting multiplicities.
-	for u := 0; u < data.NumNodes(); u++ {
-		a := ig.nodeOf[u]
-		for _, v := range data.Children(graph.NodeID(u)) {
-			ig.incEdge(a, ig.nodeOf[v])
+	ig.deriveEdges()
+	return ig
+}
+
+// deriveEdges fills the index adjacency of a freshly allocated graph from the
+// data edges, counting multiplicities.
+func (ig *IndexGraph) deriveEdges() {
+	for u := 0; u < ig.data.NumNodes(); u++ {
+		a := ig.nodeOf.At(u)
+		for _, v := range ig.data.Children(graph.NodeID(u)) {
+			ig.incEdge(a, ig.nodeOf.At(int(v)))
 		}
 	}
-	return ig
 }
 
 // appendPosting records that index node n carries label l. Nodes are created
 // with ascending ids, so appending keeps each posting list sorted.
 func (ig *IndexGraph) appendPosting(l graph.LabelID, n graph.NodeID) {
 	for int(l) >= len(ig.byLabel) {
-		ig.byLabel = append(ig.byLabel, nil)
+		ig.byLabel = append(ig.byLabel, posting{})
 	}
-	if ig.byLabel[l] == nil {
-		ig.byLabel[l] = new(nodeset.Builder)
+	p := &ig.byLabel[l]
+	if own := ig.own.Load(); p.b == nil {
+		*p = posting{own: own, b: new(nodeset.Builder)}
+	} else if p.own != own {
+		*p = posting{own: own, b: p.b.Clone()}
 	}
-	ig.byLabel[l].Append(n)
+	p.b.Append(n)
 }
 
 // extentScratch recycles the decompression buffers the mutation and
@@ -137,26 +193,28 @@ func extentScratchPut(b []graph.NodeID) {
 }
 
 func (ig *IndexGraph) incEdge(a, b graph.NodeID) {
-	if ig.children[a][b] == 0 {
+	from, to := ig.mutAdj(a), ig.mutAdj(b)
+	if from.children[b] == 0 {
 		ig.numEdges++
-		ig.childList[a] = insertSortedIDs(ig.childList[a], b)
-		ig.parentList[b] = insertSortedIDs(ig.parentList[b], a)
+		from.childList = insertSortedIDs(from.childList, b)
+		to.parentList = insertSortedIDs(to.parentList, a)
 	}
-	ig.children[a][b]++
-	ig.parents[b][a]++
+	from.children[b]++
+	to.parents[a]++
 }
 
 func (ig *IndexGraph) decEdge(a, b graph.NodeID) {
-	c := ig.children[a][b]
+	from, to := ig.mutAdj(a), ig.mutAdj(b)
+	c := from.children[b]
 	switch {
 	case c > 1:
-		ig.children[a][b] = c - 1
-		ig.parents[b][a] = c - 1
+		from.children[b] = c - 1
+		to.parents[a] = c - 1
 	case c == 1:
-		delete(ig.children[a], b)
-		delete(ig.parents[b], a)
-		ig.childList[a] = removeSortedIDs(ig.childList[a], b)
-		ig.parentList[b] = removeSortedIDs(ig.parentList[b], a)
+		delete(from.children, b)
+		delete(to.parents, a)
+		from.childList = removeSortedIDs(from.childList, b)
+		to.parentList = removeSortedIDs(to.parentList, a)
 		ig.numEdges--
 	default:
 		panic(fmt.Sprintf("index: decEdge on absent edge %d->%d", a, b))
@@ -201,19 +259,19 @@ func (ig *IndexGraph) FBStable() bool { return ig.fbStable }
 func (ig *IndexGraph) markFBStable() { ig.fbStable = true }
 
 // NumNodes returns the number of index nodes (the paper's index size metric).
-func (ig *IndexGraph) NumNodes() int { return len(ig.labels) }
+func (ig *IndexGraph) NumNodes() int { return ig.labels.Len() }
 
 // NumEdges returns the number of distinct index edges.
 func (ig *IndexGraph) NumEdges() int { return ig.numEdges }
 
 // Label returns the label of index node n.
-func (ig *IndexGraph) Label(n graph.NodeID) graph.LabelID { return ig.labels[n] }
+func (ig *IndexGraph) Label(n graph.NodeID) graph.LabelID { return ig.labels.At(int(n)) }
 
 // K returns the local similarity of index node n.
-func (ig *IndexGraph) K(n graph.NodeID) int { return ig.k[n] }
+func (ig *IndexGraph) K(n graph.NodeID) int { return ig.k.At(int(n)) }
 
 // SetK sets the local similarity of index node n.
-func (ig *IndexGraph) SetK(n graph.NodeID, k int) { ig.k[n] = k }
+func (ig *IndexGraph) SetK(n graph.NodeID, k int) { *ig.k.Mut(ig.own.Load(), int(n)) = k }
 
 // Extent returns the sorted data nodes represented by index node n as a
 // freshly allocated slice owned by the caller. Earlier versions returned the
@@ -221,34 +279,34 @@ func (ig *IndexGraph) SetK(n graph.NodeID, k int) { ig.k[n] = k }
 // the copy makes the read-only contract structural. Hot paths should prefer
 // ExtentSet (no decompression) or AppendExtent (caller-managed buffer).
 func (ig *IndexGraph) Extent(n graph.NodeID) []graph.NodeID {
-	return ig.extents[n].AppendTo(nil)
+	return ig.extents.At(int(n)).AppendTo(nil)
 }
 
 // ExtentSet returns index node n's extent in its succinct immutable form —
 // the zero-copy accessor for set-algebra query primitives.
-func (ig *IndexGraph) ExtentSet(n graph.NodeID) nodeset.Set { return ig.extents[n] }
+func (ig *IndexGraph) ExtentSet(n graph.NodeID) nodeset.Set { return ig.extents.At(int(n)) }
 
 // ExtentSize returns the extent cardinality without decompressing it.
-func (ig *IndexGraph) ExtentSize(n graph.NodeID) int { return ig.extents[n].Len() }
+func (ig *IndexGraph) ExtentSize(n graph.NodeID) int { return ig.extents.At(int(n)).Len() }
 
 // IndexOf returns the index node whose extent contains data node d.
-func (ig *IndexGraph) IndexOf(d graph.NodeID) graph.NodeID { return ig.nodeOf[d] }
+func (ig *IndexGraph) IndexOf(d graph.NodeID) graph.NodeID { return ig.nodeOf.At(int(d)) }
 
 // Children returns the out-neighbors of index node n in ascending order.
 // The slice is owned by the index graph and must not be mutated; it is
 // maintained incrementally so the query hot path never sorts map keys.
 func (ig *IndexGraph) Children(n graph.NodeID) []graph.NodeID {
-	return ig.childList[n]
+	return ig.adj[n].childList
 }
 
 // Parents returns the in-neighbors of index node n in ascending order. The
 // slice is owned by the index graph and must not be mutated.
 func (ig *IndexGraph) Parents(n graph.NodeID) []graph.NodeID {
-	return ig.parentList[n]
+	return ig.adj[n].parentList
 }
 
 // HasEdge reports whether the index edge a -> b exists.
-func (ig *IndexGraph) HasEdge(a, b graph.NodeID) bool { return ig.children[a][b] > 0 }
+func (ig *IndexGraph) HasEdge(a, b graph.NodeID) bool { return ig.adj[a].children[b] > 0 }
 
 // NodesWithLabel returns the index nodes carrying label l in ascending order
 // as a freshly allocated slice owned by the caller. Query evaluation seeds
@@ -267,9 +325,9 @@ func (ig *IndexGraph) NodesWithLabel(l graph.LabelID) []graph.NodeID {
 // readers must seal first: afterwards PostingSet on a quiescent graph is a
 // pure read, safe under concurrent readers and cloning writers.
 func (ig *IndexGraph) SealPostings() {
-	for _, b := range ig.byLabel {
-		if b != nil {
-			b.View()
+	for _, p := range ig.byLabel {
+		if p.b != nil {
+			p.b.View()
 		}
 	}
 }
@@ -278,10 +336,10 @@ func (ig *IndexGraph) SealPostings() {
 // the ascending index nodes carrying l. The view is immutable — later node
 // creation never mutates it. Unknown labels return the empty set.
 func (ig *IndexGraph) PostingSet(l graph.LabelID) nodeset.Set {
-	if l < 0 || int(l) >= len(ig.byLabel) || ig.byLabel[l] == nil {
+	if l < 0 || int(l) >= len(ig.byLabel) || ig.byLabel[l].b == nil {
 		return nodeset.Set{}
 	}
-	return ig.byLabel[l].View()
+	return ig.byLabel[l].b.View()
 }
 
 // NumLabels returns the number of labels interned in the shared table.
@@ -291,58 +349,35 @@ func (ig *IndexGraph) NumLabels() int { return ig.data.Labels().Len() }
 // construction source for another index (subgraph addition, demotion). The
 // extent is decompressed directly into dst in ascending order.
 func (ig *IndexGraph) AppendExtent(dst []graph.NodeID, n graph.NodeID) []graph.NodeID {
-	return ig.extents[n].AppendTo(dst)
+	return ig.extents.At(int(n)).AppendTo(dst)
 }
 
 var _ Source = (*IndexGraph)(nil)
 
-// Clone returns an independent deep copy sharing only the data graph.
+// Clone returns an independent copy of the index graph and its data graph
+// in O(nodes / page size + index nodes) pointer copies: columns, adjacency
+// and posting builders are shared until either side writes them (see
+// IndexGraph), extent sets are immutable and always shared. A write through
+// either side — to the summary or to the data graph under it — is never
+// visible through the other. Like graph.Clone it only reads the receiver
+// apart from retiring its write token, so a published snapshot may be cloned
+// beside its readers; the receiver's postings must be sealed (SealPostings)
+// for that, as for any concurrent read. The split hook is not copied —
+// instrumentation re-attaches per mutation.
 func (ig *IndexGraph) Clone() *IndexGraph {
-	return ig.CloneOnto(ig.data)
-}
-
-// CloneOnto is Clone with the copy reading extents and labels against the
-// given data graph instead of the shared one. The caller must pass a graph
-// with identical node numbering (typically data.Clone()); it is how writers
-// build a fully detached index copy before mutating both layers in place.
-// The split hook is not copied — instrumentation re-attaches per mutation.
-func (ig *IndexGraph) CloneOnto(data *graph.Graph) *IndexGraph {
 	c := &IndexGraph{
-		data:   data,
-		labels: append([]graph.LabelID(nil), ig.labels...),
-		// Extent sets are immutable: the clone shares their payloads and
-		// pays only a slice-header copy per node. Mutations swap in fresh
-		// sets without touching the shared ones.
-		extents:    append([]nodeset.Set(nil), ig.extents...),
-		k:          append([]int(nil), ig.k...),
-		children:   make([]map[graph.NodeID]int, len(ig.children)),
-		parents:    make([]map[graph.NodeID]int, len(ig.parents)),
-		childList:  make([][]graph.NodeID, len(ig.childList)),
-		parentList: make([][]graph.NodeID, len(ig.parentList)),
-		byLabel:    make([]*nodeset.Builder, len(ig.byLabel)),
-		numEdges:   ig.numEdges,
-		nodeOf:     append([]graph.NodeID(nil), ig.nodeOf...),
-		fbStable:   ig.fbStable,
+		data:     ig.data.Clone(),
+		labels:   ig.labels.Clone(),
+		extents:  ig.extents.Clone(),
+		k:        ig.k.Clone(),
+		adj:      slices.Clone(ig.adj),
+		byLabel:  slices.Clone(ig.byLabel),
+		numEdges: ig.numEdges,
+		nodeOf:   ig.nodeOf.Clone(),
+		fbStable: ig.fbStable,
 	}
-	for i := range ig.extents {
-		c.children[i] = cloneCounts(ig.children[i])
-		c.parents[i] = cloneCounts(ig.parents[i])
-		c.childList[i] = append([]graph.NodeID(nil), ig.childList[i]...)
-		c.parentList[i] = append([]graph.NodeID(nil), ig.parentList[i]...)
-	}
-	for l, b := range ig.byLabel {
-		if b != nil {
-			c.byLabel[l] = b.Clone()
-		}
-	}
-	return c
-}
-
-func cloneCounts(m map[graph.NodeID]int) map[graph.NodeID]int {
-	c := make(map[graph.NodeID]int, len(m))
-	for k, v := range m {
-		c[k] = v
-	}
+	c.own.Store(new(cow.Owner))
+	ig.own.Store(new(cow.Owner))
 	return c
 }
 
@@ -351,22 +386,23 @@ func cloneCounts(m map[graph.NodeID]int) map[graph.NodeID]int {
 // and nodeOf is consistent. Intended for tests.
 func (ig *IndexGraph) Validate() error {
 	seen := make([]bool, ig.data.NumNodes())
-	for b := range ig.extents {
-		if ig.extents[b].IsEmpty() {
+	for b := 0; b < ig.NumNodes(); b++ {
+		ext := ig.extents.At(b)
+		if ext.IsEmpty() {
 			return fmt.Errorf("index: empty extent at node %d", b)
 		}
 		var extErr error
-		ig.extents[b].Iterate(func(d graph.NodeID) bool {
+		ext.Iterate(func(d graph.NodeID) bool {
 			if seen[d] {
 				extErr = fmt.Errorf("index: data node %d in two extents", d)
 				return false
 			}
 			seen[d] = true
-			if ig.nodeOf[d] != graph.NodeID(b) {
-				extErr = fmt.Errorf("index: nodeOf[%d]=%d, listed in %d", d, ig.nodeOf[d], b)
+			if ig.IndexOf(d) != graph.NodeID(b) {
+				extErr = fmt.Errorf("index: nodeOf[%d]=%d, listed in %d", d, ig.IndexOf(d), b)
 				return false
 			}
-			if ig.data.Label(d) != ig.labels[b] {
+			if ig.data.Label(d) != ig.labels.At(b) {
 				extErr = fmt.Errorf("index: node %d extent mixes labels", b)
 				return false
 			}
@@ -385,12 +421,12 @@ func (ig *IndexGraph) Validate() error {
 	want := make(map[[2]graph.NodeID]int)
 	for u := 0; u < ig.data.NumNodes(); u++ {
 		for _, v := range ig.data.Children(graph.NodeID(u)) {
-			want[[2]graph.NodeID{ig.nodeOf[u], ig.nodeOf[v]}]++
+			want[[2]graph.NodeID{ig.nodeOf.At(u), ig.IndexOf(v)}]++
 		}
 	}
 	got := 0
-	for a := range ig.children {
-		for b, cnt := range ig.children[a] {
+	for a := range ig.adj {
+		for b, cnt := range ig.adj[a].children {
 			if cnt <= 0 {
 				return fmt.Errorf("index: non-positive edge count %d->%d", a, b)
 			}
@@ -398,7 +434,7 @@ func (ig *IndexGraph) Validate() error {
 				return fmt.Errorf("index: edge %d->%d count %d, want %d",
 					a, b, cnt, want[[2]graph.NodeID{graph.NodeID(a), b}])
 			}
-			if ig.parents[b][graph.NodeID(a)] != cnt {
+			if ig.adj[b].parents[graph.NodeID(a)] != cnt {
 				return fmt.Errorf("index: edge %d->%d parent mirror mismatch", a, b)
 			}
 			got++
@@ -411,17 +447,18 @@ func (ig *IndexGraph) Validate() error {
 		return fmt.Errorf("index: numEdges=%d, actual %d", ig.numEdges, got)
 	}
 	// Adjacency slice mirrors must match the maps, sorted ascending.
-	for a := range ig.children {
-		if err := checkMirror(ig.childList[a], ig.children[a], "childList", a); err != nil {
+	for a, adj := range ig.adj {
+		if err := checkMirror(adj.childList, adj.children, "childList", a); err != nil {
 			return err
 		}
-		if err := checkMirror(ig.parentList[a], ig.parents[a], "parentList", a); err != nil {
+		if err := checkMirror(adj.parentList, adj.parents, "parentList", a); err != nil {
 			return err
 		}
 	}
 	// Posting lists must exactly re-derive from the node labels.
 	wantPost := make([][]graph.NodeID, len(ig.byLabel))
-	for n, l := range ig.labels {
+	for n := 0; n < ig.NumNodes(); n++ {
+		l := ig.labels.At(n)
 		if int(l) >= len(wantPost) {
 			return fmt.Errorf("index: posting lists missing label %d", l)
 		}
@@ -459,14 +496,15 @@ const sliceHeaderBytes = 24
 // MemStats computes the current footprint in one pass over the containers.
 func (ig *IndexGraph) MemStats() MemStats {
 	var m MemStats
-	for b := range ig.extents {
-		ig.extents[b].AddStats(&m.Extents)
-		m.ExtentRawBytes += sliceHeaderBytes + 4*ig.extents[b].Len()
+	for b := 0; b < ig.NumNodes(); b++ {
+		ext := ig.extents.At(b)
+		ext.AddStats(&m.Extents)
+		m.ExtentRawBytes += sliceHeaderBytes + 4*ext.Len()
 	}
-	for _, pb := range ig.byLabel {
-		if pb != nil {
-			pb.AddStats(&m.Postings)
-			m.PostingRawBytes += sliceHeaderBytes + 4*pb.Len()
+	for _, p := range ig.byLabel {
+		if p.b != nil {
+			p.b.AddStats(&m.Postings)
+			m.PostingRawBytes += sliceHeaderBytes + 4*p.b.Len()
 		}
 	}
 	return m

@@ -176,24 +176,3 @@ func TestQuickPostingListsConsistentUnderMixedOps(t *testing.T) {
 		t.Error(err)
 	}
 }
-
-// Property: Clone is a true deep copy — arbitrary mutations of the clone
-// leave the original Validate-clean and of unchanged size.
-func TestQuickCloneIsolation(t *testing.T) {
-	f := func(s genSpec, opSeed int64) bool {
-		g := s.build()
-		ig := BuildAK(g, 2)
-		size, edges := ig.NumNodes(), ig.NumEdges()
-		c := ig.Clone()
-		rng := rand.New(rand.NewSource(opSeed))
-		for i := 0; i < 10; i++ {
-			c.SplitNode(graph.NodeID(rng.Intn(c.NumNodes())),
-				func(graph.NodeID) bool { return rng.Intn(2) == 0 })
-			c.SetK(graph.NodeID(rng.Intn(c.NumNodes())), rng.Intn(5))
-		}
-		return ig.NumNodes() == size && ig.NumEdges() == edges && ig.Validate() == nil
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
-		t.Error(err)
-	}
-}

@@ -17,17 +17,7 @@ func Reconstruct(data *graph.Graph, extents [][]graph.NodeID, ks []int) (*IndexG
 	if len(extents) != len(ks) {
 		return nil, fmt.Errorf("index: %d extents but %d similarities", len(extents), len(ks))
 	}
-	ig := &IndexGraph{
-		data:       data,
-		labels:     make([]graph.LabelID, len(extents)),
-		extents:    make([]nodeset.Set, len(extents)),
-		k:          append([]int(nil), ks...),
-		children:   make([]map[graph.NodeID]int, len(extents)),
-		parents:    make([]map[graph.NodeID]int, len(extents)),
-		childList:  make([][]graph.NodeID, len(extents)),
-		parentList: make([][]graph.NodeID, len(extents)),
-		nodeOf:     make([]graph.NodeID, data.NumNodes()),
-	}
+	ig := newIndexGraph(data, len(extents))
 	seen := make([]bool, data.NumNodes())
 	for b, ext := range extents {
 		if len(ext) == 0 {
@@ -35,10 +25,10 @@ func Reconstruct(data *graph.Graph, extents [][]graph.NodeID, ks []int) (*IndexG
 		}
 		cp := append([]graph.NodeID(nil), ext...)
 		slices.Sort(cp)
-		ig.labels[b] = data.Label(cp[0])
-		ig.children[b] = make(map[graph.NodeID]int)
-		ig.parents[b] = make(map[graph.NodeID]int)
-		ig.appendPosting(ig.labels[b], graph.NodeID(b))
+		label := data.Label(cp[0])
+		*ig.labels.Mut(nil, b) = label
+		*ig.k.Mut(nil, b) = ks[b]
+		ig.appendPosting(label, graph.NodeID(b))
 		for _, d := range cp {
 			if d < 0 || int(d) >= data.NumNodes() {
 				return nil, fmt.Errorf("index: extent %d references node %d out of range", b, d)
@@ -46,26 +36,21 @@ func Reconstruct(data *graph.Graph, extents [][]graph.NodeID, ks []int) (*IndexG
 			if seen[d] {
 				return nil, fmt.Errorf("index: data node %d in two extents", d)
 			}
-			if data.Label(d) != ig.labels[b] {
+			if data.Label(d) != label {
 				return nil, fmt.Errorf("index: extent %d mixes labels", b)
 			}
 			seen[d] = true
-			ig.nodeOf[d] = graph.NodeID(b)
+			*ig.nodeOf.Mut(nil, int(d)) = graph.NodeID(b)
 		}
 		// Encode after validation: FromSorted requires the strictly
 		// ascending, duplicate-free input the checks above establish.
-		ig.extents[b] = nodeset.FromSorted(cp)
+		*ig.extents.Mut(nil, b) = nodeset.FromSorted(cp)
 	}
 	for d, ok := range seen {
 		if !ok {
 			return nil, fmt.Errorf("index: data node %d not covered", d)
 		}
 	}
-	for u := 0; u < data.NumNodes(); u++ {
-		a := ig.nodeOf[u]
-		for _, v := range data.Children(graph.NodeID(u)) {
-			ig.incEdge(a, ig.nodeOf[v])
-		}
-	}
+	ig.deriveEdges()
 	return ig, nil
 }

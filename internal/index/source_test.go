@@ -80,8 +80,8 @@ func TestIndexGraphAppendExtent(t *testing.T) {
 func TestIndexGraphAppendExtentEmpty(t *testing.T) {
 	g := graph.FigureOneMovies()
 	ig := Build1Index(g)
-	ig.extents = append(ig.extents, nodeset.Set{})
-	empty := graph.NodeID(len(ig.extents) - 1)
+	ig.extents.Append(nil, nodeset.Set{})
+	empty := graph.NodeID(ig.extents.Len() - 1)
 	if got := ig.AppendExtent(nil, empty); len(got) != 0 {
 		t.Fatalf("empty extent appended %v", got)
 	}

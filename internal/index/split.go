@@ -19,7 +19,7 @@ func (ig *IndexGraph) SplitNode(b graph.NodeID, inSet func(graph.NodeID) bool) (
 	// Decompress b's extent and partition it; both halves inherit its
 	// ascending order, so re-encoding needs no sort.
 	ext := extentScratchGet()
-	ext = ig.extents[b].AppendTo(ext)
+	ext = ig.AppendExtent(ext, b)
 	var ins, outs []graph.NodeID
 	for _, d := range ext {
 		if inSet(d) {
@@ -32,22 +32,20 @@ func (ig *IndexGraph) SplitNode(b graph.NodeID, inSet func(graph.NodeID) bool) (
 		extentScratchPut(ext)
 		return graph.InvalidNode, false
 	}
-	nb := graph.NodeID(len(ig.labels))
-	ig.labels = append(ig.labels, ig.labels[b])
-	ig.k = append(ig.k, ig.k[b])
-	ig.extents[b] = nodeset.FromSorted(outs)
-	ig.extents = append(ig.extents, nodeset.FromSorted(ins))
+	own := ig.own.Load()
+	nb := graph.NodeID(ig.NumNodes())
+	ig.labels.Append(own, ig.Label(b))
+	ig.k.Append(own, ig.K(b))
+	*ig.extents.Mut(own, int(b)) = nodeset.FromSorted(outs)
+	ig.extents.Append(own, nodeset.FromSorted(ins))
 	extentScratchPut(ext)
-	ig.children = append(ig.children, make(map[graph.NodeID]int))
-	ig.parents = append(ig.parents, make(map[graph.NodeID]int))
-	ig.childList = append(ig.childList, nil)
-	ig.parentList = append(ig.parentList, nil)
-	ig.appendPosting(ig.labels[b], nb)
+	ig.adj = append(ig.adj, newAdjacency(own))
+	ig.appendPosting(ig.Label(b), nb)
 
 	moved := make(map[graph.NodeID]bool, len(ins))
 	for _, d := range ins {
 		moved[d] = true
-		ig.nodeOf[d] = nb
+		*ig.nodeOf.Mut(own, int(d)) = nb
 	}
 
 	// Every data edge with a moved endpoint changes index classification.
@@ -67,11 +65,11 @@ func (ig *IndexGraph) SplitNode(b graph.NodeID, inSet func(graph.NodeID) bool) (
 		if moved[n] {
 			return b
 		}
-		return ig.nodeOf[n]
+		return ig.IndexOf(n)
 	}
 	for e := range affected {
 		ig.decEdge(oldOf(e.u), oldOf(e.v))
-		ig.incEdge(ig.nodeOf[e.u], ig.nodeOf[e.v])
+		ig.incEdge(ig.IndexOf(e.u), ig.IndexOf(e.v))
 	}
 	if ig.onSplit != nil {
 		ig.onSplit(b, nb)
@@ -85,7 +83,7 @@ func (ig *IndexGraph) SplitNode(b graph.NodeID, inSet func(graph.NodeID) bool) (
 // intersection part) and whether a split happened.
 func (ig *IndexGraph) SplitBySuccOf(v, w graph.NodeID) (graph.NodeID, bool) {
 	succ := make(map[graph.NodeID]bool)
-	ig.extents[w].Iterate(func(d graph.NodeID) bool {
+	ig.ExtentSet(w).Iterate(func(d graph.NodeID) bool {
 		for _, c := range ig.data.Children(d) {
 			succ[c] = true
 		}
@@ -98,8 +96,8 @@ func (ig *IndexGraph) SplitBySuccOf(v, w graph.NodeID) (graph.NodeID, bool) {
 // it. If d is already alone in its extent, its index node is returned
 // unchanged.
 func (ig *IndexGraph) IsolateDataNode(d graph.NodeID) graph.NodeID {
-	b := ig.nodeOf[d]
-	if ig.extents[b].Len() == 1 {
+	b := ig.IndexOf(d)
+	if ig.ExtentSize(b) == 1 {
 		return b
 	}
 	nb, ok := ig.SplitNode(b, func(n graph.NodeID) bool { return n == d })
@@ -115,12 +113,12 @@ func (ig *IndexGraph) IsolateDataNode(d graph.NodeID) graph.NodeID {
 // adjust local similarities — that is the responsibility of the particular
 // index's update algorithm (D(k) Algorithm 5, or the A(k) propagate variant).
 func (ig *IndexGraph) AddDataEdge(u, v graph.NodeID) (a, b graph.NodeID, newIndexEdge bool) {
-	a, b = ig.nodeOf[u], ig.nodeOf[v]
+	a, b = ig.IndexOf(u), ig.IndexOf(v)
 	if !ig.data.AddEdge(u, v) {
 		return a, b, false // duplicate data edge: nothing changes
 	}
 	ig.fbStable = false // forward structure changed
-	newIndexEdge = ig.children[a][b] == 0
+	newIndexEdge = !ig.HasEdge(a, b)
 	ig.incEdge(a, b)
 	return a, b, newIndexEdge
 }
@@ -134,6 +132,6 @@ func (ig *IndexGraph) RemoveDataEdge(u, v graph.NodeID) bool {
 		return false
 	}
 	ig.fbStable = false
-	ig.decEdge(ig.nodeOf[u], ig.nodeOf[v])
+	ig.decEdge(ig.IndexOf(u), ig.IndexOf(v))
 	return true
 }

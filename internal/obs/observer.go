@@ -66,7 +66,8 @@ const (
 	// Write-pipeline metrics, fed by the facade's group-commit path: commits
 	// (one WAL fsync + one snapshot swap each), the mutations they carried,
 	// mutations rejected before or during application, the batch-size and
-	// flush-latency distributions, and the sequence/watermark gauges (last
+	// flush-latency distributions, the flush latency split by stage (clone,
+	// apply, wal, publish), and the sequence/watermark gauges (last
 	// assigned mutation sequence number vs the acknowledged-durable
 	// watermark — a widening gap means the committer is falling behind).
 	MetricBatchCommits      = "dk_batch_commits_total"
@@ -74,6 +75,7 @@ const (
 	MetricBatchRejected     = "dk_batch_mutations_rejected_total"
 	MetricBatchSize         = "dk_batch_size"
 	MetricBatchFlushSeconds = "dk_batch_flush_duration_seconds"
+	MetricBatchStageSeconds = "dk_batch_stage_duration_seconds"
 	MetricMutationSeq       = "dk_mutation_seq"
 	MetricMutationWatermark = "dk_mutation_watermark"
 
@@ -188,6 +190,7 @@ type Observer struct {
 		commits, mutations, rejected *Counter
 		size                         *Histogram
 		seconds                      *Histogram
+		stages                       [len(batchStages)]*Histogram
 		seq, watermark               *Gauge
 	}
 	repl struct {
@@ -278,6 +281,9 @@ func NewObserverWith(reg *Registry, events *Stream, tracer *Tracer) *Observer {
 	o.batch.rejected = reg.Counter(MetricBatchRejected, "Mutations rejected by validation or a failed group append.")
 	o.batch.size = reg.Histogram(MetricBatchSize, "Mutations applied per group commit.", []float64{1, 2, 4, 8, 16, 32, 64, 128, 256})
 	o.batch.seconds = reg.Histogram(MetricBatchFlushSeconds, "Group-commit wall time in seconds (apply + WAL fsync + swap).", ExpBuckets(1e-5, 2.5, 14))
+	for i, stage := range batchStages {
+		o.batch.stages[i] = reg.Histogram(MetricBatchStageSeconds, "Group-commit wall time in seconds, by stage.", ExpBuckets(1e-6, 2.5, 16), L("stage", stage))
+	}
 	o.batch.seq = reg.Gauge(MetricMutationSeq, "Last assigned mutation sequence number.")
 	o.batch.watermark = reg.Gauge(MetricMutationWatermark, "Acknowledged-durable mutation watermark.")
 	o.repl.applied = reg.Gauge(MetricReplAppliedSeq, "Last global WAL sequence the replica applied.")
@@ -354,6 +360,22 @@ func (o *Observer) ObserveBatchCommit(applied, rejected int, d time.Duration) {
 		o.batch.rejected.Add(uint64(rejected))
 	}
 	o.batch.seconds.Observe(d.Seconds())
+}
+
+// batchStages names the stages of a group commit in the order they run: the
+// copy-on-write clone of the published snapshot, the application of every
+// member, the WAL append + fsync, and the snapshot swap.
+var batchStages = [...]string{"clone", "apply", "wal", "publish"}
+
+// ObserveBatchStages records where one group commit's wall time went, so the
+// flush histogram can be attributed stage by stage.
+func (o *Observer) ObserveBatchStages(clone, apply, wal, publish time.Duration) {
+	if o == nil {
+		return
+	}
+	for i, d := range [...]time.Duration{clone, apply, wal, publish} {
+		o.batch.stages[i].Observe(d.Seconds())
+	}
 }
 
 // SetMutationProgress refreshes the write-pipeline gauges: the last assigned

@@ -59,6 +59,7 @@ func TestMetricsEndpoint(t *testing.T) {
 		obs.MetricDataEdges:          "gauge",
 		obs.MetricIndexMaxK:          "gauge",
 		obs.MetricHTTPRequests:       "counter",
+		obs.MetricBatchStageSeconds:  "histogram",
 	}
 	for name, typ := range wantType {
 		f := fams[name]

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
-	"time"
 
 	"dkindex/internal/core"
 	"dkindex/internal/graph"
@@ -295,29 +294,10 @@ func (x *Index) submitPrepared(ps []*preparedMutation, wait bool) {
 	}
 }
 
-// cloneForBatch picks the weakest clone grade that covers every member:
-// label-interning ops (documents, demotes, explicit requirements) force a
-// detached clone, edge ops a private-graphs clone, and pure summary ops
-// (promote, optimize) share the data graph entirely.
-func cloneForBatch(dk *core.DK, ps []*preparedMutation) *core.DK {
-	edges := false
-	for _, p := range ps {
-		switch p.m.Op {
-		case MutAddDocument, MutDemote, MutSetRequirements:
-			return dk.CloneDetached()
-		case MutAddEdge, MutRemoveEdge:
-			edges = true
-		}
-	}
-	if edges {
-		return dk.CloneForUpdate()
-	}
-	return dk.CloneIndex()
-}
-
-// commitLocked settles a batch: one composite application to a private
-// clone, one WAL group append, one snapshot swap. Callers hold mu and have
-// assigned contiguous sequence numbers in slice order. Rejected members
+// commitLocked settles a batch: one composite application to a copy-on-write
+// clone of the published snapshot (the batch allocates what it writes, not a
+// copy of the corpus), one WAL group append, one snapshot swap. Callers hold
+// mu and have assigned contiguous sequence numbers in slice order. Rejected members
 // (validation failures) are skipped — every apply validates before touching
 // the clone, so the survivors commit on an untainted state; a failed group
 // append rejects the whole batch and publishes nothing. All members settle:
@@ -327,20 +307,15 @@ func (x *Index) commitLocked(ps []*preparedMutation) {
 	if len(ps) == 0 {
 		return
 	}
-	var start time.Time
-	if x.observer != nil {
-		start = time.Now()
-	}
+	start := x.stamp()
 	cur := x.handle.Load()
-	nd := cloneForBatch(cur.dk, ps)
+	nd := cur.dk.Clone()
 	x.instrument(nd)
+	cloned := x.stamp()
 
 	applied := make([]appliedMutation, 0, len(ps))
 	for _, p := range ps {
-		var opStart time.Time
-		if x.observer != nil {
-			opStart = time.Now()
-		}
+		opStart := x.stamp()
 		before := nd.IG.NumNodes()
 		next, a, err := x.applyOne(nd, p)
 		if err != nil {
@@ -354,6 +329,7 @@ func (x *Index) commitLocked(ps []*preparedMutation) {
 		a.ev.Wall = opWall(opStart)
 		applied = append(applied, a)
 	}
+	appliedAt := x.stamp()
 
 	if len(applied) > 0 {
 		var err error
@@ -374,6 +350,8 @@ func (x *Index) commitLocked(ps []*preparedMutation) {
 		}
 	}
 
+	logged := x.stamp()
+
 	var gen uint64
 	if len(applied) > 0 {
 		x.publish(nd)
@@ -384,6 +362,7 @@ func (x *Index) commitLocked(ps []*preparedMutation) {
 			}
 		}
 	}
+	published := x.stamp()
 
 	// Settle: the batch committed (or was rejected) in sequence order, so the
 	// highest member sequence is the new watermark.
@@ -409,8 +388,9 @@ func (x *Index) commitLocked(ps []*preparedMutation) {
 				x.observeBuildStats(a.trigger, a.stats, a.ev.NodesAfter)
 			}
 		}
-		wall := opWall(start)
+		wall := published.Sub(start)
 		x.observer.ObserveBatchCommit(len(applied), len(ps)-len(applied), wall)
+		x.observer.ObserveBatchStages(cloned.Sub(start), appliedAt.Sub(cloned), logged.Sub(appliedAt), published.Sub(logged))
 		x.observer.SetMutationProgress(x.mutSeq.Load(), mark)
 		if len(ps) > 1 {
 			x.observer.RecordEvent(obs.Event{Type: obs.EventBatchCommit,
@@ -427,8 +407,9 @@ func (x *Index) commitLocked(ps []*preparedMutation) {
 
 // applyOne applies one member to the batch clone, returning the (possibly
 // replaced) clone and the member's WAL record and lifecycle event. Every
-// branch validates before mutating, so an error leaves nd untouched and the
-// rest of the batch applies on a clean state.
+// branch (and core.AddSubgraph under it) validates before mutating, so an
+// error leaves nd untouched and the rest of the batch applies on a clean
+// state.
 func (x *Index) applyOne(nd *core.DK, p *preparedMutation) (*core.DK, appliedMutation, error) {
 	m := &p.m
 	switch m.Op {

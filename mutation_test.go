@@ -364,6 +364,65 @@ func TestGroupCommitSurvivesRecovery(t *testing.T) {
 	}
 }
 
+// TestRejectedDocumentLeavesBatchCloneUntouched is the regression test for a
+// taint in core.AddSubgraph: a document whose sub-index root class is not a
+// singleton (a nested ROOT element) used to graft its nodes and intern its
+// labels before being rejected, so the batch's surviving members published a
+// graph with uncovered nodes — which a reopened store, replaying only the
+// logged survivor, did not have.
+func TestRejectedDocumentLeavesBatchCloneUntouched(t *testing.T) {
+	fs := faultfs.New()
+	idx, err := LoadXMLString(`<site><a><b/></a><a><b/></a></site>`, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	st, err := CreateStore("store", idx, &StoreOptions{FS: fs})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	before := idx.Stats()
+	acks, err := idx.ApplyBatch([]Mutation{
+		{Op: MutAddDocument, Doc: []byte(`<ROOT><x/></ROOT>`)},
+		{Op: MutAddEdge, From: 1, To: 3},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if acks[0].Err == nil {
+		t.Fatal("document with a nested ROOT element accepted")
+	}
+	if acks[1].Err != nil {
+		t.Fatalf("edge member rejected: %v", acks[1].Err)
+	}
+	if err := idx.IG().Validate(); err != nil {
+		t.Fatalf("published snapshot invalid: %v", err)
+	}
+	if err := idx.Audit(3); err != nil {
+		t.Fatalf("audit: %v", err)
+	}
+	want := before
+	want.DataEdges++
+	want.Generation++
+	got := idx.Stats()
+	want.IndexEdges = got.IndexEdges // the new data edge may or may not be a new index edge
+	if got != want {
+		t.Errorf("stats %+v, want %+v (only the edge may show)", got, want)
+	}
+	if l := idx.Graph().Labels().Lookup("x"); l != graph.InvalidLabel {
+		t.Errorf("rejected document interned label x as %d", l)
+	}
+
+	live := fingerprint(t, idx)
+	fs.Crash()
+	fs.Reset()
+	st2, _ := recoverStore(t, fs, "store")
+	defer st2.Close()
+	if got := fingerprint(t, st2.Index()); got != live {
+		t.Error("reopened store disagrees with the live index")
+	}
+}
+
 // TestBatchedStoreDurability drives concurrent writers through an armed
 // batcher over a store and checks that recovery reproduces the final
 // acknowledged state.

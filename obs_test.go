@@ -175,8 +175,8 @@ func TestObservedCostBitIdentical(t *testing.T) {
 }
 
 // TestObserveMetricsExposition checks the metrics the facade feeds: query
-// counters by kind, size gauges matching Stats, and dangling-ref counts from
-// document loads.
+// counters by kind, size gauges matching Stats, dangling-ref counts from
+// document loads, and the per-stage commit histogram.
 func TestObserveMetricsExposition(t *testing.T) {
 	idx := open(t)
 	o := obs.NewObserver()
@@ -229,6 +229,25 @@ func TestObserveMetricsExposition(t *testing.T) {
 	}
 	if v := find(obs.MetricDataNodes, "", ""); int(v) != s.DataNodes {
 		t.Errorf("data nodes gauge = %v, Stats says %d", v, s.DataNodes)
+	}
+	// The one commit above (the document graft) is attributed stage by stage.
+	stages := fams[obs.MetricBatchStageSeconds]
+	if stages == nil || stages.Type != "histogram" {
+		t.Fatalf("family %s = %+v, want a histogram", obs.MetricBatchStageSeconds, stages)
+	}
+	counts := map[string]float64{}
+	for _, smp := range stages.Samples {
+		if smp.Name == obs.MetricBatchStageSeconds+"_count" {
+			counts[smp.Labels["stage"]] = smp.Value
+		}
+	}
+	for _, stage := range []string{"clone", "apply", "wal", "publish"} {
+		if counts[stage] != 1 {
+			t.Errorf("stage %q observed %v commits, want 1 (all stages: %v)", stage, counts[stage], counts)
+		}
+	}
+	if len(counts) != 4 {
+		t.Errorf("stage label values %v, want exactly clone/apply/wal/publish", counts)
 	}
 }
 

@@ -65,6 +65,15 @@ func (x *Index) preOp(cur *snapshot) (nodesBefore int, start time.Time) {
 	return cur.dk.IG.NumNodes(), time.Now()
 }
 
+// stamp reads the clock when an observer is attached and returns the zero
+// time otherwise, so unobserved commits pay nothing for stage timing.
+func (x *Index) stamp() time.Time {
+	if x.observer == nil {
+		return time.Time{}
+	}
+	return time.Now()
+}
+
 // opWall converts a preOp start into the operation's wall time.
 func opWall(start time.Time) time.Duration {
 	if start.IsZero() {

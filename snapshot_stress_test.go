@@ -8,6 +8,8 @@ import (
 	"sync/atomic"
 	"testing"
 
+	"dkindex/internal/codec"
+	"dkindex/internal/core"
 	"dkindex/internal/datagen"
 	"dkindex/internal/graph"
 	"dkindex/internal/workload"
@@ -19,6 +21,13 @@ import (
 // one goroutine, and every path result carries the query's final label when
 // resolved against the snapshot that answered it — which would be violated
 // if a query ever observed a half-published mutation.
+//
+// Two more goroutines exercise the copy-on-write contract beside them. A
+// holder pins a published snapshot and keeps re-serializing it while at least
+// 50 later commits copy-on-write their way past it: its bytes must never
+// change. A cloner keeps calling DK().Clone() on whatever is published —
+// concurrently with the writer's own clone of the same snapshot — and writes
+// through its private clone, which nobody else may see.
 func TestSnapshotStressConcurrent(t *testing.T) {
 	var doc bytes.Buffer
 	if err := datagen.XMark(datagen.XMarkScale(0.02)).WriteXML(&doc); err != nil {
@@ -109,9 +118,70 @@ func TestSnapshotStressConcurrent(t *testing.T) {
 		}(int64(100 + r))
 	}
 
+	writerDone := make(chan struct{})
+	serialize := func(dk *core.DK) []byte {
+		var buf bytes.Buffer
+		if err := codec.SaveDK(&buf, dk); err != nil {
+			t.Errorf("holder: %v", err)
+		}
+		return buf.Bytes()
+	}
+	var longHolds atomic.Int64
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
+		for {
+			held, pinned := idx.DK(), idx.Generation()
+			want := serialize(held)
+			for idx.Generation() < pinned+50 {
+				select {
+				case <-writerDone:
+					return
+				default:
+				}
+				if !bytes.Equal(serialize(held), want) {
+					t.Errorf("holder: snapshot pinned at generation %d changed by generation %d", pinned, idx.Generation())
+					return
+				}
+			}
+			if !bytes.Equal(serialize(held), want) {
+				t.Errorf("holder: snapshot pinned at generation %d changed after 50 commits", pinned)
+				return
+			}
+			if err := held.IG.Validate(); err != nil {
+				t.Errorf("holder: snapshot pinned at generation %d: %v", pinned, err)
+				return
+			}
+			longHolds.Add(1)
+		}
+	}()
+
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		rng := rand.New(rand.NewSource(9))
+		for i := 0; ; i++ {
+			select {
+			case <-writerDone:
+				return
+			default:
+			}
+			c := idx.DK().Clone()
+			n := c.IG.Data().NumNodes()
+			c.AddEdge(NodeID(rng.Intn(n)), NodeID(1+rng.Intn(n-1)))
+			if i%16 == 0 {
+				if err := c.IG.Validate(); err != nil {
+					t.Errorf("cloner: %v", err)
+					return
+				}
+			}
+		}
+	}()
+
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		defer close(writerDone)
 		rng := rand.New(rand.NewSource(7))
 		genDoc := `<site><regions><namerica><item><name/></item></namerica></regions></site>`
 		for i := 0; i < writerOps; i++ {
@@ -170,6 +240,9 @@ func TestSnapshotStressConcurrent(t *testing.T) {
 	}
 	if gen := idx.Generation(); gen == 0 {
 		t.Error("writer published no snapshots")
+	}
+	if longHolds.Load() == 0 {
+		t.Error("no snapshot was held across 50 commits")
 	}
 	if err := idx.Audit(2); err != nil {
 		t.Fatalf("final audit: %v", err)
