@@ -7,7 +7,7 @@ DK_BENCH_SCALE ?= 1.0
 BENCHTIME ?= 2s
 BENCHCOUNT ?= 1
 
-.PHONY: all build test race vet fmt-check bench-compile bench bench2 bench3 bench5 bench6 bench7 bench8 bench9 bench10 bench-baseline bench-guard profile-build stress fuzz-smoke serve-smoke shard-smoke ci clean
+.PHONY: all build test race vet fmt-check bench-compile bench bench2 bench3 bench5 bench6 bench7 bench8 bench9 bench10 bench-baseline bench-guard profile-build profile-read stress fuzz-smoke serve-smoke shard-smoke ci clean
 
 all: build test
 
@@ -55,8 +55,10 @@ stress:
 	$(GO) test -race -count 1 -run 'TestReplicaConvergesUnderFaults|TestReplicaCatchUpCrashSweep' ./internal/replica/
 	$(GO) test -race -count 1 -run TestShardConcurrentReadersWriters ./internal/shard/
 
-# fuzz-smoke gives each untrusted-input decoder a short fuzzing burst: the
-# checkpoint codec, the write-ahead log replayer, and the XML loader. Long
+# fuzz-smoke gives each untrusted-input decoder a short fuzzing burst — the
+# checkpoint codec, the write-ahead log replayer, the XML loader — and each
+# query kernel a differential one against its reference oracle: the
+# table-driven RPE automata and the twig evaluator's dense memo tables. Long
 # exploratory runs stay manual (go test -fuzz=... -fuzztime=5m).
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzLoadDK -fuzztime 5s ./internal/codec
@@ -64,6 +66,8 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzLoad -fuzztime 5s ./internal/xmlgraph
 	$(GO) test -run '^$$' -fuzz FuzzDecodeBlock -fuzztime 5s ./internal/nodeset
 	$(GO) test -run '^$$' -fuzz FuzzFromSortedAlgebra -fuzztime 5s ./internal/nodeset
+	$(GO) test -run '^$$' -fuzz FuzzKernelAgainstReference -fuzztime 5s ./internal/rpe
+	$(GO) test -run '^$$' -fuzz FuzzTwigAgainstReference -fuzztime 5s ./internal/eval
 
 vet:
 	$(GO) vet ./...
@@ -181,24 +185,26 @@ serve-smoke:
 		-serve-dur 400ms -serve-warmup 100ms -serve-conc 4 -serve-rate 400
 
 # bench-baseline records the regression-guard baseline: several short
-# repetitions of the guarded benchmarks (query throughput, the parallel
+# repetitions of the guarded benchmarks (query throughput, the cold RPE and
+# twig evaluations that validate against the data graph, the parallel
 # snapshot-serving path, the in-memory group-commit write pipeline, and the
 # sharded engine's scatter-gather read and shard-split write paths), parsed
 # to JSON. bench-guard compares future runs against it per benchmark name on
-# best-of-N ns/op.
-GUARDED_BENCH = BenchmarkQueryThroughput$$|BenchmarkSnapshotQueryParallel$$|BenchmarkApplyBatchPipeline$$|BenchmarkShardQueryFanout$$|BenchmarkShardApplyBatch$$
+# best-of-N ns/op and B/op.
+GUARDED_BENCH = BenchmarkQueryThroughput$$|BenchmarkQueryRPE$$|BenchmarkQueryTwigDK$$|BenchmarkSnapshotQueryParallel$$|BenchmarkApplyBatchPipeline$$|BenchmarkShardQueryFanout$$|BenchmarkShardApplyBatch$$
 
 bench-baseline:
 	DK_BENCH_SCALE=$(DK_BENCH_SCALE) $(GO) test -run '^$$' \
-		-bench '$(GUARDED_BENCH)' -benchtime 1s -count 5 . ./internal/shard/ \
+		-bench '$(GUARDED_BENCH)' -benchmem -benchtime 1s -count 5 . ./internal/shard/ \
 		| $(GO) run ./cmd/dkbench -benchjson > BENCH_BASELINE.json
 
-# bench-guard fails when the fastest of five runs of a guarded benchmark
-# regresses more than 10% against the recorded BENCH_BASELINE.json. Skips
-# with a notice when no baseline has been recorded yet.
+# bench-guard fails when the best of five runs of a guarded benchmark
+# regresses more than 10% against the recorded BENCH_BASELINE.json, in time
+# (ns/op) or in allocated bytes (B/op — bytes repeat on a shared host where
+# times do not). Skips with a notice when no baseline has been recorded yet.
 bench-guard:
 	DK_BENCH_SCALE=$(DK_BENCH_SCALE) $(GO) test -run '^$$' \
-		-bench '$(GUARDED_BENCH)' -benchtime 1s -count 5 . ./internal/shard/ \
+		-bench '$(GUARDED_BENCH)' -benchmem -benchtime 1s -count 5 . ./internal/shard/ \
 		| $(GO) run ./cmd/dkbench -benchguard BENCH_BASELINE.json
 
 # profile-build captures CPU and heap profiles of the large-XMark 1-index
@@ -209,8 +215,16 @@ profile-build:
 		-bench 'BenchmarkBuildXMark/1index' -benchtime $(BENCHTIME) \
 		-cpuprofile build_cpu.prof -memprofile build_mem.prof .
 
+# profile-read captures CPU and allocation profiles of the cold read path:
+# the validating RPE and twig evaluations on the load-tuned XMark index.
+# Inspect with `go tool pprof -sample_index=alloc_space read_mem.prof`.
+profile-read:
+	DK_BENCH_SCALE=$(DK_BENCH_SCALE) $(GO) test -run '^$$' \
+		-bench 'BenchmarkQuery(RPE|TwigDK)$$' -benchmem -benchtime $(BENCHTIME) \
+		-cpuprofile read_cpu.prof -memprofile read_mem.prof -memprofilerate 4096 .
+
 clean:
 	rm -f BENCH_1.txt BENCH_1.json BENCH_2.txt BENCH_2.json BENCH_3.txt BENCH_3.json
-	rm -f BENCH_5.txt BENCH_5.json BENCH_6.txt BENCH_6.json build_cpu.prof build_mem.prof dkindex.test
+	rm -f BENCH_5.txt BENCH_5.json BENCH_6.txt BENCH_6.json build_cpu.prof build_mem.prof read_cpu.prof read_mem.prof dkindex.test
 	rm -f BENCH_7.txt BENCH_7.json BENCH_7_plan.jsonl BENCH_8.txt BENCH_8.json
 	rm -f BENCH_9.txt BENCH_9.json BENCH_10.txt BENCH_10.json

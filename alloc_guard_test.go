@@ -5,15 +5,13 @@ import (
 	"testing"
 
 	"dkindex/internal/experiments"
+	"dkindex/internal/graph"
+	"dkindex/internal/rpe"
 )
 
-// commitAllocBytes builds the load-tuned D(k)-index of XMark at the given
-// scale and returns the bytes one commit of the benchmark's edge batch
-// allocates (add four reference edges, remove the four the previous batch
-// added), averaged over a run of batches after one warm-up batch.
-func commitAllocBytes(t *testing.T, scale float64) float64 {
+// tunedXMark builds the load-tuned D(k)-index of XMark at the given scale.
+func tunedXMark(t *testing.T, scale float64) (*experiments.Dataset, *Index) {
 	t.Helper()
-	const batches = 16
 	ds, err := experiments.XMarkDataset(scale, 1)
 	if err != nil {
 		t.Fatal(err)
@@ -22,7 +20,17 @@ func commitAllocBytes(t *testing.T, scale float64) float64 {
 	for l, k := range ds.W.Requirements() {
 		reqs[ds.G.Labels().Name(l)] = k
 	}
-	idx := FromGraph(ds.G, reqs)
+	return ds, FromGraph(ds.G, reqs)
+}
+
+// commitAllocBytes builds the load-tuned D(k)-index of XMark at the given
+// scale and returns the bytes one commit of the benchmark's edge batch
+// allocates (add four reference edges, remove the four the previous batch
+// added), averaged over a run of batches after one warm-up batch.
+func commitAllocBytes(t *testing.T, scale float64) float64 {
+	t.Helper()
+	const batches = 16
+	ds, idx := tunedXMark(t, scale)
 	edges, err := ds.RandomEdges(4*(batches+2), 1)
 	if err != nil {
 		t.Fatal(err)
@@ -68,5 +76,85 @@ func TestCommitAllocationFlatInCorpusSize(t *testing.T) {
 	}
 	if full/small >= 1.5 {
 		t.Errorf("commit allocation grew %.2fx from scale 0.25 to 1.0, want < 1.5x", full/small)
+	}
+}
+
+// TestColdReadAllocatesItsAnswer pins the read path's allocation contract on
+// XMark at scale 1.0: validating one extent member with the reversed
+// automaton allocates nothing once the pooled scratch is warm, and a whole
+// cold Run of a validating first//last RPE (parse, compile, index fixpoint,
+// 277 validated extents, result assembly) allocates less than four times the
+// bytes of the answer it returns. With the interpreted kernel the member
+// check allocated a state set per (node, state, parent) step and the same
+// Run some eighty times its answer.
+func TestColdReadAllocatesItsAnswer(t *testing.T) {
+	ds, idx := tunedXMark(t, 1.0)
+	idx.SetResultCache(0)
+	const text = "site//name"
+
+	c := rpe.CompileExpr(rpe.MustParse(text), ds.G.Labels())
+	members := ds.G.NodesWithLabel(ds.G.Labels().Lookup("name"))
+	charged := 0
+	charge := func(graph.NodeID) { charged++ }
+	next := 0
+	check := func() {
+		c.MatchesNode(ds.G, members[next%len(members)], charge)
+		next++
+	}
+	check()
+	if allocs := testing.AllocsPerRun(len(members), check); allocs != 0 {
+		t.Errorf("MatchesNode allocates %.2f times per member, want 0", allocs)
+	}
+	if charged == 0 {
+		t.Fatal("validation charged nothing")
+	}
+
+	req := Request{Kind: KindRPE, Text: text}
+	res, err := idx.Run(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Stats.Validations == 0 || res.CacheHit {
+		t.Fatalf("%s: want a validating cache miss, got %+v hit=%v", text, res.Stats, res.CacheHit)
+	}
+	const runs = 8
+	var m0, m1 runtime.MemStats
+	runtime.ReadMemStats(&m0)
+	for i := 0; i < runs; i++ {
+		if _, err := idx.Run(req); err != nil {
+			t.Fatal(err)
+		}
+	}
+	runtime.ReadMemStats(&m1)
+	perRun := float64(m1.TotalAlloc-m0.TotalAlloc) / runs
+	answer := float64(len(res.Nodes)) * 4 // a NodeID is four bytes
+	t.Logf("%s: %d nodes, %d extents validated, %.0f bytes per cold Run (%.2fx the answer)",
+		text, len(res.Nodes), res.Stats.Validations, perRun, perRun/answer)
+	if perRun >= 4*answer {
+		t.Errorf("a cold Run of %s allocates %.0f bytes for a %.0f-byte answer, want < 4x", text, perRun, answer)
+	}
+}
+
+// TestCachedRPEHitCompilesNothing: an RPE request answered from the result
+// cache is parsed (so malformed text never reaches the cache) but not
+// compiled, so it allocates no more than the path request spelling the same
+// one-label query.
+func TestCachedRPEHitCompilesNothing(t *testing.T) {
+	_, idx := tunedXMark(t, 0.25)
+	hitAllocs := func(kind Kind) float64 {
+		req := Request{Kind: kind, Text: "name", Limit: -1}
+		if _, err := idx.Run(req); err != nil {
+			t.Fatal(err)
+		}
+		return testing.AllocsPerRun(100, func() {
+			if res, _ := idx.Run(req); !res.CacheHit {
+				t.Fatal("warmed request missed the cache")
+			}
+		})
+	}
+	path, expr := hitAllocs(KindPath), hitAllocs(KindRPE)
+	t.Logf("allocations per cache hit: path %.0f, rpe %.0f", path, expr)
+	if expr > path {
+		t.Errorf("a cached RPE hit allocates %.0f times, a path hit %.0f: the hit compiled", expr, path)
 	}
 }

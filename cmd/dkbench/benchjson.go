@@ -106,28 +106,35 @@ func benchToJSON(r io.Reader, w io.Writer) error {
 	return enc.Encode(rep)
 }
 
-// minNsPerOp collapses repeated runs of each benchmark to the fastest ns/op —
-// the most noise-resistant summary a single machine gives (regressions slow
-// the floor; scheduling noise only raises individual runs).
-func minNsPerOp(rep benchReport) map[string]float64 {
+// guardedUnits are the per-iteration measurements benchGuard compares. Bytes
+// are guarded beside time because they repeat exactly on a shared host where
+// times do not: an allocation regression shows in B/op at any noise level.
+var guardedUnits = []string{"ns/op", "B/op"}
+
+// bestPerOp collapses repeated runs of each benchmark to the lowest value of
+// one unit — the most noise-resistant summary a single machine gives
+// (regressions raise the floor; scheduling noise only raises individual
+// runs). Benchmarks that never reported the unit are absent.
+func bestPerOp(rep benchReport, unit string) map[string]float64 {
 	best := map[string]float64{}
 	for _, r := range rep.Results {
-		ns, ok := r.Metrics["ns/op"]
+		v, ok := r.Metrics[unit]
 		if !ok {
 			continue
 		}
-		if cur, seen := best[r.Name]; !seen || ns < cur {
-			best[r.Name] = ns
+		if cur, seen := best[r.Name]; !seen || v < cur {
+			best[r.Name] = v
 		}
 	}
 	return best
 }
 
 // benchGuard compares `go test -bench` text on r against a recorded baseline
-// JSON report: for every benchmark present in both, the fastest current ns/op
-// must not exceed the fastest baseline ns/op by more than maxPct percent.
-// Returns an error listing every regression; benchmarks present on only one
-// side are ignored (the baseline scopes what is guarded).
+// JSON report: for every benchmark present in both, the lowest current ns/op
+// and B/op must not exceed the lowest baseline value by more than maxPct
+// percent. Returns an error listing every regression; benchmarks and units
+// present on only one side are ignored (the baseline scopes what is guarded,
+// and a baseline recorded without -benchmem guards time alone).
 func benchGuard(baseline io.Reader, r io.Reader, w io.Writer, maxPct float64) error {
 	var base benchReport
 	if err := json.NewDecoder(baseline).Decode(&base); err != nil {
@@ -137,31 +144,38 @@ func benchGuard(baseline io.Reader, r io.Reader, w io.Writer, maxPct float64) er
 	if err != nil {
 		return err
 	}
-	baseBest, curBest := minNsPerOp(base), minNsPerOp(cur)
-	names := make([]string, 0, len(baseBest))
-	for name := range baseBest {
-		if _, ok := curBest[name]; ok {
-			names = append(names, name)
+	compared := 0
+	var failures []string
+	for _, unit := range guardedUnits {
+		baseBest, curBest := bestPerOp(base, unit), bestPerOp(cur, unit)
+		names := make([]string, 0, len(baseBest))
+		for name := range baseBest {
+			if _, ok := curBest[name]; ok {
+				names = append(names, name)
+			}
+		}
+		sort.Strings(names)
+		compared += len(names)
+		for _, name := range names {
+			b, c := baseBest[name], curBest[name]
+			delta := 0.0
+			if c != b {
+				delta = (c - b) / b * 100 // +Inf from a zero baseline is a regression
+			}
+			status := "ok"
+			if delta > maxPct {
+				status = "REGRESSION"
+				failures = append(failures, fmt.Sprintf("%s: %.0f -> %.0f %s (%+.1f%% > %.0f%%)", name, b, c, unit, delta, maxPct))
+			}
+			fmt.Fprintf(w, "benchguard %-40s baseline %12.0f %-5s  current %12.0f %-5s  %+6.1f%%  %s\n",
+				name, b, unit, c, unit, delta, status)
 		}
 	}
-	sort.Strings(names)
-	if len(names) == 0 {
+	if compared == 0 {
 		return fmt.Errorf("no benchmark shared between baseline and current run")
 	}
-	var failures []string
-	for _, name := range names {
-		b, c := baseBest[name], curBest[name]
-		delta := (c - b) / b * 100
-		status := "ok"
-		if delta > maxPct {
-			status = "REGRESSION"
-			failures = append(failures, fmt.Sprintf("%s: %.0f -> %.0f ns/op (%+.1f%% > %.0f%%)", name, b, c, delta, maxPct))
-		}
-		fmt.Fprintf(w, "benchguard %-40s baseline %12.0f ns/op  current %12.0f ns/op  %+6.1f%%  %s\n",
-			name, b, c, delta, status)
-	}
 	if len(failures) > 0 {
-		return fmt.Errorf("throughput regression beyond %.0f%%:\n  %s", maxPct, strings.Join(failures, "\n  "))
+		return fmt.Errorf("regression beyond %.0f%%:\n  %s", maxPct, strings.Join(failures, "\n  "))
 	}
 	return nil
 }

@@ -76,7 +76,7 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 		metrics    = fs.String("metrics", "", "write a Prometheus text snapshot of the run's metrics to this file")
 		benchjson  = fs.Bool("benchjson", false, "read `go test -bench` text on stdin, write a JSON report on stdout, and exit")
 		benchguard = fs.String("benchguard", "", "read `go test -bench` text on stdin, fail if any benchmark in this baseline JSON `file` regressed beyond -maxregress, and exit")
-		maxregress = fs.Float64("maxregress", 10, "benchguard failure threshold: max ns/op regression vs baseline, percent")
+		maxregress = fs.Float64("maxregress", 10, "benchguard failure threshold: max ns/op or B/op regression vs baseline, percent")
 
 		serveDur    = fs.Duration("serve-dur", 3*time.Second, "serve: measured duration per scenario")
 		serveWarmup = fs.Duration("serve-warmup", 500*time.Millisecond, "serve: unmeasured warmup per scenario")

@@ -139,6 +139,26 @@ func TestBenchGuard(t *testing.T) {
 	if err := benchGuard(strings.NewReader(baseline), strings.NewReader(noisy), &out, 10); err != nil {
 		t.Errorf("best-of-N: %v", err)
 	}
+	// Bytes are guarded like time: a B/op regression fails even when ns/op
+	// improved, and a baseline without B/op guards time alone.
+	memBase := `{"results": [
+		{"name": "BenchmarkQueryRPE", "iterations": 100, "metrics": {"ns/op": 1000000, "B/op": 20000}},
+		{"name": "BenchmarkQueryRPE", "iterations": 100, "metrics": {"ns/op": 1100000, "B/op": 20480}}
+	]}`
+	memCur := func(bytes string) string {
+		return "BenchmarkQueryRPE-8 100 900000 ns/op " + bytes + " B/op 12 allocs/op\n"
+	}
+	if err := benchGuard(strings.NewReader(memBase), strings.NewReader(memCur("21000")), &out, 10); err != nil {
+		t.Errorf("5%% B/op regression at 10%% threshold: %v", err)
+	}
+	err = benchGuard(strings.NewReader(memBase), strings.NewReader(memCur("30000")), &out, 10)
+	if err == nil || !strings.Contains(err.Error(), "B/op") || strings.Contains(err.Error(), "ns/op") {
+		t.Errorf("50%% B/op regression: err = %v", err)
+	}
+	if err := benchGuard(strings.NewReader(baseline), strings.NewReader(current("1000000")+
+		"BenchmarkQueryThroughput-8 100 1000000 ns/op 999999 B/op\n"), &out, 10); err != nil {
+		t.Errorf("baseline without B/op: %v", err)
+	}
 	// No shared benchmark is an error, not a silent pass.
 	if err := benchGuard(strings.NewReader(baseline), strings.NewReader("BenchmarkOther-8 1 5 ns/op\n"), &out, 10); err == nil {
 		t.Error("want error when baseline and current share no benchmark")

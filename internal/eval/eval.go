@@ -143,25 +143,22 @@ func IndexTraced(ig *index.IndexGraph, q Query, tr *obs.Trace) ([]graph.NodeID, 
 	// accumulate uncompressed. Extents are disjoint (they partition the data
 	// nodes), so the container-level merge emits the same sorted result the
 	// old append-everything-then-sort produced.
-	var sound []nodeset.Set
-	var extra []graph.NodeID
+	check := func(d graph.NodeID, charge func(graph.NodeID)) bool {
+		return data.LabelPathMatchesNode(q, d, charge)
+	}
+	vs := valScratchPool.Get().(*valScratch)
 	for _, m := range matched {
 		if ig.K(m) >= need {
-			sound = append(sound, ig.ExtentSet(m))
+			vs.sound = append(vs.sound, ig.ExtentSet(m))
 			continue
 		}
 		c.Validations++
-		ext := evalExtentGet()
-		ext = ig.AppendExtent(ext, m)
-		hits, charged := validateMembers(ext, func(d graph.NodeID, charge func(graph.NodeID)) bool {
-			return data.LabelPathMatchesNode(q, d, charge)
-		})
-		evalExtentPut(ext)
+		vs.ext = ig.AppendExtent(vs.ext[:0], m)
+		var charged int
+		vs.hits, charged = validateMembers(vs.hits, vs.ext, check)
 		c.DataNodesValidated += charged
-		extra = append(extra, hits...)
 	}
-	slices.Sort(extra)
-	res := nodeset.MergeAppend(nil, sound, extra)
+	res := vs.finish()
 	tr.EndStage("validate", st)
 	tr.RecordCost(c.IndexNodesVisited, c.DataNodesValidated, c.Validations, len(res))
 	return res, c
@@ -182,15 +179,28 @@ func IndexNoValidation(ig *index.IndexGraph, q Query) ([]graph.NodeID, Cost) {
 	return nodeset.MergeAppend(nil, sets, nil), c
 }
 
-// evalExtent pools decompression buffers for the validation paths: unsound
-// matches materialize their extent once, validate it, and return the buffer.
-var evalExtent = sync.Pool{New: func() any {
-	b := make([]graph.NodeID, 0, 512)
-	return &b
-}}
+// valScratch pools the result-assembly buffers of the index evaluators: sound
+// collects the extents that contribute wholesale, ext holds the extent being
+// validated, decompressed, and hits the members that passed so far, so the
+// only slice a query allocates for its answer is the answer. sound and hits
+// are empty whenever the scratch is in the pool.
+type valScratch struct {
+	sound     []nodeset.Set
+	ext, hits []graph.NodeID
+}
 
-func evalExtentGet() []graph.NodeID  { return (*evalExtent.Get().(*[]graph.NodeID))[:0] }
-func evalExtentPut(b []graph.NodeID) { evalExtent.Put(&b) }
+var valScratchPool = sync.Pool{New: func() any { return new(valScratch) }}
+
+// finish merges the sound extents with the validated hits into a freshly
+// allocated sorted result and returns the scratch to the pool.
+func (vs *valScratch) finish() []graph.NodeID {
+	slices.Sort(vs.hits)
+	res := nodeset.MergeAppend(nil, vs.sound, vs.hits)
+	clear(vs.sound) // a pooled buffer must not pin a snapshot's extents
+	vs.sound, vs.hits = vs.sound[:0], vs.hits[:0]
+	valScratchPool.Put(vs)
+	return res
+}
 
 // validateParallelThreshold is the extent size above which validation fans
 // out across CPUs (mirroring partition's parallel refinement threshold, tuned
@@ -200,20 +210,21 @@ func evalExtentPut(b []graph.NodeID) { evalExtent.Put(&b) }
 // in chunk order reproduces the serial Cost exactly.
 var validateParallelThreshold = 1 << 11
 
-// validateMembers runs check over every extent member, returning the members
-// that passed (in extent order) and the total number of data nodes charged.
-// Large extents are validated by a bounded worker pool; results and charges
-// are merged in chunk order so the outcome is identical to the serial loop.
-func validateMembers(ext []graph.NodeID, check func(d graph.NodeID, charge func(graph.NodeID)) bool) ([]graph.NodeID, int) {
+// validateMembers runs check over every extent member, appending the members
+// that passed to dst (in extent order) and returning it with the total number
+// of data nodes charged. Large extents are validated by a bounded worker
+// pool; results and charges are merged in chunk order so the outcome is
+// identical to the serial loop.
+func validateMembers(dst, ext []graph.NodeID, check func(d graph.NodeID, charge func(graph.NodeID)) bool) ([]graph.NodeID, int) {
 	if len(ext) < validateParallelThreshold || runtime.GOMAXPROCS(0) <= 1 {
-		var hits []graph.NodeID
 		charged := 0
+		charge := func(graph.NodeID) { charged++ }
 		for _, d := range ext {
-			if check(d, func(graph.NodeID) { charged++ }) {
-				hits = append(hits, d)
+			if check(d, charge) {
+				dst = append(dst, d)
 			}
 		}
-		return hits, charged
+		return dst, charged
 	}
 	// Fan out over the shared workpool budget (the same pool construction
 	// rounds draw from, so concurrent query + build traffic cannot
@@ -228,19 +239,19 @@ func validateMembers(ext []graph.NodeID, check func(d graph.NodeID, charge func(
 	results := make([]chunkResult, workers)
 	workpool.Chunks(len(ext), workers, func(w, lo, hi int) {
 		r := &results[w]
+		charge := func(graph.NodeID) { r.charged++ }
 		for _, d := range ext[lo:hi] {
-			if check(d, func(graph.NodeID) { r.charged++ }) {
+			if check(d, charge) {
 				r.hits = append(r.hits, d)
 			}
 		}
 	})
-	var hits []graph.NodeID
 	charged := 0
 	for w := range results {
-		hits = append(hits, results[w].hits...)
+		dst = append(dst, results[w].hits...)
 		charged += results[w].charged
 	}
-	return hits, charged
+	return dst, charged
 }
 
 // idxScratch pools the dense frontier buffers of evalOnIndex.

@@ -2,8 +2,10 @@ package eval
 
 import (
 	"math/rand"
+	"runtime"
 	"testing"
 
+	"dkindex/internal/graph"
 	"dkindex/internal/index"
 	"dkindex/internal/rpe"
 )
@@ -56,6 +58,37 @@ func TestParallelValidationRPEBitIdentical(t *testing.T) {
 		wantRes, wantCost := ReferenceIndexRPE(ig, c)
 		if !SameResult(res, wantRes) || cost != wantCost {
 			t.Fatalf("%s: parallel %+v != serial %+v", src, cost, wantCost)
+		}
+	}
+}
+
+// Extents smaller than the CPU count must not fan out wider than they are:
+// with the pool path forced, a one- or two-member extent is validated in
+// order, once per member, with every charge counted.
+func TestParallelValidationTinyExtents(t *testing.T) {
+	old := validateParallelThreshold
+	validateParallelThreshold = 1
+	defer func() { validateParallelThreshold = old }()
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(8))
+
+	for n := 0; n <= 3; n++ {
+		ext := make([]graph.NodeID, n)
+		for i := range ext {
+			ext[i] = graph.NodeID(10 + i)
+		}
+		hits, charged := validateMembers([]graph.NodeID{7}, ext, func(d graph.NodeID, charge func(graph.NodeID)) bool {
+			charge(d)
+			charge(d)
+			return d != 11
+		})
+		want := []graph.NodeID{7}
+		for _, d := range ext {
+			if d != 11 {
+				want = append(want, d)
+			}
+		}
+		if !SameResult(hits, want) || charged != 2*n {
+			t.Fatalf("%d members: hits %v charged %d, want %v and %d", n, hits, charged, want, 2*n)
 		}
 	}
 }

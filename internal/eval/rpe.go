@@ -1,11 +1,8 @@
 package eval
 
 import (
-	"slices"
-
 	"dkindex/internal/graph"
 	"dkindex/internal/index"
-	"dkindex/internal/nodeset"
 	"dkindex/internal/obs"
 	"dkindex/internal/rpe"
 )
@@ -41,25 +38,22 @@ func IndexRPETraced(ig *index.IndexGraph, c *rpe.Compiled, tr *obs.Trace) ([]gra
 	st := tr.StageStart()
 	// As in IndexTraced: sound extents stay compressed until the final
 	// disjoint-set merge, unsound ones decompress into a pooled buffer.
-	var sound []nodeset.Set
-	var extra []graph.NodeID
+	check := func(d graph.NodeID, charge func(graph.NodeID)) bool {
+		return c.MatchesNode(data, d, charge)
+	}
+	vs := valScratchPool.Get().(*valScratch)
 	for _, m := range matched {
 		if c.MaxLen >= 0 && c.MaxLen-1 <= ig.K(m) {
-			sound = append(sound, ig.ExtentSet(m))
+			vs.sound = append(vs.sound, ig.ExtentSet(m))
 			continue
 		}
 		cost.Validations++
-		ext := evalExtentGet()
-		ext = ig.AppendExtent(ext, m)
-		hits, charged := validateMembers(ext, func(d graph.NodeID, charge func(graph.NodeID)) bool {
-			return c.MatchesNode(data, d, charge)
-		})
-		evalExtentPut(ext)
+		vs.ext = ig.AppendExtent(vs.ext[:0], m)
+		var charged int
+		vs.hits, charged = validateMembers(vs.hits, vs.ext, check)
 		cost.DataNodesValidated += charged
-		extra = append(extra, hits...)
 	}
-	slices.Sort(extra)
-	res := nodeset.MergeAppend(nil, sound, extra)
+	res := vs.finish()
 	tr.EndStage("validate", st)
 	tr.RecordCost(cost.IndexNodesVisited, cost.DataNodesValidated, cost.Validations, len(res))
 	return res, cost

@@ -158,25 +158,79 @@ type postingIndexed interface {
 	PostingSet(l graph.LabelID) nodeset.Set
 }
 
-// twigEval carries the per-query memo tables.
+// memoTable is an epoch-stamped dense memo of booleans: a cell holds
+// epoch<<1 | result and counts as absent under any other epoch, so emptying
+// the table is one increment and its storage is reused across queries.
+type memoTable struct {
+	cell  []uint32
+	epoch uint32
+}
+
+// reset empties the table and sizes it for keys in [0, n).
+func (m *memoTable) reset(n int) {
+	if n > len(m.cell) {
+		m.cell = make([]uint32, n)
+		m.epoch = 1
+		return
+	}
+	if m.epoch++; m.epoch == 1<<31 { // stamp wrap-around: wipe
+		clear(m.cell)
+		m.epoch = 1
+	}
+}
+
+func (m *memoTable) get(i int) (res, ok bool) {
+	c := m.cell[i]
+	return c&1 == 1, c>>1 == m.epoch
+}
+
+func (m *memoTable) set(i int, res bool) {
+	c := m.epoch << 1
+	if res {
+		c |= 1
+	}
+	m.cell[i] = c
+}
+
+// twigScratch pools a twig evaluator's working state: the dense frontier
+// buffers of eval and the two memo tables, both keyed step*NumNodes + node.
+type twigScratch struct {
+	inNext graph.VisitSet
+	a, b   []graph.NodeID
+	cand   []graph.NodeID
+	// pred caches downward predicate matching by (step id, node); it lives
+	// until forget.
+	pred memoTable
+	// trunk backs matchesEndingAt by (trunk position, node); emptied per call.
+	trunk memoTable
+}
+
+var twigScratchPool = sync.Pool{New: func() any { return new(twigScratch) }}
+
+// twigEval evaluates one twig over one source. Its scratch comes from a
+// pool: release it when done.
 type twigEval struct {
 	src   twigSource
 	q     *Twig
 	visit func(graph.NodeID)
-	// predMemo[(stepID, node)] caches downward predicate matching.
-	predMemo map[[2]int32]bool
-	// trunkMemo backs matchesEndingAt; cleared per call, storage reused.
-	trunkMemo map[trunkKey]bool
-}
-
-// trunkKey indexes matchesEndingAt's memo table.
-type trunkKey struct {
-	n graph.NodeID
-	i int
+	sc    *twigScratch
+	nodes int // src.NumNodes(), the memo tables' row length
 }
 
 func newTwigEval(src twigSource, q *Twig, visit func(graph.NodeID)) *twigEval {
-	return &twigEval{src: src, q: q, visit: visit, predMemo: make(map[[2]int32]bool)}
+	e := &twigEval{src: src, q: q, visit: visit, nodes: src.NumNodes(),
+		sc: twigScratchPool.Get().(*twigScratch)}
+	e.forget()
+	return e
+}
+
+// forget drops every cached predicate outcome, leaving the evaluator as a
+// freshly constructed one.
+func (e *twigEval) forget() { e.sc.pred.reset(e.q.numSteps * e.nodes) }
+
+func (e *twigEval) release() {
+	twigScratchPool.Put(e.sc)
+	e.sc = nil
 }
 
 func (e *twigEval) see(n graph.NodeID) {
@@ -202,11 +256,11 @@ func (e *twigEval) stepOK(n graph.NodeID, s *TwigStep) bool {
 // matchDown reports whether some child chain of n matches pred starting at
 // step i (the predicate is rooted strictly below n).
 func (e *twigEval) matchDown(n graph.NodeID, pred *Twig, i int) bool {
-	key := [2]int32{int32(pred.Steps[i].id), int32(n)}
-	if v, ok := e.predMemo[key]; ok {
+	memo, key := &e.sc.pred, pred.Steps[i].id*e.nodes+int(n)
+	if v, ok := memo.get(key); ok {
 		return v
 	}
-	e.predMemo[key] = false // cycle cut: revisiting (step, node) cannot help
+	memo.set(key, false) // cycle cut: revisiting (step, node) cannot help
 	res := false
 	for _, c := range e.src.Children(n) {
 		e.see(c)
@@ -218,18 +272,9 @@ func (e *twigEval) matchDown(n graph.NodeID, pred *Twig, i int) bool {
 			break
 		}
 	}
-	e.predMemo[key] = res
+	memo.set(key, res)
 	return res
 }
-
-// twigScratch pools the dense frontier buffers of twigEval.eval.
-type twigScratch struct {
-	inNext graph.VisitSet
-	a, b   []graph.NodeID
-	cand   []graph.NodeID
-}
-
-var twigScratchPool = sync.Pool{New: func() any { return new(twigScratch) }}
 
 // eval runs the trunk forward and returns matched nodes, ascending. Seeding
 // reads the source's posting list (the compressed set for index graphs, the
@@ -245,7 +290,7 @@ var twigScratchPool = sync.Pool{New: func() any { return new(twigScratch) }}
 // and on predicate-bearing steps charge totals are properties of the
 // frontier set and the memo DAG, not of iteration order.
 func (e *twigEval) eval() []graph.NodeID {
-	sc := twigScratchPool.Get().(*twigScratch)
+	sc := e.sc
 	cur, next, cand := sc.a[:0], sc.b[:0], sc.cand[:0]
 	pi, piOK := e.src.(postingIndexed)
 	switch {
@@ -335,53 +380,49 @@ func (e *twigEval) eval() []graph.NodeID {
 		}
 	}
 	sc.a, sc.b, sc.cand = cur, next, cand
-	twigScratchPool.Put(sc)
 	return out
 }
 
 // matchesEndingAt reports whether some trunk instance ends at node n, with
 // every trunk node satisfying its predicates; the validation primitive. The
-// memo table is scoped to one call (cleared on entry) but its storage is
-// reused across the members of an extent.
+// trunk memo is scoped to one call (emptied on entry); the predicate memo is
+// shared across the members of an extent.
 func (e *twigEval) matchesEndingAt(n graph.NodeID) bool {
-	type key = trunkKey
-	if e.trunkMemo == nil {
-		e.trunkMemo = make(map[trunkKey]bool)
-	} else {
-		clear(e.trunkMemo)
+	e.sc.trunk.reset(len(e.q.Steps) * e.nodes)
+	return e.trunkEndsAt(n, len(e.q.Steps)-1)
+}
+
+// trunkEndsAt reports whether trunk steps 0..i match some node path ending
+// at n.
+func (e *twigEval) trunkEndsAt(n graph.NodeID, i int) bool {
+	e.see(n)
+	if !e.stepOK(n, &e.q.Steps[i]) {
+		return false
 	}
-	memo := e.trunkMemo
-	var ok func(n graph.NodeID, i int) bool
-	ok = func(n graph.NodeID, i int) bool {
-		e.see(n)
-		if !e.stepOK(n, &e.q.Steps[i]) {
-			return false
-		}
-		if i == 0 {
-			return true
-		}
-		k := key{n, i}
-		if v, hit := memo[k]; hit {
-			return v
-		}
-		memo[k] = false
-		res := false
-		for _, p := range e.src.Parents(n) {
-			if ok(p, i-1) {
-				res = true
-				break
-			}
-		}
-		memo[k] = res
-		return res
+	if i == 0 {
+		return true
 	}
-	return ok(n, len(e.q.Steps)-1)
+	memo, key := &e.sc.trunk, i*e.nodes+int(n)
+	if v, hit := memo.get(key); hit {
+		return v
+	}
+	memo.set(key, false)
+	res := false
+	for _, p := range e.src.Parents(n) {
+		if e.trunkEndsAt(p, i-1) {
+			res = true
+			break
+		}
+	}
+	memo.set(key, res)
+	return res
 }
 
 // DataTwig evaluates a branching path query directly on the data graph.
 func DataTwig(g *graph.Graph, q *Twig) ([]graph.NodeID, Cost) {
 	var c Cost
 	e := newTwigEval(g, q, func(graph.NodeID) { c.IndexNodesVisited++ })
+	defer e.release()
 	return e.eval(), c
 }
 
@@ -403,33 +444,37 @@ func IndexTwigTraced(ig *index.IndexGraph, q *Twig, tr *obs.Trace) ([]graph.Node
 	e := newTwigEval(ig, q, func(graph.NodeID) { c.IndexNodesVisited++ })
 	st := tr.StageStart()
 	matched := e.eval()
+	e.release()
 	tr.EndStage("match", st)
-	data := ig.Data()
 	st = tr.StageStart()
-	// F&B-stable extents stay compressed until the disjoint-set merge;
-	// unsound matches decompress into a pooled buffer for validation.
-	var sound []nodeset.Set
-	var extra []graph.NodeID
-	for _, m := range matched {
-		if ig.FBStable() {
-			sound = append(sound, ig.ExtentSet(m))
-			continue
+	var res []graph.NodeID
+	if ig.FBStable() {
+		// F&B-stable extents stay compressed until the disjoint-set merge.
+		vs := valScratchPool.Get().(*valScratch)
+		for _, m := range matched {
+			vs.sound = append(vs.sound, ig.ExtentSet(m))
 		}
-		c.Validations++
+		res = vs.finish()
+	} else if len(matched) > 0 {
+		// Unsound matches decompress into a pooled buffer for validation.
 		// Validation stays serial: extent members share ev's predicate memo,
-		// so later members ride on charges already paid by earlier ones.
-		ev := newTwigEval(data, q, func(graph.NodeID) { c.DataNodesValidated++ })
-		ext := evalExtentGet()
-		ext = ig.AppendExtent(ext, m)
-		for _, d := range ext {
-			if ev.matchesEndingAt(d) {
-				extra = append(extra, d)
+		// so later members ride on charges already paid by earlier ones; the
+		// memo is forgotten between extents.
+		ev := newTwigEval(ig.Data(), q, func(graph.NodeID) { c.DataNodesValidated++ })
+		vs := valScratchPool.Get().(*valScratch)
+		for _, m := range matched {
+			c.Validations++
+			ev.forget()
+			vs.ext = ig.AppendExtent(vs.ext[:0], m)
+			for _, d := range vs.ext {
+				if ev.matchesEndingAt(d) {
+					vs.hits = append(vs.hits, d)
+				}
 			}
 		}
-		evalExtentPut(ext)
+		ev.release()
+		res = vs.finish()
 	}
-	slices.Sort(extra)
-	res := nodeset.MergeAppend(nil, sound, extra)
 	tr.EndStage("validate", st)
 	tr.RecordCost(c.IndexNodesVisited, c.DataNodesValidated, c.Validations, len(res))
 	return res, c

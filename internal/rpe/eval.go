@@ -1,7 +1,7 @@
 package rpe
 
 import (
-	"slices"
+	"math/bits"
 	"sync"
 
 	"dkindex/internal/graph"
@@ -93,124 +93,150 @@ func (c *Compiled) Eval(g Source, visited func(graph.NodeID)) []graph.NodeID {
 	return c.EvalTraced(g, visited, nil)
 }
 
+// evalScratch pools EvalTraced's working state: every node's state set in
+// one flat table, the worklist ring and its membership flags. A node is
+// queued at most once at a time, so a ring of NumNodes slots never overflows.
+type evalScratch struct {
+	states []uint64
+	queued []bool
+	ring   []graph.NodeID
+	delta  []uint64
+}
+
+var evalScratchPool = sync.Pool{New: func() any { return new(evalScratch) }}
+
+// zeroed returns buf resized to n zero elements, reusing its storage when it
+// is large enough.
+func zeroed[T any](buf []T, n int) []T {
+	if cap(buf) < n {
+		return make([]T, n)
+	}
+	buf = buf[:n]
+	clear(buf)
+	return buf
+}
+
 // EvalTraced is Eval with per-stage tracing: posting-list seeding records an
 // "rpe_seed" span and the worklist fixpoint (plus accept collection) an
 // "rpe_fixpoint" span. A nil trace makes both free — StageStart skips the
 // clock read — and the visited charges are identical either way.
 func (c *Compiled) EvalTraced(g Source, visited func(graph.NodeID), tr *obs.Trace) []graph.NodeID {
-	n := g.NumNodes()
-	states := make([][]bool, n)
-	start := c.fwd.startSet()
+	a := c.fwd
+	n, w := g.NumNodes(), a.words
+	sc := evalScratchPool.Get().(*evalScratch)
+	defer evalScratchPool.Put(sc)
+	sc.states = zeroed(sc.states, n*w)
+	sc.queued = zeroed(sc.queued, n)
+	sc.delta = zeroed(sc.delta, w)
+	if cap(sc.ring) < n {
+		sc.ring = make([]graph.NodeID, n)
+	}
+	states, queued, delta, ring := sc.states, sc.queued, sc.delta, sc.ring[:n]
+	of := func(id graph.NodeID) []uint64 { return states[int(id)*w:][:w] }
 
 	st := tr.StageStart()
-	queue := make([]graph.NodeID, 0, 64)
-	inQueue := make([]bool, n)
-	push := func(id graph.NodeID) {
-		if !inQueue[id] {
-			inQueue[id] = true
-			queue = append(queue, id)
-		}
-	}
-	if pi, ok := g.(postingIndexed); ok {
-		// Walk each label's compressed posting set assigning seed states,
-		// then push in one ascending scan over the state table — the same
-		// order the sorted-seeds path produced, without materializing or
-		// sorting a seed slice.
-		for l := 0; l < pi.NumLabels(); l++ {
-			post := pi.PostingSet(graph.LabelID(l))
-			if post.IsEmpty() {
-				continue
-			}
-			s := c.fwd.stepOn(start, graph.LabelID(l))
-			if s == nil {
+	// Assign seed states label by label (every node with one label starts in
+	// the same set), then queue the seeded nodes in one ascending scan over
+	// the state table.
+	switch src := g.(type) {
+	case postingIndexed:
+		for l := 0; l < src.NumLabels(); l++ {
+			post := src.PostingSet(graph.LabelID(l))
+			if post.IsEmpty() || !a.stepSet(delta, a.start, graph.LabelID(l)) {
 				continue
 			}
 			post.Iterate(func(id graph.NodeID) bool {
-				// Each node needs its own state set: the fixpoint widens
-				// states in place as new words reach the node.
-				states[id] = append([]bool(nil), s...)
+				copy(of(id), delta)
 				return true
 			})
 		}
-		for i := 0; i < n; i++ {
-			if states[i] != nil {
-				push(graph.NodeID(i))
-			}
-		}
-	} else if li, ok := g.(labelIndexed); ok {
-		var seeds []graph.NodeID
-		for l := 0; l < li.NumLabels(); l++ {
-			nodes := li.NodesWithLabel(graph.LabelID(l))
-			if len(nodes) == 0 {
-				continue
-			}
-			s := c.fwd.stepOn(start, graph.LabelID(l))
-			if s == nil {
+	case labelIndexed:
+		for l := 0; l < src.NumLabels(); l++ {
+			nodes := src.NodesWithLabel(graph.LabelID(l))
+			if len(nodes) == 0 || !a.stepSet(delta, a.start, graph.LabelID(l)) {
 				continue
 			}
 			for _, id := range nodes {
-				// Each node needs its own state set: the fixpoint widens
-				// states in place as new words reach the node.
-				states[id] = append([]bool(nil), s...)
-				seeds = append(seeds, id)
+				copy(of(id), delta)
 			}
 		}
-		slices.Sort(seeds)
-		for _, id := range seeds {
-			push(id)
-		}
-	} else {
+	default:
 		for i := 0; i < n; i++ {
-			if s := c.fwd.stepOn(start, g.Label(graph.NodeID(i))); s != nil {
-				states[i] = s
-				push(graph.NodeID(i))
-			}
+			a.stepSet(of(graph.NodeID(i)), a.start, g.Label(graph.NodeID(i)))
+		}
+	}
+	head, tail, pending := 0, 0, 0
+	push := func(id graph.NodeID) {
+		queued[id] = true
+		ring[tail] = id
+		if tail++; tail == n {
+			tail = 0
+		}
+		pending++
+	}
+	for i := 0; i < n; i++ {
+		if anySet(of(graph.NodeID(i))) {
+			push(graph.NodeID(i))
 		}
 	}
 	tr.EndStage("rpe_seed", st)
 	st = tr.StageStart()
-	for len(queue) > 0 {
-		cur := queue[0]
-		queue = queue[1:]
-		inQueue[cur] = false
+	for pending > 0 {
+		cur := ring[head]
+		if head++; head == n {
+			head = 0
+		}
+		pending--
+		queued[cur] = false
 		if visited != nil {
 			visited(cur)
 		}
+		from := of(cur)
 		for _, ch := range g.Children(cur) {
-			delta := c.fwd.stepOn(states[cur], g.Label(ch))
-			if delta == nil {
+			if !a.stepSet(delta, from, g.Label(ch)) {
 				continue
 			}
-			if mergeStates(&states[ch], delta) {
+			if orInto(of(ch), delta) && !queued[ch] {
 				push(ch)
 			}
 		}
 	}
 
-	var out []graph.NodeID
+	matched := 0
 	for i := 0; i < n; i++ {
-		if states[i] != nil && c.fwd.anyAccept(states[i]) {
-			out = append(out, graph.NodeID(i))
+		if a.anyFinal(of(graph.NodeID(i))) {
+			matched++
 		}
 	}
-	slices.Sort(out)
+	var out []graph.NodeID
+	if matched > 0 {
+		out = make([]graph.NodeID, 0, matched)
+		for i := 0; i < n; i++ {
+			if a.anyFinal(of(graph.NodeID(i))) {
+				out = append(out, graph.NodeID(i))
+			}
+		}
+	}
 	tr.EndStage("rpe_fixpoint", st)
 	return out
 }
 
-// mergeStates ORs delta into *dst, reporting whether *dst grew.
-func mergeStates(dst *[]bool, delta []bool) bool {
-	if *dst == nil {
-		cp := make([]bool, len(delta))
-		copy(cp, delta)
-		*dst = cp
-		return true
+// anySet reports whether set has a bit set.
+func anySet(set []uint64) bool {
+	for _, word := range set {
+		if word != 0 {
+			return true
+		}
 	}
+	return false
+}
+
+// orInto ORs delta into dst, reporting whether dst grew.
+func orInto(dst, delta []uint64) bool {
 	grew := false
-	d := *dst
-	for q := range delta {
-		if delta[q] && !d[q] {
-			d[q] = true
+	for i, d := range delta {
+		if d&^dst[i] != 0 {
+			dst[i] |= d
 			grew = true
 		}
 	}
@@ -223,44 +249,75 @@ type pair struct {
 	q int32
 }
 
-// stampSet is an epoch-stamped dense set over int keys (graph.VisitSet for
-// the (node, state) product space, which can exceed the node id range).
-type stampSet struct {
-	stamp []uint32
-	epoch uint32
-}
-
-func (s *stampSet) reset(n int) {
-	if n > len(s.stamp) {
-		s.stamp = make([]uint32, n)
-		s.epoch = 1
-		return
-	}
-	s.epoch++
-	if s.epoch == 0 {
-		clear(s.stamp)
-		s.epoch = 1
-	}
-}
-
-func (s *stampSet) add(i int) bool {
-	if s.stamp[i] == s.epoch {
-		return false
-	}
-	s.stamp[i] = s.epoch
-	return true
-}
-
 // matchScratch pools MatchesNode's working state so validating an extent
-// member does not allocate; each concurrent validation draws its own.
+// member does not allocate; each concurrent validation draws its own. What
+// it holds grows with the nodes one backward search touches, never with the
+// size of the graph: the touched nodes are numbered densely through an
+// epoch-stamped open-addressing table, and each numbered node owns one
+// `charged` flag and one bitset of the states it has been queued in.
 type matchScratch struct {
-	pairSeen stampSet
-	nodeSeen stampSet
-	queue    []pair
-	single   []bool
+	// slots[i] is epoch<<32 | entry for an occupied slot; any other epoch
+	// means empty, so forgetting every node is one increment.
+	slots []uint64
+	shift uint32
+	epoch uint32
+	// nodes[e] is the node numbered e; seen[e*words:] its queued states.
+	nodes   []graph.NodeID
+	charged []bool
+	seen    []uint64
+	queue   []pair
+	next    []uint64
 }
 
 var matchScratchPool = sync.Pool{New: func() any { return new(matchScratch) }}
+
+func (sc *matchScratch) reset(words int) {
+	sc.nodes, sc.charged, sc.seen, sc.queue = sc.nodes[:0], sc.charged[:0], sc.seen[:0], sc.queue[:0]
+	sc.next = zeroed(sc.next, words)
+	if sc.epoch++; sc.epoch == 0 { // stamp wrap-around: old stamps become ambiguous, wipe
+		clear(sc.slots)
+		sc.epoch = 1
+	}
+}
+
+// entry returns the dense number of node n, numbering it on first sight.
+func (sc *matchScratch) entry(n graph.NodeID, words int) int {
+	if 2*len(sc.nodes) >= len(sc.slots) {
+		sc.grow()
+	}
+	e, fresh := sc.probe(n, len(sc.nodes))
+	if fresh {
+		sc.nodes = append(sc.nodes, n)
+		sc.charged = append(sc.charged, false)
+		sc.seen = append(sc.seen, make([]uint64, words)...)
+	}
+	return e
+}
+
+// probe finds n's slot, claiming an empty one for entry number next.
+func (sc *matchScratch) probe(n graph.NodeID, next int) (e int, fresh bool) {
+	mask := uint32(len(sc.slots) - 1)
+	for i := uint32(n) * 0x9E3779B1 >> sc.shift; ; i = (i + 1) & mask {
+		s := sc.slots[i]
+		if uint32(s>>32) != sc.epoch {
+			sc.slots[i] = uint64(sc.epoch)<<32 | uint64(next)
+			return next, true
+		}
+		if e := int(uint32(s)); sc.nodes[e] == n {
+			return e, false
+		}
+	}
+}
+
+// grow doubles the slot table and re-seats the numbered nodes.
+func (sc *matchScratch) grow() {
+	size := max(64, 2*len(sc.slots))
+	sc.slots = make([]uint64, size)
+	sc.shift = uint32(32 - bits.TrailingZeros(uint(size)))
+	for e, n := range sc.nodes {
+		sc.probe(n, e)
+	}
+}
 
 // MatchesNode reports whether the expression matches the specific node:
 // whether some node path ending at it spells an accepted word. It walks
@@ -273,53 +330,51 @@ var matchScratchPool = sync.Pool{New: func() any { return new(matchScratch) }}
 func (c *Compiled) MatchesNode(g Source, node graph.NodeID, visited func(graph.NodeID)) bool {
 	// BFS over (node, reversed-NFA-state) pairs: polynomial in
 	// |nodes| x |states| even on cyclic graphs with starred expressions.
-	ns := c.rev.NumStates()
+	a := c.rev
+	w := a.words
 	sc := matchScratchPool.Get().(*matchScratch)
 	defer matchScratchPool.Put(sc)
-	sc.pairSeen.reset(g.NumNodes() * ns)
-	sc.nodeSeen.reset(g.NumNodes())
-	queue := sc.queue[:0]
-	defer func() { sc.queue = queue[:0] }()
-	if cap(sc.single) < ns {
-		sc.single = make([]bool, ns)
-	}
-	single := sc.single[:ns]
+	sc.reset(w)
 	visit := func(n graph.NodeID) {
-		if visited != nil && sc.nodeSeen.add(int(n)) {
+		if visited == nil {
+			return
+		}
+		if e := sc.entry(n, w); !sc.charged[e] {
+			sc.charged[e] = true
 			visited(n)
 		}
 	}
-	enqueue := func(n graph.NodeID, set []bool) bool {
-		for q := range set {
-			if !set[q] {
-				continue
-			}
-			if c.rev.accept[q] {
-				return true
-			}
-			if sc.pairSeen.add(int(n)*ns + q) {
-				queue = append(queue, pair{n, int32(q)})
+	// enqueue queues the states of set not yet queued at n, in ascending
+	// state order, unless set accepts.
+	enqueue := func(n graph.NodeID, set []uint64) bool {
+		if a.anyFinal(set) {
+			return true
+		}
+		seen := sc.seen[sc.entry(n, w)*w:][:w]
+		for i, word := range set {
+			fresh := word &^ seen[i]
+			seen[i] |= fresh
+			for ; fresh != 0; fresh &= fresh - 1 {
+				sc.queue = append(sc.queue, pair{n, int32(i<<6 + bits.TrailingZeros64(fresh))})
 			}
 		}
 		return false
 	}
 
 	visit(node)
-	startSet := c.rev.stepOn(c.rev.startSet(), g.Label(node))
-	if startSet == nil {
+	next := sc.next
+	if !a.stepSet(next, a.start, g.Label(node)) {
 		return false
 	}
-	if enqueue(node, startSet) {
+	if enqueue(node, next) {
 		return true
 	}
-	for head := 0; head < len(queue); head++ {
-		cur := queue[head]
+	for head := 0; head < len(sc.queue); head++ {
+		cur := sc.queue[head]
 		visit(cur.n)
-		clear(single)
-		single[cur.q] = true
 		for _, p := range g.Parents(cur.n) {
-			next := c.rev.stepOn(single, g.Label(p))
-			if next == nil {
+			clear(next)
+			if !a.stepState(next, int(cur.q), g.Label(p)) {
 				continue
 			}
 			if enqueue(p, next) {

@@ -34,11 +34,22 @@ func Parse(src string) (Expr, error) {
 			return nil, err
 		}
 	}
+	if p.tok == tokErr {
+		return nil, p.err
+	}
 	if p.tok != tokEOF {
 		return nil, fmt.Errorf("rpe: unexpected %q at offset %d", p.text, p.off)
 	}
 	return e, nil
 }
+
+// maxExprTokens bounds the expressions Parse accepts. A token adds at most
+// three automaton states ('//' does), and a compiled automaton holds one
+// state bitset per consuming edge, so its tables grow with the square of the
+// expression: 1024 tokens keep them under half a megabyte, where an
+// unbounded expression could ask for any amount of memory before touching
+// the data.
+const maxExprTokens = 1024
 
 // MustParse is Parse that panics on error; for tests and fixed expressions.
 func MustParse(src string) Expr {
@@ -71,6 +82,7 @@ type parser struct {
 	tok  token
 	text string
 	off  int // offset of current token
+	toks int // tokens scanned so far
 	err  error
 }
 
@@ -86,6 +98,11 @@ func (p *parser) next() {
 	if p.pos >= len(p.src) {
 		p.tok = tokEOF
 		p.text = ""
+		return
+	}
+	if p.toks++; p.toks > maxExprTokens {
+		p.tok, p.text = tokErr, ""
+		p.err = fmt.Errorf("rpe: expression longer than %d tokens at offset %d", maxExprTokens, p.pos)
 		return
 	}
 	c := p.src[p.pos]

@@ -6,11 +6,95 @@ import (
 	"dkindex/internal/graph"
 )
 
-// This file preserves the straightforward map-based evaluators as oracles
-// for the optimized hot paths in eval.go. They are algorithmically identical
-// — same worklist discipline, same visit charges — and exist so audits can
-// run both implementations side by side and assert bit-identical results and
-// costs. They are not used by production query paths.
+// This file preserves the straightforward evaluators as oracles for the
+// table-driven kernel in nfa.go and eval.go: the same worklist discipline and
+// the same visit charges, run by interpreting the Thompson construction
+// directly — []bool state sets, a closure walk per step, per-call maps — and
+// sharing no code with the kernel beyond Compile's state numbering. Audits
+// run both side by side and assert bit-identical results and costs. Nothing
+// on a query path calls into this file; it is not a _test.go file only
+// because eval/reference.go and internal/experiments' audit, in other
+// packages, build their oracles on it.
+
+// closure expands a state set with epsilon reachability, in place.
+func (n *NFA) closure(set []bool) {
+	var stack []int32
+	for q := range set {
+		if set[q] {
+			stack = append(stack, int32(q))
+		}
+	}
+	for len(stack) > 0 {
+		q := stack[len(stack)-1]
+		stack = stack[:len(stack)-1]
+		for _, e := range n.eps[q] {
+			if !set[e] {
+				set[e] = true
+				stack = append(stack, e)
+			}
+		}
+	}
+}
+
+// stepOn returns the epsilon-closed successor set of set after consuming a
+// node with label l, or nil when no transition fires.
+func (n *NFA) stepOn(set []bool, l graph.LabelID) []bool {
+	out := make([]bool, len(set))
+	any := false
+	for q := range set {
+		if !set[q] {
+			continue
+		}
+		for _, e := range n.step[q] {
+			if e.label == wildLabel || e.label == l {
+				out[e.to] = true
+				any = true
+			}
+		}
+	}
+	if !any {
+		return nil
+	}
+	n.closure(out)
+	return out
+}
+
+// startSet returns the epsilon closure of the start state.
+func (n *NFA) startSet() []bool {
+	set := make([]bool, n.NumStates())
+	set[0] = true
+	n.closure(set)
+	return set
+}
+
+// anyAccept reports whether the set contains an accepting state.
+func (n *NFA) anyAccept(set []bool) bool {
+	for q, ok := range set {
+		if ok && n.accept[q] {
+			return true
+		}
+	}
+	return false
+}
+
+// mergeStates ORs delta into *dst, reporting whether *dst grew.
+func mergeStates(dst *[]bool, delta []bool) bool {
+	if *dst == nil {
+		cp := make([]bool, len(delta))
+		copy(cp, delta)
+		*dst = cp
+		return true
+	}
+	grew := false
+	d := *dst
+	for q := range delta {
+		if delta[q] && !d[q] {
+			d[q] = true
+			grew = true
+		}
+	}
+	return grew
+}
 
 // ReferenceEval is the unoptimized counterpart of Eval: it probes the
 // automaton once per node to seed (rather than once per label) and performs
@@ -64,7 +148,7 @@ func (c *Compiled) ReferenceEval(g Source, visited func(graph.NodeID)) []graph.N
 
 // ReferenceMatchesNode is the unoptimized counterpart of MatchesNode: the
 // same (node, state) BFS with per-call map working state instead of pooled
-// stamped arrays.
+// per-node bitsets.
 func (c *Compiled) ReferenceMatchesNode(g Source, node graph.NodeID, visited func(graph.NodeID)) bool {
 	seen := make(map[pair]bool)
 	seenNode := make(map[graph.NodeID]bool)

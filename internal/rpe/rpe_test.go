@@ -2,6 +2,7 @@ package rpe
 
 import (
 	"math/rand"
+	"strings"
 	"testing"
 
 	"dkindex/internal/graph"
@@ -85,6 +86,25 @@ func TestParseErrors(t *testing.T) {
 		if _, err := Parse(src); err == nil {
 			t.Errorf("parse %q: expected error", src)
 		}
+	}
+}
+
+// An expression is outside input and the compiled tables grow with its
+// square, so Parse bounds it: the longest accepted expression still compiles
+// to small tables, one token more is an error.
+func TestParseBoundsExpressionSize(t *testing.T) {
+	// A label, ('//', label) pairs, and one '?' make exactly maxExprTokens.
+	longest := "a" + strings.Repeat("//a", (maxExprTokens-2)/2) + "?"
+	e, err := Parse(longest)
+	if err != nil {
+		t.Fatalf("%d-token expression rejected: %v", maxExprTokens, err)
+	}
+	n := Compile(e, graph.New().Labels())
+	if bytes := 8 * len(n.target); n.NumStates() > 3*maxExprTokens || bytes > 512<<10 {
+		t.Errorf("%d tokens compile to %d states and %d table bytes", maxExprTokens, n.NumStates(), bytes)
+	}
+	if _, err := Parse(longest + "?"); err == nil || !strings.Contains(err.Error(), "tokens") {
+		t.Errorf("%d-token expression: err = %v, want a size error", maxExprTokens+1, err)
 	}
 }
 

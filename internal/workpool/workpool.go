@@ -39,14 +39,18 @@ func acquire() {
 func release() { <-sem }
 
 // Workers returns the fan-out width for n items with at least minPerWorker
-// items per chunk: GOMAXPROCS capped at max, floored at 1. Callers use it to
-// compute deterministic chunk boundaries before handing chunks to the pool.
+// items per chunk: GOMAXPROCS capped at max and at n (a worker without an
+// item is no worker), floored at 1. Callers use it to compute deterministic
+// chunk boundaries before handing chunks to the pool.
 func Workers(n, minPerWorker, max int) int {
 	w := runtime.GOMAXPROCS(0)
 	if max > 0 && w > max {
 		w = max
 	}
-	if minPerWorker > 0 && n/minPerWorker < w {
+	if minPerWorker < 1 {
+		minPerWorker = 1
+	}
+	if n/minPerWorker < w {
 		w = n / minPerWorker
 	}
 	if w < 1 {

@@ -78,4 +78,14 @@ func TestWorkers(t *testing.T) {
 	if w := Workers(0, 0, 0); w != 1 {
 		t.Fatalf("empty input: got %d workers", w)
 	}
+	// Never more workers than items, whatever GOMAXPROCS is.
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(8))
+	for _, n := range []int{1, 2, 3} {
+		if w := Workers(n, 0, 8); w != n {
+			t.Fatalf("%d items: got %d workers", n, w)
+		}
+	}
+	if w := Workers(100, 0, 8); w != 8 {
+		t.Fatalf("100 items on 8 CPUs: got %d workers", w)
+	}
 }

@@ -181,6 +181,8 @@ func (x *Index) runOn(s *snapshot, req Request) (Result, error) {
 
 	// Parse up front so errors never consume cache or recorder capacity,
 	// and the normalized evaluation closure is ready for a cache miss.
+	// Whatever costs more than parsing (compiling an RPE's automata) waits
+	// inside the closure: a cache hit never pays it.
 	var evalFn func(tr *obs.Trace) ([]NodeID, eval.Cost)
 	lastLabel := graph.InvalidLabel
 	qlen := 0
@@ -204,9 +206,8 @@ func (x *Index) runOn(s *snapshot, req Request) (Result, error) {
 			x.observer.ObserveQueryError(string(kind))
 			return Result{}, err
 		}
-		c := rpe.CompileExpr(e, labels)
 		evalFn = func(tr *obs.Trace) ([]NodeID, eval.Cost) {
-			return eval.IndexRPETraced(ig, c, tr)
+			return eval.IndexRPETraced(ig, rpe.CompileExpr(e, labels), tr)
 		}
 	case KindTwig:
 		tw, err := eval.ParseTwig(labels, req.Text)
