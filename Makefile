@@ -58,8 +58,10 @@ stress:
 # fuzz-smoke gives each untrusted-input decoder a short fuzzing burst — the
 # checkpoint codec, the write-ahead log replayer, the XML loader — and each
 # query kernel a differential one against its reference oracle: the
-# table-driven RPE automata and the twig evaluator's dense memo tables. Long
-# exploratory runs stay manual (go test -fuzz=... -fuzztime=5m).
+# table-driven RPE automata and the twig evaluator's memo tables. The
+# server's append encoder and its RawQuery reader are held to encoding/json
+# and net/url the same way. Long exploratory runs stay manual (go test
+# -fuzz=... -fuzztime=5m).
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzLoadDK -fuzztime 5s ./internal/codec
 	$(GO) test -run '^$$' -fuzz FuzzWALReplay -fuzztime 5s ./internal/wal
@@ -68,6 +70,8 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzFromSortedAlgebra -fuzztime 5s ./internal/nodeset
 	$(GO) test -run '^$$' -fuzz FuzzKernelAgainstReference -fuzztime 5s ./internal/rpe
 	$(GO) test -run '^$$' -fuzz FuzzTwigAgainstReference -fuzztime 5s ./internal/eval
+	$(GO) test -run '^$$' -fuzz FuzzQueryBodyAgainstEncodingJSON -fuzztime 5s ./internal/server
+	$(GO) test -run '^$$' -fuzz FuzzQueryParamAgainstParseQuery -fuzztime 5s ./internal/server
 
 vet:
 	$(GO) vet ./...
@@ -187,15 +191,17 @@ serve-smoke:
 # bench-baseline records the regression-guard baseline: several short
 # repetitions of the guarded benchmarks (query throughput, the cold RPE and
 # twig evaluations that validate against the data graph, the parallel
-# snapshot-serving path, the in-memory group-commit write pipeline, and the
-# sharded engine's scatter-gather read and shard-split write paths), parsed
-# to JSON. bench-guard compares future runs against it per benchmark name on
-# best-of-N ns/op and B/op.
-GUARDED_BENCH = BenchmarkQueryThroughput$$|BenchmarkQueryRPE$$|BenchmarkQueryTwigDK$$|BenchmarkSnapshotQueryParallel$$|BenchmarkApplyBatchPipeline$$|BenchmarkShardQueryFanout$$|BenchmarkShardApplyBatch$$
+# snapshot-serving path, the in-memory group-commit write pipeline, the
+# sharded engine's scatter-gather read and shard-split write paths, and one
+# /v1/query through the server's ServeHTTP as a result-cache hit and as a
+# miss), parsed to JSON. bench-guard compares future runs against it per
+# benchmark name on best-of-N ns/op and B/op.
+GUARDED_BENCH = BenchmarkQueryThroughput$$|BenchmarkQueryRPE$$|BenchmarkQueryTwigDK$$|BenchmarkSnapshotQueryParallel$$|BenchmarkApplyBatchPipeline$$|BenchmarkShardQueryFanout$$|BenchmarkShardApplyBatch$$|BenchmarkServeQueryHit$$|BenchmarkServeQueryMiss$$
+GUARDED_PKGS = . ./internal/shard/ ./internal/server/
 
 bench-baseline:
 	DK_BENCH_SCALE=$(DK_BENCH_SCALE) $(GO) test -run '^$$' \
-		-bench '$(GUARDED_BENCH)' -benchmem -benchtime 1s -count 5 . ./internal/shard/ \
+		-bench '$(GUARDED_BENCH)' -benchmem -benchtime 1s -count 5 $(GUARDED_PKGS) \
 		| $(GO) run ./cmd/dkbench -benchjson > BENCH_BASELINE.json
 
 # bench-guard fails when the best of five runs of a guarded benchmark
@@ -204,7 +210,7 @@ bench-baseline:
 # times do not). Skips with a notice when no baseline has been recorded yet.
 bench-guard:
 	DK_BENCH_SCALE=$(DK_BENCH_SCALE) $(GO) test -run '^$$' \
-		-bench '$(GUARDED_BENCH)' -benchmem -benchtime 1s -count 5 . ./internal/shard/ \
+		-bench '$(GUARDED_BENCH)' -benchmem -benchtime 1s -count 5 $(GUARDED_PKGS) \
 		| $(GO) run ./cmd/dkbench -benchguard BENCH_BASELINE.json
 
 # profile-build captures CPU and heap profiles of the large-XMark 1-index

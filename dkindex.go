@@ -31,7 +31,11 @@
 // successor state on private copies and publish it atomically, bumping the
 // snapshot generation; in-flight queries keep reading the snapshot they
 // resolved. Repeated queries are answered from a generation-keyed result
-// cache that a mutation invalidates wholesale by virtue of the bump.
+// cache that a mutation invalidates wholesale by virtue of the bump. The
+// cache is consulted before the query text is parsed; an entry carries what a
+// hit needs of the parse and, for callers that render results into bytes
+// (Request.AcceptBody, Result.ParkBody — the HTTP server), one rendering of
+// the answer, at most MaxParkedBody bytes, that lives and dies with the entry.
 //
 // The package is a facade over the internal packages; power users can reach
 // the underlying graph and index through Graph and IG (both return the
@@ -627,11 +631,16 @@ type heatEntry struct {
 	fired  atomic.Bool
 }
 
-// noteValidation records validation pressure and fires promotion when the
-// threshold is crossed. Called on the lock-free query path.
-func (x *Index) noteValidation(last graph.LabelID, length, validations int) {
+// noteValidation records the validation pressure of one execution of a path
+// query (path is nil for the other kinds, which exert none) and fires
+// promotion when the threshold is crossed. Called on the lock-free query path.
+func (x *Index) noteValidation(path eval.Query, validations int) {
 	threshold := int(x.autoPromote.Load())
-	if threshold <= 0 || validations == 0 || last == graph.InvalidLabel {
+	if threshold <= 0 || validations == 0 || len(path) == 0 {
+		return
+	}
+	last, length := path[len(path)-1], path.Length()
+	if last == graph.InvalidLabel {
 		return
 	}
 	hm := x.heat.Load()

@@ -2,6 +2,7 @@ package eval
 
 import (
 	"fmt"
+	"math/bits"
 	"slices"
 	"strings"
 	"sync"
@@ -19,9 +20,6 @@ import (
 // SIGMOD 2002), which the paper's future work points to.
 type Twig struct {
 	Steps []TwigStep
-	// numSteps is the total number of steps across the trunk and all nested
-	// predicates; memo tables are sized by it.
-	numSteps int
 }
 
 // TwigStep is one trunk step: a label plus optional predicates.
@@ -59,7 +57,6 @@ func assignIDs(q *Twig, next int) int {
 			next = assignIDs(pred, next)
 		}
 	}
-	q.numSteps = next
 	return next
 }
 
@@ -158,42 +155,88 @@ type postingIndexed interface {
 	PostingSet(l graph.LabelID) nodeset.Set
 }
 
-// memoTable is an epoch-stamped dense memo of booleans: a cell holds
-// epoch<<1 | result and counts as absent under any other epoch, so emptying
-// the table is one increment and its storage is reused across queries.
+// memoTable is a memo of booleans keyed by (step, node) pairs. Like
+// rpe.matchScratch it keeps only the pairs a query touches, in an
+// epoch-stamped open-addressing table: a slot holds epoch<<1 | result and
+// counts as empty under any other epoch, so emptying the table is one
+// increment, its storage is reused across queries, and what it holds grows
+// with what one evaluation visits — never with steps x NumNodes, which a
+// dense table paid again whenever a collection emptied the scratch pool.
 type memoTable struct {
-	cell  []uint32
+	keys  []uint64
+	cells []uint32
+	shift uint32 // 64 - log2(len(keys))
+	used  int    // slots claimed under the current epoch
 	epoch uint32
 }
 
-// reset empties the table and sizes it for keys in [0, n).
-func (m *memoTable) reset(n int) {
-	if n > len(m.cell) {
-		m.cell = make([]uint32, n)
-		m.epoch = 1
-		return
-	}
+// memoKey packs a (step, node) pair.
+func memoKey(step int, n graph.NodeID) uint64 { return uint64(step)<<32 | uint64(uint32(n)) }
+
+// reset empties the table.
+func (m *memoTable) reset() {
+	m.used = 0
 	if m.epoch++; m.epoch == 1<<31 { // stamp wrap-around: wipe
-		clear(m.cell)
+		clear(m.cells)
 		m.epoch = 1
 	}
 }
 
-func (m *memoTable) get(i int) (res, ok bool) {
-	c := m.cell[i]
-	return c&1 == 1, c>>1 == m.epoch
+// slot finds key's slot, or the empty one it would claim.
+func (m *memoTable) slot(key uint64) (i uint64, found bool) {
+	mask := uint64(len(m.keys) - 1)
+	for i = key * 0x9E3779B97F4A7C15 >> m.shift; ; i = (i + 1) & mask {
+		if m.cells[i]>>1 != m.epoch {
+			return i, false
+		}
+		if m.keys[i] == key {
+			return i, true
+		}
+	}
 }
 
-func (m *memoTable) set(i int, res bool) {
-	c := m.epoch << 1
-	if res {
-		c |= 1
+func (m *memoTable) get(key uint64) (res, ok bool) {
+	if m.used == 0 {
+		return false, false
 	}
-	m.cell[i] = c
+	i, found := m.slot(key)
+	return m.cells[i]&1 == 1, found
+}
+
+func (m *memoTable) set(key uint64, res bool) {
+	if 2*m.used >= len(m.keys) {
+		m.grow()
+	}
+	i, found := m.slot(key)
+	if !found {
+		m.keys[i] = key
+		m.used++
+	}
+	m.cells[i] = m.epoch << 1
+	if res {
+		m.cells[i] |= 1
+	}
+}
+
+// grow doubles the table and re-seats the current epoch's pairs.
+func (m *memoTable) grow() {
+	keys, cells := m.keys, m.cells
+	size := max(64, 2*len(keys))
+	m.keys, m.cells = make([]uint64, size), make([]uint32, size)
+	m.shift = uint32(64 - bits.TrailingZeros(uint(size)))
+	if m.epoch == 0 {
+		m.epoch = 1 // a zeroed cell must read as empty
+	}
+	for j, c := range cells {
+		if c>>1 == m.epoch {
+			i, _ := m.slot(keys[j])
+			m.keys[i], m.cells[i] = keys[j], c
+		}
+	}
 }
 
 // twigScratch pools a twig evaluator's working state: the dense frontier
-// buffers of eval and the two memo tables, both keyed step*NumNodes + node.
+// buffers of eval and the two memo tables.
 type twigScratch struct {
 	inNext graph.VisitSet
 	a, b   []graph.NodeID
@@ -214,19 +257,17 @@ type twigEval struct {
 	q     *Twig
 	visit func(graph.NodeID)
 	sc    *twigScratch
-	nodes int // src.NumNodes(), the memo tables' row length
 }
 
 func newTwigEval(src twigSource, q *Twig, visit func(graph.NodeID)) *twigEval {
-	e := &twigEval{src: src, q: q, visit: visit, nodes: src.NumNodes(),
-		sc: twigScratchPool.Get().(*twigScratch)}
+	e := &twigEval{src: src, q: q, visit: visit, sc: twigScratchPool.Get().(*twigScratch)}
 	e.forget()
 	return e
 }
 
 // forget drops every cached predicate outcome, leaving the evaluator as a
 // freshly constructed one.
-func (e *twigEval) forget() { e.sc.pred.reset(e.q.numSteps * e.nodes) }
+func (e *twigEval) forget() { e.sc.pred.reset() }
 
 func (e *twigEval) release() {
 	twigScratchPool.Put(e.sc)
@@ -256,7 +297,7 @@ func (e *twigEval) stepOK(n graph.NodeID, s *TwigStep) bool {
 // matchDown reports whether some child chain of n matches pred starting at
 // step i (the predicate is rooted strictly below n).
 func (e *twigEval) matchDown(n graph.NodeID, pred *Twig, i int) bool {
-	memo, key := &e.sc.pred, pred.Steps[i].id*e.nodes+int(n)
+	memo, key := &e.sc.pred, memoKey(pred.Steps[i].id, n)
 	if v, ok := memo.get(key); ok {
 		return v
 	}
@@ -388,7 +429,7 @@ func (e *twigEval) eval() []graph.NodeID {
 // trunk memo is scoped to one call (emptied on entry); the predicate memo is
 // shared across the members of an extent.
 func (e *twigEval) matchesEndingAt(n graph.NodeID) bool {
-	e.sc.trunk.reset(len(e.q.Steps) * e.nodes)
+	e.sc.trunk.reset()
 	return e.trunkEndsAt(n, len(e.q.Steps)-1)
 }
 
@@ -402,7 +443,7 @@ func (e *twigEval) trunkEndsAt(n graph.NodeID, i int) bool {
 	if i == 0 {
 		return true
 	}
-	memo, key := &e.sc.trunk, i*e.nodes+int(n)
+	memo, key := &e.sc.trunk, memoKey(i, n)
 	if v, hit := memo.get(key); hit {
 		return v
 	}

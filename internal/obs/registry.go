@@ -225,15 +225,21 @@ func (r *Registry) Histogram(name, help string, bounds []float64, labels ...Labe
 // exposition format (version 0.0.4), families in registration order and
 // series in label order.
 func (r *Registry) WritePrometheus(w io.Writer) error {
+	// A registration appends to and re-sorts a family's series in place, so
+	// the lists are copied under the lock; the series themselves are atomics.
 	r.mu.Lock()
 	fams := append([]*family(nil), r.families...)
+	lists := make([][]*series, len(fams))
+	for i, f := range fams {
+		lists[i] = append([]*series(nil), f.series...)
+	}
 	r.mu.Unlock()
 	var b strings.Builder
-	for _, f := range fams {
+	for i, f := range fams {
 		b.Reset()
 		fmt.Fprintf(&b, "# HELP %s %s\n", f.name, escapeHelp(f.help))
 		fmt.Fprintf(&b, "# TYPE %s %s\n", f.name, f.kind)
-		for _, s := range f.series {
+		for _, s := range lists[i] {
 			switch f.kind {
 			case kindCounter:
 				fmt.Fprintf(&b, "%s%s %s\n", f.name, s.key, formatFloat(float64(s.c.Value())))

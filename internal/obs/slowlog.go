@@ -1,8 +1,10 @@
 package obs
 
 import (
+	"math"
 	"sort"
 	"sync"
+	"sync/atomic"
 	"time"
 )
 
@@ -32,14 +34,25 @@ type SlowEntry struct {
 
 // SlowLog retains the top-capacity slowest requests seen so far: a bounded
 // min-heap keyed by duration, so an offered request only displaces the
-// current floor when it is slower. A nil *SlowLog accepts every call and does
-// nothing, matching the package's nil-safe convention.
+// current floor when it is slower. Once the log is full, a request no slower
+// than the floor — nearly every request — is turned away on two atomics,
+// without the mutex that guards the heap; the query path stays lock-free. A
+// nil *SlowLog accepts every call and does nothing, matching the package's
+// nil-safe convention.
 type SlowLog struct {
-	mu      sync.Mutex
-	heap    []SlowEntry // min-heap by Duration; heap[0] is the floor
-	cap     int
-	offered uint64
+	offered atomic.Uint64
+	// floor is heap[0].Duration once the heap is full and notFull before.
+	// It is written under mu and never falls, so a request rejected against
+	// a value read without mu would be rejected against the current one too.
+	floor atomic.Int64
+
+	mu   sync.Mutex
+	heap []SlowEntry // min-heap by Duration; heap[0] is the floor
+	cap  int
 }
+
+// notFull is the floor of a log with room: below every duration.
+const notFull = math.MinInt64
 
 // DefaultSlowLogSize is the slow-log capacity an Observer starts with.
 const DefaultSlowLogSize = 64
@@ -50,28 +63,37 @@ func NewSlowLog(capacity int) *SlowLog {
 	if capacity < 1 {
 		capacity = 1
 	}
-	return &SlowLog{cap: capacity}
+	l := &SlowLog{cap: capacity}
+	l.floor.Store(notFull)
+	return l
 }
 
-// Add offers one request to the log. Requests faster than the floor of a full
-// log are rejected in O(1); admissions are O(log capacity).
+// Add offers one request to the log. Requests no slower than the floor of a
+// full log are rejected in O(1) without taking a lock; admissions are
+// O(log capacity) under the mutex.
 func (l *SlowLog) Add(e SlowEntry) {
 	if l == nil {
 		return
 	}
+	l.offered.Add(1)
+	if int64(e.Duration) <= l.floor.Load() {
+		return
+	}
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	l.offered++
 	if len(l.heap) < l.cap {
 		l.heap = append(l.heap, e)
 		l.siftUp(len(l.heap) - 1)
-		return
+	} else {
+		if e.Duration <= l.heap[0].Duration { // the floor rose while we waited
+			return
+		}
+		l.heap[0] = e
+		l.siftDown(0)
 	}
-	if e.Duration <= l.heap[0].Duration {
-		return
+	if len(l.heap) == l.cap {
+		l.floor.Store(int64(l.heap[0].Duration))
 	}
-	l.heap[0] = e
-	l.siftDown(0)
 }
 
 // Floor returns the duration a request must exceed to enter a full log
@@ -80,12 +102,10 @@ func (l *SlowLog) Floor() time.Duration {
 	if l == nil {
 		return 0
 	}
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if len(l.heap) < l.cap {
-		return 0
+	if f := l.floor.Load(); f != notFull {
+		return time.Duration(f)
 	}
-	return l.heap[0].Duration
+	return 0
 }
 
 // Offered returns how many requests were offered to the log.
@@ -93,9 +113,7 @@ func (l *SlowLog) Offered() uint64 {
 	if l == nil {
 		return 0
 	}
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.offered
+	return l.offered.Load()
 }
 
 // Snapshot returns the retained entries, slowest first.

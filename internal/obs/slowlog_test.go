@@ -90,3 +90,76 @@ func TestSlowLogConcurrent(t *testing.T) {
 		}
 	}
 }
+
+// TestSlowLogRejectsWithoutLock pins the read path's last lock: once the log
+// is full, a request no slower than the floor is counted and turned away
+// while another goroutine holds the heap's mutex. Eight goroutines offer
+// such requests (and a few slower ones that must get in) at once; Offered,
+// Floor and Snapshot stay exact.
+func TestSlowLogRejectsWithoutLock(t *testing.T) {
+	const capacity, offerers, perOfferer = 4, 8, 500
+	l := NewSlowLog(capacity)
+	for ms := 1; ms <= capacity; ms++ {
+		l.Add(SlowEntry{Duration: time.Duration(ms) * time.Millisecond})
+	}
+	if l.Floor() != time.Millisecond {
+		t.Fatalf("floor = %v, want 1ms", l.Floor())
+	}
+
+	l.mu.Lock()
+	rejected := make(chan struct{})
+	go func() {
+		defer close(rejected)
+		var wg sync.WaitGroup
+		for w := 0; w < offerers; w++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for i := 0; i < perOfferer; i++ {
+					l.Add(SlowEntry{Duration: time.Duration(i%1000+1) * time.Microsecond}) // <= 1ms
+				}
+			}()
+		}
+		wg.Wait()
+	}()
+	select {
+	case <-rejected:
+	case <-time.After(30 * time.Second):
+		t.Fatal("rejecting a fast request waited for the slow log's mutex")
+	}
+	if got, want := l.Offered(), uint64(capacity+offerers*perOfferer); got != want {
+		t.Errorf("offered = %d with the mutex held, want %d", got, want)
+	}
+	if l.Floor() != time.Millisecond {
+		t.Errorf("floor moved to %v under rejected offers", l.Floor())
+	}
+	l.mu.Unlock()
+
+	// Slower requests still get in, from all goroutines at once, and raise
+	// the floor.
+	var wg sync.WaitGroup
+	for w := 0; w < offerers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			l.Add(SlowEntry{Duration: time.Duration(10+w) * time.Millisecond})
+			l.Add(SlowEntry{Duration: time.Microsecond})
+		}(w)
+	}
+	wg.Wait()
+	if got, want := l.Offered(), uint64(capacity+offerers*perOfferer+2*offerers); got != want {
+		t.Errorf("offered = %d, want %d", got, want)
+	}
+	if got := l.Floor(); got != 14*time.Millisecond {
+		t.Errorf("floor = %v, want 14ms", got)
+	}
+	snap := l.Snapshot()
+	if len(snap) != capacity {
+		t.Fatalf("snapshot len = %d, want %d", len(snap), capacity)
+	}
+	for i, e := range snap {
+		if want := time.Duration(17-i) * time.Millisecond; e.Duration != want {
+			t.Errorf("snap[%d] = %v, want %v", i, e.Duration, want)
+		}
+	}
+}

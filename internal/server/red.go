@@ -13,8 +13,9 @@ import (
 // headerRequestID is echoed on every response: incoming values are kept (when
 // well-formed) so distributed call chains stay correlated, otherwise the
 // server mints one. Error bodies, the slow-query log and sampled traces all
-// carry the same ID.
-const headerRequestID = "X-Request-ID"
+// carry the same ID. The name is spelled in canonical MIME form, so header
+// reads and writes with it need no canonicalised copy.
+const headerRequestID = "X-Request-Id"
 
 // routeRED is one route's pre-registered RED bundle (rate, errors, duration,
 // plus in-flight). Registration happens once in New, so the per-request path
@@ -81,7 +82,9 @@ func requestID(r *http.Request) string {
 	if id := r.Header.Get(headerRequestID); validRequestID(id) {
 		return id
 	}
-	return reqIDPrefix + "-" + strconv.FormatUint(reqIDSeq.Add(1), 10)
+	var buf [32]byte
+	b := append(append(buf[:0], reqIDPrefix...), '-')
+	return string(strconv.AppendUint(b, reqIDSeq.Add(1), 10))
 }
 
 // validRequestID accepts 1..128 characters of [A-Za-z0-9._-]: enough for
@@ -104,10 +107,21 @@ func validRequestID(id string) bool {
 
 // statusWriter captures the response status so the middleware can classify
 // errors after the handler returns. An untouched status means the handler
-// wrote nothing yet (the implicit 200 is stamped on first Write).
+// wrote nothing yet (the implicit 200 is stamped on first Write). It also
+// carries the request's ID down to the handlers.
 type statusWriter struct {
 	http.ResponseWriter
-	status int
+	status    int
+	requestID string
+}
+
+// requestIDOf returns the ID the middleware gave the request w answers ("" for
+// a writer that did not come through ServeHTTP).
+func requestIDOf(w http.ResponseWriter) string {
+	if sw, ok := w.(*statusWriter); ok {
+		return sw.requestID
+	}
+	return ""
 }
 
 func (w *statusWriter) WriteHeader(code int) {

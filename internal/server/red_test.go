@@ -1,6 +1,7 @@
 package server
 
 import (
+	"encoding/json"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -238,5 +239,60 @@ func TestBatchSlowEntry(t *testing.T) {
 	}
 	if e["indexNodesVisited"].(float64) <= 0 || e["results"].(float64) <= 0 {
 		t.Errorf("batch entry cost not aggregated: %v", e)
+	}
+}
+
+// TestRequestIDTravelsAsAValue: the ID reaches error bodies, the slow log
+// (single queries and batches) and the wire without being read back off the
+// response header, under the header names clients have always seen.
+func TestRequestIDTravelsAsAValue(t *testing.T) {
+	srv := New(goldenIndex(t))
+	serve := func(method, target, body, id string) *httptest.ResponseRecorder {
+		return serveOnce(srv, method, target, body, id)
+	}
+	rec := serve("GET", "/v1/query?q=director.movie.title", "", "by-value-1")
+	for _, name := range []string{"X-Request-Id", "X-Shard-Generations", "Content-Type"} {
+		if vals := rec.Header()[name]; len(vals) != 1 || vals[0] == "" {
+			t.Errorf("response header %s = %q, want one value", name, vals)
+		}
+	}
+	if got := rec.Header()["X-Request-Id"][0]; got != "by-value-1" {
+		t.Errorf("echoed id = %q", got)
+	}
+	if got := rec.Header()["X-Shard-Generations"][0]; got != "1" {
+		t.Errorf("generation vector = %q, want 1", got)
+	}
+	serve("POST", "/v1/query", `{"queries":[{"q":"name"}]}`, "by-value-2")
+	for _, tc := range []struct{ method, target, body string }{
+		{"GET", "/v1/query?q=director..title", ""}, // fails inside Run
+		{"GET", "/v1/query?kind=path", ""},         // fails before it
+		{"POST", "/v1/query", `{"queries":[]}`},
+		{"POST", "/v1/mutate", `{"op":"nope"}`},
+	} {
+		rec := serve(tc.method, tc.target, tc.body, "by-value-3")
+		var out map[string]any
+		if err := json.Unmarshal(rec.Body.Bytes(), &out); err != nil || out["requestId"] != "by-value-3" || rec.Code < 400 {
+			t.Errorf("%s %s = %d %s, want an error body with requestId by-value-3", tc.method, tc.target, rec.Code, rec.Body)
+		}
+	}
+	minted := serve("GET", "/v1/query?q=director..title", "", "")
+	var out map[string]any
+	if err := json.Unmarshal(minted.Body.Bytes(), &out); err != nil {
+		t.Fatal(err)
+	}
+	mintedID := minted.Header()["X-Request-Id"][0]
+	if !validRequestID(mintedID) || !strings.HasPrefix(mintedID, reqIDPrefix+"-") || out["requestId"] != mintedID {
+		t.Errorf("minted id %q, error body %v", mintedID, out)
+	}
+	slow := map[string]string{}
+	for _, e := range srv.Observer().Slow.Snapshot() {
+		slow[e.RequestID] = e.Query
+	}
+	for id, query := range map[string]string{
+		"by-value-1": "director.movie.title", "by-value-2": "1 queries", "by-value-3": "director..title", mintedID: "director..title",
+	} {
+		if slow[id] != query {
+			t.Errorf("slow log has %q under request id %s, want %q (all: %v)", slow[id], id, query, slow)
+		}
 	}
 }

@@ -8,6 +8,7 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"dkindex"
 	"dkindex/internal/obs"
@@ -73,6 +74,11 @@ func TestLoadSheddingBoundsInFlight(t *testing.T) {
 	}()
 	<-holding
 	// Wait until the slot is actually held, then expect sheds.
+	for deadline := time.Now().Add(10 * time.Second); len(srv.inflight) == 0; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("the blocking request never took the in-flight slot")
+		}
+	}
 	shed := false
 	for i := 0; i < 200 && !shed; i++ {
 		resp, err := http.Get(ts.URL + "/v1/stats")

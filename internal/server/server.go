@@ -31,11 +31,22 @@
 // The server carries no locks of its own: the index serves queries from
 // atomic snapshots and serializes mutations internally, so handlers call it
 // directly and queries are never blocked — not by each other and not by
-// updates. Every path query is recorded (lock-free) so /optimize can re-tune
-// the index to the live load. The server adopts the index's observer
-// (attaching a fresh one when the index is unobserved), so /metrics and
-// /events work out of the box; EnablePprof optionally mounts net/http/pprof
-// under /debug/pprof/.
+// updates (the slow-query log turns a request away on two atomics unless it
+// is slow enough to be kept). Every path query is recorded (lock-free) so
+// /optimize can re-tune the index to the live load.
+//
+// The three query endpoints share one append-style encoder (encode.go) that
+// writes a response straight from the result's nodes and label table into a
+// pooled buffer, and they read their parameters off the raw query string.
+// They ask the index for bodies (Request.AcceptBody): the first cache hit of
+// an entry parks its encoded response on the entry, and later hits that list
+// as many rows are a lookup and a write, with nothing parsed, copied or
+// encoded. The body lives exactly as long as the generation-keyed cache
+// entry, so the server keeps no cache of its own.
+//
+// The server adopts the index's observer (attaching a fresh one when the
+// index is unobserved), so /metrics and /events work out of the box;
+// EnablePprof optionally mounts net/http/pprof under /debug/pprof/.
 package server
 
 import (
@@ -61,10 +72,15 @@ import (
 // other shards' elements valid).
 const HeaderShardGenerations = "X-Shard-Generations"
 
-// formatGenerations renders the generation vector for the header.
-func formatGenerations(gens []uint64) string {
+// generationsHeader renders the backend's generation vector for the header.
+// A one-element vector is its own sum, which Generation returns without
+// making the vector.
+func (s *Server) generationsHeader() string {
+	if s.shards == 1 {
+		return strconv.FormatUint(s.idx.Generation(), 10)
+	}
 	var b []byte
-	for i, g := range gens {
+	for i, g := range s.idx.Generations() {
 		if i > 0 {
 			b = append(b, ',')
 		}
@@ -126,8 +142,11 @@ type Backend interface {
 // backend's snapshot architecture makes every call safe concurrently.
 type Server struct {
 	idx Backend
-	mux *http.ServeMux
-	obs *obs.Observer
+	// shards is the length of the backend's generation vector, fixed for
+	// the backend's life.
+	shards int
+	mux    *http.ServeMux
+	obs    *obs.Observer
 	// red holds the pre-registered per-route RED metric bundles, keyed by
 	// route label ("other" catches everything off the fixed table).
 	red map[string]*routeRED
@@ -165,7 +184,7 @@ func NewBackend(idx Backend) *Server {
 		o = obs.NewObserver()
 		idx.Observe(o)
 	}
-	s := &Server{idx: idx, mux: http.NewServeMux(), obs: o, red: newREDTable(o.Registry)}
+	s := &Server{idx: idx, shards: len(idx.Generations()), mux: http.NewServeMux(), obs: o, red: newREDTable(o.Registry)}
 	// Every route serves under /v1 and, as a legacy alias, at the root.
 	for _, p := range []string{"", "/v1"} {
 		s.mux.HandleFunc("GET "+p+"/healthz", s.handleHealth)
@@ -229,16 +248,17 @@ func probeRoute(path string) bool {
 // into 500s instead of letting one poisoned request tear down the connection,
 // and records the latency and error class per route on the way out.
 func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
-	// Echo (or mint) the request ID before dispatch: handlers and writeError
-	// read it back off the response header, so every body — including shed
-	// and panic responses — is attributable in client logs.
-	w.Header().Set(headerRequestID, requestID(r))
+	// Echo (or mint) the request ID before dispatch and hand it to the
+	// handlers on the writer, so every body — including shed and panic
+	// responses — is attributable in client logs.
+	id := requestID(r)
+	w.Header().Set(headerRequestID, id)
 	s.replicaLagHeader(w)
-	w.Header().Set(HeaderShardGenerations, formatGenerations(s.idx.Generations()))
+	w.Header().Set(HeaderShardGenerations, s.generationsHeader())
 	m := s.red[routeLabel(r.URL.Path)]
 	m.requests.Inc()
 	m.inflight.Add(1)
-	sw := &statusWriter{ResponseWriter: w}
+	sw := &statusWriter{ResponseWriter: w, requestID: id}
 	start := time.Now()
 	defer func() {
 		if rec := recover(); rec != nil {
@@ -302,23 +322,6 @@ func (s *Server) handleStats(w http.ResponseWriter, _ *http.Request) {
 	})
 }
 
-// queryResponse is the JSON shape of query results.
-type queryResponse struct {
-	Query      string             `json:"query"`
-	Kind       string             `json:"kind"`
-	Count      int                `json:"count"`
-	Results    []queryResult      `json:"results"`
-	Cost       dkindex.QueryStats `json:"cost"`
-	CacheHit   bool               `json:"cacheHit"`
-	Traced     bool               `json:"traced"`
-	Generation uint64             `json:"generation"`
-}
-
-type queryResult struct {
-	Node  dkindex.NodeID `json:"node"`
-	Label string         `json:"label"`
-}
-
 // defaultListed and maxListed bound how many results a query response
 // lists: defaultListed when the request carries no limit= parameter,
 // maxListed no matter what it asks for (count always reports the full
@@ -348,16 +351,19 @@ func parseLimit(ls string) (int, error) {
 	return min(v, maxListed), nil
 }
 
-// runQuery executes one request and renders the response shape shared by
-// every query endpoint. It stamps the response's request ID onto the query as
-// its origin (so a sampled trace links back to the request) and offers the
-// execution to the slow-query log with its cost counters.
-func (s *Server) runQuery(w http.ResponseWriter, r *http.Request, req dkindex.Request) (*queryResponse, error) {
-	kind := req.Kind
-	if kind == "" {
-		kind = dkindex.KindPath
+// serveQuery answers a single-query endpoint: it runs the request, offers
+// the execution to the slow-query log with its cost counters, and writes the
+// response shape every query endpoint shares. The request ID goes onto the
+// query as its origin, so a sampled trace links back to the request. A cache
+// hit whose entry holds the body an earlier request sent is a lookup and a
+// write; anything else is encoded into a pooled buffer and offered to the
+// entry.
+func (s *Server) serveQuery(w http.ResponseWriter, r *http.Request, req dkindex.Request) {
+	if req.Kind == "" {
+		req.Kind = dkindex.KindPath
 	}
-	req.Origin = w.Header().Get(headerRequestID)
+	req.Origin = requestIDOf(w)
+	req.AcceptBody = true
 	start := time.Now()
 	res, err := s.idx.Run(req)
 	entry := obs.SlowEntry{
@@ -365,14 +371,15 @@ func (s *Server) runQuery(w http.ResponseWriter, r *http.Request, req dkindex.Re
 		RequestID: req.Origin,
 		Route:     routeLabel(r.URL.Path),
 		Method:    r.Method,
-		Kind:      string(kind),
+		Kind:      string(req.Kind),
 		Query:     req.Text,
 		Duration:  time.Since(start),
 	}
 	if err != nil {
 		entry.Status = http.StatusBadRequest
 		s.obs.Slow.Add(entry)
-		return nil, err
+		writeError(w, http.StatusBadRequest, codeBadQuery, err)
+		return
 	}
 	entry.Status = http.StatusOK
 	entry.CacheHit = res.CacheHit
@@ -383,76 +390,60 @@ func (s *Server) runQuery(w http.ResponseWriter, r *http.Request, req dkindex.Re
 	entry.Validations = res.Stats.Validations
 	entry.Results = res.Total
 	s.obs.Slow.Add(entry)
-	out := &queryResponse{
-		Query:      req.Text,
-		Kind:       string(kind),
-		Count:      res.Total,
-		Cost:       res.Stats,
-		CacheHit:   res.CacheHit,
-		Traced:     res.Traced,
-		Generation: res.Generation,
-		// Preallocate exactly: result sets can run to thousands of nodes
-		// and append-doubling churn showed up in serving profiles.
-		Results: make([]queryResult, 0, len(res.Nodes)),
+	if res.Body != nil {
+		writeBody(w, http.StatusOK, res.Body)
+		return
 	}
-	for _, n := range res.Nodes {
-		out.Results = append(out.Results, queryResult{Node: n, Label: res.LabelName(n)})
-	}
-	return out, nil
+	buf := bufPool.Get().(*bytes.Buffer)
+	defer func() { buf.Reset(); bufPool.Put(buf) }()
+	// Append into the buffer's spare capacity; the Write keeps whatever the
+	// append had to grow, so the pool's buffers settle at body size.
+	buf.Write(appendResult(buf.AvailableBuffer(), req.Kind, req.Text, &res))
+	writeBody(w, http.StatusOK, buf.Bytes())
 }
 
 func (s *Server) handleLegacyQuery(w http.ResponseWriter, r *http.Request) {
-	q := r.URL.Query()
-	limit, err := parseLimit(q.Get("limit"))
+	raw := r.URL.RawQuery
+	limit, err := parseLimit(queryParam(raw, "limit"))
 	if err != nil {
 		writeError(w, http.StatusBadRequest, codeBadQuery, err)
 		return
 	}
+	// The legacy parameters are named after the kinds: path=, rpe=, twig=.
 	req := dkindex.Request{Limit: limit}
-	switch {
-	case q.Get("path") != "":
-		req.Kind, req.Text = dkindex.KindPath, q.Get("path")
-	case q.Get("rpe") != "":
-		req.Kind, req.Text = dkindex.KindRPE, q.Get("rpe")
-	case q.Get("twig") != "":
-		req.Kind, req.Text = dkindex.KindTwig, q.Get("twig")
-	default:
+	for _, kind := range [...]dkindex.Kind{dkindex.KindPath, dkindex.KindRPE, dkindex.KindTwig} {
+		if text := queryParam(raw, string(kind)); text != "" {
+			req.Kind, req.Text = kind, text
+			break
+		}
+	}
+	if req.Text == "" {
 		writeError(w, http.StatusBadRequest, codeBadQuery, fmt.Errorf("one of path=, rpe= or twig= is required"))
 		return
 	}
-	out, err := s.runQuery(w, r, req)
-	if err != nil {
-		writeError(w, http.StatusBadRequest, codeBadQuery, err)
-		return
-	}
-	writeJSON(w, http.StatusOK, out)
+	s.serveQuery(w, r, req)
 }
 
 func (s *Server) handleV1Query(w http.ResponseWriter, r *http.Request) {
-	q := r.URL.Query()
-	limit, err := parseLimit(q.Get("limit"))
+	raw := r.URL.RawQuery
+	limit, err := parseLimit(queryParam(raw, "limit"))
 	if err != nil {
 		writeError(w, http.StatusBadRequest, codeBadQuery, err)
 		return
 	}
-	text := q.Get("q")
+	text := queryParam(raw, "q")
 	if text == "" {
 		writeError(w, http.StatusBadRequest, codeBadQuery, fmt.Errorf("q= is required"))
 		return
 	}
-	kind := dkindex.Kind(q.Get("kind"))
+	kind := dkindex.Kind(queryParam(raw, "kind"))
 	switch kind {
 	case "", dkindex.KindPath, dkindex.KindRPE, dkindex.KindTwig:
 	default:
 		writeError(w, http.StatusBadRequest, codeBadQuery, fmt.Errorf("kind= must be path, rpe or twig"))
 		return
 	}
-	out, err := s.runQuery(w, r, dkindex.Request{Kind: kind, Text: text, Limit: limit})
-	if err != nil {
-		writeError(w, http.StatusBadRequest, codeBadQuery, err)
-		return
-	}
-	writeJSON(w, http.StatusOK, out)
+	s.serveQuery(w, r, dkindex.Request{Kind: kind, Text: text, Limit: limit})
 }
 
 // batchQuery is one item of a POST /v1/query body.
@@ -483,7 +474,7 @@ func (s *Server) handleQueryBatch(w http.ResponseWriter, r *http.Request) {
 			fmt.Errorf("at most %d queries per batch", maxBatchQueries))
 		return
 	}
-	reqID := w.Header().Get(headerRequestID)
+	reqID := requestIDOf(w)
 	reqs := make([]dkindex.Request, len(body.Queries))
 	for i, bq := range body.Queries {
 		limit := defaultListed
@@ -499,7 +490,11 @@ func (s *Server) handleQueryBatch(w http.ResponseWriter, r *http.Request) {
 				limit = min(*bq.Limit, maxListed)
 			}
 		}
-		reqs[i] = dkindex.Request{Kind: dkindex.Kind(bq.Kind), Text: bq.Q, Limit: limit, Origin: reqID}
+		kind := dkindex.Kind(bq.Kind)
+		if kind == "" {
+			kind = dkindex.KindPath
+		}
+		reqs[i] = dkindex.Request{Kind: kind, Text: bq.Q, Limit: limit, Origin: reqID, AcceptBody: true}
 	}
 	start := time.Now()
 	batch := s.idx.RunBatch(reqs)
@@ -510,44 +505,40 @@ func (s *Server) handleQueryBatch(w http.ResponseWriter, r *http.Request) {
 		Kind: "batch", Query: fmt.Sprintf("%d queries", len(reqs)),
 		Status: http.StatusOK, Duration: time.Since(start),
 	}
-	items := make([]any, len(batch))
-	var generation uint64
-	for i, br := range batch {
-		if br.Err != nil {
-			items[i] = map[string]string{"error": br.Err.Error(), "code": codeBadQuery}
+	for i := range batch {
+		if batch[i].Err != nil {
 			continue
 		}
-		res := br.Result
-		generation = res.Generation
+		res := &batch[i].Result
 		bentry.Generation = res.Generation
 		bentry.Traced = bentry.Traced || res.Traced
 		bentry.IndexNodesVisited += res.Stats.IndexNodesVisited
 		bentry.DataNodesValidated += res.Stats.DataNodesValidated
 		bentry.Validations += res.Stats.Validations
 		bentry.Results += res.Total
-		out := &queryResponse{
-			Query:      reqs[i].Text,
-			Kind:       string(reqs[i].Kind),
-			Count:      res.Total,
-			Cost:       res.Stats,
-			CacheHit:   res.CacheHit,
-			Traced:     res.Traced,
-			Generation: res.Generation,
-			Results:    make([]queryResult, 0, len(res.Nodes)),
-		}
-		if out.Kind == "" {
-			out.Kind = string(dkindex.KindPath)
-		}
-		for _, n := range res.Nodes {
-			out.Results = append(out.Results, queryResult{Node: n, Label: res.LabelName(n)})
-		}
-		items[i] = out
 	}
 	s.obs.Slow.Add(bentry)
-	writeJSON(w, http.StatusOK, map[string]any{
-		"generation": generation,
-		"results":    items,
-	})
+
+	// The envelope is what encoding/json wrote for the map {"generation":
+	// g, "results": items}; an item is a single-query body less its newline.
+	buf := bufPool.Get().(*bytes.Buffer)
+	defer func() { buf.Reset(); bufPool.Put(buf) }()
+	b := append(buf.AvailableBuffer(), `{"generation":`...)
+	b = strconv.AppendUint(b, bentry.Generation, 10)
+	b = append(b, `,"results":[`...)
+	for i := range batch {
+		if i > 0 {
+			b = append(b, ',')
+		}
+		if err := batch[i].Err; err != nil {
+			b = appendQueryError(b, err)
+			continue
+		}
+		b = appendResult(b, reqs[i].Kind, reqs[i].Text, &batch[i].Result)
+		b = b[:len(b)-1]
+	}
+	buf.Write(append(b, "]}\n"...))
+	writeBody(w, http.StatusOK, buf.Bytes())
 }
 
 func (s *Server) handleExplain(w http.ResponseWriter, r *http.Request) {
@@ -724,16 +715,21 @@ func writeJSON(w http.ResponseWriter, code int, v any) {
 		http.Error(w, `{"error":"encoding failed","code":"internal"}`, http.StatusInternalServerError)
 		return
 	}
+	writeBody(w, code, buf.Bytes())
+}
+
+// writeBody sends an encoded JSON body.
+func writeBody(w http.ResponseWriter, code int, body []byte) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(code)
-	_, _ = w.Write(buf.Bytes())
+	_, _ = w.Write(body)
 }
 
 func writeError(w http.ResponseWriter, status int, code string, err error) {
 	body := map[string]string{"error": err.Error(), "code": code}
-	// The middleware stamps the response's X-Request-ID before dispatch, so
-	// every error body carries the same ID the client can grep its logs for.
-	if id := w.Header().Get(headerRequestID); id != "" {
+	// Every error body carries the ID the middleware put on the response, so
+	// the client can grep its logs for it.
+	if id := requestIDOf(w); id != "" {
 		body["requestId"] = id
 	}
 	writeJSON(w, status, body)

@@ -28,6 +28,7 @@ func (e *Engine) Run(req dkindex.Request) (dkindex.Result, error) {
 	m := e.smap.Load()
 	shardReq := req
 	shardReq.Limit = shardLimit(req.Limit)
+	shardReq.AcceptBody = false // the merge needs every shard's nodes
 
 	type reply struct {
 		res  dkindex.Result
@@ -87,6 +88,7 @@ func (e *Engine) RunBatch(reqs []dkindex.Request) []dkindex.BatchResult {
 	for i, r := range reqs {
 		shardReqs[i] = r
 		shardReqs[i].Limit = shardLimit(r.Limit)
+		shardReqs[i].AcceptBody = false
 	}
 
 	perShard := make([][]dkindex.BatchResult, len(e.shards))

@@ -2,6 +2,7 @@ package dkindex
 
 import (
 	"fmt"
+	"sync/atomic"
 	"time"
 
 	"dkindex/internal/core"
@@ -52,6 +53,12 @@ type Request struct {
 	// origin is stamped onto the trace, linking /traces entries back to the
 	// request that produced them. Empty is fine.
 	Origin string
+	// AcceptBody marks a caller that renders a Result into bytes and would as
+	// soon send an earlier rendering of the same answer again — the HTTP
+	// server. On a cache hit whose entry holds a body parked (Result.ParkBody)
+	// for the same number of listed nodes, the Result carries that body and
+	// no Nodes. Callers that leave it false always get Nodes.
+	AcceptBody bool
 }
 
 // Result is the answer to one Request.
@@ -73,6 +80,16 @@ type Result struct {
 	// Traced reports whether this execution was sampled by the tracer (cache
 	// hits never are — nothing was evaluated).
 	Traced bool
+	// Body is set only for a Request with AcceptBody, and only on a cache
+	// hit: the bytes an earlier such request parked on the cache entry for
+	// the same number of listed nodes. Nodes is nil then. The slice is
+	// shared; callers must not write to it.
+	Body []byte
+
+	// entry, on a cache hit for a Request with AcceptBody, is where ParkBody
+	// parks; listed is how many nodes the request's Limit lets it list.
+	entry  *cachedResult
+	listed int
 
 	g *graph.Graph
 	// names, when set, overrides g for label resolution: composite results
@@ -103,11 +120,45 @@ type BatchResult struct {
 // DefaultResultCacheSize is the result cache capacity an Index starts with.
 const DefaultResultCacheSize = 4096
 
-// cachedResult is the cache payload: the full result set plus the cost of
-// computing it. Both are immutable once stored.
+// MaxParkedBody is the largest rendering ParkBody keeps on a cache entry;
+// a larger one is rendered again on every hit. With one body per entry, a
+// full result cache retains at most capacity x MaxParkedBody bytes of them
+// (256 MiB at DefaultResultCacheSize) beside the node sets it already holds.
+const MaxParkedBody = 64 << 10
+
+// cachedResult is the cache payload: the full result set, the cost of
+// computing it and what a hit still needs from the parse, all immutable once
+// stored; and one slot for a rendering of the answer, swapped atomically. The
+// slot needs no invalidation of its own: the entry belongs to one generation
+// of one cache table and the body lives and dies with it.
 type cachedResult struct {
 	nodes []NodeID
 	cost  eval.Cost
+	// path is the label sequence of a KindPath query (nil for the other
+	// kinds): a hit records it in the load and feeds it to auto-promotion
+	// exactly as the evaluation that stored the entry did.
+	path eval.Query
+	body atomic.Pointer[parkedBody]
+}
+
+// parkedBody is one rendering of a cached answer: the bytes, and how many of
+// the entry's nodes they list.
+type parkedBody struct {
+	listed int
+	bytes  []byte
+}
+
+// ParkBody offers the caller's rendering of r to the cache entry r was read
+// from, so that the next Request with AcceptBody and the same number of
+// listed nodes gets it back as Result.Body. It copies body. It does nothing
+// unless r is such a request's cache hit, or when body is longer than
+// MaxParkedBody. The rendering may depend only on r and on the Request's
+// Kind and Text, which every request reaching the entry shares.
+func (r *Result) ParkBody(body []byte) {
+	if r.entry == nil || len(body) > MaxParkedBody {
+		return
+	}
+	r.entry.body.Store(&parkedBody{listed: r.listed, bytes: append([]byte(nil), body...)})
 }
 
 // Run evaluates one query against the current snapshot. It is safe for any
@@ -173,19 +224,43 @@ func (x *Index) ResultCacheLen() int { return x.cache.Load().Len() }
 // protocol here.
 func (x *Index) runOn(s *snapshot, req Request) (Result, error) {
 	kind := req.Kind
-	if kind == "" {
+	switch kind {
+	case "":
 		kind = KindPath
+	case KindPath, KindRPE, KindTwig:
+	default:
+		// Not observed: kinds are caller-chosen strings and would mint
+		// unbounded metric label values.
+		return Result{}, fmt.Errorf("dkindex: unknown query kind %q", kind)
 	}
+
+	// Look the text up before parsing it. Only evaluated results are ever
+	// Put, so a key that hits spelled a well-formed query when its entry was
+	// stored, and the entry keeps what a hit needs from that parse; malformed
+	// text finds nothing and fails in the parse below, before it is counted
+	// as a miss or reaches the cache or the recorder.
+	key := string(kind) + "\x00" + req.Text
+	cache := x.cache.Load()
+	if v, ok := cache.Get(s.gen, key); ok {
+		cr := v.(*cachedResult)
+		x.observer.ObserveCacheHit(string(kind))
+		x.observer.ObserveQuery(string(kind), 0, costSample(cr.cost), len(cr.nodes))
+		if r := x.recorder.Load(); r != nil {
+			r.Record(cr.path)
+		}
+		// Cache hits still feed auto-promotion: repeats of a validating
+		// query are exactly the pressure SetAutoPromote reacts to, and the
+		// cached cost carries the validation count of every repeat.
+		x.noteValidation(cr.path, cr.cost.Validations)
+		return s.hit(cr, req), nil
+	}
+
+	// Whatever costs more than parsing (compiling an RPE's automata) waits
+	// inside the closure, next to the evaluation that needs it.
 	ig := s.dk.IG
 	labels := ig.Data().Labels()
-
-	// Parse up front so errors never consume cache or recorder capacity,
-	// and the normalized evaluation closure is ready for a cache miss.
-	// Whatever costs more than parsing (compiling an RPE's automata) waits
-	// inside the closure: a cache hit never pays it.
 	var evalFn func(tr *obs.Trace) ([]NodeID, eval.Cost)
-	lastLabel := graph.InvalidLabel
-	qlen := 0
+	var path eval.Query // stays nil for RPEs and twigs, which feed neither the load nor auto-promotion
 	switch kind {
 	case KindPath:
 		q, err := eval.ParseQuery(labels, req.Text)
@@ -196,7 +271,7 @@ func (x *Index) runOn(s *snapshot, req Request) (Result, error) {
 		if r := x.recorder.Load(); r != nil {
 			r.Record(q)
 		}
-		lastLabel, qlen = q[len(q)-1], q.Length()
+		path = q
 		evalFn = func(tr *obs.Trace) ([]NodeID, eval.Cost) {
 			return eval.IndexTraced(ig, q, tr)
 		}
@@ -218,23 +293,6 @@ func (x *Index) runOn(s *snapshot, req Request) (Result, error) {
 		evalFn = func(tr *obs.Trace) ([]NodeID, eval.Cost) {
 			return eval.IndexTwigTraced(ig, tw, tr)
 		}
-	default:
-		// Not observed: kinds are caller-chosen strings and would mint
-		// unbounded metric label values.
-		return Result{}, fmt.Errorf("dkindex: unknown query kind %q", kind)
-	}
-
-	key := string(kind) + "\x00" + req.Text
-	cache := x.cache.Load()
-	if v, ok := cache.Get(s.gen, key); ok {
-		cr := v.(*cachedResult)
-		x.observer.ObserveCacheHit(string(kind))
-		x.observer.ObserveQuery(string(kind), 0, costSample(cr.cost), len(cr.nodes))
-		// Cache hits still feed auto-promotion: repeats of a validating
-		// query are exactly the pressure SetAutoPromote reacts to, and the
-		// cached cost carries the validation count of every repeat.
-		x.noteValidation(lastLabel, qlen, cr.cost.Validations)
-		return s.result(cr.nodes, cr.cost, true, req.Limit), nil
 	}
 	x.observer.ObserveCacheMiss(string(kind))
 
@@ -245,7 +303,7 @@ func (x *Index) runOn(s *snapshot, req Request) (Result, error) {
 		begin = time.Now()
 	}
 	nodes, cost := evalFn(tr)
-	x.noteValidation(lastLabel, qlen, cost.Validations)
+	x.noteValidation(path, cost.Validations)
 	if x.observer != nil {
 		x.observer.ObserveQuery(string(kind), time.Since(begin), costSample(cost), len(nodes))
 		x.observer.FinishTrace(tr)
@@ -253,30 +311,52 @@ func (x *Index) runOn(s *snapshot, req Request) (Result, error) {
 	}
 	// Put after noteValidation: if an auto-promotion just bumped the
 	// generation, this store is stale and the cache drops it on its own.
-	cache.Put(s.gen, key, &cachedResult{nodes: nodes, cost: cost})
-	res := s.result(nodes, cost, false, req.Limit)
+	cache.Put(s.gen, key, &cachedResult{nodes: nodes, cost: cost, path: path})
+	res := s.result(len(nodes), cost, false)
+	res.Nodes = append([]NodeID(nil), nodes[:listed(req.Limit, len(nodes))]...)
 	res.Traced = tr != nil
 	return res, nil
 }
 
-// result assembles a Result from a (possibly cached, hence shared and
-// immutable) node slice, applying the Limit semantics.
-func (s *snapshot) result(nodes []NodeID, cost eval.Cost, hit bool, limit int) Result {
-	res := Result{
-		Total:      len(nodes),
+// listed applies the Limit semantics to a result of total nodes: how many of
+// them a Result lists.
+func listed(limit, total int) int {
+	switch {
+	case limit < 0:
+		return 0 // count-only
+	case limit == 0 || limit > total:
+		return total
+	}
+	return limit
+}
+
+// result starts the Result of an answer of total nodes; the caller adds the
+// nodes it lists, as a copy of its own (the evaluated slice goes to the cache,
+// shared and immutable).
+func (s *snapshot) result(total int, cost eval.Cost, hit bool) Result {
+	return Result{
+		Total:      total,
 		Stats:      fromCost(cost),
 		CacheHit:   hit,
 		Generation: s.gen,
 		g:          s.dk.IG.Data(),
 	}
-	switch {
-	case limit < 0:
-		// Count-only: no nodes.
-	case limit == 0 || limit >= len(nodes):
-		res.Nodes = append([]NodeID(nil), nodes...)
-	default:
-		res.Nodes = append([]NodeID(nil), nodes[:limit]...)
+}
+
+// hit assembles the Result of a cache hit. A Request with AcceptBody gets
+// the entry's parked body when it lists as many nodes as the request would
+// (and then no copy of the nodes), and otherwise the means to park one.
+func (s *snapshot) hit(cr *cachedResult, req Request) Result {
+	res := s.result(len(cr.nodes), cr.cost, true)
+	n := listed(req.Limit, len(cr.nodes))
+	if req.AcceptBody {
+		if pb := cr.body.Load(); pb != nil && pb.listed == n {
+			res.Body = pb.bytes
+			return res
+		}
+		res.entry, res.listed = cr, n
 	}
+	res.Nodes = append([]NodeID(nil), cr.nodes[:n]...)
 	return res
 }
 
