@@ -7,7 +7,7 @@ DK_BENCH_SCALE ?= 1.0
 BENCHTIME ?= 2s
 BENCHCOUNT ?= 1
 
-.PHONY: all build test race vet fmt-check bench-compile bench bench2 bench3 bench5 bench6 bench7 bench8 bench9 bench10 bench-baseline bench-guard profile-build profile-read stress fuzz-smoke serve-smoke shard-smoke ci clean
+.PHONY: all build test race vet fmt-check bench-compile bench bench2 bench3 bench5 bench6 bench7 bench8 bench9 bench10 bench-baseline bench-guard profile-build profile-read stress fuzz-smoke serve-smoke shard-smoke ci size clean
 
 all: build test
 
@@ -229,8 +229,18 @@ profile-read:
 		-bench 'BenchmarkQuery(RPE|TwigDK)$$' -benchmem -benchtime $(BENCHTIME) \
 		-cpuprofile read_cpu.prof -memprofile read_mem.prof -memprofilerate 4096 .
 
+# size prints the three numbers a PR serving ROADMAP aim 2 reports, so every
+# such PR measures the same thing: non-test Go lines, test lines and package
+# count, all outside benchmark/ (a module of its own) and .bench_build/.
+GO_FILES = find . -name '*.go' -not -path './benchmark/*' -not -path './.bench_build/*'
+
+size:
+	@echo "non-test Go lines: $$($(GO_FILES) -not -name '*_test.go' -print0 | xargs -0 cat | wc -l)"
+	@echo "test Go lines:     $$($(GO_FILES) -name '*_test.go' -print0 | xargs -0 cat | wc -l)"
+	@echo "packages:          $$($(GO) list ./... | wc -l)"
+
+# clean removes what building, profiling and benchmarking leave behind, all of
+# it untracked; the recorded BENCH_* files are part of the repository.
 clean:
-	rm -f BENCH_1.txt BENCH_1.json BENCH_2.txt BENCH_2.json BENCH_3.txt BENCH_3.json
-	rm -f BENCH_5.txt BENCH_5.json BENCH_6.txt BENCH_6.json build_cpu.prof build_mem.prof read_cpu.prof read_mem.prof dkindex.test
-	rm -f BENCH_7.txt BENCH_7.json BENCH_7_plan.jsonl BENCH_8.txt BENCH_8.json
-	rm -f BENCH_9.txt BENCH_9.json BENCH_10.txt BENCH_10.json
+	rm -f *.prof *.test
+	rm -rf .bench_build

@@ -47,8 +47,8 @@ type shardOptions struct {
 // monolithic *dkindex.Index and the sharded *shard.Engine.
 type shardTarget interface {
 	Run(dkindex.Request) (dkindex.Result, error)
+	Apply(dkindex.Mutation) (dkindex.Ack, error)
 	ApplyBatch([]dkindex.Mutation) ([]dkindex.Ack, error)
-	AddDocument(io.Reader, *dkindex.LoadOptions) ([]dkindex.NodeID, error)
 	SetResultCache(int)
 }
 
@@ -164,11 +164,11 @@ func shardMonolith() *dkindex.Index {
 func loadCorpus(t shardTarget, corpus [][]byte) ([][]dkindex.NodeID, error) {
 	maps := make([][]dkindex.NodeID, len(corpus))
 	for i, doc := range corpus {
-		m, err := t.AddDocument(bytes.NewReader(doc), datagen.LoadOptions())
+		ack, err := t.Apply(dkindex.Mutation{Op: dkindex.MutAddDocument, Doc: doc, DocOptions: datagen.LoadOptions()})
 		if err != nil {
 			return nil, fmt.Errorf("document %d: %w", i, err)
 		}
-		maps[i] = m
+		maps[i] = ack.Mapping
 	}
 	return maps, nil
 }

@@ -91,7 +91,9 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 		if err != nil {
 			return fail(err)
 		}
-		idx.SetRequirements(reqs)
+		if _, err := idx.Apply(dkindex.Mutation{Op: dkindex.MutSetRequirements, Reqs: reqs}); err != nil {
+			return fail(err)
+		}
 	}
 	if *save != "" {
 		if err := idx.SaveFile(*save); err != nil {
@@ -147,32 +149,27 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 			fmt.Fprint(stdout, e.String())
 			continue
 		}
-		var (
-			res   []dkindex.NodeID
-			stats dkindex.QueryStats
-			err   error
-		)
+		kind := dkindex.KindPath
 		switch {
 		case *isRPE:
-			res, stats, err = idx.QueryRPE(q)
+			kind = dkindex.KindRPE
 		case *isTwig:
-			res, stats, err = idx.QueryTwig(q)
-		default:
-			res, stats, err = idx.Query(q)
+			kind = dkindex.KindTwig
 		}
+		res, err := idx.Run(dkindex.Request{Kind: kind, Text: q})
 		if err != nil {
 			fmt.Fprintf(stderr, "dkquery: %q: %v\n", q, err)
 			continue
 		}
 		fmt.Fprintf(stdout, "%s: %d results (cost: %d index nodes, %d validated data nodes, %d validations)\n",
-			q, len(res), stats.IndexNodesVisited, stats.DataNodesValidated, stats.Validations)
+			q, res.Total, res.Stats.IndexNodesVisited, res.Stats.DataNodesValidated, res.Stats.Validations)
 		if !*quiet {
-			for i, n := range res {
+			for i, n := range res.Nodes {
 				if i == 20 {
-					fmt.Fprintf(stdout, "  ... %d more\n", len(res)-20)
+					fmt.Fprintf(stdout, "  ... %d more\n", res.Total-20)
 					break
 				}
-				fmt.Fprintf(stdout, "  node %d (%s)\n", n, idx.LabelName(n))
+				fmt.Fprintf(stdout, "  node %d (%s)\n", n, res.LabelName(n))
 			}
 		}
 	}

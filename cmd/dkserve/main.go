@@ -1,6 +1,8 @@
-// Command dkserve serves a D(k)-index over HTTP with a JSON API: path,
-// regular-path-expression and branching (twig) queries, incremental edge and
-// document updates, and the promote/demote/optimize maintenance operations.
+// Command dkserve serves a D(k)-index over HTTP with a JSON API under /v1:
+// path, regular-path-expression and branching (twig) queries through
+// /v1/query, and every write — incremental edge and document updates, the
+// promote/demote/optimize maintenance operations — through /v1/mutate
+// (/v1/documents takes a raw XML body).
 //
 // Usage:
 //
@@ -34,21 +36,18 @@
 //	curl 'localhost:8080/v1/query?q=director.movie.title'
 //	curl 'localhost:8080/v1/query?kind=twig&q=movie[actor].title'
 //	curl -X POST localhost:8080/v1/query -d '{"queries":[{"q":"director.movie.title"}]}'
-//	curl -X POST localhost:8080/v1/promote -d '{"label":"title","k":3}'
+//	curl -X POST localhost:8080/v1/mutate -d '{"op":"promote","label":"title","k":3}'
 //	curl -X POST localhost:8080/v1/mutate -d '{"mutations":[{"op":"add_edge","from":3,"to":9},{"op":"promote","label":"title","k":2}]}'
+//	curl -X POST localhost:8080/v1/documents --data-binary @more.xml
 //	curl 'localhost:8080/v1/watermark'
 //	curl 'localhost:8080/v1/metrics'
 //	curl 'localhost:8080/v1/events?n=20'
 //
-// Every route is mounted both under /v1 and at the root (the pre-/v1 paths,
-// kept as aliases); /query at the root additionally accepts the legacy
-// path=/rpe=/twig= parameter forms.
-//
 // The process logs one structured line per request, serves Prometheus
-// metrics on /metrics and the index lifecycle event stream on /events, and
-// shuts down gracefully on SIGINT/SIGTERM — in-flight requests drain and a
-// final metrics snapshot is flushed to the log. See internal/server for the
-// full API.
+// metrics on /v1/metrics and the index lifecycle event stream on /v1/events,
+// and shuts down gracefully on SIGINT/SIGTERM — in-flight requests drain and
+// a final metrics snapshot is flushed to the log. See internal/server for
+// the full API.
 package main
 
 import (
@@ -131,7 +130,7 @@ type config struct {
 	// snapshot age) into the registry at that interval.
 	rtEvery time.Duration
 
-	// ready backs /readyz: true once setup finished, false again the moment
+	// ready backs /v1/readyz: true once setup finished, false again the moment
 	// a shutdown starts draining, so load balancers stop routing here first.
 	ready atomic.Bool
 }
@@ -326,7 +325,7 @@ func setup(args []string, stdout, stderr io.Writer) (*config, int) {
 			fmt.Fprintf(stderr, "dkserve: %v\n", err)
 			return nil, 1
 		}
-		if err := idx.SetRequirements(reqs); err != nil {
+		if _, err := idx.Apply(dkindex.Mutation{Op: dkindex.MutSetRequirements, Reqs: reqs}); err != nil {
 			fmt.Fprintf(stderr, "dkserve: %v\n", err)
 			return nil, 1
 		}
@@ -451,10 +450,9 @@ func setupSharded(n int, o shardedOpts, observer *obs.Observer, logger *slog.Log
 	}
 	if !recovered {
 		if o.in != "" {
-			f, err := os.Open(o.in)
+			doc, err := os.ReadFile(o.in)
 			if err == nil {
-				_, err = eng.AddDocument(f, nil)
-				f.Close()
+				_, err = eng.Apply(dkindex.Mutation{Op: dkindex.MutAddDocument, Doc: doc})
 			}
 			if err != nil {
 				fmt.Fprintf(stderr, "dkserve: %v\n", err)
@@ -464,7 +462,7 @@ func setupSharded(n int, o shardedOpts, observer *obs.Observer, logger *slog.Log
 		if o.req != "" {
 			reqs, err := dkindex.ParseRequirements(o.req)
 			if err == nil {
-				err = eng.SetRequirements(reqs)
+				_, err = eng.Apply(dkindex.Mutation{Op: dkindex.MutSetRequirements, Reqs: reqs})
 			}
 			if err != nil {
 				fmt.Fprintf(stderr, "dkserve: %v\n", err)
@@ -475,7 +473,7 @@ func setupSharded(n int, o shardedOpts, observer *obs.Observer, logger *slog.Log
 		logger.Warn("sharded store carries its own requirements; -req/-tune ignored")
 	}
 	if o.tune > 0 && !recovered {
-		logger.Warn("-tune samples one monolithic workload; not supported with -shards (use /v1/optimize against the live load)")
+		logger.Warn("-tune samples one monolithic workload; not supported with -shards (send the optimize mutation to /v1/mutate against the live load)")
 	}
 
 	srv := server.NewBackend(eng)

@@ -66,7 +66,7 @@ func TestSetupAndServe(t *testing.T) {
 		t.Errorf("banner: %s", out.String())
 	}
 	ts := httptest.NewServer(cfg.handler)
-	resp, err := ts.Client().Get(ts.URL + "/query?path=director.movie.title")
+	resp, err := ts.Client().Get(ts.URL + "/v1/query?q=director.movie.title")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -76,8 +76,46 @@ func TestSetupAndServe(t *testing.T) {
 	}
 	ts.Close() // drain handlers before reading the log
 	log := errb.String()
-	if !strings.Contains(log, "msg=request") || !strings.Contains(log, "path=/query") {
+	if !strings.Contains(log, "msg=request") || !strings.Contains(log, "path=/v1/query") {
 		t.Errorf("no request log line:\n%s", log)
+	}
+}
+
+// TestSetupSharded drives the second set-up path: -shards loads -in and
+// applies -req through the engine's Apply, behind the same /v1 surface.
+func TestSetupSharded(t *testing.T) {
+	path := writeDoc(t, doc)
+	var out bytes.Buffer
+	errb := &syncBuffer{}
+	cfg, code := setup([]string{"-in", path, "-req", "title=2", "-shards", "2", "-addr", ":0"}, &out, errb)
+	if code != 0 {
+		t.Fatalf("setup exit %d: %s", code, errb.String())
+	}
+	if !strings.Contains(out.String(), "2 shards") {
+		t.Errorf("banner: %s", out.String())
+	}
+	ts := httptest.NewServer(cfg.handler)
+	defer ts.Close()
+	var stats struct {
+		MaxK   int `json:"maxK"`
+		Shards int `json:"shards"`
+	}
+	var reply struct {
+		Count int `json:"count"`
+	}
+	for target, into := range map[string]any{"/v1/stats": &stats, "/v1/query?q=director.movie.title": &reply} {
+		resp, err := ts.Client().Get(ts.URL + target)
+		if err != nil {
+			t.Fatal(err)
+		}
+		err = json.NewDecoder(resp.Body).Decode(into)
+		resp.Body.Close()
+		if err != nil || resp.StatusCode != 200 {
+			t.Fatalf("%s = %d, %v", target, resp.StatusCode, err)
+		}
+	}
+	if stats.Shards != 2 || stats.MaxK != 2 || reply.Count != 1 {
+		t.Errorf("stats %+v, count %d; want 2 shards, -req applied (maxK 2), -in loaded (1 title)", stats, reply.Count)
 	}
 }
 
@@ -163,8 +201,8 @@ func TestDataDirDurableRestart(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	done := make(chan int, 1)
 	go func() { done <- serve(ctx, ln, cfg) }()
-	resp, err := http.Post(fmt.Sprintf("http://%s/v1/promote", ln.Addr()),
-		"application/json", strings.NewReader(`{"label":"title","k":2}`))
+	resp, err := http.Post(fmt.Sprintf("http://%s/v1/mutate", ln.Addr()),
+		"application/json", strings.NewReader(`{"op":"promote","label":"title","k":2}`))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -244,7 +282,7 @@ func TestGracefulShutdown(t *testing.T) {
 	done := make(chan int, 1)
 	go func() { done <- serve(ctx, ln, cfg) }()
 
-	url := fmt.Sprintf("http://%s/query?path=director.movie.title", ln.Addr())
+	url := fmt.Sprintf("http://%s/v1/query?q=director.movie.title", ln.Addr())
 	resp, err := http.Get(url)
 	if err != nil {
 		t.Fatal(err)
@@ -286,7 +324,7 @@ func faultyStore(t *testing.T) (*faultfs.MemFS, *dkindex.Store) {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { st.Close() })
-	if err := idx.PromoteLabel("title", 1); err != nil {
+	if _, err := idx.Apply(dkindex.Mutation{Op: dkindex.MutPromote, Label: "title", K: 1}); err != nil {
 		t.Fatal(err)
 	}
 	return fs, st

@@ -18,24 +18,29 @@
 //
 //	idx, err := dkindex.LoadXML(file, nil)
 //	if err != nil { ... }
-//	idx.Tune(100, 42)                         // mine a query load, or idx.SetRequirements
+//	idx.Tune(100, 42)                         // mine a query load, or Apply MutSetRequirements
 //	res, err := idx.Run(dkindex.Request{Text: "director.movie.title"})
+//	ack, err := idx.Apply(dkindex.Mutation{Op: dkindex.MutAddEdge, From: 3, To: 9})
+//
+// Every read is a Request given to Run (or RunBatch); every write is a
+// Mutation given to Apply (or ApplyBatch, and their Async forms). There is no
+// second spelling of either.
 //
 // # Concurrency
 //
-// The index serves reads from immutable snapshots: Run (and the deprecated
-// Query wrappers) resolve the current snapshot with one atomic load and
-// never take a lock, so any number of queries may run concurrently with each
-// other and with mutations. Mutations (AddEdge, AddDocument, PromoteLabel,
-// Optimize, Reload, ...) serialize on an internal writer mutex, build the
-// successor state on private copies and publish it atomically, bumping the
-// snapshot generation; in-flight queries keep reading the snapshot they
-// resolved. Repeated queries are answered from a generation-keyed result
-// cache that a mutation invalidates wholesale by virtue of the bump. The
-// cache is consulted before the query text is parsed; an entry carries what a
-// hit needs of the parse and, for callers that render results into bytes
-// (Request.AcceptBody, Result.ParkBody — the HTTP server), one rendering of
-// the answer, at most MaxParkedBody bytes, that lives and dies with the entry.
+// The index serves reads from immutable snapshots: Run resolves the current
+// snapshot with one atomic load and never takes a lock, so any number of
+// queries may run concurrently with each other and with mutations. Mutations
+// (Apply, ApplyBatch, Tune, Compact, Reload) serialize on an internal writer
+// mutex, build the successor state on private copies and publish it
+// atomically, bumping the snapshot generation; in-flight queries keep reading
+// the snapshot they resolved. Repeated queries are answered from a
+// generation-keyed result cache that a mutation invalidates wholesale by
+// virtue of the bump. The cache is consulted before the query text is parsed;
+// an entry carries what a hit needs of the parse and, for callers that render
+// results into bytes (Request.AcceptBody, Result.ParkBody — the HTTP server),
+// one rendering of the answer, at most MaxParkedBody bytes, that lives and
+// dies with the entry.
 //
 // The package is a facade over the internal packages; power users can reach
 // the underlying graph and index through Graph and IG (both return the
@@ -82,7 +87,7 @@ type Index struct {
 	// queries is the load the index was last tuned with, if any.
 	queries atomic.Pointer[workload.Workload]
 	// recorder, once WatchLoad installs it, observes executed path queries
-	// so Optimize can re-tune the index from its real load (the paper's
+	// so MutOptimize can re-tune the index from its real load (the paper's
 	// query-pattern-mining direction). Lock-free; nil when not watching.
 	recorder atomic.Pointer[workload.Recorder]
 	// cache holds recent query results, keyed by snapshot generation so
@@ -168,8 +173,8 @@ func newIndex(dk *core.DK) *Index {
 type LoadReport = xmlgraph.Report
 
 // LoadXML parses an XML document and builds the initial index (label-split:
-// every local similarity requirement starts at zero). Tune, SetRequirements
-// or Promote* raise similarities afterwards.
+// every local similarity requirement starts at zero). Tune, or Apply with
+// MutSetRequirements or MutPromote, raise similarities afterwards.
 func LoadXML(r io.Reader, opts *LoadOptions) (*Index, error) {
 	idx, _, err := LoadXMLWithReport(r, opts)
 	return idx, err
@@ -268,8 +273,8 @@ func fromCost(c eval.Cost) QueryStats {
 	}
 }
 
-// WatchLoad starts recording every executed path query so that Optimize can
-// later re-tune the index from the observed load. Recording is lock-free:
+// WatchLoad starts recording every executed path query so that MutOptimize
+// can later re-tune the index from the observed load. Recording is lock-free:
 // one shard lookup and one atomic increment per query.
 func (x *Index) WatchLoad() {
 	x.recorder.CompareAndSwap(nil, workload.NewRecorder())
@@ -285,30 +290,6 @@ func (x *Index) ObservedQueries() int {
 	return r.Len()
 }
 
-// Optimize re-tunes the index from the load observed since WatchLoad,
-// choosing the per-label requirements with the best cost-saved-per-node
-// ratio while keeping the index within sizeBudget nodes (<= 0 for
-// unbounded). The recorder is reset afterwards so each epoch tunes to fresh
-// observations. It reports the chosen requirements by label name.
-//
-// Deprecated: use Apply with MutOptimize, which also reports the sequence
-// number and durability watermark. Optimize remains as a thin wrapper.
-func (x *Index) Optimize(sizeBudget int) (map[string]int, error) {
-	ack, err := x.Apply(Mutation{Op: MutOptimize, SizeBudget: sizeBudget})
-	return ack.Mined, err
-}
-
-// SetRequirements rebuilds the index for explicit per-label requirements:
-// nodes labeled l answer queries up to length reqs[l] without validation.
-// The error is always nil unless a store manages the index and its
-// write-ahead log rejects the record, in which case nothing changes.
-//
-// Deprecated: use Apply with MutSetRequirements.
-func (x *Index) SetRequirements(reqsByName map[string]int) error {
-	_, err := x.Apply(Mutation{Op: MutSetRequirements, Reqs: reqsByName})
-	return err
-}
-
 // Tune samples a synthetic query load of n paths (2..5 labels, as in the
 // paper's protocol), mines per-label requirements from it and rebuilds the
 // index accordingly. Use TuneWith to supply a real query load.
@@ -322,30 +303,23 @@ func (x *Index) Tune(n int, seed int64) error {
 	return x.TuneWith(w)
 }
 
-// TuneWith mines requirements from the given query load and rebuilds. The
-// error is always nil unless a store manages the index and its write-ahead
-// log rejects the record, in which case nothing changes.
+// TuneWith mines requirements from the given query load and applies them as
+// one MutSetRequirements through the write pipeline, which is what locks,
+// logs and publishes the change; the load is then remembered (see Workload).
+// The error is nil unless a store manages the index and its write-ahead log
+// rejects the record, in which case nothing changes.
 func (x *Index) TuneWith(w *workload.Workload) error {
-	x.mu.Lock()
-	defer x.mu.Unlock()
-	cur := x.handle.Load()
-	before, start := x.preOp(cur)
-	reqs := w.Requirements()
-	nd := core.Build(cur.dk.IG.Data(), reqs)
-	x.instrument(nd)
-	if err := x.logMutation(opSetReqs, encodeReqsPayload(reqsByLabelName(cur.dk, reqs))); err != nil {
+	reqs := reqsByLabelName(x.DK(), w.Requirements())
+	if _, err := x.Apply(Mutation{Op: MutSetRequirements, Reqs: reqs}); err != nil {
 		return err
 	}
 	x.queries.Store(w)
-	x.publish(nd)
-	x.emit(obs.Event{Type: obs.EventRetune, NodesBefore: before, Wall: opWall(start),
-		Detail: "mined from workload"})
-	x.observeBuild("retune", nd)
 	return nil
 }
 
-// reqsByLabelName translates label-id requirements into the by-name form the
-// write-ahead log records (names survive rebuilds; ids do not).
+// reqsByLabelName translates label-id requirements into the by-name form
+// Mutation.Reqs and the write-ahead log carry (names survive rebuilds; ids do
+// not).
 func reqsByLabelName(dk *core.DK, reqs core.Requirements) map[string]int {
 	labels := dk.IG.Data().Labels()
 	out := make(map[string]int, len(reqs))
@@ -358,72 +332,13 @@ func reqsByLabelName(dk *core.DK, reqs core.Requirements) map[string]int {
 // Workload returns the load the index was last tuned with, or nil.
 func (x *Index) Workload() *workload.Workload { return x.queries.Load() }
 
-// AddEdge inserts a reference edge between two existing data nodes and
-// updates the index incrementally (Algorithms 4 and 5): no extent splits, no
-// data-graph traversal — only local similarities decay.
-//
-// Deprecated: use Apply with MutAddEdge, which also reports the sequence
-// number and durability watermark (and ApplyBatch to group-commit many edges
-// under one fsync). AddEdge remains as a thin wrapper.
-func (x *Index) AddEdge(from, to NodeID) error {
-	_, err := x.Apply(Mutation{Op: MutAddEdge, From: from, To: to})
-	return err
-}
-
-// RemoveEdge deletes a data edge and updates the index incrementally:
-// similarities of the target's class and its index descendants are lowered
-// to what the deletion provably preserves; no splits, no data traversal.
-//
-// Deprecated: use Apply with MutRemoveEdge.
-func (x *Index) RemoveEdge(from, to NodeID) error {
-	_, err := x.Apply(Mutation{Op: MutRemoveEdge, From: from, To: to})
-	return err
-}
-
-// AddDocument parses another XML document and grafts it under the data
-// graph's root, updating the index incrementally (Algorithm 3). It returns
-// the mapping from the new document's element order to data node ids.
-//
-// Deprecated: use Apply with MutAddDocument (the raw bytes in Mutation.Doc).
-func (x *Index) AddDocument(r io.Reader, opts *LoadOptions) ([]NodeID, error) {
-	// Buffer the document so the journal can log the raw bytes; replaying
-	// the parse is what makes the record portable across label tables.
-	raw, err := io.ReadAll(r)
-	if err != nil {
-		return nil, err
-	}
-	ack, err := x.Apply(Mutation{Op: MutAddDocument, Doc: raw, DocOptions: opts})
-	return ack.Mapping, err
-}
-
-// PromoteLabel raises every index node of the given label to local
-// similarity k (Algorithm 6) — queries of length <= k ending at that label
-// stop needing validation.
-//
-// Deprecated: use Apply with MutPromote.
-func (x *Index) PromoteLabel(label string, k int) error {
-	_, err := x.Apply(Mutation{Op: MutPromote, Label: label, K: k})
-	return err
-}
-
-// Demote shrinks the index to lower per-label requirements (Section 5.4),
-// merging extents without touching the data graph. The error is always nil
-// unless a store manages the index and its write-ahead log rejects the
-// record, in which case nothing changes.
-//
-// Deprecated: use Apply with MutDemote.
-func (x *Index) Demote(reqsByName map[string]int) error {
-	_, err := x.Apply(Mutation{Op: MutDemote, Reqs: reqsByName})
-	return err
-}
-
 // LabelName returns the label of a data node; handy when printing results.
 // Prefer Result.LabelName when formatting query output — it resolves names
 // against the snapshot that produced the result.
 func (x *Index) LabelName(n NodeID) string { return x.Graph().LabelName(n) }
 
 // ParseRequirements parses the "label=k,label=k" requirement syntax used by
-// the command-line tools into a requirements map for SetRequirements.
+// the command-line tools into a Mutation.Reqs map.
 func ParseRequirements(s string) (map[string]int, error) {
 	out := make(map[string]int)
 	for _, part := range strings.Split(s, ",") {
@@ -583,7 +498,7 @@ func (x *Index) Compact() (dropped int, mapping []NodeID, err error) {
 	x.publish(nd)
 	x.emit(obs.Event{Type: obs.EventCompact, NodesBefore: before, Wall: opWall(start),
 		Detail: fmt.Sprintf("%d data nodes dropped", dropped)})
-	x.observeBuild("compact", nd)
+	x.observeBuildStats("compact", nd.Stats, nd.IG.NumNodes())
 	return dropped, mapping, nil
 }
 

@@ -33,7 +33,7 @@ func open(t *testing.T) *Index {
 
 func TestLoadAndQuery(t *testing.T) {
 	idx := open(t)
-	res, stats, err := idx.Query("director.movie.title")
+	res, stats, err := query(idx, KindPath, "director.movie.title")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -52,24 +52,31 @@ func TestLoadAndQuery(t *testing.T) {
 
 func TestQueryErrors(t *testing.T) {
 	idx := open(t)
-	if _, _, err := idx.Query(""); err == nil {
+	if _, _, err := query(idx, KindPath, ""); err == nil {
 		t.Error("empty query accepted")
 	}
-	if _, _, err := idx.QueryRPE("(a"); err == nil {
+	if _, _, err := query(idx, KindRPE, "(a"); err == nil {
 		t.Error("malformed expression accepted")
+	}
+	if _, _, err := query(idx, "nope", "a"); err == nil {
+		t.Error("unknown kind accepted")
+	}
+	// An empty kind means path.
+	if res, _, err := query(idx, "", "director.movie.title"); err != nil || len(res) != 2 {
+		t.Errorf("default kind: %v, %d results", err, len(res))
 	}
 }
 
 func TestQueryRPE(t *testing.T) {
 	idx := open(t)
-	res, _, err := idx.QueryRPE("movieDB//name")
+	res, _, err := query(idx, KindRPE, "movieDB//name")
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(res) != 4 {
 		t.Errorf("movieDB//name = %v, want 4 names", res)
 	}
-	res2, _, err := idx.QueryRPE("actor.movie.title")
+	res2, _, err := query(idx, KindRPE, "actor.movie.title")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -80,15 +87,15 @@ func TestQueryRPE(t *testing.T) {
 
 func TestSetRequirementsEliminatesValidation(t *testing.T) {
 	idx := open(t)
-	_, before, err := idx.Query("director.movie.title")
+	_, before, err := query(idx, KindPath, "director.movie.title")
 	if err != nil {
 		t.Fatal(err)
 	}
 	if before.Validations == 0 {
 		t.Fatal("label-split index should validate a length-2 query")
 	}
-	idx.SetRequirements(map[string]int{"title": 2})
-	resAfter, after, err := idx.Query("director.movie.title")
+	mustApply(t, idx, Mutation{Op: MutSetRequirements, Reqs: map[string]int{"title": 2}})
+	resAfter, after, err := query(idx, KindPath, "director.movie.title")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -110,7 +117,7 @@ func TestTune(t *testing.T) {
 	}
 	// Every tuned query runs without validation.
 	for _, q := range idx.Workload().Queries {
-		_, stats, err := idx.Query(q.Format(idx.Graph().Labels()))
+		_, stats, err := query(idx, KindPath, q.Format(idx.Graph().Labels()))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -129,7 +136,7 @@ func TestStats(t *testing.T) {
 	if s.IndexNodes > s.DataNodes {
 		t.Error("index larger than data")
 	}
-	idx.SetRequirements(map[string]int{"title": 3})
+	mustApply(t, idx, Mutation{Op: MutSetRequirements, Reqs: map[string]int{"title": 3}})
 	if idx.Stats().MaxK < 3 {
 		t.Error("MaxK not reflecting requirements")
 	}
@@ -137,88 +144,88 @@ func TestStats(t *testing.T) {
 
 func TestAddEdge(t *testing.T) {
 	idx := open(t)
-	idx.SetRequirements(map[string]int{"title": 2})
+	mustApply(t, idx, Mutation{Op: MutSetRequirements, Reqs: map[string]int{"title": 2}})
 	// Find an actor and a movie to connect.
-	actors, _, err := idx.Query("actor")
+	actors, _, err := query(idx, KindPath, "actor")
 	if err != nil {
 		t.Fatal(err)
 	}
-	movies, _, err := idx.Query("movie")
+	movies, _, err := query(idx, KindPath, "movie")
 	if err != nil {
 		t.Fatal(err)
 	}
 	sizeBefore := idx.Stats().IndexNodes
-	if err := idx.AddEdge(actors[len(actors)-1], movies[0]); err != nil {
+	if _, err := idx.Apply(Mutation{Op: MutAddEdge, From: actors[len(actors)-1], To: movies[0]}); err != nil {
 		t.Fatal(err)
 	}
 	if idx.Stats().IndexNodes != sizeBefore {
 		t.Error("AddEdge changed index size")
 	}
 	// Queries remain exact.
-	res, _, err := idx.Query("actor.movie.title")
+	res, _, err := query(idx, KindPath, "actor.movie.title")
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(res) == 0 {
 		t.Error("new edge not reachable")
 	}
-	if err := idx.AddEdge(-1, 0); err == nil {
+	if _, err := idx.Apply(Mutation{Op: MutAddEdge, From: -1, To: 0}); err == nil {
 		t.Error("out-of-range edge accepted")
 	}
-	if err := idx.AddEdge(0, NodeID(idx.Stats().DataNodes)); err == nil {
+	if _, err := idx.Apply(Mutation{Op: MutAddEdge, From: 0, To: NodeID(idx.Stats().DataNodes)}); err == nil {
 		t.Error("out-of-range edge accepted")
 	}
 }
 
 func TestAddDocument(t *testing.T) {
 	idx := open(t)
-	idx.SetRequirements(map[string]int{"title": 2})
+	mustApply(t, idx, Mutation{Op: MutSetRequirements, Reqs: map[string]int{"title": 2}})
 	before := idx.Stats().DataNodes
-	mapping, err := idx.AddDocument(strings.NewReader(
-		`<movieDB><director><name/><movie><title/></movie></director></movieDB>`), nil)
+	ack, err := idx.Apply(Mutation{Op: MutAddDocument, Doc: []byte(`<movieDB><director><name/><movie><title/></movie></director></movieDB>`)})
 	if err != nil {
 		t.Fatal(err)
 	}
+	mapping := ack.Mapping
 	if len(mapping) == 0 {
 		t.Fatal("empty mapping")
 	}
 	if idx.Stats().DataNodes <= before {
 		t.Error("document not grafted")
 	}
-	res, _, err := idx.Query("director.movie.title")
+	res, _, err := query(idx, KindPath, "director.movie.title")
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(res) != 3 {
 		t.Errorf("after graft: %d results, want 3", len(res))
 	}
-	if _, err := idx.AddDocument(strings.NewReader("<broken"), nil); err == nil {
+	if _, err := idx.Apply(Mutation{Op: MutAddDocument, Doc: []byte("<broken")}); err == nil {
 		t.Error("malformed document accepted")
 	}
 }
 
 func TestPromoteAndDemote(t *testing.T) {
 	idx := open(t)
-	if err := idx.PromoteLabel("title", 2); err != nil {
+	if _, err := idx.Apply(Mutation{Op: MutPromote, Label: "title", K: 2}); err != nil {
 		t.Fatal(err)
 	}
-	_, stats, err := idx.Query("director.movie.title")
+	_, stats, err := query(idx, KindPath, "director.movie.title")
 	if err != nil {
 		t.Fatal(err)
 	}
 	if stats.Validations != 0 {
 		t.Error("promotion did not eliminate validation")
 	}
-	if err := idx.PromoteLabel("nosuch", 2); err == nil {
+	if _, err := idx.Apply(Mutation{Op: MutPromote, Label: "nosuch", K: 2}); err == nil {
 		t.Error("unknown label accepted")
 	}
 	grown := idx.Stats().IndexNodes
-	idx.Demote(nil)
+	mustApply(t, idx, Mutation{Op: MutDemote})
 	if idx.Stats().IndexNodes > grown {
 		t.Error("demotion grew the index")
 	}
 	// Still correct, just validating again.
-	res, _, err := idx.Query("director.movie.title")
+	res, _, err := query(idx, KindPath, "director.movie.title")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -230,7 +237,7 @@ func TestPromoteAndDemote(t *testing.T) {
 func TestFromGraph(t *testing.T) {
 	g := graph.FigureOneMovies()
 	idx := FromGraph(g, map[string]int{"title": 2})
-	res, stats, err := idx.Query("director.movie.title")
+	res, stats, err := query(idx, KindPath, "director.movie.title")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -245,7 +252,7 @@ func TestFromGraph(t *testing.T) {
 
 func TestSaveOpenRoundTrip(t *testing.T) {
 	idx := open(t)
-	idx.SetRequirements(map[string]int{"title": 2})
+	mustApply(t, idx, Mutation{Op: MutSetRequirements, Reqs: map[string]int{"title": 2}})
 	dir := t.TempDir()
 	path := dir + "/movies.dkx"
 	if err := idx.SaveFile(path); err != nil {
@@ -255,11 +262,11 @@ func TestSaveOpenRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	wantRes, wantStats, err := idx.Query("director.movie.title")
+	wantRes, wantStats, err := query(idx, KindPath, "director.movie.title")
 	if err != nil {
 		t.Fatal(err)
 	}
-	gotRes, gotStats, err := got.Query("director.movie.title")
+	gotRes, gotStats, err := query(got, KindPath, "director.movie.title")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -275,7 +282,7 @@ func TestSaveOpenRoundTrip(t *testing.T) {
 		t.Errorf("costs differ after reopen: %+v vs %+v", wantStats, gotStats)
 	}
 	// The reopened index keeps updating normally.
-	if _, err := got.AddDocument(strings.NewReader("<movieDB><movie><title/></movie></movieDB>"), nil); err != nil {
+	if _, err := got.Apply(Mutation{Op: MutAddDocument, Doc: []byte("<movieDB><movie><title/></movie></movieDB>")}); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -292,7 +299,7 @@ func TestOpenRejectsGarbage(t *testing.T) {
 func TestQueryTwig(t *testing.T) {
 	idx := open(t)
 	// Titles of movies that have an actor child: only m3 qualifies.
-	res, stats, err := idx.QueryTwig("movie[actor].title")
+	res, stats, err := query(idx, KindTwig, "movie[actor].title")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -302,32 +309,33 @@ func TestQueryTwig(t *testing.T) {
 	if stats.Validations == 0 {
 		t.Error("branching query should validate on a backward index")
 	}
-	if _, _, err := idx.QueryTwig("movie[actor"); err == nil {
+	if _, _, err := query(idx, KindTwig, "movie[actor"); err == nil {
 		t.Error("malformed twig accepted")
 	}
 }
 
 func TestWatchLoadAndOptimize(t *testing.T) {
 	idx := open(t)
-	if _, err := idx.Optimize(0); err == nil {
+	if _, err := idx.Apply(Mutation{Op: MutOptimize}); err == nil {
 		t.Error("Optimize without WatchLoad accepted")
 	}
 	idx.WatchLoad()
 	for i := 0; i < 5; i++ {
-		if _, _, err := idx.Query("director.movie.title"); err != nil {
+		if _, _, err := query(idx, KindPath, "director.movie.title"); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if _, _, err := idx.Query("actor.name"); err != nil {
+	if _, _, err := query(idx, KindPath, "actor.name"); err != nil {
 		t.Fatal(err)
 	}
 	if idx.ObservedQueries() != 2 {
 		t.Fatalf("observed %d distinct queries, want 2", idx.ObservedQueries())
 	}
-	reqs, err := idx.Optimize(0)
+	ack, err := idx.Apply(Mutation{Op: MutOptimize})
 	if err != nil {
 		t.Fatal(err)
 	}
+	reqs := ack.Mined
 	if len(reqs) == 0 {
 		t.Fatal("optimizer chose nothing")
 	}
@@ -335,7 +343,7 @@ func TestWatchLoadAndOptimize(t *testing.T) {
 		t.Error("recorder not reset after Optimize")
 	}
 	// The hot query now runs without validation.
-	_, stats, err := idx.Query("director.movie.title")
+	_, stats, err := query(idx, KindPath, "director.movie.title")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -346,17 +354,17 @@ func TestWatchLoadAndOptimize(t *testing.T) {
 
 func TestRemoveEdgeFacade(t *testing.T) {
 	idx := open(t)
-	idx.SetRequirements(map[string]int{"title": 2})
-	before, _, err := idx.Query("director.movie.title")
+	mustApply(t, idx, Mutation{Op: MutSetRequirements, Reqs: map[string]int{"title": 2}})
+	before, _, err := query(idx, KindPath, "director.movie.title")
 	if err != nil {
 		t.Fatal(err)
 	}
 	// Delete one director->movie containment edge; its title must vanish.
-	movies, _, err := idx.Query("director.movie")
+	movies, _, err := query(idx, KindPath, "director.movie")
 	if err != nil {
 		t.Fatal(err)
 	}
-	directors, _, err := idx.Query("director")
+	directors, _, err := query(idx, KindPath, "director")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -364,7 +372,7 @@ func TestRemoveEdgeFacade(t *testing.T) {
 	for _, d := range directors {
 		for _, m := range movies {
 			if idx.Graph().HasEdge(d, m) {
-				if err := idx.RemoveEdge(d, m); err != nil {
+				if _, err := idx.Apply(Mutation{Op: MutRemoveEdge, From: d, To: m}); err != nil {
 					t.Fatal(err)
 				}
 				removedOne = true
@@ -378,14 +386,14 @@ func TestRemoveEdgeFacade(t *testing.T) {
 	if !removedOne {
 		t.Fatal("no director->movie edge found")
 	}
-	after, _, err := idx.Query("director.movie.title")
+	after, _, err := query(idx, KindPath, "director.movie.title")
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(after) != len(before)-1 {
 		t.Errorf("results after removal: %d, want %d", len(after), len(before)-1)
 	}
-	if err := idx.RemoveEdge(-1, 0); err == nil {
+	if _, err := idx.Apply(Mutation{Op: MutRemoveEdge, From: -1, To: 0}); err == nil {
 		t.Error("out-of-range removal accepted")
 	}
 }
@@ -423,7 +431,7 @@ func TestExplain(t *testing.T) {
 		t.Error("String() missing validation marker")
 	}
 
-	idx.SetRequirements(map[string]int{"title": 2})
+	mustApply(t, idx, Mutation{Op: MutSetRequirements, Reqs: map[string]int{"title": 2}})
 	e, err = idx.Explain("director.movie.title")
 	if err != nil {
 		t.Fatal(err)
@@ -440,21 +448,21 @@ func TestExplain(t *testing.T) {
 
 func TestCompactAfterSubtreeDeletion(t *testing.T) {
 	idx := open(t)
-	idx.SetRequirements(map[string]int{"title": 2})
-	before, _, err := idx.Query("director.movie.title")
+	mustApply(t, idx, Mutation{Op: MutSetRequirements, Reqs: map[string]int{"title": 2}})
+	before, _, err := query(idx, KindPath, "director.movie.title")
 	if err != nil {
 		t.Fatal(err)
 	}
 	// Delete director d1's subtree: remove the containment edge, compact.
-	dirs, _, err := idx.Query("movieDB.director")
+	dirs, _, err := query(idx, KindPath, "movieDB.director")
 	if err != nil {
 		t.Fatal(err)
 	}
-	roots, _, err := idx.Query("movieDB")
+	roots, _, err := query(idx, KindPath, "movieDB")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := idx.RemoveEdge(roots[0], dirs[0]); err != nil {
+	if _, err := idx.Apply(Mutation{Op: MutRemoveEdge, From: roots[0], To: dirs[0]}); err != nil {
 		t.Fatal(err)
 	}
 	dropped, mapping, err := idx.Compact()
@@ -467,7 +475,7 @@ func TestCompactAfterSubtreeDeletion(t *testing.T) {
 	if len(mapping) == 0 {
 		t.Fatal("no mapping")
 	}
-	after, _, err := idx.Query("director.movie.title")
+	after, _, err := query(idx, KindPath, "director.movie.title")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -475,7 +483,7 @@ func TestCompactAfterSubtreeDeletion(t *testing.T) {
 		t.Errorf("titles after deletion = %d, want %d", len(after), len(before)-1)
 	}
 	// The rebuilt index keeps its requirements: no validation.
-	_, stats, err := idx.Query("director.movie.title")
+	_, stats, err := query(idx, KindPath, "director.movie.title")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -489,7 +497,7 @@ func TestCompactAfterSubtreeDeletion(t *testing.T) {
 
 func TestAudit(t *testing.T) {
 	idx := open(t)
-	idx.SetRequirements(map[string]int{"title": 2})
+	mustApply(t, idx, Mutation{Op: MutSetRequirements, Reqs: map[string]int{"title": 2}})
 	if err := idx.Audit(3); err != nil {
 		t.Fatalf("healthy index failed audit: %v", err)
 	}
@@ -517,7 +525,7 @@ func TestAutoPromote(t *testing.T) {
 	q := "director.movie.title"
 	sawValidation := false
 	for i := 0; i < 6; i++ {
-		res, stats, err := idx.Query(q)
+		res, stats, err := query(idx, KindPath, q)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -532,7 +540,7 @@ func TestAutoPromote(t *testing.T) {
 		t.Fatal("precondition: query never validated")
 	}
 	// The heat threshold has fired by now: the query answers soundly.
-	_, stats, err := idx.Query(q)
+	_, stats, err := query(idx, KindPath, q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -544,7 +552,7 @@ func TestAutoPromote(t *testing.T) {
 	}
 	// Disabled: no tracking.
 	idx.SetAutoPromote(0)
-	if _, _, err := idx.Query("movieDB.actor.name"); err != nil {
+	if _, _, err := query(idx, KindPath, "movieDB.actor.name"); err != nil {
 		t.Fatal(err)
 	}
 }

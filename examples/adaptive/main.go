@@ -30,18 +30,23 @@ func main() {
 		idx.Stats().DataNodes, idx.Stats().IndexNodes)
 
 	report := func(phase, query string) {
-		res, stats, err := idx.Query(query)
+		res, err := idx.Run(dkindex.Request{Text: query})
 		if err != nil {
 			log.Fatal(err)
 		}
 		fmt.Printf("%-28s %-38s %5d results  cost=%d (validated %d)\n",
-			phase, query, len(res), stats.IndexNodesVisited+stats.DataNodesValidated,
-			stats.DataNodesValidated)
+			phase, query, res.Total, res.Stats.IndexNodesVisited+res.Stats.DataNodesValidated,
+			res.Stats.DataNodesValidated)
+	}
+	apply := func(m dkindex.Mutation) {
+		if _, err := idx.Apply(m); err != nil {
+			log.Fatal(err)
+		}
 	}
 
 	// Phase 1: the load asks shallow questions.
 	fmt.Println("\nphase 1: shallow load (dataset.title, keywords.keyword)")
-	idx.SetRequirements(map[string]int{"title": 1, "keyword": 1})
+	apply(dkindex.Mutation{Op: dkindex.MutSetRequirements, Reqs: map[string]int{"title": 1, "keyword": 1}})
 	report("shallow-tuned:", "dataset.title")
 	report("shallow-tuned:", "keywords.keyword")
 	fmt.Printf("index size: %d nodes\n", idx.Stats().IndexNodes)
@@ -51,10 +56,8 @@ func main() {
 	fmt.Println("\nphase 2: deep lineage queries arrive (dataset.history.revision.basedon.revision)")
 	deep := "dataset.history.revision.basedon.revision"
 	report("before promotion:", deep)
-	if err := idx.PromoteLabel("revision", 4); err != nil {
-		log.Fatal(err)
-	}
-	report("after PromoteLabel(rev,4):", deep)
+	apply(dkindex.Mutation{Op: dkindex.MutPromote, Label: "revision", K: 4})
+	report("after promote(revision,4):", deep)
 	fmt.Printf("index size: %d nodes\n", idx.Stats().IndexNodes)
 
 	// Phase 3: the catalog grows — a new batch of datasets is ingested as
@@ -66,9 +69,7 @@ func main() {
 		log.Fatal(err)
 	}
 	before := idx.Stats()
-	if _, err := idx.AddDocument(strings.NewReader(buf2.String()), nil); err != nil {
-		log.Fatal(err)
-	}
+	apply(dkindex.Mutation{Op: dkindex.MutAddDocument, Doc: []byte(buf2.String())})
 	after := idx.Stats()
 	fmt.Printf("data %d -> %d nodes; index %d -> %d nodes\n",
 		before.DataNodes, after.DataNodes, before.IndexNodes, after.IndexNodes)
@@ -76,7 +77,7 @@ func main() {
 
 	// Phase 4: the deep load fades; demote to shrink the index again.
 	fmt.Println("\nphase 4: load simplifies; demote")
-	idx.Demote(map[string]int{"title": 1, "keyword": 1})
+	apply(dkindex.Mutation{Op: dkindex.MutDemote, Reqs: map[string]int{"title": 1, "keyword": 1}})
 	fmt.Printf("index size after demotion: %d nodes\n", idx.Stats().IndexNodes)
 	report("demoted (still exact):", deep)
 }

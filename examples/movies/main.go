@@ -36,12 +36,12 @@ func main() {
 		"director.movie.title",          // paper: {15, 16, 18}
 		"movieDB.(_)?.movie.actor.name", // paper: {12, 22}
 	} {
-		res, stats, err := idx.QueryRPE(expr)
+		res, err := idx.Run(dkindex.Request{Kind: dkindex.KindRPE, Text: expr})
 		if err != nil {
 			log.Fatal(err)
 		}
 		fmt.Printf("%-32s -> %v (%d index nodes visited, %d validations)\n",
-			expr, res, stats.IndexNodesVisited, stats.Validations)
+			expr, res.Nodes, res.Stats.IndexNodesVisited, res.Stats.Validations)
 	}
 
 	// Bisimilarity facts from the text: movies 7 and 10 are bisimilar

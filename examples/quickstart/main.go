@@ -6,7 +6,6 @@ package main
 import (
 	"fmt"
 	"log"
-	"strings"
 
 	"dkindex"
 )
@@ -36,50 +35,46 @@ func main() {
 	fmt.Printf("data graph: %d nodes, %d edges; index: %d nodes\n",
 		s.DataNodes, s.DataEdges, s.IndexNodes)
 
+	// Every read is a Request given to Run, every write a Mutation given to
+	// Apply.
+	run := func(kind dkindex.Kind, text string) dkindex.Result {
+		res, err := idx.Run(dkindex.Request{Kind: kind, Text: text})
+		if err != nil {
+			log.Fatal(err)
+		}
+		return res
+	}
+	apply := func(m dkindex.Mutation) {
+		if _, err := idx.Apply(m); err != nil {
+			log.Fatal(err)
+		}
+	}
+
 	// Freshly loaded, the index is the label-split graph (every local
 	// similarity 0): long queries are answered exactly, but only by
 	// validating candidates against the data.
-	res, stats, err := idx.Query("shelf.book.title")
-	if err != nil {
-		log.Fatal(err)
-	}
-	fmt.Printf("shelf.book.title -> %d results, %d validations\n", len(res), stats.Validations)
+	res := run(dkindex.KindPath, "shelf.book.title")
+	fmt.Printf("shelf.book.title -> %d results, %d validations\n", res.Total, res.Stats.Validations)
 
 	// Tell the index what the query load needs: titles are reached by
 	// paths of length 2, names through references by length 2 as well.
-	idx.SetRequirements(map[string]int{"title": 2, "name": 2})
-	res, stats, err = idx.Query("shelf.book.title")
-	if err != nil {
-		log.Fatal(err)
-	}
+	apply(dkindex.Mutation{Op: dkindex.MutSetRequirements, Reqs: map[string]int{"title": 2, "name": 2}})
+	res = run(dkindex.KindPath, "shelf.book.title")
 	fmt.Printf("after tuning: %d results, %d validations (index has %d nodes)\n",
-		len(res), stats.Validations, idx.Stats().IndexNodes)
+		res.Total, res.Stats.Validations, idx.Stats().IndexNodes)
 
 	// Reference edges participate like any other edge: which writers are
 	// reachable as authors of shelved books?
-	res, _, err = idx.Query("book.author.writer.name")
-	if err != nil {
-		log.Fatal(err)
-	}
-	for _, n := range res {
+	for _, n := range run(dkindex.KindPath, "book.author.writer.name").Nodes {
 		fmt.Printf("  author name node: %d\n", n)
 	}
 
 	// Regular path expressions cover alternation, wildcards and '//'.
-	res, _, err = idx.QueryRPE("library//name")
-	if err != nil {
-		log.Fatal(err)
-	}
-	fmt.Printf("library//name -> %d results\n", len(res))
+	fmt.Printf("library//name -> %d results\n", run(dkindex.KindRPE, "library//name").Total)
 
 	// The index updates in place: add a document and re-query.
-	shelf := strings.NewReader(`<library><shelf><book><title/></book></shelf></library>`)
-	if _, err := idx.AddDocument(shelf, nil); err != nil {
-		log.Fatal(err)
-	}
-	res, _, err = idx.Query("shelf.book.title")
-	if err != nil {
-		log.Fatal(err)
-	}
-	fmt.Printf("after inserting a document: shelf.book.title -> %d results\n", len(res))
+	apply(dkindex.Mutation{Op: dkindex.MutAddDocument,
+		Doc: []byte(`<library><shelf><book><title/></book></shelf></library>`)})
+	fmt.Printf("after inserting a document: shelf.book.title -> %d results\n",
+		run(dkindex.KindPath, "shelf.book.title").Total)
 }

@@ -1,6 +1,7 @@
 // Service embeds the D(k)-index HTTP server in a program and drives it as a
-// client would: query, watch the live load, update the data, promote, and
-// let the index re-tune itself to what it has observed.
+// client would: query through /v1/query, ingest a raw XML document through
+// /v1/documents, and write through /v1/mutate — here the optimize mutation,
+// which lets the index re-tune itself to the load the server has observed.
 //
 //	go run ./examples/service
 package main
@@ -46,9 +47,12 @@ func main() {
 			resp *http.Response
 			err  error
 		)
-		if method == "GET" {
+		switch {
+		case method == "GET":
 			resp, err = http.Get(base + path)
-		} else {
+		case strings.HasPrefix(body, "<"):
+			resp, err = http.Post(base+path, "application/xml", strings.NewReader(body))
+		default:
 			resp, err = http.Post(base+path, "application/json", strings.NewReader(body))
 		}
 		if err != nil {
@@ -65,6 +69,9 @@ func main() {
 		if c, ok := out["indexNodes"]; ok {
 			fmt.Printf("  indexNodes=%v", c)
 		}
+		if c, ok := out["generation"]; ok {
+			fmt.Printf("  generation=%v", c)
+		}
 		fmt.Println()
 		return out
 	}
@@ -72,20 +79,20 @@ func main() {
 	// A client works the index: the same hot query, over and over.
 	fmt.Println("\n--- clients issue queries (the server records the load) ---")
 	for i := 0; i < 5; i++ {
-		show("GET", "/query?path=closed_auction.itemref.item.name", "")
+		show("GET", "/v1/query?q=closed_auction.itemref.item.name", "")
 	}
-	show("GET", "/query?twig=item[mailbox].name", "")
-	show("GET", "/stats", "")
+	show("GET", "/v1/query?kind=twig&q=item%5Bmailbox%5D.name", "")
+	show("GET", "/v1/stats", "")
 
 	// Data changes arrive as the site runs.
 	fmt.Println("\n--- live updates ---")
-	show("POST", "/documents", `<site><regions><asia><item id="late1"><name/><incategory categoryref="category0"/></item></asia></regions></site>`)
-	show("GET", "/query?path=asia.item.name", "")
+	show("POST", "/v1/documents", `<site><regions><asia><item id="late1"><name/><incategory categoryref="category0"/></item></asia></regions></site>`)
+	show("GET", "/v1/query?q=asia.item.name", "")
 
 	// Maintenance: let the index re-tune itself to the observed load.
 	fmt.Println("\n--- self-tuning from the observed load ---")
-	out := show("POST", "/optimize", `{"budget":0}`)
+	out := show("POST", "/v1/mutate", `{"op":"optimize","budget":0}`)
 	fmt.Printf("chosen requirements: %v\n", out["requirements"])
-	show("GET", "/query?path=closed_auction.itemref.item.name", "")
-	show("GET", "/stats", "")
+	show("GET", "/v1/query?q=closed_auction.itemref.item.name", "")
+	show("GET", "/v1/stats", "")
 }

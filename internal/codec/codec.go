@@ -6,7 +6,8 @@
 // Version 2 frames every section with a length prefix and a CRC32 checksum,
 // so truncation and corruption are detected — and reported with the section
 // name and byte offset via *CorruptError — instead of decoding into garbage.
-// Version 1 streams (unframed) remain readable.
+// It is the only version read: the unframed, checksum-free version 1 answers
+// ErrBadFormat like any other foreign file.
 //
 // Layout (all integers are unsigned varints unless noted):
 //
@@ -40,17 +41,13 @@ import (
 
 var magic = [4]byte{'D', 'K', 'I', 'X'}
 
-// Version is the current format version (checksummed frames).
+// Version is the format version (checksummed frames), the only one read.
 const Version = 2
-
-// versionLegacy is the unframed, checksum-free original format; still
-// readable.
-const versionLegacy = 1
 
 // ErrBadFormat reports a foreign file: wrong magic or unknown version.
 var ErrBadFormat = errors.New("codec: not a D(k)-index file")
 
-// Section ids of the version-2 framing, in file order.
+// Section ids of the framing, in file order.
 const (
 	sectionLabels byte = 1 + iota
 	sectionGraph
@@ -184,8 +181,9 @@ func encodeReqs(enc *encoder, dk *core.DK) {
 	}
 }
 
-// LoadDK restores an index written by SaveDK: the current checksummed
-// format or the legacy unframed one. Damage is reported as *CorruptError.
+// LoadDK restores an index written by SaveDK. A stream that is not one —
+// wrong magic, or any version byte but Version — answers ErrBadFormat; damage
+// inside one is reported as *CorruptError.
 func LoadDK(r io.Reader) (*core.DK, error) {
 	cr := &countingReader{r: bufio.NewReader(r)}
 	var m [5]byte
@@ -195,18 +193,12 @@ func LoadDK(r io.Reader) (*core.DK, error) {
 	if [4]byte{m[0], m[1], m[2], m[3]} != magic {
 		return nil, ErrBadFormat
 	}
-	st := &loadState{}
-	switch m[4] {
-	case versionLegacy:
-		if err := st.loadLegacy(cr); err != nil {
-			return nil, err
-		}
-	case Version:
-		if err := st.loadFramed(cr); err != nil {
-			return nil, err
-		}
-	default:
+	if m[4] != Version {
 		return nil, fmt.Errorf("%w: unsupported version %d", ErrBadFormat, m[4])
+	}
+	st := &loadState{}
+	if err := st.loadFramed(cr); err != nil {
+		return nil, err
 	}
 	ig, err := index.Reconstruct(st.g, st.extents, st.ks)
 	if err != nil {
@@ -215,7 +207,7 @@ func LoadDK(r io.Reader) (*core.DK, error) {
 	return &core.DK{IG: ig, LabelReqs: st.reqs}, nil
 }
 
-// loadFramed reads the version-2 section frames.
+// loadFramed reads the section frames.
 func (st *loadState) loadFramed(cr *countingReader) error {
 	for _, want := range []byte{sectionLabels, sectionGraph, sectionIndex, sectionReqs} {
 		name := sectionNames[want]
@@ -248,19 +240,6 @@ func (st *loadState) loadFramed(cr *countingReader) error {
 		dec := &decoder{r: bytes.NewReader(payload)}
 		if err := st.decodeSection(want, dec); err != nil {
 			return corrupt(name, frameStart, err)
-		}
-	}
-	return nil
-}
-
-// loadLegacy reads the unframed version-1 stream, tracking which logical
-// section it is in so errors still carry section context.
-func (st *loadState) loadLegacy(cr *countingReader) error {
-	dec := &decoder{r: cr}
-	for _, id := range []byte{sectionLabels, sectionGraph, sectionIndex, sectionReqs} {
-		start := cr.n
-		if err := st.decodeSection(id, dec); err != nil {
-			return corrupt(sectionNames[id], start, err)
 		}
 	}
 	return nil
@@ -429,15 +408,9 @@ func (e *encoder) str(s string) {
 	e.w.WriteString(s)
 }
 
-// byteReader is what the decoder consumes: payload buffers (bytes.Reader) in
-// the framed format, the counting stream in the legacy one.
-type byteReader interface {
-	io.Reader
-	io.ByteReader
-}
-
+// decoder reads one section's payload.
 type decoder struct {
-	r   byteReader
+	r   *bytes.Reader
 	err error
 }
 

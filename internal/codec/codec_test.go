@@ -160,12 +160,14 @@ func TestLoadRejectsTruncation(t *testing.T) {
 	}
 }
 
-// saveLegacy encodes dk in the unframed version-1 format: the same section
-// payloads, concatenated without length prefixes or checksums.
+// saveLegacy encodes dk in the retired version-1 format: the same section
+// payloads under version byte 1, concatenated without length prefixes or
+// checksums. Nothing reads it any more; it is kept as an input LoadDK must
+// turn away.
 func saveLegacy(dk *core.DK) []byte {
 	var buf bytes.Buffer
 	buf.Write(magic[:])
-	buf.WriteByte(versionLegacy)
+	buf.WriteByte(1)
 	enc := &encoder{w: &buf}
 	g := dk.IG.Data()
 	encodeLabels(enc, g)
@@ -175,26 +177,15 @@ func saveLegacy(dk *core.DK) []byte {
 	return buf.Bytes()
 }
 
-func TestLegacyVersion1StillLoads(t *testing.T) {
-	dk := buildSample(t)
-	got, err := LoadDK(bytes.NewReader(saveLegacy(dk)))
-	if err != nil {
-		t.Fatalf("legacy stream rejected: %v", err)
-	}
-	if err := got.IG.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	if got.IG.NumNodes() != dk.IG.NumNodes() {
-		t.Fatalf("index shape changed: %d -> %d", dk.IG.NumNodes(), got.IG.NumNodes())
-	}
-	for b := 0; b < dk.IG.NumNodes(); b++ {
-		if got.IG.K(graph.NodeID(b)) != dk.IG.K(graph.NodeID(b)) {
-			t.Fatalf("similarity of index node %d changed", b)
-		}
+// TestVersion1IsRejected: a well-formed version-1 stream is a foreign file.
+func TestVersion1IsRejected(t *testing.T) {
+	_, err := LoadDK(bytes.NewReader(saveLegacy(buildSample(t))))
+	if !errors.Is(err, ErrBadFormat) {
+		t.Fatalf("version-1 stream = %v, want ErrBadFormat", err)
 	}
 }
 
-// frameRanges walks a version-2 stream and returns the byte ranges
+// frameRanges walks a stream and returns the byte ranges
 // [start,end) of each section frame, keyed by section name.
 func frameRanges(t *testing.T, data []byte) map[string][2]int {
 	t.Helper()

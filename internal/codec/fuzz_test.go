@@ -8,9 +8,10 @@ import (
 	"dkindex/internal/graph"
 )
 
-// FuzzLoadDK feeds arbitrary bytes (seeded with valid framed and legacy
-// files, plus truncations at every section boundary) to the index loader:
-// it must never panic, and anything it accepts must be structurally valid.
+// FuzzLoadDK feeds arbitrary bytes (seeded with a valid file, a well-formed
+// stream of the retired version 1 it must reject, and truncations at every
+// section boundary) to the index loader: it must never panic, and anything
+// it accepts must be structurally valid.
 func FuzzLoadDK(f *testing.F) {
 	// A valid serialized index as the primary seed.
 	fg := graph.FigureOneMovies()

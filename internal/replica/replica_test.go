@@ -100,17 +100,26 @@ func workload(tb testing.TB, x *dkindex.Index) []func() error {
 	edge := func() (dkindex.NodeID, dkindex.NodeID) {
 		return nodeWithLabel(tb, x, "director", 0), nodeWithLabel(tb, x, "title", 1)
 	}
+	apply := func(m dkindex.Mutation) error { _, err := x.Apply(m); return err }
 	return []func() error{
-		func() error { return x.SetRequirements(map[string]int{"title": 2, "name": 1}) },
-		func() error { f, t := edge(); return x.AddEdge(f, t) },
-		func() error { return x.PromoteLabel("title", 2) },
-		func() error { _, err := x.AddDocument(strings.NewReader(extraDocXML), nil); return err },
 		func() error {
-			return x.AddEdge(nodeWithLabel(tb, x, "actor", 0), nodeWithLabel(tb, x, "year", 0))
+			return apply(dkindex.Mutation{Op: dkindex.MutSetRequirements, Reqs: map[string]int{"title": 2, "name": 1}})
 		},
-		func() error { return x.Demote(map[string]int{"title": 1, "name": 1}) },
-		func() error { f, t := edge(); return x.RemoveEdge(f, t) },
-		func() error { return x.PromoteLabel("name", 1) },
+		func() error { f, t := edge(); return apply(dkindex.Mutation{Op: dkindex.MutAddEdge, From: f, To: t}) },
+		func() error { return apply(dkindex.Mutation{Op: dkindex.MutPromote, Label: "title", K: 2}) },
+		func() error { return apply(dkindex.Mutation{Op: dkindex.MutAddDocument, Doc: []byte(extraDocXML)}) },
+		func() error {
+			return apply(dkindex.Mutation{Op: dkindex.MutAddEdge,
+				From: nodeWithLabel(tb, x, "actor", 0), To: nodeWithLabel(tb, x, "year", 0)})
+		},
+		func() error {
+			return apply(dkindex.Mutation{Op: dkindex.MutDemote, Reqs: map[string]int{"title": 1, "name": 1}})
+		},
+		func() error {
+			f, t := edge()
+			return apply(dkindex.Mutation{Op: dkindex.MutRemoveEdge, From: f, To: t})
+		},
+		func() error { return apply(dkindex.Mutation{Op: dkindex.MutPromote, Label: "name", K: 1}) },
 		func() error { _, _, err := x.Compact(); return err },
 		func() error {
 			f, t := edge()
@@ -408,7 +417,7 @@ func TestReplicaInstanceChangeRebootstraps(t *testing.T) {
 		t.Fatal(err)
 	}
 	// More writes on the recovered primary, then converge.
-	if err := st2.Index().PromoteLabel("director", 1); err != nil {
+	if _, err := st2.Index().Apply(dkindex.Mutation{Op: dkindex.MutPromote, Label: "director", K: 1}); err != nil {
 		t.Fatal(err)
 	}
 	catchUp(t, rep, st2)
@@ -456,12 +465,9 @@ func TestReplicaServesReadOnly(t *testing.T) {
 
 	writes := []struct{ path, body string }{
 		{"/v1/mutate", `{"op":"promote","label":"title","k":2}`},
-		{"/v1/edges", `{"from":1,"to":2}`},
-		{"/v1/edges/remove", `{"from":1,"to":2}`},
-		{"/v1/documents", `{"doc":"<x/>"}`},
-		{"/v1/promote", `{"label":"title","k":2}`},
-		{"/v1/demote", `{"reqs":{"title":1}}`},
-		{"/v1/optimize", `{}`},
+		{"/v1/mutate", `{"mutations":[{"op":"add_edge","from":1,"to":2},{"op":"demote","reqs":{"title":1}}]}`},
+		{"/v1/mutate?ack=async", `{"op":"optimize"}`},
+		{"/v1/documents", `<movieDB><movie><title/></movie></movieDB>`},
 	}
 	for _, wr := range writes {
 		resp, err := http.Post(rts.URL+wr.path, "application/json", strings.NewReader(wr.body))
@@ -582,7 +588,7 @@ func TestReplicaCatchUpCrashSweep(t *testing.T) {
 			if err := rep.bootstrapOnce(ctx); err != nil {
 				t.Fatalf("re-bootstrap after crash at op %d: %v", n, err)
 			}
-			if err := st.Index().PromoteLabel("director", 1); err != nil {
+			if _, err := st.Index().Apply(dkindex.Mutation{Op: dkindex.MutPromote, Label: "director", K: 1}); err != nil {
 				t.Fatalf("post-recovery mutation after crash at op %d: %v", n, err)
 			}
 			catchUp(t, rep, st)

@@ -306,7 +306,7 @@ func TestShardedBodiesMatchMonolith(t *testing.T) {
 		"/v1/query?q=item.name",
 		"/v1/query?kind=rpe&q=site.regions._.item&limit=0",
 		"/v1/query?kind=twig&q=person%5Bname%5D.emailaddress&limit=3",
-		"/query?path=open_auction.bidder",
+		"/v1/query?q=open_auction.bidder",
 	} {
 		for pass := 0; pass < 3; pass++ {
 			code, want := fetch(t, monoSrv, "GET", target, "")

@@ -118,10 +118,10 @@ func goldenIndex(t *testing.T) *dkindex.Index {
 	return idx
 }
 
-// TestQueryEndpointsMatchOracle is the golden test: GET /v1/query, the legacy
-// /query and the items of POST /v1/query answer, on a miss, on the hit that
-// parks the body and on the hit that is served from it, byte for byte what
-// encoding/json wrote for the old structs filled from the library's Result.
+// TestQueryEndpointsMatchOracle is the golden test: GET /v1/query and the
+// items of POST /v1/query answer, on a miss, on the hit that parks the body
+// and on the hit that is served from it, byte for byte what encoding/json
+// wrote for the old structs filled from the library's Result.
 func TestQueryEndpointsMatchOracle(t *testing.T) {
 	type query struct {
 		kind  dkindex.Kind
@@ -137,9 +137,9 @@ func TestQueryEndpointsMatchOracle(t *testing.T) {
 		{"/v1/query?kind=rpe&q=director%2F%2Ftitle&limit=1", query{dkindex.KindRPE, "director//title", 1}},
 		{"/v1/query?kind=twig&q=movie%5Btitle%5D&limit=0", query{dkindex.KindTwig, "movie[title]", -1}},
 		{"/v1/query?q=no.such.label", query{dkindex.KindPath, "no.such.label", defaultListed}},
-		{"/query?path=director.movie.title&limit=1", query{dkindex.KindPath, "director.movie.title", 1}},
-		{"/query?rpe=director.(movie|name)", query{dkindex.KindRPE, "director.(movie|name)", defaultListed}},
-		{"/query?twig=director%5Bname%5D.movie", query{dkindex.KindTwig, "director[name].movie", defaultListed}},
+		{"/v1/query?q=director.movie.title&limit=1", query{dkindex.KindPath, "director.movie.title", 1}},
+		{"/v1/query?kind=rpe&q=director.(movie|name)", query{dkindex.KindRPE, "director.(movie|name)", defaultListed}},
+		{"/v1/query?kind=twig&q=director%5Bname%5D.movie", query{dkindex.KindTwig, "director[name].movie", defaultListed}},
 	}
 	// want is the oracle's body for q on an index in the fixture's state:
 	// the first call per index is the miss, later ones are hits.

@@ -1,7 +1,9 @@
 package server
 
 import (
+	"errors"
 	"fmt"
+	"io"
 	"net/http"
 
 	"dkindex"
@@ -9,6 +11,15 @@ import (
 
 // maxBatchMutations bounds one POST /v1/mutate body.
 const maxBatchMutations = 256
+
+// maxDocumentBody bounds one POST /v1/documents body.
+const maxDocumentBody = 64 << 20
+
+// maxK is the largest local similarity a request may ask for. Construction
+// runs one refinement round per level, under the writer mutex, so an
+// unbounded k from the network is an unbounded stall of every write; no
+// query the parser accepts is served better by a larger one.
+const maxK = 64
 
 // mutateItem is one mutation in a POST /v1/mutate body, mirroring
 // dkindex.Mutation field for field. Op names are the dkindex.MutOp values.
@@ -21,6 +32,21 @@ type mutateItem struct {
 	K      int            `json:"k"`
 	Reqs   map[string]int `json:"reqs"`
 	Budget int            `json:"budget"`
+}
+
+// checkK holds every similarity the item carries — k and each reqs value,
+// whatever the op does with them — to 0..maxK. The bound lives here and not
+// in the index because WAL replay must accept whatever the Go API logged.
+func (it mutateItem) checkK() error {
+	if it.K < 0 || it.K > maxK {
+		return fmt.Errorf("k must be in 0..%d", maxK)
+	}
+	for label, k := range it.Reqs {
+		if k < 0 || k > maxK {
+			return fmt.Errorf("reqs[%q] must be in 0..%d", label, maxK)
+		}
+	}
+	return nil
 }
 
 func (it mutateItem) mutation() dkindex.Mutation {
@@ -60,12 +86,13 @@ type mutateAck struct {
 	Requirements map[string]int `json:"requirements,omitempty"`
 }
 
-// handleMutate is the unified write endpoint: a single mutation or a batch,
-// applied through the index's group-commit pipeline. ?ack=sync (the default)
-// answers after the batch is durable; ?ack=async answers 202 as soon as
-// sequence numbers are assigned — poll /v1/watermark for settlement. Batch
-// members are validated independently: a rejected member carries its error in
-// its ack while the rest commit.
+// handleMutate is the write endpoint: a single mutation or a batch, applied
+// through the index's group-commit pipeline. ?ack=sync (the default) answers
+// after the batch is durable; ?ack=async answers 202 as soon as sequence
+// numbers are assigned — poll /v1/watermark for settlement. A similarity
+// outside 0..maxK anywhere in the body rejects the request before anything is
+// applied. Otherwise batch members are validated independently: a rejected
+// member carries its error in its ack while the rest commit.
 func (s *Server) handleMutate(w http.ResponseWriter, r *http.Request) {
 	if s.rejectReadOnly(w) {
 		return
@@ -113,33 +140,75 @@ func (s *Server) handleMutate(w http.ResponseWriter, r *http.Request) {
 	}
 	ms := make([]dkindex.Mutation, len(items))
 	for i, it := range items {
+		if err := it.checkK(); err != nil {
+			if !single {
+				err = fmt.Errorf("mutations[%d]: %w", i, err)
+			}
+			writeError(w, http.StatusBadRequest, codeBadRequest, err)
+			return
+		}
 		ms[i] = it.mutation()
 	}
-	var acks []dkindex.Ack
-	var err error
 	if async {
-		acks, err = s.idx.ApplyBatchAsync(ms)
-	} else {
-		acks, err = s.idx.ApplyBatch(ms)
+		acks, err := s.idx.ApplyBatchAsync(ms)
+		writeAcks(w, http.StatusAccepted, single, acks, err)
+		return
 	}
+	acks, err := s.idx.ApplyBatch(ms)
+	writeAcks(w, http.StatusOK, single, acks, err)
+}
+
+// handleDocument is the raw-XML door: the body is the document itself, not
+// JSON, and bounded by maxDocumentBody rather than maxJSONBody. It is applied
+// as one add_document and answered exactly like one sent through /v1/mutate.
+func (s *Server) handleDocument(w http.ResponseWriter, r *http.Request) {
+	if s.rejectReadOnly(w) {
+		return
+	}
+	doc, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxDocumentBody))
+	if err != nil {
+		writeDecodeError(w, bodyReadError(err))
+		return
+	}
+	acks, err := s.idx.ApplyBatch([]dkindex.Mutation{{Op: dkindex.MutAddDocument, Doc: doc}})
+	writeAcks(w, http.StatusOK, true, acks, err)
+}
+
+// ackFailure classifies a member's error: a write the log could not make
+// durable is the server's failure and worth retrying; anything else is the
+// index's verdict on the request.
+func ackFailure(err error) (status int, code string) {
+	if errors.Is(err, dkindex.ErrNotDurable) {
+		return http.StatusInternalServerError, codeInternal
+	}
+	return http.StatusBadRequest, codeBadRequest
+}
+
+// writeAcks answers a write: the lone ack (or its error envelope) for the
+// single form, the ack list under its watermark and generation for a batch.
+// status is what success answers; a member the log could not make durable
+// turns the whole response into a 500, so clients retry and the 5xx counters
+// see a failing disk.
+func writeAcks(w http.ResponseWriter, status int, single bool, acks []dkindex.Ack, err error) {
 	if err != nil {
 		writeError(w, http.StatusBadRequest, codeBadRequest, err)
 		return
 	}
 	if single && acks[0].Err != nil {
-		writeError(w, http.StatusBadRequest, codeBadRequest, acks[0].Err)
+		st, code := ackFailure(acks[0].Err)
+		writeError(w, st, code, acks[0].Err)
 		return
-	}
-	status := http.StatusOK
-	if async {
-		status = http.StatusAccepted
 	}
 	out := make([]mutateAck, len(acks))
 	var watermark, generation uint64
 	for i, a := range acks {
 		oa := mutateAck{Seq: a.Seq, Watermark: a.Watermark, Generation: a.Generation}
 		if a.Err != nil {
-			oa.Error, oa.Code, oa.Generation = a.Err.Error(), codeBadRequest, 0
+			st, code := ackFailure(a.Err)
+			if st == http.StatusInternalServerError {
+				status = st
+			}
+			oa.Error, oa.Code, oa.Generation = a.Err.Error(), code, 0
 		}
 		if a.Mapping != nil {
 			oa.Nodes = len(a.Mapping)

@@ -21,13 +21,6 @@ func TestV1MutateSingle(t *testing.T) {
 		t.Errorf("ack generation %v != index generation %d", out["generation"], idx.Generation())
 	}
 
-	// The legacy alias mounts too.
-	code, out = post(t, ts.URL+"/mutate", "application/json",
-		`{"op":"add_edge","from":0,"to":5}`)
-	if code != 200 {
-		t.Fatalf("legacy mutate = %d %v", code, out)
-	}
-
 	// A grafted document reports its node count in the ack.
 	code, out = post(t, ts.URL+"/v1/mutate", "application/json",
 		`{"op":"add_document","doc":"<extras><movie id=\"m7\"><title/></movie></extras>"}`)

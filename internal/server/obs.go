@@ -120,23 +120,3 @@ func (s *Server) handleSlow(w http.ResponseWriter, r *http.Request) {
 		"floorNS": s.obs.Slow.Floor(),
 	})
 }
-
-// requestRoutes is the bounded label set for the per-route RED metrics;
-// anything else (404s, pprof) counts under "other". Built from the route
-// names mounted at the root and under /v1.
-var requestRoutes = func() map[string]bool {
-	routes := []string{
-		"/healthz", "/readyz", "/stats", "/query", "/explain",
-		"/edges", "/edges/remove", "/documents",
-		"/promote", "/demote", "/optimize",
-		"/mutate", "/watermark",
-		"/repl/checkpoint", "/repl/wal",
-		"/metrics", "/events", "/traces", "/slow",
-	}
-	m := make(map[string]bool, 2*len(routes))
-	for _, r := range routes {
-		m[r] = true
-		m["/v1"+r] = true
-	}
-	return m
-}()

@@ -17,17 +17,17 @@ import (
 // histograms, lifecycle event counters and index size gauges.
 func TestMetricsEndpoint(t *testing.T) {
 	ts, idx := newTestServer(t)
-	if code, _ := get(t, ts.URL+"/query?path=director.movie.title"); code != 200 {
+	if code, _ := get(t, ts.URL+"/v1/query?q=director.movie.title"); code != 200 {
 		t.Fatal("query failed")
 	}
-	if code, _ := get(t, ts.URL+"/query?rpe=movieDB//name"); code != 200 {
+	if code, _ := get(t, ts.URL+"/v1/query?kind=rpe&q=movieDB//name"); code != 200 {
 		t.Fatal("rpe query failed")
 	}
-	if code, _ := post(t, ts.URL+"/promote", "application/json", `{"label":"name","k":1}`); code != 200 {
+	if code, _ := mutate(t, ts, `{"op":"promote","label":"name","k":1}`); code != 200 {
 		t.Fatal("promote failed")
 	}
 
-	resp, err := http.Get(ts.URL + "/metrics")
+	resp, err := http.Get(ts.URL + "/v1/metrics")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -98,17 +98,17 @@ func TestMetricsEndpoint(t *testing.T) {
 // typed events on GET /events, with since= resumption and n= capping.
 func TestEventsEndpoint(t *testing.T) {
 	ts, _ := newTestServer(t)
-	if code, _ := post(t, ts.URL+"/promote", "application/json", `{"label":"title","k":2}`); code != 200 {
+	if code, _ := mutate(t, ts, `{"op":"promote","label":"title","k":2}`); code != 200 {
 		t.Fatal("promote failed")
 	}
-	if code, _ := post(t, ts.URL+"/edges", "application/json", `{"from":1,"to":2}`); code != 200 {
+	if code, _ := mutate(t, ts, `{"op":"add_edge","from":1,"to":2}`); code != 200 {
 		t.Fatal("edge add failed")
 	}
-	if code, _ := post(t, ts.URL+"/demote", "application/json", `{"reqs":{"title":0}}`); code != 200 {
+	if code, _ := mutate(t, ts, `{"op":"demote","reqs":{"title":0}}`); code != 200 {
 		t.Fatal("demote failed")
 	}
 
-	code, body := get(t, ts.URL+"/events")
+	code, body := get(t, ts.URL+"/v1/events")
 	if code != 200 {
 		t.Fatalf("/events = %d %v", code, body)
 	}
@@ -129,7 +129,7 @@ func TestEventsEndpoint(t *testing.T) {
 		}
 	}
 	// since= resumes after the last seen sequence number: nothing new.
-	code, body = get(t, ts.URL+"/events?since="+strconv.Itoa(int(lastSeq)))
+	code, body = get(t, ts.URL+"/v1/events?since="+strconv.Itoa(int(lastSeq)))
 	if code != 200 {
 		t.Fatalf("since query = %d", code)
 	}
@@ -137,7 +137,7 @@ func TestEventsEndpoint(t *testing.T) {
 		t.Errorf("since=%v returned %d events, want 0", lastSeq, len(rest))
 	}
 	// n= caps the count.
-	code, body = get(t, ts.URL+"/events?n=1")
+	code, body = get(t, ts.URL+"/v1/events?n=1")
 	if code != 200 || len(body["events"].([]any)) != 1 {
 		t.Errorf("n=1 returned %v", body["events"])
 	}
@@ -148,7 +148,7 @@ func TestEventsEndpoint(t *testing.T) {
 func TestEventsEndpointRejectsGarbage(t *testing.T) {
 	ts, _ := newTestServer(t)
 	for _, q := range []string{"n=x", "n=-1", "n=1.5", "since=x", "since=-1"} {
-		code, body := get(t, ts.URL+"/events?"+q)
+		code, body := get(t, ts.URL+"/v1/events?"+q)
 		if code != http.StatusBadRequest {
 			t.Errorf("/events?%s = %d %v, want 400", q, code, body)
 		}
@@ -165,10 +165,10 @@ func TestTracesEndpoint(t *testing.T) {
 	ts := httptest.NewServer(New(idx))
 	defer ts.Close()
 
-	if code, _ := get(t, ts.URL+"/query?path=director.movie.title"); code != 200 {
+	if code, _ := get(t, ts.URL+"/v1/query?q=director.movie.title"); code != 200 {
 		t.Fatal("query failed")
 	}
-	code, body := get(t, ts.URL+"/traces")
+	code, body := get(t, ts.URL+"/v1/traces")
 	if code != 200 {
 		t.Fatalf("/traces = %d", code)
 	}
@@ -222,12 +222,12 @@ func TestPprofOptIn(t *testing.T) {
 // TestHTTPRequestCounter checks the bounded-route request counter.
 func TestHTTPRequestCounter(t *testing.T) {
 	ts, idx := newTestServer(t)
-	get(t, ts.URL+"/healthz")
-	get(t, ts.URL+"/healthz")
+	get(t, ts.URL+"/v1/healthz")
+	get(t, ts.URL+"/v1/healthz")
 	http.Get(ts.URL + "/nosuch")
 
 	o := idx.Observer()
-	if v := o.Registry.Counter(obs.MetricHTTPRequests, "", obs.L("route", "/healthz")).Value(); v != 2 {
+	if v := o.Registry.Counter(obs.MetricHTTPRequests, "", obs.L("route", "/v1/healthz")).Value(); v != 2 {
 		t.Errorf("healthz requests = %d, want 2", v)
 	}
 	if v := o.Registry.Counter(obs.MetricHTTPRequests, "", obs.L("route", "other")).Value(); v != 1 {

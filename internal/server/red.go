@@ -18,8 +18,9 @@ import (
 const headerRequestID = "X-Request-Id"
 
 // routeRED is one route's pre-registered RED bundle (rate, errors, duration,
-// plus in-flight). Registration happens once in New, so the per-request path
-// is a map lookup and a handful of atomics.
+// plus in-flight). NewBackend registers one per path of the route table plus
+// the "other" catch-all, which bounds the label cardinality and leaves the
+// per-request path a map lookup and a handful of atomics.
 type routeRED struct {
 	requests *obs.Counter
 	err4xx   *obs.Counter
@@ -42,25 +43,6 @@ func newRouteRED(reg *obs.Registry, route string) *routeRED {
 			"HTTP request latency in seconds, by route.",
 			obs.ExpBuckets(1e-5, 2.5, 14), l),
 	}
-}
-
-// newREDTable pre-registers a bundle per known route plus the "other"
-// catch-all, bounding the label cardinality to the fixed route table.
-func newREDTable(reg *obs.Registry) map[string]*routeRED {
-	t := make(map[string]*routeRED, len(requestRoutes)+1)
-	for route := range requestRoutes {
-		t[route] = newRouteRED(reg, route)
-	}
-	t["other"] = newRouteRED(reg, "other")
-	return t
-}
-
-// routeLabel maps a request path onto the bounded route label set.
-func routeLabel(path string) string {
-	if requestRoutes[path] {
-		return path
-	}
-	return "other"
 }
 
 // Request IDs minted by the server: a per-process random prefix plus a

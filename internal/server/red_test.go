@@ -16,7 +16,7 @@ func TestRequestIDEchoAndMint(t *testing.T) {
 	ts, _ := newTestServer(t)
 
 	// A well-formed client ID is echoed back verbatim.
-	req, _ := http.NewRequest("GET", ts.URL+"/healthz", nil)
+	req, _ := http.NewRequest("GET", ts.URL+"/v1/healthz", nil)
 	req.Header.Set("X-Request-ID", "client-abc.123")
 	resp, err := http.DefaultClient.Do(req)
 	if err != nil {
@@ -29,7 +29,7 @@ func TestRequestIDEchoAndMint(t *testing.T) {
 
 	// No (or a malformed) client ID gets a minted one.
 	for _, bad := range []string{"", "spaces are bad", strings.Repeat("x", 200), "q\"uote"} {
-		req, _ := http.NewRequest("GET", ts.URL+"/healthz", nil)
+		req, _ := http.NewRequest("GET", ts.URL+"/v1/healthz", nil)
 		if bad != "" {
 			req.Header.Set("X-Request-ID", bad)
 		}
@@ -107,7 +107,7 @@ func TestSlowEndpoint(t *testing.T) {
 		t.Fatal(err)
 	}
 	resp.Body.Close()
-	get(t, ts.URL+"/query?rpe=movieDB//name")
+	get(t, ts.URL+"/v1/query?kind=rpe&q=movieDB//name")
 	get(t, ts.URL+"/v1/query?kind=path&q=") // parse error: not a slow-log entry
 
 	code, body := get(t, ts.URL+"/v1/slow")

@@ -42,8 +42,8 @@ func TestReadyz(t *testing.T) {
 		t.Fatalf("not-ready /v1/readyz = %d %v", code, body)
 	}
 	ready = true
-	if code, _ = get(t, ts.URL+"/readyz"); code != http.StatusOK {
-		t.Fatalf("legacy /readyz = %d after becoming ready", code)
+	if code, _ = get(t, ts.URL+"/v1/readyz"); code != http.StatusOK {
+		t.Fatalf("/v1/readyz = %d after becoming ready", code)
 	}
 }
 
@@ -173,8 +173,8 @@ func TestPanicRecoveryMiddleware(t *testing.T) {
 
 func TestOversizedJSONBodyRejected(t *testing.T) {
 	ts, _ := newTestServer(t)
-	big := `{"reqs":{"` + strings.Repeat("x", 2<<20) + `":1}}`
-	code, body := post(t, ts.URL+"/v1/demote", "application/json", big)
+	big := `{"op":"demote","reqs":{"` + strings.Repeat("x", 2<<20) + `":1}}`
+	code, body := mutate(t, ts, big)
 	if code != http.StatusRequestEntityTooLarge && code != http.StatusBadRequest {
 		t.Fatalf("oversized body = %d %v", code, body)
 	}

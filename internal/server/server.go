@@ -1,43 +1,47 @@
-// Package server exposes a D(k)-index over HTTP with a small JSON API,
-// served in two versions: the versioned tree under /v1 and the original
-// routes, kept as aliases.
+// Package server exposes a D(k)-index over HTTP with a small JSON API. Every
+// route lives under /v1, every read is a query and every write a mutation:
 //
-//	GET  /v1/query?kind=path&q=a.b.c    unified query endpoint (kind: path|rpe|twig)
+//	GET  /v1/query?kind=path&q=a.b.c    one query (kind: path|rpe|twig)
 //	POST /v1/query {"queries":[...]}    batch: every item answers from one snapshot
-//	GET  /v1/stats                      index statistics (incl. snapshot generation)
-//	POST /v1/edges    {"from":1,"to":2} incremental edge addition
-//	POST /v1/edges/remove {...}         incremental edge removal
-//	POST /v1/documents  (XML body)      incremental document insertion
-//	POST /v1/promote {"label":"x","k":2} promoting process
-//	POST /v1/demote  {"reqs":{"x":1}}   demoting process
-//	POST /v1/optimize {"budget":1000}   re-tune from the observed load
-//	POST /v1/mutate   {"op":...} or {"mutations":[...]}  unified write endpoint
-//	                                    (?ack=sync|async; acks carry seq,
-//	                                    watermark and generation)
+//	POST /v1/mutate   {"op":...} or {"mutations":[...]}  the write endpoint: ops
+//	                                    add_edge, remove_edge, add_document,
+//	                                    promote, demote, set_requirements,
+//	                                    optimize (?ack=sync|async; acks carry
+//	                                    seq, watermark and generation)
+//	POST /v1/documents  (XML body)      raw-XML ingest: one add_document whose
+//	                                    body is the document itself, up to 64 MiB
 //	GET  /v1/watermark                  write-pipeline progress
+//	GET  /v1/stats                      index statistics (incl. snapshot generation)
 //	GET  /v1/explain?path=a.b.c         per-index-node query explanation
 //	GET  /v1/healthz                    liveness
+//	GET  /v1/readyz                     readiness
 //	GET  /v1/metrics                    Prometheus text exposition
 //	GET  /v1/events?n=100&since=0       index lifecycle event stream
 //	GET  /v1/traces?n=50                recent sampled query traces
 //	GET  /v1/slow?n=10                  slow-query log (top-N by latency)
-//	GET  /query?path=a.b.c              legacy query endpoint (also rpe=, twig=)
+//	GET  /v1/repl/checkpoint, /v1/repl/wal   replication feed (see repl.go)
+//
+// The table in routes is the whole surface: it feeds the mux and the label
+// set of the per-route RED metrics, and anything off it answers 404 under
+// route="other".
 //
 // Every response echoes (or mints) an X-Request-ID header; sampled traces and
 // slow-log entries carry the same ID, so one slow request links from client
 // log to trace to cost counters. Errors are structured:
-// {"error": "...", "code": "bad_query|bad_request|conflict|too_large", "requestId": "..."}.
+// {"error": "...", "code": "bad_query|bad_request|too_large|internal|...", "requestId": "..."}.
+// A write the log could not make durable answers 500 internal (retry it); a
+// write the index rejected answers 400 bad_request.
 //
 // The server carries no locks of its own: the index serves queries from
 // atomic snapshots and serializes mutations internally, so handlers call it
 // directly and queries are never blocked — not by each other and not by
 // updates (the slow-query log turns a request away on two atomics unless it
 // is slow enough to be kept). Every path query is recorded (lock-free) so
-// /optimize can re-tune the index to the live load.
+// the optimize mutation can re-tune the index to the live load.
 //
-// The three query endpoints share one append-style encoder (encode.go) that
+// The two query endpoints share one append-style encoder (encode.go) that
 // writes a response straight from the result's nodes and label table into a
-// pooled buffer, and they read their parameters off the raw query string.
+// pooled buffer, and GET reads its parameters off the raw query string.
 // They ask the index for bodies (Request.AcceptBody): the first cache hit of
 // an entry parks its encoded response on the entry, and later hits that list
 // as many rows are a lookup and a write, with nothing parsed, copied or
@@ -45,7 +49,7 @@
 // entry, so the server keeps no cache of its own.
 //
 // The server adopts the index's observer (attaching a fresh one when the
-// index is unobserved), so /metrics and /events work out of the box;
+// index is unobserved), so /v1/metrics and /v1/events work out of the box;
 // EnablePprof optionally mounts net/http/pprof under /debug/pprof/.
 package server
 
@@ -54,7 +58,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"net/http"
 	"strconv"
 	"sync"
@@ -93,7 +96,6 @@ func (s *Server) generationsHeader() string {
 const (
 	codeBadQuery   = "bad_query"
 	codeBadRequest = "bad_request"
-	codeConflict   = "conflict"
 	codeTooLarge   = "too_large"
 	codeOverloaded = "overloaded"
 	codeNotReady   = "not_ready"
@@ -120,12 +122,6 @@ type Backend interface {
 
 	ApplyBatch([]dkindex.Mutation) ([]dkindex.Ack, error)
 	ApplyBatchAsync([]dkindex.Mutation) ([]dkindex.Ack, error)
-	AddEdge(from, to dkindex.NodeID) error
-	RemoveEdge(from, to dkindex.NodeID) error
-	AddDocument(r io.Reader, opts *dkindex.LoadOptions) ([]dkindex.NodeID, error)
-	PromoteLabel(label string, k int) error
-	Demote(reqsByName map[string]int) error
-	Optimize(sizeBudget int) (map[string]int, error)
 
 	Watermark() uint64
 	LastSeq() uint64
@@ -148,8 +144,9 @@ type Server struct {
 	mux    *http.ServeMux
 	obs    *obs.Observer
 	// red holds the pre-registered per-route RED metric bundles, keyed by
-	// route label ("other" catches everything off the fixed table).
-	red map[string]*routeRED
+	// the paths of the route table; redOther catches everything off it.
+	red      map[string]*routeRED
+	redOther *routeRED
 
 	// inflight, when SetMaxInFlight arms it, bounds concurrently served
 	// requests; requests beyond the bound are shed with 503 + Retry-After
@@ -184,35 +181,44 @@ func NewBackend(idx Backend) *Server {
 		o = obs.NewObserver()
 		idx.Observe(o)
 	}
-	s := &Server{idx: idx, shards: len(idx.Generations()), mux: http.NewServeMux(), obs: o, red: newREDTable(o.Registry)}
-	// Every route serves under /v1 and, as a legacy alias, at the root.
-	for _, p := range []string{"", "/v1"} {
-		s.mux.HandleFunc("GET "+p+"/healthz", s.handleHealth)
-		s.mux.HandleFunc("GET "+p+"/readyz", s.handleReady)
-		s.mux.HandleFunc("GET "+p+"/stats", s.handleStats)
-		s.mux.HandleFunc("GET "+p+"/explain", s.handleExplain)
-		s.mux.HandleFunc("POST "+p+"/edges", s.handleAddEdge)
-		s.mux.HandleFunc("POST "+p+"/edges/remove", s.handleRemoveEdge)
-		s.mux.HandleFunc("POST "+p+"/documents", s.handleAddDocument)
-		s.mux.HandleFunc("POST "+p+"/promote", s.handlePromote)
-		s.mux.HandleFunc("POST "+p+"/demote", s.handleDemote)
-		s.mux.HandleFunc("POST "+p+"/optimize", s.handleOptimize)
-		s.mux.HandleFunc("POST "+p+"/mutate", s.handleMutate)
-		s.mux.HandleFunc("GET "+p+"/watermark", s.handleWatermark)
-		s.mux.HandleFunc("GET "+p+"/repl/checkpoint", s.handleReplCheckpoint)
-		s.mux.HandleFunc("GET "+p+"/repl/wal", s.handleReplWAL)
-		s.mux.HandleFunc("GET "+p+"/metrics", s.handleMetrics)
-		s.mux.HandleFunc("GET "+p+"/events", s.handleEvents)
-		s.mux.HandleFunc("GET "+p+"/traces", s.handleTraces)
-		s.mux.HandleFunc("GET "+p+"/slow", s.handleSlow)
+	s := &Server{idx: idx, shards: len(idx.Generations()), mux: http.NewServeMux(), obs: o,
+		red: make(map[string]*routeRED), redOther: newRouteRED(o.Registry, "other")}
+	for _, rt := range s.routes() {
+		s.mux.HandleFunc(rt.method+" "+rt.path, rt.handler)
+		if s.red[rt.path] == nil {
+			s.red[rt.path] = newRouteRED(o.Registry, rt.path)
+		}
 	}
-	// The query endpoint differs between versions: /v1 takes kind= + q=
-	// (one parameter scheme for all languages) and accepts batches by POST;
-	// the legacy route keeps the path=/rpe=/twig= parameter per language.
-	s.mux.HandleFunc("GET /query", s.handleLegacyQuery)
-	s.mux.HandleFunc("GET /v1/query", s.handleV1Query)
-	s.mux.HandleFunc("POST /v1/query", s.handleQueryBatch)
 	return s
+}
+
+// route is one row of the server's HTTP surface.
+type route struct {
+	method, path string
+	handler      http.HandlerFunc
+}
+
+// routes is the whole surface, written once: NewBackend mounts every row on
+// the mux and pre-registers one RED bundle per distinct path, so the paths
+// here are also the route label values on /v1/metrics (plus "other").
+func (s *Server) routes() []route {
+	return []route{
+		{"GET", "/v1/healthz", s.handleHealth},
+		{"GET", "/v1/readyz", s.handleReady},
+		{"GET", "/v1/stats", s.handleStats},
+		{"GET", "/v1/query", s.handleQuery},
+		{"POST", "/v1/query", s.handleQueryBatch},
+		{"GET", "/v1/explain", s.handleExplain},
+		{"POST", "/v1/mutate", s.handleMutate},
+		{"POST", "/v1/documents", s.handleDocument},
+		{"GET", "/v1/watermark", s.handleWatermark},
+		{"GET", "/v1/repl/checkpoint", s.handleReplCheckpoint},
+		{"GET", "/v1/repl/wal", s.handleReplWAL},
+		{"GET", "/v1/metrics", s.handleMetrics},
+		{"GET", "/v1/events", s.handleEvents},
+		{"GET", "/v1/traces", s.handleTraces},
+		{"GET", "/v1/slow", s.handleSlow},
+	}
 }
 
 // SetMaxInFlight bounds how many requests are served concurrently; excess
@@ -235,11 +241,7 @@ func (s *Server) SetReadyCheck(f func() error) { s.readyCheck = f }
 // probeRoute reports whether the request is a liveness/readiness probe,
 // which must answer even when the server is saturated.
 func probeRoute(path string) bool {
-	switch path {
-	case "/healthz", "/v1/healthz", "/readyz", "/v1/readyz":
-		return true
-	}
-	return false
+	return path == "/v1/healthz" || path == "/v1/readyz"
 }
 
 // ServeHTTP implements http.Handler: the RED middleware. It stamps the
@@ -255,7 +257,10 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set(headerRequestID, id)
 	s.replicaLagHeader(w)
 	w.Header().Set(HeaderShardGenerations, s.generationsHeader())
-	m := s.red[routeLabel(r.URL.Path)]
+	m := s.red[r.URL.Path]
+	if m == nil {
+		m = s.redOther
+	}
 	m.requests.Inc()
 	m.inflight.Add(1)
 	sw := &statusWriter{ResponseWriter: w, requestID: id}
@@ -351,25 +356,41 @@ func parseLimit(ls string) (int, error) {
 	return min(v, maxListed), nil
 }
 
-// serveQuery answers a single-query endpoint: it runs the request, offers
-// the execution to the slow-query log with its cost counters, and writes the
-// response shape every query endpoint shares. The request ID goes onto the
-// query as its origin, so a sampled trace links back to the request. A cache
-// hit whose entry holds the body an earlier request sent is a lookup and a
-// write; anything else is encoded into a pooled buffer and offered to the
-// entry.
-func (s *Server) serveQuery(w http.ResponseWriter, r *http.Request, req dkindex.Request) {
-	if req.Kind == "" {
-		req.Kind = dkindex.KindPath
+// handleQuery answers GET /v1/query: it reads kind=, q= and limit= off the
+// raw query string, runs the request, offers the execution to the slow-query
+// log with its cost counters, and writes the response. The request ID goes
+// onto the query as its origin, so a sampled trace links back to the request.
+// A cache hit whose entry holds the body an earlier request sent is a lookup
+// and a write; anything else is encoded into a pooled buffer and offered to
+// the entry.
+func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
+	raw := r.URL.RawQuery
+	limit, err := parseLimit(queryParam(raw, "limit"))
+	if err != nil {
+		writeError(w, http.StatusBadRequest, codeBadQuery, err)
+		return
 	}
-	req.Origin = requestIDOf(w)
-	req.AcceptBody = true
+	text := queryParam(raw, "q")
+	if text == "" {
+		writeError(w, http.StatusBadRequest, codeBadQuery, fmt.Errorf("q= is required"))
+		return
+	}
+	kind := dkindex.Kind(queryParam(raw, "kind"))
+	switch kind {
+	case "":
+		kind = dkindex.KindPath
+	case dkindex.KindPath, dkindex.KindRPE, dkindex.KindTwig:
+	default:
+		writeError(w, http.StatusBadRequest, codeBadQuery, fmt.Errorf("kind= must be path, rpe or twig"))
+		return
+	}
+	req := dkindex.Request{Kind: kind, Text: text, Limit: limit, Origin: requestIDOf(w), AcceptBody: true}
 	start := time.Now()
 	res, err := s.idx.Run(req)
 	entry := obs.SlowEntry{
 		Time:      start,
 		RequestID: req.Origin,
-		Route:     routeLabel(r.URL.Path),
+		Route:     r.URL.Path,
 		Method:    r.Method,
 		Kind:      string(req.Kind),
 		Query:     req.Text,
@@ -400,50 +421,6 @@ func (s *Server) serveQuery(w http.ResponseWriter, r *http.Request, req dkindex.
 	// append had to grow, so the pool's buffers settle at body size.
 	buf.Write(appendResult(buf.AvailableBuffer(), req.Kind, req.Text, &res))
 	writeBody(w, http.StatusOK, buf.Bytes())
-}
-
-func (s *Server) handleLegacyQuery(w http.ResponseWriter, r *http.Request) {
-	raw := r.URL.RawQuery
-	limit, err := parseLimit(queryParam(raw, "limit"))
-	if err != nil {
-		writeError(w, http.StatusBadRequest, codeBadQuery, err)
-		return
-	}
-	// The legacy parameters are named after the kinds: path=, rpe=, twig=.
-	req := dkindex.Request{Limit: limit}
-	for _, kind := range [...]dkindex.Kind{dkindex.KindPath, dkindex.KindRPE, dkindex.KindTwig} {
-		if text := queryParam(raw, string(kind)); text != "" {
-			req.Kind, req.Text = kind, text
-			break
-		}
-	}
-	if req.Text == "" {
-		writeError(w, http.StatusBadRequest, codeBadQuery, fmt.Errorf("one of path=, rpe= or twig= is required"))
-		return
-	}
-	s.serveQuery(w, r, req)
-}
-
-func (s *Server) handleV1Query(w http.ResponseWriter, r *http.Request) {
-	raw := r.URL.RawQuery
-	limit, err := parseLimit(queryParam(raw, "limit"))
-	if err != nil {
-		writeError(w, http.StatusBadRequest, codeBadQuery, err)
-		return
-	}
-	text := queryParam(raw, "q")
-	if text == "" {
-		writeError(w, http.StatusBadRequest, codeBadQuery, fmt.Errorf("q= is required"))
-		return
-	}
-	kind := dkindex.Kind(queryParam(raw, "kind"))
-	switch kind {
-	case "", dkindex.KindPath, dkindex.KindRPE, dkindex.KindTwig:
-	default:
-		writeError(w, http.StatusBadRequest, codeBadQuery, fmt.Errorf("kind= must be path, rpe or twig"))
-		return
-	}
-	s.serveQuery(w, r, dkindex.Request{Kind: kind, Text: text, Limit: limit})
 }
 
 // batchQuery is one item of a POST /v1/query body.
@@ -501,7 +478,7 @@ func (s *Server) handleQueryBatch(w http.ResponseWriter, r *http.Request) {
 	// The batch enters the slow log as one entry (items are not individually
 	// timed); the aggregated cost counters still attribute the work.
 	bentry := obs.SlowEntry{
-		Time: start, RequestID: reqID, Route: routeLabel(r.URL.Path), Method: r.Method,
+		Time: start, RequestID: reqID, Route: r.URL.Path, Method: r.Method,
 		Kind: "batch", Query: fmt.Sprintf("%d queries", len(reqs)),
 		Status: http.StatusOK, Duration: time.Since(start),
 	}
@@ -555,137 +532,27 @@ func (s *Server) handleExplain(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, e)
 }
 
-type edgeRequest struct {
-	From dkindex.NodeID `json:"from"`
-	To   dkindex.NodeID `json:"to"`
-}
-
-func (s *Server) handleAddEdge(w http.ResponseWriter, r *http.Request) {
-	if s.rejectReadOnly(w) {
-		return
-	}
-	var req edgeRequest
-	if err := decodeJSON(w, r, &req); err != nil {
-		writeDecodeError(w, err)
-		return
-	}
-	if err := s.idx.AddEdge(req.From, req.To); err != nil {
-		writeError(w, http.StatusBadRequest, codeBadRequest, err)
-		return
-	}
-	writeJSON(w, http.StatusOK, map[string]string{"status": "added"})
-}
-
-func (s *Server) handleRemoveEdge(w http.ResponseWriter, r *http.Request) {
-	if s.rejectReadOnly(w) {
-		return
-	}
-	var req edgeRequest
-	if err := decodeJSON(w, r, &req); err != nil {
-		writeDecodeError(w, err)
-		return
-	}
-	if err := s.idx.RemoveEdge(req.From, req.To); err != nil {
-		writeError(w, http.StatusBadRequest, codeBadRequest, err)
-		return
-	}
-	writeJSON(w, http.StatusOK, map[string]string{"status": "removed"})
-}
-
-func (s *Server) handleAddDocument(w http.ResponseWriter, r *http.Request) {
-	if s.rejectReadOnly(w) {
-		return
-	}
-	body := http.MaxBytesReader(w, r.Body, 64<<20)
-	defer body.Close()
-	mapping, err := s.idx.AddDocument(body, nil)
-	if err != nil {
-		var tooBig *http.MaxBytesError
-		if errors.As(err, &tooBig) {
-			writeError(w, http.StatusRequestEntityTooLarge, codeTooLarge, err)
-			return
-		}
-		writeError(w, http.StatusBadRequest, codeBadRequest, err)
-		return
-	}
-	writeJSON(w, http.StatusOK, map[string]any{"status": "inserted", "nodes": len(mapping)})
-}
-
-func (s *Server) handlePromote(w http.ResponseWriter, r *http.Request) {
-	if s.rejectReadOnly(w) {
-		return
-	}
-	var req struct {
-		Label string `json:"label"`
-		K     int    `json:"k"`
-	}
-	if err := decodeJSON(w, r, &req); err != nil {
-		writeDecodeError(w, err)
-		return
-	}
-	if req.K < 0 || req.K > 64 {
-		writeError(w, http.StatusBadRequest, codeBadRequest, fmt.Errorf("k out of range"))
-		return
-	}
-	if err := s.idx.PromoteLabel(req.Label, req.K); err != nil {
-		writeError(w, http.StatusBadRequest, codeBadRequest, err)
-		return
-	}
-	writeJSON(w, http.StatusOK, map[string]any{"status": "promoted", "indexNodes": s.idx.Stats().IndexNodes})
-}
-
-func (s *Server) handleDemote(w http.ResponseWriter, r *http.Request) {
-	if s.rejectReadOnly(w) {
-		return
-	}
-	var req struct {
-		Reqs map[string]int `json:"reqs"`
-	}
-	if err := decodeJSON(w, r, &req); err != nil {
-		writeDecodeError(w, err)
-		return
-	}
-	if err := s.idx.Demote(req.Reqs); err != nil {
-		writeError(w, http.StatusInternalServerError, codeInternal, err)
-		return
-	}
-	writeJSON(w, http.StatusOK, map[string]any{"status": "demoted", "indexNodes": s.idx.Stats().IndexNodes})
-}
-
-func (s *Server) handleOptimize(w http.ResponseWriter, r *http.Request) {
-	if s.rejectReadOnly(w) {
-		return
-	}
-	var req struct {
-		Budget int `json:"budget"`
-	}
-	if err := decodeJSON(w, r, &req); err != nil {
-		writeDecodeError(w, err)
-		return
-	}
-	reqs, err := s.idx.Optimize(req.Budget)
-	if err != nil {
-		writeError(w, http.StatusConflict, codeConflict, err)
-		return
-	}
-	writeJSON(w, http.StatusOK, map[string]any{
-		"status":       "optimized",
-		"requirements": reqs,
-		"indexNodes":   s.idx.Stats().IndexNodes,
-	})
-}
-
 // bufPool recycles the request/response staging buffers: decoding drains the
 // body into a pooled buffer and encoding renders into one before a single
 // Write, so the JSON plumbing stops allocating per request.
 var bufPool = sync.Pool{New: func() any { return new(bytes.Buffer) }}
 
 // maxJSONBody bounds JSON request bodies (XML documents have their own,
-// larger bound in handleAddDocument).
+// larger bound in handleDocument).
 const maxJSONBody = 1 << 20
 
-// errTooLarge marks a JSON body that exceeded maxJSONBody.
+// errTooLarge marks a request body that exceeded its bound.
 var errTooLarge = errors.New("request body too large")
+
+// bodyReadError names a failed read of a request body bounded by
+// http.MaxBytesReader: errTooLarge past the bound, for writeDecodeError.
+func bodyReadError(err error) error {
+	var tooBig *http.MaxBytesError
+	if errors.As(err, &tooBig) {
+		return errTooLarge
+	}
+	return fmt.Errorf("bad request body: %w", err)
+}
 
 func decodeJSON(w http.ResponseWriter, r *http.Request, v any) error {
 	buf := bufPool.Get().(*bytes.Buffer)
@@ -694,11 +561,7 @@ func decodeJSON(w http.ResponseWriter, r *http.Request, v any) error {
 	// and tells the HTTP server to stop reading the connection, so an
 	// oversized body cannot be streamed in indefinitely.
 	if _, err := buf.ReadFrom(http.MaxBytesReader(w, r.Body, maxJSONBody)); err != nil {
-		var tooBig *http.MaxBytesError
-		if errors.As(err, &tooBig) {
-			return errTooLarge
-		}
-		return fmt.Errorf("bad request body: %w", err)
+		return bodyReadError(err)
 	}
 	dec := json.NewDecoder(bytes.NewReader(buf.Bytes()))
 	dec.DisallowUnknownFields()
@@ -735,8 +598,8 @@ func writeError(w http.ResponseWriter, status int, code string, err error) {
 	writeJSON(w, status, body)
 }
 
-// writeDecodeError renders a decodeJSON failure: 413 for oversized bodies,
-// 400 for everything else.
+// writeDecodeError renders a failure to read or decode a request body: 413
+// for oversized bodies, 400 for everything else.
 func writeDecodeError(w http.ResponseWriter, err error) {
 	if errors.Is(err, errTooLarge) {
 		writeError(w, http.StatusRequestEntityTooLarge, codeTooLarge, err)

@@ -26,7 +26,9 @@ func newTestServer(t *testing.T) (*httptest.Server, *dkindex.Index) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	idx.SetRequirements(map[string]int{"title": 2})
+	if _, err := idx.Apply(dkindex.Mutation{Op: dkindex.MutSetRequirements, Reqs: map[string]int{"title": 2}}); err != nil {
+		t.Fatal(err)
+	}
 	ts := httptest.NewServer(New(idx))
 	t.Cleanup(ts.Close)
 	return ts, idx
@@ -61,23 +63,26 @@ func post(t *testing.T, url, contentType, body string) (int, map[string]any) {
 }
 
 func TestHealthAndStats(t *testing.T) {
-	ts, _ := newTestServer(t)
-	code, body := get(t, ts.URL+"/healthz")
+	ts, idx := newTestServer(t)
+	code, body := get(t, ts.URL+"/v1/healthz")
 	if code != 200 || body["status"] != "ok" {
 		t.Fatalf("healthz = %d %v", code, body)
 	}
-	code, body = get(t, ts.URL+"/stats")
+	code, body = get(t, ts.URL+"/v1/stats")
 	if code != 200 {
 		t.Fatalf("stats = %d", code)
 	}
 	if body["dataNodes"].(float64) == 0 || body["indexNodes"].(float64) == 0 {
 		t.Errorf("stats empty: %v", body)
 	}
+	if got := body["generation"].(float64); uint64(got) != idx.Generation() {
+		t.Errorf("stats generation %v != index generation %d", got, idx.Generation())
+	}
 }
 
 func TestQueryEndpoints(t *testing.T) {
 	ts, _ := newTestServer(t)
-	code, body := get(t, ts.URL+"/query?path=director.movie.title")
+	code, body := get(t, ts.URL+"/v1/query?q=director.movie.title")
 	if code != 200 {
 		t.Fatalf("path query = %d %v", code, body)
 	}
@@ -89,21 +94,21 @@ func TestQueryEndpoints(t *testing.T) {
 		t.Errorf("results = %v", results)
 	}
 
-	code, body = get(t, ts.URL+"/query?rpe=movieDB//name")
+	code, body = get(t, ts.URL+"/v1/query?kind=rpe&q=movieDB//name")
 	if code != 200 || body["count"].(float64) != 3 {
 		t.Errorf("rpe query = %d %v", code, body)
 	}
 
-	code, body = get(t, ts.URL+"/query?twig=movie[title]")
+	code, body = get(t, ts.URL+"/v1/query?kind=twig&q=movie[title]")
 	if code != 200 || body["count"].(float64) != 2 {
 		t.Errorf("twig query = %d %v", code, body)
 	}
 
-	code, _ = get(t, ts.URL+"/query")
+	code, _ = get(t, ts.URL+"/v1/query")
 	if code != 400 {
 		t.Errorf("missing query param = %d, want 400", code)
 	}
-	code, _ = get(t, ts.URL+"/query?rpe=((")
+	code, _ = get(t, ts.URL+"/v1/query?kind=rpe&q=((")
 	if code != 400 {
 		t.Errorf("bad rpe = %d, want 400", code)
 	}
@@ -111,7 +116,7 @@ func TestQueryEndpoints(t *testing.T) {
 
 func TestQueryLimit(t *testing.T) {
 	ts, _ := newTestServer(t)
-	code, body := get(t, ts.URL+"/query?path=director.movie.title&limit=1")
+	code, body := get(t, ts.URL+"/v1/query?q=director.movie.title&limit=1")
 	if code != 200 {
 		t.Fatalf("limited query = %d %v", code, body)
 	}
@@ -122,7 +127,7 @@ func TestQueryLimit(t *testing.T) {
 		t.Errorf("listed %d results, want 1", n)
 	}
 
-	code, body = get(t, ts.URL+"/query?path=director.movie.title&limit=0")
+	code, body = get(t, ts.URL+"/v1/query?q=director.movie.title&limit=0")
 	if code != 200 || len(body["results"].([]any)) != 0 {
 		t.Errorf("limit=0 = %d %v, want 200 with empty results", code, body)
 	}
@@ -131,111 +136,107 @@ func TestQueryLimit(t *testing.T) {
 	}
 
 	// Limits beyond the result size are harmless; the cap only trims listing.
-	code, body = get(t, ts.URL+"/query?path=director.movie.title&limit=99999")
+	code, body = get(t, ts.URL+"/v1/query?q=director.movie.title&limit=99999")
 	if code != 200 || len(body["results"].([]any)) != 2 {
 		t.Errorf("huge limit = %d %v, want both results", code, body)
 	}
 
 	for _, bad := range []string{"x", "-1", "1.5"} {
-		code, _ = get(t, ts.URL+"/query?path=director.movie.title&limit="+bad)
+		code, _ = get(t, ts.URL+"/v1/query?q=director.movie.title&limit="+bad)
 		if code != 400 {
 			t.Errorf("limit=%s = %d, want 400", bad, code)
 		}
 	}
 }
 
+// mutate posts one /v1/mutate body.
+func mutate(t *testing.T, ts *httptest.Server, body string) (int, map[string]any) {
+	t.Helper()
+	return post(t, ts.URL+"/v1/mutate", "application/json", body)
+}
+
 func TestEdgeAndDocumentUpdates(t *testing.T) {
 	ts, idx := newTestServer(t)
 	// Find an actor and a movie.
-	actors, _, err := idx.Query("actor")
-	if err != nil {
-		t.Fatal(err)
-	}
-	movies, _, err := idx.Query("director.movie")
-	if err != nil {
-		t.Fatal(err)
-	}
-	code, body := post(t, ts.URL+"/edges", "application/json",
-		fmt.Sprintf(`{"from":%d,"to":%d}`, movies[0], actors[0]))
+	actors := nodesOf(t, idx, dkindex.KindPath, "actor")
+	movies := nodesOf(t, idx, dkindex.KindPath, "director.movie")
+	code, body := mutate(t, ts, fmt.Sprintf(`{"op":"add_edge","from":%d,"to":%d}`, movies[0], actors[0]))
 	if code != 200 {
 		t.Fatalf("add edge = %d %v", code, body)
 	}
-	code, _ = post(t, ts.URL+"/edges/remove", "application/json",
-		fmt.Sprintf(`{"from":%d,"to":%d}`, movies[0], actors[0]))
+	code, _ = mutate(t, ts, fmt.Sprintf(`{"op":"remove_edge","from":%d,"to":%d}`, movies[0], actors[0]))
 	if code != 200 {
 		t.Fatalf("remove edge = %d", code)
 	}
-	code, _ = post(t, ts.URL+"/edges", "application/json", `{"from":-5,"to":0}`)
+	code, _ = mutate(t, ts, `{"op":"add_edge","from":-5,"to":0}`)
 	if code != 400 {
 		t.Errorf("bad edge = %d, want 400", code)
 	}
-	code, _ = post(t, ts.URL+"/edges", "application/json", `{"garbage":`)
+	code, _ = mutate(t, ts, `{"garbage":`)
 	if code != 400 {
 		t.Errorf("bad json = %d, want 400", code)
 	}
 
-	code, body = post(t, ts.URL+"/documents", "application/xml",
+	// The raw-XML door answers with the single-ack shape of /v1/mutate.
+	gen := idx.Generation()
+	code, body = post(t, ts.URL+"/v1/documents", "application/xml",
 		`<movieDB><director><movie><title/></movie></director></movieDB>`)
 	if code != 200 {
 		t.Fatalf("add document = %d %v", code, body)
 	}
-	code, body = get(t, ts.URL+"/query?path=director.movie.title")
+	if body["nodes"].(float64) < 4 || body["generation"].(float64) != float64(gen+1) || body["seq"].(float64) == 0 {
+		t.Errorf("document ack = %v, want its nodes, generation %d and a sequence number", body, gen+1)
+	}
+	code, body = get(t, ts.URL+"/v1/query?q=director.movie.title")
 	if body["count"].(float64) != 3 {
 		t.Errorf("count after insert = %v, want 3", body["count"])
 	}
-	code, _ = post(t, ts.URL+"/documents", "application/xml", `<broken`)
-	if code != 400 {
-		t.Errorf("bad document = %d, want 400", code)
+	code, body = post(t, ts.URL+"/v1/documents", "application/xml", `<broken`)
+	if code != 400 || body["code"] != "bad_request" || body["error"] == "" {
+		t.Errorf("bad document = %d %v, want 400 bad_request", code, body)
 	}
 }
 
 func TestPromoteDemoteOptimize(t *testing.T) {
 	ts, _ := newTestServer(t)
-	code, body := post(t, ts.URL+"/promote", "application/json", `{"label":"name","k":2}`)
+	code, body := mutate(t, ts, `{"op":"promote","label":"name","k":2}`)
 	if code != 200 {
 		t.Fatalf("promote = %d %v", code, body)
 	}
-	code, _ = post(t, ts.URL+"/promote", "application/json", `{"label":"nosuch","k":2}`)
+	code, _ = mutate(t, ts, `{"op":"promote","label":"nosuch","k":2}`)
 	if code != 400 {
 		t.Errorf("promote unknown label = %d, want 400", code)
 	}
-	code, _ = post(t, ts.URL+"/promote", "application/json", `{"label":"name","k":999}`)
+	code, _ = mutate(t, ts, `{"op":"promote","label":"name","k":999}`)
 	if code != 400 {
 		t.Errorf("promote huge k = %d, want 400", code)
 	}
-	code, _ = post(t, ts.URL+"/demote", "application/json", `{"reqs":{"title":1}}`)
+	code, _ = mutate(t, ts, `{"op":"demote","reqs":{"title":1}}`)
 	if code != 200 {
 		t.Errorf("demote = %d", code)
 	}
 
-	// Optimize requires observed load; queries above went through /query so
-	// the recorder has entries only for path= calls.
-	get(t, ts.URL+"/query?path=director.movie.title")
-	get(t, ts.URL+"/query?path=director.movie.title")
-	code, body = post(t, ts.URL+"/optimize", "application/json", `{"budget":0}`)
+	// Optimize requires observed load; the server records every path query.
+	get(t, ts.URL+"/v1/query?q=director.movie.title")
+	get(t, ts.URL+"/v1/query?q=director.movie.title")
+	code, body = mutate(t, ts, `{"op":"optimize","budget":0}`)
 	if code != 200 {
 		t.Fatalf("optimize = %d %v", code, body)
 	}
 	if body["requirements"] == nil {
 		t.Error("optimize returned no requirements")
 	}
-	// Recorder drained: immediate re-optimize conflicts.
-	code, _ = post(t, ts.URL+"/optimize", "application/json", `{"budget":0}`)
-	if code != 409 {
-		t.Errorf("re-optimize = %d, want 409", code)
+	// Recorder drained: an immediate re-optimize has nothing to mine.
+	code, body = mutate(t, ts, `{"op":"optimize","budget":0}`)
+	if code != 400 || body["code"] != "bad_request" {
+		t.Errorf("re-optimize = %d %v, want 400 bad_request", code, body)
 	}
 }
 
 func TestConcurrentQueriesAndUpdates(t *testing.T) {
 	ts, idx := newTestServer(t)
-	movies, _, err := idx.Query("director.movie")
-	if err != nil {
-		t.Fatal(err)
-	}
-	names, _, err := idx.Query("director.name")
-	if err != nil {
-		t.Fatal(err)
-	}
+	movies := nodesOf(t, idx, dkindex.KindPath, "director.movie")
+	names := nodesOf(t, idx, dkindex.KindPath, "director.name")
 	var wg sync.WaitGroup
 	for i := 0; i < 10; i++ {
 		wg.Add(1)
@@ -244,29 +245,29 @@ func TestConcurrentQueriesAndUpdates(t *testing.T) {
 			for j := 0; j < 30; j++ {
 				switch i % 5 {
 				case 0:
-					resp, err := http.Get(ts.URL + "/query?path=director.movie.title")
+					resp, err := http.Get(ts.URL + "/v1/query?q=director.movie.title")
 					if err == nil {
 						resp.Body.Close()
 					}
 				case 1:
-					resp, err := http.Get(ts.URL + "/query?twig=director[name].movie")
+					resp, err := http.Get(ts.URL + "/v1/query?kind=twig&q=director[name].movie")
 					if err == nil {
 						resp.Body.Close()
 					}
 				case 2:
-					body := fmt.Sprintf(`{"from":%d,"to":%d}`, movies[j%len(movies)], names[j%len(names)])
-					resp, err := http.Post(ts.URL+"/edges", "application/json", strings.NewReader(body))
+					body := fmt.Sprintf(`{"op":"add_edge","from":%d,"to":%d}`, movies[j%len(movies)], names[j%len(names)])
+					resp, err := http.Post(ts.URL+"/v1/mutate", "application/json", strings.NewReader(body))
 					if err == nil {
 						resp.Body.Close()
 					}
 				case 3:
-					resp, err := http.Get(ts.URL + "/query?rpe=movieDB//name&limit=1")
+					resp, err := http.Get(ts.URL + "/v1/query?kind=rpe&q=movieDB//name&limit=1")
 					if err == nil {
 						resp.Body.Close()
 					}
 				case 4:
 					doc := `<movieDB><actor><name/></actor></movieDB>`
-					resp, err := http.Post(ts.URL+"/documents", "application/xml", strings.NewReader(doc))
+					resp, err := http.Post(ts.URL+"/v1/documents", "application/xml", strings.NewReader(doc))
 					if err == nil {
 						resp.Body.Close()
 					}
@@ -279,7 +280,7 @@ func TestConcurrentQueriesAndUpdates(t *testing.T) {
 	if err := idx.IG().Validate(); err != nil {
 		t.Fatal(err)
 	}
-	code, body := get(t, ts.URL+"/query?path=director.movie.title")
+	code, body := get(t, ts.URL+"/v1/query?q=director.movie.title")
 	if code != 200 || body["count"].(float64) != 2 {
 		t.Errorf("post-storm query = %d %v", code, body)
 	}
@@ -287,7 +288,7 @@ func TestConcurrentQueriesAndUpdates(t *testing.T) {
 
 func TestExplainEndpoint(t *testing.T) {
 	ts, _ := newTestServer(t)
-	code, body := get(t, ts.URL+"/explain?path=director.movie.title")
+	code, body := get(t, ts.URL+"/v1/explain?path=director.movie.title")
 	if code != 200 {
 		t.Fatalf("explain = %d %v", code, body)
 	}
@@ -297,7 +298,7 @@ func TestExplainEndpoint(t *testing.T) {
 	if body["Matched"] == nil {
 		t.Error("Matched missing")
 	}
-	code, _ = get(t, ts.URL+"/explain")
+	code, _ = get(t, ts.URL+"/v1/explain")
 	if code != 400 {
 		t.Errorf("missing path = %d, want 400", code)
 	}

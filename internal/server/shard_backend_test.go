@@ -30,7 +30,7 @@ func newShardedServer(t *testing.T) (*httptest.Server, *shard.Engine) {
 		if err := datagen.XMark(cfg).WriteXML(&buf); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := e.AddDocument(&buf, datagen.LoadOptions()); err != nil {
+		if _, err := e.Apply(dkindex.Mutation{Op: dkindex.MutAddDocument, Doc: buf.Bytes(), DocOptions: datagen.LoadOptions()}); err != nil {
 			t.Fatal(err)
 		}
 	}

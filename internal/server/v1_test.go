@@ -66,7 +66,6 @@ func TestV1QueryErrors(t *testing.T) {
 		{"/v1/query?kind=nope&q=a", 400, "bad_query"},        // unknown kind
 		{"/v1/query?q=director..title", 400, "bad_query"},    // malformed path
 		{"/v1/query?q=a.b&limit=-1", 400, "bad_query"},       // bad limit
-		{"/query?path=director..title", 400, "bad_query"},    // legacy route, same shape
 		{"/v1/query?kind=twig&q=movie[", 400, "bad_query"},   // malformed twig
 		{"/v1/query?kind=rpe&q=(director", 400, "bad_query"}, // malformed rpe
 	} {
@@ -150,46 +149,6 @@ func TestV1QueryBatchLimits(t *testing.T) {
 	code, out = post(t, ts.URL+"/v1/query", "application/json", huge)
 	if code != 413 || out["code"] != "too_large" {
 		t.Errorf("huge body = %d %v", code, out)
-	}
-}
-
-// TestV1Aliases drives every mutating route through its /v1 mount and reads
-// back through the legacy alias, proving both trees share one index.
-func TestV1Aliases(t *testing.T) {
-	ts, idx := newTestServer(t)
-	code, _ := post(t, ts.URL+"/v1/edges", "application/json", `{"from":0,"to":5}`)
-	if code != 200 {
-		t.Fatalf("v1 edge add = %d", code)
-	}
-	code, _ = post(t, ts.URL+"/v1/edges/remove", "application/json", `{"from":0,"to":5}`)
-	if code != 200 {
-		t.Fatalf("v1 edge remove = %d", code)
-	}
-	code, _ = post(t, ts.URL+"/v1/promote", "application/json", `{"label":"name","k":2}`)
-	if code != 200 {
-		t.Fatalf("v1 promote = %d", code)
-	}
-	code, body := get(t, ts.URL+"/v1/stats")
-	if code != 200 {
-		t.Fatalf("v1 stats = %d", code)
-	}
-	if got := body["generation"].(float64); uint64(got) != idx.Generation() {
-		t.Errorf("stats generation %v != index generation %d", got, idx.Generation())
-	}
-	if body["generation"].(float64) < 3 {
-		t.Errorf("generation %v after 3 mutations", body["generation"])
-	}
-	// Legacy alias sees the same index state.
-	code, legacy := get(t, ts.URL+"/stats")
-	if code != 200 || legacy["generation"] != body["generation"] {
-		t.Errorf("legacy stats = %d %v, want generation %v", code, legacy, body["generation"])
-	}
-	code, body = get(t, ts.URL+"/v1/healthz")
-	if code != 200 || body["status"] != "ok" {
-		t.Errorf("v1 healthz = %d %v", code, body)
-	}
-	if body, err := httpGetRaw(ts.URL + "/v1/metrics"); err != nil || !strings.Contains(body, "dk_queries_total") {
-		t.Errorf("v1 metrics unavailable: %v", err)
 	}
 }
 

@@ -2,7 +2,6 @@ package shard
 
 import (
 	"fmt"
-	"io"
 	"sync"
 	"sync/atomic"
 
@@ -200,7 +199,7 @@ func (e *Engine) Observe(o *obs.Observer) {
 // Observer returns the attached observer, or nil.
 func (e *Engine) Observer() *obs.Observer { return e.obs }
 
-// WatchLoad starts load recording on every shard, so Optimize can re-tune
+// WatchLoad starts load recording on every shard, so MutOptimize can re-tune
 // each shard from the queries it actually served.
 func (e *Engine) WatchLoad() {
 	for _, x := range e.shards {
@@ -386,57 +385,4 @@ func (e *Engine) syncGauges() {
 	e.obs.SetIndexSize(st.DataNodes, st.DataEdges, st.IndexNodes, st.IndexEdges, maxK)
 	e.obs.SetSnapshotGeneration(st.Generation)
 	e.obs.SetCacheEntries(st.CachedResults)
-}
-
-// AddDocument parses and grafts a document on its round-robin shard; the
-// returned mapping is in global ids. It mirrors the facade's AddDocument.
-func (e *Engine) AddDocument(r io.Reader, opts *dkindex.LoadOptions) ([]dkindex.NodeID, error) {
-	raw, err := io.ReadAll(r)
-	if err != nil {
-		return nil, err
-	}
-	ack, err := e.Apply(dkindex.Mutation{Op: dkindex.MutAddDocument, Doc: raw, DocOptions: opts})
-	return ack.Mapping, err
-}
-
-// AddEdge inserts a reference edge between two global data node ids. Both
-// endpoints must live on the same shard (documents are internally closed, so
-// every edge a document carries is intra-shard; hand-crafted cross-shard
-// edges are rejected with ErrCrossShard).
-func (e *Engine) AddEdge(from, to dkindex.NodeID) error {
-	_, err := e.Apply(dkindex.Mutation{Op: dkindex.MutAddEdge, From: from, To: to})
-	return err
-}
-
-// RemoveEdge deletes a data edge, routed like AddEdge.
-func (e *Engine) RemoveEdge(from, to dkindex.NodeID) error {
-	_, err := e.Apply(dkindex.Mutation{Op: dkindex.MutRemoveEdge, From: from, To: to})
-	return err
-}
-
-// PromoteLabel promotes a label on every shard that knows it.
-func (e *Engine) PromoteLabel(label string, k int) error {
-	_, err := e.Apply(dkindex.Mutation{Op: dkindex.MutPromote, Label: label, K: k})
-	return err
-}
-
-// SetRequirements replaces per-label requirements on every shard (labels a
-// shard does not know are skipped by the shard itself, like the facade).
-func (e *Engine) SetRequirements(reqsByName map[string]int) error {
-	_, err := e.Apply(dkindex.Mutation{Op: dkindex.MutSetRequirements, Reqs: reqsByName})
-	return err
-}
-
-// Demote lowers per-label requirements on every shard.
-func (e *Engine) Demote(reqsByName map[string]int) error {
-	_, err := e.Apply(dkindex.Mutation{Op: dkindex.MutDemote, Reqs: reqsByName})
-	return err
-}
-
-// Optimize re-tunes every shard from its own observed load, splitting the
-// size budget evenly. It reports the union of the mined requirements (the
-// larger k wins when shards disagree on a label).
-func (e *Engine) Optimize(sizeBudget int) (map[string]int, error) {
-	ack, err := e.Apply(dkindex.Mutation{Op: dkindex.MutOptimize, SizeBudget: sizeBudget})
-	return ack.Mined, err
 }

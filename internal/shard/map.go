@@ -18,6 +18,11 @@
 // many nodes it grafted; that is enough to translate ids in both directions,
 // and it is persisted next to the shard stores so routing is stable across
 // restarts.
+//
+// The Engine's surface is the facade's: Run and RunBatch for reads, Apply and
+// ApplyBatch for writes (ApplyBatchSharded adds the owning shard and the
+// generation vector to each ack). Documents and edges route to one shard;
+// promote, demote, set_requirements and optimize broadcast to all of them.
 package shard
 
 import (

@@ -143,7 +143,9 @@ func (e *Engine) ApplyBatchSharded(ms []dkindex.Mutation) ([]Ack, error) {
 // routeEdge translates an edge mutation's global endpoints into the owning
 // shard's local ids. An endpoint at the global root translates to the target
 // shard's local root (every shard holds one); two non-root endpoints must
-// share a shard.
+// share a shard. Documents are internally closed, so every edge a document
+// carries is intra-shard; a hand-crafted edge between documents on different
+// shards is rejected with ErrCrossShard.
 func (m *Map) routeEdge(mu dkindex.Mutation) (int, dkindex.Mutation, error) {
 	sf, lf, ok := m.Locate(mu.From)
 	if !ok {
@@ -300,8 +302,10 @@ func (e *Engine) applyRoutedLocked(ms []dkindex.Mutation, acks []Ack) {
 // set_requirements, optimize) to every shard concurrently. Promote and
 // optimize tolerate shards the operation does not apply to (a label unknown
 // to a shard, a shard with no observed load): the member succeeds when any
-// shard applied it, and errors only when all of them rejected it. The
-// optimize budget is split evenly across shards.
+// shard applied it, and errors only when all of them rejected it. Each shard
+// optimizes from its own observed load under an even share of the budget,
+// and the ack reports the union of what they mined (the larger k wins where
+// shards disagree on a label).
 func (e *Engine) applyBroadcastLocked(m dkindex.Mutation, ack *Ack) {
 	n := len(e.shards)
 	local := m

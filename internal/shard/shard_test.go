@@ -400,26 +400,26 @@ func TestEdgeMutationRouting(t *testing.T) {
 	item0 := globalWithShard("item", 0)
 	item1 := globalWithShard("item", 1)
 
-	if err := e.AddEdge(person0, item0); err != nil {
+	if _, err := e.Apply(dkindex.Mutation{Op: dkindex.MutAddEdge, From: person0, To: item0}); err != nil {
 		t.Fatalf("same-shard edge: %v", err)
 	}
-	if err := mono.AddEdge(person0, item0); err != nil {
+	if _, err := mono.Apply(dkindex.Mutation{Op: dkindex.MutAddEdge, From: person0, To: item0}); err != nil {
 		t.Fatalf("monolith edge: %v", err)
 	}
-	if err := e.AddEdge(person0, item1); !errors.Is(err, ErrCrossShard) {
+	if _, err := e.Apply(dkindex.Mutation{Op: dkindex.MutAddEdge, From: person0, To: item1}); !errors.Is(err, ErrCrossShard) {
 		t.Fatalf("cross-shard edge: err=%v, want ErrCrossShard", err)
 	}
 
 	// Root edges adopt the other endpoint's shard.
-	if err := e.AddEdge(0, item1); err != nil {
+	if _, err := e.Apply(dkindex.Mutation{Op: dkindex.MutAddEdge, From: 0, To: item1}); err != nil {
 		t.Fatalf("root->shard1 edge: %v", err)
 	}
-	if err := mono.AddEdge(0, item1); err != nil {
+	if _, err := mono.Apply(dkindex.Mutation{Op: dkindex.MutAddEdge, From: 0, To: item1}); err != nil {
 		t.Fatalf("monolith root edge: %v", err)
 	}
 
 	// Out-of-range endpoints are rejected before reaching a shard.
-	if err := e.AddEdge(person0, 1<<30); err == nil {
+	if _, err := e.Apply(dkindex.Mutation{Op: dkindex.MutAddEdge, From: person0, To: 1 << 30}); err == nil {
 		t.Error("edge to out-of-range node accepted")
 	}
 
@@ -436,10 +436,10 @@ func TestEdgeMutationRouting(t *testing.T) {
 		}
 	}
 
-	if err := e.RemoveEdge(person0, item0); err != nil {
+	if _, err := e.Apply(dkindex.Mutation{Op: dkindex.MutRemoveEdge, From: person0, To: item0}); err != nil {
 		t.Fatalf("remove same-shard edge: %v", err)
 	}
-	if err := mono.RemoveEdge(person0, item0); err != nil {
+	if _, err := mono.Apply(dkindex.Mutation{Op: dkindex.MutRemoveEdge, From: person0, To: item0}); err != nil {
 		t.Fatalf("monolith remove edge: %v", err)
 	}
 	res, _ := e.Run(dkindex.Request{Kind: dkindex.KindPath, Text: "person.item.name"})
@@ -458,19 +458,19 @@ func TestBroadcastMutations(t *testing.T) {
 	mono := monolith(t, docs)
 	e := engineWith(t, 2, docs)
 
-	if err := e.PromoteLabel("name", 3); err != nil {
+	if _, err := e.Apply(dkindex.Mutation{Op: dkindex.MutPromote, Label: "name", K: 3}); err != nil {
 		t.Fatalf("promote: %v", err)
 	}
-	if err := mono.PromoteLabel("name", 3); err != nil {
+	if _, err := mono.Apply(dkindex.Mutation{Op: dkindex.MutPromote, Label: "name", K: 3}); err != nil {
 		t.Fatalf("monolith promote: %v", err)
 	}
-	if err := e.Demote(map[string]int{"name": 1}); err != nil {
+	if _, err := e.Apply(dkindex.Mutation{Op: dkindex.MutDemote, Reqs: map[string]int{"name": 1}}); err != nil {
 		t.Fatalf("demote: %v", err)
 	}
-	if err := mono.Demote(map[string]int{"name": 1}); err != nil {
+	if _, err := mono.Apply(dkindex.Mutation{Op: dkindex.MutDemote, Reqs: map[string]int{"name": 1}}); err != nil {
 		t.Fatalf("monolith demote: %v", err)
 	}
-	if err := e.PromoteLabel("label_nobody_has", 2); err == nil {
+	if _, err := e.Apply(dkindex.Mutation{Op: dkindex.MutPromote, Label: "label_nobody_has", K: 2}); err == nil {
 		t.Error("promoting a label unknown to every shard succeeded")
 	}
 	for _, req := range referenceQueries() {
@@ -494,7 +494,7 @@ func TestBroadcastMutations(t *testing.T) {
 	if e.ObservedQueries() == 0 {
 		t.Fatal("load recording observed nothing")
 	}
-	if _, err := e.Optimize(e.Stats().IndexNodes * 2); err != nil {
+	if _, err := e.Apply(dkindex.Mutation{Op: dkindex.MutOptimize, SizeBudget: e.Stats().IndexNodes * 2}); err != nil {
 		t.Fatalf("optimize: %v", err)
 	}
 	for _, req := range referenceQueries() {
@@ -776,7 +776,7 @@ func TestShardConcurrentReadersWriters(t *testing.T) {
 					return
 				}
 			case 1:
-				if err := e.PromoteLabel("name", 2+rng.Intn(2)); err != nil {
+				if _, err := e.Apply(dkindex.Mutation{Op: dkindex.MutPromote, Label: "name", K: 2 + rng.Intn(2)}); err != nil {
 					t.Errorf("writer: promote: %v", err)
 					return
 				}

@@ -50,7 +50,7 @@ func TestFullLifecycle(t *testing.T) {
 	assertExact := func(stage string, queries []string) {
 		t.Helper()
 		for _, qs := range queries {
-			res, _, err := idx.Query(qs)
+			res, _, err := query(idx, KindPath, qs)
 			if err != nil {
 				t.Fatalf("%s: %q: %v", stage, qs, err)
 			}
@@ -78,7 +78,7 @@ func TestFullLifecycle(t *testing.T) {
 		u := NodeID(rng.Intn(g.NumNodes()))
 		v := NodeID(rng.Intn(g.NumNodes()))
 		if u != v && v != g.Root() {
-			if err := idx.AddEdge(u, v); err != nil {
+			if _, err := idx.Apply(Mutation{Op: MutAddEdge, From: u, To: v}); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -86,7 +86,7 @@ func TestFullLifecycle(t *testing.T) {
 			w := NodeID(rng.Intn(g.NumNodes()))
 			if ch := g.Children(w); len(ch) > 0 {
 				if c := ch[rng.Intn(len(ch))]; c != g.Root() {
-					if err := idx.RemoveEdge(w, c); err != nil {
+					if _, err := idx.Apply(Mutation{Op: MutRemoveEdge, From: w, To: c}); err != nil {
 						t.Fatal(err)
 					}
 				}
@@ -103,7 +103,7 @@ func TestFullLifecycle(t *testing.T) {
 		if err := datagen.XMark(cfg).WriteXML(&extra); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := idx.AddDocument(&extra, nil); err != nil {
+		if _, err := idx.Apply(Mutation{Op: MutAddDocument, Doc: extra.Bytes()}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -113,17 +113,17 @@ func TestFullLifecycle(t *testing.T) {
 	idx.WatchLoad()
 	hot := queries[0]
 	for i := 0; i < 10; i++ {
-		if _, _, err := idx.Query(hot); err != nil {
+		if _, _, err := query(idx, KindPath, hot); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if _, _, err := idx.Query(queries[1]); err != nil {
+	if _, _, err := query(idx, KindPath, queries[1]); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := idx.Optimize(0); err != nil {
+	if _, err := idx.Apply(Mutation{Op: MutOptimize}); err != nil {
 		t.Fatal(err)
 	}
-	_, stats, err := idx.Query(hot)
+	_, stats, err := query(idx, KindPath, hot)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -133,7 +133,7 @@ func TestFullLifecycle(t *testing.T) {
 	assertExact("after optimize", queries)
 
 	// Stage 5: promote a decayed label explicitly and persist.
-	if err := idx.PromoteLabel("name", 2); err != nil {
+	if _, err := idx.Apply(Mutation{Op: MutPromote, Label: "name", K: 2}); err != nil {
 		t.Fatal(err)
 	}
 	path := filepath.Join(t.TempDir(), "lifecycle.dkx")
@@ -145,11 +145,11 @@ func TestFullLifecycle(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, qs := range queries[:8] {
-		a, ca, err := idx.Query(qs)
+		a, ca, err := query(idx, KindPath, qs)
 		if err != nil {
 			t.Fatal(err)
 		}
-		b, cb, err := reopened.Query(qs)
+		b, cb, err := query(reopened, KindPath, qs)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -165,7 +165,7 @@ func TestFullLifecycle(t *testing.T) {
 	site := kids[0]
 	sections := idx.Graph().Children(site)
 	if len(sections) > 1 {
-		if err := idx.RemoveEdge(site, sections[0]); err != nil {
+		if _, err := idx.Apply(Mutation{Op: MutRemoveEdge, From: site, To: sections[0]}); err != nil {
 			t.Fatal(err)
 		}
 		dropped, _, err := idx.Compact()

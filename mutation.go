@@ -37,9 +37,11 @@ const (
 	// MutSetRequirements rebuilds the index for the explicit per-label
 	// requirements in Reqs.
 	MutSetRequirements MutOp = "set_requirements"
-	// MutOptimize re-tunes the index from the load observed since WatchLoad,
-	// within SizeBudget index nodes (<= 0 for unbounded). The Ack reports the
-	// mined requirements.
+	// MutOptimize re-tunes the index from the load observed since WatchLoad:
+	// it picks the per-label requirements with the best cost-saved-per-node
+	// ratio that keep the index within SizeBudget nodes (<= 0 for unbounded).
+	// The Ack reports them; the recorder is reset once the mutation commits,
+	// so each epoch tunes to fresh observations.
 	MutOptimize MutOp = "optimize"
 )
 
@@ -79,7 +81,8 @@ type Ack struct {
 	Generation uint64
 	// Err is the mutation's outcome inside a batch: batches apply their
 	// members independently, so one bad mutation is rejected in place while
-	// the rest commit.
+	// the rest commit. A failure of the write-ahead log rather than of the
+	// mutation matches ErrNotDurable.
 	Err error
 	// Mapping reports MutAddDocument's element-order-to-node-id mapping
 	// (synchronous acks only).
@@ -108,8 +111,8 @@ type appliedMutation struct {
 	op      wal.Op
 	payload []byte
 	ev      obs.Event
-	// trigger and stats feed observeBuild for members that rebuilt the index
-	// (documents, demotes, retunes); trigger is empty otherwise.
+	// trigger and stats feed observeBuildStats for members that rebuilt the
+	// index (documents, demotes, retunes); trigger is empty otherwise.
 	trigger string
 	stats   core.BuildStats
 	// resetRecorder, when set, is reset after the member commits durably
@@ -119,6 +122,13 @@ type appliedMutation struct {
 
 // errEmptyBatch rejects ApplyBatch with no members.
 var errEmptyBatch = errors.New("dkindex: empty mutation batch")
+
+// ErrNotDurable marks an Ack.Err that is not a verdict on the mutation: the
+// mutation was valid and applied, but the store could not make its
+// write-ahead record durable (a failed append or fsync, a closed store), so
+// nothing was published. The cause is wrapped beside it. Unlike a validation
+// rejection, the same mutation may succeed when retried.
+var ErrNotDurable = errors.New("dkindex: mutation not durable")
 
 // Apply performs one mutation through the write pipeline and waits for its
 // final outcome: the returned Ack carries the sequence number, the
@@ -144,6 +154,14 @@ func (x *Index) Apply(m Mutation) (Ack, error) {
 // rest commit. The returned error is non-nil only when the batch itself is
 // malformed (empty); per-member outcomes are in the acks.
 func (x *Index) ApplyBatch(ms []Mutation) ([]Ack, error) {
+	return x.applyBatch(ms, true)
+}
+
+// applyBatch is what ApplyBatch and ApplyBatchAsync share: members that fail
+// submit-time validation are rejected in place, the rest enter the pipeline
+// as one group. With wait the acks are the settled outcomes; without it they
+// report what acceptance assigned.
+func (x *Index) applyBatch(ms []Mutation, wait bool) ([]Ack, error) {
 	if len(ms) == 0 {
 		return nil, errEmptyBatch
 	}
@@ -159,11 +177,21 @@ func (x *Index) ApplyBatch(ms []Mutation) ([]Ack, error) {
 		ps = append(ps, p)
 		slots = append(slots, i)
 	}
-	if len(ps) > 0 {
-		x.submitPrepared(ps, true)
+	if len(ps) == 0 {
+		return acks, nil
+	}
+	x.submitPrepared(ps, wait)
+	if wait {
 		for j, p := range ps {
 			acks[slots[j]] = p.ack
 		}
+		return acks, nil
+	}
+	// p.seq was assigned synchronously by submitPrepared; the rest of the ack
+	// belongs to the committer, which may still be running.
+	w := x.Watermark()
+	for j, p := range ps {
+		acks[slots[j]] = Ack{Seq: p.seq, Watermark: w}
 	}
 	return acks, nil
 }
@@ -190,38 +218,14 @@ func (x *Index) ApplyAsync(m Mutation) (Ack, error) {
 // only. Submit-time validation (unknown ops, unparsable documents) is still
 // synchronous and reported per member.
 func (x *Index) ApplyBatchAsync(ms []Mutation) ([]Ack, error) {
-	if len(ms) == 0 {
-		return nil, errEmptyBatch
-	}
-	ps := make([]*preparedMutation, 0, len(ms))
-	acks := make([]Ack, len(ms))
-	slots := make([]int, 0, len(ms))
-	for i, m := range ms {
-		p, err := x.prepare(m)
-		if err != nil {
-			acks[i] = Ack{Err: err}
-			continue
-		}
-		ps = append(ps, p)
-		slots = append(slots, i)
-	}
-	if len(ps) > 0 {
-		x.submitPrepared(ps, false)
-		w := x.Watermark()
-		for j, p := range ps {
-			// p.seq was assigned synchronously by submitPrepared; the rest of
-			// the ack belongs to the committer, which may still be running.
-			acks[slots[j]] = Ack{Seq: p.seq, Watermark: w}
-		}
-	}
-	return acks, nil
+	return x.applyBatch(ms, false)
 }
 
 // Watermark returns the acknowledged-durable watermark: every accepted
 // mutation with a sequence number at or below it has settled (durably
 // applied or definitively rejected). The watermark is session-scoped, like
-// the sequence numbers it bounds; mutations outside the pipeline (Tune,
-// Compact, Reload) do not move it.
+// the sequence numbers it bounds; mutations outside the pipeline (Compact,
+// Reload, auto-promotion) do not move it.
 func (x *Index) Watermark() uint64 { return x.durableMark.Load() }
 
 // LastSeq returns the last assigned mutation sequence number. The gap to
@@ -343,6 +347,7 @@ func (x *Index) commitLocked(ps []*preparedMutation) {
 			err = x.logGroup(recs)
 		}
 		if err != nil {
+			err = fmt.Errorf("%w: %w", ErrNotDurable, err)
 			for _, a := range applied {
 				a.p.ack.Err = err
 			}

@@ -173,7 +173,7 @@ func TestApplyResultPayloads(t *testing.T) {
 		t.Error("optimize without observed load accepted")
 	}
 	idx.WatchLoad()
-	if _, _, err := idx.Query("director.movie.title"); err != nil {
+	if _, _, err := query(idx, KindPath, "director.movie.title"); err != nil {
 		t.Fatal(err)
 	}
 	ack, err = idx.Apply(Mutation{Op: MutOptimize})

@@ -24,18 +24,18 @@ func TestObserveLifecycleEvents(t *testing.T) {
 	o := obs.NewObserver()
 	idx.Observe(o)
 
-	if err := idx.PromoteLabel("title", 2); err != nil {
+	if _, err := idx.Apply(Mutation{Op: MutPromote, Label: "title", K: 2}); err != nil {
 		t.Fatal(err)
 	}
-	if err := idx.AddEdge(1, 2); err != nil {
+	if _, err := idx.Apply(Mutation{Op: MutAddEdge, From: 1, To: 2}); err != nil {
 		t.Fatal(err)
 	}
-	if err := idx.RemoveEdge(1, 2); err != nil {
+	if _, err := idx.Apply(Mutation{Op: MutRemoveEdge, From: 1, To: 2}); err != nil {
 		t.Fatal(err)
 	}
-	idx.Demote(map[string]int{"title": 0})
-	idx.SetRequirements(map[string]int{"title": 1})
-	if _, err := idx.AddDocument(strings.NewReader("<movieDB><movie><title/></movie></movieDB>"), nil); err != nil {
+	mustApply(t, idx, Mutation{Op: MutDemote, Reqs: map[string]int{"title": 0}})
+	mustApply(t, idx, Mutation{Op: MutSetRequirements, Reqs: map[string]int{"title": 1}})
+	if _, err := idx.Apply(Mutation{Op: MutAddDocument, Doc: []byte("<movieDB><movie><title/></movie></movieDB>")}); err != nil {
 		t.Fatal(err)
 	}
 	if _, _, err := idx.Compact(); err != nil {
@@ -84,7 +84,7 @@ func TestObserveAutoPromoteEvent(t *testing.T) {
 	idx.SetAutoPromote(1)
 
 	// The label-split index validates this query, firing promotion at once.
-	if _, stats, err := idx.Query("director.movie.title"); err != nil {
+	if _, stats, err := query(idx, KindPath, "director.movie.title"); err != nil {
 		t.Fatal(err)
 	} else if stats.Validations == 0 {
 		t.Fatal("expected a validating query to trigger auto-promotion")
@@ -94,7 +94,7 @@ func TestObserveAutoPromoteEvent(t *testing.T) {
 		t.Fatalf("auto_promote events = %d, want 1 (%v)", counts[obs.EventAutoPromote], counts)
 	}
 	// Repeating the query now answers soundly from the summary.
-	if _, stats, err := idx.Query("director.movie.title"); err != nil {
+	if _, stats, err := query(idx, KindPath, "director.movie.title"); err != nil {
 		t.Fatal(err)
 	} else if stats.Validations != 0 {
 		t.Error("query still validates after auto-promotion")
@@ -118,7 +118,7 @@ func TestObserveReloadEvent(t *testing.T) {
 		t.Fatalf("codec_reload events = %d, want 1", counts[obs.EventCodecReload])
 	}
 	// The reloaded graphs must be observed too: a promotion still emits.
-	if err := idx.PromoteLabel("title", 1); err != nil {
+	if _, err := idx.Apply(Mutation{Op: MutPromote, Label: "title", K: 1}); err != nil {
 		t.Fatal(err)
 	}
 	if counts := eventTypes(o.Events.Recent(0)); counts[obs.EventPromote] != 1 {
@@ -142,18 +142,18 @@ func TestObservedCostBitIdentical(t *testing.T) {
 	runAll := func(x *Index) []result {
 		var out []result
 		for _, q := range []string{"director.movie.title", "name", "movieDB.movie"} {
-			res, stats, err := x.Query(q)
+			res, stats, err := query(x, KindPath, q)
 			if err != nil {
 				t.Fatal(err)
 			}
 			out = append(out, result{res, stats})
 		}
-		res, stats, err := x.QueryRPE("movieDB//name")
+		res, stats, err := query(x, KindRPE, "movieDB//name")
 		if err != nil {
 			t.Fatal(err)
 		}
 		out = append(out, result{res, stats})
-		res, stats, err = x.QueryTwig("movie[actor.name].title")
+		res, stats, err = query(x, KindTwig, "movie[actor.name].title")
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -182,14 +182,14 @@ func TestObserveMetricsExposition(t *testing.T) {
 	o := obs.NewObserver()
 	idx.Observe(o)
 
-	if _, _, err := idx.Query("director.movie.title"); err != nil {
+	if _, _, err := query(idx, KindPath, "director.movie.title"); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := idx.Query(""); err == nil {
+	if _, _, err := query(idx, KindPath, ""); err == nil {
 		t.Fatal("empty query accepted")
 	}
 	// One dangling IDREF in the grafted document.
-	if _, err := idx.AddDocument(strings.NewReader(`<movieDB><actor movieref="nosuch"><name/></actor></movieDB>`), nil); err != nil {
+	if _, err := idx.Apply(Mutation{Op: MutAddDocument, Doc: []byte(`<movieDB><actor movieref="nosuch"><name/></actor></movieDB>`)}); err != nil {
 		t.Fatal(err)
 	}
 
@@ -259,10 +259,10 @@ func TestObserveBuildMetrics(t *testing.T) {
 	o := obs.NewObserver()
 	idx.Observe(o)
 
-	if err := idx.SetRequirements(map[string]int{"title": 2}); err != nil {
+	if _, err := idx.Apply(Mutation{Op: MutSetRequirements, Reqs: map[string]int{"title": 2}}); err != nil {
 		t.Fatal(err)
 	}
-	if err := idx.Demote(map[string]int{"title": 1}); err != nil {
+	if _, err := idx.Apply(Mutation{Op: MutDemote, Reqs: map[string]int{"title": 1}}); err != nil {
 		t.Fatal(err)
 	}
 

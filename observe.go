@@ -94,19 +94,13 @@ func (x *Index) emit(e obs.Event) {
 	x.syncGauges()
 }
 
-// observeBuild records a completed construction job — Optimize, retune,
-// compaction, demotion, subgraph addition — into the observer's build
-// metrics and publishes its span as a lifecycle event. Callers hold mu and
-// have already published the snapshot carrying dk. No-op when unobserved or
-// when dk carries no construction statistics (clones, decoded snapshots).
-func (x *Index) observeBuild(trigger string, dk *core.DK) {
-	x.observeBuildStats(trigger, dk.Stats, dk.IG.NumNodes())
-}
-
-// observeBuildStats is observeBuild for callers that captured the statistics
-// and node count separately — the group-commit path, whose per-mutation
-// states are intermediate and may no longer be the published one by the time
-// the batch reports. No-op when unobserved or when the statistics are empty.
+// observeBuildStats records a completed construction job — optimize,
+// set_requirements, compaction, demotion, subgraph addition — into the
+// observer's build metrics and publishes its span as a lifecycle event. The
+// statistics and node count are passed by value because the group-commit
+// path's per-mutation states are intermediate and may no longer be the
+// published one by the time the batch reports. Callers hold mu. No-op when
+// unobserved or when the statistics are empty (clones, decoded snapshots).
 func (x *Index) observeBuildStats(trigger string, st core.BuildStats, nodesAfter int) {
 	if x.observer == nil || st.Total == 0 {
 		return

@@ -2,7 +2,6 @@ package dkindex
 
 import (
 	"math/rand"
-	"strings"
 	"testing"
 	"testing/quick"
 
@@ -30,29 +29,31 @@ func TestQuickPostingListsSurviveLifecycle(t *testing.T) {
 				u := NodeID(rng.Intn(g.NumNodes()))
 				v := NodeID(rng.Intn(g.NumNodes()))
 				if u != v && v != g.Root() && !g.HasEdge(u, v) {
-					if err := idx.AddEdge(u, v); err != nil {
+					if _, err := idx.Apply(Mutation{Op: MutAddEdge, From: u, To: v}); err != nil {
 						return false
 					}
 				}
 			case 1:
 				u := NodeID(rng.Intn(g.NumNodes()))
 				for _, v := range g.Children(u) {
-					if err := idx.RemoveEdge(u, v); err != nil {
+					if _, err := idx.Apply(Mutation{Op: MutRemoveEdge, From: u, To: v}); err != nil {
 						return false
 					}
 					break
 				}
 			case 2:
 				doc := `<movieDB><director><movie><title/></movie></director></movieDB>`
-				if _, err := idx.AddDocument(strings.NewReader(doc), nil); err != nil {
+				if _, err := idx.Apply(Mutation{Op: MutAddDocument, Doc: []byte(doc)}); err != nil {
 					return false
 				}
 			case 3:
-				if err := idx.PromoteLabel("title", 1+rng.Intn(3)); err != nil {
+				if _, err := idx.Apply(Mutation{Op: MutPromote, Label: "title", K: 1 + rng.Intn(3)}); err != nil {
 					return false
 				}
 			case 4:
-				idx.Demote(map[string]int{"title": rng.Intn(2)})
+				if _, err := idx.Apply(Mutation{Op: MutDemote, Reqs: map[string]int{"title": rng.Intn(2)}}); err != nil {
+					return false
+				}
 			case 5:
 				if _, _, err := idx.Compact(); err != nil {
 					return false
@@ -66,7 +67,7 @@ func TestQuickPostingListsSurviveLifecycle(t *testing.T) {
 			return false
 		}
 		for _, qs := range []string{"director.movie.title", "movie.title", "actor.name"} {
-			res, _, err := idx.Query(qs)
+			res, _, err := query(idx, KindPath, qs)
 			if err != nil {
 				return false
 			}

@@ -161,10 +161,11 @@ func (r *Result) ParkBody(body []byte) {
 	r.entry.body.Store(&parkedBody{listed: r.listed, bytes: append([]byte(nil), body...)})
 }
 
-// Run evaluates one query against the current snapshot. It is safe for any
-// number of concurrent callers, also concurrently with mutations: the
-// snapshot is resolved once, so the result is consistent even while an
-// update publishes a successor mid-query.
+// Run evaluates one query against the current snapshot. Results are exact
+// (validation against the data removes the index's false positives) and
+// sorted. It is safe for any number of concurrent callers, also concurrently
+// with mutations: the snapshot is resolved once, so the result is consistent
+// even while an update publishes a successor mid-query.
 func (x *Index) Run(req Request) (Result, error) {
 	return x.runOn(x.handle.Load(), req)
 }
@@ -358,38 +359,4 @@ func (s *snapshot) hit(cr *cachedResult, req Request) Result {
 	}
 	res.Nodes = append([]NodeID(nil), cr.nodes[:n]...)
 	return res
-}
-
-// Query evaluates a simple dotted label path ("director.movie.title") with
-// partial-match semantics: a node matches if some node path ending in it
-// spells the query. Results are exact (validation removes index false
-// positives) and sorted.
-//
-// Deprecated: use Run with KindPath, which also reports cache and snapshot
-// metadata. Query remains as a thin wrapper.
-func (x *Index) Query(path string) ([]NodeID, QueryStats, error) {
-	res, err := x.Run(Request{Kind: KindPath, Text: path})
-	return res.Nodes, res.Stats, err
-}
-
-// QueryRPE evaluates a regular path expression
-// (l, _, R.R, R|R, (R), R?, R*, and the a//b descendant shorthand).
-// Results are exact and sorted.
-//
-// Deprecated: use Run with KindRPE.
-func (x *Index) QueryRPE(expr string) ([]NodeID, QueryStats, error) {
-	res, err := x.Run(Request{Kind: KindRPE, Text: expr})
-	return res.Nodes, res.Stats, err
-}
-
-// QueryTwig evaluates a branching path query such as
-// "movie[actor.name].title" — titles of movies having an actor child with a
-// name. Results are exact: on an F&B index they come straight off the
-// summary; on this adaptive index they are validated against the data
-// (backward bisimilarity cannot certify child existence).
-//
-// Deprecated: use Run with KindTwig.
-func (x *Index) QueryTwig(q string) ([]NodeID, QueryStats, error) {
-	res, err := x.Run(Request{Kind: KindTwig, Text: q})
-	return res.Nodes, res.Stats, err
 }

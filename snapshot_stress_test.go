@@ -191,7 +191,7 @@ func TestSnapshotStressConcurrent(t *testing.T) {
 				u := NodeID(rng.Intn(g.NumNodes()))
 				v := NodeID(rng.Intn(g.NumNodes()))
 				if u != v && v != g.Root() {
-					if err := idx.AddEdge(u, v); err != nil {
+					if _, err := idx.Apply(Mutation{Op: MutAddEdge, From: u, To: v}); err != nil {
 						t.Errorf("writer: AddEdge: %v", err)
 						return
 					}
@@ -200,7 +200,7 @@ func TestSnapshotStressConcurrent(t *testing.T) {
 				u := NodeID(rng.Intn(g.NumNodes()))
 				if ch := g.Children(u); len(ch) > 0 {
 					if v := ch[rng.Intn(len(ch))]; v != g.Root() {
-						if err := idx.RemoveEdge(u, v); err != nil {
+						if _, err := idx.Apply(Mutation{Op: MutRemoveEdge, From: u, To: v}); err != nil {
 							t.Errorf("writer: RemoveEdge: %v", err)
 							return
 						}
@@ -208,19 +208,19 @@ func TestSnapshotStressConcurrent(t *testing.T) {
 				}
 			case 3:
 				name := g.Labels().Name(graph.LabelID(rng.Intn(g.Labels().Len())))
-				if err := idx.PromoteLabel(name, 1+rng.Intn(3)); err != nil {
+				if _, err := idx.Apply(Mutation{Op: MutPromote, Label: name, K: 1 + rng.Intn(3)}); err != nil {
 					t.Errorf("writer: PromoteLabel: %v", err)
 					return
 				}
 			case 4:
-				if _, err := idx.AddDocument(strings.NewReader(genDoc), nil); err != nil {
+				if _, err := idx.Apply(Mutation{Op: MutAddDocument, Doc: []byte(genDoc)}); err != nil {
 					t.Errorf("writer: AddDocument: %v", err)
 					return
 				}
 			case 5:
 				// The recorder may have been reset by a racing Reload;
 				// an empty-load refusal is fine, anything else is not.
-				if _, err := idx.Optimize(0); err != nil &&
+				if _, err := idx.Apply(Mutation{Op: MutOptimize}); err != nil &&
 					!strings.Contains(err.Error(), "no observed load") {
 					t.Errorf("writer: Optimize: %v", err)
 					return

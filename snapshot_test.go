@@ -2,52 +2,8 @@ package dkindex
 
 import (
 	"bytes"
-	"strings"
 	"testing"
 )
-
-// TestRunMatchesWrappers proves the deprecated per-kind methods are thin
-// views over Run: same nodes, same cost.
-func TestRunMatchesWrappers(t *testing.T) {
-	idx := open(t)
-	for _, tc := range []struct {
-		kind Kind
-		text string
-		via  func() ([]NodeID, QueryStats, error)
-	}{
-		{KindPath, "director.movie.title", func() ([]NodeID, QueryStats, error) { return idx.Query("director.movie.title") }},
-		{KindRPE, "director//title", func() ([]NodeID, QueryStats, error) { return idx.QueryRPE("director//title") }},
-		{KindTwig, "movie[title]", func() ([]NodeID, QueryStats, error) { return idx.QueryTwig("movie[title]") }},
-	} {
-		res, err := idx.Run(Request{Kind: tc.kind, Text: tc.text})
-		if err != nil {
-			t.Fatalf("%s: %v", tc.kind, err)
-		}
-		nodes, stats, err := tc.via()
-		if err != nil {
-			t.Fatalf("%s wrapper: %v", tc.kind, err)
-		}
-		if len(nodes) != len(res.Nodes) || stats != res.Stats {
-			t.Errorf("%s: wrapper (%v, %+v) != Run (%v, %+v)", tc.kind, nodes, stats, res.Nodes, res.Stats)
-		}
-		for i := range nodes {
-			if nodes[i] != res.Nodes[i] {
-				t.Errorf("%s: node %d differs", tc.kind, i)
-			}
-		}
-		if res.Total != len(res.Nodes) {
-			t.Errorf("%s: Total %d != len(Nodes) %d with no limit", tc.kind, res.Total, len(res.Nodes))
-		}
-	}
-	// An empty kind means path.
-	res, err := idx.Run(Request{Text: "director.movie.title"})
-	if err != nil || res.Total != 2 {
-		t.Errorf("default kind: %v, total %d", err, res.Total)
-	}
-	if _, err := idx.Run(Request{Kind: "nope", Text: "a"}); err == nil {
-		t.Error("unknown kind accepted")
-	}
-}
 
 func TestRunLimit(t *testing.T) {
 	idx := open(t)
@@ -158,21 +114,21 @@ func TestCacheInvalidationOnEveryMutation(t *testing.T) {
 		return res.Generation
 	}
 
+	apply := func(m Mutation) func() error {
+		return func() error { _, err := idx.Apply(m); return err }
+	}
 	mutations := []struct {
 		name string
 		op   func() error
 	}{
-		{"AddEdge", func() error { return idx.AddEdge(0, 5) }},
-		{"RemoveEdge", func() error { return idx.RemoveEdge(0, 5) }},
-		{"AddDocument", func() error {
-			_, err := idx.AddDocument(strings.NewReader("<movieDB><movie><title/></movie></movieDB>"), nil)
-			return err
-		}},
-		{"PromoteLabel", func() error { return idx.PromoteLabel("title", 2) }},
-		{"Demote", func() error { idx.Demote(map[string]int{"title": 1}); return nil }},
-		{"SetRequirements", func() error { idx.SetRequirements(map[string]int{"title": 2}); return nil }},
+		{"add_edge", apply(Mutation{Op: MutAddEdge, From: 0, To: 5})},
+		{"remove_edge", apply(Mutation{Op: MutRemoveEdge, From: 0, To: 5})},
+		{"add_document", apply(Mutation{Op: MutAddDocument, Doc: []byte("<movieDB><movie><title/></movie></movieDB>")})},
+		{"promote", apply(Mutation{Op: MutPromote, Label: "title", K: 2})},
+		{"demote", apply(Mutation{Op: MutDemote, Reqs: map[string]int{"title": 1}})},
+		{"set_requirements", apply(Mutation{Op: MutSetRequirements, Reqs: map[string]int{"title": 2}})},
 		{"Tune", func() error { return idx.Tune(20, 1) }},
-		{"Optimize", func() error { _, err := idx.Optimize(0); return err }},
+		{"optimize", apply(Mutation{Op: MutOptimize})},
 		{"Compact", func() error { _, _, err := idx.Compact(); return err }},
 		{"Reload", func() error { return idx.Reload(bytes.NewReader(saved.Bytes())) }},
 	}
@@ -258,7 +214,7 @@ func TestSnapshotIsolationAcrossMutation(t *testing.T) {
 		t.Fatal(err)
 	}
 	doc := "<movieDB><genre><movie><title/></movie></genre></movieDB>"
-	if _, err := idx.AddDocument(strings.NewReader(doc), nil); err != nil {
+	if _, err := idx.Apply(Mutation{Op: MutAddDocument, Doc: []byte(doc)}); err != nil {
 		t.Fatal(err)
 	}
 	// The held result still resolves labels against its own snapshot.

@@ -558,50 +558,19 @@ func (s *Store) Close() error {
 	return nil
 }
 
-// applyRecord re-applies one write-ahead record during recovery. The journal
-// is not yet attached, so replayed mutations are not re-logged.
+// applyRecord re-applies one write-ahead record during recovery, through the
+// same record-to-Mutation table and the same Apply a replica uses on shipped
+// records. The journal is not yet attached, so replayed mutations are not
+// re-logged.
 func (s *Store) applyRecord(r wal.Record) error {
-	switch r.Op {
-	case opEdgeAdd:
-		from, to, err := decodeEdgePayload(r.Payload)
-		if err != nil {
-			return err
-		}
-		return s.idx.AddEdge(from, to)
-	case opEdgeRemove:
-		from, to, err := decodeEdgePayload(r.Payload)
-		if err != nil {
-			return err
-		}
-		return s.idx.RemoveEdge(from, to)
-	case opDocument:
-		opts, raw, err := decodeDocumentPayload(r.Payload)
-		if err != nil {
-			return err
-		}
-		_, err = s.idx.AddDocument(bytes.NewReader(raw), opts)
-		return err
-	case opPromote:
-		label, k, err := decodePromotePayload(r.Payload)
-		if err != nil {
-			return err
-		}
-		return s.idx.PromoteLabel(label, k)
-	case opDemote:
-		reqs, err := decodeReqsPayload(r.Payload)
-		if err != nil {
-			return err
-		}
-		return s.idx.Demote(reqs)
-	case opSetReqs:
-		reqs, err := decodeReqsPayload(r.Payload)
-		if err != nil {
-			return err
-		}
-		return s.idx.SetRequirements(reqs)
-	case opCompact:
+	if IsCompactRecord(r.Op) {
 		_, _, err := s.idx.Compact()
 		return err
 	}
-	return fmt.Errorf("dkindex: unknown wal op %d (record %d)", r.Op, r.Seq)
+	m, err := DecodeWALMutation(r.Op, r.Payload)
+	if err != nil {
+		return fmt.Errorf("record %d: %w", r.Seq, err)
+	}
+	_, err = s.idx.Apply(m)
+	return err
 }

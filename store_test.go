@@ -47,22 +47,29 @@ const extraDocXML = `<extras><movie id="m9"><title/><year/></movie></extras>`
 
 // storeSteps is the deterministic mutation battery the durability tests run:
 // one of every journaled operation, exercising extent splits, decay, grafts,
-// rebuilds and compaction.
+// rebuilds and compaction, and the two operations that reach the log as a
+// set_requirements record they mined themselves (Tune, optimize).
 func storeSteps(tb testing.TB) []func(*Index) error {
 	edge := func(x *Index) (NodeID, NodeID) {
 		return nodeWithLabel(tb, x, "director", 0), nodeWithLabel(tb, x, "title", 1)
 	}
+	apply := func(x *Index, m Mutation) error { _, err := x.Apply(m); return err }
 	return []func(*Index) error{
-		func(x *Index) error { return x.SetRequirements(map[string]int{"title": 2, "name": 1}) },
-		func(x *Index) error { f, t := edge(x); return x.AddEdge(f, t) },
-		func(x *Index) error { return x.PromoteLabel("title", 2) },
-		func(x *Index) error { _, err := x.AddDocument(strings.NewReader(extraDocXML), nil); return err },
 		func(x *Index) error {
-			return x.AddEdge(nodeWithLabel(tb, x, "actor", 0), nodeWithLabel(tb, x, "year", 0))
+			return apply(x, Mutation{Op: MutSetRequirements, Reqs: map[string]int{"title": 2, "name": 1}})
 		},
-		func(x *Index) error { return x.Demote(map[string]int{"title": 1, "name": 1}) },
-		func(x *Index) error { f, t := edge(x); return x.RemoveEdge(f, t) },
-		func(x *Index) error { return x.PromoteLabel("name", 1) },
+		func(x *Index) error { f, t := edge(x); return apply(x, Mutation{Op: MutAddEdge, From: f, To: t}) },
+		func(x *Index) error { return apply(x, Mutation{Op: MutPromote, Label: "title", K: 2}) },
+		func(x *Index) error { return apply(x, Mutation{Op: MutAddDocument, Doc: []byte(extraDocXML)}) },
+		func(x *Index) error {
+			return apply(x, Mutation{Op: MutAddEdge,
+				From: nodeWithLabel(tb, x, "actor", 0), To: nodeWithLabel(tb, x, "year", 0)})
+		},
+		func(x *Index) error {
+			return apply(x, Mutation{Op: MutDemote, Reqs: map[string]int{"title": 1, "name": 1}})
+		},
+		func(x *Index) error { f, t := edge(x); return apply(x, Mutation{Op: MutRemoveEdge, From: f, To: t}) },
+		func(x *Index) error { return apply(x, Mutation{Op: MutPromote, Label: "name", K: 1}) },
 		func(x *Index) error { _, _, err := x.Compact(); return err },
 		// A group commit: three mutations land as one WAL group frame, so the
 		// sweep also crashes inside the frame's write and fsync — recovery
@@ -83,6 +90,20 @@ func storeSteps(tb testing.TB) []func(*Index) error {
 				}
 			}
 			return nil
+		},
+		// Tune mines a seeded load and sends what it mined through the write
+		// pipeline: recovery sees one set_requirements record.
+		func(x *Index) error { return x.Tune(40, 7) },
+		// Optimize mines the load observed since WatchLoad and logs what it
+		// mined the same way.
+		func(x *Index) error {
+			x.WatchLoad()
+			for _, q := range []string{"director.movie.title", "movieDB.actor.name", "director.movie.title"} {
+				if _, err := x.Run(Request{Text: q}); err != nil {
+					return err
+				}
+			}
+			return apply(x, Mutation{Op: MutOptimize})
 		},
 	}
 }
@@ -235,7 +256,7 @@ func TestStoreCrashPointSweep(t *testing.T) {
 					t.Fatalf("crash at op %d (%d acked): recovered state differs", n, acked)
 				}
 				// The recovered store accepts new work.
-				if err := st.Index().PromoteLabel("director", 1); err != nil {
+				if _, err := st.Index().Apply(Mutation{Op: MutPromote, Label: "director", K: 1}); err != nil {
 					t.Fatalf("crash at op %d: post-recovery mutation failed: %v", n, err)
 				}
 				if err := st.Close(); err != nil {
@@ -262,8 +283,8 @@ func TestStoreFailedAppendAbortsMutation(t *testing.T) {
 
 	// The next write (the WAL append) fails; the filesystem stays alive.
 	fs.FailAt(1, faultfs.ModeError)
-	if err := idx.PromoteLabel("title", 2); err == nil {
-		t.Fatal("mutation acknowledged despite failed WAL append")
+	if _, err := idx.Apply(Mutation{Op: MutPromote, Label: "title", K: 2}); !errors.Is(err, ErrNotDurable) {
+		t.Fatalf("mutation over a failed WAL append = %v, want ErrNotDurable", err)
 	}
 	if got := fingerprint(t, idx); got != before {
 		t.Error("aborted mutation changed the served state")
@@ -273,7 +294,7 @@ func TestStoreFailedAppendAbortsMutation(t *testing.T) {
 	}
 
 	// The log rolled back to a record boundary, so the next mutation lands.
-	if err := idx.PromoteLabel("title", 2); err != nil {
+	if _, err := idx.Apply(Mutation{Op: MutPromote, Label: "title", K: 2}); err != nil {
 		t.Fatalf("mutation after aborted append failed: %v", err)
 	}
 	fs.Crash()
@@ -329,7 +350,7 @@ func TestStoreClosedRejectsMutations(t *testing.T) {
 		t.Errorf("Checkpoint after Close = %v, want ErrStoreClosed", err)
 	}
 	// The index detaches and keeps working in memory.
-	if err := idx.PromoteLabel("title", 1); err != nil {
+	if _, err := idx.Apply(Mutation{Op: MutPromote, Label: "title", K: 1}); err != nil {
 		t.Errorf("detached index rejected mutation: %v", err)
 	}
 }
@@ -346,7 +367,7 @@ func TestStorePruneKeepsRetention(t *testing.T) {
 	}
 	defer st.Close()
 	for i := 0; i < 5; i++ {
-		if err := idx.PromoteLabel("title", i%3); err != nil {
+		if _, err := idx.Apply(Mutation{Op: MutPromote, Label: "title", K: i % 3}); err != nil {
 			t.Fatal(err)
 		}
 		if err := st.Checkpoint(); err != nil {
@@ -399,7 +420,7 @@ func TestStoreOSRoundTrip(t *testing.T) {
 		t.Errorf("clean on-disk store reported damage: %+v", rep)
 	}
 	// And it keeps accepting work across another cycle.
-	if err := st.Index().PromoteLabel("director", 1); err != nil {
+	if _, err := st.Index().Apply(Mutation{Op: MutPromote, Label: "director", K: 1}); err != nil {
 		t.Fatal(err)
 	}
 	if err := st.Checkpoint(); err != nil {

@@ -55,7 +55,7 @@ func TestStressLongHaul(t *testing.T) {
 		switch r := rng.Intn(100); {
 		case r < 70: // query, checked against truth
 			q := randomQuery()
-			res, _, err := idx.Query(q.Format(g.Labels()))
+			res, _, err := query(idx, KindPath, q.Format(g.Labels()))
 			if err != nil {
 				t.Fatalf("op %d: %v", i, err)
 			}
@@ -68,7 +68,7 @@ func TestStressLongHaul(t *testing.T) {
 			u := NodeID(rng.Intn(g.NumNodes()))
 			v := NodeID(rng.Intn(g.NumNodes()))
 			if u != v && v != g.Root() {
-				if err := idx.AddEdge(u, v); err != nil {
+				if _, err := idx.Apply(Mutation{Op: MutAddEdge, From: u, To: v}); err != nil {
 					t.Fatal(err)
 				}
 				updates++
@@ -77,7 +77,7 @@ func TestStressLongHaul(t *testing.T) {
 			u := NodeID(rng.Intn(g.NumNodes()))
 			if ch := g.Children(u); len(ch) > 0 {
 				if v := ch[rng.Intn(len(ch))]; v != g.Root() {
-					if err := idx.RemoveEdge(u, v); err != nil {
+					if _, err := idx.Apply(Mutation{Op: MutRemoveEdge, From: u, To: v}); err != nil {
 						t.Fatal(err)
 					}
 					updates++
@@ -90,18 +90,18 @@ func TestStressLongHaul(t *testing.T) {
 			if err := datagen.XMark(cfg).WriteXML(&extra); err != nil {
 				t.Fatal(err)
 			}
-			if _, err := idx.AddDocument(&extra, nil); err != nil {
+			if _, err := idx.Apply(Mutation{Op: MutAddDocument, Doc: extra.Bytes()}); err != nil {
 				t.Fatal(err)
 			}
 			updates++
 		case r < 98: // promote a random label
 			name := g.Labels().Name(graph.LabelID(rng.Intn(g.Labels().Len())))
-			if err := idx.PromoteLabel(name, 1+rng.Intn(3)); err != nil {
+			if _, err := idx.Apply(Mutation{Op: MutPromote, Label: name, K: 1 + rng.Intn(3)}); err != nil {
 				// Unknown labels cannot happen here; any error is real.
 				t.Fatal(err)
 			}
 		default: // demote everything a notch
-			idx.Demote(map[string]int{})
+			mustApply(t, idx, Mutation{Op: MutDemote, Reqs: map[string]int{}})
 		}
 
 		if i%500 == 499 {
