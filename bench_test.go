@@ -89,8 +89,8 @@ func benchDblp(b *testing.B) *experiments.Dataset {
 // rounds), and the load-tuned D(k)-index (Algorithms 1+2). These are the
 // build-pipeline headline benchmarks: every facade mutation that rebuilds
 // (Tune, SetRequirements, Optimize, Compact) pays exactly these paths, so
-// construction latency is mutation-publish latency. `make bench5` records
-// the trio for XMark, NASA and DBLP in BENCH_5.txt/BENCH_5.json.
+// construction latency is mutation-publish latency. Run the trio for XMark,
+// NASA and DBLP with `go test -run '^$' -bench 'BenchmarkBuild' -benchmem .`.
 func benchBuild(b *testing.B, ds *experiments.Dataset) {
 	b.Helper()
 	reqs := ds.W.Requirements()
@@ -132,8 +132,8 @@ func BenchmarkBuildDblp(b *testing.B) { benchBuild(b, benchDblp(b)) }
 // benchMemFootprint measures the succinct-set memory experiment on one
 // dataset and reports the D(k) row's headline numbers — resident and raw set
 // bytes, the compression ratio, and resident bytes per data node — as custom
-// metrics. `make bench6` records all three datasets alongside the query
-// throughput benchmark in BENCH_6.txt/BENCH_6.json.
+// metrics. Run all three datasets with
+// `go test -run '^$' -bench 'BenchmarkMemFootprint' .`.
 func benchMemFootprint(b *testing.B, ds *experiments.Dataset) {
 	b.Helper()
 	var rows []experiments.MemRow
@@ -614,7 +614,7 @@ func BenchmarkQueryTwigDK(b *testing.B) {
 // path/RPE/twig load over the tuned XMark D(k)-index, driven from all CPUs
 // via RunParallel the way dkserve drives it under concurrent traffic. Future
 // PRs quote this number; run with -benchmem to watch allocation churn too
-// (`make bench` records it in BENCH_1.txt/.json).
+// (`make bench-guard` holds its B/op and allocs/op to the recorded baseline).
 //
 // Query fast-path overhaul (DK_BENCH_SCALE=1.0, -benchtime 2s, same machine):
 //
@@ -657,10 +657,9 @@ func BenchmarkQueryThroughput(b *testing.B) {
 // full observability stack attached the way the facade wires it — per-kind
 // counters and histograms, cost sampling, and 1-in-64 query tracing (the
 // dkserve default). The gap to BenchmarkQueryThroughput is the
-// instrumentation overhead; `make bench2` records the pair in
-// BENCH_2.txt/BENCH_2.json. Machine noise exceeds the effect in single runs,
-// so compare per-run minimums across repetitions (BENCHCOUNT=10): recorded
-// there as 1.13 -> 1.15 ms/op (~2%), identical B/op and allocs/op.
+// instrumentation overhead. Machine noise exceeds the effect in single runs,
+// so compare per-run minimums across repetitions (-count 10): recorded when
+// it landed as 1.13 -> 1.15 ms/op (~2%), identical B/op and allocs/op.
 func BenchmarkQueryThroughputInstrumented(b *testing.B) {
 	ds := benchXMark(b)
 	dk := core.Build(ds.G, ds.W.Requirements())
@@ -745,8 +744,8 @@ func benchSnapshotFacade(b *testing.B) (*Index, []Request) {
 // resolution, generation-keyed result cache, stat copy-out — one request at
 // a time. The pair with BenchmarkSnapshotQueryParallel is the PR 3 headline:
 // queries take no lock, so the parallel variant should approach a per-core
-// multiple of this one on multicore hardware (`make bench3` records both in
-// BENCH_3.txt/BENCH_3.json; on a single-core container the two converge).
+// multiple of this one on multicore hardware (unmeasured: on a single-core
+// container the two converge).
 func BenchmarkSnapshotQuerySerial(b *testing.B) {
 	idx, reqs := benchSnapshotFacade(b)
 	b.ResetTimer()

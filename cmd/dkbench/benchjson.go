@@ -106,10 +106,17 @@ func benchToJSON(r io.Reader, w io.Writer) error {
 	return enc.Encode(rep)
 }
 
-// guardedUnits are the per-iteration measurements benchGuard compares. Bytes
-// are guarded beside time because they repeat exactly on a shared host where
-// times do not: an allocation regression shows in B/op at any noise level.
-var guardedUnits = []string{"ns/op", "B/op"}
+// guardUnits are the per-iteration measurements benchGuard compares. Bytes
+// and allocation counts repeat to a few percent on a shared host and are
+// gated; times do not (an untouched commit has read +8..182% against its own
+// baseline), so infoUnit is printed with its delta and never fails the guard.
+var guardUnits = []string{"B/op", "allocs/op", infoUnit}
+
+const infoUnit = "ns/op"
+
+// maxRegressPct is how far the best current run of a gated unit may exceed
+// the best baseline run, in percent.
+const maxRegressPct = 10
 
 // bestPerOp collapses repeated runs of each benchmark to the lowest value of
 // one unit — the most noise-resistant summary a single machine gives
@@ -130,12 +137,14 @@ func bestPerOp(rep benchReport, unit string) map[string]float64 {
 }
 
 // benchGuard compares `go test -bench` text on r against a recorded baseline
-// JSON report: for every benchmark present in both, the lowest current ns/op
-// and B/op must not exceed the lowest baseline value by more than maxPct
-// percent. Returns an error listing every regression; benchmarks and units
-// present on only one side are ignored (the baseline scopes what is guarded,
-// and a baseline recorded without -benchmem guards time alone).
-func benchGuard(baseline io.Reader, r io.Reader, w io.Writer, maxPct float64) error {
+// JSON report. The baseline scopes the guard: every benchmark in it must have
+// a result in the current run (one that failed or was renamed prints no line,
+// and that is a failure naming it), and its lowest current B/op and allocs/op
+// must not exceed the lowest baseline value by more than maxRegressPct
+// percent. ns/op is printed beside them as an info row. Benchmarks only the
+// current run has are ignored. Returns an error listing every failure; a
+// baseline with no gated unit at all guards nothing and is an error too.
+func benchGuard(baseline io.Reader, r io.Reader, w io.Writer) error {
 	var base benchReport
 	if err := json.NewDecoder(baseline).Decode(&base); err != nil {
 		return fmt.Errorf("parse baseline: %w", err)
@@ -144,38 +153,64 @@ func benchGuard(baseline io.Reader, r io.Reader, w io.Writer, maxPct float64) er
 	if err != nil {
 		return err
 	}
-	compared := 0
-	var failures []string
-	for _, unit := range guardedUnits {
-		baseBest, curBest := bestPerOp(base, unit), bestPerOp(cur, unit)
-		names := make([]string, 0, len(baseBest))
-		for name := range baseBest {
-			if _, ok := curBest[name]; ok {
-				names = append(names, name)
-			}
+	ran := map[string]bool{}
+	for _, res := range cur.Results {
+		ran[res.Name] = true
+	}
+	inBase := map[string]bool{}
+	for _, res := range base.Results {
+		inBase[res.Name] = true
+	}
+	var names, failures []string // names: the baseline's benchmarks that ran
+	for name := range inBase {
+		if ran[name] {
+			names = append(names, name)
+		} else {
+			failures = append(failures, name+": in the baseline, no result line in the current run")
 		}
-		sort.Strings(names)
-		compared += len(names)
+	}
+	sort.Strings(names)
+	sort.Strings(failures)
+
+	gated := 0
+	for _, unit := range guardUnits {
+		baseBest, curBest := bestPerOp(base, unit), bestPerOp(cur, unit)
+		if unit != infoUnit {
+			gated += len(baseBest)
+		}
 		for _, name := range names {
-			b, c := baseBest[name], curBest[name]
+			b, ok := baseBest[name]
+			if !ok {
+				continue
+			}
+			c, ok := curBest[name]
+			if !ok {
+				if unit != infoUnit {
+					failures = append(failures, fmt.Sprintf("%s: baseline has %s, the current run reports none", name, unit))
+				}
+				continue
+			}
 			delta := 0.0
 			if c != b {
 				delta = (c - b) / b * 100 // +Inf from a zero baseline is a regression
 			}
 			status := "ok"
-			if delta > maxPct {
+			switch {
+			case unit == infoUnit:
+				status = "info"
+			case delta > maxRegressPct:
 				status = "REGRESSION"
-				failures = append(failures, fmt.Sprintf("%s: %.0f -> %.0f %s (%+.1f%% > %.0f%%)", name, b, c, unit, delta, maxPct))
+				failures = append(failures, fmt.Sprintf("%s: %.0f -> %.0f %s (%+.1f%% > %d%%)", name, b, c, unit, delta, maxRegressPct))
 			}
-			fmt.Fprintf(w, "benchguard %-40s baseline %12.0f %-5s  current %12.0f %-5s  %+6.1f%%  %s\n",
+			fmt.Fprintf(w, "benchguard %-40s baseline %12.0f %-9s  current %12.0f %-9s  %+6.1f%%  %s\n",
 				name, b, unit, c, unit, delta, status)
 		}
 	}
-	if compared == 0 {
-		return fmt.Errorf("no benchmark shared between baseline and current run")
+	if gated == 0 {
+		return fmt.Errorf("baseline carries neither B/op nor allocs/op: it guards nothing (record it with -benchmem)")
 	}
 	if len(failures) > 0 {
-		return fmt.Errorf("regression beyond %.0f%%:\n  %s", maxPct, strings.Join(failures, "\n  "))
+		return fmt.Errorf("%d failure(s), threshold %d%%:\n  %s", len(failures), maxRegressPct, strings.Join(failures, "\n  "))
 	}
 	return nil
 }

@@ -1,40 +1,8 @@
-// Command dkbench reproduces the paper's evaluation (Section 6). Each
-// experiment id maps to one table or figure:
-//
-//	fig4      Evaluation cost vs index size, XMark, before updates
-//	fig5      Evaluation cost vs index size, NASA, before updates
-//	tab1      Update efficiency: 100 edge additions, A(1)..A(4) vs D(k)
-//	fig6      Evaluation cost vs index size, XMark, after 100 edge additions
-//	fig7      Evaluation cost vs index size, NASA, after 100 edge additions
-//	ablation  D(k) decay under updates and recovery via promotion
-//	alg4      Algorithm 4 probe vs naive reset on edge addition
-//	build     construction cost: 1-index / A(k) / D(k) build times and counters
-//	mem       set footprint: succinct extents/postings vs raw slices, all datasets
-//	family    full summary family (label-split..F&B) on path and twig loads
-//	docinsert incremental document insertion vs baseline vs rebuild
-//	apex      the APEX workload-aware competitor: cost and update handling
-//	miner     longest-query rule vs budget-aware load mining (not part of
-//	          "all": it builds hundreds of candidate indexes)
-//	serve     end-to-end serving latency: boots the HTTP server and drives it
-//	          with the loadgen harness, closed and open loop, read-only and
-//	          under concurrent edge mutations (not part of "all": wall-clock
-//	          bound, writes BENCH_7.json via -serve-json)
-//	write     write pipeline throughput on a durable store: fsync-per-op vs
-//	          group-committed Apply under concurrent writers and readers
-//	          (not part of "all": wall-clock bound, writes BENCH_8.json via
-//	          -write-json)
-//	repl      replicated serving: a durable primary plus one WAL-shipped read
-//	          replica under write churn — combined read throughput vs primary
-//	          alone and replica lag quantiles (not part of "all": wall-clock
-//	          bound, writes BENCH_9.json via -repl-json)
-//	shard     sharded scatter-gather: merged query throughput and durable
-//	          write throughput at 1/2/4/8 shards vs the monolithic index,
-//	          after a bit-identity audit on XMark, NASA and DBLP corpora
-//	          (not part of "all": wall-clock bound, writes BENCH_10.json via
-//	          -shard-json)
-//	shard-audit  the shard experiment's bit-identity audit alone, XMark only
-//	          — quick enough for CI
-//	all       everything above
+// Command dkbench reproduces the paper's evaluation (Section 6): counted
+// cost — index nodes visited plus data nodes validated — against index size,
+// before and after updates, plus the ablations around it. Each experiment id
+// maps to one table or figure; experimentTable below is the one list of them,
+// and `dkbench -h` prints it.
 //
 // Usage:
 //
@@ -42,6 +10,10 @@
 //
 // Scale 1.0 matches the paper's dataset sizes (about 10 MB XMark / 15 MB
 // NASA); smaller scales run faster with the same qualitative shape.
+//
+// Two more modes read `go test -bench` text on stdin instead of running an
+// experiment: -benchjson parses it to JSON, -benchguard compares it with a
+// recorded baseline (`make bench-baseline` / `make bench-guard`).
 package main
 
 import (
@@ -50,6 +22,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"strings"
 	"time"
 
 	"dkindex/internal/experiments"
@@ -63,41 +36,176 @@ func main() {
 // bail aborts the run; recovered at the top of run.
 type bail struct{ err error }
 
+// env is what an experiment runs against: the flags that shape it, the
+// datasets (generated on first use, shared by every experiment of the run)
+// and where its tables and CSV series go.
+type env struct {
+	stdout            io.Writer
+	scale             float64
+	edges, maxK       int
+	seed              int64
+	csvDir            string
+	xmark, nasa, dblp *experiments.Dataset
+}
+
+func (e *env) cfg() experiments.AfterUpdateConfig {
+	return experiments.AfterUpdateConfig{Edges: e.edges, MaxK: e.maxK, Seed: e.seed}
+}
+
+func (e *env) load(slot **experiments.Dataset, gen func(float64, int64) (*experiments.Dataset, error), scale float64) *experiments.Dataset {
+	if *slot == nil {
+		ds := must(gen(scale, e.seed))
+		fmt.Fprintf(e.stdout, "dataset %s: %s, %d queries (max length %d)\n",
+			ds.Name, ds.G.ComputeStats(), ds.W.Len(), ds.W.MaxLength())
+		*slot = ds
+	}
+	return *slot
+}
+
+func (e *env) loadXMark() *experiments.Dataset {
+	return e.load(&e.xmark, experiments.XMarkDataset, e.scale)
+}
+
+// The paper's NASA file is 1.5x its XMark file.
+func (e *env) loadNasa() *experiments.Dataset {
+	return e.load(&e.nasa, experiments.NasaDataset, e.scale*1.5)
+}
+
+func (e *env) loadDblp() *experiments.Dataset {
+	return e.load(&e.dblp, experiments.DblpDataset, e.scale)
+}
+
+// writeCSV writes one series under -csv; a no-op without the flag.
+func (e *env) writeCSV(name string, f func(w io.Writer) error) {
+	if e.csvDir == "" {
+		return
+	}
+	fp, err := os.Create(filepath.Join(e.csvDir, name))
+	if err == nil {
+		err = f(fp)
+		if cerr := fp.Close(); err == nil {
+			err = cerr
+		}
+	}
+	check(err)
+}
+
+// evalPoints renders one of Figures 4-7 and writes its CSV series.
+func (e *env) evalPoints(id, title string, points []experiments.EvalPoint) {
+	check(experiments.RenderEvalPoints(e.stdout, title, points))
+	e.writeCSV(id+".csv", func(w io.Writer) error { return experiments.WriteEvalPointsCSV(w, points) })
+}
+
+// experimentTable is the one list of experiment ids: the -exp usage text,
+// the members of "all" (run in this order), what an id runs and the ids an
+// unknown one is answered with all come from it.
+var experimentTable = []struct {
+	id, blurb string
+	inAll     bool
+	run       func(e *env)
+}{
+	{"fig4", "Figure 4: evaluation cost vs index size, XMark, before updates", true, func(e *env) {
+		e.evalPoints("fig4", "Figure 4: evaluation performance, Xmark, before updating",
+			must(experiments.EvaluationBeforeUpdate(e.loadXMark(), e.maxK)))
+	}},
+	{"fig5", "Figure 5: evaluation cost vs index size, NASA, before updates", true, func(e *env) {
+		e.evalPoints("fig5", "Figure 5: evaluation performance, Nasa, before updating",
+			must(experiments.EvaluationBeforeUpdate(e.loadNasa(), e.maxK)))
+	}},
+	{"tab1", "Table 1: update efficiency, -edges edge additions, A(1)..A(4) vs D(k)", true, func(e *env) {
+		for _, ds := range []*experiments.Dataset{e.loadXMark(), e.loadNasa()} {
+			rows := must(experiments.UpdateEfficiency(ds, e.cfg()))
+			check(experiments.RenderUpdateRows(e.stdout,
+				fmt.Sprintf("Table 1 (%s): running time of %d edge additions", ds.Name, e.edges), rows))
+			e.writeCSV("tab1_"+strings.ToLower(ds.Name)+".csv",
+				func(w io.Writer) error { return experiments.WriteUpdateRowsCSV(w, rows) })
+		}
+	}},
+	{"fig6", "Figure 6: evaluation cost vs index size, XMark, after -edges edge additions", true, func(e *env) {
+		e.evalPoints("fig6", fmt.Sprintf("Figure 6: evaluation performance, Xmark, after %d edge additions", e.edges),
+			must(experiments.EvaluationAfterUpdate(e.loadXMark(), e.cfg())))
+	}},
+	{"fig7", "Figure 7: evaluation cost vs index size, NASA, after -edges edge additions", true, func(e *env) {
+		e.evalPoints("fig7", fmt.Sprintf("Figure 7: evaluation performance, Nasa, after %d edge additions", e.edges),
+			must(experiments.EvaluationAfterUpdate(e.loadNasa(), e.cfg())))
+	}},
+	{"ablation", "D(k) decay under updates and recovery via promotion", true, func(e *env) {
+		check(experiments.RenderPromoteAblation(e.stdout,
+			"Ablation (Xmark): D(k) decay under updates and recovery via promotion",
+			must(experiments.AblationPromote(e.loadXMark(), e.cfg()))))
+	}},
+	{"apex", "the APEX workload-aware competitor: cost and update handling", true, func(e *env) {
+		check(experiments.RenderApexComparison(e.stdout,
+			"APEX comparison (Xmark): workload-aware competitor, update handling",
+			must(experiments.ApexComparison(e.loadXMark(), e.edges, e.seed))))
+	}},
+	{"docinsert", "incremental document insertion vs baseline vs rebuild", true, func(e *env) {
+		check(experiments.RenderDocInsertion(e.stdout,
+			"Document insertion (Xmark): 5 documents, incremental vs baseline vs rebuild",
+			must(experiments.DocInsertion(e.loadXMark(), 5, e.seed))))
+	}},
+	{"miner", "longest-query rule vs budget-aware load mining; builds hundreds of candidate indexes", false, func(e *env) {
+		check(experiments.RenderMinerAblation(e.stdout,
+			"Ablation (Xmark): longest-query rule vs budget-aware load mining",
+			must(experiments.AblationMiner(e.loadXMark()))))
+	}},
+	{"family", "full summary family (label-split..F&B) on path and twig loads", true, func(e *env) {
+		check(experiments.RenderFamily(e.stdout,
+			"Index family comparison (Xmark): sizes and path/twig costs",
+			must(experiments.FamilyComparison(e.loadXMark(), e.maxK))))
+	}},
+	{"alg4", "Algorithm 4 probe vs naive reset on edge addition", true, func(e *env) {
+		check(experiments.RenderAlg4Ablation(e.stdout,
+			"Ablation (Xmark): Algorithm 4 probe vs naive reset on edge addition",
+			must(experiments.AblationAlg4(e.loadXMark(), e.cfg()))))
+	}},
+	{"mem", "set footprint: succinct extents/postings vs raw slices, all datasets", true, func(e *env) {
+		for _, ds := range []*experiments.Dataset{e.loadXMark(), e.loadNasa(), e.loadDblp()} {
+			rows := experiments.MemoryFootprint(ds, e.maxK)
+			check(experiments.RenderMemRows(e.stdout,
+				fmt.Sprintf("Memory footprint (%s): succinct extents and postings vs raw node slices", ds.Name), rows))
+			e.writeCSV(fmt.Sprintf("mem_%s.csv", ds.Name),
+				func(w io.Writer) error { return experiments.WriteMemRowsCSV(w, rows) })
+		}
+	}},
+	{"build", "construction cost: 1-index / A(k) / D(k) build times and counters", true, func(e *env) {
+		check(experiments.RenderBuildCost(e.stdout,
+			"Construction cost (Xmark): 1-index, A(k), load-tuned D(k)",
+			experiments.ConstructionCost(e.loadXMark(), e.maxK)))
+		check(experiments.RenderBuildCost(e.stdout,
+			"Construction cost (NASA): 1-index, A(k), load-tuned D(k)",
+			experiments.ConstructionCost(e.loadNasa(), e.maxK)))
+	}},
+}
+
+// expUsage is the -exp flag's usage text: one line per id.
+func expUsage() string {
+	var b strings.Builder
+	b.WriteString("experiment `id`:\n")
+	for _, x := range experimentTable {
+		blurb := x.blurb
+		if !x.inAll {
+			blurb += ` (not part of "all")`
+		}
+		fmt.Fprintf(&b, "  %-10s %s\n", x.id, blurb)
+	}
+	fmt.Fprintf(&b, "  %-10s every id above not marked otherwise, in that order", "all")
+	return b.String()
+}
+
 func run(args []string, stdout, stderr io.Writer) (code int) {
 	fs := flag.NewFlagSet("dkbench", flag.ContinueOnError)
 	fs.SetOutput(stderr)
-	var (
-		exp        = fs.String("exp", "all", "experiment: fig4, fig5, tab1, fig6, fig7, ablation, alg4, build, mem, family, docinsert, apex, miner, serve, write, repl, all")
-		scale      = fs.Float64("scale", 1.0, "dataset scale (1.0 = paper size)")
-		edges      = fs.Int("edges", 100, "edge additions for tab1/fig6/fig7/ablation")
-		seed       = fs.Int64("seed", 1, "random seed for workloads and edges")
-		maxK       = fs.Int("maxk", 0, "largest A(k) in the series (0 = longest query length)")
-		csv        = fs.String("csv", "", "also write each series as CSV files under this directory")
-		metrics    = fs.String("metrics", "", "write a Prometheus text snapshot of the run's metrics to this file")
-		benchjson  = fs.Bool("benchjson", false, "read `go test -bench` text on stdin, write a JSON report on stdout, and exit")
-		benchguard = fs.String("benchguard", "", "read `go test -bench` text on stdin, fail if any benchmark in this baseline JSON `file` regressed beyond -maxregress, and exit")
-		maxregress = fs.Float64("maxregress", 10, "benchguard failure threshold: max ns/op or B/op regression vs baseline, percent")
-
-		serveDur    = fs.Duration("serve-dur", 3*time.Second, "serve: measured duration per scenario")
-		serveWarmup = fs.Duration("serve-warmup", 500*time.Millisecond, "serve: unmeasured warmup per scenario")
-		serveConc   = fs.Int("serve-conc", 8, "serve: closed-loop workers / open-loop outstanding bound")
-		serveRate   = fs.Float64("serve-rate", 2000, "serve: open-loop arrival rate, requests per second")
-		serveJSON   = fs.String("serve-json", "", "serve: write the latency report as JSON to this `file`")
-		serveRecord = fs.String("serve-record", "", "serve: record the request plan as a JSONL trace to this `file`")
-		serveReplay = fs.String("serve-replay", "", "serve: replay the request plan from this JSONL trace `file`")
-
-		writeWriters = fs.Int("write-writers", 16, "write: concurrent writer goroutines")
-		writeOps     = fs.Int("write-ops", 150, "write: mutations per writer per phase")
-		writeBatch   = fs.Int("write-batch", 256, "write: MaxBatch for the group-committed phase")
-		writeWindow  = fs.Duration("write-window", 2*time.Millisecond, "write: coalescing window for the group-committed phase (0 = natural group commit)")
-		writeJSON    = fs.String("write-json", "", "write: write the throughput report as JSON to this `file`")
-
-		replJSON = fs.String("repl-json", "", "repl: write the replicated-serving report as JSON to this `file` (load shape comes from the serve-* flags)")
-
-		shardDocs  = fs.Int("shard-docs", 8, "shard: documents per corpus")
-		shardScale = fs.Float64("shard-doc-scale", 0.05, "shard: datagen scale per document")
-		shardJSON  = fs.String("shard-json", "", "shard: write the scatter-gather report as JSON to this `file` (duration/readers from the serve-* flags, writers from -write-writers)")
-	)
+	e := &env{stdout: stdout}
+	exp := fs.String("exp", "all", expUsage())
+	fs.Float64Var(&e.scale, "scale", 1.0, "dataset scale (1.0 = paper size)")
+	fs.IntVar(&e.edges, "edges", 100, "edge additions for tab1/fig6/fig7/ablation")
+	fs.Int64Var(&e.seed, "seed", 1, "random seed for workloads and edges")
+	fs.IntVar(&e.maxK, "maxk", 0, "largest A(k) in the series (0 = longest query length)")
+	fs.StringVar(&e.csvDir, "csv", "", "also write each series as CSV files under this directory")
+	metrics := fs.String("metrics", "", "write a Prometheus text snapshot of the run's metrics to this file")
+	benchjson := fs.Bool("benchjson", false, "read `go test -bench` text on stdin, write a JSON report on stdout, and exit")
+	benchguard := fs.String("benchguard", "", "baseline JSON `file`: read go test -bench text on stdin, fail if a benchmark in the baseline did not run or regressed in B/op or allocs/op, and exit")
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
@@ -118,7 +226,7 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 			return 0
 		}
 		defer f.Close()
-		if err := benchGuard(f, os.Stdin, stdout, *maxregress); err != nil {
+		if err := benchGuard(f, os.Stdin, stdout); err != nil {
 			fmt.Fprintf(stderr, "dkbench: benchguard: %v\n", err)
 			return 1
 		}
@@ -135,259 +243,38 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 		}
 	}()
 
-	if *csv != "" {
-		if err := os.MkdirAll(*csv, 0o755); err != nil {
+	if e.csvDir != "" {
+		if err := os.MkdirAll(e.csvDir, 0o755); err != nil {
 			fmt.Fprintf(stderr, "dkbench: %v\n", err)
 			return 1
 		}
-	}
-	writeCSV := func(name string, f func(w *os.File) error) {
-		if *csv == "" {
-			return
-		}
-		fp, err := os.Create(filepath.Join(*csv, name))
-		if err == nil {
-			err = f(fp)
-			if cerr := fp.Close(); err == nil {
-				err = cerr
-			}
-		}
-		check(err)
-	}
-
-	describe := func(ds *experiments.Dataset) {
-		fmt.Fprintf(stdout, "dataset %s: %s, %d queries (max length %d)\n",
-			ds.Name, ds.G.ComputeStats(), ds.W.Len(), ds.W.MaxLength())
 	}
 	// Every experiment feeds the run's metrics registry, so -metrics leaves a
 	// machine-readable record of what ran and how long it took alongside the
 	// rendered tables.
 	reg := obs.NewRegistry()
 	expSeconds := obs.ExpBuckets(0.1, 2, 14)
-	timed := func(id string, f func()) {
+	ran := false
+	for _, x := range experimentTable {
+		if *exp != x.id && !(*exp == "all" && x.inAll) {
+			continue
+		}
+		ran = true
 		start := time.Now()
-		f()
+		x.run(e)
 		elapsed := time.Since(start)
 		reg.Counter("dkbench_experiments_total", "Experiments executed, by id.",
-			obs.L("id", id)).Inc()
+			obs.L("id", x.id)).Inc()
 		reg.Histogram("dkbench_experiment_seconds", "Wall time per experiment run.",
-			expSeconds, obs.L("id", id)).Observe(elapsed.Seconds())
-		fmt.Fprintf(stdout, "[%s completed in %.1fs]\n\n", id, elapsed.Seconds())
-	}
-	run := func(id string) bool { return *exp == "all" || *exp == id }
-	cfg := experiments.AfterUpdateConfig{Edges: *edges, MaxK: *maxK, Seed: *seed}
-
-	var xmark, nasa, dblp *experiments.Dataset
-	loadXMark := func() *experiments.Dataset {
-		if xmark == nil {
-			xmark = mustDataset(experiments.XMarkDataset(*scale, *seed))
-			describe(xmark)
-		}
-		return xmark
-	}
-	loadNasa := func() *experiments.Dataset {
-		if nasa == nil {
-			// The paper's NASA file is 1.5x its XMark file.
-			nasa = mustDataset(experiments.NasaDataset(*scale*1.5, *seed))
-			describe(nasa)
-		}
-		return nasa
-	}
-	loadDblp := func() *experiments.Dataset {
-		if dblp == nil {
-			dblp = mustDataset(experiments.DblpDataset(*scale, *seed))
-			describe(dblp)
-		}
-		return dblp
-	}
-
-	ran := false
-	if run("fig4") {
-		ran = true
-		timed("fig4", func() {
-			points := must(experiments.EvaluationBeforeUpdate(loadXMark(), *maxK))
-			check(experiments.RenderEvalPoints(stdout,
-				"Figure 4: evaluation performance, Xmark, before updating", points))
-			writeCSV("fig4.csv", func(w *os.File) error { return experiments.WriteEvalPointsCSV(w, points) })
-		})
-	}
-	if run("fig5") {
-		ran = true
-		timed("fig5", func() {
-			points := must(experiments.EvaluationBeforeUpdate(loadNasa(), *maxK))
-			check(experiments.RenderEvalPoints(stdout,
-				"Figure 5: evaluation performance, Nasa, before updating", points))
-			writeCSV("fig5.csv", func(w *os.File) error { return experiments.WriteEvalPointsCSV(w, points) })
-		})
-	}
-	if run("tab1") {
-		ran = true
-		timed("tab1", func() {
-			rows := must(experiments.UpdateEfficiency(loadXMark(), cfg))
-			check(experiments.RenderUpdateRows(stdout,
-				fmt.Sprintf("Table 1 (Xmark): running time of %d edge additions", *edges), rows))
-			writeCSV("tab1_xmark.csv", func(w *os.File) error { return experiments.WriteUpdateRowsCSV(w, rows) })
-			rows = must(experiments.UpdateEfficiency(loadNasa(), cfg))
-			check(experiments.RenderUpdateRows(stdout,
-				fmt.Sprintf("Table 1 (Nasa): running time of %d edge additions", *edges), rows))
-			writeCSV("tab1_nasa.csv", func(w *os.File) error { return experiments.WriteUpdateRowsCSV(w, rows) })
-		})
-	}
-	if run("fig6") {
-		ran = true
-		timed("fig6", func() {
-			points := must(experiments.EvaluationAfterUpdate(loadXMark(), cfg))
-			check(experiments.RenderEvalPoints(stdout,
-				fmt.Sprintf("Figure 6: evaluation performance, Xmark, after %d edge additions", *edges), points))
-			writeCSV("fig6.csv", func(w *os.File) error { return experiments.WriteEvalPointsCSV(w, points) })
-		})
-	}
-	if run("fig7") {
-		ran = true
-		timed("fig7", func() {
-			points := must(experiments.EvaluationAfterUpdate(loadNasa(), cfg))
-			check(experiments.RenderEvalPoints(stdout,
-				fmt.Sprintf("Figure 7: evaluation performance, Nasa, after %d edge additions", *edges), points))
-			writeCSV("fig7.csv", func(w *os.File) error { return experiments.WriteEvalPointsCSV(w, points) })
-		})
-	}
-	if run("ablation") {
-		ran = true
-		timed("ablation", func() {
-			a := must(experiments.AblationPromote(loadXMark(), cfg))
-			check(experiments.RenderPromoteAblation(stdout,
-				"Ablation (Xmark): D(k) decay under updates and recovery via promotion", a))
-		})
-	}
-	if run("apex") {
-		ran = true
-		timed("apex", func() {
-			rows := must(experiments.ApexComparison(loadXMark(), *edges, *seed))
-			check(experiments.RenderApexComparison(stdout,
-				"APEX comparison (Xmark): workload-aware competitor, update handling", rows))
-		})
-	}
-	if run("docinsert") {
-		ran = true
-		timed("docinsert", func() {
-			rows := must(experiments.DocInsertion(loadXMark(), 5, *seed))
-			check(experiments.RenderDocInsertion(stdout,
-				"Document insertion (Xmark): 5 documents, incremental vs baseline vs rebuild", rows))
-		})
-	}
-	// The miner searches hundreds of candidate indexes, so it only runs when
-	// asked for explicitly.
-	if *exp == "miner" {
-		ran = true
-		timed("miner", func() {
-			a := must(experiments.AblationMiner(loadXMark()))
-			check(experiments.RenderMinerAblation(stdout,
-				"Ablation (Xmark): longest-query rule vs budget-aware load mining", a))
-		})
-	}
-	// The serve experiment is wall-clock bound (four scenarios of -serve-dur
-	// each against a live HTTP server), so like miner it is opt-in only.
-	if *exp == "serve" {
-		ran = true
-		timed("serve", func() {
-			check(serveExperiment(stdout, loadXMark(), serveOptions{
-				Duration:    *serveDur,
-				Warmup:      *serveWarmup,
-				Concurrency: *serveConc,
-				Rate:        *serveRate,
-				Seed:        *seed,
-				JSONOut:     *serveJSON,
-				RecordPath:  *serveRecord,
-				ReplayPath:  *serveReplay,
-			}))
-		})
-	}
-	// The write experiment runs thousands of durable commits against a real
-	// filesystem, so like serve it is opt-in only.
-	if *exp == "write" {
-		ran = true
-		timed("write", func() {
-			check(writeExperiment(stdout, loadXMark(), writeOptions{
-				Writers: *writeWriters,
-				Ops:     *writeOps,
-				Batch:   *writeBatch,
-				Window:  *writeWindow,
-				Seed:    *seed,
-				JSONOut: *writeJSON,
-			}))
-		})
-	}
-	// The repl experiment boots a primary and a live streaming replica, so
-	// like serve and write it is wall-clock bound and opt-in only.
-	if *exp == "repl" {
-		ran = true
-		timed("repl", func() {
-			check(replExperiment(stdout, loadXMark(), replOptions{
-				Duration:    *serveDur,
-				Warmup:      *serveWarmup,
-				Concurrency: *serveConc,
-				Seed:        *seed,
-				JSONOut:     *replJSON,
-			}))
-		})
-	}
-	// The shard experiment is wall-clock bound like serve/write/repl, so it
-	// is opt-in only; shard-audit is its quick bit-identity check for CI.
-	if *exp == "shard" || *exp == "shard-audit" {
-		ran = true
-		timed(*exp, func() {
-			check(shardExperiment(stdout, shardOptions{
-				Docs:      *shardDocs,
-				DocScale:  *shardScale,
-				Duration:  *serveDur,
-				Readers:   *serveConc,
-				Writers:   *writeWriters,
-				Seed:      *seed,
-				AuditOnly: *exp == "shard-audit",
-				JSONOut:   *shardJSON,
-			}))
-		})
-	}
-	if run("family") {
-		ran = true
-		timed("family", func() {
-			rows := must(experiments.FamilyComparison(loadXMark(), *maxK))
-			check(experiments.RenderFamily(stdout,
-				"Index family comparison (Xmark): sizes and path/twig costs", rows))
-		})
-	}
-	if run("alg4") {
-		ran = true
-		timed("alg4", func() {
-			a := must(experiments.AblationAlg4(loadXMark(), cfg))
-			check(experiments.RenderAlg4Ablation(stdout,
-				"Ablation (Xmark): Algorithm 4 probe vs naive reset on edge addition", a))
-		})
-	}
-	if run("mem") {
-		ran = true
-		timed("mem", func() {
-			for _, ds := range []*experiments.Dataset{loadXMark(), loadNasa(), loadDblp()} {
-				rows := experiments.MemoryFootprint(ds, *maxK)
-				check(experiments.RenderMemRows(stdout,
-					fmt.Sprintf("Memory footprint (%s): succinct extents and postings vs raw node slices", ds.Name), rows))
-				writeCSV(fmt.Sprintf("mem_%s.csv", ds.Name), func(w *os.File) error { return experiments.WriteMemRowsCSV(w, rows) })
-			}
-		})
-	}
-	if run("build") {
-		ran = true
-		timed("build", func() {
-			check(experiments.RenderBuildCost(stdout,
-				"Construction cost (Xmark): 1-index, A(k), load-tuned D(k)",
-				experiments.ConstructionCost(loadXMark(), *maxK)))
-			check(experiments.RenderBuildCost(stdout,
-				"Construction cost (NASA): 1-index, A(k), load-tuned D(k)",
-				experiments.ConstructionCost(loadNasa(), *maxK)))
-		})
+			expSeconds, obs.L("id", x.id)).Observe(elapsed.Seconds())
+		fmt.Fprintf(stdout, "[%s completed in %.1fs]\n\n", x.id, elapsed.Seconds())
 	}
 	if !ran {
-		fmt.Fprintf(stderr, "dkbench: unknown experiment %q\n", *exp)
+		ids := make([]string, 0, len(experimentTable)+1)
+		for _, x := range experimentTable {
+			ids = append(ids, x.id)
+		}
+		fmt.Fprintf(stderr, "dkbench: unknown experiment %q; valid ids: %s\n", *exp, strings.Join(append(ids, "all"), ", "))
 		return 2
 	}
 	if *metrics != "" {
@@ -404,13 +291,6 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 		}
 	}
 	return 0
-}
-
-func mustDataset(ds *experiments.Dataset, err error) *experiments.Dataset {
-	if err != nil {
-		panic(bail{err})
-	}
-	return ds
 }
 
 func must[T any](v T, err error) T {

@@ -11,15 +11,26 @@ import (
 	"dkindex/internal/obs"
 )
 
+// TestRunSingleExperiment walks the experiment table: every id that is part
+// of "all" runs alone at a small scale and reports its completion (miner
+// stays out here for the reason it stays out of "all").
 func TestRunSingleExperiment(t *testing.T) {
-	var out, errb bytes.Buffer
-	if code := run([]string{"-exp", "fig4", "-scale", "0.02"}, &out, &errb); code != 0 {
-		t.Fatalf("exit %d: %s", code, errb.String())
-	}
-	s := out.String()
-	for _, want := range []string{"Figure 4", "A(0)", "D(k)", "completed in"} {
-		if !strings.Contains(s, want) {
-			t.Errorf("output missing %q:\n%s", want, s)
+	for _, x := range experimentTable {
+		if !x.inAll {
+			continue
+		}
+		var out, errb bytes.Buffer
+		if code := run([]string{"-exp", x.id, "-scale", "0.02"}, &out, &errb); code != 0 {
+			t.Fatalf("-exp %s: exit %d: %s", x.id, code, errb.String())
+		}
+		want := []string{"[" + x.id + " completed in"}
+		if x.id == "fig4" {
+			want = append(want, "Figure 4", "A(0)", "D(k)")
+		}
+		for _, w := range want {
+			if !strings.Contains(out.String(), w) {
+				t.Errorf("-exp %s: output missing %q:\n%s", x.id, w, out.String())
+			}
 		}
 	}
 }
@@ -61,6 +72,20 @@ func TestRunErrors(t *testing.T) {
 	var out, errb bytes.Buffer
 	if code := run([]string{"-exp", "nosuch"}, &out, &errb); code != 2 {
 		t.Errorf("unknown experiment exit = %d, want 2", code)
+	}
+	// The refusal names every id there is, and -h lists the same ones.
+	var usage bytes.Buffer
+	run([]string{"-h"}, &out, &usage)
+	for _, x := range experimentTable {
+		if !strings.Contains(errb.String(), " "+x.id+",") {
+			t.Errorf("unknown-experiment error does not name %q: %s", x.id, errb.String())
+		}
+		if !strings.Contains(usage.String(), "  "+x.id+" ") {
+			t.Errorf("-h does not list %q:\n%s", x.id, usage.String())
+		}
+	}
+	if !strings.HasSuffix(errb.String(), ", all\n") {
+		t.Errorf("unknown-experiment error does not end with all: %s", errb.String())
 	}
 	if code := run([]string{"-badflag"}, &out, &errb); code != 2 {
 		t.Errorf("bad flag exit = %d, want 2", code)
@@ -108,62 +133,80 @@ ok  	dkindex	5.1s
 }
 
 // TestBenchGuard exercises the regression guard: best-of-N collapsing, the
-// pass/fail threshold, scoping to benchmarks present in the baseline, and
-// the missing-baseline skip path of the -benchguard flag.
+// pass/fail threshold on the gated units, ns/op as an info row, scoping to
+// the baseline (whose every benchmark must have run), and the
+// missing-baseline skip path of the -benchguard flag.
 func TestBenchGuard(t *testing.T) {
 	baseline := `{"results": [
-		{"name": "BenchmarkQueryThroughput", "iterations": 100, "metrics": {"ns/op": 1100000}},
-		{"name": "BenchmarkQueryThroughput", "iterations": 100, "metrics": {"ns/op": 1000000}}
+		{"name": "BenchmarkQueryRPE", "iterations": 100, "metrics": {"ns/op": 1000000, "B/op": 20000, "allocs/op": 100}},
+		{"name": "BenchmarkQueryRPE", "iterations": 100, "metrics": {"ns/op": 1100000, "B/op": 20480, "allocs/op": 101}}
 	]}`
-	current := func(ns string) string {
-		return "BenchmarkQueryThroughput-8 100 " + ns + " ns/op\n" +
-			"BenchmarkUnguardedExtra-8 100 9999999 ns/op\nPASS\n"
+	current := func(ns, bytes, allocs string) string {
+		return "BenchmarkQueryRPE-8 100 " + ns + " ns/op " + bytes + " B/op " + allocs + " allocs/op\n" +
+			"BenchmarkUnguardedExtra-8 100 9999999 ns/op 9999999 B/op 9999 allocs/op\nPASS\n"
+	}
+	guard := func(base, cur string) (string, error) {
+		var out strings.Builder
+		err := benchGuard(strings.NewReader(base), strings.NewReader(cur), &out)
+		return out.String(), err
 	}
 
-	var out strings.Builder
-	// 5% above the baseline's best run: passes at the 10% threshold.
-	if err := benchGuard(strings.NewReader(baseline), strings.NewReader(current("1050000")), &out, 10); err != nil {
-		t.Errorf("5%% regression at 10%% threshold: %v", err)
+	// 5% above the baseline's best run: passes at the 10% threshold. Extras
+	// in the current run are ignored: the baseline scopes the guard.
+	out, err := guard(baseline, current("1000000", "21000", "105"))
+	if err != nil {
+		t.Errorf("5%% regression at the 10%% threshold: %v", err)
 	}
-	if !strings.Contains(out.String(), "ok") || strings.Contains(out.String(), "Unguarded") {
-		t.Errorf("guard output = %q", out.String())
+	if !strings.Contains(out, "ok") || strings.Contains(out, "Unguarded") {
+		t.Errorf("guard output = %q", out)
 	}
-	// 20% above: fails, naming the benchmark.
-	err := benchGuard(strings.NewReader(baseline), strings.NewReader(current("1200000")), &out, 10)
-	if err == nil || !strings.Contains(err.Error(), "BenchmarkQueryThroughput") {
-		t.Errorf("20%% regression: err = %v", err)
+	// A B/op or allocs/op regression beyond it fails, naming benchmark and
+	// unit, even when ns/op improved.
+	for unit, cur := range map[string]string{
+		"B/op":      current("900000", "30000", "100"),
+		"allocs/op": current("900000", "20000", "150"),
+	} {
+		_, err := guard(baseline, cur)
+		if err == nil || !strings.Contains(err.Error(), "BenchmarkQueryRPE") ||
+			!strings.Contains(err.Error(), unit) || strings.Contains(err.Error(), "ns/op") {
+			t.Errorf("50%% %s regression: err = %v", unit, err)
+		}
 	}
-	// Repeated current runs collapse to the fastest: a slow outlier next to a
-	// fast run passes.
-	noisy := current("2000000") + "BenchmarkQueryThroughput-8 100 1010000 ns/op\n"
-	if err := benchGuard(strings.NewReader(baseline), strings.NewReader(noisy), &out, 10); err != nil {
+	// An ns/op regression of any size is printed as info and passes.
+	out, err = guard(baseline, current("9000000", "20000", "100"))
+	if err != nil {
+		t.Errorf("ns/op regression failed the guard: %v", err)
+	}
+	if !strings.Contains(out, "+800.0%  info") {
+		t.Errorf("ns/op row = %q, want an info row with its delta", out)
+	}
+	// Repeated current runs collapse to the lowest: an outlier next to a good
+	// run passes.
+	noisy := current("1000000", "40000", "100") + "BenchmarkQueryRPE-8 100 1000000 ns/op 20100 B/op 100 allocs/op\n"
+	if _, err := guard(baseline, noisy); err != nil {
 		t.Errorf("best-of-N: %v", err)
 	}
-	// Bytes are guarded like time: a B/op regression fails even when ns/op
-	// improved, and a baseline without B/op guards time alone.
-	memBase := `{"results": [
-		{"name": "BenchmarkQueryRPE", "iterations": 100, "metrics": {"ns/op": 1000000, "B/op": 20000}},
-		{"name": "BenchmarkQueryRPE", "iterations": 100, "metrics": {"ns/op": 1100000, "B/op": 20480}}
-	]}`
-	memCur := func(bytes string) string {
-		return "BenchmarkQueryRPE-8 100 900000 ns/op " + bytes + " B/op 12 allocs/op\n"
+	// A baseline benchmark with no line in the current run (it failed, or
+	// was renamed) fails by name — also when nothing else is shared.
+	two := strings.Replace(baseline, `]}`, `,
+		{"name": "BenchmarkQueryTwigDK", "iterations": 100, "metrics": {"ns/op": 5, "B/op": 5, "allocs/op": 5}}]}`, 1)
+	if _, err := guard(two, current("1000000", "20000", "100")); err == nil ||
+		!strings.Contains(err.Error(), "BenchmarkQueryTwigDK") || strings.Contains(err.Error(), "BenchmarkQueryRPE") {
+		t.Errorf("baseline benchmark missing from the current run: err = %v", err)
 	}
-	if err := benchGuard(strings.NewReader(memBase), strings.NewReader(memCur("21000")), &out, 10); err != nil {
-		t.Errorf("5%% B/op regression at 10%% threshold: %v", err)
+	if _, err := guard(baseline, "BenchmarkOther-8 1 5 ns/op\n"); err == nil || !strings.Contains(err.Error(), "BenchmarkQueryRPE") {
+		t.Errorf("no shared benchmark: err = %v", err)
 	}
-	err = benchGuard(strings.NewReader(memBase), strings.NewReader(memCur("30000")), &out, 10)
-	if err == nil || !strings.Contains(err.Error(), "B/op") || strings.Contains(err.Error(), "ns/op") {
-		t.Errorf("50%% B/op regression: err = %v", err)
+	// So does a run that dropped -benchmem: the gated units must be there.
+	if _, err := guard(baseline, "BenchmarkQueryRPE-8 100 1000000 ns/op\n"); err == nil || !strings.Contains(err.Error(), "B/op") {
+		t.Errorf("current run without B/op: err = %v", err)
 	}
-	if err := benchGuard(strings.NewReader(baseline), strings.NewReader(current("1000000")+
-		"BenchmarkQueryThroughput-8 100 1000000 ns/op 999999 B/op\n"), &out, 10); err != nil {
-		t.Errorf("baseline without B/op: %v", err)
+	// A baseline with no gated unit guards nothing: an error, not a pass.
+	timeOnly := `{"results": [{"name": "BenchmarkQueryRPE", "iterations": 100, "metrics": {"ns/op": 1000000}}]}`
+	if _, err := guard(timeOnly, current("1000000", "20000", "100")); err == nil || !strings.Contains(err.Error(), "neither") {
+		t.Errorf("baseline without B/op or allocs/op: err = %v", err)
 	}
-	// No shared benchmark is an error, not a silent pass.
-	if err := benchGuard(strings.NewReader(baseline), strings.NewReader("BenchmarkOther-8 1 5 ns/op\n"), &out, 10); err == nil {
-		t.Error("want error when baseline and current share no benchmark")
-	}
-	if err := benchGuard(strings.NewReader("not json"), strings.NewReader(current("1000000")), &out, 10); err == nil {
+	if _, err := guard("not json", current("1000000", "20000", "100")); err == nil {
 		t.Error("want error for malformed baseline")
 	}
 

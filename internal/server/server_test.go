@@ -10,6 +10,7 @@ import (
 	"testing"
 
 	"dkindex"
+	"dkindex/internal/obs"
 )
 
 const doc = `<?xml version="1.0"?>
@@ -283,6 +284,23 @@ func TestConcurrentQueriesAndUpdates(t *testing.T) {
 	code, body := get(t, ts.URL+"/v1/query?q=director.movie.title")
 	if code != 200 || body["count"].(float64) != 2 {
 		t.Errorf("post-storm query = %d %v", code, body)
+	}
+	// The exposition still parses after live mixed traffic, and counted it.
+	resp, err := http.Get(ts.URL + "/v1/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	fams, err := obs.ParsePrometheusText(resp.Body)
+	if err != nil {
+		t.Fatalf("/v1/metrics stopped parsing after the storm: %v", err)
+	}
+	var served float64
+	for _, sm := range fams[obs.MetricHTTPRequests].Samples {
+		served += sm.Value
+	}
+	if served < 300 {
+		t.Errorf("%s sums to %v after 300 requests", obs.MetricHTTPRequests, served)
 	}
 }
 

@@ -574,7 +574,8 @@ func TestBatchSplitsAcrossShards(t *testing.T) {
 }
 
 // TestPersistenceAndRepair checks durable sharding end to end: create, fill,
-// reopen (routing stays stable, results identical), and the crash window —
+// write from several goroutines at once (every batch acknowledged), reopen
+// (routing stays stable, results identical), and the crash window —
 // a map that is one commit behind its shard store — repairs itself at open.
 func TestPersistenceAndRepair(t *testing.T) {
 	dir := t.TempDir() + "/data"
@@ -583,15 +584,54 @@ func TestPersistenceAndRepair(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	maps := make([][]dkindex.NodeID, len(docs))
 	for i, doc := range docs {
-		if _, err := e.Apply(dkindex.Mutation{Op: dkindex.MutAddDocument, Doc: doc, DocOptions: loadOpts()}); err != nil {
+		ack, err := e.Apply(dkindex.Mutation{Op: dkindex.MutAddDocument, Doc: doc, DocOptions: loadOpts()})
+		if err != nil {
 			t.Fatalf("document %d: %v", i, err)
 		}
+		maps[i] = ack.Mapping
 	}
 	req := dkindex.Request{Kind: dkindex.KindPath, Text: "site.people.person.name"}
 	before, err := e.Run(req)
 	if err != nil {
 		t.Fatal(err)
+	}
+	// Concurrent writers on the durable engine: each batch carries one edge
+	// per document, so it splits across both shards and their WAL commits
+	// run side by side. Every member must be acknowledged; each writer adds
+	// and then removes an edge of its own (a document's root element to one
+	// of its last nodes), so the state every check below compares against is
+	// unchanged.
+	var wg sync.WaitGroup
+	for w := 0; w < 4; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for round := 0; round < 6; round++ {
+				batch := make([]dkindex.Mutation, len(maps))
+				for d, m := range maps {
+					batch[d] = dkindex.Mutation{Op: dkindex.MutAddEdge, From: m[1], To: m[len(m)-1-w]}
+					if round%2 == 1 {
+						batch[d].Op = dkindex.MutRemoveEdge
+					}
+				}
+				acks, err := e.ApplyBatch(batch)
+				if err != nil {
+					t.Errorf("writer %d round %d: %v", w, round, err)
+					return
+				}
+				for d, a := range acks {
+					if a.Err != nil {
+						t.Errorf("writer %d round %d document %d: %v", w, round, d, a.Err)
+					}
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
+	if after, err := e.Run(req); err != nil || !sameNodes(after.Nodes, before.Nodes) {
+		t.Fatalf("paired edge batches changed the answer (err %v)", err)
 	}
 	beforeDocs := e.Map().NumDocs()
 	if err := e.Close(); err != nil {
