@@ -88,7 +88,7 @@ func benchDblp(b *testing.B) *experiments.Dataset {
 // (full backward bisimulation to a fixpoint), the A(2)-index (two refinement
 // rounds), and the load-tuned D(k)-index (Algorithms 1+2). These are the
 // build-pipeline headline benchmarks: every facade mutation that rebuilds
-// (Tune, SetRequirements, Optimize, Compact) pays exactly these paths, so
+// (Tune, set_requirements, optimize, compact) pays exactly these paths, so
 // construction latency is mutation-publish latency. Run the trio for XMark,
 // NASA and DBLP with `go test -run '^$' -bench 'BenchmarkBuild' -benchmem .`.
 func benchBuild(b *testing.B, ds *experiments.Dataset) {

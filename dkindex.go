@@ -31,10 +31,13 @@
 // The index serves reads from immutable snapshots: Run resolves the current
 // snapshot with one atomic load and never takes a lock, so any number of
 // queries may run concurrently with each other and with mutations. Mutations
-// (Apply, ApplyBatch, Tune, Compact, Reload) serialize on an internal writer
-// mutex, build the successor state on private copies and publish it
-// atomically, bumping the snapshot generation; in-flight queries keep reading
-// the snapshot they resolved. Repeated queries are answered from a
+// (Apply, ApplyBatch, Tune, Reload) serialize on an internal writer mutex,
+// build the successor state on private copies and publish it atomically,
+// bumping the snapshot generation; in-flight queries keep reading the snapshot
+// they resolved. Every state change — compaction and auto-promotion included —
+// is a Mutation settled by one commit function; Reload is the one swap that
+// is neither sequenced nor journalled, which is why a store-managed index
+// refuses it. Repeated queries are answered from a
 // generation-keyed result cache that a mutation invalidates wholesale by
 // virtue of the bump. The cache is consulted before the query text is parsed;
 // an entry carries what a hit needs of the parse and, for callers that render
@@ -84,8 +87,6 @@ type Index struct {
 	// mu serializes mutations. Readers never take it.
 	mu sync.Mutex
 
-	// queries is the load the index was last tuned with, if any.
-	queries atomic.Pointer[workload.Workload]
 	// recorder, once WatchLoad installs it, observes executed path queries
 	// so MutOptimize can re-tune the index from its real load (the paper's
 	// query-pattern-mining direction). Lock-free; nil when not watching.
@@ -119,31 +120,12 @@ type Index struct {
 	batch       atomic.Pointer[batcher]
 }
 
-// mutationJournal is the write-ahead hook a Store installs. logMutation must
-// make the record durable before returning nil; logGroup must make the whole
-// group durable atomically (recovery replays all members or none).
+// mutationJournal is the write-ahead hook a Store installs. logGroup must
+// make the records of one commit durable atomically before returning nil
+// (recovery replays all members or none). Its one caller, commitLocked, holds
+// mu; on error none of the commit may be published.
 type mutationJournal interface {
-	logMutation(op wal.Op, payload []byte) error
 	logGroup(recs []wal.GroupRecord) error
-}
-
-// logMutation journals a mutation about to be published. Callers hold mu; on
-// error the successor snapshot must not be published.
-func (x *Index) logMutation(op wal.Op, payload []byte) error {
-	if x.jr == nil {
-		return nil
-	}
-	return x.jr.logMutation(op, payload)
-}
-
-// logGroup journals a batch of mutations about to be published as one
-// atomic, single-fsync group. Callers hold mu; on error none of the batch
-// may be published.
-func (x *Index) logGroup(recs []wal.GroupRecord) error {
-	if x.jr == nil {
-		return nil
-	}
-	return x.jr.logGroup(recs)
 }
 
 // attachJournal installs (or, with nil, removes) the store's write-ahead
@@ -212,9 +194,10 @@ func (x *Index) IG() *index.IndexGraph { return x.handle.Load().dk.IG }
 // DK exposes the current snapshot's D(k)-index handle for advanced use.
 func (x *Index) DK() *core.DK { return x.handle.Load().dk }
 
-// publish installs dk as the next snapshot. Callers hold mu. Posting views
-// are sealed first so the published graph never lazily mutates under its
-// lock-free readers.
+// publish installs dk as the next snapshot. Callers hold mu — commitLocked
+// for every sequenced mutation, Reload for the wholesale swap, and nothing
+// else (TestOneCommitPath). Posting views are sealed first so the published
+// graph never lazily mutates under its lock-free readers.
 func (x *Index) publish(dk *core.DK) {
 	dk.IG.SealPostings()
 	x.handle.Store(&snapshot{dk: dk, gen: x.handle.Load().gen + 1})
@@ -305,16 +288,13 @@ func (x *Index) Tune(n int, seed int64) error {
 
 // TuneWith mines requirements from the given query load and applies them as
 // one MutSetRequirements through the write pipeline, which is what locks,
-// logs and publishes the change; the load is then remembered (see Workload).
-// The error is nil unless a store manages the index and its write-ahead log
-// rejects the record, in which case nothing changes.
+// logs and publishes the change. The error is nil unless a store manages the
+// index and its write-ahead log rejects the record, in which case nothing
+// changes.
 func (x *Index) TuneWith(w *workload.Workload) error {
 	reqs := reqsByLabelName(x.DK(), w.Requirements())
-	if _, err := x.Apply(Mutation{Op: MutSetRequirements, Reqs: reqs}); err != nil {
-		return err
-	}
-	x.queries.Store(w)
-	return nil
+	_, err := x.Apply(Mutation{Op: MutSetRequirements, Reqs: reqs})
+	return err
 }
 
 // reqsByLabelName translates label-id requirements into the by-name form
@@ -328,9 +308,6 @@ func reqsByLabelName(dk *core.DK, reqs core.Requirements) map[string]int {
 	}
 	return out
 }
-
-// Workload returns the load the index was last tuned with, or nil.
-func (x *Index) Workload() *workload.Workload { return x.queries.Load() }
 
 // LabelName returns the label of a data node; handy when printing results.
 // Prefer Result.LabelName when formatting query output — it resolves names
@@ -465,43 +442,6 @@ func (x *Index) Summary() index.Summary {
 	return s.dk.IG.Summarize(s.dk.IG.Data().Labels())
 }
 
-// Compact drops every data node that is no longer reachable from the root —
-// the reclamation half of subtree deletion (delete a subtree by removing its
-// incoming edges, then Compact). Node ids are renumbered; the returned
-// mapping translates old ids to new ones (-1 for dropped nodes). The index
-// is rebuilt for the current requirements; the load recorder and tuned
-// workload are reset (their node and frequency context predates the
-// renumbering).
-func (x *Index) Compact() (dropped int, mapping []NodeID, err error) {
-	x.mu.Lock()
-	defer x.mu.Unlock()
-	cur := x.handle.Load()
-	before, start := x.preOp(cur)
-	g, mapping, err := cur.dk.IG.Data().CompactReachable()
-	if err != nil {
-		return 0, nil, err
-	}
-	for _, m := range mapping {
-		if m == graph.InvalidNode {
-			dropped++
-		}
-	}
-	nd := core.Build(g, cur.dk.LabelReqs)
-	x.instrument(nd)
-	if err := x.logMutation(opCompact, nil); err != nil {
-		return 0, nil, err
-	}
-	if x.recorder.Load() != nil {
-		x.recorder.Store(workload.NewRecorder())
-	}
-	x.queries.Store(nil)
-	x.publish(nd)
-	x.emit(obs.Event{Type: obs.EventCompact, NodesBefore: before, Wall: opWall(start),
-		Detail: fmt.Sprintf("%d data nodes dropped", dropped)})
-	x.observeBuildStats("compact", nd.Stats, nd.IG.NumNodes())
-	return dropped, mapping, nil
-}
-
 // Audit semantically verifies the index: structural invariants (extent
 // partitioning, edge mirroring), the Definition 3 invariant, and — the
 // expensive part — every local-similarity claim up to level maxK, by
@@ -529,8 +469,13 @@ func (x *Index) Audit(maxK int) error {
 // promoting machinery of Section 5.3. A threshold of 0 disables it.
 //
 // Pressure is counted lock-free on the query path (cache hits included);
-// the query that crosses the threshold performs the promotion as a regular
-// build-and-swap mutation, so queries stay safe to run concurrently.
+// the query that crosses the threshold records an auto_promote event — the
+// decision — and submits the promotion as ApplyAsync(MutPromote), so it is
+// sequenced, journalled, batched and observed like any other mutation. The
+// label's pressure restarts from zero at submission: a promotion the
+// write-ahead log rejects is retried after threshold more validations, and a
+// label hot enough to cross again while its promotion still waits in the
+// batcher submits it twice (the second commit changes nothing).
 func (x *Index) SetAutoPromote(threshold int) {
 	x.autoPromote.Store(int32(threshold))
 	if threshold > 0 {
@@ -539,7 +484,7 @@ func (x *Index) SetAutoPromote(threshold int) {
 }
 
 // heatEntry accumulates validation pressure for one label. fired latches the
-// threshold crossing so exactly one query performs the promotion.
+// threshold crossing so exactly one query submits the promotion.
 type heatEntry struct {
 	count  atomic.Int64
 	maxLen atomic.Int64
@@ -547,9 +492,10 @@ type heatEntry struct {
 }
 
 // noteValidation records the validation pressure of one execution of a path
-// query (path is nil for the other kinds, which exert none) and fires
-// promotion when the threshold is crossed. Called on the lock-free query path.
-func (x *Index) noteValidation(path eval.Query, validations int) {
+// query on snapshot s (path is nil for the other kinds, which exert none) and
+// submits a promotion when the threshold is crossed. Called on the lock-free
+// query path.
+func (x *Index) noteValidation(s *snapshot, path eval.Query, validations int) {
 	threshold := int(x.autoPromote.Load())
 	if threshold <= 0 || validations == 0 || len(path) == 0 {
 		return
@@ -570,43 +516,21 @@ func (x *Index) noteValidation(path eval.Query, validations int) {
 			break
 		}
 	}
-	if h.count.Add(int64(validations)) >= int64(threshold) && h.fired.CompareAndSwap(false, true) {
-		x.autoPromoteLabel(hm, h, last, threshold)
-	}
-}
-
-// autoPromoteLabel performs the promotion decided by noteValidation, as a
-// normal mutation under the writer mutex.
-func (x *Index) autoPromoteLabel(hm *sync.Map, h *heatEntry, last graph.LabelID, threshold int) {
-	x.mu.Lock()
-	defer x.mu.Unlock()
-	if x.heat.Load() != hm {
-		// A Reload reset the heat (and possibly the label table) between
-		// counting and firing; the pressure belonged to the retired epoch.
+	count := h.count.Add(int64(validations))
+	if count < int64(threshold) || !h.fired.CompareAndSwap(false, true) {
 		return
 	}
-	cur := x.handle.Load()
-	if int(last) >= cur.dk.IG.Data().Labels().Len() {
-		return
-	}
-	maxLen := int(h.maxLen.Load())
-	count := int(h.count.Load())
-	before, start := x.preOp(cur)
-	nd := cur.dk.Clone()
-	x.instrument(nd)
-	stats := nd.PromoteLabel(last, maxLen)
-	name := cur.dk.IG.Data().Labels().Name(last)
-	if x.logMutation(opPromote, encodePromotePayload(name, maxLen)) != nil {
-		// Auto-promotion is opportunistic; if the log rejects the record the
-		// promotion is simply skipped, leaving the heat latched so the store
-		// is not hammered while its log is broken.
-		return
-	}
-	hm.Delete(last)
-	x.publish(nd)
-	x.emit(obs.Event{Type: obs.EventAutoPromote,
-		Label: cur.dk.IG.Data().Labels().Name(last), K: maxLen, NodesBefore: before,
-		Created: stats.IndexNodesCreated, Visited: stats.IndexNodesVisited,
-		Wall:   opWall(start),
+	// The label travels by name: applyOne resolves it against the state it
+	// mutates and rejects one a Reload retired, so pressure counted on a stale
+	// snapshot can at worst cost index nodes, never answers.
+	m := Mutation{Op: MutPromote, Label: s.dk.IG.Data().Labels().Name(last), K: int(h.maxLen.Load())}
+	x.observer.RecordEvent(obs.Event{Type: obs.EventAutoPromote, Label: m.Label, K: m.K,
 		Detail: fmt.Sprintf("%d validations crossed threshold %d", count, threshold)})
+	// The outcome is not awaited (the batcher may hold it), so the error is
+	// dropped: retiring the entry un-latches the label and zeroes its count
+	// whatever the commit decides. A promotion that lands stops the
+	// validations that feed it; one the log rejects is retried after
+	// threshold more of them — the threshold is the back-off.
+	_, _ = x.ApplyAsync(m)
+	hm.Delete(last)
 }

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"dkindex/internal/graph"
+	"dkindex/internal/workload"
 )
 
 const moviesXML = `<?xml version="1.0"?>
@@ -109,14 +110,20 @@ func TestSetRequirementsEliminatesValidation(t *testing.T) {
 
 func TestTune(t *testing.T) {
 	idx := open(t)
-	if err := idx.Tune(20, 1); err != nil {
+	cfg := workload.DefaultConfig(1)
+	cfg.N = 20
+	w, err := workload.Generate(idx.Graph(), cfg)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if idx.Workload() == nil || idx.Workload().Len() == 0 {
-		t.Fatal("Tune did not record a workload")
+	if w.Len() == 0 {
+		t.Fatal("empty workload generated")
+	}
+	if err := idx.TuneWith(w); err != nil {
+		t.Fatal(err)
 	}
 	// Every tuned query runs without validation.
-	for _, q := range idx.Workload().Queries {
+	for _, q := range w.Queries {
 		_, stats, err := query(idx, KindPath, q.Format(idx.Graph().Labels()))
 		if err != nil {
 			t.Fatal(err)
@@ -465,15 +472,22 @@ func TestCompactAfterSubtreeDeletion(t *testing.T) {
 	if _, err := idx.Apply(Mutation{Op: MutRemoveEdge, From: roots[0], To: dirs[0]}); err != nil {
 		t.Fatal(err)
 	}
-	dropped, mapping, err := idx.Compact()
+	nodesBefore := idx.Stats().DataNodes
+	ack, err := idx.Apply(Mutation{Op: MutCompact})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if dropped == 0 {
-		t.Fatal("nothing dropped")
+	if len(ack.Mapping) != nodesBefore {
+		t.Fatalf("mapping covers %d nodes, want %d", len(ack.Mapping), nodesBefore)
 	}
-	if len(mapping) == 0 {
-		t.Fatal("no mapping")
+	dropped := 0
+	for _, n := range ack.Mapping {
+		if n == -1 {
+			dropped++
+		}
+	}
+	if dropped == 0 || idx.Stats().DataNodes != nodesBefore-dropped {
+		t.Fatalf("dropped %d of %d nodes, %d left", dropped, nodesBefore, idx.Stats().DataNodes)
 	}
 	after, _, err := query(idx, KindPath, "director.movie.title")
 	if err != nil {
@@ -488,7 +502,7 @@ func TestCompactAfterSubtreeDeletion(t *testing.T) {
 		t.Fatal(err)
 	}
 	if stats.Validations != 0 {
-		t.Error("requirements lost across Compact")
+		t.Error("requirements lost across compaction")
 	}
 	if err := idx.IG().Validate(); err != nil {
 		t.Fatal(err)

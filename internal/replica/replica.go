@@ -411,11 +411,10 @@ func (r *Replica) applyChunk(data []byte, first uint64) error {
 }
 
 // applyFrame applies one frame — a single record or a whole group — through
-// the same pipeline recovery uses: groups become one ApplyBatch (one commit,
-// one generation bump, atomic like the group frame itself), singles become
-// Apply, compaction records call Compact directly. Members at or below the
-// applied watermark (a group the primary rounded down to ship whole) are
-// skipped.
+// the same pipeline recovery uses: its records decode to Mutations and commit
+// as one ApplyBatch (one commit, one generation bump, atomic like the frame
+// itself). Members at or below the applied watermark (a group the primary
+// rounded down to ship whole) are skipped.
 func (r *Replica) applyFrame(recs []wal.Record) error {
 	applied := r.applied.Load()
 	for len(recs) > 0 && recs[0].Seq <= applied {
@@ -424,35 +423,21 @@ func (r *Replica) applyFrame(recs []wal.Record) error {
 	if len(recs) == 0 {
 		return nil
 	}
-	if len(recs) == 1 && dkindex.IsCompactRecord(recs[0].Op) {
-		if _, _, err := r.idx.Compact(); err != nil {
-			return fmt.Errorf("apply seq %d: compact: %w", recs[0].Seq, err)
-		}
-	} else {
-		ms := make([]dkindex.Mutation, len(recs))
-		for i, rec := range recs {
-			m, err := dkindex.DecodeWALMutation(rec.Op, rec.Payload)
-			if err != nil {
-				return fmt.Errorf("decode seq %d: %w", rec.Seq, err)
-			}
-			ms[i] = m
-		}
-		var acks []dkindex.Ack
-		var err error
-		if len(ms) == 1 {
-			var a dkindex.Ack
-			a, err = r.idx.Apply(ms[0])
-			acks = []dkindex.Ack{a}
-		} else {
-			acks, err = r.idx.ApplyBatch(ms)
-		}
+	ms := make([]dkindex.Mutation, len(recs))
+	for i, rec := range recs {
+		m, err := dkindex.DecodeWALMutation(rec.Op, rec.Payload)
 		if err != nil {
-			return fmt.Errorf("apply seqs %d-%d: %w", recs[0].Seq, recs[len(recs)-1].Seq, err)
+			return fmt.Errorf("decode seq %d: %w", rec.Seq, err)
 		}
-		for i, a := range acks {
-			if a.Err != nil {
-				return fmt.Errorf("apply seq %d: %w", recs[i].Seq, a.Err)
-			}
+		ms[i] = m
+	}
+	acks, err := r.idx.ApplyBatch(ms)
+	if err != nil {
+		return fmt.Errorf("apply seqs %d-%d: %w", recs[0].Seq, recs[len(recs)-1].Seq, err)
+	}
+	for i, a := range acks {
+		if a.Err != nil {
+			return fmt.Errorf("apply seq %d: %w", recs[i].Seq, a.Err)
 		}
 	}
 	r.applied.Store(recs[len(recs)-1].Seq)

@@ -94,13 +94,23 @@ func (p *primary) close() {
 }
 
 // workload is the deterministic mutation battery: one of every journaled
-// operation, including a group commit and a compaction, so the feed ships
-// plain frames, group frames and compact records.
+// operation, including a group commit, a compaction and a group that holds
+// one, so the feed ships plain frames, group frames and compact records both
+// ways.
 func workload(tb testing.TB, x *dkindex.Index) []func() error {
 	edge := func() (dkindex.NodeID, dkindex.NodeID) {
 		return nodeWithLabel(tb, x, "director", 0), nodeWithLabel(tb, x, "title", 1)
 	}
 	apply := func(m dkindex.Mutation) error { _, err := x.Apply(m); return err }
+	applyAll := func(ms ...dkindex.Mutation) error {
+		acks, err := x.ApplyBatch(ms)
+		for _, a := range acks {
+			if err == nil {
+				err = a.Err
+			}
+		}
+		return err
+	}
 	return []func() error{
 		func() error {
 			return apply(dkindex.Mutation{Op: dkindex.MutSetRequirements, Reqs: map[string]int{"title": 2, "name": 1}})
@@ -120,23 +130,23 @@ func workload(tb testing.TB, x *dkindex.Index) []func() error {
 			return apply(dkindex.Mutation{Op: dkindex.MutRemoveEdge, From: f, To: t})
 		},
 		func() error { return apply(dkindex.Mutation{Op: dkindex.MutPromote, Label: "name", K: 1}) },
-		func() error { _, _, err := x.Compact(); return err },
+		func() error { return apply(dkindex.Mutation{Op: dkindex.MutCompact}) },
 		func() error {
 			f, t := edge()
-			acks, err := x.ApplyBatch([]dkindex.Mutation{
-				{Op: dkindex.MutAddEdge, From: f, To: t},
-				{Op: dkindex.MutPromote, Label: "movie", K: 1},
-				{Op: dkindex.MutRemoveEdge, From: f, To: t},
-			})
-			if err != nil {
-				return err
-			}
-			for _, a := range acks {
-				if a.Err != nil {
-					return a.Err
-				}
-			}
-			return nil
+			return applyAll(
+				dkindex.Mutation{Op: dkindex.MutAddEdge, From: f, To: t},
+				dkindex.Mutation{Op: dkindex.MutPromote, Label: "movie", K: 1},
+				dkindex.Mutation{Op: dkindex.MutRemoveEdge, From: f, To: t})
+		},
+		// A group frame with a compaction in the middle: the grafted document
+		// is detached and dropped; its ids are the highest, so the edge added
+		// after the renumbering still names the nodes it meant.
+		func() error {
+			extras := nodeWithLabel(tb, x, "extras", 0)
+			return applyAll(
+				dkindex.Mutation{Op: dkindex.MutRemoveEdge, From: x.Graph().Parents(extras)[0], To: extras},
+				dkindex.Mutation{Op: dkindex.MutCompact},
+				dkindex.Mutation{Op: dkindex.MutAddEdge, From: nodeWithLabel(tb, x, "director", 1), To: nodeWithLabel(tb, x, "title", 0)})
 		},
 	}
 }

@@ -80,7 +80,9 @@ type mutateAck struct {
 	// fields top-level errors use.
 	Error string `json:"error,omitempty"`
 	Code  string `json:"code,omitempty"`
-	// Nodes counts grafted nodes for add_document acks.
+	// Nodes counts grafted nodes for add_document acks. For compact acks it
+	// is the length of the renumbering — the data node count before the
+	// compaction; what it dropped is the difference to /v1/stats afterwards.
 	Nodes int `json:"nodes,omitempty"`
 	// Requirements reports the mined per-label requirements for optimize acks.
 	Requirements map[string]int `json:"requirements,omitempty"`

@@ -29,6 +29,29 @@ func TestV1MutateSingle(t *testing.T) {
 	}
 }
 
+// TestV1MutateCompact drives subtree deletion over the wire: detach, then
+// compact like any other op. The ack's nodes is the length of the renumbering
+// (the node count before), and one compaction is one generation.
+func TestV1MutateCompact(t *testing.T) {
+	ts, idx := newTestServer(t)
+	g := idx.Graph()
+	movieDB := g.Children(g.Root())[0]
+	code, out := post(t, ts.URL+"/v1/mutate", "application/json",
+		fmt.Sprintf(`{"op":"remove_edge","from":%d,"to":%d}`, movieDB, g.Children(movieDB)[0]))
+	if code != 200 {
+		t.Fatalf("remove_edge = %d %v", code, out)
+	}
+	nodes, gen := idx.Stats().DataNodes, idx.Generation()
+	code, out = post(t, ts.URL+"/v1/mutate", "application/json", `{"op":"compact"}`)
+	if code != 200 || int(out["nodes"].(float64)) != nodes || uint64(out["generation"].(float64)) != gen+1 {
+		t.Fatalf("compact = %d %v, want nodes=%d generation=%d", code, out, nodes, gen+1)
+	}
+	// director d1 and its name are gone; its movie stays, the actor refers to it.
+	if got := idx.Stats().DataNodes; got != nodes-2 || idx.Generation() != gen+1 {
+		t.Errorf("after compact: %d data nodes at generation %d, want %d at %d", got, idx.Generation(), nodes-2, gen+1)
+	}
+}
+
 func TestV1MutateErrors(t *testing.T) {
 	ts, _ := newTestServer(t)
 	for _, tc := range []struct {

@@ -6,8 +6,8 @@
 //	POST /v1/mutate   {"op":...} or {"mutations":[...]}  the write endpoint: ops
 //	                                    add_edge, remove_edge, add_document,
 //	                                    promote, demote, set_requirements,
-//	                                    optimize (?ack=sync|async; acks carry
-//	                                    seq, watermark and generation)
+//	                                    optimize, compact (?ack=sync|async; acks
+//	                                    carry seq, watermark and generation)
 //	POST /v1/documents  (XML body)      raw-XML ingest: one add_document whose
 //	                                    body is the document itself, up to 64 MiB
 //	GET  /v1/watermark                  write-pipeline progress

@@ -2,6 +2,7 @@ package server
 
 import (
 	"bytes"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -102,6 +103,11 @@ func TestShardedBackendServing(t *testing.T) {
 		`{"op":"promote","label":"name","k":2}`)
 	if code != 200 {
 		t.Fatalf("mutate promote = %d %v", code, body)
+	}
+	// Compaction is the one op the engine declines; the client is told why.
+	code, body = post(t, ts.URL+"/v1/mutate", "application/json", `{"op":"compact"}`)
+	if code != 400 || body["code"] != "bad_request" || !strings.Contains(fmt.Sprint(body["error"]), "compact is not supported") {
+		t.Errorf("mutate compact on a sharded backend = %d %v, want 400 bad_request naming the op", code, body)
 	}
 
 	// Merged results are identical to a monolithic index over the same docs:

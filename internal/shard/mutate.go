@@ -198,6 +198,8 @@ func (e *Engine) applyRoutedLocked(ms []dkindex.Mutation, acks []Ack) {
 			acks[i].Shard = s
 			pos[i] = len(perShard[s])
 			perShard[s] = append(perShard[s], lm)
+		case dkindex.MutCompact:
+			acks[i].Err = fmt.Errorf("shard: %s is not supported: global node ids are positions in the shard map, and compaction renumbers shard-local ids", m.Op)
 		default:
 			acks[i].Err = fmt.Errorf("shard: unknown mutation op %q", m.Op)
 		}

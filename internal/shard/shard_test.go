@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"errors"
 	"math/rand"
+	"reflect"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -472,6 +474,13 @@ func TestBroadcastMutations(t *testing.T) {
 	}
 	if _, err := e.Apply(dkindex.Mutation{Op: dkindex.MutPromote, Label: "label_nobody_has", K: 2}); err == nil {
 		t.Error("promoting a label unknown to every shard succeeded")
+	}
+	// Compaction is a known op the engine declines, with the reason: it would
+	// renumber shard-local ids under the shard map.
+	gens := e.Generations()
+	if _, err := e.Apply(dkindex.Mutation{Op: dkindex.MutCompact}); err == nil ||
+		!strings.Contains(err.Error(), "compact is not supported") || !reflect.DeepEqual(e.Generations(), gens) {
+		t.Errorf("compact on the engine: err=%v, generations %v -> %v; want a named rejection and no commit", err, gens, e.Generations())
 	}
 	for _, req := range referenceQueries() {
 		want, _ := mono.Run(req)

@@ -23,76 +23,43 @@ const (
 	opCompact    wal.Op = 7
 )
 
-func opName(op wal.Op) string {
-	switch op {
-	case opEdgeAdd:
-		return "edge_add"
-	case opEdgeRemove:
-		return "edge_remove"
-	case opDocument:
-		return "document"
-	case opPromote:
-		return "promote"
-	case opDemote:
-		return "demote"
-	case opSetReqs:
-		return "set_requirements"
-	case opCompact:
-		return "compact"
-	}
-	return fmt.Sprintf("op_%d", byte(op))
+// walMutOps names each write-ahead op by the Mutation op that replays it.
+// MutOptimize has no row: it journals the requirements it mined, as opSetReqs.
+var walMutOps = map[wal.Op]MutOp{
+	opEdgeAdd:    MutAddEdge,
+	opEdgeRemove: MutRemoveEdge,
+	opDocument:   MutAddDocument,
+	opPromote:    MutPromote,
+	opDemote:     MutDemote,
+	opSetReqs:    MutSetRequirements,
+	opCompact:    MutCompact,
 }
-
-// IsCompactRecord reports whether a WAL record re-applies as Index.Compact —
-// a maintenance operation outside the Mutation vocabulary — rather than
-// through Apply. Replication clients branch on it before DecodeWALMutation.
-func IsCompactRecord(op wal.Op) bool { return op == opCompact }
 
 // DecodeWALMutation maps one write-ahead record back onto the Mutation that
 // produced it, so a shipped record replays through the same Apply path
-// recovery uses. Compact records have no Mutation form (see IsCompactRecord)
-// and unknown ops are errors — a feed never ships vocabulary the client
-// cannot apply faithfully.
+// recovery uses. Unknown ops are errors — a feed never ships vocabulary the
+// client cannot apply faithfully.
 func DecodeWALMutation(op wal.Op, payload []byte) (Mutation, error) {
-	switch op {
-	case opEdgeAdd, opEdgeRemove:
-		from, to, err := decodeEdgePayload(payload)
-		if err != nil {
-			return Mutation{}, err
-		}
-		mop := MutAddEdge
-		if op == opEdgeRemove {
-			mop = MutRemoveEdge
-		}
-		return Mutation{Op: mop, From: from, To: to}, nil
-	case opDocument:
-		opts, raw, err := decodeDocumentPayload(payload)
-		if err != nil {
-			return Mutation{}, err
-		}
-		return Mutation{Op: MutAddDocument, Doc: raw, DocOptions: opts}, nil
-	case opPromote:
-		label, k, err := decodePromotePayload(payload)
-		if err != nil {
-			return Mutation{}, err
-		}
-		return Mutation{Op: MutPromote, Label: label, K: k}, nil
-	case opDemote:
-		reqs, err := decodeReqsPayload(payload)
-		if err != nil {
-			return Mutation{}, err
-		}
-		return Mutation{Op: MutDemote, Reqs: reqs}, nil
-	case opSetReqs:
-		reqs, err := decodeReqsPayload(payload)
-		if err != nil {
-			return Mutation{}, err
-		}
-		return Mutation{Op: MutSetRequirements, Reqs: reqs}, nil
-	case opCompact:
-		return Mutation{}, fmt.Errorf("dkindex: compact records apply via Index.Compact, not a Mutation")
+	m := Mutation{Op: walMutOps[op]}
+	var err error
+	switch m.Op {
+	case MutAddEdge, MutRemoveEdge:
+		m.From, m.To, err = decodeEdgePayload(payload)
+	case MutAddDocument:
+		m.DocOptions, m.Doc, err = decodeDocumentPayload(payload)
+	case MutPromote:
+		m.Label, m.K, err = decodePromotePayload(payload)
+	case MutDemote, MutSetRequirements:
+		m.Reqs, err = decodeReqsPayload(payload)
+	case MutCompact:
+		// The op is the whole record.
+	default:
+		err = fmt.Errorf("dkindex: unknown wal op %d", byte(op))
 	}
-	return Mutation{}, fmt.Errorf("dkindex: unknown wal op %d", byte(op))
+	if err != nil {
+		return Mutation{}, err
+	}
+	return m, nil
 }
 
 // payloadReader decodes the uvarint/string payload encoding with bounds

@@ -43,6 +43,13 @@ const (
 	// The Ack reports them; the recorder is reset once the mutation commits,
 	// so each epoch tunes to fresh observations.
 	MutOptimize MutOp = "optimize"
+	// MutCompact drops every data node no longer reachable from the root —
+	// the reclamation half of subtree deletion (remove the subtree's incoming
+	// edges, then compact) — and rebuilds the index for the current
+	// requirements. Node ids are renumbered: the Ack reports the old-to-new
+	// mapping, and the load recorder is reset once the mutation commits (its
+	// frequencies predate the renumbering).
+	MutCompact MutOp = "compact"
 )
 
 // Mutation describes one write for Apply, the mutation-side mirror of
@@ -84,8 +91,9 @@ type Ack struct {
 	// the rest commit. A failure of the write-ahead log rather than of the
 	// mutation matches ErrNotDurable.
 	Err error
-	// Mapping reports MutAddDocument's element-order-to-node-id mapping
-	// (synchronous acks only).
+	// Mapping reports MutAddDocument's element-order-to-node-id mapping, or
+	// MutCompact's renumbering: old node id to new, -1 for a dropped node,
+	// over the ids in force when the member applied (synchronous acks only).
 	Mapping []NodeID
 	// Mined reports MutOptimize's chosen requirements by label name
 	// (synchronous acks only).
@@ -116,7 +124,8 @@ type appliedMutation struct {
 	trigger string
 	stats   core.BuildStats
 	// resetRecorder, when set, is reset after the member commits durably
-	// (MutOptimize tunes each epoch to fresh observations).
+	// (MutOptimize tunes each epoch to fresh observations; MutCompact
+	// invalidates the old ones).
 	resetRecorder *workload.Recorder
 }
 
@@ -201,7 +210,9 @@ func (x *Index) applyBatch(ms []Mutation, wait bool) ([]Ack, error) {
 // settlement by polling Watermark — once it reaches Ack.Seq, the mutation is
 // durably applied or was rejected (rejections surface in metrics and the
 // event stream, not in this Ack). Without batching armed, acceptance and
-// commit coincide and the call behaves like Apply.
+// commit coincide: the mutation has settled when the call returns. This is
+// also how the index writes to itself — the query that crosses the
+// SetAutoPromote threshold submits its promotion here.
 func (x *Index) ApplyAsync(m Mutation) (Ack, error) {
 	acks, err := x.ApplyBatchAsync([]Mutation{m})
 	if err != nil {
@@ -224,8 +235,8 @@ func (x *Index) ApplyBatchAsync(ms []Mutation) ([]Ack, error) {
 // Watermark returns the acknowledged-durable watermark: every accepted
 // mutation with a sequence number at or below it has settled (durably
 // applied or definitively rejected). The watermark is session-scoped, like
-// the sequence numbers it bounds; mutations outside the pipeline (Compact,
-// Reload, auto-promotion) do not move it.
+// the sequence numbers it bounds. Reload, the one state change that is not a
+// Mutation, does not move it.
 func (x *Index) Watermark() uint64 { return x.durableMark.Load() }
 
 // LastSeq returns the last assigned mutation sequence number. The gap to
@@ -238,7 +249,7 @@ func (x *Index) LastSeq() uint64 { return x.mutSeq.Load() }
 func (x *Index) prepare(m Mutation) (*preparedMutation, error) {
 	p := &preparedMutation{m: m, done: make(chan struct{})}
 	switch m.Op {
-	case MutAddEdge, MutRemoveEdge, MutDemote, MutSetRequirements, MutOptimize:
+	case MutAddEdge, MutRemoveEdge, MutDemote, MutSetRequirements, MutOptimize, MutCompact:
 		// Nothing to pre-compute.
 	case MutPromote:
 		if m.Label == "" {
@@ -300,8 +311,9 @@ func (x *Index) submitPrepared(ps []*preparedMutation, wait bool) {
 
 // commitLocked settles a batch: one composite application to a copy-on-write
 // clone of the published snapshot (the batch allocates what it writes, not a
-// copy of the corpus), one WAL group append, one snapshot swap. Callers hold
-// mu and have assigned contiguous sequence numbers in slice order. Rejected members
+// copy of the corpus), one WAL group append, one snapshot swap. It is the only
+// function that journals, and with Reload the only one that publishes. Callers
+// hold mu and have assigned contiguous sequence numbers in slice order. Rejected members
 // (validation failures) are skipped — every apply validates before touching
 // the clone, so the survivors commit on an untainted state; a failed group
 // append rejects the whole batch and publishes nothing. All members settle:
@@ -335,18 +347,12 @@ func (x *Index) commitLocked(ps []*preparedMutation) {
 	}
 	appliedAt := x.stamp()
 
-	if len(applied) > 0 {
-		var err error
-		if len(applied) == 1 {
-			err = x.logMutation(applied[0].op, applied[0].payload)
-		} else {
-			recs := make([]wal.GroupRecord, len(applied))
-			for i, a := range applied {
-				recs[i] = wal.GroupRecord{Op: a.op, Payload: a.payload}
-			}
-			err = x.logGroup(recs)
+	if x.jr != nil && len(applied) > 0 {
+		recs := make([]wal.GroupRecord, len(applied))
+		for i, a := range applied {
+			recs[i] = wal.GroupRecord{Op: a.op, Payload: a.payload}
 		}
-		if err != nil {
+		if err := x.jr.logGroup(recs); err != nil {
 			err = fmt.Errorf("%w: %w", ErrNotDurable, err)
 			for _, a := range applied {
 				a.p.ack.Err = err
@@ -492,6 +498,19 @@ func (x *Index) applyOne(nd *core.DK, p *preparedMutation) (*core.DK, appliedMut
 			trigger: "optimize", stats: next.Stats, resetRecorder: rec,
 			ev: obs.Event{Type: obs.EventOptimize,
 				Detail: fmt.Sprintf("%d requirements mined", len(res.Reqs))}}, nil
+
+	case MutCompact:
+		g, mapping, err := nd.IG.Data().CompactReachable()
+		if err != nil {
+			return nd, appliedMutation{}, err
+		}
+		next := core.Build(g, nd.LabelReqs)
+		x.instrument(next)
+		p.ack.Mapping = mapping
+		return next, appliedMutation{op: opCompact,
+			trigger: "compact", stats: next.Stats, resetRecorder: x.recorder.Load(),
+			ev: obs.Event{Type: obs.EventCompact,
+				Detail: fmt.Sprintf("%d data nodes dropped", len(mapping)-g.NumNodes())}}, nil
 	}
 	return nd, appliedMutation{}, fmt.Errorf("dkindex: unknown mutation op %q", m.Op)
 }

@@ -38,9 +38,7 @@ func TestObserveLifecycleEvents(t *testing.T) {
 	if _, err := idx.Apply(Mutation{Op: MutAddDocument, Doc: []byte("<movieDB><movie><title/></movie></movieDB>")}); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := idx.Compact(); err != nil {
-		t.Fatal(err)
-	}
+	mustApply(t, idx, Mutation{Op: MutCompact})
 
 	counts := eventTypes(o.Events.Recent(0))
 	for _, want := range []obs.EventType{

@@ -55,16 +55,6 @@ func (x *Index) instrument(dk *core.DK) {
 	})
 }
 
-// preOp captures the index node count and wall clock before a mutation, at
-// zero cost when unobserved. Callers hold mu and pass the snapshot they
-// resolved.
-func (x *Index) preOp(cur *snapshot) (nodesBefore int, start time.Time) {
-	if x.observer == nil {
-		return 0, time.Time{}
-	}
-	return cur.dk.IG.NumNodes(), time.Now()
-}
-
 // stamp reads the clock when an observer is attached and returns the zero
 // time otherwise, so unobserved commits pay nothing for stage timing.
 func (x *Index) stamp() time.Time {
@@ -74,24 +64,12 @@ func (x *Index) stamp() time.Time {
 	return time.Now()
 }
 
-// opWall converts a preOp start into the operation's wall time.
+// opWall converts a stamp into the wall time since it (zero when unobserved).
 func opWall(start time.Time) time.Duration {
 	if start.IsZero() {
 		return 0
 	}
 	return time.Since(start)
-}
-
-// emit stamps the post-operation node count onto a lifecycle event, publishes
-// it and refreshes the gauges. Callers hold mu and have already published
-// the successor snapshot. No-op when unobserved.
-func (x *Index) emit(e obs.Event) {
-	if x.observer == nil {
-		return
-	}
-	e.NodesAfter = x.handle.Load().dk.IG.NumNodes()
-	x.observer.RecordEvent(e)
-	x.syncGauges()
 }
 
 // observeBuildStats records a completed construction job — optimize,

@@ -50,11 +50,12 @@ func OpenFile(path string) (*Index, error) {
 
 // Reload replaces the live index with one persisted via Save, keeping the
 // attached observer: instrumentation is re-wired onto the fresh graphs and a
-// codec_reload lifecycle event is emitted. The load recorder, tuned-workload
-// association and auto-promote heat are reset — they refer to the replaced
-// graph's label table. On a decode error the index is left untouched.
-// A store-managed index refuses to Reload: a wholesale swap would bypass the
-// write-ahead log and diverge the durable state from the served one.
+// codec_reload lifecycle event is emitted. The load recorder and auto-promote
+// heat are reset — they refer to the replaced graph's label table. On a decode
+// error the index is left untouched. Reload is the one state change that is
+// not a Mutation: it takes no sequence number, moves no watermark and is not
+// journalled, so a store-managed index refuses it — a wholesale swap would
+// diverge the durable state from the served one.
 //
 // Decoding happens outside the writer mutex; only the swap itself blocks
 // other mutations, and queries are never blocked at all.
@@ -68,9 +69,7 @@ func (x *Index) Reload(r io.Reader) error {
 	if x.jr != nil {
 		return fmt.Errorf("dkindex: index is managed by a store; Reload would bypass its write-ahead log")
 	}
-	cur := x.handle.Load()
-	before, start := x.preOp(cur)
-	x.queries.Store(nil)
+	before, start := x.handle.Load().dk.IG.NumNodes(), x.stamp()
 	if x.recorder.Load() != nil {
 		x.recorder.Store(workload.NewRecorder())
 	}
@@ -79,7 +78,9 @@ func (x *Index) Reload(r io.Reader) error {
 	}
 	x.instrument(dk)
 	x.publish(dk)
-	x.emit(obs.Event{Type: obs.EventCodecReload, NodesBefore: before, Wall: opWall(start)})
+	x.observer.RecordEvent(obs.Event{Type: obs.EventCodecReload,
+		NodesBefore: before, NodesAfter: dk.IG.NumNodes(), Wall: opWall(start)})
+	x.syncGauges()
 	return nil
 }
 

@@ -55,7 +55,7 @@ func TestQuickPostingListsSurviveLifecycle(t *testing.T) {
 					return false
 				}
 			case 5:
-				if _, _, err := idx.Compact(); err != nil {
+				if _, err := idx.Apply(Mutation{Op: MutCompact}); err != nil {
 					return false
 				}
 			}

@@ -252,7 +252,7 @@ func (x *Index) runOn(s *snapshot, req Request) (Result, error) {
 		// Cache hits still feed auto-promotion: repeats of a validating
 		// query are exactly the pressure SetAutoPromote reacts to, and the
 		// cached cost carries the validation count of every repeat.
-		x.noteValidation(cr.path, cr.cost.Validations)
+		x.noteValidation(s, cr.path, cr.cost.Validations)
 		return s.hit(cr, req), nil
 	}
 
@@ -304,7 +304,7 @@ func (x *Index) runOn(s *snapshot, req Request) (Result, error) {
 		begin = time.Now()
 	}
 	nodes, cost := evalFn(tr)
-	x.noteValidation(path, cost.Validations)
+	x.noteValidation(s, path, cost.Validations)
 	if x.observer != nil {
 		x.observer.ObserveQuery(string(kind), time.Since(begin), costSample(cost), len(nodes))
 		x.observer.FinishTrace(tr)

@@ -47,7 +47,7 @@ func TestSnapshotStressConcurrent(t *testing.T) {
 	}
 
 	// Fixed query texts, valid across every mutation (label names survive
-	// reloads and document grafts; Compact is the only id-renumbering op
+	// reloads and document grafts; compact is the only id-renumbering op
 	// and the writer below does not use it).
 	w, err := workload.Generate(idx.Graph(), workload.DefaultConfig(5))
 	if err != nil {

@@ -129,7 +129,7 @@ func TestCacheInvalidationOnEveryMutation(t *testing.T) {
 		{"set_requirements", apply(Mutation{Op: MutSetRequirements, Reqs: map[string]int{"title": 2}})},
 		{"Tune", func() error { return idx.Tune(20, 1) }},
 		{"optimize", apply(Mutation{Op: MutOptimize})},
-		{"Compact", func() error { _, _, err := idx.Compact(); return err }},
+		{"compact", apply(Mutation{Op: MutCompact})},
 		{"Reload", func() error { return idx.Reload(bytes.NewReader(saved.Bytes())) }},
 	}
 	for _, m := range mutations {

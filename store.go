@@ -46,7 +46,7 @@ type Store struct {
 
 	// ckmu serializes Checkpoint and Close against each other; the short
 	// writer-swap inside Checkpoint additionally holds idx.mu, which is what
-	// logMutation runs under.
+	// logGroup runs under.
 	ckmu sync.Mutex
 
 	// Guarded by idx.mu (mutations already hold it when appending).
@@ -397,44 +397,38 @@ func (s *Store) Appended() uint64 {
 // Dir returns the store's directory.
 func (s *Store) Dir() string { return s.dir }
 
-// logMutation implements mutationJournal: it durably appends one record.
-// Called by Index mutations with idx.mu held.
-func (s *Store) logMutation(op wal.Op, payload []byte) error {
-	if s.closed {
-		return ErrStoreClosed
-	}
-	n, err := s.w.Append(op, payload)
-	if err != nil {
-		return fmt.Errorf("dkindex: wal append (%s): %w", opName(op), err)
-	}
-	s.appended++
-	s.segs[len(s.segs)-1].count++
-	s.observer.ObserveWALAppend(n)
-	s.observer.RecordEvent(obs.Event{Type: obs.EventWALAppend,
-		Detail: fmt.Sprintf("%s, %d bytes, epoch %d", opName(op), n, s.epoch)})
-	return nil
-}
-
-// logGroup implements mutationJournal: it durably appends a batch of records
-// as one group frame — one fsync, and recovery replays the whole group or
-// none of it. Called by Index group commits with idx.mu held. A single
-// record degenerates to logMutation (the on-disk bytes are identical).
+// logGroup implements mutationJournal: it durably appends the records of one
+// commit with one fsync. Several records form one group frame, which recovery
+// replays whole or not at all; a lone record is written as the plain frame it
+// has always been. Called by commitLocked with idx.mu held.
 func (s *Store) logGroup(recs []wal.GroupRecord) error {
 	if s.closed {
 		return ErrStoreClosed
 	}
+	var (
+		what string
+		n    int
+		err  error
+	)
 	if len(recs) == 1 {
-		return s.logMutation(recs[0].Op, recs[0].Payload)
+		what = string(walMutOps[recs[0].Op])
+		n, err = s.w.Append(recs[0].Op, recs[0].Payload)
+	} else {
+		what = fmt.Sprintf("group of %d", len(recs))
+		n, err = s.w.AppendGroup(recs)
 	}
-	n, err := s.w.AppendGroup(recs)
 	if err != nil {
-		return fmt.Errorf("dkindex: wal group append (%d records): %w", len(recs), err)
+		return fmt.Errorf("dkindex: wal append (%s): %w", what, err)
 	}
 	s.appended += uint64(len(recs))
 	s.segs[len(s.segs)-1].count += uint64(len(recs))
-	s.observer.ObserveWALGroup(len(recs), n)
+	if len(recs) == 1 {
+		s.observer.ObserveWALAppend(n)
+	} else {
+		s.observer.ObserveWALGroup(len(recs), n)
+	}
 	s.observer.RecordEvent(obs.Event{Type: obs.EventWALAppend,
-		Detail: fmt.Sprintf("group of %d, %d bytes, epoch %d", len(recs), n, s.epoch)})
+		Detail: fmt.Sprintf("%s, %d bytes, epoch %d", what, n, s.epoch)})
 	return nil
 }
 
@@ -563,10 +557,6 @@ func (s *Store) Close() error {
 // records. The journal is not yet attached, so replayed mutations are not
 // re-logged.
 func (s *Store) applyRecord(r wal.Record) error {
-	if IsCompactRecord(r.Op) {
-		_, _, err := s.idx.Compact()
-		return err
-	}
 	m, err := DecodeWALMutation(r.Op, r.Payload)
 	if err != nil {
 		return fmt.Errorf("record %d: %w", r.Seq, err)

@@ -47,13 +47,22 @@ const extraDocXML = `<extras><movie id="m9"><title/><year/></movie></extras>`
 
 // storeSteps is the deterministic mutation battery the durability tests run:
 // one of every journaled operation, exercising extent splits, decay, grafts,
-// rebuilds and compaction, and the two operations that reach the log as a
+// rebuilds and compaction (alone and inside a group), and the two operations that reach the log as a
 // set_requirements record they mined themselves (Tune, optimize).
 func storeSteps(tb testing.TB) []func(*Index) error {
 	edge := func(x *Index) (NodeID, NodeID) {
 		return nodeWithLabel(tb, x, "director", 0), nodeWithLabel(tb, x, "title", 1)
 	}
 	apply := func(x *Index, m Mutation) error { _, err := x.Apply(m); return err }
+	applyAll := func(x *Index, ms ...Mutation) error {
+		acks, err := x.ApplyBatch(ms)
+		for _, a := range acks {
+			if err == nil {
+				err = a.Err
+			}
+		}
+		return err
+	}
 	return []func(*Index) error{
 		func(x *Index) error {
 			return apply(x, Mutation{Op: MutSetRequirements, Reqs: map[string]int{"title": 2, "name": 1}})
@@ -70,26 +79,31 @@ func storeSteps(tb testing.TB) []func(*Index) error {
 		},
 		func(x *Index) error { f, t := edge(x); return apply(x, Mutation{Op: MutRemoveEdge, From: f, To: t}) },
 		func(x *Index) error { return apply(x, Mutation{Op: MutPromote, Label: "name", K: 1}) },
-		func(x *Index) error { _, _, err := x.Compact(); return err },
+		func(x *Index) error { return apply(x, Mutation{Op: MutCompact}) },
 		// A group commit: three mutations land as one WAL group frame, so the
 		// sweep also crashes inside the frame's write and fsync — recovery
 		// must observe the whole batch or none of it.
 		func(x *Index) error {
 			f, t := edge(x)
-			acks, err := x.ApplyBatch([]Mutation{
-				{Op: MutAddEdge, From: f, To: t},
-				{Op: MutPromote, Label: "movie", K: 1},
-				{Op: MutRemoveEdge, From: f, To: t},
-			})
-			if err != nil {
-				return err
+			return applyAll(x,
+				Mutation{Op: MutAddEdge, From: f, To: t},
+				Mutation{Op: MutPromote, Label: "movie", K: 1},
+				Mutation{Op: MutRemoveEdge, From: f, To: t})
+		},
+		// A group with a compaction in the middle: the grafted document is
+		// detached and dropped (its ids are the highest, so the edge added
+		// after the renumbering still names the nodes it meant), and replay
+		// must renumber at the same point of the frame.
+		func(x *Index) error {
+			extras, nodes := nodeWithLabel(tb, x, "extras", 0), x.Stats().DataNodes
+			err := applyAll(x,
+				Mutation{Op: MutRemoveEdge, From: x.Graph().Parents(extras)[0], To: extras},
+				Mutation{Op: MutCompact},
+				Mutation{Op: MutAddEdge, From: nodeWithLabel(tb, x, "director", 1), To: nodeWithLabel(tb, x, "title", 0)})
+			if err == nil && x.Stats().DataNodes != nodes-4 {
+				tb.Fatalf("compaction inside the group left %d of %d data nodes, want 4 dropped", x.Stats().DataNodes, nodes)
 			}
-			for _, a := range acks {
-				if a.Err != nil {
-					return a.Err
-				}
-			}
-			return nil
+			return err
 		},
 		// Tune mines a seeded load and sends what it mined through the write
 		// pipeline: recovery sees one set_requirements record.
