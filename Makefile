@@ -59,7 +59,8 @@ stress:
 # query kernel a differential one against its reference oracle: the
 # table-driven RPE automata and the twig evaluator's memo tables. The
 # server's append encoder and its RawQuery reader are held to encoding/json
-# and net/url the same way. Long exploratory runs stay manual (go test
+# and net/url the same way, and Algorithm 3's in-place graft to the
+# whole-index rebuild it replaces. Long exploratory runs stay manual (go test
 # -fuzz=... -fuzztime=5m).
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzLoadDK -fuzztime 5s ./internal/codec
@@ -71,6 +72,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzTwigAgainstReference -fuzztime 5s ./internal/eval
 	$(GO) test -run '^$$' -fuzz FuzzQueryBodyAgainstEncodingJSON -fuzztime 5s ./internal/server
 	$(GO) test -run '^$$' -fuzz FuzzQueryParamAgainstParseQuery -fuzztime 5s ./internal/server
+	$(GO) test -run '^$$' -fuzz FuzzGraftAgainstRebuild -fuzztime 5s ./internal/core
 
 vet:
 	$(GO) vet ./...

@@ -24,10 +24,11 @@ func tunedXMark(t *testing.T, scale float64) (*experiments.Dataset, *Index) {
 }
 
 // commitAllocBytes builds the load-tuned D(k)-index of XMark at the given
-// scale and returns the bytes one commit of the benchmark's edge batch
-// allocates (add four reference edges, remove the four the previous batch
-// added), averaged over a run of batches after one warm-up batch.
-func commitAllocBytes(t *testing.T, scale float64) float64 {
+// scale and returns the bytes one commit allocates of each of the benchmark's
+// two batches, averaged over a run of batches after one warm-up batch: the
+// edge batch (add four reference edges, remove the four the previous batch
+// added) and the batch of eight documents.
+func commitAllocBytes(t *testing.T, scale float64) (edgeBatch, docBatch float64) {
 	t.Helper()
 	const batches = 16
 	ds, idx := tunedXMark(t, scale)
@@ -35,7 +36,7 @@ func commitAllocBytes(t *testing.T, scale float64) float64 {
 	if err != nil {
 		t.Fatal(err)
 	}
-	commit := func(b int) {
+	edgeCommit := func(b int) []Mutation {
 		ms := make([]Mutation, 0, 8)
 		for _, e := range edges[4*(b+1) : 4*(b+2)] {
 			ms = append(ms, Mutation{Op: MutAddEdge, From: e[0], To: e[1]})
@@ -43,39 +44,65 @@ func commitAllocBytes(t *testing.T, scale float64) float64 {
 		for _, e := range edges[4*b : 4*(b+1)] {
 			ms = append(ms, Mutation{Op: MutRemoveEdge, From: e[0], To: e[1]})
 		}
-		acks, err := idx.ApplyBatch(ms)
-		if err != nil {
-			t.Fatal(err)
+		return ms
+	}
+	docCommit := func(b int) []Mutation {
+		ms := make([]Mutation, 8)
+		for i := range ms {
+			ms[i] = Mutation{Op: MutAddDocument, Doc: auctionFragment(t, 8*b+i)}
 		}
-		for _, a := range acks {
-			if a.Err != nil {
-				t.Fatal(a.Err)
+		return ms
+	}
+	perCommit := func(batch func(int) []Mutation) float64 {
+		var total uint64
+		for b := 0; b <= batches; b++ {
+			ms := batch(b)
+			var m0, m1 runtime.MemStats
+			runtime.ReadMemStats(&m0)
+			acks, err := idx.ApplyBatch(ms)
+			runtime.ReadMemStats(&m1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, a := range acks {
+				if a.Err != nil {
+					t.Fatal(a.Err)
+				}
+			}
+			if b > 0 { // batch 0 warms up
+				total += m1.TotalAlloc - m0.TotalAlloc
 			}
 		}
+		return float64(total) / batches
 	}
-	commit(0)
-	var m0, m1 runtime.MemStats
-	runtime.ReadMemStats(&m0)
-	for b := 1; b <= batches; b++ {
-		commit(b)
-	}
-	runtime.ReadMemStats(&m1)
-	return float64(m1.TotalAlloc-m0.TotalAlloc) / batches
+	return perCommit(edgeCommit), perCommit(docCommit)
 }
 
 // TestCommitAllocationFlatInCorpusSize pins ROADMAP item 3's "flat in corpus
 // size": a write batch allocates what it touches, not a copy of the corpus.
-// With deep-copy clones the same batch allocated 8.7 MB at scale 1.0, four
-// times its cost at scale 0.25.
+// With deep-copy clones the edge batch allocated 8.7 MB at scale 1.0, four
+// times its cost at scale 0.25; with a whole-index rebuild per add_document
+// the document batch allocated 15.5 MB against 9.5 MB.
 func TestCommitAllocationFlatInCorpusSize(t *testing.T) {
-	small := commitAllocBytes(t, 0.25)
-	full := commitAllocBytes(t, 1.0)
-	t.Logf("bytes per 8-edge commit: %.0f at scale 0.25, %.0f at scale 1.0 (ratio %.2f)", small, full, full/small)
-	if full >= 1<<20 {
-		t.Errorf("an 8-edge commit allocates %.0f bytes at scale 1.0, want < 1 MB", full)
-	}
-	if full/small >= 1.5 {
-		t.Errorf("commit allocation grew %.2fx from scale 0.25 to 1.0, want < 1.5x", full/small)
+	smallEdge, smallDoc := commitAllocBytes(t, 0.25)
+	fullEdge, fullDoc := commitAllocBytes(t, 1.0)
+	for _, c := range []struct {
+		batch       string
+		small, full float64
+		limit       float64
+	}{
+		{"8-edge", smallEdge, fullEdge, 1 << 20},
+		{"8-document", smallDoc, fullDoc, 4 << 20},
+	} {
+		t.Logf("bytes per %s commit: %.0f at scale 0.25, %.0f at scale 1.0 (ratio %.2f)", c.batch, c.small, c.full, c.full/c.small)
+		if c.full >= c.limit {
+			t.Errorf("an %s commit allocates %.0f bytes at scale 1.0, want < %.0f", c.batch, c.full, c.limit)
+		}
+		// The race detector makes sync.Pool drop Algorithm 3's pooled scratch
+		// at random, which the larger index pays more for.
+		if pooled := c.batch == "8-document"; c.full/c.small >= 1.5 && !(pooled && raceEnabled) {
+			t.Errorf("%s commit allocation grew %.2fx from scale 0.25 to 1.0, want < 1.5x", c.batch, c.full/c.small)
+		}
 	}
 }
 

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"time"
 
 	"dkindex/internal/graph"
@@ -96,27 +97,61 @@ func BuildFromIndexReference(src *index.IndexGraph, reqs Requirements) *DK {
 	return &DK{IG: ig, LabelReqs: reqs.Clone(), Stats: stats}
 }
 
-// buildFromSource is the shared Algorithm 2 engine. memberK, when non-nil,
-// supplies the local similarity already established for each source node;
-// result nodes take the min of their broadcast requirement and their merged
-// members' similarities. With reference set, rounds run on the preserved
-// reference refiner instead of the CSR pipeline (for the build audit).
+// buildFromSource is the shared Algorithm 2 engine: refine decides the blocks
+// and their local similarities, materialise makes them an index graph.
 func buildFromSource(src index.Source, reqs Requirements, memberK func(graph.NodeID) int, reference bool) (*index.IndexGraph, BuildStats) {
-	var stats BuildStats
+	return new(refineScratch).build(src, reqs, memberK, reference)
+}
+
+// refineScratch is the working memory of a refinement job, all of it sized by
+// the source: the partition and the refiner's snapshot and round arrays, the
+// per-block requirements, the label-split quotient graph, the lowering
+// worklist. A build over a data graph makes one and drops it; Algorithm 3,
+// whose sources are an index and a document, keeps one from document to
+// document (graftScratch), so that adding a document allocates for what it
+// adds and not again for the index it is added to.
+type refineScratch struct {
+	part     partition.Partition
+	refiner  partition.Refiner
+	req      [2][]int // this round's per-block requirements and the next's
+	quotient quotientGraph
+	lower    lowerScratch
+}
+
+func (sc *refineScratch) build(src index.Source, reqs Requirements, memberK func(graph.NodeID) int, reference bool) (*index.IndexGraph, BuildStats) {
 	start := time.Now()
-	p := partition.NewByLabel(src)
+	p, blockK, clamped, stats := sc.refine(src, reqs, memberK, reference)
+	ig := sc.materialise(src, p, blockK, clamped)
+	stats.Total = time.Since(start)
+	return ig, stats
+}
+
+// refine runs Algorithms 1 and 2 over src and returns the refined partition
+// with the local similarity of every block; both are the scratch's, good
+// until its next refine. memberK, when non-nil, supplies the similarity
+// already established for each source node: a block takes the min of its
+// broadcast requirement and its members' similarities, and clamped reports
+// that some block fell short of its requirement, so Definition 3 has to be
+// re-established by lowering once the blocks are index nodes. With reference
+// set, rounds run on the preserved reference refiner instead of the CSR
+// pipeline (for the build audit). stats.Total is left for the caller, who
+// knows what else the job includes.
+func (sc *refineScratch) refine(src index.Source, reqs Requirements, memberK func(graph.NodeID) int, reference bool) (p *partition.Partition, blockK []int, clamped bool, stats BuildStats) {
+	p = &sc.part
+	p.ResetByLabel(src)
 	labelBlocks := p.NumBlocks()
 
 	// Per-block requirements from the query load.
-	blockReq := make([]int, p.NumBlocks())
-	for b := 0; b < p.NumBlocks(); b++ {
+	sc.req[0] = slices.Grow(sc.req[0][:0], p.NumBlocks())[:p.NumBlocks()]
+	blockReq := sc.req[0]
+	for b := range blockReq {
 		blockReq[b] = reqs.Get(src.Label(p.Members(partition.BlockID(b))[0]))
 	}
 
 	// Algorithm 1 operates on the label-split index graph; derive its
 	// block-level parent adjacency from the source.
-	bg := blockGraph(src, p)
-	blockReq = broadcast(bg, blockReq)
+	sc.quotient.reset(src, p)
+	blockReq = broadcast(&sc.quotient, blockReq)
 
 	// Algorithm 2 main loop: round k refines blocks requiring >= k against
 	// the previous round's partition. The adjacency is fixed for the whole
@@ -131,10 +166,9 @@ func buildFromSource(src index.Source, reqs Requirements, memberK func(graph.Nod
 			kmax = r
 		}
 	}
-	var refiner *partition.Refiner
 	if kmax > 0 && !reference {
-		refiner = partition.NewRefiner(src)
-		stats.CSRBuild = refiner.CSRBuild
+		sc.refiner.Reset(src)
+		stats.CSRBuild = sc.refiner.CSRBuild
 	}
 	for k := 1; k <= kmax; k++ {
 		req := blockReq // capture this round's values
@@ -143,9 +177,10 @@ func buildFromSource(src index.Source, reqs Requirements, memberK func(graph.Nod
 		if reference {
 			res = p.ReferenceRefineRound(src, sel)
 		} else {
-			res = refiner.Round(p, sel)
+			res = sc.refiner.Round(p, sel)
 		}
-		next := make([]int, p.NumBlocks())
+		sc.req[k%2] = slices.Grow(sc.req[k%2][:0], p.NumBlocks())[:p.NumBlocks()]
+		next := sc.req[k%2]
 		workpool.Chunks(len(next), workpool.Workers(len(next), 1<<15, 16), func(_, lo, hi int) {
 			for nb := lo; nb < hi; nb++ {
 				next[nb] = req[res.Origin[nb]] // inheritance
@@ -157,13 +192,10 @@ func buildFromSource(src index.Source, reqs Requirements, memberK func(graph.Nod
 	stats.PeakBlocks = p.NumBlocks()
 	stats.Splits = p.NumBlocks() - labelBlocks
 
-	ig := index.FromPartition(src, p, func(b partition.BlockID) int { return blockReq[b] })
-
 	if memberK != nil {
-		// Clamp each result node to the weakest similarity among the source
-		// nodes merged into it, then restore the Definition 3 invariant.
-		clamped := false
-		for b := 0; b < p.NumBlocks(); b++ {
+		// Clamp each block to the weakest similarity among the source nodes
+		// merged into it.
+		for b := range blockReq {
 			k := blockReq[b]
 			for _, s := range p.Members(partition.BlockID(b)) {
 				if mk := memberK(s); mk < k {
@@ -171,68 +203,90 @@ func buildFromSource(src index.Source, reqs Requirements, memberK func(graph.Nod
 				}
 			}
 			if k < blockReq[b] {
-				ig.SetK(graph.NodeID(b), k)
+				blockReq[b] = k
 				clamped = true
 			}
 		}
-		if clamped {
-			LowerToInvariant(ig)
-		}
 	}
-	stats.Total = time.Since(start)
-	return ig, stats
+	return p, blockReq, clamped, stats
 }
 
-// blockGraph materializes the quotient parent-adjacency of a partition: the
-// parents of block b are the blocks containing parents of b's members.
+// materialise makes the blocks of a refined partition of src the nodes of a
+// new index graph: every extent re-encoded, every data edge re-counted. It is
+// what a build costs beyond its refinement, and what Algorithm 3 skips when
+// the partition lets it graft the document onto the index it already has.
+func (sc *refineScratch) materialise(src index.Source, p *partition.Partition, blockK []int, clamped bool) *index.IndexGraph {
+	ig := index.FromPartition(src, p, func(b partition.BlockID) int { return blockK[b] })
+	if clamped {
+		sc.lower.run(ig)
+	}
+	return ig
+}
+
+// quotientGraph is the quotient parent-adjacency of a partition: the parents
+// of block b are the blocks containing parents of b's members.
 type quotientGraph struct {
 	parents [][]graph.NodeID
+	flat    []graph.NodeID // backs parents
+	lastFor []int32        // lastFor[pb] = b+1 once pb is listed as a parent of b
 }
 
 func (q *quotientGraph) NumNodes() int                         { return len(q.parents) }
 func (q *quotientGraph) Parents(n graph.NodeID) []graph.NodeID { return q.parents[n] }
 
-func blockGraph(src index.Source, p *partition.Partition) *quotientGraph {
-	q := &quotientGraph{parents: make([][]graph.NodeID, p.NumBlocks())}
-	seen := make(map[[2]partition.BlockID]bool)
-	for n := 0; n < src.NumNodes(); n++ {
-		b := p.BlockOf(graph.NodeID(n))
-		for _, par := range src.Parents(graph.NodeID(n)) {
-			pb := p.BlockOf(par)
-			key := [2]partition.BlockID{pb, b}
-			if !seen[key] {
-				seen[key] = true
-				q.parents[b] = append(q.parents[b], graph.NodeID(pb))
+// reset materializes the quotient of p over src, each block's parents in
+// order of first appearance over its members in node order.
+func (q *quotientGraph) reset(src index.Source, p *partition.Partition) {
+	nb := p.NumBlocks()
+	q.parents = slices.Grow(q.parents[:0], nb)[:nb]
+	q.lastFor = slices.Grow(q.lastFor[:0], nb)[:nb]
+	clear(q.lastFor)
+	q.flat = q.flat[:0]
+	for b := 0; b < nb; b++ {
+		lo := len(q.flat)
+		for _, n := range p.Members(partition.BlockID(b)) {
+			for _, par := range src.Parents(n) {
+				if pb := p.BlockOf(par); q.lastFor[pb] != int32(b+1) {
+					q.lastFor[pb] = int32(b + 1)
+					q.flat = append(q.flat, graph.NodeID(pb))
+				}
 			}
 		}
+		// A later append may move flat; the run carved here stays what it is.
+		q.parents[b] = q.flat[lo:len(q.flat):len(q.flat)]
 	}
-	return q
 }
 
 // LowerToInvariant restores Definition 3 on an index graph by lowering: for
 // every edge a -> b it enforces k(b) <= k(a) + 1, propagating with a
 // worklist until stable. Lowering never breaks soundness (a smaller budget
 // only means more validation), so this is always safe to call.
-func LowerToInvariant(ig *index.IndexGraph) {
-	queue := make([]graph.NodeID, 0, ig.NumNodes())
-	for n := 0; n < ig.NumNodes(); n++ {
-		queue = append(queue, graph.NodeID(n))
+func LowerToInvariant(ig *index.IndexGraph) { new(lowerScratch).run(ig) }
+
+// lowerScratch is LowerToInvariant's worklist: every node once, then again
+// whenever it was lowered.
+type lowerScratch struct {
+	queue   []graph.NodeID
+	inQueue []bool
+}
+
+func (s *lowerScratch) run(ig *index.IndexGraph) {
+	n := ig.NumNodes()
+	s.queue, s.inQueue = s.queue[:0], slices.Grow(s.inQueue[:0], n)[:n]
+	for a := 0; a < n; a++ {
+		s.queue = append(s.queue, graph.NodeID(a))
+		s.inQueue[a] = true
 	}
-	inQueue := make([]bool, ig.NumNodes())
-	for i := range inQueue {
-		inQueue[i] = true
-	}
-	for len(queue) > 0 {
-		a := queue[0]
-		queue = queue[1:]
-		inQueue[a] = false
+	for head := 0; head < len(s.queue); head++ {
+		a := s.queue[head]
+		s.inQueue[a] = false
 		limit := ig.K(a) + 1
 		for _, b := range ig.Children(a) {
 			if ig.K(b) > limit {
 				ig.SetK(b, limit)
-				if !inQueue[b] {
-					inQueue[b] = true
-					queue = append(queue, b)
+				if !s.inQueue[b] {
+					s.inQueue[b] = true
+					s.queue = append(s.queue, b)
 				}
 			}
 		}

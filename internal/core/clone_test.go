@@ -1,12 +1,10 @@
 package core_test
 
 import (
-	"bytes"
 	"fmt"
 	"math/rand"
 	"testing"
 
-	"dkindex/internal/codec"
 	"dkindex/internal/core"
 	"dkindex/internal/cow/cowtest"
 	"dkindex/internal/graph"
@@ -18,7 +16,18 @@ import (
 // random members of a family of structurally sharing DK clones (see
 // cowtest.Isolation). Every untouched member must keep its codec.SaveDK
 // bytes; every member must keep the index invariants and Definition 3.
+//
+// Algorithm 3 has to be caught both ways: grafting the document onto the
+// index graph it was handed, where every page it writes is one the family may
+// share, and materialising a new one.
 func TestCloneIsolationProperty(t *testing.T) {
+	var grafted, rebuilt int
+	defer func() {
+		t.Logf("documents: %d grafted in place, %d materialised anew", grafted, rebuilt)
+		if grafted == 0 || rebuilt == 0 {
+			t.Error("one of Algorithm 3's two branches was never taken")
+		}
+	}()
 	cowtest.Isolation(t, 12, cowtest.Subject[*core.DK]{
 		New: func(rng *rand.Rand) *core.DK {
 			g := graph.New()
@@ -53,8 +62,14 @@ func TestCloneIsolationProperty(t *testing.T) {
 						leaf = fmt.Sprintf("fresh%d", g.NumNodes())
 					}
 					h.AddEdge(top, h.AddNode(leaf))
+					before := dk.IG
 					if _, err := dk.AddSubgraph(h); err != nil {
 						t.Fatal(err)
+					}
+					if dk.IG == before {
+						grafted++
+					} else {
+						rebuilt++
 					}
 				case 4:
 					dk.Promote(dk.IG.IndexOf(v), 1+rng.Intn(2))
@@ -65,13 +80,7 @@ func TestCloneIsolationProperty(t *testing.T) {
 				}
 			}
 		},
-		Fingerprint: func(dk *core.DK) []byte {
-			var buf bytes.Buffer
-			if err := codec.SaveDK(&buf, dk); err != nil {
-				t.Fatal(err)
-			}
-			return buf.Bytes()
-		},
+		Fingerprint: func(dk *core.DK) []byte { return saved(t, dk) },
 		Validate: func(dk *core.DK) error {
 			if err := dk.IG.Data().Validate(); err != nil {
 				return err

@@ -7,6 +7,8 @@ import (
 
 	"dkindex/internal/eval"
 	"dkindex/internal/graph"
+	"dkindex/internal/index"
+	"dkindex/internal/partition"
 )
 
 type genSpec struct {
@@ -180,17 +182,7 @@ func TestQuickBroadcastIdempotentMonotone(t *testing.T) {
 // newLabelSplitForTest builds the label-level quotient graph used by the
 // broadcast property test.
 func newLabelSplitForTest(g *graph.Graph) *quotientGraph {
-	q := &quotientGraph{parents: make([][]graph.NodeID, g.Labels().Len())}
-	seen := make(map[[2]graph.LabelID]bool)
-	for n := 0; n < g.NumNodes(); n++ {
-		b := g.Label(graph.NodeID(n))
-		for _, par := range g.Parents(graph.NodeID(n)) {
-			pb := g.Label(par)
-			if !seen[[2]graph.LabelID{pb, b}] {
-				seen[[2]graph.LabelID{pb, b}] = true
-				q.parents[b] = append(q.parents[b], graph.NodeID(pb))
-			}
-		}
-	}
+	q := new(quotientGraph)
+	q.reset(index.DataSource{G: g}, partition.NewByLabel(g))
 	return q
 }

@@ -1,6 +1,9 @@
 package graph
 
-import "fmt"
+import (
+	"fmt"
+	"slices"
+)
 
 // CSR is a compressed-sparse-row snapshot of one adjacency direction: the
 // neighbor lists of all nodes concatenated into one flat edges array, indexed
@@ -22,7 +25,16 @@ type CSR struct {
 // preserved. It panics if the graph holds more than 2^31-1 edges (offsets are
 // int32 by design — half the footprint of int64 on the build hot path).
 func NewCSR(numNodes int, neighbors func(NodeID) []NodeID) *CSR {
-	c := &CSR{offsets: make([]int32, numNodes+1)}
+	c := new(CSR)
+	c.Reset(numNodes, neighbors)
+	return c
+}
+
+// Reset re-snapshots c over another adjacency, as NewCSR would, reusing its
+// arrays where they are large enough. Rows handed out before are invalid.
+func (c *CSR) Reset(numNodes int, neighbors func(NodeID) []NodeID) {
+	c.offsets = slices.Grow(c.offsets[:0], numNodes+1)[:numNodes+1]
+	c.offsets[0] = 0
 	total := 0
 	for i := 0; i < numNodes; i++ {
 		total += len(neighbors(NodeID(i)))
@@ -31,11 +43,10 @@ func NewCSR(numNodes int, neighbors func(NodeID) []NodeID) *CSR {
 		}
 		c.offsets[i+1] = int32(total)
 	}
-	c.edges = make([]NodeID, total)
+	c.edges = slices.Grow(c.edges[:0], total)[:total]
 	for i := 0; i < numNodes; i++ {
 		copy(c.edges[c.offsets[i]:c.offsets[i+1]], neighbors(NodeID(i)))
 	}
-	return c
 }
 
 // NumNodes returns the number of nodes the snapshot covers.

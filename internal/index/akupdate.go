@@ -198,7 +198,7 @@ func AKSubgraphAdd(ig *IndexGraph, k int, h *graph.Graph) (*IndexGraph, []graph.
 	hg := graph.NewWithLabels(g.Labels())
 	hgRoot := hg.AddRoot()
 	hgOf := make([]graph.NodeID, h.NumNodes())
-	hgToG := []graph.NodeID{g.Root()}
+	firstNew := graph.NodeID(g.NumNodes())
 	for n := 0; n < h.NumNodes(); n++ {
 		hn := graph.NodeID(n)
 		if hn == h.Root() {
@@ -209,7 +209,6 @@ func AKSubgraphAdd(ig *IndexGraph, k int, h *graph.Graph) (*IndexGraph, []graph.
 		l := g.Labels().Intern(h.LabelName(hn))
 		mapping[n] = g.AddNodeID(l)
 		hgOf[n] = hg.AddNodeID(l)
-		hgToG = append(hgToG, mapping[n])
 	}
 	for n := 0; n < h.NumNodes(); n++ {
 		for _, c := range h.Children(graph.NodeID(n)) {
@@ -219,7 +218,7 @@ func AKSubgraphAdd(ig *IndexGraph, k int, h *graph.Graph) (*IndexGraph, []graph.
 	}
 	ih := BuildAK(hg, k)
 
-	comp, err := newGraftSource(ig, ih, hgToG)
+	comp, err := NewGraftSource(ig, ih, firstNew)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -231,108 +230,3 @@ func AKSubgraphAdd(ig *IndexGraph, k int, h *graph.Graph) (*IndexGraph, []graph.
 	out := FromPartition(comp, p, func(partition.BlockID) int { return sim })
 	return out, mapping, nil
 }
-
-// graftSource presents an index with a document sub-index grafted under its
-// root class as one construction source (the A(k) counterpart of the
-// D(k)-index's composite source).
-type graftSource struct {
-	ig, ih *IndexGraph
-	base   int
-	ihRoot graph.NodeID
-	igRoot graph.NodeID
-	hgToG  []graph.NodeID
-	total  int
-}
-
-func newGraftSource(ig, ih *IndexGraph, hgToG []graph.NodeID) (*graftSource, error) {
-	ihRoot := ih.IndexOf(ih.Data().Root())
-	if ih.ExtentSize(ihRoot) != 1 {
-		return nil, fmt.Errorf("index: sub-index root class is not a singleton")
-	}
-	return &graftSource{
-		ig:     ig,
-		ih:     ih,
-		base:   ig.NumNodes(),
-		ihRoot: ihRoot,
-		igRoot: ig.IndexOf(ig.Data().Root()),
-		hgToG:  hgToG,
-		total:  ig.NumNodes() + ih.NumNodes() - 1,
-	}, nil
-}
-
-func (c *graftSource) toIH(n graph.NodeID) graph.NodeID {
-	j := n - graph.NodeID(c.base)
-	if j >= c.ihRoot {
-		j++
-	}
-	return j
-}
-
-func (c *graftSource) fromIH(j graph.NodeID) graph.NodeID {
-	if j > c.ihRoot {
-		j--
-	}
-	return j + graph.NodeID(c.base)
-}
-
-func (c *graftSource) NumNodes() int { return c.total }
-
-func (c *graftSource) Label(n graph.NodeID) graph.LabelID {
-	if int(n) < c.base {
-		return c.ig.Label(n)
-	}
-	return c.ih.Label(c.toIH(n))
-}
-
-func (c *graftSource) Parents(n graph.NodeID) []graph.NodeID {
-	if int(n) < c.base {
-		return c.ig.Parents(n)
-	}
-	ps := c.ih.Parents(c.toIH(n))
-	out := make([]graph.NodeID, 0, len(ps))
-	for _, p := range ps {
-		if p == c.ihRoot {
-			out = append(out, c.igRoot)
-		} else {
-			out = append(out, c.fromIH(p))
-		}
-	}
-	return out
-}
-
-func (c *graftSource) Children(n graph.NodeID) []graph.NodeID {
-	if int(n) < c.base {
-		// Copy: the index owns the adjacency slice, and the igRoot case
-		// appends the grafted subtree's children to it.
-		out := append([]graph.NodeID(nil), c.ig.Children(n)...)
-		if n == c.igRoot {
-			for _, ch := range c.ih.Children(c.ihRoot) {
-				out = append(out, c.fromIH(ch))
-			}
-		}
-		return out
-	}
-	chs := c.ih.Children(c.toIH(n))
-	out := make([]graph.NodeID, 0, len(chs))
-	for _, ch := range chs {
-		out = append(out, c.fromIH(ch))
-	}
-	return out
-}
-
-func (c *graftSource) AppendExtent(dst []graph.NodeID, n graph.NodeID) []graph.NodeID {
-	if int(n) < c.base {
-		return c.ig.AppendExtent(dst, n)
-	}
-	// Grafted nodes map through hgToG, so the appended run is not
-	// necessarily ascending; FromPartition sorts before encoding.
-	c.ih.ExtentSet(c.toIH(n)).Iterate(func(hn graph.NodeID) bool {
-		dst = append(dst, c.hgToG[hn])
-		return true
-	})
-	return dst
-}
-
-func (c *graftSource) Data() *graph.Graph { return c.ig.Data() }
-
-var _ Source = (*graftSource)(nil)

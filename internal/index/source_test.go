@@ -91,18 +91,18 @@ func TestIndexGraphAppendExtentEmpty(t *testing.T) {
 	}
 }
 
-// buildGraft constructs a graftSource the way AKSubgraphAdd does: a document
-// sub-index grafted under the base index's root class, with the mapping from
-// sub-graph node ids to (freshly added) data-graph ids.
-func buildGraft(t *testing.T) (*graftSource, *IndexGraph, *IndexGraph, []graph.NodeID) {
+// buildGraft constructs a GraftSource the way AKSubgraphAdd and Algorithm 3
+// do: a document sub-index grafted under the base index's root class, the
+// document's node i >= 1 having become data node firstNew+i-1.
+func buildGraft(t *testing.T) (gs *GraftSource, ig, ih *IndexGraph, firstNew graph.NodeID) {
 	t.Helper()
 	g := graph.FigureOneMovies()
-	ig := BuildAK(g, 2)
+	ig = BuildAK(g, 2)
 	h := graph.FigureOneMovies()
 	hg := graph.NewWithLabels(g.Labels())
 	hgRoot := hg.AddRoot()
 	hgOf := make([]graph.NodeID, h.NumNodes())
-	hgToG := []graph.NodeID{g.Root()}
+	firstNew = graph.NodeID(g.NumNodes())
 	for n := 0; n < h.NumNodes(); n++ {
 		hn := graph.NodeID(n)
 		if hn == h.Root() {
@@ -110,29 +110,28 @@ func buildGraft(t *testing.T) (*graftSource, *IndexGraph, *IndexGraph, []graph.N
 			continue
 		}
 		l := g.Labels().Intern(h.LabelName(hn))
-		id := g.AddNodeID(l)
+		g.AddNodeID(l)
 		hgOf[n] = hg.AddNodeID(l)
-		hgToG = append(hgToG, id)
 	}
 	for n := 0; n < h.NumNodes(); n++ {
 		for _, c := range h.Children(graph.NodeID(n)) {
 			hg.AddEdge(hgOf[n], hgOf[c])
 		}
 	}
-	ih := BuildAK(hg, 1)
-	gs, err := newGraftSource(ig, ih, hgToG)
+	ih = BuildAK(hg, 1)
+	gs, err := NewGraftSource(ig, ih, firstNew)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return gs, ig, ih, hgToG
+	return gs, ig, ih, firstNew
 }
 
 // TestGraftSourceAppendExtent checks both halves of the composite: base
-// nodes delegate to the base index, grafted nodes remap the sub-index's
-// extents through the node mapping. Order of a grafted run is unspecified
-// (FromPartition sorts before encoding), so runs compare as sorted sets.
+// nodes delegate to the base index, grafted nodes offset the sub-index's
+// extents to the ids the document's nodes received, ascending and above
+// every id the base index covers (what IndexGraph.GraftExtent relies on).
 func TestGraftSourceAppendExtent(t *testing.T) {
-	gs, ig, ih, hgToG := buildGraft(t)
+	gs, ig, ih, firstNew := buildGraft(t)
 
 	for n := 0; n < ig.NumNodes(); n++ {
 		id := graph.NodeID(n)
@@ -141,29 +140,84 @@ func TestGraftSourceAppendExtent(t *testing.T) {
 			t.Fatalf("base node %d: %v, want %v", n, got, want)
 		}
 	}
-	singles := 0
+	singles, covered := 0, 0
 	for n := ig.NumNodes(); n < gs.NumNodes(); n++ {
 		id := graph.NodeID(n)
 		var want []graph.NodeID
 		for _, hn := range ih.Extent(gs.toIH(id)) {
-			want = append(want, hgToG[hn])
+			want = append(want, firstNew+hn-1)
 		}
-		slices.Sort(want)
 		if len(want) == 1 {
 			singles++
 		}
+		covered += len(want)
 		got := gs.AppendExtent(nil, id)
-		slices.Sort(got)
-		if !slices.Equal(got, want) {
+		if !slices.Equal(got, want) || !slices.IsSorted(got) || got[0] < firstNew {
 			t.Fatalf("grafted node %d: %v, want %v", n, got, want)
 		}
 		// Prefix preservation with a non-empty dst.
 		prefixed := gs.AppendExtent([]graph.NodeID{42}, id)
-		if prefixed[0] != 42 || len(prefixed) != len(want)+1 {
+		if prefixed[0] != 42 || !slices.Equal(prefixed[1:], want) {
 			t.Fatalf("grafted node %d: prefixed run %v", n, prefixed)
+		}
+		// Callers own the result.
+		for i := range got {
+			got[i] = -1
+		}
+		if again := gs.AppendExtent(nil, id); !slices.Equal(again, want) {
+			t.Fatalf("grafted node %d: extent corrupted by caller mutation: %v", n, again)
 		}
 	}
 	if singles == 0 {
 		t.Fatal("no singleton grafted extent exercised")
+	}
+	if want := ih.Data().NumNodes() - 1; covered != want {
+		t.Fatalf("grafted extents cover %d document nodes, want %d (all but the root)", covered, want)
+	}
+}
+
+// TestGraftSourceAdjacency checks the adjacency translated at construction
+// against the definition: a grafted node's neighbours are the sub-index's,
+// renumbered, with the sub-index's root class replaced by the base index's;
+// base nodes keep their own lists, the root class's children gaining the
+// document's top-level classes.
+func TestGraftSourceAdjacency(t *testing.T) {
+	gs, ig, ih, _ := buildGraft(t)
+	translate := func(ns []graph.NodeID) []graph.NodeID {
+		var out []graph.NodeID
+		for _, n := range ns {
+			if n == gs.ihRoot {
+				out = append(out, gs.igRoot)
+			} else {
+				out = append(out, gs.fromIH(n))
+			}
+		}
+		return out
+	}
+	for n := 0; n < gs.NumNodes(); n++ {
+		id := graph.NodeID(n)
+		at, from := id, ig
+		if n >= gs.Base() {
+			at, from = gs.toIH(id), ih
+		}
+		wantP, wantC := from.Parents(at), from.Children(at)
+		if from == ih {
+			wantP, wantC = translate(wantP), translate(wantC)
+		}
+		if id == gs.igRoot {
+			wantC = append(slices.Clone(wantC), translate(ih.Children(gs.ihRoot))...)
+		}
+		if got := gs.Children(id); !slices.Equal(got, wantC) {
+			t.Fatalf("node %d children %v, want %v", n, got, wantC)
+		}
+		if got := gs.Parents(id); !slices.Equal(got, wantP) {
+			t.Fatalf("node %d parents %v, want %v", n, got, wantP)
+		}
+		if gs.Label(id) != from.Label(at) || gs.MemberK(id) != from.K(at) {
+			t.Fatalf("node %d: label %d k %d, want %d and %d", n, gs.Label(id), gs.MemberK(id), from.Label(at), from.K(at))
+		}
+	}
+	if len(gs.Children(gs.igRoot)) == len(ig.Children(gs.igRoot)) {
+		t.Fatal("the root class gained no grafted child")
 	}
 }

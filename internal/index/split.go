@@ -1,6 +1,7 @@
 package index
 
 import (
+	"dkindex/internal/cow"
 	"dkindex/internal/graph"
 	"dkindex/internal/nodeset"
 )
@@ -134,4 +135,44 @@ func (ig *IndexGraph) RemoveDataEdge(u, v graph.NodeID) bool {
 	ig.fbStable = false
 	ig.decEdge(ig.IndexOf(u), ig.IndexOf(v))
 	return true
+}
+
+// GraftExtent adds data nodes to index node n's extent: ids are ascending
+// nodes appended to the data graph since the index last covered it, so they
+// are larger than every indexed id and belong to no extent yet. It writes n's
+// extent and the new nodes' nodeOf entries and nothing else — no adjacency
+// (mirror the nodes' edges with AddDataEdge afterwards) and no local
+// similarity, which like AddDataEdge it leaves to the caller's algorithm
+// (Algorithm 3's graft, internal/core).
+func (ig *IndexGraph) GraftExtent(n graph.NodeID, ids []graph.NodeID) {
+	own := ig.own.Load()
+	ext := ig.extents.Mut(own, int(n))
+	*ext = nodeset.Union(*ext, nodeset.FromSorted(ids))
+	ig.cover(own, n, ids)
+}
+
+// GraftNode creates an index node with label l and local similarity k whose
+// extent is ids (GraftExtent's contract) and returns it.
+func (ig *IndexGraph) GraftNode(l graph.LabelID, k int, ids []graph.NodeID) graph.NodeID {
+	own := ig.own.Load()
+	nb := graph.NodeID(ig.NumNodes())
+	ig.labels.Append(own, l)
+	ig.k.Append(own, k)
+	ig.extents.Append(own, nodeset.FromSorted(ids))
+	ig.adj = append(ig.adj, newAdjacency(own))
+	ig.appendPosting(l, nb)
+	ig.cover(own, nb, ids)
+	return nb
+}
+
+// cover points the grafted data nodes ids at index node n, first growing
+// nodeOf to the data graph's current size.
+func (ig *IndexGraph) cover(own *cow.Owner, n graph.NodeID, ids []graph.NodeID) {
+	ig.fbStable = false // the data graph grew
+	for ig.nodeOf.Len() < ig.data.NumNodes() {
+		ig.nodeOf.Append(own, graph.InvalidNode)
+	}
+	for _, d := range ids {
+		*ig.nodeOf.Mut(own, int(d)) = n
+	}
 }

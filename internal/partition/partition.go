@@ -41,28 +41,55 @@ const InvalidBlock BlockID = -1
 type Partition struct {
 	blockOf []BlockID
 	members [][]graph.NodeID
+	// flat is the one backing array ResetByLabel, Refiner.Round and Clone
+	// carve all member lists out of. SplitBlock moves the lists it rewrites
+	// off it; that only makes part of it unused.
+	flat []graph.NodeID
 }
 
 // NewByLabel returns the label-split partition of g: one block per label in
 // use, in label-id order. This is the 0-bisimulation partition (A(0)).
 func NewByLabel(g Labeled) *Partition {
+	p := new(Partition)
+	p.ResetByLabel(g)
+	return p
+}
+
+// ResetByLabel makes p the label-split partition of g, as NewByLabel would,
+// reusing p's storage where it is large enough: a caller that refines one
+// small graph after another keeps one Partition (and one Refiner, see
+// Refiner.Reset) for all of them. Member lists handed out before are invalid.
+func (p *Partition) ResetByLabel(g Labeled) {
 	n := g.NumNodes()
-	p := &Partition{blockOf: make([]BlockID, n)}
-	byLabel := make(map[graph.LabelID]BlockID)
-	// First pass in node order groups deterministically by first occurrence
-	// of each label.
+	p.blockOf = grow(p.blockOf, n)
+	p.flat = grow(p.flat, n)
+	// One pass in node order numbers the blocks by first occurrence of each
+	// label and counts them; the members lists are then a counting sort.
+	var blockOfLabel []BlockID // label ids are dense table indices
+	var counts []int32
 	for i := 0; i < n; i++ {
-		l := g.Label(graph.NodeID(i))
-		b, ok := byLabel[l]
-		if !ok {
-			b = BlockID(len(p.members))
-			byLabel[l] = b
-			p.members = append(p.members, nil)
+		l := int(g.Label(graph.NodeID(i)))
+		for l >= len(blockOfLabel) {
+			blockOfLabel = append(blockOfLabel, InvalidBlock)
+		}
+		b := blockOfLabel[l]
+		if b == InvalidBlock {
+			b = BlockID(len(counts))
+			blockOfLabel[l] = b
+			counts = append(counts, 0)
 		}
 		p.blockOf[i] = b
+		counts[b]++
+	}
+	p.members = grow(p.members, len(counts))
+	pos := int32(0)
+	for b, c := range counts {
+		p.members[b] = p.flat[pos : pos : pos+c]
+		pos += c
+	}
+	for i, b := range p.blockOf {
 		p.members[b] = append(p.members[b], graph.NodeID(i))
 	}
-	return p
 }
 
 // NumBlocks returns the number of blocks.
@@ -87,12 +114,12 @@ func (p *Partition) Clone() *Partition {
 		blockOf: append([]BlockID(nil), p.blockOf...),
 		members: make([][]graph.NodeID, len(p.members)),
 	}
-	flat := make([]graph.NodeID, len(p.blockOf))
+	c.flat = make([]graph.NodeID, len(p.blockOf))
 	pos := 0
 	for i, m := range p.members {
 		end := pos + len(m)
-		copy(flat[pos:end], m)
-		c.members[i] = flat[pos:end:end]
+		copy(c.flat[pos:end], m)
+		c.members[i] = c.flat[pos:end:end]
 		pos = end
 	}
 	return c
@@ -125,7 +152,8 @@ func (p *Partition) Validate() error {
 type RefineResult struct {
 	// Origin maps each new block id to the block it descended from in the
 	// pre-round partition. Metadata (local similarity requirements, etc.)
-	// is carried across rounds through this mapping.
+	// is carried across rounds through this mapping. After Refiner.Round it
+	// is the refiner's scratch: read it before that refiner's next round.
 	Origin []BlockID
 	// Changed reports whether any block split.
 	Changed bool

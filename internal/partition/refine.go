@@ -19,8 +19,9 @@ import (
 // budget; results are block-identical to the preserved reference
 // implementation (reference.go), which the build audit enforces.
 //
-// A Refiner is tied to the adjacency at creation time: mutate the graph and
-// you must create a new one. It is not safe for concurrent use.
+// A Refiner is tied to the adjacency it last snapshotted: mutate the graph and
+// you must Reset it or create a new one. It is not safe for concurrent use.
+// The zero value is ready for Reset.
 type Refiner struct {
 	csr *graph.CSR
 
@@ -32,25 +33,44 @@ type Refiner struct {
 	// signature (its dedup'd sorted parent-block set) in the slots the CSR
 	// row bounds carve out — a signature can never be longer than the node's
 	// degree, so the edge array's shape is exactly the scratch budget needed.
-	arena      []BlockID
-	sigLen     []int32  // dedup'd signature length per node (-1: skipped)
-	fp         []uint64 // signature fingerprint per node
-	prov       []int32  // provisional group id per node, local to its shard
-	spareBlock []BlockID
-	sel        []bool
-	shardCnt   []int32
-	shardBase  []int32
-	finalID    []int32
-	counts     []int32
-	cursor     []int32
+	arena     []BlockID
+	sigLen    []int32  // dedup'd signature length per node (-1: skipped)
+	fp        []uint64 // signature fingerprint per node
+	prov      []int32  // provisional group id per node, local to its shard
+	origin    []BlockID
+	sel       []bool
+	shardCnt  []int32
+	shardBase []int32
+	finalID   []int32
+	counts    []int32
+	cursor    []int32
+
+	// Round builds the next partition in these and takes the arrays of the
+	// partition it replaced in exchange, so from its third round on — and
+	// across jobs, when the partition is recycled with ResetByLabel — a
+	// refinement allocates nothing.
+	spareBlock   []BlockID
+	spareFlat    []graph.NodeID
+	spareMembers [][]graph.NodeID
 }
 
 // NewRefiner returns a Refiner over g's parent adjacency (backward
 // bisimulation, the paper's direction).
 func NewRefiner(g Labeled) *Refiner {
+	r := new(Refiner)
+	r.Reset(g)
+	return r
+}
+
+// Reset re-targets the refiner at g's parent adjacency, as NewRefiner would,
+// keeping the snapshot's arrays and all round scratch.
+func (r *Refiner) Reset(g Labeled) {
 	start := time.Now()
-	csr := graph.NewCSR(g.NumNodes(), g.Parents)
-	return &Refiner{csr: csr, CSRBuild: time.Since(start)}
+	if r.csr == nil {
+		r.csr = new(graph.CSR)
+	}
+	r.csr.Reset(g.NumNodes(), g.Parents)
+	r.CSRBuild = time.Since(start)
 }
 
 // NewRefinerForward returns a Refiner over g's child adjacency (forward
@@ -60,9 +80,6 @@ func NewRefinerForward(g ChildrenAccess) *Refiner {
 	csr := graph.NewCSR(g.NumNodes(), g.Children)
 	return &Refiner{csr: csr, CSRBuild: time.Since(start)}
 }
-
-// NewRefinerFromCSR wraps an existing adjacency snapshot.
-func NewRefinerFromCSR(csr *graph.CSR) *Refiner { return &Refiner{csr: csr} }
 
 // Fan-out tuning. Signature fingerprinting parallelizes over nodes, grouping
 // over blocks; both keep enough work per chunk that the merge bookkeeping
@@ -230,7 +247,7 @@ func (r *Refiner) Round(p *Partition, selected func(BlockID) bool) RefineResult 
 		r.finalID[i] = -1
 	}
 	newBlockOf := grow(r.spareBlock, n)
-	origin := make([]BlockID, 0, total)
+	origin := grow(r.origin, int(total))[:0]
 	next := int32(0)
 	for i := 0; i < n; i++ {
 		g := r.shardBase[int(prev[i])/chunkSz] + r.prov[i]
@@ -252,8 +269,8 @@ func (r *Refiner) Round(p *Partition, selected func(BlockID) bool) RefineResult 
 	for _, b := range newBlockOf {
 		r.counts[b]++
 	}
-	flat := make([]graph.NodeID, n)
-	members := make([][]graph.NodeID, numNew)
+	flat := grow(r.spareFlat, n)
+	members := grow(r.spareMembers, numNew)
 	r.cursor = grow(r.cursor, numNew)
 	pos := int32(0)
 	for b := 0; b < numNew; b++ {
@@ -269,9 +286,10 @@ func (r *Refiner) Round(p *Partition, selected func(BlockID) bool) RefineResult 
 	}
 
 	changed := numNew != numOld
-	r.spareBlock = p.blockOf // recycle the pre-round array as next round's scratch
-	p.blockOf = newBlockOf
-	p.members = members
+	// Recycle the pre-round arrays as a later round's scratch.
+	r.spareBlock, r.spareFlat, r.spareMembers = p.blockOf, p.flat, p.members
+	p.blockOf, p.flat, p.members = newBlockOf, flat, members
+	r.origin = origin
 	return RefineResult{Origin: origin, Changed: changed}
 }
 

@@ -2,6 +2,7 @@ package partition
 
 import (
 	"runtime"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -123,5 +124,62 @@ func TestCloneIndependentBacking(t *testing.T) {
 	}
 	if !Identical(p, snapshot) {
 		t.Fatal("splitting the clone mutated the original")
+	}
+}
+
+// A Partition and a Refiner recycled from job to job (ResetByLabel, Reset) —
+// over graphs that grow, shrink and grow again, with splits between rounds —
+// must give what a fresh pair gives and make no new arrays once theirs have
+// reached the largest graph's size.
+func TestRecycledRefinerMatchesFresh(t *testing.T) {
+	var p Partition
+	var r Refiner
+	sizes := []int{120, 9, 300, 40, 300, 2}
+	for job, nodes := range sizes {
+		g := randomGraph(int64(job), nodes, 1+job%4, nodes/3)
+		p.ResetByLabel(g)
+		fresh := NewByLabel(g)
+		if !Identical(&p, fresh) || p.Validate() != nil {
+			t.Fatalf("job %d: recycled label split differs from NewByLabel", job)
+		}
+		r.Reset(g)
+		fr := NewRefiner(g)
+		for round := 0; round < 4; round++ {
+			got, want := r.Round(&p, nil), fr.Round(fresh, nil)
+			if got.Changed != want.Changed || !slices.Equal(got.Origin, want.Origin) {
+				t.Fatalf("job %d round %d: results differ", job, round)
+			}
+			if !Identical(&p, fresh) || p.Validate() != nil {
+				t.Fatalf("job %d round %d: recycled refinement differs from a fresh one", job, round)
+			}
+			if round == 1 { // member lists moved off the flat backing
+				p.MoveNodeToNewBlock(graph.NodeID(nodes - 1))
+				fresh.MoveNodeToNewBlock(graph.NodeID(nodes - 1))
+			}
+		}
+	}
+	// Once warm, a job moves the same arrays between the partition and the
+	// refiner's spares and makes no new ones.
+	g := randomGraph(2, 300, 3, 100)
+	job := func() map[any]bool {
+		p.ResetByLabel(g)
+		r.Reset(g)
+		for round := 0; round < 3; round++ {
+			r.Round(&p, nil)
+		}
+		return map[any]bool{
+			&p.blockOf[0]: true, &r.spareBlock[0]: true,
+			&p.flat[0]: true, &r.spareFlat[0]: true,
+			&p.members[0]: true, &r.spareMembers[0]: true,
+			&r.origin[:1][0]: true, &r.arena[0]: true,
+		}
+	}
+	warm := job()
+	for again := 0; again < 3; again++ {
+		for array := range job() {
+			if !warm[array] {
+				t.Fatal("a recycled refinement job allocated a partition or round array anew")
+			}
+		}
 	}
 }

@@ -440,6 +440,97 @@ func errorsIsReset(err error) bool {
 	return err != nil && strings.Contains(err.Error(), errStreamReset.Error())
 }
 
+// TestDocumentGroupThreeWays commits the benchmark's write — a group of eight
+// add_document mutations, the first of them right after edge updates, so its
+// refinement merges index nodes and the others graft in place — and reaches
+// the resulting state three ways: live (one ApplyBatch on one clone), on a
+// replica (the group frame shipped whole and applied as one batch) and by
+// crash recovery (the frame's records replayed one Apply at a time). All
+// three must save to the same bytes: a batch is its members applied singly.
+func TestDocumentGroupThreeWays(t *testing.T) {
+	fs := faultfs.New()
+	p, err := newPrimary(t, fs, "store")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer p.close()
+	o := testObserver()
+	p.idx.Observe(o)
+	rep := New(Config{Primary: p.ts.URL, Client: p.ts.Client(), Seed: 1})
+	if err := rep.bootstrapOnce(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+
+	// With these three edges the index graph can no longer tell the movies
+	// under a director from the one under movieDB, so the next refinement
+	// over it folds the two classes (and their titles) together.
+	prime := []dkindex.Mutation{
+		{Op: dkindex.MutSetRequirements, Reqs: map[string]int{"title": 2, "name": 1}},
+		{Op: dkindex.MutAddEdge, From: nodeWithLabel(t, p.idx, "director", 0), To: nodeWithLabel(t, p.idx, "movie", 2)},
+		{Op: dkindex.MutAddEdge, From: nodeWithLabel(t, p.idx, "actor", 0), To: nodeWithLabel(t, p.idx, "movie", 2)},
+		{Op: dkindex.MutAddEdge, From: nodeWithLabel(t, p.idx, "movieDB", 0), To: nodeWithLabel(t, p.idx, "movie", 0)},
+	}
+	for _, m := range prime {
+		if _, err := p.idx.Apply(m); err != nil {
+			t.Fatal(err)
+		}
+	}
+	docs := make([]dkindex.Mutation, 8)
+	for i := range docs {
+		// A movie reached from movieDB, a director and an actor, like the
+		// merged class: the document adds no class of its own.
+		doc := `<movieDB movieref="x"><director><movie id="x"><title/></movie></director><actor movieref="x"><name/></actor></movieDB>`
+		if i%2 == 1 {
+			doc = fmt.Sprintf(`<movieDB><studio><movie><title/><kind%d/></movie></studio></movieDB>`, i/3)
+		}
+		docs[i] = dkindex.Mutation{Op: dkindex.MutAddDocument, Doc: []byte(doc)}
+	}
+	acks, err := p.idx.ApplyBatch(docs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, a := range acks {
+		if a.Err != nil {
+			t.Fatal(a.Err)
+		}
+	}
+	merged, grafted := 0, 0
+	for _, e := range o.Events.Recent(0) {
+		if e.Type != obs.EventSubgraphAdd {
+			continue
+		}
+		if e.NodesAfter < e.NodesBefore {
+			merged++
+		} else {
+			grafted++
+		}
+	}
+	if merged == 0 || grafted == 0 {
+		t.Fatalf("the group should take both of Algorithm 3's branches: %d documents shrank the index, %d did not", merged, grafted)
+	}
+	live := fingerprint(t, p.idx)
+
+	catchUp(t, rep, p.store)
+	if got := fingerprint(t, rep.Index()); got != live {
+		t.Error("the replica, which applied the group frame as one batch, differs from the primary")
+	}
+
+	p.ts.Close()
+	fs.Crash()
+	fs.Reset()
+	st, rec, err := dkindex.OpenStore("store", &dkindex.StoreOptions{FS: fs})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	if rec.Replayed != len(prime)+len(docs) {
+		t.Fatalf("recovery replayed %d records, want %d", rec.Replayed, len(prime)+len(docs))
+	}
+	if got := fingerprint(t, st.Index()); got != live {
+		t.Error("the recovered store, which replayed the group record by record, differs from the live state")
+	}
+}
+
 // TestReplicaServesReadOnly wires a replica into the serving layer: reads
 // carry the lag header, every mutation route answers the structured read_only
 // error, and nothing changes replica state.

@@ -441,9 +441,16 @@ func (x *Index) applyOne(nd *core.DK, p *preparedMutation) (*core.DK, appliedMut
 				Detail: fmt.Sprintf("%d->%d", m.From, m.To)}}, nil
 
 	case MutAddDocument:
+		before := nd.IG
 		mapping, err := nd.AddSubgraph(p.doc)
 		if err != nil {
 			return nd, appliedMutation{}, err
+		}
+		if nd.IG != before {
+			// The refinement merged index nodes and AddSubgraph materialised
+			// a new graph in place of the instrumented one; later members of
+			// the batch split extents of this one.
+			x.instrument(nd)
 		}
 		p.ack.Mapping = mapping
 		return nd, appliedMutation{op: opDocument, payload: encodeDocumentPayload(p.opts, m.Doc),

@@ -3,6 +3,7 @@ package dkindex
 import (
 	"bytes"
 	"math/rand"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -420,6 +421,66 @@ func TestRejectedDocumentLeavesBatchCloneUntouched(t *testing.T) {
 	defer st2.Close()
 	if got := fingerprint(t, st2.Index()); got != live {
 		t.Error("reopened store disagrees with the live index")
+	}
+}
+
+// TestDocumentBatchEqualsItsMembers runs the benchmark's write mix on XMark —
+// edge batches, then eight documents — twice: the documents as one ApplyBatch
+// (the live path: one clone, Algorithm 3 grafting onto it eight times) and as
+// eight Applies (what crash recovery replays a group frame into). The two
+// indexes must save to the same bytes and hand out the same node ids, round
+// after round; the first document of a round follows edge updates, so its
+// refinement merges index nodes and takes the materialising branch.
+func TestDocumentBatchEqualsItsMembers(t *testing.T) {
+	ds, batched := tunedXMark(t, 0.05)
+	_, singly := tunedXMark(t, 0.05)
+	edges, err := ds.RandomEdges(24, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	shrank := 0
+	for round := 0; round < 3; round++ {
+		for _, e := range edges[8*round : 8*(round+1)] {
+			m := Mutation{Op: MutAddEdge, From: e[0], To: e[1]}
+			mustApply(t, batched, m)
+			mustApply(t, singly, m)
+		}
+		docs := make([]Mutation, 8)
+		for i := range docs {
+			docs[i] = Mutation{Op: MutAddDocument, Doc: auctionFragment(t, 8*round+i)}
+		}
+		before := batched.Stats().IndexNodes
+		acks, err := batched.ApplyBatch(docs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if batched.Stats().IndexNodes < before {
+			shrank++
+		}
+		for i, m := range docs {
+			if acks[i].Err != nil {
+				t.Fatal(acks[i].Err)
+			}
+			ack, err := singly.Apply(m)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !slices.Equal(ack.Mapping, acks[i].Mapping) {
+				t.Fatalf("round %d document %d: mapping %v in the batch, %v alone", round, i, acks[i].Mapping, ack.Mapping)
+			}
+		}
+		if fingerprint(t, batched) != fingerprint(t, singly) {
+			t.Fatalf("round %d: the batch and its members applied singly disagree", round)
+		}
+	}
+	if shrank == 0 {
+		t.Error("no round's documents merged index nodes; the scenario no longer reaches the materialising branch")
+	}
+	if err := batched.IG().Validate(); err != nil {
+		t.Fatal(err)
+	}
+	if err := batched.Audit(3); err != nil {
+		t.Fatal(err)
 	}
 }
 

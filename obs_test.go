@@ -73,6 +73,55 @@ func TestObserveLifecycleEvents(t *testing.T) {
 	}
 }
 
+// TestSplitsObservedAfterDocumentInBatch: a member of a batch is observed
+// whatever ran before it in the same batch. A promotion's extent splits used
+// to go unrecorded when an add_document preceded it, because Algorithm 3 left
+// a new, uninstrumented index graph behind; now it grafts in place, and
+// re-instruments when it does not.
+func TestSplitsObservedAfterDocumentInBatch(t *testing.T) {
+	splits := func(idx *Index, ms ...Mutation) int {
+		t.Helper()
+		o := obs.NewObserver()
+		idx.Observe(o)
+		acks, err := idx.ApplyBatch(ms)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, a := range acks {
+			if a.Err != nil {
+				t.Fatal(a.Err)
+			}
+		}
+		return eventTypes(o.Events.Recent(0))[obs.EventExtentSplit]
+	}
+	promote := Mutation{Op: MutPromote, Label: "title", K: 2}
+	doc := Mutation{Op: MutAddDocument, Doc: []byte("<movieDB><movie><title/></movie></movieDB>")}
+	if alone, after := splits(open(t), promote), splits(open(t), doc, promote); alone == 0 || after != alone {
+		t.Errorf("promote title 2 records %d extent_split events alone, %d after an add_document in its batch", alone, after)
+	}
+
+	// The same where the document's refinement merges index nodes, so that
+	// the index graph the batch started on is replaced: x1 and x2 are told
+	// apart at k=1 by x2's extra parent b; give x1 that parent too and the
+	// next document folds the two classes into one, which promoting x to 2
+	// splits again (their a's differ one level up).
+	idx, err := LoadXMLString(`<r><a><x id="x1"/></a><c><a><x id="x2"/></a></c><b ref="x2"/></r>`, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mustApply(t, idx, Mutation{Op: MutPromote, Label: "x", K: 1})
+	x1, b := nodeWithLabel(t, idx, "x", 0), nodeWithLabel(t, idx, "b", 0)
+	mustApply(t, idx, Mutation{Op: MutAddEdge, From: b, To: x1})
+	merged := idx.IG()
+	n := splits(idx, Mutation{Op: MutAddDocument, Doc: []byte("<r><a><x/></a></r>")}, Mutation{Op: MutPromote, Label: "x", K: 2})
+	if idx.IG().NumNodes() < merged.NumNodes()+1 {
+		t.Fatalf("the scenario no longer merges and re-splits: %d -> %d index nodes", merged.NumNodes(), idx.IG().NumNodes())
+	}
+	if n == 0 {
+		t.Error("no extent_split recorded for a promote after an add_document whose refinement merged index nodes")
+	}
+}
+
 // TestObserveAutoPromoteEvent drives the auto-promoting index past its
 // threshold and expects the auto_promote lifecycle event.
 func TestObserveAutoPromoteEvent(t *testing.T) {

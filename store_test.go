@@ -45,6 +45,29 @@ func nodeWithLabel(tb testing.TB, x *Index, label string, i int) NodeID {
 
 const extraDocXML = `<extras><movie id="m9"><title/><year/></movie></extras>`
 
+// eightDocuments is the benchmark's document batch over the movies
+// vocabulary: eight add_document mutations for one ApplyBatch. Some repeat
+// shapes the index already has, some bring labels it has never seen, and the
+// later ones reach titles through parents the earlier ones introduced, so no
+// two of them see the same index.
+func eightDocuments() []Mutation {
+	docs := []string{
+		`<movieDB><director><name/><movie><title/><year/></movie></director></movieDB>`,
+		`<movieDB><actor><name/></actor></movieDB>`,
+		`<movieDB><studio><movie><title/></movie></studio></movieDB>`,
+		`<movieDB><movie><title/><actor><name/></actor></movie></movieDB>`,
+		`<movieDB><studio><name/><series><episode><title/></episode></series></studio></movieDB>`,
+		`<movieDB><director><movie><title/></movie><movie><year/></movie></director></movieDB>`,
+		`<movieDB><series><episode><title/><year/></episode></series></movieDB>`,
+		`<movieDB><actor><name/><award/></actor></movieDB>`,
+	}
+	ms := make([]Mutation, len(docs))
+	for i, d := range docs {
+		ms[i] = Mutation{Op: MutAddDocument, Doc: []byte(d)}
+	}
+	return ms
+}
+
 // storeSteps is the deterministic mutation battery the durability tests run:
 // one of every journaled operation, exercising extent splits, decay, grafts,
 // rebuilds and compaction (alone and inside a group), and the two operations that reach the log as a
@@ -105,6 +128,12 @@ func storeSteps(tb testing.TB) []func(*Index) error {
 			}
 			return err
 		},
+		// The benchmark's document batch: eight add_document mutations in one
+		// group frame, the first of them after an edge update. The live path
+		// applies them as one batch to one clone; recovery replays the frame
+		// record by record, each through its own Apply — the two must agree
+		// bit for bit, which is why a batch is not refined jointly.
+		func(x *Index) error { return applyAll(x, eightDocuments()...) },
 		// Tune mines a seeded load and sends what it mined through the write
 		// pipeline: recovery sees one set_requirements record.
 		func(x *Index) error { return x.Tune(40, 7) },
