@@ -5,12 +5,13 @@ GO ?= go
 DK_BENCH_SCALE ?= 1.0
 BENCHTIME ?= 2s
 
-.PHONY: all build test race vet fmt-check bench-compile bench-baseline bench-guard profile-build profile-read stress fuzz-smoke ci size clean
+.PHONY: all build test race vet fmt-check inline-check bench-compile bench-baseline bench-guard profile-build profile-read stress fuzz-smoke ci size clean
 
 all: build test
 
 # ci chains every hygiene gate: compile, vet, formatting, the check that the
-# untouched benchmark module still builds and passes against this tree (its
+# hot read accessors still inline, the check that the untouched benchmark
+# module still builds and passes against this tree (its
 # smoke run drives all four serving workloads through the real server,
 # oracle-checked), the race-enabled test suite (which includes the replica
 # flaky-link convergence test in its short form and the shard bit-identity
@@ -20,7 +21,7 @@ all: build test
 # detector, and the benchmark regression guard against the recorded baseline.
 # Serving throughput and latency are measured by `bash benchmark/run.sh`, not
 # here.
-ci: build vet fmt-check bench-compile race fuzz-smoke stress bench-guard
+ci: build vet fmt-check inline-check bench-compile race fuzz-smoke stress bench-guard
 
 build:
 	$(GO) build ./...
@@ -59,8 +60,9 @@ stress:
 # query kernel a differential one against its reference oracle: the
 # table-driven RPE automata and the twig evaluator's memo tables. The
 # server's append encoder and its RawQuery reader are held to encoding/json
-# and net/url the same way, and Algorithm 3's in-place graft to the
-# whole-index rebuild it replaces. Long exploratory runs stay manual (go test
+# and net/url the same way, Algorithm 3's in-place graft to the whole-index
+# rebuild it replaces, and the copy-on-write column behind every snapshot to
+# plain slices. Long exploratory runs stay manual (go test
 # -fuzz=... -fuzztime=5m).
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzLoadDK -fuzztime 5s ./internal/codec
@@ -73,6 +75,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzQueryBodyAgainstEncodingJSON -fuzztime 5s ./internal/server
 	$(GO) test -run '^$$' -fuzz FuzzQueryParamAgainstParseQuery -fuzztime 5s ./internal/server
 	$(GO) test -run '^$$' -fuzz FuzzGraftAgainstRebuild -fuzztime 5s ./internal/core
+	$(GO) test -run '^$$' -fuzz FuzzPagedAgainstSlices -fuzztime 5s ./internal/cow
 
 vet:
 	$(GO) vet ./...
@@ -90,6 +93,19 @@ bench-compile:
 fmt-check:
 	@out=$$(gofmt -l .); if [ -n "$$out" ]; then \
 		echo "gofmt needed on:"; echo "$$out"; exit 1; fi
+
+# inline-check fails when the compiler stops inlining one of the accessors
+# every query step calls: a paged read that becomes a call cost PR 14 5-9 % of
+# read time, and only a benchmark noticed.
+INLINED = '(*Graph).Label' '(*Graph).Children' '(*Graph).Parents' \
+	'(*IndexGraph).Label' '(*IndexGraph).Children' '(*IndexGraph).Parents' '(*IndexGraph).IndexOf'
+inline-check:
+	@out=$$($(GO) build -gcflags=-m ./internal/graph ./internal/index 2>&1); fail=0; \
+	for fn in $(INLINED); do \
+		echo "$$out" | grep -qF "can inline $$fn" || { echo "no longer inlined: $$fn"; fail=1; }; \
+	done; \
+	echo "$$out" | grep -qE 'can inline cow\.\(\*Paged\[.*\]\)\.At$$' || { echo "no longer inlined: (*Paged[...]).At"; fail=1; }; \
+	exit $$fail
 
 # bench-baseline records the regression-guard baseline: several short
 # repetitions of the guarded benchmarks (query throughput, the cold RPE and

@@ -82,27 +82,63 @@ func commitAllocBytes(t *testing.T, scale float64) (edgeBatch, docBatch float64)
 // size": a write batch allocates what it touches, not a copy of the corpus.
 // With deep-copy clones the edge batch allocated 8.7 MB at scale 1.0, four
 // times its cost at scale 0.25; with a whole-index rebuild per add_document
-// the document batch allocated 15.5 MB against 9.5 MB.
+// the document batch allocated 15.5 MB against 9.5 MB. The limits are the
+// measured 53.9 kB and 494 kB plus 25 %; with one level of 128-element pages,
+// map adjacency and whole-list posting copies the two read 133 kB and 980 kB.
+// The race detector makes sync.Pool drop Algorithm 3's pooled scratch at
+// random, which the larger index pays more for: under it the document batch
+// reads 1.34-1.59 MB over ten runs, is held to ~1.5 MB plus 25 % and its
+// growth is not checked.
 func TestCommitAllocationFlatInCorpusSize(t *testing.T) {
 	smallEdge, smallDoc := commitAllocBytes(t, 0.25)
 	fullEdge, fullDoc := commitAllocBytes(t, 1.0)
+	docLimit := 617_500.0
+	if raceEnabled {
+		docLimit = 1_875_000
+	}
 	for _, c := range []struct {
 		batch       string
 		small, full float64
 		limit       float64
 	}{
-		{"8-edge", smallEdge, fullEdge, 1 << 20},
-		{"8-document", smallDoc, fullDoc, 4 << 20},
+		{"8-edge", smallEdge, fullEdge, 67_375},
+		{"8-document", smallDoc, fullDoc, docLimit},
 	} {
 		t.Logf("bytes per %s commit: %.0f at scale 0.25, %.0f at scale 1.0 (ratio %.2f)", c.batch, c.small, c.full, c.full/c.small)
 		if c.full >= c.limit {
 			t.Errorf("an %s commit allocates %.0f bytes at scale 1.0, want < %.0f", c.batch, c.full, c.limit)
 		}
-		// The race detector makes sync.Pool drop Algorithm 3's pooled scratch
-		// at random, which the larger index pays more for.
 		if pooled := c.batch == "8-document"; c.full/c.small >= 1.5 && !(pooled && raceEnabled) {
 			t.Errorf("%s commit allocation grew %.2fx from scale 0.25 to 1.0, want < 1.5x", c.batch, c.full/c.small)
 		}
+	}
+}
+
+// TestCloneCostIsFlat pins the clone every commit starts with: DK.Clone
+// shares every column, directories included, so it allocates the containers'
+// headers and tokens whatever the corpus size. With one level of 128-element
+// pages it copied a 673-pointer page table per 86k-node column, 44 kB at
+// XMark scale 1.0 and 1.82x its cost at scale 0.25.
+func TestCloneCostIsFlat(t *testing.T) {
+	cloneBytes := func(scale float64) float64 {
+		_, idx := tunedXMark(t, scale)
+		dk := idx.DK()
+		const runs = 64
+		var m0, m1 runtime.MemStats
+		runtime.ReadMemStats(&m0)
+		for i := 0; i < runs; i++ {
+			dk.Clone()
+		}
+		runtime.ReadMemStats(&m1)
+		return float64(m1.TotalAlloc-m0.TotalAlloc) / runs
+	}
+	small, full := cloneBytes(0.25), cloneBytes(1.0)
+	t.Logf("bytes per DK.Clone: %.0f at scale 0.25, %.0f at scale 1.0 (ratio %.2f)", small, full, full/small)
+	if full >= 4<<10 {
+		t.Errorf("DK.Clone allocates %.0f bytes at scale 1.0, want < 4 kB", full)
+	}
+	if full/small >= 1.2 {
+		t.Errorf("DK.Clone allocation grew %.2fx from scale 0.25 to 1.0, want < 1.2x", full/small)
 	}
 }
 
@@ -128,11 +164,11 @@ func TestColdReadAllocatesItsAnswer(t *testing.T) {
 	charge := func(graph.NodeID) { charged++ }
 	next := 0
 	check := func() {
-		c.MatchesNode(ds.G, members[next%len(members)], charge)
+		c.MatchesNode(ds.G, members.At(next%members.Len()), charge)
 		next++
 	}
 	check()
-	if allocs := testing.AllocsPerRun(len(members), check); allocs != 0 {
+	if allocs := testing.AllocsPerRun(members.Len(), check); allocs != 0 {
 		t.Errorf("MatchesNode allocates %.2f times per member, want 0", allocs)
 	}
 	if charged == 0 {

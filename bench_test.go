@@ -799,8 +799,9 @@ func BenchmarkSnapshotQueryParallel(b *testing.B) {
 // through prepare, composite clone, group application and snapshot publish.
 // No store is attached, so the number isolates the pipeline itself from
 // filesystem noise — which is what makes it stable enough to sit in the
-// bench-guard baseline alongside the read-path benchmarks (`dkbench -exp
-// write` measures the same path with durability on).
+// bench-guard baseline alongside the read-path benchmarks (`bash
+// benchmark/run.sh --workload write_durable` measures the same path with
+// durability on).
 func BenchmarkApplyBatchPipeline(b *testing.B) {
 	ds := benchXMark(b)
 	idx := FromGraph(ds.G.Clone(), nil)

@@ -1,6 +1,8 @@
 package dkindex
 
 import (
+	"go/parser"
+	"go/token"
 	"os"
 	"path/filepath"
 	"regexp"
@@ -9,10 +11,11 @@ import (
 )
 
 // TestDocsNameOnlyWhatExists holds the prose to the tree: README.md,
-// DESIGN.md, EXPERIMENTS.md and the verify skill may name a `make <target>`
-// only if the Makefile's .PHONY line lists it, a BENCH_* file only if it is
-// in the repository, and a `dkbench -exp <id>` only if cmd/dkbench's
-// experiment table has it. CHANGES.md and ROADMAP.md are history and exempt.
+// DESIGN.md, EXPERIMENTS.md, the verify skill and the comments of the root
+// package's .go files may name a `make <target>` only if the Makefile's
+// .PHONY line lists it, a BENCH_* file only if it is in the repository, and a
+// `dkbench -exp <id>` only if cmd/dkbench's experiment table has it.
+// CHANGES.md and ROADMAP.md are history and exempt.
 func TestDocsNameOnlyWhatExists(t *testing.T) {
 	read := func(path string) string {
 		data, err := os.ReadFile(path)
@@ -63,8 +66,26 @@ func TestDocsNameOnlyWhatExists(t *testing.T) {
 		{"dkbench experiment", `-exp\s+([a-z][a-z0-9-]*)`, ids},
 		{"recorded file", `\b(BENCH_[A-Za-z0-9_]+(?:\.[a-z]+)?)`, files},
 	}
+	texts := map[string]string{}
 	for _, doc := range []string{"README.md", "DESIGN.md", "EXPERIMENTS.md", ".claude/skills/verify/SKILL.md"} {
-		text := read(doc)
+		texts[doc] = read(doc)
+	}
+	sources, err := filepath.Glob("*.go")
+	if err != nil || len(sources) == 0 {
+		t.Fatalf("no Go files in the root package: %v", err)
+	}
+	for _, name := range sources {
+		f, err := parser.ParseFile(token.NewFileSet(), name, nil, parser.ParseComments)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var comments strings.Builder
+		for _, c := range f.Comments {
+			comments.WriteString(c.Text())
+		}
+		texts[name] = comments.String()
+	}
+	for doc, text := range texts {
 		for _, check := range checks {
 			for name := range submatches(check.pattern, text) {
 				if !check.exists[name] {

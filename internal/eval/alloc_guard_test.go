@@ -28,13 +28,13 @@ func TestTwigValidationAllocatesNothingPerMember(t *testing.T) {
 	defer ev.release()
 	next, hits := 0, 0
 	check := func() {
-		if ev.matchesEndingAt(members[next%len(members)]) {
+		if ev.matchesEndingAt(members.At(next % members.Len())) {
 			hits++
 		}
 		next++
 	}
 	check()
-	if allocs := testing.AllocsPerRun(len(members), check); allocs != 0 {
+	if allocs := testing.AllocsPerRun(members.Len(), check); allocs != 0 {
 		t.Errorf("matchesEndingAt allocates %.2f times per member, want 0", allocs)
 	}
 	if hits == 0 || charged == 0 {

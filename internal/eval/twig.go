@@ -7,6 +7,7 @@ import (
 	"strings"
 	"sync"
 
+	"dkindex/internal/cow"
 	"dkindex/internal/graph"
 	"dkindex/internal/index"
 	"dkindex/internal/nodeset"
@@ -143,9 +144,9 @@ type twigSource interface {
 
 // labelIndexed is the optional posting-list view: sources that provide it
 // (data graphs do) seed evaluation in O(|matches|) instead of a full node
-// scan. The returned slice must be the label's nodes in ascending order.
+// scan. The returned list must be the label's nodes in ascending order.
 type labelIndexed interface {
-	NodesWithLabel(l graph.LabelID) []graph.NodeID
+	NodesWithLabel(l graph.LabelID) cow.Paged[graph.NodeID]
 }
 
 // postingIndexed is the succinct posting-list view: index graphs provide it,
@@ -319,7 +320,7 @@ func (e *twigEval) matchDown(n graph.NodeID, pred *Twig, i int) bool {
 
 // eval runs the trunk forward and returns matched nodes, ascending. Seeding
 // reads the source's posting list (the compressed set for index graphs, the
-// slice view for data graphs); frontiers are pooled dense slices
+// paged list for data graphs); frontiers are pooled dense slices
 // deduplicated by an epoch-stamped visit set. On posting-indexed sources,
 // predicate-FREE steps advance by pure set algebra — the frontier's distinct
 // children intersected with the label's compressed posting set — while
@@ -345,7 +346,9 @@ func (e *twigEval) eval() []graph.NodeID {
 		})
 	default:
 		if li, ok := e.src.(labelIndexed); ok {
-			for _, id := range li.NodesWithLabel(e.q.Steps[0].Label) {
+			seeds := li.NodesWithLabel(e.q.Steps[0].Label)
+			for i := range seeds.Len() {
+				id := seeds.At(i)
 				e.see(id)
 				if e.stepOK(id, &e.q.Steps[0]) {
 					cur = append(cur, id)

@@ -6,6 +6,7 @@ import (
 	"strings"
 	"testing"
 
+	"dkindex/internal/cow"
 	"dkindex/internal/cow/cowtest"
 )
 
@@ -16,7 +17,8 @@ func dumpGraph(g *Graph) []byte {
 	var b strings.Builder
 	fmt.Fprintf(&b, "root %d edges %d labels", g.Root(), g.NumEdges())
 	for l := 0; l < g.Labels().Len(); l++ {
-		fmt.Fprintf(&b, " %s=%v", g.Labels().Name(LabelID(l)), g.NodesWithLabel(LabelID(l)))
+		list := g.NodesWithLabel(LabelID(l))
+		fmt.Fprintf(&b, " %s=%v", g.Labels().Name(LabelID(l)), list.AppendTo(nil))
 	}
 	for n := 0; n < g.NumNodes(); n++ {
 		id := NodeID(n)
@@ -27,13 +29,13 @@ func dumpGraph(g *Graph) []byte {
 
 // TestCloneIsolationProperty drives random node and edge writes through
 // random members of a family of structurally sharing clones spanning three
-// pages (see cowtest.Isolation).
+// directory chunks (see cowtest.Isolation).
 func TestCloneIsolationProperty(t *testing.T) {
 	cowtest.Isolation(t, 25, cowtest.Subject[*Graph]{
 		New: func(rng *rand.Rand) *Graph {
 			g := New()
 			g.AddRoot()
-			for n := 1; n < 300; n++ {
+			for n := 1; n < 2*cow.PageSize*cow.ChunkPages+100; n++ {
 				g.AddEdge(NodeID(rng.Intn(n)), g.AddNode(string(rune('a'+rng.Intn(4)))))
 			}
 			return g

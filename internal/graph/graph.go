@@ -22,15 +22,15 @@ const InvalidNode NodeID = -1
 // forward query evaluation are both efficient.
 //
 // A Graph owns a LabelTable (NewWithLabels lets a graph built beside another
-// share its table so LabelIDs are comparable across them; Clone copies it,
+// share its table so LabelIDs are comparable across them; Clone clones it,
 // preserving ids).
 //
-// Node labels and both adjacency directions live in copy-on-write pages
-// (internal/cow): Clone copies page tables only, and a write copies the page
-// it lands in unless this graph already owns it. Adjacency rows are kept
-// ascending, and a row with spare capacity is referenced by exactly one
-// page — copying a page clips every row to its length — so a row is edited
-// in place only when no other graph can see it.
+// Node labels, both adjacency directions and the per-label node lists live in
+// copy-on-write columns (internal/cow): Clone copies none of them, and a write
+// copies the directory, chunk and page it lands in unless this graph already
+// owns them. Adjacency rows are kept ascending, and a row with spare capacity
+// is referenced by exactly one page — copying a page clips every row to its
+// length — so a row is edited in place only when no other graph can see it.
 //
 // Graph is not safe for concurrent mutation; concurrent reads are fine, and
 // so is Clone beside them.
@@ -46,9 +46,9 @@ type Graph struct {
 	// ids are assigned ascending and labels never change, so appending on
 	// node creation keeps the lists sorted). Query evaluation seeds from
 	// these posting lists in O(|matches|) instead of scanning all nodes.
-	// A clone's lists are clipped to their length, so the first append to a
-	// label on either side leaves the other side's list as it was.
-	byLabel [][]NodeID
+	// Each list is a column of its own, so the first append to a label
+	// after a clone copies one page of it, not the whole list.
+	byLabel cow.Paged[cow.Paged[NodeID]]
 }
 
 // clipRows marks every row of a freshly copied adjacency page as shared; it
@@ -96,10 +96,10 @@ func (g *Graph) AddNodeID(label LabelID) NodeID {
 	g.nodeLabel.Append(own, label)
 	g.children.Append(own, nil)
 	g.parents.Append(own, nil)
-	for int(label) >= len(g.byLabel) {
-		g.byLabel = append(g.byLabel, nil)
+	for int(label) >= g.byLabel.Len() {
+		g.byLabel.Append(own, cow.Paged[NodeID]{})
 	}
-	g.byLabel[label] = append(g.byLabel[label], id)
+	g.byLabel.Mut(own, int(label)).Append(own, id)
 	return id
 }
 
@@ -217,36 +217,35 @@ func (g *Graph) InDegree(n NodeID) int { return len(g.Parents(n)) }
 // maintained posting lists and may be retained by the caller.
 func (g *Graph) NodesByLabel() [][]NodeID {
 	out := make([][]NodeID, g.labels.Len())
-	for l := range g.byLabel {
-		if len(g.byLabel[l]) > 0 {
-			out[l] = append([]NodeID(nil), g.byLabel[l]...)
+	for l := range g.byLabel.Len() {
+		if list := g.byLabel.At(l); list.Len() > 0 {
+			out[l] = list.AppendTo(nil)
 		}
 	}
 	return out
 }
 
 // NodesWithLabel returns the nodes carrying label l in ascending order: the
-// label posting list that seeds query evaluation. The slice is owned by the
-// graph and must not be mutated. Unknown labels (including InvalidLabel)
-// return nil.
-func (g *Graph) NodesWithLabel(l LabelID) []NodeID {
-	if l < 0 || int(l) >= len(g.byLabel) {
-		return nil
+// label posting list that seeds query evaluation, read with Len and At. It
+// shares the graph's pages and must not be written. Unknown labels
+// (including InvalidLabel) return an empty list.
+func (g *Graph) NodesWithLabel(l LabelID) cow.Paged[NodeID] {
+	if l < 0 || int(l) >= g.byLabel.Len() {
+		return cow.Paged[NodeID]{}
 	}
-	return g.byLabel[l]
+	return g.byLabel.At(int(l))
 }
 
 // NumLabels returns the number of labels interned in the shared table.
 func (g *Graph) NumLabels() int { return g.labels.Len() }
 
-// Clone returns an independent copy in O(nodes / page size): the page tables
-// and posting-list headers are copied, the pages and lists behind them are
-// shared until either side writes, and the label table is copied with ids
-// preserved (queries parsed against the original stay valid; labels interned
-// afterwards are private to the side that interned them). A write through
-// either graph is never visible through the other. Clone only reads the
-// receiver apart from retiring its write token, so a published graph may be
-// cloned beside its readers and beside other Clone calls.
+// Clone returns an independent copy in constant time: every column and the
+// label table are shared until either side writes them, label ids preserved
+// (queries parsed against the original stay valid; labels interned afterwards
+// are private to the side that interned them). A write through either graph
+// is never visible through the other. Clone only reads the receiver apart
+// from retiring its write tokens, so a published graph may be cloned beside
+// its readers and beside other Clone calls.
 func (g *Graph) Clone() *Graph {
 	c := &Graph{
 		labels:    g.labels.Clone(),
@@ -255,10 +254,7 @@ func (g *Graph) Clone() *Graph {
 		parents:   g.parents.Clone(),
 		numEdges:  g.numEdges,
 		root:      g.root,
-		byLabel:   make([][]NodeID, len(g.byLabel)),
-	}
-	for l, list := range g.byLabel {
-		c.byLabel[l] = list[:len(list):len(list)]
+		byLabel:   g.byLabel.Clone(),
 	}
 	c.own.Store(new(cow.Owner))
 	g.own.Store(new(cow.Owner))
@@ -308,7 +304,7 @@ func (g *Graph) Validate() error {
 			fwd, bwd, g.numEdges)
 	}
 	// Posting lists must exactly re-derive from the node labels.
-	want := make([][]NodeID, len(g.byLabel))
+	want := make([][]NodeID, g.byLabel.Len())
 	for n := 0; n < g.NumNodes(); n++ {
 		l := g.nodeLabel.At(n)
 		if int(l) >= len(want) {
@@ -317,12 +313,13 @@ func (g *Graph) Validate() error {
 		want[l] = append(want[l], NodeID(n))
 	}
 	for l := range want {
-		if len(want[l]) != len(g.byLabel[l]) {
+		list := g.byLabel.At(l)
+		if len(want[l]) != list.Len() {
 			return fmt.Errorf("graph: posting list for label %d has %d nodes, want %d",
-				l, len(g.byLabel[l]), len(want[l]))
+				l, list.Len(), len(want[l]))
 		}
 		for i := range want[l] {
-			if g.byLabel[l][i] != want[l][i] {
+			if list.At(i) != want[l][i] {
 				return fmt.Errorf("graph: posting list for label %d wrong at position %d", l, i)
 			}
 		}

@@ -11,7 +11,12 @@ package graph
 
 import (
 	"fmt"
+	"maps"
+	"slices"
 	"sort"
+	"sync/atomic"
+
+	"dkindex/internal/cow"
 )
 
 // Reserved label names from the paper's data model.
@@ -31,10 +36,18 @@ const InvalidLabel LabelID = -1
 
 // LabelTable interns label strings to dense LabelIDs. The zero value is not
 // usable; construct with NewLabelTable. A LabelTable is not safe for
-// concurrent mutation.
+// concurrent mutation; concurrent reads are fine, and so is Clone beside
+// them.
+//
+// Clone shares the name list and the name map under internal/cow's ownership
+// rule: the table holds a write token, writer records the token that may
+// write both in place, and the first Intern of a new name after a clone
+// copies them.
 type LabelTable struct {
-	names []string
-	ids   map[string]LabelID
+	own    atomic.Pointer[cow.Owner]
+	writer *cow.Owner
+	names  []string
+	ids    map[string]LabelID
 }
 
 // NewLabelTable returns an empty label table.
@@ -46,6 +59,9 @@ func NewLabelTable() *LabelTable {
 func (t *LabelTable) Intern(name string) LabelID {
 	if id, ok := t.ids[name]; ok {
 		return id
+	}
+	if own := t.own.Load(); t.writer != own {
+		t.names, t.ids, t.writer = slices.Clip(t.names), maps.Clone(t.ids), own
 	}
 	id := LabelID(len(t.names))
 	t.names = append(t.names, name)
@@ -83,15 +99,12 @@ func (t *LabelTable) Names() []string {
 	return out
 }
 
-// Clone returns an independent copy of the table.
+// Clone returns an independent copy of the table in constant time: both
+// sides share what they hold until either interns a new name. Like
+// Graph.Clone it only reads the receiver apart from retiring its write token.
 func (t *LabelTable) Clone() *LabelTable {
-	c := &LabelTable{
-		names: make([]string, len(t.names)),
-		ids:   make(map[string]LabelID, len(t.ids)),
-	}
-	copy(c.names, t.names)
-	for k, v := range t.ids {
-		c.ids[k] = v
-	}
+	c := &LabelTable{names: t.names, ids: t.ids}
+	c.own.Store(new(cow.Owner))
+	t.own.Store(new(cow.Owner))
 	return c
 }

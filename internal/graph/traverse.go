@@ -155,7 +155,9 @@ func (g *Graph) EvalLabelPath(labels []LabelID, visited func(NodeID)) []NodeID {
 	// charged are charged here, in the same canonical (ascending-seed) order.
 	sc := evalScratchPool.Get().(*evalScratch)
 	cur, next := sc.a[:0], sc.b[:0]
-	for _, n := range g.NodesWithLabel(labels[0]) {
+	seeds := g.NodesWithLabel(labels[0])
+	for i := range seeds.Len() {
+		n := seeds.At(i)
 		cur = append(cur, n)
 		if visited != nil {
 			visited(n)

@@ -7,6 +7,7 @@ import (
 
 	"dkindex/internal/codec"
 	"dkindex/internal/core"
+	"dkindex/internal/cow"
 	"dkindex/internal/cow/cowtest"
 	"dkindex/internal/graph"
 	"dkindex/internal/index"
@@ -24,7 +25,7 @@ func TestCloneIsolationProperty(t *testing.T) {
 		New: func(rng *rand.Rand) *index.IndexGraph {
 			g := graph.New()
 			g.AddRoot()
-			for n := 1; n < 300; n++ {
+			for n := 1; n < 2*cow.PageSize*cow.ChunkPages+100; n++ { // three directory chunks
 				g.AddEdge(graph.NodeID(rng.Intn(n)), g.AddNode(string(rune('a'+rng.Intn(4)))))
 			}
 			return index.BuildAK(g, 1)

@@ -2,7 +2,6 @@ package index
 
 import (
 	"fmt"
-	"maps"
 	"math"
 	"slices"
 	"sync"
@@ -31,10 +30,11 @@ const Exact = math.MaxInt32 / 4
 // incremental edge additions update the index graph without global rebuilds.
 //
 // Storage is copy-on-write under one ownership token (internal/cow): the
-// per-node and per-data-node columns are paged, each node's adjacency and
-// each label's posting builder records the token that may write it in place,
-// and every mutator goes through mutAdj / Paged.Mut / appendPosting, which copy
-// what the token does not own. Clone therefore copies tables only.
+// per-node, per-label and per-data-node columns are paged, each node's
+// adjacency and each label's posting builder records the token that may
+// write it in place, and every mutator goes through mutAdj / Paged.Mut /
+// appendPosting, which copy what the token does not own. Clone therefore
+// copies nothing but the struct.
 type IndexGraph struct {
 	data   *graph.Graph
 	own    atomic.Pointer[cow.Owner]
@@ -45,13 +45,13 @@ type IndexGraph struct {
 	// through extentScratch, recombine, and swap in fresh sets.
 	extents cow.Paged[nodeset.Set]
 	k       cow.Paged[int]
-	adj     []*adjacency
+	adj     cow.Paged[*adjacency]
 	// byLabel[l] lists index nodes carrying label l in ascending order (new
 	// nodes always receive the largest id, so appending keeps lists sorted).
 	// Each posting list is a succinct-set builder: the sealed prefix is
 	// compressed, the open chunk stays as raw low-16 values, and query
 	// seeding reads PostingSet views instead of scanning all nodes.
-	byLabel  []posting
+	byLabel  cow.Paged[posting]
 	numEdges int
 	nodeOf   cow.Paged[graph.NodeID] // data node -> index node
 	// fbStable records that extents are forward-and-backward bisimilar
@@ -65,26 +65,55 @@ type IndexGraph struct {
 	onSplit func(orig, created graph.NodeID)
 }
 
-// adjacency is one index node's edges. children[b] = number of data edges
-// from this node's extent into extent(b); parents is the mirror. An index
-// edge exists iff its count is > 0. childList/parentList mirror the maps as
-// ascending slices, maintained incrementally on edge appearance and
-// disappearance so the query hot path never sorts map keys.
+// adjacency is one index node's edges and the token that may write them in
+// place: children lists the out-neighbours, each with the number of data
+// edges from this node's extent into its extent, and parents mirrors it. An
+// index edge exists iff it is listed.
 type adjacency struct {
-	own                   *cow.Owner
-	children, parents     map[graph.NodeID]int
-	childList, parentList []graph.NodeID
+	own               *cow.Owner
+	children, parents edges
 }
+
+// edges is one direction of an index node's adjacency: ascending neighbour
+// ids and, in parallel, their data-edge counts, all > 0. The query hot path
+// reads ids as they are.
+type edges struct {
+	ids    []graph.NodeID
+	counts []int
+}
+
+// inc counts one more data edge to id, reporting whether the index edge is
+// new.
+func (e *edges) inc(id graph.NodeID) bool {
+	i, ok := slices.BinarySearch(e.ids, id)
+	if ok {
+		e.counts[i]++
+		return false
+	}
+	e.ids = slices.Insert(e.ids, i, id)
+	e.counts = slices.Insert(e.counts, i, 1)
+	return true
+}
+
+// dec counts one data edge fewer to id, which must be listed, reporting
+// whether the index edge disappeared.
+func (e *edges) dec(id graph.NodeID) bool {
+	i, _ := slices.BinarySearch(e.ids, id)
+	if e.counts[i]--; e.counts[i] > 0 {
+		return false
+	}
+	e.ids = slices.Delete(e.ids, i, i+1)
+	e.counts = slices.Delete(e.counts, i, i+1)
+	return true
+}
+
+func (e edges) clone() edges { return edges{slices.Clone(e.ids), slices.Clone(e.counts)} }
 
 // posting is one label's posting-list builder and the token that may append
 // to it in place.
 type posting struct {
 	own *cow.Owner
 	b   *nodeset.Builder
-}
-
-func newAdjacency(own *cow.Owner) *adjacency {
-	return &adjacency{own: own, children: make(map[graph.NodeID]int), parents: make(map[graph.NodeID]int)}
 }
 
 // newIndexGraph allocates an index graph of nb nodes over data with empty
@@ -97,11 +126,12 @@ func newIndexGraph(data *graph.Graph, nb int) *IndexGraph {
 		labels:  cow.Make[graph.LabelID](nb),
 		extents: cow.Make[nodeset.Set](nb),
 		k:       cow.Make[int](nb),
-		adj:     make([]*adjacency, nb),
+		adj:     cow.Make[*adjacency](nb),
 		nodeOf:  cow.Make[graph.NodeID](data.NumNodes()),
 	}
-	for b := range ig.adj {
-		ig.adj[b] = newAdjacency(nil)
+	recs := make([]adjacency, nb)
+	for b := range recs {
+		*ig.adj.Mut(nil, b) = &recs[b]
 	}
 	return ig
 }
@@ -109,16 +139,10 @@ func newIndexGraph(data *graph.Graph, nb int) *IndexGraph {
 // mutAdj returns index node n's adjacency for writing, copying it first
 // unless this graph already owns it.
 func (ig *IndexGraph) mutAdj(n graph.NodeID) *adjacency {
-	a := ig.adj[n]
+	a := ig.adj.At(int(n))
 	if own := ig.own.Load(); a.own != own {
-		a = &adjacency{
-			own:        own,
-			children:   maps.Clone(a.children),
-			parents:    maps.Clone(a.parents),
-			childList:  slices.Clone(a.childList),
-			parentList: slices.Clone(a.parentList),
-		}
-		ig.adj[n] = a
+		a = &adjacency{own: own, children: a.children.clone(), parents: a.parents.clone()}
+		*ig.adj.Mut(own, int(n)) = a
 	}
 	return a
 }
@@ -165,11 +189,12 @@ func (ig *IndexGraph) deriveEdges() {
 // appendPosting records that index node n carries label l. Nodes are created
 // with ascending ids, so appending keeps each posting list sorted.
 func (ig *IndexGraph) appendPosting(l graph.LabelID, n graph.NodeID) {
-	for int(l) >= len(ig.byLabel) {
-		ig.byLabel = append(ig.byLabel, posting{})
+	own := ig.own.Load()
+	for int(l) >= ig.byLabel.Len() {
+		ig.byLabel.Append(own, posting{})
 	}
-	p := &ig.byLabel[l]
-	if own := ig.own.Load(); p.b == nil {
+	p := ig.byLabel.Mut(own, int(l))
+	if p.b == nil {
 		*p = posting{own: own, b: new(nodeset.Builder)}
 	} else if p.own != own {
 		*p = posting{own: own, b: p.b.Clone()}
@@ -193,54 +218,20 @@ func extentScratchPut(b []graph.NodeID) {
 }
 
 func (ig *IndexGraph) incEdge(a, b graph.NodeID) {
-	from, to := ig.mutAdj(a), ig.mutAdj(b)
-	if from.children[b] == 0 {
+	if ig.mutAdj(a).children.inc(b) {
 		ig.numEdges++
-		from.childList = insertSortedIDs(from.childList, b)
-		to.parentList = insertSortedIDs(to.parentList, a)
 	}
-	from.children[b]++
-	to.parents[a]++
+	ig.mutAdj(b).parents.inc(a)
 }
 
 func (ig *IndexGraph) decEdge(a, b graph.NodeID) {
-	from, to := ig.mutAdj(a), ig.mutAdj(b)
-	c := from.children[b]
-	switch {
-	case c > 1:
-		from.children[b] = c - 1
-		to.parents[a] = c - 1
-	case c == 1:
-		delete(from.children, b)
-		delete(to.parents, a)
-		from.childList = removeSortedIDs(from.childList, b)
-		to.parentList = removeSortedIDs(to.parentList, a)
-		ig.numEdges--
-	default:
+	if !ig.HasEdge(a, b) {
 		panic(fmt.Sprintf("index: decEdge on absent edge %d->%d", a, b))
 	}
-}
-
-// insertSortedIDs inserts id into the ascending slice s.
-func insertSortedIDs(s []graph.NodeID, id graph.NodeID) []graph.NodeID {
-	i := len(s)
-	for i > 0 && s[i-1] > id {
-		i--
+	if ig.mutAdj(a).children.dec(b) {
+		ig.numEdges--
 	}
-	s = append(s, 0)
-	copy(s[i+1:], s[i:])
-	s[i] = id
-	return s
-}
-
-// removeSortedIDs deletes one occurrence of id from the ascending slice s.
-func removeSortedIDs(s []graph.NodeID, id graph.NodeID) []graph.NodeID {
-	for i, v := range s {
-		if v == id {
-			return append(s[:i], s[i+1:]...)
-		}
-	}
-	return s
+	ig.mutAdj(b).parents.dec(a)
 }
 
 // Data returns the underlying data graph.
@@ -293,20 +284,23 @@ func (ig *IndexGraph) ExtentSize(n graph.NodeID) int { return ig.extents.At(int(
 func (ig *IndexGraph) IndexOf(d graph.NodeID) graph.NodeID { return ig.nodeOf.At(int(d)) }
 
 // Children returns the out-neighbors of index node n in ascending order.
-// The slice is owned by the index graph and must not be mutated; it is
-// maintained incrementally so the query hot path never sorts map keys.
+// The slice is owned by the index graph and must not be mutated.
 func (ig *IndexGraph) Children(n graph.NodeID) []graph.NodeID {
-	return ig.adj[n].childList
+	return ig.adj.At(int(n)).children.ids
 }
 
 // Parents returns the in-neighbors of index node n in ascending order. The
 // slice is owned by the index graph and must not be mutated.
 func (ig *IndexGraph) Parents(n graph.NodeID) []graph.NodeID {
-	return ig.adj[n].parentList
+	return ig.adj.At(int(n)).parents.ids
 }
 
-// HasEdge reports whether the index edge a -> b exists.
-func (ig *IndexGraph) HasEdge(a, b graph.NodeID) bool { return ig.adj[a].children[b] > 0 }
+// HasEdge reports whether the index edge a -> b exists: a binary search of
+// a's children.
+func (ig *IndexGraph) HasEdge(a, b graph.NodeID) bool {
+	_, ok := slices.BinarySearch(ig.Children(a), b)
+	return ok
+}
 
 // NodesWithLabel returns the index nodes carrying label l in ascending order
 // as a freshly allocated slice owned by the caller. Query evaluation seeds
@@ -325,9 +319,9 @@ func (ig *IndexGraph) NodesWithLabel(l graph.LabelID) []graph.NodeID {
 // readers must seal first: afterwards PostingSet on a quiescent graph is a
 // pure read, safe under concurrent readers and cloning writers.
 func (ig *IndexGraph) SealPostings() {
-	for _, p := range ig.byLabel {
-		if p.b != nil {
-			p.b.View()
+	for l := range ig.byLabel.Len() {
+		if b := ig.byLabel.At(l).b; b != nil {
+			b.View()
 		}
 	}
 }
@@ -336,10 +330,13 @@ func (ig *IndexGraph) SealPostings() {
 // the ascending index nodes carrying l. The view is immutable — later node
 // creation never mutates it. Unknown labels return the empty set.
 func (ig *IndexGraph) PostingSet(l graph.LabelID) nodeset.Set {
-	if l < 0 || int(l) >= len(ig.byLabel) || ig.byLabel[l].b == nil {
+	if l < 0 || int(l) >= ig.byLabel.Len() {
 		return nodeset.Set{}
 	}
-	return ig.byLabel[l].b.View()
+	if b := ig.byLabel.At(int(l)).b; b != nil {
+		return b.View()
+	}
+	return nodeset.Set{}
 }
 
 // NumLabels returns the number of labels interned in the shared table.
@@ -355,23 +352,23 @@ func (ig *IndexGraph) AppendExtent(dst []graph.NodeID, n graph.NodeID) []graph.N
 var _ Source = (*IndexGraph)(nil)
 
 // Clone returns an independent copy of the index graph and its data graph
-// in O(nodes / page size + index nodes) pointer copies: columns, adjacency
-// and posting builders are shared until either side writes them (see
-// IndexGraph), extent sets are immutable and always shared. A write through
-// either side — to the summary or to the data graph under it — is never
-// visible through the other. Like graph.Clone it only reads the receiver
-// apart from retiring its write token, so a published snapshot may be cloned
-// beside its readers; the receiver's postings must be sealed (SealPostings)
-// for that, as for any concurrent read. The split hook is not copied —
-// instrumentation re-attaches per mutation.
+// in constant time: columns, adjacency and posting builders are shared until
+// either side writes them (see IndexGraph), extent sets are immutable and
+// always shared. A write through either side — to the summary or to the data
+// graph under it — is never visible through the other. Like graph.Clone it
+// only reads the receiver apart from retiring its write token, so a
+// published snapshot may be cloned beside its readers; the receiver's
+// postings must be sealed (SealPostings) for that, as for any concurrent
+// read. The split hook is not copied — instrumentation re-attaches per
+// mutation.
 func (ig *IndexGraph) Clone() *IndexGraph {
 	c := &IndexGraph{
 		data:     ig.data.Clone(),
 		labels:   ig.labels.Clone(),
 		extents:  ig.extents.Clone(),
 		k:        ig.k.Clone(),
-		adj:      slices.Clone(ig.adj),
-		byLabel:  slices.Clone(ig.byLabel),
+		adj:      ig.adj.Clone(),
+		byLabel:  ig.byLabel.Clone(),
 		numEdges: ig.numEdges,
 		nodeOf:   ig.nodeOf.Clone(),
 		fbStable: ig.fbStable,
@@ -424,39 +421,43 @@ func (ig *IndexGraph) Validate() error {
 			want[[2]graph.NodeID{ig.nodeOf.At(u), ig.IndexOf(v)}]++
 		}
 	}
-	got := 0
-	for a := range ig.adj {
-		for b, cnt := range ig.adj[a].children {
-			if cnt <= 0 {
-				return fmt.Errorf("index: non-positive edge count %d->%d", a, b)
+	got, mirrored := 0, 0
+	for a := 0; a < ig.NumNodes(); a++ {
+		adj := ig.adj.At(a)
+		for _, e := range []edges{adj.children, adj.parents} {
+			if len(e.ids) != len(e.counts) {
+				return fmt.Errorf("index: node %d lists %d neighbours and %d counts", a, len(e.ids), len(e.counts))
 			}
-			if want[[2]graph.NodeID{graph.NodeID(a), b}] != cnt {
-				return fmt.Errorf("index: edge %d->%d count %d, want %d",
-					a, b, cnt, want[[2]graph.NodeID{graph.NodeID(a), b}])
+			for i, b := range e.ids {
+				if i > 0 && e.ids[i-1] >= b {
+					return fmt.Errorf("index: adjacency of %d not strictly ascending at %d", a, i)
+				}
+				if e.counts[i] <= 0 {
+					return fmt.Errorf("index: non-positive edge count between %d and %d", a, b)
+				}
 			}
-			if ig.adj[b].parents[graph.NodeID(a)] != cnt {
+		}
+		for i, b := range adj.children.ids {
+			cnt := adj.children.counts[i]
+			if w := want[[2]graph.NodeID{graph.NodeID(a), b}]; w != cnt {
+				return fmt.Errorf("index: edge %d->%d count %d, want %d", a, b, cnt, w)
+			}
+			p := ig.adj.At(int(b)).parents
+			if j, ok := slices.BinarySearch(p.ids, graph.NodeID(a)); !ok || p.counts[j] != cnt {
 				return fmt.Errorf("index: edge %d->%d parent mirror mismatch", a, b)
 			}
 			got++
 		}
+		mirrored += len(adj.parents.ids)
 	}
 	if got != len(want) {
 		return fmt.Errorf("index: %d edges present, want %d", got, len(want))
 	}
-	if got != ig.numEdges {
-		return fmt.Errorf("index: numEdges=%d, actual %d", ig.numEdges, got)
-	}
-	// Adjacency slice mirrors must match the maps, sorted ascending.
-	for a, adj := range ig.adj {
-		if err := checkMirror(adj.childList, adj.children, "childList", a); err != nil {
-			return err
-		}
-		if err := checkMirror(adj.parentList, adj.parents, "parentList", a); err != nil {
-			return err
-		}
+	if got != ig.numEdges || mirrored != got {
+		return fmt.Errorf("index: numEdges=%d, actual %d, %d listed as parents", ig.numEdges, got, mirrored)
 	}
 	// Posting lists must exactly re-derive from the node labels.
-	wantPost := make([][]graph.NodeID, len(ig.byLabel))
+	wantPost := make([][]graph.NodeID, ig.byLabel.Len())
 	for n := 0; n < ig.NumNodes(); n++ {
 		l := ig.labels.At(n)
 		if int(l) >= len(wantPost) {
@@ -501,28 +502,11 @@ func (ig *IndexGraph) MemStats() MemStats {
 		ext.AddStats(&m.Extents)
 		m.ExtentRawBytes += sliceHeaderBytes + 4*ext.Len()
 	}
-	for _, p := range ig.byLabel {
-		if p.b != nil {
-			p.b.AddStats(&m.Postings)
-			m.PostingRawBytes += sliceHeaderBytes + 4*p.b.Len()
+	for l := range ig.byLabel.Len() {
+		if b := ig.byLabel.At(l).b; b != nil {
+			b.AddStats(&m.Postings)
+			m.PostingRawBytes += sliceHeaderBytes + 4*b.Len()
 		}
 	}
 	return m
-}
-
-// checkMirror verifies that list holds exactly the keys of m in ascending
-// order.
-func checkMirror(list []graph.NodeID, m map[graph.NodeID]int, name string, at int) error {
-	if len(list) != len(m) {
-		return fmt.Errorf("index: %s[%d] has %d entries, map has %d", name, at, len(list), len(m))
-	}
-	for i, v := range list {
-		if i > 0 && list[i-1] >= v {
-			return fmt.Errorf("index: %s[%d] not strictly ascending at %d", name, at, i)
-		}
-		if m[v] <= 0 {
-			return fmt.Errorf("index: %s[%d] lists %d absent from map", name, at, v)
-		}
-	}
-	return nil
 }

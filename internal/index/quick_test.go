@@ -113,12 +113,12 @@ func TestQuickAKUpdateRefinesTruth(t *testing.T) {
 }
 
 // Property: under randomized mixed mutation sequences — splits, isolations,
-// edge insertions AND removals — the label posting lists and the adjacency
-// slice mirrors stay exactly consistent with a brute-force re-derivation:
+// edge insertions AND removals — the label posting lists and the counted
+// adjacency stay exactly consistent with a brute-force re-derivation:
 // NodesWithLabel(l) lists precisely the ascending index nodes labeled l, and
-// Children/Parents equal the sorted key sets of the count maps (both checked
-// by Validate), so posting-list query seeding can never drift from a full
-// scan.
+// Children/Parents list ascending exactly the neighbours whose data-edge
+// count matches a recount, each mirrored by the other side (both checked by
+// Validate), so posting-list query seeding can never drift from a full scan.
 func TestQuickPostingListsConsistentUnderMixedOps(t *testing.T) {
 	f := func(s genSpec, ops uint8, opSeed int64) bool {
 		g := s.build()

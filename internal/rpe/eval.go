@@ -4,6 +4,7 @@ import (
 	"math/bits"
 	"sync"
 
+	"dkindex/internal/cow"
 	"dkindex/internal/graph"
 	"dkindex/internal/nodeset"
 	"dkindex/internal/obs"
@@ -22,7 +23,7 @@ type Source interface {
 // (data graphs do), evaluation seeds from per-label node lists instead of
 // probing the automaton once per node.
 type labelIndexed interface {
-	NodesWithLabel(l graph.LabelID) []graph.NodeID
+	NodesWithLabel(l graph.LabelID) cow.Paged[graph.NodeID]
 	NumLabels() int
 }
 
@@ -153,11 +154,11 @@ func (c *Compiled) EvalTraced(g Source, visited func(graph.NodeID), tr *obs.Trac
 	case labelIndexed:
 		for l := 0; l < src.NumLabels(); l++ {
 			nodes := src.NodesWithLabel(graph.LabelID(l))
-			if len(nodes) == 0 || !a.stepSet(delta, a.start, graph.LabelID(l)) {
+			if nodes.Len() == 0 || !a.stepSet(delta, a.start, graph.LabelID(l)) {
 				continue
 			}
-			for _, id := range nodes {
-				copy(of(id), delta)
+			for i := range nodes.Len() {
+				copy(of(nodes.At(i)), delta)
 			}
 		}
 	default:

@@ -2,6 +2,7 @@ package dkindex
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -88,14 +89,9 @@ func TestQuickPostingListsSurviveLifecycle(t *testing.T) {
 					want = append(want, graph.NodeID(n))
 				}
 			}
-			got := idx.Graph().NodesWithLabel(l)
-			if len(got) != len(want) {
+			list := idx.Graph().NodesWithLabel(l)
+			if !slices.Equal(list.AppendTo(nil), want) {
 				return false
-			}
-			for i := range want {
-				if got[i] != want[i] {
-					return false
-				}
 			}
 		}
 		return true
