@@ -1,220 +1,163 @@
 package dkindex
 
 import (
-	"errors"
 	"sync"
-	"time"
+	"sync/atomic"
 )
 
-// BatchOptions configures StartBatching.
-type BatchOptions struct {
-	// MaxBatch caps how many mutations one group commit carries. Values
-	// below 1 mean DefaultMaxBatch. An ApplyBatch larger than the cap still
-	// commits as one group — client batches are never split.
-	MaxBatch int
-	// FlushInterval is the coalescing window: after the first mutation of a
-	// window arrives, the committer waits this long (or until MaxBatch fills)
-	// before flushing, trading acknowledgement latency for bigger groups.
-	// Zero flushes as soon as the committer is free — "natural" group
-	// commit: whatever queued while the previous fsync ran forms the next
-	// group, adding no artificial latency.
-	FlushInterval time.Duration
-}
+// maxBatch caps how many mutations one group commit carries. A client batch
+// larger than the cap still commits as one group: client batches are never
+// split.
+const maxBatch = 128
 
-// DefaultMaxBatch is the group-commit size cap when BatchOptions doesn't set
-// one.
-const DefaultMaxBatch = 128
-
-// batcher coalesces concurrent mutations into group commits. Sequence
-// numbers are assigned under its lock at enqueue, and the queue drains in
-// FIFO order by a single committer at a time (the flusher goroutine, then
-// StopBatching's final drain) — so commit order always matches sequence
-// order, which is what makes the watermark a plain high-water mark.
+// batcher is the write pipeline's queue, and natural group commit is the only
+// way an Index commits. Submitters assign sequence numbers and enqueue under
+// mu, so queue order is sequence order. The submitter that finds no commit in
+// progress becomes the committer: a synchronous one commits inline until its
+// own batch has settled and then hands any remaining queue to a goroutine; an
+// asynchronous one starts that goroutine at once. The committer drains the
+// queue in FIFO groups — whatever queued while the previous commit ran forms
+// the next group, adding no latency — and gives the role up only on an empty
+// queue, so there is never more than one and commit order is sequence order.
 type batcher struct {
-	x        *Index
-	maxBatch int
-	interval time.Duration
-
-	mu      sync.Mutex
-	queue   [][]*preparedMutation // client batches; never split across commits
-	queued  int                   // total mutations across queue
-	stopped bool
-
-	wake    chan struct{} // buffered(1): "the queue is non-empty"
-	quit    chan struct{} // closed by StopBatching
-	done    chan struct{} // closed when the flusher exits
-	drained chan struct{} // closed when the final drain finished and the index disarmed
+	mu    sync.Mutex
+	idle  sync.Cond             // broadcast when busy clears; L is &mu (newIndex)
+	queue [][]*preparedMutation // client batches; queue[head:] still pending
+	head  int
+	busy  bool // a committer holds the role
 }
 
-// StartBatching arms the group-commit batcher: from now on Apply and
-// ApplyBatch enqueue into a shared window that a background committer flushes
-// as one WAL group append and one snapshot swap per window. It fails if
-// batching is already armed. Pair with StopBatching, which drains the queue
-// before disarming.
-func (x *Index) StartBatching(opts BatchOptions) error {
-	b := &batcher{
-		x:        x,
-		maxBatch: opts.MaxBatch,
-		interval: opts.FlushInterval,
-		wake:     make(chan struct{}, 1),
-		quit:     make(chan struct{}),
-		done:     make(chan struct{}),
-		drained:  make(chan struct{}),
-	}
-	if b.maxBatch < 1 {
-		b.maxBatch = DefaultMaxBatch
-	}
-	if b.interval < 0 {
-		b.interval = 0
-	}
-	x.mu.Lock()
-	defer x.mu.Unlock()
-	if x.batch.Load() != nil {
-		return errors.New("dkindex: batching already armed")
-	}
-	x.batch.Store(b)
-	go b.loop()
-	return nil
-}
-
-// StopBatching drains and disarms the batcher: queued mutations are group-
-// committed, their waiters released, and subsequent Apply calls commit
-// directly. No-op when batching is not armed; safe to call concurrently
-// (every caller returns only after the drain completed).
-func (x *Index) StopBatching() {
-	b := x.batch.Load()
-	if b == nil {
-		return
-	}
-	b.mu.Lock()
-	if b.stopped {
-		b.mu.Unlock()
-		<-b.drained
-		return
-	}
-	b.stopped = true
-	b.mu.Unlock()
-	close(b.quit)
-	<-b.done
-	// Final drain under one hold of the writer mutex: nothing can interleave,
-	// so the queued sequence numbers commit in order before any direct
-	// committer (which would mint higher ones) gets in.
-	x.mu.Lock()
-	for {
-		chunk := b.take()
-		if chunk == nil {
-			break
+// submitPrepared enqueues one client batch as an unsplittable group and, when
+// wait is set, returns only once it has settled. Every mutation reaches
+// commitLocked through here and drain (TestOneCommitPath).
+func (x *Index) submitPrepared(ps []*preparedMutation, wait bool) {
+	b := &x.batch
+	committer := b.push(ps, &x.mutSeq)
+	switch {
+	case !committer:
+		if wait {
+			for _, p := range ps {
+				<-p.done
+			}
 		}
-		x.commitLocked(chunk)
-		for _, p := range chunk {
+	case !wait:
+		go x.drain(0)
+	default:
+		x.drain(ps[len(ps)-1].seq)
+		b.mu.Lock()
+		handOff := !b.releaseIfEmpty()
+		b.mu.Unlock()
+		if handOff {
+			go x.drain(0)
+		}
+	}
+}
+
+// drain is the committer's loop: it takes group after group off the queue and
+// settles each through commitLocked. It returns when the queue is empty,
+// giving the role up, or — for a synchronous committer, until > 0 — once the
+// group holding sequence number until has settled, keeping the role for its
+// caller to hand on.
+func (x *Index) drain(until uint64) {
+	for {
+		x.mu.Lock()
+		g := x.batch.next()
+		if g == nil {
+			x.mu.Unlock()
+			return
+		}
+		x.commitLocked(g)
+		x.mu.Unlock()
+		for _, p := range g {
 			close(p.done)
 		}
+		if until > 0 && g[len(g)-1].seq >= until {
+			return
+		}
 	}
-	x.batch.Store(nil)
-	x.mu.Unlock()
-	close(b.drained)
 }
 
-// Batching reports whether the group-commit batcher is armed.
-func (x *Index) Batching() bool { return x.batch.Load() != nil }
-
-// enqueue adds one client batch to the window, assigning its sequence
-// numbers, and wakes the committer. It reports false when the batcher is
-// stopping; the submitter waits out the drain and re-routes.
-func (b *batcher) enqueue(ps []*preparedMutation) bool {
+// push numbers one client batch from seq and enqueues it, reporting whether
+// the caller takes the committer role.
+func (b *batcher) push(ps []*preparedMutation, seq *atomic.Uint64) (committer bool) {
 	b.mu.Lock()
-	if b.stopped {
-		b.mu.Unlock()
-		return false
-	}
+	defer b.mu.Unlock()
 	for _, p := range ps {
-		p.seq = b.x.mutSeq.Add(1)
+		p.seq = seq.Add(1)
 	}
 	b.queue = append(b.queue, ps)
-	b.queued += len(ps)
-	b.mu.Unlock()
-	select {
-	case b.wake <- struct{}{}:
-	default:
+	committer = !b.busy
+	b.busy = true
+	return committer
+}
+
+// next pops the next group commit: whole client batches up to maxBatch
+// mutations, always at least one batch. On an empty queue it gives the
+// committer role up and returns nil. Once more than half of the queue has
+// been consumed, the pending tail moves to the front, so a queue that never
+// empties — writers submitting while each group commits — stays as long as
+// its backlog.
+func (b *batcher) next() []*preparedMutation {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	if b.releaseIfEmpty() {
+		return nil
 	}
+	end, n := b.head+1, len(b.queue[b.head])
+	for end < len(b.queue) && n+len(b.queue[end]) <= maxBatch {
+		n += len(b.queue[end])
+		end++
+	}
+	var g []*preparedMutation
+	if end == b.head+1 {
+		g = b.queue[b.head] // a lone client batch commits as it came
+	} else {
+		g = make([]*preparedMutation, 0, n)
+		for _, ps := range b.queue[b.head:end] {
+			g = append(g, ps...)
+		}
+	}
+	clear(b.queue[b.head:end])
+	b.head = end
+	if b.head > len(b.queue)/2 {
+		live := copy(b.queue, b.queue[b.head:])
+		clear(b.queue[live:])
+		b.queue, b.head = b.queue[:live], 0
+	}
+	return g
+}
+
+// releaseIfEmpty gives the committer role up when nothing is pending,
+// reporting whether it did. The queue's backing array is kept for the next
+// batches. Callers hold mu.
+func (b *batcher) releaseIfEmpty() bool {
+	if b.head < len(b.queue) {
+		return false
+	}
+	b.queue, b.head = b.queue[:0], 0
+	b.busy = false
+	b.idle.Broadcast()
 	return true
 }
 
-// take pops the next group commit: whole client batches up to maxBatch
-// mutations (always at least one batch, so oversized client batches stay
-// unsplit). Nil when the queue is empty.
-func (b *batcher) take() []*preparedMutation {
+// waitIdle returns once no commit is in progress and nothing is queued, so
+// every mutation accepted before the call has settled — and, on a
+// store-managed index, is in the log.
+func (b *batcher) waitIdle() {
 	b.mu.Lock()
-	defer b.mu.Unlock()
-	if len(b.queue) == 0 {
-		return nil
+	for b.busy {
+		b.idle.Wait()
 	}
-	var out []*preparedMutation
-	for len(b.queue) > 0 {
-		el := b.queue[0]
-		if len(out) > 0 && len(out)+len(el) > b.maxBatch {
-			break
-		}
-		out = append(out, el...)
-		b.queue[0] = nil
-		b.queue = b.queue[1:]
-		b.queued -= len(el)
-		if len(out) >= b.maxBatch {
-			break
-		}
-	}
-	if len(b.queue) == 0 {
-		b.queue = nil // release the drained backing array
-	}
-	return out
+	b.mu.Unlock()
 }
 
-func (b *batcher) size() int {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return b.queued
-}
+// BatchOptions is kept only for benchmark/workloads.go; it configures nothing.
+type BatchOptions struct{}
 
-// loop is the committer: it sleeps until mutations queue, optionally waits
-// out the coalescing window, then flushes the queue as group commits. On
-// quit it exits immediately; StopBatching performs the final drain.
-func (b *batcher) loop() {
-	defer close(b.done)
-	for {
-		select {
-		case <-b.quit:
-			return
-		case <-b.wake:
-		}
-		if b.interval > 0 {
-			t := time.NewTimer(b.interval)
-		window:
-			for {
-				select {
-				case <-b.quit:
-					t.Stop()
-					return
-				case <-b.wake:
-					if b.size() >= b.maxBatch {
-						break window
-					}
-				case <-t.C:
-					break window
-				}
-			}
-			t.Stop()
-		}
-		for {
-			chunk := b.take()
-			if chunk == nil {
-				break
-			}
-			b.x.mu.Lock()
-			b.x.commitLocked(chunk)
-			b.x.mu.Unlock()
-			for _, p := range chunk {
-				close(p.done)
-			}
-		}
-	}
-}
+// StartBatching is kept only for benchmark/workloads.go: every Index
+// group-commits, so there is nothing to arm.
+func (x *Index) StartBatching(BatchOptions) error { return nil }
+
+// StopBatching is kept only for benchmark/workloads.go: it waits until every
+// accepted mutation has settled.
+func (x *Index) StopBatching() { x.batch.waitIdle() }

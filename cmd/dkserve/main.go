@@ -27,11 +27,8 @@
 //	dkserve -in doc.xml -data-dir /var/lib/dk -addr :8080
 //	dkserve -replicate-from http://127.0.0.1:8080 -max-lag 1000 -addr :8081
 //
-// Writes go through the group-commit pipeline by default: concurrent
-// mutations coalesce into one WAL group frame (a single fsync) and one
-// snapshot swap, bounded by -batch-size, with -flush-interval trading
-// acknowledgement latency for bigger groups. -batch-size 0 reverts to one
-// commit per mutation.
+// Writes go through the index's group-commit pipeline: concurrent mutations
+// coalesce into one WAL group frame (a single fsync) and one snapshot swap.
 //
 //	curl 'localhost:8080/v1/query?q=director.movie.title'
 //	curl 'localhost:8080/v1/query?kind=twig&q=movie[actor].title'
@@ -102,11 +99,6 @@ type config struct {
 	logger   *slog.Logger
 	observer *obs.Observer
 
-	// idx is retained for the shutdown path: StopBatching drains the
-	// group-commit queue before the final checkpoint captures the log. It is
-	// nil when -shards armed the sharded engine instead.
-	idx *dkindex.Index
-
 	// Durability: store is non-nil when -data-dir armed the write-ahead log —
 	// a single Store, or the sharded engine fanning to its per-shard stores;
 	// ckptEvery > 0 runs the background checkpoint loop.
@@ -164,8 +156,6 @@ func setup(args []string, stdout, stderr io.Writer) (*config, int) {
 		dataDir     = fs.String("data-dir", "", "durable store directory (WAL + checkpoints); recovered on start, created from -in/-index when empty")
 		ckptEvery   = fs.Duration("checkpoint-interval", time.Minute, "background checkpoint interval with -data-dir (0 disables)")
 		maxInflight = fs.Int("max-inflight", 0, "bound on concurrently served requests; excess shed with 503 (0 = unbounded)")
-		batchSize   = fs.Int("batch-size", dkindex.DefaultMaxBatch, "group-commit batch cap: concurrent mutations coalesce into one WAL fsync and one snapshot swap (0 disables batching)")
-		flushEvery  = fs.Duration("flush-interval", 0, "group-commit coalescing window; 0 flushes as soon as the committer is free")
 		rtEvery     = fs.Duration("runtime-interval", 10*time.Second, "runtime telemetry poll interval (goroutines, heap, GC pauses; 0 disables)")
 		readHdrTO   = fs.Duration("read-header-timeout", 5*time.Second, "bound on reading a request's headers (0 disables)")
 		idleTO      = fs.Duration("idle-timeout", 2*time.Minute, "bound on idle keep-alive connections (0 disables)")
@@ -223,7 +213,6 @@ func setup(args []string, stdout, stderr io.Writer) (*config, int) {
 			addr:              *addr,
 			logger:            logger,
 			observer:          observer,
-			idx:               idx,
 			repl:              rep,
 			readHeaderTimeout: *readHdrTO,
 			idleTimeout:       *idleTO,
@@ -340,16 +329,6 @@ func setup(args []string, stdout, stderr io.Writer) (*config, int) {
 		}
 		logger.Info("store created", "dataDir", *dataDir)
 	}
-	// The batcher arms last, after the store attached, so its very first
-	// group commit already write-ahead logs. Mutations now coalesce: one WAL
-	// fsync and one snapshot swap per group instead of per request.
-	if *batchSize > 0 {
-		if err := idx.StartBatching(dkindex.BatchOptions{MaxBatch: *batchSize, FlushInterval: *flushEvery}); err != nil {
-			fmt.Fprintf(stderr, "dkserve: %v\n", err)
-			return nil, 1
-		}
-		logger.Info("group commit armed", "maxBatch", *batchSize, "flushInterval", *flushEvery)
-	}
 	srv := server.New(idx)
 	if *pprofOn {
 		srv.EnablePprof()
@@ -364,7 +343,6 @@ func setup(args []string, stdout, stderr io.Writer) (*config, int) {
 		addr:              *addr,
 		logger:            logger,
 		observer:          observer,
-		idx:               idx,
 		ckptEvery:         *ckptEvery,
 		readHeaderTimeout: *readHdrTO,
 		idleTimeout:       *idleTO,
@@ -613,12 +591,6 @@ func serve(ctx context.Context, ln net.Listener, cfg *config) int {
 		ckptWG.Wait()
 		stopRepl()
 		replWG.Wait()
-		// Drain the group-commit queue before the final checkpoint: every
-		// acknowledged mutation must be in the log the checkpoint folds.
-		// (The sharded engine has no cross-batch batcher, and no idx.)
-		if cfg.idx != nil {
-			cfg.idx.StopBatching()
-		}
 		if cfg.store != nil {
 			// Capture mutations still only in the log as a final checkpoint,
 			// so the next start replays nothing on the happy path.

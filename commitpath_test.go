@@ -19,10 +19,11 @@ import (
 
 // TestOneCommitPath pins the write path's shape by reading the source: the
 // journal is called from commitLocked and nowhere else, a successor snapshot
-// is published from commitLocked and Reload and nowhere else, and the journal
-// interface has the one method that caller needs. A new function that locks,
-// logs and publishes on its own — invisible to acks, the watermark, batcher
-// ordering and the stage histograms — fails here by name.
+// is published from commitLocked and Reload and nowhere else, commitLocked is
+// called from drain and nowhere else, and the journal interface has the one
+// method that caller needs. A new function that locks, logs and publishes on
+// its own — invisible to acks, the watermark, queue ordering and the stage
+// histograms — fails here by name, and so does a second route into a commit.
 func TestOneCommitPath(t *testing.T) {
 	names, err := filepath.Glob("*.go")
 	if err != nil {
@@ -74,8 +75,8 @@ func TestOneCommitPath(t *testing.T) {
 				return true
 			}
 			switch name := sel.Sel.Name; {
-			case name == "publish":
-				callers["publish"] = append(callers["publish"], fn.Name.Name)
+			case name == "publish", name == "commitLocked":
+				callers[name] = append(callers[name], fn.Name.Name)
 			case journal[name]:
 				callers["journal"] = append(callers["journal"], fn.Name.Name)
 			}
@@ -83,8 +84,9 @@ func TestOneCommitPath(t *testing.T) {
 		})
 	}
 	for what, want := range map[string]string{
-		"publish": "Reload commitLocked",
-		"journal": "commitLocked",
+		"publish":      "Reload commitLocked",
+		"journal":      "commitLocked",
+		"commitLocked": "drain",
 	} {
 		got := callers[what]
 		sort.Strings(got)
@@ -95,8 +97,8 @@ func TestOneCommitPath(t *testing.T) {
 }
 
 // settle waits until every accepted mutation has settled and its commit has
-// returned; with batching armed an ApplyAsync (the auto-promotion's door)
-// commits on the committer goroutine.
+// returned: an ApplyAsync (the auto-promotion's door) may commit on a
+// committer goroutine after it returned.
 func settle(t *testing.T, idx *Index) {
 	t.Helper()
 	deadline := time.Now().Add(10 * time.Second)
@@ -115,22 +117,26 @@ func settle(t *testing.T, idx *Index) {
 // TestCompactionAndAutoPromotionAreSequenced checks what the two former
 // side doors gained by becoming Mutations: each takes exactly one sequence
 // number, moves the watermark over it, counts as one commit, and reports its
-// lifecycle event after that commit — directly and through the batcher.
+// lifecycle event after that commit — submitted with nothing in flight
+// ("direct"), and submitted while the writer mutex is held, so that it waits
+// in the queue for the committer ("batched").
 func TestCompactionAndAutoPromotionAreSequenced(t *testing.T) {
-	for _, armed := range []bool{false, true} {
+	for _, queued := range []bool{false, true} {
 		name := "direct"
-		if armed {
+		if queued {
 			name = "batched"
 		}
 		t.Run(name, func(t *testing.T) {
 			idx := open(t)
 			o := obs.NewObserver()
 			idx.Observe(o)
-			if armed {
-				if err := idx.StartBatching(BatchOptions{}); err != nil {
-					t.Fatal(err)
+			// submit runs a submission, with the writer mutex held when queued.
+			submit := func(f func()) {
+				if queued {
+					idx.mu.Lock()
+					defer idx.mu.Unlock()
 				}
-				defer idx.StopBatching()
+				f()
 			}
 			commits := o.Registry.Counter(obs.MetricBatchCommits, "")
 			// step runs one state change and requires it to be exactly one
@@ -153,6 +159,14 @@ func TestCompactionAndAutoPromotionAreSequenced(t *testing.T) {
 			}
 
 			step("compaction", obs.EventCompact, func() {
+				if queued {
+					var err error
+					submit(func() { _, err = idx.ApplyAsync(Mutation{Op: MutCompact}) })
+					if err != nil {
+						t.Fatal(err)
+					}
+					return
+				}
 				ack, err := idx.Apply(Mutation{Op: MutCompact})
 				if err != nil {
 					t.Fatal(err)
@@ -166,7 +180,9 @@ func TestCompactionAndAutoPromotionAreSequenced(t *testing.T) {
 			idx.SetAutoPromote(1)
 			step("auto-promotion", obs.EventPromote, func() {
 				// Validates on the label-split index, so it crosses at once.
-				if _, _, err := query(idx, KindPath, "director.movie.title"); err != nil {
+				var err error
+				submit(func() { _, _, err = query(idx, KindPath, "director.movie.title") })
+				if err != nil {
 					t.Fatal(err)
 				}
 			})
@@ -233,6 +249,7 @@ func TestAutoPromoteRetriesAfterRejectedAppend(t *testing.T) {
 	gen := idx.Generation()
 	fs.FailAt(1, faultfs.ModeError) // the promotion's WAL append fails; the disk stays up
 	press()
+	settle(t, idx)
 	if idx.Generation() != gen || st.Appended() != 0 {
 		t.Fatalf("rejected auto-promotion published: generation %d -> %d, %d records", gen, idx.Generation(), st.Appended())
 	}
@@ -242,6 +259,7 @@ func TestAutoPromoteRetriesAfterRejectedAppend(t *testing.T) {
 
 	// The log healed; the same pressure again lands the promotion.
 	press()
+	settle(t, idx)
 	if idx.Generation() != gen+1 {
 		t.Fatalf("auto-promotion never retried: generation %d, want %d", idx.Generation(), gen+1)
 	}

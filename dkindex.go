@@ -75,6 +75,12 @@ type NodeID = graph.NodeID
 // LoadOptions re-exports the XML loader configuration.
 type LoadOptions = xmlgraph.Options
 
+// MaxK bounds every similarity that does not come straight from the Go API:
+// the server turns away a larger k or requirement, and mined requirements and
+// automatic promotions are clamped to it (WAL replay still accepts whatever
+// the API logged).
+const MaxK = core.MaxK
+
 // Index is a D(k)-index over one data graph, served through atomic
 // snapshots: reads are lock-free, mutations build-and-swap under a writer
 // mutex (see the package comment for the concurrency contract). The one
@@ -113,11 +119,10 @@ type Index struct {
 
 	// mutSeq is the last assigned mutation sequence number and durableMark
 	// the acknowledged-durable watermark (see Apply); both are session-scoped.
-	// batch, when StartBatching arms it, coalesces concurrent mutations into
-	// group commits.
+	// batch queues mutations for the group commits that settle them.
 	mutSeq      atomic.Uint64
 	durableMark atomic.Uint64
-	batch       atomic.Pointer[batcher]
+	batch       batcher
 }
 
 // mutationJournal is the write-ahead hook a Store installs. logGroup must
@@ -144,6 +149,7 @@ func (x *Index) attachJournal(j mutationJournal) error {
 // default result cache.
 func newIndex(dk *core.DK) *Index {
 	x := &Index{}
+	x.batch.idle.L = &x.batch.mu
 	dk.IG.SealPostings()
 	x.handle.Store(&snapshot{dk: dk})
 	x.cache.Store(qcache.New(DefaultResultCacheSize))
@@ -463,10 +469,12 @@ func (x *Index) Audit(maxK int) error {
 
 // SetAutoPromote makes the index crack itself: whenever queries ending at
 // some label have required validation `threshold` times, the label is
-// promoted to cover the longest such query, so subsequent repeats answer
-// straight from the summary. This implements the paper's second future-work
-// direction — combining the update and evaluation processes — with the
-// promoting machinery of Section 5.3. A threshold of 0 disables it.
+// promoted to cover the longest such query (up to MaxK), so subsequent
+// repeats answer straight from the summary; the query that crosses the
+// threshold does not wait for the promotion to commit. This implements the
+// paper's second future-work direction — combining the update and evaluation
+// processes — with the promoting machinery of Section 5.3. A threshold of 0
+// disables it.
 //
 // Pressure is counted lock-free on the query path (cache hits included);
 // the query that crosses the threshold records an auto_promote event — the
@@ -475,7 +483,9 @@ func (x *Index) Audit(maxK int) error {
 // label's pressure restarts from zero at submission: a promotion the
 // write-ahead log rejects is retried after threshold more validations, and a
 // label hot enough to cross again while its promotion still waits in the
-// batcher submits it twice (the second commit changes nothing).
+// queue submits it twice (the second commit changes nothing). A path longer
+// than MaxK validates even after its label reached MaxK; it stops counting
+// then, so repeating it does not promote again.
 func (x *Index) SetAutoPromote(threshold int) {
 	x.autoPromote.Store(int32(threshold))
 	if threshold > 0 {
@@ -504,6 +514,9 @@ func (x *Index) noteValidation(s *snapshot, path eval.Query, validations int) {
 	if last == graph.InvalidLabel {
 		return
 	}
+	if length > MaxK && labelReaches(s.dk.IG, last, MaxK) {
+		return // the capped promotion has landed; another would change nothing
+	}
 	hm := x.heat.Load()
 	if hm == nil {
 		return
@@ -523,14 +536,25 @@ func (x *Index) noteValidation(s *snapshot, path eval.Query, validations int) {
 	// The label travels by name: applyOne resolves it against the state it
 	// mutates and rejects one a Reload retired, so pressure counted on a stale
 	// snapshot can at worst cost index nodes, never answers.
-	m := Mutation{Op: MutPromote, Label: s.dk.IG.Data().Labels().Name(last), K: int(h.maxLen.Load())}
+	m := Mutation{Op: MutPromote, Label: s.dk.IG.Data().Labels().Name(last), K: min(int(h.maxLen.Load()), MaxK)}
 	x.observer.RecordEvent(obs.Event{Type: obs.EventAutoPromote, Label: m.Label, K: m.K,
 		Detail: fmt.Sprintf("%d validations crossed threshold %d", count, threshold)})
-	// The outcome is not awaited (the batcher may hold it), so the error is
-	// dropped: retiring the entry un-latches the label and zeroes its count
-	// whatever the commit decides. A promotion that lands stops the
-	// validations that feed it; one the log rejects is retried after
-	// threshold more of them — the threshold is the back-off.
+	// The outcome is not awaited, so the error is dropped: retiring the entry
+	// un-latches the label and zeroes its count whatever the commit decides.
+	// A promotion that lands stops the validations that feed it, or — for
+	// paths longer than MaxK — stops counting them; one the log rejects is
+	// retried after threshold more of them — the threshold is the back-off.
 	_, _ = x.ApplyAsync(m)
 	hm.Delete(last)
+}
+
+// labelReaches reports whether every index node labelled l has local
+// similarity at least k, so promoting l to k would change nothing.
+func labelReaches(ig *index.IndexGraph, l graph.LabelID, k int) bool {
+	ok := true
+	ig.PostingSet(l).Iterate(func(n graph.NodeID) bool {
+		ok = ig.K(n) >= k
+		return ok
+	})
+	return ok
 }

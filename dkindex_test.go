@@ -553,7 +553,9 @@ func TestAutoPromote(t *testing.T) {
 	if !sawValidation {
 		t.Fatal("precondition: query never validated")
 	}
-	// The heat threshold has fired by now: the query answers soundly.
+	// The heat threshold has fired by now; once its promotion has settled,
+	// the query answers soundly.
+	settle(t, idx)
 	_, stats, err := query(idx, KindPath, q)
 	if err != nil {
 		t.Fatal(err)

@@ -13,9 +13,10 @@ import (
 // TestDocsNameOnlyWhatExists holds the prose to the tree: README.md,
 // DESIGN.md, EXPERIMENTS.md, the verify skill and the comments of the root
 // package's .go files may name a `make <target>` only if the Makefile's
-// .PHONY line lists it, a BENCH_* file only if it is in the repository, and a
-// `dkbench -exp <id>` only if cmd/dkbench's experiment table has it.
-// CHANGES.md and ROADMAP.md are history and exempt.
+// .PHONY line lists it, a BENCH_* file only if it is in the repository, a
+// `dkbench -exp <id>` only if cmd/dkbench's experiment table has it, and a
+// flag on a dkserve command line only if cmd/dkserve declares it with
+// fs.<Type>("name", …). CHANGES.md and ROADMAP.md are history and exempt.
 func TestDocsNameOnlyWhatExists(t *testing.T) {
 	read := func(path string) string {
 		data, err := os.ReadFile(path)
@@ -30,6 +31,9 @@ func TestDocsNameOnlyWhatExists(t *testing.T) {
 			set[m[1]] = true
 		}
 		return set
+	}
+	finder := func(pattern string) func(string) map[string]bool {
+		return func(text string) map[string]bool { return submatches(pattern, text) }
 	}
 
 	targets := map[string]bool{}
@@ -51,20 +55,37 @@ func TestDocsNameOnlyWhatExists(t *testing.T) {
 	for _, name := range recorded {
 		files[name] = true
 	}
-	if len(targets) == 0 || len(ids) < 2 || len(files) == 0 {
-		t.Fatalf("nothing to check against: %d make targets, %d experiment ids, %d BENCH_ files", len(targets), len(ids), len(files))
+	// Flags: fs.Int("name", …) or fs.IntVar(&v, "name", …).
+	declared := `\bfs\.[A-Z][A-Za-z0-9]*\((?:&[\w.]+,\s*)?"([a-z][a-z0-9-]*)"`
+	serveFlags := submatches(declared, read("cmd/dkserve/main.go"))
+	if len(targets) == 0 || len(ids) < 2 || len(files) == 0 || len(serveFlags) < 10 {
+		t.Fatalf("nothing to check against: %d make targets, %d experiment ids, %d BENCH_ files, %d dkserve flags",
+			len(targets), len(ids), len(files), len(serveFlags))
+	}
+	// A dkserve command line runs to the end of its code span or line, and on
+	// past a trailing backslash.
+	serveLine := regexp.MustCompile(`\bdkserve((?:[ \t]+(?:\\\n[ \t]*)?[^\s` + "`" + `|]+)*)`)
+	serveArgs := func(text string) map[string]bool {
+		set := map[string]bool{}
+		for _, m := range serveLine.FindAllStringSubmatch(text, -1) {
+			for flag := range submatches(`(?:^|\s)-([a-z][a-z0-9-]*)`, m[1]) {
+				set[flag] = true
+			}
+		}
+		return set
 	}
 
 	// Every mention in these files opens a code span or sits in a code block;
 	// a line break may fall between the command and its argument.
 	checks := []struct {
-		what    string
-		pattern string
-		exists  map[string]bool
+		what   string
+		find   func(text string) map[string]bool
+		exists map[string]bool
 	}{
-		{"make target", "`make\\s+([a-z][a-z0-9-]*)", targets},
-		{"dkbench experiment", `-exp\s+([a-z][a-z0-9-]*)`, ids},
-		{"recorded file", `\b(BENCH_[A-Za-z0-9_]+(?:\.[a-z]+)?)`, files},
+		{"make target", finder("`make\\s+([a-z][a-z0-9-]*)"), targets},
+		{"dkbench experiment", finder(`-exp\s+([a-z][a-z0-9-]*)`), ids},
+		{"recorded file", finder(`\b(BENCH_[A-Za-z0-9_]+(?:\.[a-z]+)?)`), files},
+		{"dkserve flag", serveArgs, serveFlags},
 	}
 	texts := map[string]string{}
 	for _, doc := range []string{"README.md", "DESIGN.md", "EXPERIMENTS.md", ".claude/skills/verify/SKILL.md"} {
@@ -87,7 +108,7 @@ func TestDocsNameOnlyWhatExists(t *testing.T) {
 	}
 	for doc, text := range texts {
 		for _, check := range checks {
-			for name := range submatches(check.pattern, text) {
+			for name := range check.find(text) {
 				if !check.exists[name] {
 					t.Errorf("%s names the %s %q, which does not exist", doc, check.what, name)
 				}

@@ -21,6 +21,14 @@ import (
 // requirement 0 (Section 4.2). A nil map is a valid "no requirements" value.
 type Requirements map[graph.LabelID]int
 
+// MaxK is the largest local similarity anything outside the Go API may ask
+// for: a k or requirement sent over the network, a mined requirement, an
+// automatic promotion. Construction runs one refinement round per level under
+// the writer mutex, so an unbounded k is an unbounded stall of every write;
+// a query longer than MaxK is answered by validation instead. dkindex.MaxK
+// exports it.
+const MaxK = 64
+
 // ReqsFromNames builds Requirements from label names, interning names that
 // the table has not seen yet (a requirement may precede the data that uses
 // the label).

@@ -26,14 +26,23 @@ import (
 // common self-or-descendant '//' usage its workload models).
 type Query []graph.LabelID
 
+// maxQueryLabels bounds the path queries ParseQuery accepts: evaluation and
+// validation grow with the path, and the load recorder keeps every distinct
+// path it is shown.
+const maxQueryLabels = 1024
+
 // ParseQuery builds a Query from a dotted label path such as
 // "director.movie.title". Labels the data has never used resolve to
 // graph.InvalidLabel, which no node carries — the query simply matches
 // nothing. (Parsing never interns, so hostile query streams cannot grow the
-// label table.)
+// label table.) A path of more than maxQueryLabels labels is rejected, as
+// rpe.Parse rejects an expression of more tokens.
 func ParseQuery(t *graph.LabelTable, s string) (Query, error) {
 	if s == "" {
 		return nil, fmt.Errorf("eval: empty query")
+	}
+	if n := strings.Count(s, ".") + 1; n > maxQueryLabels {
+		return nil, fmt.Errorf("eval: query of %d labels, at most %d allowed", n, maxQueryLabels)
 	}
 	parts := strings.Split(s, ".")
 	q := make(Query, len(parts))

@@ -35,6 +35,19 @@ func TestParseQuery(t *testing.T) {
 	}
 }
 
+// TestParseQueryBoundsLength: a path of maxQueryLabels labels parses, one
+// label more is rejected before anything is looked up.
+func TestParseQueryBoundsLength(t *testing.T) {
+	g := graph.FigureOneMovies()
+	longest := "movie" + strings.Repeat(".movie", maxQueryLabels-1)
+	if q, err := ParseQuery(g.Labels(), longest); err != nil || len(q) != maxQueryLabels {
+		t.Fatalf("%d-label query: %d labels, err %v", maxQueryLabels, len(q), err)
+	}
+	if _, err := ParseQuery(g.Labels(), longest+".movie"); err == nil || !strings.Contains(err.Error(), "at most 1024") {
+		t.Errorf("%d-label query: err = %v, want a length error", maxQueryLabels+1, err)
+	}
+}
+
 func TestDataMatchesPaperExample(t *testing.T) {
 	g := graph.FigureOneMovies()
 	res, cost := Data(g, mustQuery(t, g, "director.movie.title"))

@@ -89,19 +89,15 @@ type Event struct {
 	Detail string `json:"detail,omitempty"`
 }
 
-// Stream is a bounded, subscribable ring of lifecycle events. Publish never
-// blocks: the ring overwrites its oldest entry when full, and subscribers
-// with full channels drop events (counted per stream).
+// Stream is a bounded ring of lifecycle events. Publish never blocks: the
+// ring overwrites its oldest entry when full; readers page it with Recent and
+// Since.
 type Stream struct {
 	mu      sync.Mutex
 	buf     []Event // ring, buf[(start+i)%cap] for i < size
 	start   int
 	size    int
 	nextSeq uint64
-	subs    map[int]chan Event
-	nextSub int
-	dropped uint64
-	dropC   *Counter // optional registry mirror of dropped, set by the observer
 }
 
 // NewStream returns a stream retaining the last capacity events (minimum 1).
@@ -109,12 +105,11 @@ func NewStream(capacity int) *Stream {
 	if capacity < 1 {
 		capacity = 1
 	}
-	return &Stream{buf: make([]Event, capacity), subs: make(map[int]chan Event)}
+	return &Stream{buf: make([]Event, capacity)}
 }
 
-// Publish assigns the event its sequence number (and timestamp, if unset),
-// appends it to the ring and fans it out to subscribers. It returns the
-// stamped event.
+// Publish assigns the event its sequence number (and timestamp, if unset) and
+// appends it to the ring. It returns the stamped event.
 func (s *Stream) Publish(e Event) Event {
 	s.mu.Lock()
 	s.nextSeq++
@@ -128,16 +123,6 @@ func (s *Stream) Publish(e Event) Event {
 	} else {
 		s.buf[s.start] = e
 		s.start = (s.start + 1) % len(s.buf)
-	}
-	for _, ch := range s.subs {
-		select {
-		case ch <- e:
-		default:
-			s.dropped++
-			if s.dropC != nil {
-				s.dropC.Inc()
-			}
-		}
 	}
 	s.mu.Unlock()
 	return e
@@ -178,30 +163,6 @@ func (s *Stream) Since(seq uint64, max int) []Event {
 	return out
 }
 
-// Subscribe returns a channel receiving every subsequent event and a cancel
-// function. The channel has the given buffer (minimum 1); events that would
-// block are dropped, so slow consumers see gaps, never stalls.
-func (s *Stream) Subscribe(buffer int) (<-chan Event, func()) {
-	if buffer < 1 {
-		buffer = 1
-	}
-	ch := make(chan Event, buffer)
-	s.mu.Lock()
-	id := s.nextSub
-	s.nextSub++
-	s.subs[id] = ch
-	s.mu.Unlock()
-	cancel := func() {
-		s.mu.Lock()
-		if _, ok := s.subs[id]; ok {
-			delete(s.subs, id)
-			close(ch)
-		}
-		s.mu.Unlock()
-	}
-	return ch, cancel
-}
-
 // Len returns the number of retained events.
 func (s *Stream) Len() int {
 	s.mu.Lock()
@@ -214,20 +175,4 @@ func (s *Stream) LastSeq() uint64 {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.nextSeq
-}
-
-// SetDroppedCounter mirrors future drops into a registry counter
-// (dk_events_dropped_total), so overflow to slow subscribers is no longer
-// visible only to pollers of the JSON endpoint. Set before publishing.
-func (s *Stream) SetDroppedCounter(c *Counter) {
-	s.mu.Lock()
-	s.dropC = c
-	s.mu.Unlock()
-}
-
-// Dropped returns how many events were dropped on full subscriber channels.
-func (s *Stream) Dropped() uint64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.dropped
 }

@@ -3,7 +3,6 @@ package obs
 import (
 	"sync"
 	"testing"
-	"time"
 )
 
 func TestStreamRingBounded(t *testing.T) {
@@ -46,45 +45,7 @@ func TestStreamSince(t *testing.T) {
 	}
 }
 
-func TestStreamSubscribe(t *testing.T) {
-	s := NewStream(4)
-	ch, cancel := s.Subscribe(8)
-	s.Publish(Event{Type: EventDemote, Label: "a"})
-	s.Publish(Event{Type: EventCompact})
-	select {
-	case e := <-ch:
-		if e.Type != EventDemote || e.Label != "a" || e.Seq != 1 {
-			t.Fatalf("first = %+v", e)
-		}
-	case <-time.After(time.Second):
-		t.Fatal("no event delivered")
-	}
-	cancel()
-	cancel() // idempotent
-	// Channel is closed after cancel; drain the one buffered event then EOF.
-	if e, ok := <-ch; !ok || e.Type != EventCompact {
-		t.Fatalf("buffered = %+v ok=%v", e, ok)
-	}
-	if _, ok := <-ch; ok {
-		t.Fatal("channel not closed after cancel")
-	}
-	// Publishing after cancel must not panic or deliver.
-	s.Publish(Event{Type: EventOptimize})
-}
-
-func TestStreamSlowSubscriberDrops(t *testing.T) {
-	s := NewStream(4)
-	_, cancel := s.Subscribe(1)
-	defer cancel()
-	s.Publish(Event{Type: EventPromote}) // fills the buffer
-	s.Publish(Event{Type: EventPromote}) // dropped
-	s.Publish(Event{Type: EventPromote}) // dropped
-	if d := s.Dropped(); d != 2 {
-		t.Fatalf("dropped = %d, want 2", d)
-	}
-}
-
-// TestStreamConcurrent hammers Publish/Recent/Subscribe together; run with
+// TestStreamConcurrent hammers Publish/Recent/Since together; run with
 // -race.
 func TestStreamConcurrent(t *testing.T) {
 	s := NewStream(16)
@@ -103,12 +64,6 @@ func TestStreamConcurrent(t *testing.T) {
 			for i := 0; i < 100; i++ {
 				s.Recent(8)
 				s.Since(uint64(i), 4)
-				ch, cancel := s.Subscribe(2)
-				select {
-				case <-ch:
-				default:
-				}
-				cancel()
 			}
 		}()
 	}

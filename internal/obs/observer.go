@@ -59,10 +59,6 @@ const (
 	MetricHTTPInFlight = "dk_http_inflight_requests"
 	MetricHTTPErrors   = "dk_http_errors_total"
 
-	// MetricEventsDropped counts lifecycle events dropped on full subscriber
-	// channels — without it, ring overflow to slow consumers is silent.
-	MetricEventsDropped = "dk_events_dropped_total"
-
 	// Write-pipeline metrics, fed by the facade's group-commit path: commits
 	// (one WAL fsync + one snapshot swap each), the mutations they carried,
 	// mutations rejected before or during application, the batch-size and
@@ -231,10 +227,6 @@ func NewObserverWith(reg *Registry, events *Stream, tracer *Tracer) *Observer {
 		Tracer:     tracer,
 		Slow:       NewSlowLog(DefaultSlowLogSize),
 		evCounters: make(map[EventType]*Counter),
-	}
-	if events != nil {
-		events.SetDroppedCounter(reg.Counter(MetricEventsDropped,
-			"Lifecycle events dropped on full subscriber channels."))
 	}
 	kinds := make(map[string]*queryMetrics, 3)
 	for _, kind := range []string{"path", "rpe", "twig"} {

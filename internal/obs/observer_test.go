@@ -155,36 +155,6 @@ func TestObserverEventsAndGauges(t *testing.T) {
 	}
 }
 
-// TestObserverDroppedEventsCounter checks that events dropped on full
-// subscriber channels surface as dk_events_dropped_total in the exposition,
-// asserted through the parser round-trip.
-func TestObserverDroppedEventsCounter(t *testing.T) {
-	o := NewObserver()
-	_, cancel := o.Events.Subscribe(1) // buffer 1, never drained
-	defer cancel()
-	for i := 0; i < 4; i++ {
-		o.RecordEvent(Event{Type: EventEdgeAdd})
-	}
-	if got := o.Events.Dropped(); got != 3 {
-		t.Fatalf("stream dropped = %d, want 3", got)
-	}
-	var sb strings.Builder
-	if err := o.Registry.WritePrometheus(&sb); err != nil {
-		t.Fatal(err)
-	}
-	fams, err := ParsePrometheusText(strings.NewReader(sb.String()))
-	if err != nil {
-		t.Fatalf("parse: %v", err)
-	}
-	f := fams[MetricEventsDropped]
-	if f == nil || f.Type != "counter" {
-		t.Fatalf("family %s missing or not counter: %+v", MetricEventsDropped, f)
-	}
-	if f.Samples[0].Value != 3 {
-		t.Fatalf("%s = %v, want 3", MetricEventsDropped, f.Samples[0].Value)
-	}
-}
-
 // TestObserverConcurrent drives all observer surfaces concurrently; run with
 // -race. Exercises the copy-on-write lazy kind registration.
 func TestObserverConcurrent(t *testing.T) {

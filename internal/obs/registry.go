@@ -1,7 +1,7 @@
 // Package obs is the zero-dependency observability layer: a concurrency-safe
-// metrics registry with Prometheus text-format exposition, a bounded
-// subscribable stream of index lifecycle events, and sampled per-query traces
-// with nil-safe stage recording.
+// metrics registry with Prometheus text-format exposition, a bounded ring of
+// index lifecycle events, and sampled per-query traces with nil-safe stage
+// recording.
 //
 // The package deliberately imports nothing from the rest of the module, so
 // every layer — the dkindex facade, the evaluators, the HTTP server and the

@@ -55,12 +55,6 @@ func NewRuntime(o *Observer) *Runtime {
 	return newRuntime(o.Registry, o.SnapshotAge)
 }
 
-// NewRuntimeOn registers the collector on a bare registry with an optional
-// snapshot-age source (nil for none).
-func NewRuntimeOn(reg *Registry, snapshotAge func() float64) *Runtime {
-	return newRuntime(reg, snapshotAge)
-}
-
 func newRuntime(reg *Registry, snapshotAge func() float64) *Runtime {
 	rt := &Runtime{
 		goroutines:  reg.Gauge(MetricRuntimeGoroutines, "Live goroutines."),

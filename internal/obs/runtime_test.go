@@ -47,7 +47,7 @@ func TestRuntimeCollect(t *testing.T) {
 // TestRuntimeGCDeltas checks the cycle/pause counters advance by deltas, not
 // absolutes, across repeated polls.
 func TestRuntimeGCDeltas(t *testing.T) {
-	rt := NewRuntimeOn(NewRegistry(), nil)
+	rt := newRuntime(NewRegistry(), nil)
 	rt.Collect()
 	c1, p1 := rt.gcCycles.Value(), rt.gcPause.Value()
 	// Force a GC so the next poll sees a delta.
@@ -70,7 +70,7 @@ func TestRuntimeGCDeltas(t *testing.T) {
 
 // TestRuntimeRun checks the poller samples immediately and stops cleanly.
 func TestRuntimeRun(t *testing.T) {
-	rt := NewRuntimeOn(NewRegistry(), func() float64 { return 1.5 })
+	rt := newRuntime(NewRegistry(), func() float64 { return 1.5 })
 	stop := make(chan struct{})
 	done := make(chan struct{})
 	go func() {

@@ -10,6 +10,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"dkindex"
 	"dkindex/internal/datagen"
@@ -240,15 +241,20 @@ func TestHitsStillFeedTheAdaptiveLoop(t *testing.T) {
 		t.Errorf("ObservedQueries = %d after a hit, want 1", n)
 	}
 	// Every hit adds its validations to the label's heat; the hit that
-	// crosses the threshold promotes, and the request after it is evaluated
-	// on the promoted index, soundly.
-	var last reply
+	// crosses the threshold submits the promotion, and a request after it has
+	// settled is evaluated on the promoted index, soundly.
 	for i := 0; i < 9; i++ {
-		if last, _ = fetchReply(t, srv, "/v1/query?q="+text); last.Count != 2 {
-			t.Fatalf("repeat %d: %+v", i, last)
+		if r, _ := fetchReply(t, srv, "/v1/query?q="+text); r.Count != 2 {
+			t.Fatalf("repeat %d: %+v", i, r)
 		}
 	}
-	if last.Generation == first.Generation || last.Cost.Validations != 0 {
+	for deadline := time.Now().Add(10 * time.Second); idx.Watermark() != idx.LastSeq(); time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("watermark %d never reached LastSeq %d", idx.Watermark(), idx.LastSeq())
+		}
+	}
+	last, _ := fetchReply(t, srv, "/v1/query?q="+text)
+	if last.Count != 2 || last.Generation == first.Generation || last.Cost.Validations != 0 {
 		t.Errorf("ten hits with %d validations each did not auto-promote at threshold 8: %+v",
 			first.Cost.Validations, last)
 	}

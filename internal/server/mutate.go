@@ -15,12 +15,6 @@ const maxBatchMutations = 256
 // maxDocumentBody bounds one POST /v1/documents body.
 const maxDocumentBody = 64 << 20
 
-// maxK is the largest local similarity a request may ask for. Construction
-// runs one refinement round per level, under the writer mutex, so an
-// unbounded k from the network is an unbounded stall of every write; no
-// query the parser accepts is served better by a larger one.
-const maxK = 64
-
 // mutateItem is one mutation in a POST /v1/mutate body, mirroring
 // dkindex.Mutation field for field. Op names are the dkindex.MutOp values.
 type mutateItem struct {
@@ -35,15 +29,16 @@ type mutateItem struct {
 }
 
 // checkK holds every similarity the item carries — k and each reqs value,
-// whatever the op does with them — to 0..maxK. The bound lives here and not
-// in the index because WAL replay must accept whatever the Go API logged.
+// whatever the op does with them — to 0..dkindex.MaxK. The check lives here
+// and not in the index because WAL replay must accept whatever the Go API
+// logged.
 func (it mutateItem) checkK() error {
-	if it.K < 0 || it.K > maxK {
-		return fmt.Errorf("k must be in 0..%d", maxK)
+	if it.K < 0 || it.K > dkindex.MaxK {
+		return fmt.Errorf("k must be in 0..%d", dkindex.MaxK)
 	}
 	for label, k := range it.Reqs {
-		if k < 0 || k > maxK {
-			return fmt.Errorf("reqs[%q] must be in 0..%d", label, maxK)
+		if k < 0 || k > dkindex.MaxK {
+			return fmt.Errorf("reqs[%q] must be in 0..%d", label, dkindex.MaxK)
 		}
 	}
 	return nil
@@ -92,9 +87,9 @@ type mutateAck struct {
 // through the index's group-commit pipeline. ?ack=sync (the default) answers
 // after the batch is durable; ?ack=async answers 202 as soon as sequence
 // numbers are assigned — poll /v1/watermark for settlement. A similarity
-// outside 0..maxK anywhere in the body rejects the request before anything is
-// applied. Otherwise batch members are validated independently: a rejected
-// member carries its error in its ack while the rest commit.
+// outside 0..dkindex.MaxK anywhere in the body rejects the request before
+// anything is applied. Otherwise batch members are validated independently: a
+// rejected member carries its error in its ack while the rest commit.
 func (s *Server) handleMutate(w http.ResponseWriter, r *http.Request) {
 	if s.rejectReadOnly(w) {
 		return
@@ -239,13 +234,11 @@ func writeAcks(w http.ResponseWriter, status int, single bool, acks []dkindex.Ac
 
 // handleWatermark reports the write pipeline's progress: the acknowledged-
 // durable watermark, the last assigned sequence number (their gap is the
-// in-flight window), the snapshot generation, and whether group-commit
-// batching is armed.
+// in-flight window) and the snapshot generation.
 func (s *Server) handleWatermark(w http.ResponseWriter, _ *http.Request) {
 	writeJSON(w, http.StatusOK, map[string]any{
 		"watermark":  s.idx.Watermark(),
 		"lastSeq":    s.idx.LastSeq(),
 		"generation": s.idx.Generation(),
-		"batching":   s.idx.Batching(),
 	})
 }

@@ -183,13 +183,13 @@ func TestV1MutateAsyncAndWatermark(t *testing.T) {
 	if code != 200 {
 		t.Fatalf("watermark = %d %v", code, out)
 	}
-	for _, k := range []string{"watermark", "lastSeq", "generation", "batching"} {
+	for _, k := range []string{"watermark", "lastSeq", "generation"} {
 		if _, ok := out[k]; !ok {
 			t.Errorf("watermark response missing %s: %v", k, out)
 		}
 	}
-	if out["batching"] != false {
-		t.Errorf("batching = %v, want false", out["batching"])
+	if len(out) != 3 {
+		t.Errorf("watermark response has %d fields, want 3: %v", len(out), out)
 	}
 
 	code, out = post(t, ts.URL+"/v1/mutate?ack=async", "application/json",

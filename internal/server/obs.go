@@ -68,7 +68,6 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, map[string]any{
 		"events":  events,
 		"lastSeq": s.obs.Events.LastSeq(),
-		"dropped": s.obs.Events.Dropped(),
 	})
 }
 

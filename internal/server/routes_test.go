@@ -108,7 +108,7 @@ func TestRouteTableIsTheSurface(t *testing.T) {
 	}
 }
 
-// TestMutateBoundsSimilarity: a k or a reqs value outside 0..maxK is turned
+// TestMutateBoundsSimilarity: a k or a reqs value outside 0..dkindex.MaxK is turned
 // away at the door, single or inside a batch, before anything is applied —
 // construction runs one refinement round per level under the writer mutex,
 // so an unbounded k from the network would stall every write.
@@ -140,7 +140,7 @@ func TestMutateBoundsSimilarity(t *testing.T) {
 		}
 		// The bound itself is served.
 		for _, body := range []string{
-			fmt.Sprintf(`{"op":"promote","label":"title","k":%d}`, maxK),
+			fmt.Sprintf(`{"op":"promote","label":"title","k":%d}`, dkindex.MaxK),
 			`{"mutations":[{"op":"set_requirements","reqs":{"title":0,"name":2}}]}`,
 		} {
 			if code, out := fetch(t, srv, "POST", "/v1/mutate", body); code != http.StatusOK {

@@ -127,7 +127,6 @@ type Backend interface {
 	LastSeq() uint64
 	Generation() uint64
 	Generations() []uint64
-	Batching() bool
 
 	WatchLoad()
 	Observer() *obs.Observer

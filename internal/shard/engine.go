@@ -257,11 +257,6 @@ func (e *Engine) Generation() uint64 {
 	return sum
 }
 
-// Batching reports whether a cross-batch group-commit window is armed. The
-// engine has none of its own — per-shard group commit inside each routed
-// batch already coalesces the fsyncs — so this is always false.
-func (e *Engine) Batching() bool { return false }
-
 // Watermark returns the engine's acknowledged-durable watermark: every
 // accepted mutation with an engine sequence number at or below it has
 // settled on its owning shard (durably applied or definitively rejected).

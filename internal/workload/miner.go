@@ -62,11 +62,13 @@ func MineBudget(g *graph.Graph, load []WeightedQuery, sizeBudget int) (*TuneResu
 	}
 
 	// Candidate moves: for each result label, the distinct query lengths
-	// that reach it, ascending (raising to a level subsumes lower levels).
+	// that reach it, ascending (raising to a level subsumes lower levels),
+	// clamped to core.MaxK — a longer recorded path is one candidate at the
+	// bound, not thousands of refinement rounds.
 	cand := make(map[graph.LabelID][]int)
 	for _, wq := range load {
 		last := wq.Q[len(wq.Q)-1]
-		m := wq.Q.Length()
+		m := min(wq.Q.Length(), core.MaxK)
 		if m <= 0 {
 			continue
 		}

@@ -146,12 +146,12 @@ func randomWalk(rng *rand.Rand, g *graph.Graph, start graph.NodeID, maxLen int) 
 // Requirements mines the per-label local similarity requirements from the
 // workload, as the experiments specify: a label's requirement is the longest
 // query (in edges) whose result carries that label, so no query of the load
-// needs validation.
+// needs validation — up to core.MaxK, past which queries validate.
 func (w *Workload) Requirements() core.Requirements {
 	reqs := make(core.Requirements)
 	for _, q := range w.Queries {
 		last := q[len(q)-1]
-		if m := q.Length(); reqs[last] < m {
+		if m := min(q.Length(), core.MaxK); reqs[last] < m {
 			reqs[last] = m
 		}
 	}

@@ -1,8 +1,10 @@
 package workload
 
 import (
+	"strings"
 	"testing"
 
+	"dkindex/internal/core"
 	"dkindex/internal/datagen"
 	"dkindex/internal/eval"
 	"dkindex/internal/graph"
@@ -245,5 +247,40 @@ func TestMineBudgetRespectsBudget(t *testing.T) {
 	}
 	if _, err := MineBudget(g, nil, 0); err == nil {
 		t.Error("empty load accepted")
+	}
+}
+
+// TestMinedKIsBounded: a recorded path far longer than core.MaxK — 200
+// labels climbing a recursive chain — makes neither miner ask for more than
+// the bound: the longest-query rule clamps its requirement, and MineBudget
+// tries one candidate at the bound instead of one refinement round per label.
+func TestMinedKIsBounded(t *testing.T) {
+	g := graph.New()
+	root := g.AddNode(graph.RootLabel)
+	g.SetRoot(root)
+	prev := root
+	for i := 0; i < 3; i++ {
+		a := g.AddNode("a")
+		g.AddEdge(prev, a)
+		prev = a
+	}
+	g.AddEdge(prev, g.AddNode("b"))
+	g.AddEdge(root, g.AddNode("b"))
+	q, err := eval.ParseQuery(g.Labels(), strings.Repeat("a.", 199)+"b")
+	if err != nil {
+		t.Fatal(err)
+	}
+	b := g.Labels().Lookup("b")
+
+	w := &Workload{labels: g.Labels(), Queries: []eval.Query{q}}
+	if got := w.Requirements().Get(b); got != core.MaxK {
+		t.Errorf("longest-query rule: req(b) = %d, want %d", got, core.MaxK)
+	}
+	res, err := MineBudget(g, []WeightedQuery{{Q: q, Count: 1}}, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := res.Reqs.Get(b); got != core.MaxK || len(res.Steps) != 1 {
+		t.Errorf("MineBudget: req(b) = %d after %d steps, want %d after 1", got, len(res.Steps), core.MaxK)
 	}
 }

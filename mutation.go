@@ -141,10 +141,10 @@ var ErrNotDurable = errors.New("dkindex: mutation not durable")
 
 // Apply performs one mutation through the write pipeline and waits for its
 // final outcome: the returned Ack carries the sequence number, the
-// acknowledged-durable watermark and the publishing generation. When batching
-// is armed (StartBatching), the mutation coalesces with concurrent writers
-// into one group commit — a single WAL fsync and a single snapshot swap for
-// the whole window; unarmed, it commits directly. The returned error equals
+// acknowledged-durable watermark and the publishing generation. The mutation
+// coalesces with whatever concurrent writers queued into one group commit — a
+// single WAL fsync and a single snapshot swap for the whole group; with no
+// commit in progress the caller commits it itself. The returned error equals
 // Ack.Err.
 func (x *Index) Apply(m Mutation) (Ack, error) {
 	p, err := x.prepare(m)
@@ -209,10 +209,11 @@ func (x *Index) applyBatch(ms []Mutation, wait bool) ([]Ack, error) {
 // as soon as the write pipeline assigned the sequence number. Observe
 // settlement by polling Watermark — once it reaches Ack.Seq, the mutation is
 // durably applied or was rejected (rejections surface in metrics and the
-// event stream, not in this Ack). Without batching armed, acceptance and
-// commit coincide: the mutation has settled when the call returns. This is
-// also how the index writes to itself — the query that crosses the
-// SetAutoPromote threshold submits its promotion here.
+// event stream, not in this Ack). The commit runs on whichever goroutine holds
+// the committer role — one of its own when no other commit is in progress —
+// so the call does not wait for it. This is also how the index writes to
+// itself — the query that crosses the SetAutoPromote threshold submits its
+// promotion here.
 func (x *Index) ApplyAsync(m Mutation) (Ack, error) {
 	acks, err := x.ApplyBatchAsync([]Mutation{m})
 	if err != nil {
@@ -272,48 +273,12 @@ func (x *Index) prepare(m Mutation) (*preparedMutation, error) {
 	return p, nil
 }
 
-// submitPrepared routes prepared mutations into the pipeline. With a batcher
-// armed they enqueue as one unsplittable group (sequence numbers assigned
-// under the batcher lock, so queue order is sequence order) and, when wait
-// is set, block until their group commit settles them. Unarmed, they commit
-// directly under the writer mutex. The retry loop covers arm/disarm races:
-// a stopping batcher rejects the enqueue, the submitter waits out its drain
-// and re-routes.
-func (x *Index) submitPrepared(ps []*preparedMutation, wait bool) {
-	for {
-		if b := x.batch.Load(); b != nil {
-			if b.enqueue(ps) {
-				if wait {
-					for _, p := range ps {
-						<-p.done
-					}
-				}
-				return
-			}
-			<-b.drained
-			continue
-		}
-		x.mu.Lock()
-		if x.batch.Load() != nil {
-			// Armed between the check and the lock; re-route so sequence
-			// order keeps matching commit order.
-			x.mu.Unlock()
-			continue
-		}
-		for _, p := range ps {
-			p.seq = x.mutSeq.Add(1)
-		}
-		x.commitLocked(ps)
-		x.mu.Unlock()
-		return
-	}
-}
-
 // commitLocked settles a batch: one composite application to a copy-on-write
 // clone of the published snapshot (the batch allocates what it writes, not a
 // copy of the corpus), one WAL group append, one snapshot swap. It is the only
-// function that journals, and with Reload the only one that publishes. Callers
-// hold mu and have assigned contiguous sequence numbers in slice order. Rejected members
+// function that journals, and with Reload the only one that publishes. Its one
+// caller, drain, holds mu and hands it a group of contiguous sequence numbers
+// in slice order. Rejected members
 // (validation failures) are skipped — every apply validates before touching
 // the clone, so the survivors commit on an untainted state; a failed group
 // append rejects the whole batch and publishes nothing. All members settle:

@@ -2,9 +2,11 @@ package dkindex
 
 import (
 	"bytes"
+	"fmt"
 	"math/rand"
 	"slices"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -14,9 +16,9 @@ import (
 	"dkindex/internal/obs"
 )
 
-// TestApplySequencesAndWatermark checks the pipeline's bookkeeping on the
-// direct (unbatched) path: contiguous sequence numbers, a watermark that
-// tracks them, and one generation bump per mutation.
+// TestApplySequencesAndWatermark checks the pipeline's bookkeeping for one
+// synchronous writer: contiguous sequence numbers, a watermark that tracks
+// them, and one generation bump per mutation.
 func TestApplySequencesAndWatermark(t *testing.T) {
 	idx := open(t)
 	gen0 := idx.Stats().Generation
@@ -186,27 +188,19 @@ func TestApplyResultPayloads(t *testing.T) {
 	}
 }
 
-// TestBatchingCoalesces checks the batcher's group commit: mutations queued
-// while the committer is blocked flush as one group — observable as a
-// batch_commit lifecycle event — and every ack settles with the final
-// watermark.
+// TestBatchingCoalesces checks natural group commit: mutations queued while
+// the writer mutex is held commit, once it is released, as one group — one
+// commit and one batch_commit event spanning their sequence numbers in order
+// — and every ack settles with the final watermark.
 func TestBatchingCoalesces(t *testing.T) {
 	idx := open(t)
 	o := obs.NewObserver()
 	idx.Observe(o)
-	if err := idx.StartBatching(BatchOptions{}); err != nil {
-		t.Fatal(err)
-	}
-	if err := idx.StartBatching(BatchOptions{}); err == nil {
-		t.Fatal("double arm accepted")
-	}
-	if !idx.Batching() {
-		t.Fatal("Batching() false while armed")
-	}
+	commits := o.Registry.Counter(obs.MetricBatchCommits, "")
+	c0 := commits.Value()
 
-	// Hold the writer mutex so the committer cannot flush, queue a window of
-	// mutations, then release: everything queued behind the first take must
-	// coalesce into one group commit.
+	// The first submitter becomes the committer and blocks on the held mutex;
+	// everything queued behind it must coalesce into its group.
 	f, to := nodeWithLabel(t, idx, "director", 0), nodeWithLabel(t, idx, "title", 1)
 	idx.mu.Lock()
 	var acks []Ack
@@ -223,62 +217,164 @@ func TestBatchingCoalesces(t *testing.T) {
 		acks = append(acks, a)
 	}
 	idx.mu.Unlock()
-	idx.StopBatching()
+	settle(t, idx)
 
-	if idx.Batching() {
-		t.Error("Batching() true after stop")
-	}
-	if idx.Watermark() != idx.LastSeq() {
-		t.Errorf("drain left watermark %d behind LastSeq %d", idx.Watermark(), idx.LastSeq())
-	}
 	for i, a := range acks {
 		if want := uint64(i + 1); a.Seq != want {
 			t.Errorf("ack %d: seq %d, want %d (queue order is sequence order)", i, a.Seq, want)
 		}
 	}
-	if n := eventTypes(o.Events.Recent(0))[obs.EventBatchCommit]; n == 0 {
-		t.Error("no batch_commit event: the window did not coalesce")
+	if got := commits.Value() - c0; got != 1 {
+		t.Errorf("%d commits, want 1: the queue did not coalesce", got)
 	}
-	// Stop is idempotent and Apply still works unbatched.
-	idx.StopBatching()
+	if got := batchCommits(o); !slices.Equal(got, []string{"8 applied, 0 rejected, seq 1..8"}) {
+		t.Errorf("batch_commit events %q, want one over seq 1..8", got)
+	}
 	if _, err := idx.Apply(Mutation{Op: MutPromote, Label: "title", K: 1}); err != nil {
 		t.Fatal(err)
 	}
 }
 
-// TestApplyAsyncSettles checks the async contract: the ack carries the
-// assigned sequence number immediately, and the watermark reaches it once
-// the group commit lands.
-func TestApplyAsyncSettles(t *testing.T) {
-	idx := open(t)
-	if err := idx.StartBatching(BatchOptions{FlushInterval: time.Millisecond}); err != nil {
-		t.Fatal(err)
+// batchCommits lists the details of the retained batch_commit events.
+func batchCommits(o *obs.Observer) []string {
+	var out []string
+	for _, e := range o.Events.Recent(0) {
+		if e.Type == obs.EventBatchCommit {
+			out = append(out, e.Detail)
+		}
 	}
-	defer idx.StopBatching()
-	ack, err := idx.ApplyAsync(Mutation{Op: MutPromote, Label: "title", K: 2})
+	return out
+}
+
+// TestGroupCommitBounds checks how a queue is cut into group commits: whole
+// client batches in sequence order, at most maxBatch mutations to a group,
+// and a client batch larger than that committed alone rather than split.
+func TestGroupCommitBounds(t *testing.T) {
+	idx := open(t)
+	o := obs.NewObserver()
+	idx.Observe(o)
+	f, to := nodeWithLabel(t, idx, "director", 0), nodeWithLabel(t, idx, "title", 1)
+	edge := func(i int) Mutation {
+		if i%2 == 1 {
+			return Mutation{Op: MutRemoveEdge, From: f, To: to}
+		}
+		return Mutation{Op: MutAddEdge, From: f, To: to}
+	}
+	big := make([]Mutation, 200)
+	for i := range big {
+		big[i] = edge(i)
+	}
+
+	idx.mu.Lock()
+	_, err := idx.ApplyAsync(edge(0)) // seq 1: the committer, blocked
+	if err == nil {
+		_, err = idx.ApplyBatchAsync(big) // seq 2..201
+	}
+	for i := 0; err == nil && i < maxBatch+2; i++ {
+		_, err = idx.ApplyAsync(edge(i + 1)) // seq 202..331
+	}
+	idx.mu.Unlock()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if ack.Seq == 0 {
-		t.Fatal("async ack carries no sequence number")
+	settle(t, idx)
+
+	want := []string{
+		"200 applied, 0 rejected, seq 2..201",
+		"128 applied, 0 rejected, seq 202..329",
+		"2 applied, 0 rejected, seq 330..331",
 	}
-	deadline := time.Now().Add(5 * time.Second)
-	for idx.Watermark() < ack.Seq {
-		if time.Now().After(deadline) {
-			t.Fatalf("watermark stuck at %d, waiting for %d", idx.Watermark(), ack.Seq)
-		}
-		time.Sleep(time.Millisecond)
+	if got := batchCommits(o); !slices.Equal(got, want) {
+		t.Errorf("batch_commit events\n got %q\nwant %q", got, want)
+	}
+	if idx.Watermark() != 331 {
+		t.Errorf("watermark %d, want 331", idx.Watermark())
 	}
 }
 
-// TestConcurrentApplyUnderBatching drives parallel writers through an armed
-// batcher and checks global invariants: unique contiguous sequence numbers,
-// all synchronous acks settled, and the final drain leaves nothing behind.
-func TestConcurrentApplyUnderBatching(t *testing.T) {
+// TestQueueStaysBoundedUnderBacklog keeps the write queue from ever emptying
+// — a client batch arrives while each group commits, as when two groups of
+// writers alternate — and requires its backing array to stay as small as the
+// backlog: the committer never gives its role up, so consumed entries must
+// not pile up in front of the pending ones.
+func TestQueueStaysBoundedUnderBacklog(t *testing.T) {
+	var b batcher
+	b.idle.L = &b.mu
+	var seq atomic.Uint64
+	// Three batches of more than maxBatch/2 mutations, reused in turn: no two
+	// share a group, and at most two are queued at once.
+	var batches [3][]*preparedMutation
+	for i := range batches {
+		for range maxBatch/2 + 1 {
+			batches[i] = append(batches[i], &preparedMutation{})
+		}
+	}
+	if !b.push(batches[0], &seq) {
+		t.Fatal("the first submitter did not become the committer")
+	}
+	const groups = 10000
+	for i := range groups {
+		if b.push(batches[(i+1)%3], &seq) {
+			t.Fatalf("group %d: the queue emptied and a second committer was named", i)
+		}
+		g := b.next()
+		if want := batches[i%3]; len(g) != len(want) || g[0] != want[0] || g[0].seq != uint64(i*len(want)+1) {
+			t.Fatalf("group %d: %d mutations from seq %d, want batch %d alone", i, len(g), g[0].seq, i%3)
+		}
+	}
+	if c := cap(b.queue); c > 8 {
+		t.Errorf("queue capacity %d after %d groups with a backlog of one batch", c, groups)
+	}
+}
+
+// TestApplyAsyncSettles checks the async contract: the ack carries the
+// assigned sequence number before the commit runs, and the watermark reaches
+// it once the commit lands — also for a member the commit rejects, which
+// counts as rejected and publishes nothing.
+func TestApplyAsyncSettles(t *testing.T) {
 	idx := open(t)
-	if err := idx.StartBatching(BatchOptions{MaxBatch: 4}); err != nil {
+	o := obs.NewObserver()
+	idx.Observe(o)
+	rejected := o.Registry.Counter(obs.MetricBatchRejected, "")
+	gen := idx.Generation()
+
+	idx.mu.Lock()
+	ack, err := idx.ApplyAsync(Mutation{Op: MutPromote, Label: "title", K: 2})
+	if err == nil && (ack.Seq != 1 || ack.Watermark != 0 || idx.Watermark() != 0 || idx.Generation() != gen) {
+		err = fmt.Errorf("ack %+v, watermark %d, generation %d: committed before the writer mutex was free",
+			ack, idx.Watermark(), idx.Generation())
+	}
+	idx.mu.Unlock()
+	if err != nil {
 		t.Fatal(err)
 	}
+	settle(t, idx)
+	if idx.Watermark() < ack.Seq || idx.Generation() != gen+1 {
+		t.Fatalf("after settling: watermark %d, generation %d; want >= %d and %d", idx.Watermark(), idx.Generation(), ack.Seq, gen+1)
+	}
+
+	r0 := rejected.Value()
+	ack, err = idx.ApplyAsync(Mutation{Op: MutPromote, Label: "no-such-label", K: 1})
+	if err != nil {
+		t.Fatalf("rejection surfaced at acceptance: %v", err)
+	}
+	settle(t, idx)
+	if idx.Watermark() < ack.Seq {
+		t.Errorf("rejected member: watermark %d below its seq %d", idx.Watermark(), ack.Seq)
+	}
+	if got := rejected.Value() - r0; got != 1 {
+		t.Errorf("%s moved by %d, want 1", obs.MetricBatchRejected, got)
+	}
+	if idx.Generation() != gen+1 {
+		t.Errorf("rejected member moved the generation to %d", idx.Generation())
+	}
+}
+
+// TestConcurrentApplyUnderBatching drives parallel writers through the
+// pipeline and checks global invariants: unique contiguous sequence numbers,
+// all synchronous acks settled, and nothing left behind.
+func TestConcurrentApplyUnderBatching(t *testing.T) {
+	idx := open(t)
 	f, to := nodeWithLabel(t, idx, "director", 0), nodeWithLabel(t, idx, "title", 1)
 	const writers, perWriter = 8, 10
 	seqs := make(chan uint64, writers*perWriter)
@@ -306,7 +402,6 @@ func TestConcurrentApplyUnderBatching(t *testing.T) {
 		}(w)
 	}
 	wg.Wait()
-	idx.StopBatching()
 	close(seqs)
 	seen := make(map[uint64]bool)
 	for s := range seqs {
@@ -319,7 +414,7 @@ func TestConcurrentApplyUnderBatching(t *testing.T) {
 		t.Fatalf("%d unique seqs, LastSeq %d, want %d", len(seen), idx.LastSeq(), writers*perWriter)
 	}
 	if idx.Watermark() != idx.LastSeq() {
-		t.Errorf("watermark %d != LastSeq %d after drain", idx.Watermark(), idx.LastSeq())
+		t.Errorf("watermark %d != LastSeq %d once every writer returned", idx.Watermark(), idx.LastSeq())
 	}
 }
 
@@ -484,9 +579,10 @@ func TestDocumentBatchEqualsItsMembers(t *testing.T) {
 	}
 }
 
-// TestBatchedStoreDurability drives concurrent writers through an armed
-// batcher over a store and checks that recovery reproduces the final
-// acknowledged state.
+// TestBatchedStoreDurability drives concurrent writers through the pipeline
+// over a store, then leaves one ApplyAsync queued behind a held writer mutex
+// and closes the store: Close must wait for it, so recovery reproduces the
+// live state, that mutation included.
 func TestBatchedStoreDurability(t *testing.T) {
 	fs := faultfs.New()
 	idx, err := LoadXMLString(moviesXML, nil)
@@ -498,9 +594,6 @@ func TestBatchedStoreDurability(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer st.Close()
-	if err := idx.StartBatching(BatchOptions{FlushInterval: time.Millisecond}); err != nil {
-		t.Fatal(err)
-	}
 	f, to := nodeWithLabel(t, idx, "director", 0), nodeWithLabel(t, idx, "title", 1)
 	var wg sync.WaitGroup
 	for w := 0; w < 6; w++ {
@@ -517,15 +610,66 @@ func TestBatchedStoreDurability(t *testing.T) {
 		}(w)
 	}
 	wg.Wait()
-	idx.StopBatching()
+
+	// The test takes the committer role itself, as a synchronous committer
+	// holds it between its groups, so three client batches too large to share
+	// a group are accepted and stay queued with nothing committing them.
+	// Close, called now, must not return; once the test drains the queue as
+	// that committer would, Close must find all three groups in the log.
+	f2, to2 := nodeWithLabel(t, idx, "director", 1), nodeWithLabel(t, idx, "title", 2)
+	batch := make([]Mutation, 100)
+	for i := range batch {
+		batch[i] = Mutation{Op: MutAddEdge, From: f2, To: to2}
+		if i%2 == 1 {
+			batch[i].Op = MutRemoveEdge
+		}
+	}
+	appended := st.Appended()
+	idx.batch.mu.Lock()
+	idx.batch.busy = true
+	idx.batch.mu.Unlock()
+	var last Ack
+	for range 3 {
+		acks, err := idx.ApplyBatchAsync(batch)
+		if err != nil {
+			idx.drain(0)
+			t.Fatal(err)
+		}
+		last = acks[len(acks)-1]
+	}
+	closed := make(chan error, 1)
+	go func() { closed <- st.Close() }()
+	early := false
+	select {
+	case err := <-closed:
+		early = true
+		closed <- err
+	case <-time.After(20 * time.Millisecond):
+	}
+	idx.drain(0)
+	if err := <-closed; err != nil {
+		t.Fatal(err)
+	}
+	if early {
+		t.Fatal("Close returned while three accepted groups were queued")
+	}
+	if idx.Watermark() < last.Seq {
+		t.Fatalf("Close returned with watermark %d below the last queued seq %d", idx.Watermark(), last.Seq)
+	}
+	if got := st.Appended() - appended; got != 3*uint64(len(batch)) {
+		t.Fatalf("%d of the %d queued mutations were logged before Close", got, 3*len(batch))
+	}
 	want := fingerprint(t, idx)
 
 	fs.Crash()
 	fs.Reset()
-	st2, _ := recoverStore(t, fs, "store")
+	st2, rep := recoverStore(t, fs, "store")
 	defer st2.Close()
+	if uint64(rep.Replayed) != st.Appended() {
+		t.Errorf("recovery replayed %d records, want the %d logged", rep.Replayed, st.Appended())
+	}
 	if got := fingerprint(t, st2.Index()); got != want {
-		t.Fatal("recovered state differs from acknowledged batched writes")
+		t.Fatal("recovered state differs from the live one")
 	}
 }
 
@@ -533,7 +677,7 @@ func TestBatchedStoreDurability(t *testing.T) {
 // against lock-free snapshot readers and watermark pollers under -race (as
 // `make stress` does). Readers assert generation monotonicity, pollers
 // assert the watermark is monotonic and never passes the last assigned
-// sequence number, and the final drain must settle everything.
+// sequence number, and every async promote must settle.
 func TestApplyBatchStressConcurrent(t *testing.T) {
 	var doc bytes.Buffer
 	if err := datagen.XMark(datagen.XMarkScale(0.02)).WriteXML(&doc); err != nil {
@@ -541,9 +685,6 @@ func TestApplyBatchStressConcurrent(t *testing.T) {
 	}
 	idx, err := LoadXML(&doc, nil)
 	if err != nil {
-		t.Fatal(err)
-	}
-	if err := idx.StartBatching(BatchOptions{MaxBatch: 32}); err != nil {
 		t.Fatal(err)
 	}
 
@@ -657,7 +798,7 @@ func TestApplyBatchStressConcurrent(t *testing.T) {
 		}(int64(1000 + w))
 	}
 	wg.Wait()
-	idx.StopBatching()
+	settle(t, idx)
 	close(stop)
 	aux.Wait()
 

@@ -531,10 +531,12 @@ func (s *Store) prune() {
 	}
 }
 
-// Close detaches the store from its index (later mutations are no longer
-// logged — pair Close with a final Checkpoint to persist everything) and
-// closes the log. The index stays usable in memory.
+// Close waits until every mutation accepted before the call has settled — so
+// each is in the log — then detaches the store from its index (later
+// mutations are no longer logged — pair Close with a final Checkpoint to
+// persist everything) and closes the log. The index stays usable in memory.
 func (s *Store) Close() error {
+	s.idx.batch.waitIdle()
 	s.ckmu.Lock()
 	defer s.ckmu.Unlock()
 	s.idx.mu.Lock()
