@@ -14,11 +14,12 @@ all: build test
 # module still builds and passes against this tree (its
 # smoke run drives all four serving workloads through the real server,
 # oracle-checked), the race-enabled test suite (which includes the replica
-# flaky-link convergence test in its short form and the shard bit-identity
-# audits), short fuzz runs of the decoders, the stress battery (snapshot
-# races, crash-point sweeps — store and replica catch-up — replication under
-# faults, and the sharded engine's reader/writer stress) under the race
-# detector, and the benchmark regression guard against the recorded baseline.
+# flaky-link convergence test in its short form and the in-memory shard
+# engine's bit-identity audits), short fuzz runs of the decoders, the stress
+# battery (snapshot races, crash-point sweeps — store and replica catch-up —
+# replication under faults, and the shard engine's reader/writer stress)
+# under the race detector, and the benchmark regression guard against the
+# recorded baseline.
 # Serving throughput and latency are measured by `bash benchmark/run.sh`, not
 # here.
 ci: build vet fmt-check inline-check bench-compile race fuzz-smoke stress bench-guard
@@ -43,10 +44,10 @@ race:
 # implementation on every experiment dataset, the fifth drives a replica
 # over a flaky link to bit-identical convergence and sweeps a primary crash
 # at every I/O point of a replica catch-up (the full grid; `go test -short`
-# runs a strided subset), and the sixth cycles concurrent merged readers
-# against a writer mutating a sharded engine (document adds, promotions,
-# shard-split batches) checking every merged result stays sorted and
-# duplicate-free.
+# runs a strided subset), and the sixth races concurrent merged readers
+# against a writer feeding the in-memory shard engine (the one
+# benchmark/probes.go times) documents and edge batches split across its
+# shards, checking every merged result stays sorted and duplicate-free.
 stress:
 	$(GO) test -race -count 2 -run TestSnapshotStressConcurrent .
 	$(GO) test -race -count 2 -run TestApplyBatchStressConcurrent .
@@ -111,7 +112,8 @@ inline-check:
 # repetitions of the guarded benchmarks (query throughput, the cold RPE and
 # twig evaluations that validate against the data graph, the parallel
 # snapshot-serving path, the in-memory group-commit write pipeline, the
-# sharded engine's scatter-gather read and shard-split write paths, and one
+# in-memory shard engine's scatter-gather read and shard-split write paths
+# (the engine serves nothing; benchmark/probes.go times it), and one
 # /v1/query through the server's ServeHTTP as a result-cache hit and as a
 # miss), parsed to JSON. bench-guard compares future runs against it per
 # benchmark name on best-of-N B/op and allocs/op.

@@ -58,6 +58,7 @@ import (
 	"net/http"
 	"os"
 	"os/signal"
+	"path/filepath"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -68,7 +69,6 @@ import (
 	"dkindex/internal/obs"
 	"dkindex/internal/replica"
 	"dkindex/internal/server"
-	"dkindex/internal/shard"
 )
 
 func main() {
@@ -99,10 +99,9 @@ type config struct {
 	logger   *slog.Logger
 	observer *obs.Observer
 
-	// Durability: store is non-nil when -data-dir armed the write-ahead log —
-	// a single Store, or the sharded engine fanning to its per-shard stores;
+	// Durability: store is non-nil when -data-dir armed the write-ahead log;
 	// ckptEvery > 0 runs the background checkpoint loop.
-	store     durable
+	store     *dkindex.Store
 	ckptEvery time.Duration
 
 	// repl is non-nil when -replicate-from made this process a read-only
@@ -125,16 +124,6 @@ type config struct {
 	// ready backs /v1/readyz: true once setup finished, false again the moment
 	// a shutdown starts draining, so load balancers stop routing here first.
 	ready atomic.Bool
-}
-
-// durable abstracts the persistence the serve loop checkpoints and closes: a
-// single *dkindex.Store, or the sharded *shard.Engine whose methods fan to
-// every per-shard store.
-type durable interface {
-	Appended() uint64
-	Checkpoint() error
-	Epoch() uint64
-	Close() error
 }
 
 // setup parses flags, loads and tunes the index, and returns the ready
@@ -160,7 +149,6 @@ func setup(args []string, stdout, stderr io.Writer) (*config, int) {
 		readHdrTO   = fs.Duration("read-header-timeout", 5*time.Second, "bound on reading a request's headers (0 disables)")
 		idleTO      = fs.Duration("idle-timeout", 2*time.Minute, "bound on idle keep-alive connections (0 disables)")
 
-		shards   = fs.Int("shards", 1, "partition the index into N shards served by scatter-gather (documents route round-robin; >1 enables the sharded engine)")
 		replFrom = fs.String("replicate-from", "", "run as a read-only replica of the primary at this base URL (e.g. http://primary:8080)")
 		maxLag   = fs.Uint64("max-lag", 0, "replica staleness bound in global sequences: /v1/readyz fails past it while reads keep serving (0 = always ready once bootstrapped)")
 		bootTO   = fs.Duration("bootstrap-timeout", 30*time.Second, "bound on the replica's initial checkpoint bootstrap from the primary")
@@ -170,11 +158,6 @@ func setup(args []string, stdout, stderr io.Writer) (*config, int) {
 	}
 	logger := slog.New(slog.NewTextHandler(stderr, nil))
 	observer := obs.NewObserverWith(obs.NewRegistry(), obs.NewStream(256), obs.NewTracer(*traceSample, 32))
-
-	if *shards > 1 && *replFrom != "" {
-		fmt.Fprintln(stderr, "dkserve: -shards and -replicate-from are mutually exclusive (replication ships one WAL; shards keep one per shard)")
-		return nil, 2
-	}
 
 	// Replica mode: bootstrap from the primary's replication feed instead of
 	// any local source, serve read-only, and gate readiness on the lag bound.
@@ -232,17 +215,14 @@ func setup(args []string, stdout, stderr io.Writer) (*config, int) {
 		return cfg, 0
 	}
 
-	// Sharded mode: N partitioned indexes behind the scatter-gather engine,
-	// each with its own snapshots, result cache, WAL and checkpoint epoch. A
-	// data directory that already holds a shard map re-opens sharded even
-	// without the flag, so restarts cannot silently change the topology.
-	if *shards > 1 || (*dataDir != "" && shard.Exists(nil, *dataDir)) {
-		return setupSharded(*shards, shardedOpts{
-			addr: *addr, in: *in, load: *load, req: *req, tune: *tune,
-			dataDir: *dataDir, ckptEvery: *ckptEvery, cacheSize: *cacheSize,
-			pprofOn: *pprofOn, maxInflight: *maxInflight,
-			readHdrTO: *readHdrTO, idleTO: *idleTO, rtEvery: *rtEvery,
-		}, observer, logger, stdout, stderr)
+	// A directory an earlier, sharded dkserve wrote keeps its documents under
+	// shard-NNN/ beside its shard map, where no store is found: serving it
+	// would start a fresh, empty store next to them.
+	if *dataDir != "" {
+		if _, err := os.Stat(filepath.Join(*dataDir, "shardmap.json")); err == nil {
+			fmt.Fprintf(stderr, "dkserve: %s holds a sharded store (shardmap.json); sharded directories are no longer served\n", *dataDir)
+			return nil, 2
+		}
 	}
 
 	var (
@@ -343,15 +323,11 @@ func setup(args []string, stdout, stderr io.Writer) (*config, int) {
 		addr:              *addr,
 		logger:            logger,
 		observer:          observer,
+		store:             store,
 		ckptEvery:         *ckptEvery,
 		readHeaderTimeout: *readHdrTO,
 		idleTimeout:       *idleTO,
 		rtEvery:           *rtEvery,
-	}
-	if store != nil {
-		// Assigned conditionally: a nil *Store boxed into the durable
-		// interface would defeat the serve loop's nil checks.
-		cfg.store = store
 	}
 	srv.SetReadyCheck(func() error {
 		if !cfg.ready.Load() {
@@ -364,124 +340,6 @@ func setup(args []string, stdout, stderr io.Writer) (*config, int) {
 	s := idx.Stats()
 	fmt.Fprintf(stdout, "dkserve: %d data nodes, index %d nodes (max k=%d), listening on %s\n",
 		s.DataNodes, s.IndexNodes, s.MaxK, *addr)
-	return cfg, 0
-}
-
-// shardedOpts carries the flag values setupSharded consumes.
-type shardedOpts struct {
-	addr, in, load, req string
-	tune                int
-	dataDir             string
-	ckptEvery           time.Duration
-	cacheSize           int
-	pprofOn             bool
-	maxInflight         int
-	readHdrTO, idleTO   time.Duration
-	rtEvery             time.Duration
-}
-
-// setupSharded builds the scatter-gather engine behind the same HTTP surface:
-// a fresh directory is partitioned into n per-shard stores, an existing one
-// re-opens with its recorded shard count (the topology is part of the durable
-// state), and without -data-dir the engine serves in memory.
-func setupSharded(n int, o shardedOpts, observer *obs.Observer, logger *slog.Logger, stdout, stderr io.Writer) (*config, int) {
-	if o.load != "" {
-		fmt.Fprintln(stderr, "dkserve: -index holds a single monolithic snapshot; it cannot seed a sharded engine (use -in)")
-		return nil, 2
-	}
-	var (
-		eng       *shard.Engine
-		recovered bool
-		err       error
-	)
-	opts := &dkindex.StoreOptions{Observer: observer}
-	switch {
-	case o.dataDir != "" && shard.Exists(nil, o.dataDir):
-		var reports []*dkindex.RecoveryReport
-		eng, reports, err = shard.OpenSharded(o.dataDir, opts)
-		if err == nil {
-			recovered = true
-			if o.in != "" {
-				logger.Warn("existing sharded store takes precedence; -in ignored", "dataDir", o.dataDir)
-			}
-			replayed := 0
-			for _, r := range reports {
-				replayed += r.Replayed
-			}
-			logger.Info("sharded store recovered", "shards", eng.NumShards(), "documents", eng.Map().NumDocs(), "replayed", replayed)
-		}
-	case o.dataDir != "":
-		eng, err = shard.CreateSharded(o.dataDir, n, opts)
-		if err == nil {
-			logger.Info("sharded store created", "dataDir", o.dataDir, "shards", n)
-		}
-	default:
-		eng, err = shard.New(n)
-	}
-	if err != nil {
-		fmt.Fprintf(stderr, "dkserve: %v\n", err)
-		return nil, 1
-	}
-	eng.Observe(observer)
-	if o.cacheSize != dkindex.DefaultResultCacheSize {
-		eng.SetResultCache(o.cacheSize)
-	}
-	if !recovered {
-		if o.in != "" {
-			doc, err := os.ReadFile(o.in)
-			if err == nil {
-				_, err = eng.Apply(dkindex.Mutation{Op: dkindex.MutAddDocument, Doc: doc})
-			}
-			if err != nil {
-				fmt.Fprintf(stderr, "dkserve: %v\n", err)
-				return nil, 1
-			}
-		}
-		if o.req != "" {
-			reqs, err := dkindex.ParseRequirements(o.req)
-			if err == nil {
-				_, err = eng.Apply(dkindex.Mutation{Op: dkindex.MutSetRequirements, Reqs: reqs})
-			}
-			if err != nil {
-				fmt.Fprintf(stderr, "dkserve: %v\n", err)
-				return nil, 1
-			}
-		}
-	} else if o.req != "" || o.tune > 0 {
-		logger.Warn("sharded store carries its own requirements; -req/-tune ignored")
-	}
-	if o.tune > 0 && !recovered {
-		logger.Warn("-tune samples one monolithic workload; not supported with -shards (send the optimize mutation to /v1/mutate against the live load)")
-	}
-
-	srv := server.NewBackend(eng)
-	if o.pprofOn {
-		srv.EnablePprof()
-	}
-	srv.SetMaxInFlight(o.maxInflight)
-	cfg := &config{
-		addr:              o.addr,
-		logger:            logger,
-		observer:          observer,
-		ckptEvery:         o.ckptEvery,
-		readHeaderTimeout: o.readHdrTO,
-		idleTimeout:       o.idleTO,
-		rtEvery:           o.rtEvery,
-	}
-	if o.dataDir != "" {
-		cfg.store = eng
-	}
-	srv.SetReadyCheck(func() error {
-		if !cfg.ready.Load() {
-			return fmt.Errorf("not serving (starting up or draining)")
-		}
-		return nil
-	})
-	cfg.handler = logRequests(srv, logger)
-	cfg.ready.Store(true)
-	s := eng.Stats()
-	fmt.Fprintf(stdout, "dkserve: %d shards, %d data nodes, index %d nodes (max k=%d), listening on %s\n",
-		eng.NumShards(), s.DataNodes, s.IndexNodes, s.MaxK, o.addr)
 	return cfg, 0
 }
 

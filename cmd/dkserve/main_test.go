@@ -81,41 +81,39 @@ func TestSetupAndServe(t *testing.T) {
 	}
 }
 
-// TestSetupSharded drives the second set-up path: -shards loads -in and
-// applies -req through the engine's Apply, behind the same /v1 surface.
-func TestSetupSharded(t *testing.T) {
+// TestSetupRefusesShardedDirectory: a data directory an earlier, sharded
+// dkserve wrote (a shard map beside shard-NNN/ stores) is refused with exit 2
+// and a message saying why, and nothing is created in it — not a fresh,
+// empty checkpoint next to the documents it already holds.
+func TestSetupRefusesShardedDirectory(t *testing.T) {
 	path := writeDoc(t, doc)
-	var out bytes.Buffer
-	errb := &syncBuffer{}
-	cfg, code := setup([]string{"-in", path, "-req", "title=2", "-shards", "2", "-addr", ":0"}, &out, errb)
-	if code != 0 {
-		t.Fatalf("setup exit %d: %s", code, errb.String())
-	}
-	if !strings.Contains(out.String(), "2 shards") {
-		t.Errorf("banner: %s", out.String())
-	}
-	ts := httptest.NewServer(cfg.handler)
-	defer ts.Close()
-	var stats struct {
-		MaxK   int `json:"maxK"`
-		Shards int `json:"shards"`
-	}
-	var reply struct {
-		Count int `json:"count"`
-	}
-	for target, into := range map[string]any{"/v1/stats": &stats, "/v1/query?q=director.movie.title": &reply} {
-		resp, err := ts.Client().Get(ts.URL + target)
-		if err != nil {
+	dir := t.TempDir()
+	for _, sub := range []string{"shard-000", "shard-001"} {
+		if err := os.Mkdir(filepath.Join(dir, sub), 0o755); err != nil {
 			t.Fatal(err)
 		}
-		err = json.NewDecoder(resp.Body).Decode(into)
-		resp.Body.Close()
-		if err != nil || resp.StatusCode != 200 {
-			t.Fatalf("%s = %d, %v", target, resp.StatusCode, err)
-		}
 	}
-	if stats.Shards != 2 || stats.MaxK != 2 || reply.Count != 1 {
-		t.Errorf("stats %+v, count %d; want 2 shards, -req applied (maxK 2), -in loaded (1 title)", stats, reply.Count)
+	shardMap := `{"version":1,"shards":2,"docs":[{"shard":0,"nodes":5}]}`
+	if err := os.WriteFile(filepath.Join(dir, "shardmap.json"), []byte(shardMap), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	errb := &syncBuffer{}
+	if _, code := setup([]string{"-data-dir", dir, "-in", path, "-addr", ":0"}, &bytes.Buffer{}, errb); code != 2 {
+		t.Errorf("setup over a sharded directory exit %d, want 2: %s", code, errb.String())
+	}
+	if !strings.Contains(errb.String(), "sharded directories are no longer served") {
+		t.Errorf("no reason given:\n%s", errb.String())
+	}
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(entries) != 3 {
+		var names []string
+		for _, e := range entries {
+			names = append(names, e.Name())
+		}
+		t.Errorf("the refused directory now holds %v, want only what it held", names)
 	}
 }
 

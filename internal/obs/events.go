@@ -57,13 +57,6 @@ const (
 	EventReplReconnect EventType = "replica_reconnect"
 	EventReplStale     EventType = "replica_stale"
 	EventReplFresh     EventType = "replica_fresh"
-
-	// Sharded-serving lifecycle, emitted by the scatter-gather engine: shards
-	// opened or created under a data directory, and per-shard mutation
-	// commits (Detail carries the shard number and what it absorbed; the
-	// underlying index's own build events are emitted alongside).
-	EventShardOpen   EventType = "shard_open"
-	EventShardCommit EventType = "shard_commit"
 )
 
 // Event is one index lifecycle occurrence. Seq is assigned by the stream and

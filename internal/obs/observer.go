@@ -1,7 +1,6 @@
 package obs
 
 import (
-	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -86,20 +85,6 @@ const (
 	MetricReplRetries    = "dk_repl_retries_total"
 	MetricReplReconnects = "dk_repl_reconnects_total"
 	MetricReplStale      = "dk_repl_stale"
-
-	// Sharded-serving metrics, fed by the scatter-gather router: fan-outs
-	// served, the slowest shard's wall time per fan-out, the merge cost, the
-	// skew between the slowest and fastest shard (persistent skew means the
-	// partitioner is unbalanced), the shard count, and per-shard commit
-	// counters and generation gauges (labeled shard=N; cardinality is bounded
-	// by the configured shard count).
-	MetricShardRequests      = "dk_shard_requests_total"
-	MetricShardFanoutSeconds = "dk_shard_fanout_duration_seconds"
-	MetricShardMergeSeconds  = "dk_shard_merge_duration_seconds"
-	MetricShardSkewSeconds   = "dk_shard_skew_seconds"
-	MetricShards             = "dk_shards"
-	MetricShardCommits       = "dk_shard_commits_total"
-	MetricShardGeneration    = "dk_shard_generation"
 
 	// Construction metrics, fed by every index (re)build: initial
 	// construction, optimize, retune, compaction, bulk edge replacement.
@@ -193,13 +178,6 @@ type Observer struct {
 		applied, primary, lag, stale *Gauge
 		retries, reconnects          *Counter
 	}
-	shard struct {
-		requests            *Counter
-		fanout, merge, skew *Histogram
-		count               *Gauge
-		commits             map[int]*Counter // guarded by mu; registered per shard
-		gens                map[int]*Gauge
-	}
 
 	// swap tracks when the published snapshot generation last changed, so
 	// the runtime collector can report snapshot age: a serving process whose
@@ -284,57 +262,7 @@ func NewObserverWith(reg *Registry, events *Stream, tracer *Tracer) *Observer {
 	o.repl.stale = reg.Gauge(MetricReplStale, "1 while replica lag exceeds the configured bound (still serving).")
 	o.repl.retries = reg.Counter(MetricReplRetries, "Failed replication feed requests that were retried with backoff.")
 	o.repl.reconnects = reg.Counter(MetricReplReconnects, "Replication stream restarts: instance changes or lost positions forcing a re-bootstrap.")
-	o.shard.requests = reg.Counter(MetricShardRequests, "Scatter-gather fan-outs served by the shard router.")
-	o.shard.fanout = reg.Histogram(MetricShardFanoutSeconds, "Slowest shard's wall time per scatter-gather fan-out.", ExpBuckets(1e-5, 2.5, 14))
-	o.shard.merge = reg.Histogram(MetricShardMergeSeconds, "Time merging per-shard sorted results into one response.", ExpBuckets(1e-6, 2.5, 14))
-	o.shard.skew = reg.Histogram(MetricShardSkewSeconds, "Slowest minus fastest shard wall time per fan-out (persistent skew = unbalanced partitioner).", ExpBuckets(1e-6, 2.5, 14))
-	o.shard.count = reg.Gauge(MetricShards, "Configured shard count (0 when serving unsharded).")
-	o.shard.commits = make(map[int]*Counter)
-	o.shard.gens = make(map[int]*Gauge)
 	return o
-}
-
-// SetShards publishes the configured shard count (0 = unsharded).
-func (o *Observer) SetShards(n int) {
-	if o == nil {
-		return
-	}
-	o.shard.count.Set(float64(n))
-}
-
-// ObserveShardFanout records one scatter-gather fan-out: the slowest shard's
-// wall time, the slowest-minus-fastest skew, and the merge cost.
-func (o *Observer) ObserveShardFanout(slowest, skew, merge time.Duration) {
-	if o == nil {
-		return
-	}
-	o.shard.requests.Inc()
-	o.shard.fanout.Observe(slowest.Seconds())
-	o.shard.skew.Observe(skew.Seconds())
-	o.shard.merge.Observe(merge.Seconds())
-}
-
-// ObserveShardCommit records mutations committed on one shard and refreshes
-// that shard's generation gauge. Per-shard series register lazily under the
-// shard=N label; cardinality is bounded by the configured shard count.
-func (o *Observer) ObserveShardCommit(shard, members int, gen uint64) {
-	if o == nil {
-		return
-	}
-	o.mu.Lock()
-	c, ok := o.shard.commits[shard]
-	if !ok {
-		l := L("shard", strconv.Itoa(shard))
-		c = o.Registry.Counter(MetricShardCommits, "Mutations committed, by owning shard.", l)
-		o.shard.commits[shard] = c
-		o.shard.gens[shard] = o.Registry.Gauge(MetricShardGeneration, "Snapshot generation, by shard.", l)
-	}
-	g := o.shard.gens[shard]
-	o.mu.Unlock()
-	if members > 0 {
-		c.Add(uint64(members))
-	}
-	g.Set(float64(gen))
 }
 
 // ObserveBatchCommit records one group commit: how many mutations it applied,

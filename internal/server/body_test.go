@@ -6,16 +6,12 @@ import (
 	"fmt"
 	"net/http"
 	"net/url"
-	"regexp"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
 	"dkindex"
-	"dkindex/internal/datagen"
-	"dkindex/internal/graph"
-	"dkindex/internal/shard"
 )
 
 // A body parked on a cache entry is a correctness risk of its own kind: sent
@@ -257,73 +253,5 @@ func TestHitsStillFeedTheAdaptiveLoop(t *testing.T) {
 	if last.Count != 2 || last.Generation == first.Generation || last.Cost.Validations != 0 {
 		t.Errorf("ten hits with %d validations each did not auto-promote at threshold 8: %+v",
 			first.Cost.Validations, last)
-	}
-}
-
-// TestShardedBodiesMatchMonolith: the same queries through a monolithic
-// index, a one-shard and a four-shard engine give byte-identical bodies, miss
-// and hit alike, once the generation — a per-shard sum on the engine — is
-// masked; with four shards the cost object is masked too, because each shard
-// walks an index of its own and the engine reports the sum. The engine never
-// parks (its results are composites), the encoder is the same.
-func TestShardedBodiesMatchMonolith(t *testing.T) {
-	var docs [][]byte
-	for seed := int64(1); seed <= 4; seed++ {
-		cfg := datagen.XMarkScale(0.02)
-		cfg.Seed = seed
-		var buf bytes.Buffer
-		if err := datagen.XMark(cfg).WriteXML(&buf); err != nil {
-			t.Fatal(err)
-		}
-		docs = append(docs, buf.Bytes())
-	}
-	load := func(b Backend) *Server {
-		for _, d := range docs {
-			acks, err := b.ApplyBatch([]dkindex.Mutation{{Op: dkindex.MutAddDocument, Doc: d, DocOptions: datagen.LoadOptions()}})
-			if err != nil || acks[0].Err != nil {
-				t.Fatal(err, acks)
-			}
-		}
-		return NewBackend(b)
-	}
-	servers := map[int]*Server{}
-	for _, n := range []int{1, 4} {
-		e, err := shard.New(n)
-		if err != nil {
-			t.Fatal(err)
-		}
-		servers[n] = load(e)
-	}
-	g := graph.New()
-	g.AddRoot()
-	monoSrv := load(dkindex.FromGraph(g, nil))
-
-	generation := regexp.MustCompile(`"generation":\d+`)
-	cost := regexp.MustCompile(`"cost":\{[^}]*\}`)
-	mask := func(b []byte, shards int) []byte {
-		b = generation.ReplaceAll(b, []byte(`"generation":0`))
-		if shards > 1 {
-			b = cost.ReplaceAll(b, []byte(`"cost":{}`))
-		}
-		return b
-	}
-	for _, target := range []string{
-		"/v1/query?q=site.people.person.name&limit=7",
-		"/v1/query?q=item.name",
-		"/v1/query?kind=rpe&q=site.regions._.item&limit=0",
-		"/v1/query?kind=twig&q=person%5Bname%5D.emailaddress&limit=3",
-		"/v1/query?q=open_auction.bidder",
-	} {
-		for pass := 0; pass < 3; pass++ {
-			code, want := fetch(t, monoSrv, "GET", target, "")
-			if code != http.StatusOK {
-				t.Fatalf("monolith %s = %d %s", target, code, want)
-			}
-			for shards, srv := range servers {
-				if _, got := fetch(t, srv, "GET", target, ""); !bytes.Equal(mask(got, shards), mask(want, shards)) {
-					t.Errorf("%s, pass %d, %d shards:\n got %s\nwant %s", target, pass, shards, got, want)
-				}
-			}
-		}
 	}
 }

@@ -251,16 +251,13 @@ func TestRequestIDTravelsAsAValue(t *testing.T) {
 		return serveOnce(srv, method, target, body, id)
 	}
 	rec := serve("GET", "/v1/query?q=director.movie.title", "", "by-value-1")
-	for _, name := range []string{"X-Request-Id", "X-Shard-Generations", "Content-Type"} {
+	for _, name := range []string{"X-Request-Id", "Content-Type"} {
 		if vals := rec.Header()[name]; len(vals) != 1 || vals[0] == "" {
 			t.Errorf("response header %s = %q, want one value", name, vals)
 		}
 	}
 	if got := rec.Header()["X-Request-Id"][0]; got != "by-value-1" {
 		t.Errorf("echoed id = %q", got)
-	}
-	if got := rec.Header()["X-Shard-Generations"][0]; got != "1" {
-		t.Errorf("generation vector = %q, want 1", got)
 	}
 	serve("POST", "/v1/query", `{"queries":[{"q":"name"}]}`, "by-value-2")
 	for _, tc := range []struct{ method, target, body string }{

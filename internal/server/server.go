@@ -67,31 +67,6 @@ import (
 	"dkindex/internal/obs"
 )
 
-// HeaderShardGenerations carries the backend's snapshot generation vector on
-// every response, comma-separated ("g0,g1,..."). A single index reports one
-// element; the sharded engine reports one per shard, and an element moves
-// only when its shard commits — so the vector is a result-cache key with
-// per-shard granularity (a write to one shard leaves entries keyed by the
-// other shards' elements valid).
-const HeaderShardGenerations = "X-Shard-Generations"
-
-// generationsHeader renders the backend's generation vector for the header.
-// A one-element vector is its own sum, which Generation returns without
-// making the vector.
-func (s *Server) generationsHeader() string {
-	if s.shards == 1 {
-		return strconv.FormatUint(s.idx.Generation(), 10)
-	}
-	var b []byte
-	for i, g := range s.idx.Generations() {
-		if i > 0 {
-			b = append(b, ',')
-		}
-		b = strconv.AppendUint(b, g, 10)
-	}
-	return string(b)
-}
-
 // Error codes carried in structured error responses.
 const (
 	codeBadQuery   = "bad_query"
@@ -105,14 +80,9 @@ const (
 )
 
 // Backend is what the handlers serve: the query, mutation and introspection
-// surface shared by the single *dkindex.Index and the sharded engine
-// (internal/shard.Engine). Both are lock-free for readers and serialize
-// writers internally, so the server's no-locks contract holds either way.
-//
-// Generations is the snapshot version vector: one element for a single index,
-// one per shard for the sharded engine (each element moves only when its
-// shard commits). Every response exposes it as X-Shard-Generations, giving
-// clients a cache key with per-shard granularity.
+// surface of a *dkindex.Index, or of a wrapper that embeds one (the benchmark
+// module's traced run times the calls this way). The index is lock-free for
+// readers and serializes writers internally, so the server needs no locks.
 type Backend interface {
 	Run(dkindex.Request) (dkindex.Result, error)
 	RunBatch([]dkindex.Request) []dkindex.BatchResult
@@ -126,7 +96,6 @@ type Backend interface {
 	Watermark() uint64
 	LastSeq() uint64
 	Generation() uint64
-	Generations() []uint64
 
 	WatchLoad()
 	Observer() *obs.Observer
@@ -137,11 +106,8 @@ type Backend interface {
 // backend's snapshot architecture makes every call safe concurrently.
 type Server struct {
 	idx Backend
-	// shards is the length of the backend's generation vector, fixed for
-	// the backend's life.
-	shards int
-	mux    *http.ServeMux
-	obs    *obs.Observer
+	mux *http.ServeMux
+	obs *obs.Observer
 	// red holds the pre-registered per-route RED metric bundles, keyed by
 	// the paths of the route table; redOther catches everything off it.
 	red      map[string]*routeRED
@@ -170,9 +136,7 @@ type Server struct {
 // index gets a fresh observer so the endpoints always serve.
 func New(idx *dkindex.Index) *Server { return NewBackend(idx) }
 
-// NewBackend wraps any Backend — a single index or the sharded engine — with
-// the same HTTP surface; responses are shard-transparent (global node ids,
-// merged stats) apart from the X-Shard-Generations header.
+// NewBackend wraps a Backend with the same HTTP surface New serves.
 func NewBackend(idx Backend) *Server {
 	idx.WatchLoad()
 	o := idx.Observer()
@@ -180,7 +144,7 @@ func NewBackend(idx Backend) *Server {
 		o = obs.NewObserver()
 		idx.Observe(o)
 	}
-	s := &Server{idx: idx, shards: len(idx.Generations()), mux: http.NewServeMux(), obs: o,
+	s := &Server{idx: idx, mux: http.NewServeMux(), obs: o,
 		red: make(map[string]*routeRED), redOther: newRouteRED(o.Registry, "other")}
 	for _, rt := range s.routes() {
 		s.mux.HandleFunc(rt.method+" "+rt.path, rt.handler)
@@ -255,7 +219,6 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	id := requestID(r)
 	w.Header().Set(headerRequestID, id)
 	s.replicaLagHeader(w)
-	w.Header().Set(HeaderShardGenerations, s.generationsHeader())
 	m := s.red[r.URL.Path]
 	if m == nil {
 		m = s.redOther
@@ -311,7 +274,6 @@ func (s *Server) handleReady(w http.ResponseWriter, _ *http.Request) {
 
 func (s *Server) handleStats(w http.ResponseWriter, _ *http.Request) {
 	st := s.idx.Stats()
-	gens := s.idx.Generations()
 	writeJSON(w, http.StatusOK, map[string]any{
 		"dataNodes":       st.DataNodes,
 		"dataEdges":       st.DataEdges,
@@ -321,8 +283,6 @@ func (s *Server) handleStats(w http.ResponseWriter, _ *http.Request) {
 		"generation":      st.Generation,
 		"cachedResults":   st.CachedResults,
 		"observedQueries": s.idx.ObservedQueries(),
-		"shards":          len(gens),
-		"generations":     gens,
 	})
 }
 

@@ -33,7 +33,7 @@ func BenchmarkShardQueryFanout(b *testing.B) {
 // BenchmarkShardApplyBatch measures the shard-parallel write path: one batch
 // with an edge mutation in every shard, split by owning shard and committed
 // concurrently (in memory, so the cost is routing + parallel snapshot swaps
-// + map publication rather than fsync).
+// rather than fsync; edges leave the routing map as it is).
 func BenchmarkShardApplyBatch(b *testing.B) {
 	e := benchEngine(b)
 	m := e.Map()

@@ -1,49 +1,43 @@
-// Package shard serves one logical D(k)-index from N independent shards.
+// Package shard scatter-gathers one logical D(k)-index over N in-memory
+// shards. Nothing serves it: dkserve and the /v1 server run one
+// *dkindex.Index, and the package is kept only for the benchmark module's
+// fan-out probe (benchmark/probes.go:probeShard) and the two guarded
+// benchmarks beside it. DESIGN.md's "Sharding (retired)" says what the
+// served engine was and what would bring it back.
 //
 // The unit of partitioning is the document: every MutAddDocument is assigned
 // to one shard round-robin, and because a document's reference edges resolve
 // within the document, a shard never needs another shard's data to answer a
 // query over its slice (the per-vertex locality argument of the parallel
 // structural-summaries line of work). Each shard is a complete dkindex.Index
-// — private snapshots, D(k) requirements, result cache, WAL and checkpoint
-// epoch — and the Engine scatter-gathers queries across them, merging the
-// per-shard sorted results into the exact answer the monolithic index would
-// produce.
+// — private snapshots, D(k) requirements, result cache — and the Engine
+// scatter-gathers queries across them, merging the per-shard sorted results
+// into the exact answer the monolithic index would produce.
 //
 // Node ids are global: the Engine numbers data nodes exactly as a monolithic
 // index receiving the same documents in the same order would (root = 0,
 // document j's grafted nodes contiguous after document j-1's), so results,
 // edge mutations and document mappings are interchangeable with the
 // unsharded facade. The Map records which shard owns each document and how
-// many nodes it grafted; that is enough to translate ids in both directions,
-// and it is persisted next to the shard stores so routing is stable across
-// restarts.
+// many nodes it grafted; that is enough to translate ids in both directions.
 //
-// The Engine's surface is the facade's: Run and RunBatch for reads, Apply and
-// ApplyBatch for writes (ApplyBatchSharded adds the owning shard and the
-// generation vector to each ack). Documents and edges route to one shard;
-// promote, demote, set_requirements and optimize broadcast to all of them.
+// The Engine's surface is Run for reads and ApplyBatch for writes. Documents
+// and edges route to one shard; every other mutation is rejected in place.
 package shard
 
 import (
-	"encoding/json"
 	"fmt"
-	"io"
 	"sort"
 
-	"dkindex/internal/fsx"
 	"dkindex/internal/graph"
 )
-
-// MapFileName is the shard map's file name inside a sharded data directory.
-const MapFileName = "shardmap.json"
 
 // docRec records one committed document: the shard that owns it and how many
 // data nodes it grafted (its parsed node count minus the root, which is
 // identified with every shard's local root).
 type docRec struct {
-	Shard int `json:"shard"`
-	Nodes int `json:"nodes"`
+	Shard int
+	Nodes int
 }
 
 // Map is an immutable routing table over the documents committed so far.
@@ -64,13 +58,13 @@ type Map struct {
 	// lets the router merge translated per-shard results without re-sorting.
 	byShard [][]int
 	lbase   [][]graph.NodeID
-	// counts[s] is shard s's expected data node count (local root included),
-	// cross-checked against the recovered stores at open.
+	// counts[s] is shard s's data node count (local root included) as of
+	// this map; the merge drops locals a racing commit published past it.
 	counts []int
 	total  int
 }
 
-// newMap derives the translation tables from the persisted fields.
+// newMap derives the translation tables from the document records.
 func newMap(shards int, docs []docRec) (*Map, error) {
 	if shards <= 0 {
 		return nil, fmt.Errorf("shard: shard count must be positive, got %d", shards)
@@ -121,14 +115,12 @@ func (m *Map) NumDocs() int { return len(m.docs) }
 // the monolithic index would hold.
 func (m *Map) NumNodes() int { return m.total }
 
-// ShardNodes returns shard s's expected data node count (local root
+// ShardNodes returns shard s's data node count as of this map (local root
 // included).
 func (m *Map) ShardNodes(s int) int { return m.counts[s] }
 
 // NextShard returns the shard the next document will be assigned to: plain
-// round-robin over committed documents, so the assignment is deterministic
-// and — because it is recorded in the map, not re-derived — stable across
-// restarts regardless of what happens to this counter.
+// round-robin over committed documents, so the assignment is deterministic.
 func (m *Map) NextShard() int { return len(m.docs) % m.shards }
 
 // ToGlobal translates a shard-local data node id to its global id. Local id
@@ -181,53 +173,4 @@ func (m *Map) AppendGlobal(dst []graph.NodeID, s int, locals []graph.NodeID) []g
 		dst = append(dst, m.gbase[by[i]]+(l-lb[i]))
 	}
 	return dst
-}
-
-// mapFile is the persisted form.
-type mapFile struct {
-	Version int      `json:"version"`
-	Shards  int      `json:"shards"`
-	Docs    []docRec `json:"docs"`
-}
-
-// save writes the map atomically (temp file + rename + directory sync) into
-// dir. It is called after the owning shard's WAL commit: a crash between the
-// two leaves the map one document behind its shard, which open detects by
-// cross-checking node counts.
-func (m *Map) save(fs fsx.FS, dir string) error {
-	path := dir + "/" + MapFileName
-	_, err := fsx.WriteAtomic(fs, path, func(w io.Writer) error {
-		return json.NewEncoder(w).Encode(mapFile{Version: 1, Shards: m.shards, Docs: m.docs})
-	})
-	return err
-}
-
-// Exists reports whether dir holds a sharded data directory (a shard map).
-// nil fs means the real filesystem.
-func Exists(fs fsx.FS, dir string) bool {
-	if fs == nil {
-		fs = fsx.OS{}
-	}
-	f, err := fs.Open(dir + "/" + MapFileName)
-	if err != nil {
-		return false
-	}
-	f.Close()
-	return true
-}
-
-// loadMap reads a persisted shard map from dir.
-func loadMap(fs fsx.FS, dir string) (*Map, error) {
-	raw, err := fsx.ReadAll(fs, dir+"/"+MapFileName)
-	if err != nil {
-		return nil, fmt.Errorf("shard: reading shard map: %w", err)
-	}
-	var f mapFile
-	if err := json.Unmarshal(raw, &f); err != nil {
-		return nil, fmt.Errorf("shard: parsing shard map: %w", err)
-	}
-	if f.Version != 1 {
-		return nil, fmt.Errorf("shard: unsupported shard map version %d", f.Version)
-	}
-	return newMap(f.Shards, f.Docs)
 }

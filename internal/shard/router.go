@@ -1,7 +1,7 @@
 package shard
 
 import (
-	"time"
+	"sync"
 
 	"dkindex"
 	"dkindex/internal/graph"
@@ -17,8 +17,7 @@ import (
 // root. Shard-local result sets are sorted and — roots aside — translate into
 // disjoint sorted global runs, so the merge is a duplicate-free sorted union.
 // The one caveat is a root-anchored twig: a subtree predicate on the root can
-// span shards, and each shard judges it against its own slice only; see
-// DESIGN.md's Sharding section.
+// span shards, and each shard judges it against its own slice only.
 //
 // Limit is applied post-merge. Shards receive a translated limit that keeps
 // just enough slack to merge exactly: one extra slot for a possible local
@@ -30,113 +29,26 @@ func (e *Engine) Run(req dkindex.Request) (dkindex.Result, error) {
 	shardReq.Limit = shardLimit(req.Limit)
 	shardReq.AcceptBody = false // the merge needs every shard's nodes
 
-	type reply struct {
-		res  dkindex.Result
-		err  error
-		wall time.Duration
-	}
-	replies := make([]reply, len(e.shards))
-	done := make(chan int, len(e.shards))
+	per := make([]dkindex.Result, len(e.shards))
+	errs := make([]error, len(e.shards))
+	var wg sync.WaitGroup
 	for s := range e.shards {
+		wg.Add(1)
 		go func(s int) {
-			begin := time.Now()
-			res, err := e.shards[s].Run(shardReq)
-			replies[s] = reply{res: res, err: err, wall: time.Since(begin)}
-			done <- s
+			defer wg.Done()
+			per[s], errs[s] = e.shards[s].Run(shardReq)
 		}(s)
 	}
-	var slowest, fastest time.Duration
-	for range e.shards {
-		s := <-done
-		if w := replies[s].wall; w > slowest {
-			slowest = w
-		}
-	}
-	fastest = slowest
-	for s := range replies {
-		if w := replies[s].wall; w < fastest {
-			fastest = w
-		}
-	}
-	for s := range replies {
-		if replies[s].err != nil {
+	wg.Wait()
+	for _, err := range errs {
+		if err != nil {
 			// Parse errors are purely syntactic (unknown labels resolve to
 			// InvalidLabel and simply match nothing), so every shard fails
 			// identically; the first error speaks for all.
-			return dkindex.Result{}, replies[s].err
+			return dkindex.Result{}, err
 		}
 	}
-
-	mergeStart := time.Now()
-	per := make([]dkindex.Result, len(replies))
-	for s := range replies {
-		per[s] = replies[s].res
-	}
-	res := e.mergeResults(m, per, req.Limit)
-	if e.obs != nil {
-		e.obs.ObserveShardFanout(slowest, slowest-fastest, time.Since(mergeStart))
-	}
-	return res, nil
-}
-
-// RunBatch evaluates several queries, scattering the whole translated batch
-// to each shard once (per-shard snapshot consistency within the batch) and
-// merging item by item. Per-item errors report in place, like the facade's.
-func (e *Engine) RunBatch(reqs []dkindex.Request) []dkindex.BatchResult {
-	m := e.smap.Load()
-	shardReqs := make([]dkindex.Request, len(reqs))
-	for i, r := range reqs {
-		shardReqs[i] = r
-		shardReqs[i].Limit = shardLimit(r.Limit)
-		shardReqs[i].AcceptBody = false
-	}
-
-	perShard := make([][]dkindex.BatchResult, len(e.shards))
-	walls := make([]time.Duration, len(e.shards))
-	done := make(chan struct{}, len(e.shards))
-	for s := range e.shards {
-		go func(s int) {
-			begin := time.Now()
-			perShard[s] = e.shards[s].RunBatch(shardReqs)
-			walls[s] = time.Since(begin)
-			done <- struct{}{}
-		}(s)
-	}
-	for range e.shards {
-		<-done
-	}
-	var slowest time.Duration
-	fastest := time.Duration(-1)
-	for _, w := range walls {
-		if w > slowest {
-			slowest = w
-		}
-		if fastest < 0 || w < fastest {
-			fastest = w
-		}
-	}
-
-	mergeStart := time.Now()
-	out := make([]dkindex.BatchResult, len(reqs))
-	per := make([]dkindex.Result, len(e.shards))
-	for i := range reqs {
-		var firstErr error
-		for s := range perShard {
-			if err := perShard[s][i].Err; err != nil && firstErr == nil {
-				firstErr = err
-			}
-			per[s] = perShard[s][i].Result
-		}
-		if firstErr != nil {
-			out[i].Err = firstErr
-			continue
-		}
-		out[i].Result = e.mergeResults(m, per, reqs[i].Limit)
-	}
-	if e.obs != nil {
-		e.obs.ObserveShardFanout(slowest, slowest-fastest, time.Since(mergeStart))
-	}
-	return out
+	return e.mergeResults(m, per, req.Limit), nil
 }
 
 // shardLimit translates the client limit into the per-shard scatter limit.

@@ -13,7 +13,6 @@ import (
 	"dkindex"
 	"dkindex/internal/datagen"
 	"dkindex/internal/graph"
-	"dkindex/internal/obs"
 	"dkindex/internal/xmlgraph"
 )
 
@@ -59,11 +58,32 @@ func engineWith(t testing.TB, n int, docs [][]byte) *Engine {
 		t.Fatal(err)
 	}
 	for i, doc := range docs {
-		if _, err := e.Apply(dkindex.Mutation{Op: dkindex.MutAddDocument, Doc: doc, DocOptions: loadOpts()}); err != nil {
+		if err := apply(t, e, dkindex.Mutation{Op: dkindex.MutAddDocument, Doc: doc, DocOptions: loadOpts()}); err != nil {
 			t.Fatalf("engine: document %d: %v", i, err)
 		}
 	}
 	return e
+}
+
+// apply sends one mutation through the engine as a batch of one and returns
+// its ack's error.
+func apply(t testing.TB, e *Engine, m dkindex.Mutation) error {
+	t.Helper()
+	acks, err := e.ApplyBatch([]dkindex.Mutation{m})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return acks[0].Err
+}
+
+// dataNodes sums the shards' data nodes into the monolithic count: every
+// shard holds a local root, and the logical view has exactly one.
+func dataNodes(e *Engine) int {
+	n := 1
+	for s := 0; s < e.NumShards(); s++ {
+		n += e.Shard(s).Stats().DataNodes - 1
+	}
+	return n
 }
 
 // referenceQueries exercises all three languages over XMark structure,
@@ -104,8 +124,8 @@ func TestMergedBitIdentity(t *testing.T) {
 	mono := monolith(t, docs)
 	for _, n := range []int{1, 2, 3, 4, 8} {
 		e := engineWith(t, n, docs)
-		if got, want := e.Stats().DataNodes, mono.Stats().DataNodes; got != want {
-			t.Fatalf("shards=%d: engine has %d data nodes, monolith %d", n, got, want)
+		if got, mapped, want := dataNodes(e), e.Map().NumNodes(), mono.Stats().DataNodes; got != want || mapped != want {
+			t.Fatalf("shards=%d: engine has %d data nodes and maps %d, monolith %d", n, got, mapped, want)
 		}
 		for _, req := range referenceQueries() {
 			want, err := mono.Run(req)
@@ -232,34 +252,6 @@ func TestLimitBitIdentity(t *testing.T) {
 	}
 }
 
-// TestRunBatchMerges checks the batch path produces the same merged results
-// as item-by-item Run, with per-item errors in place.
-func TestRunBatchMerges(t *testing.T) {
-	docs := corpus(t, 3)
-	e := engineWith(t, 2, docs)
-	reqs := append(referenceQueries(), dkindex.Request{Kind: "bogus", Text: "x"})
-	batch := e.RunBatch(reqs)
-	if len(batch) != len(reqs) {
-		t.Fatalf("batch returned %d results for %d requests", len(batch), len(reqs))
-	}
-	for i, req := range reqs {
-		single, err := e.Run(req)
-		if err != nil {
-			if batch[i].Err == nil {
-				t.Errorf("item %d: batch accepted what Run rejected (%v)", i, err)
-			}
-			continue
-		}
-		if batch[i].Err != nil {
-			t.Errorf("item %d: %v", i, batch[i].Err)
-			continue
-		}
-		if !sameNodes(batch[i].Result.Nodes, single.Nodes) || batch[i].Result.Total != single.Total {
-			t.Errorf("item %d: batch result diverges from Run", i)
-		}
-	}
-}
-
 // TestCacheWarmthAcrossShards is the over-invalidation fix: cached results
 // are keyed per shard generation, so a write routed to shard A must leave
 // shard B's cache warm — only A re-evaluates.
@@ -279,21 +271,20 @@ func TestCacheWarmthAcrossShards(t *testing.T) {
 		t.Fatal("second engine run should hit every shard's cache")
 	}
 
-	gensBefore := e.Generations()
+	gen0, gen1 := e.Shard(0).Generation(), e.Shard(1).Generation()
 	// The next document routes round-robin to shard 0 (2 docs committed).
 	target := e.Map().NextShard()
 	if target != 0 {
 		t.Fatalf("expected next document on shard 0, got %d", target)
 	}
-	if _, err := e.Apply(dkindex.Mutation{Op: dkindex.MutAddDocument, Doc: docs[0], DocOptions: loadOpts()}); err != nil {
+	if err := apply(t, e, dkindex.Mutation{Op: dkindex.MutAddDocument, Doc: docs[0], DocOptions: loadOpts()}); err != nil {
 		t.Fatal(err)
 	}
-	gensAfter := e.Generations()
-	if gensAfter[0] == gensBefore[0] {
+	if e.Shard(0).Generation() == gen0 {
 		t.Error("write to shard 0 did not move its generation")
 	}
-	if gensAfter[1] != gensBefore[1] {
-		t.Errorf("write to shard 0 moved shard 1's generation %d -> %d", gensBefore[1], gensAfter[1])
+	if got := e.Shard(1).Generation(); got != gen1 {
+		t.Errorf("write to shard 0 moved shard 1's generation %d -> %d", gen1, got)
 	}
 
 	// The merged run right after the write is a partial hit: shard 0 must
@@ -307,7 +298,7 @@ func TestCacheWarmthAcrossShards(t *testing.T) {
 		t.Error("merged result claimed a full cache hit after one shard was written")
 	}
 	// ...while shard 1, untouched by the write, still answers from its cache
-	// — the over-invalidation the generation vector exists to prevent.
+	// — the over-invalidation per-shard generations exist to prevent.
 	resB, err := e.Shard(1).Run(req)
 	if err != nil {
 		t.Fatal(err)
@@ -402,18 +393,18 @@ func TestEdgeMutationRouting(t *testing.T) {
 	item0 := globalWithShard("item", 0)
 	item1 := globalWithShard("item", 1)
 
-	if _, err := e.Apply(dkindex.Mutation{Op: dkindex.MutAddEdge, From: person0, To: item0}); err != nil {
+	if err := apply(t, e, dkindex.Mutation{Op: dkindex.MutAddEdge, From: person0, To: item0}); err != nil {
 		t.Fatalf("same-shard edge: %v", err)
 	}
 	if _, err := mono.Apply(dkindex.Mutation{Op: dkindex.MutAddEdge, From: person0, To: item0}); err != nil {
 		t.Fatalf("monolith edge: %v", err)
 	}
-	if _, err := e.Apply(dkindex.Mutation{Op: dkindex.MutAddEdge, From: person0, To: item1}); !errors.Is(err, ErrCrossShard) {
+	if err := apply(t, e, dkindex.Mutation{Op: dkindex.MutAddEdge, From: person0, To: item1}); !errors.Is(err, ErrCrossShard) {
 		t.Fatalf("cross-shard edge: err=%v, want ErrCrossShard", err)
 	}
 
 	// Root edges adopt the other endpoint's shard.
-	if _, err := e.Apply(dkindex.Mutation{Op: dkindex.MutAddEdge, From: 0, To: item1}); err != nil {
+	if err := apply(t, e, dkindex.Mutation{Op: dkindex.MutAddEdge, From: 0, To: item1}); err != nil {
 		t.Fatalf("root->shard1 edge: %v", err)
 	}
 	if _, err := mono.Apply(dkindex.Mutation{Op: dkindex.MutAddEdge, From: 0, To: item1}); err != nil {
@@ -421,7 +412,7 @@ func TestEdgeMutationRouting(t *testing.T) {
 	}
 
 	// Out-of-range endpoints are rejected before reaching a shard.
-	if _, err := e.Apply(dkindex.Mutation{Op: dkindex.MutAddEdge, From: person0, To: 1 << 30}); err == nil {
+	if err := apply(t, e, dkindex.Mutation{Op: dkindex.MutAddEdge, From: person0, To: 1 << 30}); err == nil {
 		t.Error("edge to out-of-range node accepted")
 	}
 
@@ -438,7 +429,7 @@ func TestEdgeMutationRouting(t *testing.T) {
 		}
 	}
 
-	if _, err := e.Apply(dkindex.Mutation{Op: dkindex.MutRemoveEdge, From: person0, To: item0}); err != nil {
+	if err := apply(t, e, dkindex.Mutation{Op: dkindex.MutRemoveEdge, From: person0, To: item0}); err != nil {
 		t.Fatalf("remove same-shard edge: %v", err)
 	}
 	if _, err := mono.Apply(dkindex.Mutation{Op: dkindex.MutRemoveEdge, From: person0, To: item0}); err != nil {
@@ -451,111 +442,44 @@ func TestEdgeMutationRouting(t *testing.T) {
 	}
 }
 
-// TestBroadcastMutations checks summary-level operations fan to every shard:
-// promote tolerates shards that don't know the label, demote reshapes all of
-// them, and results stay bit-identical to the monolithic index under the same
-// operations.
-func TestBroadcastMutations(t *testing.T) {
-	docs := corpus(t, 3)
-	mono := monolith(t, docs)
-	e := engineWith(t, 2, docs)
-
-	if _, err := e.Apply(dkindex.Mutation{Op: dkindex.MutPromote, Label: "name", K: 3}); err != nil {
-		t.Fatalf("promote: %v", err)
-	}
-	if _, err := mono.Apply(dkindex.Mutation{Op: dkindex.MutPromote, Label: "name", K: 3}); err != nil {
-		t.Fatalf("monolith promote: %v", err)
-	}
-	if _, err := e.Apply(dkindex.Mutation{Op: dkindex.MutDemote, Reqs: map[string]int{"name": 1}}); err != nil {
-		t.Fatalf("demote: %v", err)
-	}
-	if _, err := mono.Apply(dkindex.Mutation{Op: dkindex.MutDemote, Reqs: map[string]int{"name": 1}}); err != nil {
-		t.Fatalf("monolith demote: %v", err)
-	}
-	if _, err := e.Apply(dkindex.Mutation{Op: dkindex.MutPromote, Label: "label_nobody_has", K: 2}); err == nil {
-		t.Error("promoting a label unknown to every shard succeeded")
-	}
-	// Compaction is a known op the engine declines, with the reason: it would
-	// renumber shard-local ids under the shard map.
-	gens := e.Generations()
-	if _, err := e.Apply(dkindex.Mutation{Op: dkindex.MutCompact}); err == nil ||
-		!strings.Contains(err.Error(), "compact is not supported") || !reflect.DeepEqual(e.Generations(), gens) {
-		t.Errorf("compact on the engine: err=%v, generations %v -> %v; want a named rejection and no commit", err, gens, e.Generations())
-	}
-	for _, req := range referenceQueries() {
-		want, _ := mono.Run(req)
-		got, err := e.Run(req)
-		if err != nil {
-			t.Fatalf("%q: %v", req.Text, err)
-		}
-		if !sameNodes(got.Nodes, want.Nodes) {
-			t.Errorf("%q after promote/demote: nodes diverge", req.Text)
-		}
-	}
-
-	// Optimize: record some load, then re-tune within a budget.
-	e.WatchLoad()
-	for i := 0; i < 4; i++ {
-		if _, err := e.Run(dkindex.Request{Kind: dkindex.KindPath, Text: "site.people.person.name"}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if e.ObservedQueries() == 0 {
-		t.Fatal("load recording observed nothing")
-	}
-	if _, err := e.Apply(dkindex.Mutation{Op: dkindex.MutOptimize, SizeBudget: e.Stats().IndexNodes * 2}); err != nil {
-		t.Fatalf("optimize: %v", err)
-	}
-	for _, req := range referenceQueries() {
-		want, _ := mono.Run(req)
-		got, err := e.Run(req)
-		if err != nil {
-			t.Fatalf("%q: %v", req.Text, err)
-		}
-		if !sameNodes(got.Nodes, want.Nodes) {
-			t.Errorf("%q after optimize: nodes diverge", req.Text)
-		}
-	}
-}
-
-// TestBatchSplitsAcrossShards checks ApplyBatchSharded routes a mixed batch:
-// documents round-robin, edges to their owners, broadcast members to all
-// shards, with engine sequence numbers contiguous and acks carrying the
-// owning shard and generation vector.
+// TestBatchSplitsAcrossShards checks ApplyBatch routes a mixed batch:
+// documents round-robin to their shards with global mappings, a malformed
+// document rejected without taking a map slot, and every summary-level op
+// rejected in place by name without a commit anywhere.
 func TestBatchSplitsAcrossShards(t *testing.T) {
 	docs := corpus(t, 4)
 	e, err := New(2)
 	if err != nil {
 		t.Fatal(err)
 	}
+	retired := []dkindex.Mutation{
+		{Op: dkindex.MutPromote, Label: "name", K: 2},
+		{Op: dkindex.MutDemote, Reqs: map[string]int{"name": 1}},
+		{Op: dkindex.MutSetRequirements, Reqs: map[string]int{"name": 1}},
+		{Op: dkindex.MutOptimize},
+		{Op: dkindex.MutCompact},
+	}
 	ms := []dkindex.Mutation{
 		{Op: dkindex.MutAddDocument, Doc: docs[0], DocOptions: loadOpts()},
 		{Op: dkindex.MutAddDocument, Doc: docs[1], DocOptions: loadOpts()},
-		{Op: dkindex.MutPromote, Label: "name", K: 2},
 		{Op: dkindex.MutAddDocument, Doc: docs[2], DocOptions: loadOpts()},
 		{Op: dkindex.MutAddDocument, Doc: []byte("<unclosed"), DocOptions: loadOpts()},
 	}
-	acks, err := e.ApplyBatchSharded(ms)
+	acks, err := e.ApplyBatch(ms)
 	if err != nil {
 		t.Fatal(err)
 	}
-	wantShard := []int{0, 1, -1, 0, 1}
-	for i, a := range acks {
-		if want := uint64(i + 1); a.Seq != want {
-			t.Errorf("member %d: seq %d, want %d", i, a.Seq, want)
-		}
-		if a.Shard != wantShard[i] {
-			t.Errorf("member %d: shard %d, want %d", i, a.Shard, wantShard[i])
-		}
-		if len(a.Generations) != 2 {
-			t.Errorf("member %d: generation vector %v", i, a.Generations)
-		}
-		if a.Watermark != uint64(len(ms)) {
-			t.Errorf("member %d: watermark %d, want %d", i, a.Watermark, len(ms))
-		}
-	}
-	if acks[4].Err == nil {
+	if acks[3].Err == nil {
 		t.Error("malformed document accepted")
+	}
+	// Each committed document lives on its round-robin shard.
+	for i, want := range []int{0, 1, 0} {
+		if acks[i].Err != nil || len(acks[i].Mapping) < 2 {
+			t.Fatalf("document %d: err %v, mapping of %d nodes", i, acks[i].Err, len(acks[i].Mapping))
+		}
+		if s, _, ok := e.Map().Locate(acks[i].Mapping[1]); !ok || s != want {
+			t.Errorf("document %d: first grafted node on shard %d, want %d", i, s, want)
+		}
 	}
 	// The rejected document must not occupy a map slot: the next document
 	// still goes to shard 1 (3 committed documents, round-robin).
@@ -568,9 +492,6 @@ func TestBatchSplitsAcrossShards(t *testing.T) {
 	// Mappings are global: the document root identifies with the global root,
 	// doc 0's grafted nodes start at 1, and doc 1's start right after doc 0's
 	// run — exactly the ids a monolithic index would hand out.
-	if len(acks[0].Mapping) < 2 || len(acks[1].Mapping) < 2 {
-		t.Fatal("document acks carry no mapping")
-	}
 	if acks[0].Mapping[0] != 0 {
 		t.Errorf("doc 0 maps its root to %d, want the global root 0", acks[0].Mapping[0])
 	}
@@ -580,191 +501,29 @@ func TestBatchSplitsAcrossShards(t *testing.T) {
 	if want := dkindex.NodeID(len(acks[0].Mapping)); acks[1].Mapping[1] != want {
 		t.Errorf("doc 1's first grafted node is %d, want %d", acks[1].Mapping[1], want)
 	}
-}
 
-// TestPersistenceAndRepair checks durable sharding end to end: create, fill,
-// write from several goroutines at once (every batch acknowledged), reopen
-// (routing stays stable, results identical), and the crash window —
-// a map that is one commit behind its shard store — repairs itself at open.
-func TestPersistenceAndRepair(t *testing.T) {
-	dir := t.TempDir() + "/data"
-	docs := corpus(t, 3)
-	e, err := CreateSharded(dir, 2, nil)
+	// Summary-level ops are turned away in place, beside a document that
+	// still commits, and no shard commits on their behalf.
+	gens := []uint64{e.Shard(0).Generation(), e.Shard(1).Generation()}
+	acks, err = e.ApplyBatch(retired)
 	if err != nil {
 		t.Fatal(err)
 	}
-	maps := make([][]dkindex.NodeID, len(docs))
-	for i, doc := range docs {
-		ack, err := e.Apply(dkindex.Mutation{Op: dkindex.MutAddDocument, Doc: doc, DocOptions: loadOpts()})
-		if err != nil {
-			t.Fatalf("document %d: %v", i, err)
-		}
-		maps[i] = ack.Mapping
-	}
-	req := dkindex.Request{Kind: dkindex.KindPath, Text: "site.people.person.name"}
-	before, err := e.Run(req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Concurrent writers on the durable engine: each batch carries one edge
-	// per document, so it splits across both shards and their WAL commits
-	// run side by side. Every member must be acknowledged; each writer adds
-	// and then removes an edge of its own (a document's root element to one
-	// of its last nodes), so the state every check below compares against is
-	// unchanged.
-	var wg sync.WaitGroup
-	for w := 0; w < 4; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			for round := 0; round < 6; round++ {
-				batch := make([]dkindex.Mutation, len(maps))
-				for d, m := range maps {
-					batch[d] = dkindex.Mutation{Op: dkindex.MutAddEdge, From: m[1], To: m[len(m)-1-w]}
-					if round%2 == 1 {
-						batch[d].Op = dkindex.MutRemoveEdge
-					}
-				}
-				acks, err := e.ApplyBatch(batch)
-				if err != nil {
-					t.Errorf("writer %d round %d: %v", w, round, err)
-					return
-				}
-				for d, a := range acks {
-					if a.Err != nil {
-						t.Errorf("writer %d round %d document %d: %v", w, round, d, a.Err)
-					}
-				}
-			}
-		}(w)
-	}
-	wg.Wait()
-	if after, err := e.Run(req); err != nil || !sameNodes(after.Nodes, before.Nodes) {
-		t.Fatalf("paired edge batches changed the answer (err %v)", err)
-	}
-	beforeDocs := e.Map().NumDocs()
-	if err := e.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	e2, reports, err := OpenSharded(dir, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(reports) != 2 {
-		t.Fatalf("got %d recovery reports, want 2", len(reports))
-	}
-	if got := e2.Map().NumDocs(); got != beforeDocs {
-		t.Fatalf("reopened map has %d documents, want %d", got, beforeDocs)
-	}
-	after, err := e2.Run(req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !sameNodes(after.Nodes, before.Nodes) || after.Total != before.Total {
-		t.Fatal("results changed across restart")
-	}
-	// Routing stability: the next document continues the recorded round-robin.
-	if got, want := e2.Map().NextShard(), beforeDocs%2; got != want {
-		t.Errorf("next shard after reopen %d, want %d", got, want)
-	}
-	mono := monolith(t, docs)
-	for _, r := range referenceQueries() {
-		want, _ := mono.Run(r)
-		got, err := e2.Run(r)
-		if err != nil {
-			t.Fatalf("%q: %v", r.Text, err)
-		}
-		if !sameNodes(got.Nodes, want.Nodes) {
-			t.Errorf("%q diverges after reopen", r.Text)
+	for i, m := range retired {
+		if err := acks[i].Err; err == nil || !strings.Contains(err.Error(), string(m.Op)+" is not supported") {
+			t.Errorf("%s on the engine: err=%v, want a rejection naming the op", m.Op, err)
 		}
 	}
-	if err := e2.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	// Crash window: rewind the map by one document (the store keeps the
-	// commit; the map write was lost). Open must repair, not refuse.
-	m, err := loadMap(optFS(nil), dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	stale, err := newMap(m.NumShards(), m.docs[:len(m.docs)-1])
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := stale.save(optFS(nil), dir); err != nil {
-		t.Fatal(err)
-	}
-	e3, _, err := OpenSharded(dir, nil)
-	if err != nil {
-		t.Fatalf("open after losing one map update: %v", err)
-	}
-	if got := e3.Map().NumDocs(); got != beforeDocs {
-		t.Fatalf("repaired map has %d documents, want %d", got, beforeDocs)
-	}
-	repaired, err := e3.Run(req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !sameNodes(repaired.Nodes, before.Nodes) || repaired.Total != before.Total {
-		t.Fatal("results changed after map repair")
-	}
-	if err := e3.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	// A shard with FEWER nodes than mapped is tampering, not a crash window:
-	// open must refuse.
-	grown, err := loadMap(optFS(nil), dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	bogus, err := grown.append(docRec{Shard: 0, Nodes: 17})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := bogus.save(optFS(nil), dir); err != nil {
-		t.Fatal(err)
-	}
-	if _, _, err := OpenSharded(dir, nil); err == nil {
-		t.Fatal("open accepted a map claiming more nodes than the stores hold")
+	if got := []uint64{e.Shard(0).Generation(), e.Shard(1).Generation()}; !reflect.DeepEqual(got, gens) {
+		t.Errorf("rejected ops moved shard generations %v -> %v", gens, got)
 	}
 }
 
-// TestObserverWiring smoke-checks the dk_shard_* surface: shard count gauge,
-// fan-out observations on reads, per-shard commit counters on writes.
-func TestObserverWiring(t *testing.T) {
-	docs := corpus(t, 2)
-	e := engineWith(t, 2, docs)
-	o := obs.NewObserver()
-	e.Observe(o)
-	if _, err := e.Run(dkindex.Request{Kind: dkindex.KindPath, Text: "item.name"}); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := e.Apply(dkindex.Mutation{Op: dkindex.MutAddDocument, Doc: docs[0], DocOptions: loadOpts()}); err != nil {
-		t.Fatal(err)
-	}
-	var buf bytes.Buffer
-	if err := o.Registry.WritePrometheus(&buf); err != nil {
-		t.Fatal(err)
-	}
-	text := buf.String()
-	for _, want := range []string{
-		obs.MetricShards, obs.MetricShardRequests, obs.MetricShardFanoutSeconds,
-		obs.MetricShardMergeSeconds, obs.MetricShardSkewSeconds,
-		obs.MetricShardCommits, obs.MetricShardGeneration,
-	} {
-		if !bytes.Contains(buf.Bytes(), []byte(want)) {
-			t.Errorf("metric %s missing from exposition:\n%s", want, text[:min(len(text), 400)])
-		}
-	}
-}
-
-// TestShardConcurrentReadersWriters is the -race stress: concurrent Run and
-// RunBatch readers race per-shard commits (documents, edges, promotions)
-// through the engine, checking merged results are always internally
-// consistent (sorted, duplicate-free) and never error.
+// TestShardConcurrentReadersWriters is the -race stress: concurrent merged
+// Run readers race per-shard commits (documents, edge batches split across
+// every shard, and batches mixing both) through the engine, checking merged
+// results are always internally consistent (sorted, duplicate-free) and
+// never error.
 func TestShardConcurrentReadersWriters(t *testing.T) {
 	if testing.Short() {
 		t.Skip("stress test")
@@ -773,6 +532,27 @@ func TestShardConcurrentReadersWriters(t *testing.T) {
 	e := engineWith(t, 4, docs)
 	stop := make(chan struct{})
 	var wg sync.WaitGroup
+
+	// One intra-document edge per shard: its first document's first two
+	// grafted nodes. The writer adds the four edges in one batch and removes
+	// them in the next (flip turns the parked removal into the first add).
+	m := e.Map()
+	edges := make([]dkindex.Mutation, m.NumShards())
+	for s := range edges {
+		from, _ := m.ToGlobal(s, 1)
+		to, _ := m.ToGlobal(s, 2)
+		edges[s] = dkindex.Mutation{Op: dkindex.MutRemoveEdge, From: from, To: to}
+	}
+	flip := func() []dkindex.Mutation {
+		for s := range edges {
+			if edges[s].Op == dkindex.MutAddEdge {
+				edges[s].Op = dkindex.MutRemoveEdge
+			} else {
+				edges[s].Op = dkindex.MutAddEdge
+			}
+		}
+		return edges
+	}
 
 	reqs := referenceQueries()
 	for r := 0; r < 4; r++ {
@@ -788,15 +568,6 @@ func TestShardConcurrentReadersWriters(t *testing.T) {
 				}
 				req := reqs[rng.Intn(len(reqs))]
 				req.Limit = rng.Intn(5) - 1
-				if rng.Intn(4) == 0 {
-					for _, br := range e.RunBatch([]dkindex.Request{req, req}) {
-						if br.Err != nil {
-							t.Errorf("reader %d batch: %v", r, br.Err)
-							return
-						}
-					}
-					continue
-				}
 				res, err := e.Run(req)
 				if err != nil {
 					t.Errorf("reader %d: %v", r, err)
@@ -815,36 +586,37 @@ func TestShardConcurrentReadersWriters(t *testing.T) {
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
+		defer close(stop)
 		rng := rand.New(rand.NewSource(99))
 		deadline := time.Now().Add(800 * time.Millisecond)
 		for time.Now().Before(deadline) {
+			doc := dkindex.Mutation{Op: dkindex.MutAddDocument, Doc: docs[rng.Intn(len(docs))], DocOptions: loadOpts()}
+			var batch []dkindex.Mutation
 			switch rng.Intn(3) {
 			case 0:
-				if _, err := e.Apply(dkindex.Mutation{Op: dkindex.MutAddDocument, Doc: docs[rng.Intn(len(docs))], DocOptions: loadOpts()}); err != nil {
-					t.Errorf("writer: add document: %v", err)
-					return
-				}
+				batch = []dkindex.Mutation{doc}
 			case 1:
-				if _, err := e.Apply(dkindex.Mutation{Op: dkindex.MutPromote, Label: "name", K: 2 + rng.Intn(2)}); err != nil {
-					t.Errorf("writer: promote: %v", err)
-					return
-				}
+				batch = flip()
 			case 2:
-				if _, err := e.ApplyBatchSharded([]dkindex.Mutation{
-					{Op: dkindex.MutAddDocument, Doc: docs[rng.Intn(len(docs))], DocOptions: loadOpts()},
-					{Op: dkindex.MutDemote, Reqs: map[string]int{"name": 1}},
-				}); err != nil {
-					t.Errorf("writer: batch: %v", err)
+				batch = append([]dkindex.Mutation{doc}, flip()...)
+			}
+			acks, err := e.ApplyBatch(batch)
+			if err != nil {
+				t.Errorf("writer: %v", err)
+				return
+			}
+			for i, a := range acks {
+				if a.Err != nil {
+					t.Errorf("writer: %s member %d: %v", batch[i].Op, i, a.Err)
 					return
 				}
 			}
 		}
-		close(stop)
 	}()
 	wg.Wait()
 
-	// Settled state must still be exact vs the engine's own single-shard twin.
-	if e.Map().NumNodes() != e.Stats().DataNodes {
-		t.Errorf("map nodes %d != engine data nodes %d", e.Map().NumNodes(), e.Stats().DataNodes)
+	// Settled state: the map accounts for every node the shards hold.
+	if got, want := e.Map().NumNodes(), dataNodes(e); got != want {
+		t.Errorf("map nodes %d != engine data nodes %d", got, want)
 	}
 }

@@ -186,11 +186,6 @@ func (x *Index) RunBatch(reqs []Request) []BatchResult {
 // index; each mutation increments it).
 func (x *Index) Generation() uint64 { return x.handle.Load().gen }
 
-// Generations returns the snapshot generation as a one-element vector. It
-// exists so a single index and the sharded engine (internal/shard), whose
-// vector has one element per shard, satisfy the same serving interface.
-func (x *Index) Generations() []uint64 { return []uint64{x.Generation()} }
-
 // CompositeResult assembles a Result for engines that layer several indexes —
 // internal/shard's scatter-gather router merges per-shard results into one.
 // nodes must already be merged, sorted and truncated to the request's limit;
