@@ -154,13 +154,15 @@ profile-read:
 
 # size prints the three numbers a PR serving ROADMAP aim 2 reports, so every
 # such PR measures the same thing: non-test Go lines, test lines and package
-# count, all outside benchmark/ (a module of its own) and .bench_build/.
+# count, all outside benchmark/ (a module of its own) and .bench_build/; and
+# the non-test lines of internal/obs, which ROADMAP item 5 budgets.
 GO_FILES = find . -name '*.go' -not -path './benchmark/*' -not -path './.bench_build/*'
 
 size:
 	@echo "non-test Go lines: $$($(GO_FILES) -not -name '*_test.go' -print0 | xargs -0 cat | wc -l)"
 	@echo "test Go lines:     $$($(GO_FILES) -name '*_test.go' -print0 | xargs -0 cat | wc -l)"
 	@echo "packages:          $$($(GO) list ./... | wc -l)"
+	@echo "internal/obs non-test lines: $$(find internal/obs -name '*.go' -not -name '*_test.go' -print0 | xargs -0 cat | wc -l)"
 
 # clean removes what building, profiling and benchmarking leave behind, all of
 # it untracked; the recorded BENCH_BASELINE.json is part of the repository.

@@ -670,7 +670,7 @@ func BenchmarkQueryThroughput(b *testing.B) {
 func BenchmarkQueryThroughputInstrumented(b *testing.B) {
 	ds := benchXMark(b)
 	dk := core.Build(ds.G, ds.W.Requirements())
-	o := obs.NewObserverWith(obs.NewRegistry(), obs.NewStream(256), obs.NewTracer(64, 32))
+	o := obs.NewObserver()
 	rpes := []*rpe.Compiled{
 		rpe.CompileExpr(rpe.MustParse("open_auction.itemref//name"), ds.G.Labels()),
 		rpe.CompileExpr(rpe.MustParse("person.name|item.name"), ds.G.Labels()),
@@ -714,7 +714,7 @@ func BenchmarkQueryThroughputInstrumented(b *testing.B) {
 				DataNodesValidated: cost.DataNodesValidated,
 				Validations:        cost.Validations,
 			}, len(res))
-			o.FinishTrace(tr)
+			o.Tracer.Finish(tr)
 			i++
 		}
 	})

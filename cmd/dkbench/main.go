@@ -253,7 +253,11 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 	// machine-readable record of what ran and how long it took alongside the
 	// rendered tables.
 	reg := obs.NewRegistry()
-	expSeconds := obs.ExpBuckets(0.1, 2, 14)
+	byID := obs.Key{Name: "id"}
+	runs := &obs.Family{Name: "dkbench_experiments_total", Type: obs.CounterType,
+		Help: "Experiments executed, by id.", Keys: []obs.Key{byID}}
+	seconds := &obs.Family{Name: "dkbench_experiment_seconds", Type: obs.HistogramType,
+		Help: "Wall time per experiment run.", Bounds: obs.ExpBuckets(0.1, 2, 14), Keys: []obs.Key{byID}}
 	ran := false
 	for _, x := range experimentTable {
 		if *exp != x.id && !(*exp == "all" && x.inAll) {
@@ -263,10 +267,8 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 		start := time.Now()
 		x.run(e)
 		elapsed := time.Since(start)
-		reg.Counter("dkbench_experiments_total", "Experiments executed, by id.",
-			obs.L("id", x.id)).Inc()
-		reg.Histogram("dkbench_experiment_seconds", "Wall time per experiment run.",
-			expSeconds, obs.L("id", x.id)).Observe(elapsed.Seconds())
+		runs.Counter(reg, x.id).Inc()
+		seconds.Histogram(reg, x.id).Observe(elapsed.Seconds())
 		fmt.Fprintf(stdout, "[%s completed in %.1fs]\n\n", x.id, elapsed.Seconds())
 	}
 	if !ran {

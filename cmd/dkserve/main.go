@@ -157,11 +157,25 @@ func setup(args []string, stdout, stderr io.Writer) (*config, int) {
 		return nil, 2
 	}
 	logger := slog.New(slog.NewTextHandler(stderr, nil))
-	observer := obs.NewObserverWith(obs.NewRegistry(), obs.NewStream(256), obs.NewTracer(*traceSample, 32))
-
-	// Replica mode: bootstrap from the primary's replication feed instead of
-	// any local source, serve read-only, and gate readiness on the lag bound.
+	observer := obs.NewObserver()
+	observer.Tracer = obs.NewTracer(*traceSample, 32)
+	cfg := &config{
+		addr:              *addr,
+		logger:            logger,
+		observer:          observer,
+		ckptEvery:         *ckptEvery,
+		readHeaderTimeout: *readHdrTO,
+		idleTimeout:       *idleTO,
+		rtEvery:           *rtEvery,
+	}
+	var (
+		idx     *dkindex.Index
+		primary string // the primary's base URL, in replica mode
+	)
 	if *replFrom != "" {
+		// Replica mode: bootstrap from the primary's replication feed instead
+		// of any local source, serve read-only, and gate readiness on the lag
+		// bound.
 		if *dataDir != "" {
 			fmt.Fprintln(stderr, "dkserve: -replicate-from and -data-dir are mutually exclusive (a replica follows the primary's durability)")
 			return nil, 2
@@ -169,177 +183,146 @@ func setup(args []string, stdout, stderr io.Writer) (*config, int) {
 		if *in != "" || *load != "" {
 			logger.Warn("replica bootstraps from the primary; -in/-index ignored")
 		}
-		primary := strings.TrimRight(*replFrom, "/")
-		rep := replica.New(replica.Config{
+		primary = strings.TrimRight(*replFrom, "/")
+		cfg.repl = replica.New(replica.Config{
 			Primary:  primary,
 			Observer: observer,
 			MaxLag:   *maxLag,
 		})
 		bctx, cancel := context.WithTimeout(context.Background(), *bootTO)
-		err := rep.Bootstrap(bctx)
+		err := cfg.repl.Bootstrap(bctx)
 		cancel()
 		if err != nil {
 			fmt.Fprintf(stderr, "dkserve: bootstrap from %s: %v\n", primary, err)
 			return nil, 1
 		}
-		idx := rep.Index()
-		if *cacheSize != dkindex.DefaultResultCacheSize {
-			idx.SetResultCache(*cacheSize)
-		}
-		srv := server.New(idx)
-		if *pprofOn {
-			srv.EnablePprof()
-		}
-		srv.SetMaxInFlight(*maxInflight)
-		srv.SetReplicaMode(primary, rep.Status)
-		cfg := &config{
-			addr:              *addr,
-			logger:            logger,
-			observer:          observer,
-			repl:              rep,
-			readHeaderTimeout: *readHdrTO,
-			idleTimeout:       *idleTO,
-			rtEvery:           *rtEvery,
-		}
-		srv.SetReadyCheck(func() error {
-			if !cfg.ready.Load() {
-				return fmt.Errorf("not serving (starting up or draining)")
+		idx = cfg.repl.Index()
+	} else {
+		// A directory an earlier, sharded dkserve wrote keeps its documents under
+		// shard-NNN/ beside its shard map, where no store is found: serving it
+		// would start a fresh, empty store next to them.
+		if *dataDir != "" {
+			if _, err := os.Stat(filepath.Join(*dataDir, "shardmap.json")); err == nil {
+				fmt.Fprintf(stderr, "dkserve: %s holds a sharded store (shardmap.json); sharded directories are no longer served\n", *dataDir)
+				return nil, 2
 			}
-			return rep.Ready()
-		})
-		cfg.handler = logRequests(srv, logger)
-		cfg.ready.Store(true)
-		s := idx.Stats()
-		fmt.Fprintf(stdout, "dkserve: replica of %s, %d data nodes, index %d nodes (max k=%d), listening on %s\n",
-			primary, s.DataNodes, s.IndexNodes, s.MaxK, *addr)
-		return cfg, 0
-	}
+		}
 
-	// A directory an earlier, sharded dkserve wrote keeps its documents under
-	// shard-NNN/ beside its shard map, where no store is found: serving it
-	// would start a fresh, empty store next to them.
-	if *dataDir != "" {
-		if _, err := os.Stat(filepath.Join(*dataDir, "shardmap.json")); err == nil {
-			fmt.Fprintf(stderr, "dkserve: %s holds a sharded store (shardmap.json); sharded directories are no longer served\n", *dataDir)
+		var (
+			rep *dkindex.LoadReport
+			err error
+		)
+		haveStore := *dataDir != "" && dkindex.StoreExists(nil, *dataDir)
+		switch {
+		case haveStore:
+			// The durable state wins over -in/-index: recovery replays the
+			// newest checkpoint plus its write-ahead log chain.
+			if *in != "" || *load != "" {
+				logger.Warn("existing store takes precedence; -in/-index ignored", "dataDir", *dataDir)
+			}
+			var rec *dkindex.RecoveryReport
+			cfg.store, rec, err = dkindex.OpenStore(*dataDir, &dkindex.StoreOptions{Observer: observer})
+			if err == nil {
+				idx = cfg.store.Index()
+				logger.Info("store recovered",
+					"checkpoint", rec.Checkpoint,
+					"epoch", rec.Epoch,
+					"replayed", rec.Replayed,
+					"truncatedTail", rec.TruncatedTail,
+					"chainBroken", rec.ChainBroken,
+					"corruptCheckpoints", strings.Join(rec.CorruptCheckpoints, ","))
+			}
+		case *load != "":
+			idx, err = dkindex.OpenFile(*load)
+		case *in != "":
+			var f *os.File
+			if f, err = os.Open(*in); err == nil {
+				idx, rep, err = dkindex.LoadXMLWithReport(f, nil)
+				f.Close()
+			}
+		default:
+			fmt.Fprintln(stderr, "dkserve: one of -in or -index is required")
 			return nil, 2
 		}
+		if err != nil {
+			fmt.Fprintf(stderr, "dkserve: %v\n", err)
+			return nil, 1
+		}
+		idx.Observe(observer)
+		if rep != nil && len(rep.DanglingRefs) > 0 {
+			observer.Counter(obs.DanglingRefs).Add(uint64(len(rep.DanglingRefs)))
+			logger.Warn("document has dangling IDREF references",
+				"count", len(rep.DanglingRefs),
+				"refs", strings.Join(firstN(rep.DanglingRefs, 5), ","))
+		}
+		// Tuning applies only to fresh indexes: a recovered store's requirements
+		// are part of its durable state and re-tuning every restart would drift.
+		if haveStore {
+			if *tune > 0 || *req != "" {
+				logger.Warn("store carries its own tuned requirements; -tune/-req ignored")
+			}
+		} else if *tune > 0 {
+			if err := idx.Tune(*tune, *seed); err != nil {
+				fmt.Fprintf(stderr, "dkserve: %v\n", err)
+				return nil, 1
+			}
+		} else if *req != "" {
+			reqs, err := dkindex.ParseRequirements(*req)
+			if err != nil {
+				fmt.Fprintf(stderr, "dkserve: %v\n", err)
+				return nil, 1
+			}
+			if _, err := idx.Apply(dkindex.Mutation{Op: dkindex.MutSetRequirements, Reqs: reqs}); err != nil {
+				fmt.Fprintf(stderr, "dkserve: %v\n", err)
+				return nil, 1
+			}
+		}
+		// A fresh store is created only after tuning so checkpoint 0 already
+		// carries the requirements and the log starts empty.
+		if *dataDir != "" && cfg.store == nil {
+			cfg.store, err = dkindex.CreateStore(*dataDir, idx, &dkindex.StoreOptions{Observer: observer})
+			if err != nil {
+				fmt.Fprintf(stderr, "dkserve: %v\n", err)
+				return nil, 1
+			}
+			logger.Info("store created", "dataDir", *dataDir)
+		}
 	}
 
-	var (
-		idx   *dkindex.Index
-		store *dkindex.Store
-		rep   *dkindex.LoadReport
-		err   error
-	)
-	haveStore := *dataDir != "" && dkindex.StoreExists(nil, *dataDir)
-	switch {
-	case haveStore:
-		// The durable state wins over -in/-index: recovery replays the
-		// newest checkpoint plus its write-ahead log chain.
-		if *in != "" || *load != "" {
-			logger.Warn("existing store takes precedence; -in/-index ignored", "dataDir", *dataDir)
-		}
-		var rec *dkindex.RecoveryReport
-		store, rec, err = dkindex.OpenStore(*dataDir, &dkindex.StoreOptions{Observer: observer})
-		if err == nil {
-			idx = store.Index()
-			logger.Info("store recovered",
-				"checkpoint", rec.Checkpoint,
-				"epoch", rec.Epoch,
-				"replayed", rec.Replayed,
-				"truncatedTail", rec.TruncatedTail,
-				"chainBroken", rec.ChainBroken,
-				"corruptCheckpoints", strings.Join(rec.CorruptCheckpoints, ","))
-		}
-	case *load != "":
-		idx, err = dkindex.OpenFile(*load)
-	case *in != "":
-		var f *os.File
-		if f, err = os.Open(*in); err == nil {
-			idx, rep, err = dkindex.LoadXMLWithReport(f, nil)
-			f.Close()
-		}
-	default:
-		fmt.Fprintln(stderr, "dkserve: one of -in or -index is required")
-		return nil, 2
-	}
-	if err != nil {
-		fmt.Fprintf(stderr, "dkserve: %v\n", err)
-		return nil, 1
-	}
-	idx.Observe(observer)
 	if *cacheSize != dkindex.DefaultResultCacheSize {
 		idx.SetResultCache(*cacheSize)
-	}
-	if rep != nil && len(rep.DanglingRefs) > 0 {
-		observer.AddDanglingRefs(len(rep.DanglingRefs))
-		logger.Warn("document has dangling IDREF references",
-			"count", len(rep.DanglingRefs),
-			"refs", strings.Join(firstN(rep.DanglingRefs, 5), ","))
-	}
-	// Tuning applies only to fresh indexes: a recovered store's requirements
-	// are part of its durable state and re-tuning every restart would drift.
-	if haveStore {
-		if *tune > 0 || *req != "" {
-			logger.Warn("store carries its own tuned requirements; -tune/-req ignored")
-		}
-	} else if *tune > 0 {
-		if err := idx.Tune(*tune, *seed); err != nil {
-			fmt.Fprintf(stderr, "dkserve: %v\n", err)
-			return nil, 1
-		}
-	} else if *req != "" {
-		reqs, err := dkindex.ParseRequirements(*req)
-		if err != nil {
-			fmt.Fprintf(stderr, "dkserve: %v\n", err)
-			return nil, 1
-		}
-		if _, err := idx.Apply(dkindex.Mutation{Op: dkindex.MutSetRequirements, Reqs: reqs}); err != nil {
-			fmt.Fprintf(stderr, "dkserve: %v\n", err)
-			return nil, 1
-		}
-	}
-	// A fresh store is created only after tuning so checkpoint 0 already
-	// carries the requirements and the log starts empty.
-	if *dataDir != "" && store == nil {
-		store, err = dkindex.CreateStore(*dataDir, idx, &dkindex.StoreOptions{Observer: observer})
-		if err != nil {
-			fmt.Fprintf(stderr, "dkserve: %v\n", err)
-			return nil, 1
-		}
-		logger.Info("store created", "dataDir", *dataDir)
 	}
 	srv := server.New(idx)
 	if *pprofOn {
 		srv.EnablePprof()
 	}
 	srv.SetMaxInFlight(*maxInflight)
-	if store != nil {
+	switch {
+	case cfg.repl != nil:
+		srv.SetReplicaMode(primary, cfg.repl.Status)
+	case cfg.store != nil:
 		// A durable primary serves the replication feed: replicas bootstrap
 		// from /v1/repl/checkpoint and tail /v1/repl/wal.
-		srv.SetReplSource(store)
-	}
-	cfg := &config{
-		addr:              *addr,
-		logger:            logger,
-		observer:          observer,
-		store:             store,
-		ckptEvery:         *ckptEvery,
-		readHeaderTimeout: *readHdrTO,
-		idleTimeout:       *idleTO,
-		rtEvery:           *rtEvery,
+		srv.SetReplSource(cfg.store)
 	}
 	srv.SetReadyCheck(func() error {
 		if !cfg.ready.Load() {
 			return fmt.Errorf("not serving (starting up or draining)")
 		}
+		if cfg.repl != nil {
+			return cfg.repl.Ready()
+		}
 		return nil
 	})
 	cfg.handler = logRequests(srv, logger)
 	cfg.ready.Store(true)
+	banner := ""
+	if cfg.repl != nil {
+		banner = "replica of " + primary + ", "
+	}
 	s := idx.Stats()
-	fmt.Fprintf(stdout, "dkserve: %d data nodes, index %d nodes (max k=%d), listening on %s\n",
-		s.DataNodes, s.IndexNodes, s.MaxK, *addr)
+	fmt.Fprintf(stdout, "dkserve: %s%d data nodes, index %d nodes (max k=%d), listening on %s\n",
+		banner, s.DataNodes, s.IndexNodes, s.MaxK, *addr)
 	return cfg, 0
 }
 
@@ -539,7 +522,7 @@ func flushFinalMetrics(cfg *config) {
 	}
 	cfg.logger.Info("final metrics snapshot",
 		"events", cfg.observer.Events.LastSeq(),
-		"traces", cfg.observer.Tracer.Sampled(),
+		"traces", cfg.observer.Counter(obs.TracesSampled).Value(),
 		"metrics", sb.String())
 }
 

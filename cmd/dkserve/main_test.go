@@ -334,7 +334,7 @@ func ckptTestConfig(st *dkindex.Store, maxFailures int, errb *syncBuffer) *confi
 		ckptEvery: 2 * time.Millisecond,
 		ckptRetry: ckptRetryPolicy{floor: time.Millisecond, cap: 4 * time.Millisecond, maxFailures: maxFailures},
 		logger:    slog.New(slog.NewTextHandler(errb, nil)),
-		observer:  obs.NewObserverWith(obs.NewRegistry(), obs.NewStream(64), obs.NewTracer(0, 8)),
+		observer:  obs.NewObserver(),
 	}
 }
 

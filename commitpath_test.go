@@ -138,7 +138,7 @@ func TestCompactionAndAutoPromotionAreSequenced(t *testing.T) {
 				}
 				f()
 			}
-			commits := o.Registry.Counter(obs.MetricBatchCommits, "")
+			commits := o.Counter(obs.BatchCommits)
 			// step runs one state change and requires it to be exactly one
 			// sequenced commit that emitted the named event.
 			step := func(what string, ev obs.EventType, change func()) {
@@ -151,7 +151,7 @@ func TestCompactionAndAutoPromotionAreSequenced(t *testing.T) {
 						what, seq, idx.LastSeq(), idx.Watermark(), seq+1)
 				}
 				if got := commits.Value(); got != c+1 {
-					t.Errorf("%s: %s %d -> %d, want +1", what, obs.MetricBatchCommits, c, got)
+					t.Errorf("%s: %s %d -> %d, want +1", what, obs.BatchCommits.Name, c, got)
 				}
 				if got := eventTypes(o.Events.Recent(0))[ev]; got != n+1 {
 					t.Errorf("%s: %d %s events, want %d", what, got, ev, n+1)

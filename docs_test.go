@@ -14,9 +14,11 @@ import (
 // DESIGN.md, EXPERIMENTS.md, the verify skill and the comments of the root
 // package's .go files may name a `make <target>` only if the Makefile's
 // .PHONY line lists it, a BENCH_* file only if it is in the repository, a
-// `dkbench -exp <id>` only if cmd/dkbench's experiment table has it, and a
-// flag on a dkserve command line only if cmd/dkserve declares it with
-// fs.<Type>("name", …). CHANGES.md and ROADMAP.md are history and exempt.
+// `dkbench -exp <id>` only if cmd/dkbench's experiment table has it, a flag
+// on a dkserve command line only if cmd/dkserve declares it with
+// fs.<Type>("name", …), and a full dk_* metric name in a code span only if it
+// is a row of the metric table in internal/obs (wildcards such as dk_repl_*
+// name no family). CHANGES.md and ROADMAP.md are history and exempt.
 func TestDocsNameOnlyWhatExists(t *testing.T) {
 	read := func(path string) string {
 		data, err := os.ReadFile(path)
@@ -58,9 +60,20 @@ func TestDocsNameOnlyWhatExists(t *testing.T) {
 	// Flags: fs.Int("name", …) or fs.IntVar(&v, "name", …).
 	declared := `\bfs\.[A-Z][A-Za-z0-9]*\((?:&[\w.]+,\s*)?"([a-z][a-z0-9-]*)"`
 	serveFlags := submatches(declared, read("cmd/dkserve/main.go"))
-	if len(targets) == 0 || len(ids) < 2 || len(files) == 0 || len(serveFlags) < 10 {
-		t.Fatalf("nothing to check against: %d make targets, %d experiment ids, %d BENCH_ files, %d dkserve flags",
-			len(targets), len(ids), len(files), len(serveFlags))
+	// The table's rows open with their type and name: row(CounterType,
+	// "dk_queries_total", …. A histogram's series add _bucket, _sum, _count.
+	families := map[string]bool{}
+	for _, m := range regexp.MustCompile(`\brow\((\w+)Type, "(dk_[a-z0-9_]+)"`).FindAllStringSubmatch(read("internal/obs/table.go"), -1) {
+		families[m[2]] = true
+		if m[1] == "Histogram" {
+			for _, suffix := range []string{"_bucket", "_sum", "_count"} {
+				families[m[2]+suffix] = true
+			}
+		}
+	}
+	if len(targets) == 0 || len(ids) < 2 || len(files) == 0 || len(serveFlags) < 10 || len(families) < 50 {
+		t.Fatalf("nothing to check against: %d make targets, %d experiment ids, %d BENCH_ files, %d dkserve flags, %d metric families",
+			len(targets), len(ids), len(files), len(serveFlags), len(families))
 	}
 	// A dkserve command line runs to the end of its code span or line, and on
 	// past a trailing backslash.
@@ -70,6 +83,18 @@ func TestDocsNameOnlyWhatExists(t *testing.T) {
 		for _, m := range serveLine.FindAllStringSubmatch(text, -1) {
 			for flag := range submatches(`(?:^|\s)-([a-z][a-z0-9-]*)`, m[1]) {
 				set[flag] = true
+			}
+		}
+		return set
+	}
+
+	// A metric name is full when it ends in a letter or digit and no * follows;
+	// a fenced code block counts as a code span.
+	metricNames := func(text string) map[string]bool {
+		set := map[string]bool{}
+		for _, span := range regexp.MustCompile("`[^`]*`").FindAllString(text, -1) {
+			for name := range submatches(`\b(dk_[a-z0-9_]*[a-z0-9])(?:[^a-z0-9_*]|$)`, span) {
+				set[name] = true
 			}
 		}
 		return set
@@ -86,6 +111,7 @@ func TestDocsNameOnlyWhatExists(t *testing.T) {
 		{"dkbench experiment", finder(`-exp\s+([a-z][a-z0-9-]*)`), ids},
 		{"recorded file", finder(`\b(BENCH_[A-Za-z0-9_]+(?:\.[a-z]+)?)`), files},
 		{"dkserve flag", serveArgs, serveFlags},
+		{"metric family", metricNames, families},
 	}
 	texts := map[string]string{}
 	for _, doc := range []string{"README.md", "DESIGN.md", "EXPERIMENTS.md", ".claude/skills/verify/SKILL.md"} {

@@ -182,7 +182,7 @@ func TestCacheHitKeepsTheSideEffectsOfAParse(t *testing.T) {
 			}
 			return v
 		}
-		return sum(obs.MetricCacheHits), sum(obs.MetricCacheMisses), sum(obs.MetricQueryErrors)
+		return sum(obs.CacheHits.Name), sum(obs.CacheMisses.Name), sum(obs.QueryErrors.Name)
 	}
 	// A label may hold any byte but a dot, the key separator included.
 	if _, err := idx.Run(Request{Text: "a\x00b"}); err != nil {

@@ -87,18 +87,13 @@ type Event struct {
 // Since.
 type Stream struct {
 	mu      sync.Mutex
-	buf     []Event // ring, buf[(start+i)%cap] for i < size
-	start   int
-	size    int
+	ring    ring[Event]
 	nextSeq uint64
 }
 
 // NewStream returns a stream retaining the last capacity events (minimum 1).
 func NewStream(capacity int) *Stream {
-	if capacity < 1 {
-		capacity = 1
-	}
-	return &Stream{buf: make([]Event, capacity)}
+	return &Stream{ring: newRing[Event](capacity)}
 }
 
 // Publish assigns the event its sequence number (and timestamp, if unset) and
@@ -110,13 +105,7 @@ func (s *Stream) Publish(e Event) Event {
 	if e.Time.IsZero() {
 		e.Time = time.Now()
 	}
-	if s.size < len(s.buf) {
-		s.buf[(s.start+s.size)%len(s.buf)] = e
-		s.size++
-	} else {
-		s.buf[s.start] = e
-		s.start = (s.start + 1) % len(s.buf)
-	}
+	s.ring.push(e)
 	s.mu.Unlock()
 	return e
 }
@@ -126,14 +115,7 @@ func (s *Stream) Publish(e Event) Event {
 func (s *Stream) Recent(n int) []Event {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if n <= 0 || n > s.size {
-		n = s.size
-	}
-	out := make([]Event, n)
-	for i := 0; i < n; i++ {
-		out[i] = s.buf[(s.start+s.size-n+i)%len(s.buf)]
-	}
-	return out
+	return s.ring.last(n)
 }
 
 // Since returns up to max retained events with Seq > seq, oldest first
@@ -142,25 +124,15 @@ func (s *Stream) Recent(n int) []Event {
 func (s *Stream) Since(seq uint64, max int) []Event {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	var out []Event
-	for i := 0; i < s.size; i++ {
-		e := s.buf[(s.start+i)%len(s.buf)]
-		if e.Seq <= seq {
-			continue
-		}
-		out = append(out, e)
-		if max > 0 && len(out) == max {
-			break
-		}
+	if seq >= s.nextSeq {
+		return nil
+	}
+	// Retained events carry consecutive sequence numbers ending at nextSeq.
+	out := s.ring.last(int(min(s.nextSeq-seq, uint64(s.ring.size))))
+	if max > 0 && len(out) > max {
+		out = out[:max]
 	}
 	return out
-}
-
-// Len returns the number of retained events.
-func (s *Stream) Len() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.size
 }
 
 // LastSeq returns the sequence number of the most recently published event.
@@ -168,4 +140,33 @@ func (s *Stream) LastSeq() uint64 {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.nextSeq
+}
+
+// ring is a bounded buffer that overwrites its oldest entry when full: the
+// storage of both the event stream and the tracer. Callers serialize access.
+type ring[T any] struct {
+	buf        []T
+	next, size int // next is where the next entry goes; size counts retained ones
+}
+
+// newRing returns a ring holding up to capacity entries (minimum 1).
+func newRing[T any](capacity int) ring[T] { return ring[T]{buf: make([]T, max(capacity, 1))} }
+
+func (r *ring[T]) push(v T) {
+	r.buf[r.next] = v
+	r.next = (r.next + 1) % len(r.buf)
+	r.size = min(r.size+1, len(r.buf))
+}
+
+// last returns the newest n entries, oldest first (all of them when n <= 0
+// or exceeds the retention).
+func (r *ring[T]) last(n int) []T {
+	if n <= 0 || n > r.size {
+		n = r.size
+	}
+	out := make([]T, n)
+	for i := range out {
+		out[i] = r.buf[(r.next-n+i+len(r.buf))%len(r.buf)]
+	}
+	return out
 }

@@ -10,8 +10,8 @@ func TestStreamRingBounded(t *testing.T) {
 	for i := 0; i < 5; i++ {
 		s.Publish(Event{Type: EventPromote, K: i})
 	}
-	if s.Len() != 3 {
-		t.Fatalf("len = %d, want 3", s.Len())
+	if n := len(s.Recent(0)); n != 3 {
+		t.Fatalf("len = %d, want 3", n)
 	}
 	got := s.Recent(0)
 	if len(got) != 3 || got[0].K != 2 || got[2].K != 4 {

@@ -7,19 +7,23 @@ import (
 	"time"
 )
 
-// TestNilObserver checks every Observer method is inert on a nil receiver.
+// TestNilObserver checks every Observer method is inert on a nil receiver,
+// and that the handles it gives out ignore writes.
 func TestNilObserver(t *testing.T) {
 	var o *Observer
 	o.ObserveQuery("path", time.Millisecond, CostSample{}, 1)
-	o.ObserveQueryError("rpe")
+	o.CountKind(QueryErrors, "rpe")
 	if o.SampleTrace("path", "q") != nil {
 		t.Fatal("nil observer sampled a trace")
 	}
-	o.FinishTrace(nil)
 	o.RecordEvent(Event{Type: EventPromote})
-	o.SetIndexSize(1, 2, 3, 4, 5)
-	o.AddDanglingRefs(3)
+	o.Gauge(IndexNodes).Set(3)
+	o.Counter(DanglingRefs).Add(3)
 	o.ObserveBuild("retune", BuildSample{Rounds: 2, Total: time.Millisecond})
+	o.SetExtentMemory(MemorySample{ExtentSparseBytes: 1})
+	if o.Counter(DanglingRefs) != nil || o.Gauge(IndexNodes) != nil {
+		t.Fatal("nil observer handed out a live handle")
+	}
 }
 
 // TestObserverBuildMetrics exercises the construction metrics end to end:
@@ -45,25 +49,25 @@ func TestObserverBuildMetrics(t *testing.T) {
 		t.Fatalf("parse: %v", err)
 	}
 	byTrigger := map[string]float64{}
-	for _, s := range fams[MetricBuilds].Samples {
+	for _, s := range fams[Builds.Name].Samples {
 		byTrigger[s.Labels["trigger"]] = s.Value
 	}
 	if byTrigger["optimize"] != 2 || byTrigger["retune"] != 1 {
 		t.Fatalf("build counters = %v", byTrigger)
 	}
-	for _, fam := range []string{MetricBuildSeconds, MetricBuildCSRSeconds, MetricBuildRounds} {
+	for _, fam := range []string{BuildSeconds.Name, BuildCSRSeconds.Name, BuildRounds.Name} {
 		if fams[fam] == nil || fams[fam].Type != "histogram" {
 			t.Errorf("family %s missing or not histogram", fam)
 		}
 	}
-	if f := fams[MetricBuildSplits]; f == nil || f.Samples[0].Value != 137 {
+	if f := fams[BuildSplits.Name]; f == nil || f.Samples[0].Value != 137 {
 		t.Errorf("splits = %+v, want 137", f)
 	}
-	if f := fams[MetricBuildPeakBlocks]; f == nil || f.Samples[0].Value != 200 {
+	if f := fams[BuildPeakBlocks.Name]; f == nil || f.Samples[0].Value != 200 {
 		t.Errorf("peak blocks = %+v, want 200 (most recent build)", f)
 	}
 	byType := map[string]float64{}
-	for _, s := range fams[MetricLifecycleEvents].Samples {
+	for _, s := range fams[LifecycleEvents.Name].Samples {
 		byType[s.Labels["type"]] = s.Value
 	}
 	if byType[string(EventBuild)] != 1 {
@@ -79,8 +83,8 @@ func TestObserverQueryMetrics(t *testing.T) {
 	o := NewObserver()
 	o.ObserveQuery("path", 2*time.Millisecond, CostSample{IndexNodesVisited: 10, DataNodesValidated: 4, Validations: 2}, 7)
 	o.ObserveQuery("path", time.Millisecond, CostSample{IndexNodesVisited: 3}, 0)
-	o.ObserveQueryError("rpe")
-	o.ObserveQuery("custom", time.Microsecond, CostSample{}, 1) // lazy kind
+	o.CountKind(QueryErrors, "rpe")
+	o.ObserveQuery("custom", time.Microsecond, CostSample{}, 1) // not a kind Run serves: dropped
 
 	var sb strings.Builder
 	if err := o.Registry.WritePrometheus(&sb); err != nil {
@@ -91,14 +95,14 @@ func TestObserverQueryMetrics(t *testing.T) {
 		t.Fatalf("parse: %v", err)
 	}
 	totals := map[string]float64{}
-	for _, s := range fams[MetricQueries].Samples {
+	for _, s := range fams[Queries.Name].Samples {
 		totals[s.Labels["kind"]] = s.Value
 	}
-	if totals["path"] != 2 || totals["custom"] != 1 {
-		t.Fatalf("totals = %v", totals)
+	if totals["path"] != 2 || len(totals) != 3 {
+		t.Fatalf("totals = %v, want path=2 over the three served kinds", totals)
 	}
 	var errPath, errRPE float64
-	for _, s := range fams[MetricQueryErrors].Samples {
+	for _, s := range fams[QueryErrors.Name].Samples {
 		switch s.Labels["kind"] {
 		case "path":
 			errPath = s.Value
@@ -109,7 +113,7 @@ func TestObserverQueryMetrics(t *testing.T) {
 	if errPath != 0 || errRPE != 1 {
 		t.Fatalf("errors path=%v rpe=%v", errPath, errRPE)
 	}
-	for _, fam := range []string{MetricQuerySeconds, MetricQueryIndexVisited, MetricQueryDataValidated, MetricQueryValidations, MetricQueryResults} {
+	for _, fam := range []string{QuerySeconds.Name, QueryIndexVisited.Name, QueryDataValidated.Name, QueryValidations.Name, QueryResults.Name} {
 		if fams[fam] == nil || fams[fam].Type != "histogram" {
 			t.Errorf("family %s missing or not histogram", fam)
 		}
@@ -121,10 +125,12 @@ func TestObserverEventsAndGauges(t *testing.T) {
 	o.RecordEvent(Event{Type: EventPromote, Label: "item"})
 	o.RecordEvent(Event{Type: EventPromote, Label: "name"})
 	o.RecordEvent(Event{Type: EventExtentSplit})
-	o.SetIndexSize(100, 200, 30, 40, 5)
-	o.AddDanglingRefs(2)
+	for f, v := range map[*Family]float64{DataNodes: 100, DataEdges: 200, IndexNodes: 30, IndexEdges: 40, IndexMaxK: 5} {
+		o.Gauge(f).Set(v)
+	}
+	o.Counter(DanglingRefs).Add(2)
 
-	if got := o.Events.Len(); got != 3 {
+	if got := len(o.Events.Recent(0)); got != 3 {
 		t.Fatalf("stream len = %d, want 3", got)
 	}
 	var sb strings.Builder
@@ -136,30 +142,31 @@ func TestObserverEventsAndGauges(t *testing.T) {
 		t.Fatal(err)
 	}
 	byType := map[string]float64{}
-	for _, s := range fams[MetricLifecycleEvents].Samples {
+	for _, s := range fams[LifecycleEvents.Name].Samples {
 		byType[s.Labels["type"]] = s.Value
 	}
 	if byType["promote"] != 2 || byType["extent_split"] != 1 {
 		t.Fatalf("lifecycle counters = %v", byType)
 	}
 	for name, want := range map[string]float64{
-		MetricDataNodes: 100, MetricDataEdges: 200,
-		MetricIndexNodes: 30, MetricIndexEdges: 40, MetricIndexMaxK: 5,
+		DataNodes.Name: 100, DataEdges.Name: 200,
+		IndexNodes.Name: 30, IndexEdges.Name: 40, IndexMaxK.Name: 5,
 	} {
 		if f := fams[name]; f == nil || len(f.Samples) != 1 || f.Samples[0].Value != want {
 			t.Errorf("%s = %+v, want %v", name, f, want)
 		}
 	}
-	if f := fams[MetricDanglingRefs]; f == nil || f.Samples[0].Value != 2 {
+	if f := fams[DanglingRefs.Name]; f == nil || f.Samples[0].Value != 2 {
 		t.Errorf("dangling = %+v, want 2", f)
 	}
 }
 
 // TestObserverConcurrent drives all observer surfaces concurrently; run with
-// -race. Exercises the copy-on-write lazy kind registration.
+// -race. Exercises first-use registration of event-type series.
 func TestObserverConcurrent(t *testing.T) {
 	o := NewObserver()
-	kinds := []string{"path", "rpe", "twig", "k0", "k1", "k2"}
+	kinds := queryKinds
+	evTypes := []EventType{EventEdgeAdd, EventEdgeRemove, EventPromote}
 	var wg sync.WaitGroup
 	for w := 0; w < 8; w++ {
 		wg.Add(1)
@@ -168,9 +175,9 @@ func TestObserverConcurrent(t *testing.T) {
 			for i := 0; i < 200; i++ {
 				k := kinds[(w+i)%len(kinds)]
 				o.ObserveQuery(k, time.Microsecond, CostSample{IndexNodesVisited: i}, i%5)
-				o.RecordEvent(Event{Type: EventEdgeAdd})
+				o.RecordEvent(Event{Type: evTypes[(w+i)%len(evTypes)]})
 				if tt := o.SampleTrace(k, "q"); tt != nil {
-					o.FinishTrace(tt)
+					o.Tracer.Finish(tt)
 				}
 				if i%40 == 0 {
 					var sb strings.Builder
@@ -182,11 +189,12 @@ func TestObserverConcurrent(t *testing.T) {
 		}(w)
 	}
 	wg.Wait()
-	var total uint64
-	for _, k := range kinds {
-		total += o.kind(k).total.Value()
+	var total, events uint64
+	for i := range kinds {
+		total += o.fixed[Queries.id][i].c.Value()
+		events += LifecycleEvents.Counter(o.Registry, string(evTypes[i])).Value()
 	}
-	if total != 8*200 {
-		t.Fatalf("total queries = %d, want %d", total, 8*200)
+	if total != 8*200 || events != 8*200 {
+		t.Fatalf("total queries = %d, events = %d, want %d each", total, events, 8*200)
 	}
 }

@@ -26,56 +26,46 @@ type Label struct {
 	Key, Value string
 }
 
-// L is shorthand for constructing a Label.
-func L(key, value string) Label { return Label{Key: key, Value: value} }
-
-type metricKind int
-
-const (
-	kindCounter metricKind = iota
-	kindGauge
-	kindHistogram
-)
-
-func (k metricKind) String() string {
-	switch k {
-	case kindCounter:
-		return "counter"
-	case kindGauge:
-		return "gauge"
-	case kindHistogram:
-		return "histogram"
-	}
-	return "untyped"
-}
-
 // Counter is a monotonically increasing metric. All methods are safe for
-// concurrent use and lock-free.
+// concurrent use and lock-free. A nil *Counter accepts every write and does
+// nothing: the handle an unobserved index gets.
 type Counter struct {
 	v atomic.Uint64
 }
 
 // Inc adds one.
-func (c *Counter) Inc() { c.v.Add(1) }
+func (c *Counter) Inc() { c.Add(1) }
 
 // Add adds delta (which must be non-negative for the Prometheus contract;
-// this is not enforced at runtime to keep the hot path branch-free).
-func (c *Counter) Add(delta uint64) { c.v.Add(delta) }
+// this is not checked at runtime).
+func (c *Counter) Add(delta uint64) {
+	if c != nil {
+		c.v.Add(delta)
+	}
+}
 
 // Value returns the current count.
 func (c *Counter) Value() uint64 { return c.v.Load() }
 
 // Gauge is a metric that can go up and down. Stored as float64 bits so it can
-// carry sizes and seconds alike; all methods are safe for concurrent use.
+// carry sizes and seconds alike; all methods are safe for concurrent use, and
+// a nil *Gauge ignores writes.
 type Gauge struct {
 	bits atomic.Uint64
 }
 
 // Set replaces the gauge value.
-func (g *Gauge) Set(v float64) { g.bits.Store(math.Float64bits(v)) }
+func (g *Gauge) Set(v float64) {
+	if g != nil {
+		g.bits.Store(math.Float64bits(v))
+	}
+}
 
 // Add adjusts the gauge by delta.
 func (g *Gauge) Add(delta float64) {
+	if g == nil {
+		return
+	}
 	for {
 		old := g.bits.Load()
 		nv := math.Float64bits(math.Float64frombits(old) + delta)
@@ -91,7 +81,7 @@ func (g *Gauge) Value() float64 { return math.Float64frombits(g.bits.Load()) }
 // Histogram is a fixed-bucket histogram: bounds are cumulative upper limits
 // in ascending order, with a +Inf bucket appended implicitly. Observations
 // are lock-free (one atomic add on a bucket, one on the count, one CAS loop
-// on the sum).
+// on the sum). A nil *Histogram ignores observations.
 type Histogram struct {
 	bounds []float64
 	counts []atomic.Uint64 // len(bounds)+1, last is +Inf
@@ -101,6 +91,9 @@ type Histogram struct {
 
 // Observe records one value.
 func (h *Histogram) Observe(v float64) {
+	if h == nil {
+		return
+	}
 	i := sort.SearchFloat64s(h.bounds, v)
 	h.counts[i].Add(1)
 	h.count.Add(1)
@@ -134,19 +127,18 @@ func ExpBuckets(start, factor float64, n int) []float64 {
 // series is one labeled instance within a family.
 type series struct {
 	labels []Label
-	key    string // canonical rendered label string, for lookup and ordering
+	key    string // canonical rendered label string, for rendering and ordering
 	c      *Counter
 	g      *Gauge
 	h      *Histogram
 }
 
-// family groups the series sharing one metric name.
+// family groups the series of one row (the row that registered it first),
+// sorted by rendered labels and found by their values.
 type family struct {
-	name, help string
-	kind       metricKind
-	bounds     []float64 // histogram families only
-	series     []*series
-	byKey      map[string]*series
+	*Family
+	series  []*series
+	byValue map[string]*series // label values joined by "\xff"
 }
 
 // Registry holds metric families and renders them in the Prometheus text
@@ -163,62 +155,42 @@ func NewRegistry() *Registry {
 	return &Registry{byName: make(map[string]*family)}
 }
 
-func (r *Registry) family(name, help string, kind metricKind, bounds []float64) *family {
-	f, ok := r.byName[name]
+// series registers (or returns the existing) series of row with the given
+// label values, one per key. Finding an existing series with at most one
+// label value allocates nothing. Registering a name under a second metric
+// type panics.
+func (r *Registry) series(row *Family, values []string) *series {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	f, ok := r.byName[row.Name]
 	if !ok {
-		f = &family{name: name, help: help, kind: kind, bounds: bounds, byKey: make(map[string]*series)}
-		r.byName[name] = f
+		f = &family{Family: row, byValue: make(map[string]*series)}
+		r.byName[row.Name] = f
 		r.families = append(r.families, f)
-		return f
+	} else if f.Type != row.Type {
+		panic(fmt.Sprintf("obs: metric %q registered as %s and %s", row.Name, f.Type, row.Type))
 	}
-	if f.kind != kind {
-		panic(fmt.Sprintf("obs: metric %q registered as %s and %s", name, f.kind, kind))
-	}
-	return f
-}
-
-func (f *family) seriesFor(labels []Label) *series {
-	key := renderLabels(labels)
-	if s, ok := f.byKey[key]; ok {
+	value := strings.Join(values, "\xff")
+	if s, ok := f.byValue[value]; ok {
 		return s
 	}
-	s := &series{labels: append([]Label(nil), labels...), key: key}
-	switch f.kind {
-	case kindCounter:
-		s.c = &Counter{}
-	case kindGauge:
-		s.g = &Gauge{}
-	case kindHistogram:
-		s.h = &Histogram{bounds: f.bounds, counts: make([]atomic.Uint64, len(f.bounds)+1)}
+	labels := make([]Label, len(values))
+	for i, v := range values {
+		labels[i] = Label{f.Keys[i].Name, v}
 	}
-	f.byKey[key] = s
+	s := &series{labels: labels, key: renderLabels(labels)}
+	switch f.Type {
+	case CounterType:
+		s.c = &Counter{}
+	case GaugeType:
+		s.g = &Gauge{}
+	case HistogramType:
+		s.h = &Histogram{bounds: f.Bounds, counts: make([]atomic.Uint64, len(f.Bounds)+1)}
+	}
+	f.byValue[value] = s
 	f.series = append(f.series, s)
 	sort.Slice(f.series, func(i, j int) bool { return f.series[i].key < f.series[j].key })
 	return s
-}
-
-// Counter registers (or returns the existing) counter series name{labels}.
-// Registering the same name with a different metric type panics.
-func (r *Registry) Counter(name, help string, labels ...Label) *Counter {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.family(name, help, kindCounter, nil).seriesFor(labels).c
-}
-
-// Gauge registers (or returns the existing) gauge series name{labels}.
-func (r *Registry) Gauge(name, help string, labels ...Label) *Gauge {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.family(name, help, kindGauge, nil).seriesFor(labels).g
-}
-
-// Histogram registers (or returns the existing) histogram series name{labels}
-// with the given cumulative upper bounds (ascending; +Inf appended
-// implicitly). Bounds are fixed by the first registration of the family.
-func (r *Registry) Histogram(name, help string, bounds []float64, labels ...Label) *Histogram {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.family(name, help, kindHistogram, bounds).seriesFor(labels).h
 }
 
 // WritePrometheus renders every registered family in the Prometheus text
@@ -237,25 +209,25 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 	var b strings.Builder
 	for i, f := range fams {
 		b.Reset()
-		fmt.Fprintf(&b, "# HELP %s %s\n", f.name, escapeHelp(f.help))
-		fmt.Fprintf(&b, "# TYPE %s %s\n", f.name, f.kind)
+		fmt.Fprintf(&b, "# HELP %s %s\n", f.Name, escapeHelp(f.Help))
+		fmt.Fprintf(&b, "# TYPE %s %s\n", f.Name, f.Type)
 		for _, s := range lists[i] {
-			switch f.kind {
-			case kindCounter:
-				fmt.Fprintf(&b, "%s%s %s\n", f.name, s.key, formatFloat(float64(s.c.Value())))
-			case kindGauge:
-				fmt.Fprintf(&b, "%s%s %s\n", f.name, s.key, formatFloat(s.g.Value()))
-			case kindHistogram:
+			switch f.Type {
+			case CounterType:
+				fmt.Fprintf(&b, "%s%s %s\n", f.Name, s.key, formatFloat(float64(s.c.Value())))
+			case GaugeType:
+				fmt.Fprintf(&b, "%s%s %s\n", f.Name, s.key, formatFloat(s.g.Value()))
+			case HistogramType:
 				cum := uint64(0)
 				for i, bound := range s.h.bounds {
 					cum += s.h.counts[i].Load()
-					fmt.Fprintf(&b, "%s_bucket%s %d\n", f.name,
+					fmt.Fprintf(&b, "%s_bucket%s %d\n", f.Name,
 						withLabel(s.labels, "le", formatFloat(bound)), cum)
 				}
 				cum += s.h.counts[len(s.h.bounds)].Load()
-				fmt.Fprintf(&b, "%s_bucket%s %d\n", f.name, withLabel(s.labels, "le", "+Inf"), cum)
-				fmt.Fprintf(&b, "%s_sum%s %s\n", f.name, s.key, formatFloat(s.h.Sum()))
-				fmt.Fprintf(&b, "%s_count%s %d\n", f.name, s.key, cum)
+				fmt.Fprintf(&b, "%s_bucket%s %d\n", f.Name, withLabel(s.labels, "le", "+Inf"), cum)
+				fmt.Fprintf(&b, "%s_sum%s %s\n", f.Name, s.key, formatFloat(s.h.Sum()))
+				fmt.Fprintf(&b, "%s_count%s %d\n", f.Name, s.key, cum)
 			}
 		}
 		if _, err := io.WriteString(w, b.String()); err != nil {

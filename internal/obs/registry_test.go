@@ -7,26 +7,37 @@ import (
 	"testing"
 )
 
+// testRow declares a row of a test's own; the table's rows are exercised
+// through the observer.
+func testRow(typ MetricType, name, help string, bounds []float64, keys ...string) *Family {
+	f := &Family{Name: name, Type: typ, Help: help, Bounds: bounds}
+	for _, k := range keys {
+		f.Keys = append(f.Keys, Key{Name: k})
+	}
+	return f
+}
+
 func TestCounterGaugeHistogramBasics(t *testing.T) {
 	r := NewRegistry()
-	c := r.Counter("c_total", "a counter")
+	cRow := testRow(CounterType, "c_total", "a counter", nil)
+	c := cRow.Counter(r)
 	c.Inc()
 	c.Add(4)
 	if c.Value() != 5 {
 		t.Errorf("counter = %d, want 5", c.Value())
 	}
-	if again := r.Counter("c_total", "a counter"); again != c {
+	if again := cRow.Counter(r); again != c {
 		t.Error("re-registration returned a different counter")
 	}
 
-	g := r.Gauge("g", "a gauge")
+	g := testRow(GaugeType, "g", "a gauge", nil).Gauge(r)
 	g.Set(10)
 	g.Add(-2.5)
 	if g.Value() != 7.5 {
 		t.Errorf("gauge = %v, want 7.5", g.Value())
 	}
 
-	h := r.Histogram("h", "a histogram", []float64{1, 10, 100})
+	h := testRow(HistogramType, "h", "a histogram", []float64{1, 10, 100}).Histogram(r)
 	for _, v := range []float64{0.5, 1, 5, 50, 500} {
 		h.Observe(v)
 	}
@@ -45,8 +56,8 @@ func TestRegistryTypeMismatchPanics(t *testing.T) {
 		}
 	}()
 	r := NewRegistry()
-	r.Counter("m", "as counter")
-	r.Gauge("m", "as gauge")
+	testRow(CounterType, "m", "as counter", nil).Counter(r)
+	testRow(GaugeType, "m", "as gauge", nil).Gauge(r)
 }
 
 // TestWritePrometheusRoundTrip renders a populated registry and re-parses it
@@ -54,10 +65,11 @@ func TestRegistryTypeMismatchPanics(t *testing.T) {
 // histogram cumulativity survive the trip.
 func TestWritePrometheusRoundTrip(t *testing.T) {
 	r := NewRegistry()
-	r.Counter("rt_total", "requests", L("kind", "path")).Add(3)
-	r.Counter("rt_total", "requests", L("kind", "rpe")).Add(7)
-	r.Gauge("rt_size", `a "quoted\" help`).Set(42)
-	h := r.Histogram("rt_seconds", "latency", []float64{0.1, 1}, L("kind", "path"))
+	total := testRow(CounterType, "rt_total", "requests", nil, "kind")
+	total.Counter(r, "path").Add(3)
+	total.Counter(r, "rpe").Add(7)
+	testRow(GaugeType, "rt_size", `a "quoted\" help`, nil).Gauge(r).Set(42)
+	h := testRow(HistogramType, "rt_seconds", "latency", []float64{0.1, 1}, "kind").Histogram(r, "path")
 	h.Observe(0.05)
 	h.Observe(0.5)
 	h.Observe(5)
@@ -113,15 +125,18 @@ func TestWritePrometheusRoundTrip(t *testing.T) {
 // goroutines; run under -race.
 func TestRegistryConcurrent(t *testing.T) {
 	r := NewRegistry()
+	cc := testRow(CounterType, "cc_total", "c", nil)
+	cg := testRow(GaugeType, "cg", "g", nil)
+	ch := testRow(HistogramType, "ch", "h", []float64{1, 2})
 	var wg sync.WaitGroup
 	for w := 0; w < 8; w++ {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
 			for i := 0; i < 500; i++ {
-				r.Counter("cc_total", "c").Inc()
-				r.Gauge("cg", "g").Add(1)
-				r.Histogram("ch", "h", []float64{1, 2}).Observe(float64(i % 3))
+				cc.Counter(r).Inc()
+				cg.Gauge(r).Add(1)
+				ch.Histogram(r).Observe(float64(i % 3))
 				if i%50 == 0 {
 					var sb strings.Builder
 					if err := r.WritePrometheus(&sb); err != nil {
@@ -132,13 +147,13 @@ func TestRegistryConcurrent(t *testing.T) {
 		}(w)
 	}
 	wg.Wait()
-	if got := r.Counter("cc_total", "c").Value(); got != 8*500 {
+	if got := cc.Counter(r).Value(); got != 8*500 {
 		t.Errorf("cc_total = %d, want %d", got, 8*500)
 	}
-	if got := r.Gauge("cg", "g").Value(); got != 8*500 {
+	if got := cg.Gauge(r).Value(); got != 8*500 {
 		t.Errorf("cg = %v, want %d", got, 8*500)
 	}
-	if got := r.Histogram("ch", "h", []float64{1, 2}).Count(); got != 8*500 {
+	if got := ch.Histogram(r).Count(); got != 8*500 {
 		t.Errorf("ch count = %d, want %d", got, 8*500)
 	}
 }

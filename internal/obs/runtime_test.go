@@ -24,8 +24,8 @@ func TestRuntimeCollect(t *testing.T) {
 		t.Fatalf("parse: %v", err)
 	}
 	for _, name := range []string{
-		MetricRuntimeGoroutines, MetricRuntimeGomaxprocs,
-		MetricRuntimeHeapAlloc, MetricRuntimeHeapSys, MetricRuntimeHeapObjects,
+		RuntimeGoroutines.Name, RuntimeGomaxprocs.Name,
+		RuntimeHeapAlloc.Name, RuntimeHeapSys.Name, RuntimeHeapObjects.Name,
 	} {
 		f := fams[name]
 		if f == nil || len(f.Samples) != 1 {
@@ -35,10 +35,10 @@ func TestRuntimeCollect(t *testing.T) {
 			t.Errorf("%s = %v, want >= 1", name, f.Samples[0].Value)
 		}
 	}
-	if f := fams[MetricRuntimeCollections]; f == nil || f.Samples[0].Value != 1 {
+	if f := fams[RuntimeCollections.Name]; f == nil || f.Samples[0].Value != 1 {
 		t.Errorf("collections = %+v, want 1", f)
 	}
-	age := fams[MetricSnapshotAgeSeconds]
+	age := fams[SnapshotAgeSeconds.Name]
 	if age == nil || age.Samples[0].Value < 0 || age.Samples[0].Value > 60 {
 		t.Errorf("snapshot age = %+v, want small positive", age)
 	}
@@ -47,13 +47,14 @@ func TestRuntimeCollect(t *testing.T) {
 // TestRuntimeGCDeltas checks the cycle/pause counters advance by deltas, not
 // absolutes, across repeated polls.
 func TestRuntimeGCDeltas(t *testing.T) {
-	rt := newRuntime(NewRegistry(), nil)
+	rt := NewRuntime(NewObserver())
 	rt.Collect()
-	c1, p1 := rt.gcCycles.Value(), rt.gcPause.Value()
+	cycles, pause := rt.fixed.of(RuntimeGCCycles).c, rt.fixed.of(RuntimeGCPause).c
+	c1, p1 := cycles.Value(), pause.Value()
 	// Force a GC so the next poll sees a delta.
 	runtime.GC()
 	rt.Collect()
-	c2, p2 := rt.gcCycles.Value(), rt.gcPause.Value()
+	c2, p2 := cycles.Value(), pause.Value()
 	if c2 <= c1 {
 		t.Fatalf("gc cycles did not advance: %d -> %d", c1, c2)
 	}
@@ -63,14 +64,15 @@ func TestRuntimeGCDeltas(t *testing.T) {
 	// A third poll must add only the delta, never re-add the running totals
 	// (allow a couple of natural GC cycles between polls).
 	rt.Collect()
-	if got := rt.gcCycles.Value(); got-c2 > 2 {
+	if got := cycles.Value(); got-c2 > 2 {
 		t.Fatalf("idle poll re-added totals: %d -> %d", c2, got)
 	}
 }
 
 // TestRuntimeRun checks the poller samples immediately and stops cleanly.
 func TestRuntimeRun(t *testing.T) {
-	rt := newRuntime(NewRegistry(), func() float64 { return 1.5 })
+	rt := NewRuntime(NewObserver())
+	rt.snapshotAge = func() float64 { return 1.5 }
 	stop := make(chan struct{})
 	done := make(chan struct{})
 	go func() {
@@ -78,7 +80,7 @@ func TestRuntimeRun(t *testing.T) {
 		close(done)
 	}()
 	deadline := time.After(2 * time.Second)
-	for rt.collected.Value() < 2 {
+	for rt.fixed.of(RuntimeCollections).c.Value() < 2 {
 		select {
 		case <-deadline:
 			t.Fatal("poller did not tick")
@@ -91,8 +93,8 @@ func TestRuntimeRun(t *testing.T) {
 	case <-deadline:
 		t.Fatal("poller did not stop")
 	}
-	if rt.snapAge.Value() != 1.5 {
-		t.Fatalf("snapshot age gauge = %v, want 1.5", rt.snapAge.Value())
+	if age := rt.fixed.of(SnapshotAgeSeconds).g.Value(); age != 1.5 {
+		t.Fatalf("snapshot age gauge = %v, want 1.5", age)
 	}
 }
 

@@ -2,6 +2,7 @@ package obs
 
 import (
 	"math"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -33,29 +34,26 @@ type SlowEntry struct {
 }
 
 // SlowLog retains the top-capacity slowest requests seen so far: a bounded
-// min-heap keyed by duration, so an offered request only displaces the
+// list kept sorted by duration, so an offered request only displaces the
 // current floor when it is slower. Once the log is full, a request no slower
 // than the floor — nearly every request — is turned away on two atomics,
-// without the mutex that guards the heap; the query path stays lock-free. A
+// without the mutex that guards the list; the query path stays lock-free. A
 // nil *SlowLog accepts every call and does nothing, matching the package's
 // nil-safe convention.
 type SlowLog struct {
 	offered atomic.Uint64
-	// floor is heap[0].Duration once the heap is full and notFull before.
+	// floor is sorted[0].Duration once the log is full and notFull before.
 	// It is written under mu and never falls, so a request rejected against
 	// a value read without mu would be rejected against the current one too.
 	floor atomic.Int64
 
-	mu   sync.Mutex
-	heap []SlowEntry // min-heap by Duration; heap[0] is the floor
-	cap  int
+	mu     sync.Mutex
+	sorted []SlowEntry // by Duration, ascending; sorted[0] is the floor
+	cap    int
 }
 
 // notFull is the floor of a log with room: below every duration.
 const notFull = math.MinInt64
-
-// DefaultSlowLogSize is the slow-log capacity an Observer starts with.
-const DefaultSlowLogSize = 64
 
 // NewSlowLog returns a log retaining the capacity slowest requests
 // (minimum 1).
@@ -70,7 +68,7 @@ func NewSlowLog(capacity int) *SlowLog {
 
 // Add offers one request to the log. Requests no slower than the floor of a
 // full log are rejected in O(1) without taking a lock; admissions are
-// O(log capacity) under the mutex.
+// O(capacity) under the mutex.
 func (l *SlowLog) Add(e SlowEntry) {
 	if l == nil {
 		return
@@ -81,18 +79,16 @@ func (l *SlowLog) Add(e SlowEntry) {
 	}
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	if len(l.heap) < l.cap {
-		l.heap = append(l.heap, e)
-		l.siftUp(len(l.heap) - 1)
-	} else {
-		if e.Duration <= l.heap[0].Duration { // the floor rose while we waited
+	if len(l.sorted) == l.cap {
+		if e.Duration <= l.sorted[0].Duration { // the floor rose while we waited
 			return
 		}
-		l.heap[0] = e
-		l.siftDown(0)
+		l.sorted = slices.Delete(l.sorted, 0, 1)
 	}
-	if len(l.heap) == l.cap {
-		l.floor.Store(int64(l.heap[0].Duration))
+	i := sort.Search(len(l.sorted), func(j int) bool { return l.sorted[j].Duration > e.Duration })
+	l.sorted = slices.Insert(l.sorted, i, e)
+	if len(l.sorted) == l.cap {
+		l.floor.Store(int64(l.sorted[0].Duration))
 	}
 }
 
@@ -122,37 +118,8 @@ func (l *SlowLog) Snapshot() []SlowEntry {
 		return nil
 	}
 	l.mu.Lock()
-	out := append([]SlowEntry(nil), l.heap...)
+	out := slices.Clone(l.sorted)
 	l.mu.Unlock()
-	sort.Slice(out, func(i, j int) bool { return out[i].Duration > out[j].Duration })
+	slices.Reverse(out)
 	return out
-}
-
-func (l *SlowLog) siftUp(i int) {
-	for i > 0 {
-		p := (i - 1) / 2
-		if l.heap[p].Duration <= l.heap[i].Duration {
-			return
-		}
-		l.heap[p], l.heap[i] = l.heap[i], l.heap[p]
-		i = p
-	}
-}
-
-func (l *SlowLog) siftDown(i int) {
-	n := len(l.heap)
-	for {
-		least := i
-		if c := 2*i + 1; c < n && l.heap[c].Duration < l.heap[least].Duration {
-			least = c
-		}
-		if c := 2*i + 2; c < n && l.heap[c].Duration < l.heap[least].Duration {
-			least = c
-		}
-		if least == i {
-			return
-		}
-		l.heap[i], l.heap[least] = l.heap[least], l.heap[i]
-		i = least
-	}
 }

@@ -93,7 +93,7 @@ func TestSlowLogConcurrent(t *testing.T) {
 
 // TestSlowLogRejectsWithoutLock pins the read path's last lock: once the log
 // is full, a request no slower than the floor is counted and turned away
-// while another goroutine holds the heap's mutex. Eight goroutines offer
+// while another goroutine holds the log's mutex. Eight goroutines offer
 // such requests (and a few slower ones that must get in) at once; Offered,
 // Floor and Snapshot stay exact.
 func TestSlowLogRejectsWithoutLock(t *testing.T) {

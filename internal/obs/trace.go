@@ -82,23 +82,14 @@ func (t *Trace) RecordCost(indexVisited, dataValidated, validations, results int
 type Tracer struct {
 	interval uint64
 	n        atomic.Uint64
-	sampled  atomic.Uint64
 	mu       sync.Mutex
-	recent   []*Trace // ring, oldest first after wrap
-	next     int
-	full     bool
+	recent   ring[*Trace]
 }
 
 // NewTracer samples one query in every interval (0 disables sampling) and
 // keeps the most recent keep traces (minimum 1).
 func NewTracer(interval, keep int) *Tracer {
-	if keep < 1 {
-		keep = 1
-	}
-	if interval < 0 {
-		interval = 0
-	}
-	return &Tracer{interval: uint64(interval), recent: make([]*Trace, keep)}
+	return &Tracer{interval: uint64(max(interval, 0)), recent: newRing[*Trace](keep)}
 }
 
 // Sample returns a fresh trace when this execution is sampled, nil otherwise.
@@ -111,7 +102,6 @@ func (tr *Tracer) Sample(kind, query string) *Trace {
 	if tr.n.Add(1)%tr.interval != 0 {
 		return nil
 	}
-	tr.sampled.Add(1)
 	return &Trace{Kind: kind, Query: query, Start: time.Now()}
 }
 
@@ -123,21 +113,8 @@ func (tr *Tracer) Finish(t *Trace) {
 	}
 	t.Total = time.Since(t.Start)
 	tr.mu.Lock()
-	tr.recent[tr.next] = t
-	tr.next++
-	if tr.next == len(tr.recent) {
-		tr.next = 0
-		tr.full = true
-	}
+	tr.recent.push(t)
 	tr.mu.Unlock()
-}
-
-// Sampled returns how many traces have been sampled since creation.
-func (tr *Tracer) Sampled() uint64 {
-	if tr == nil {
-		return 0
-	}
-	return tr.sampled.Load()
 }
 
 // Recent returns up to n retained traces, oldest first (all retained traces
@@ -148,13 +125,5 @@ func (tr *Tracer) Recent(n int) []*Trace {
 	}
 	tr.mu.Lock()
 	defer tr.mu.Unlock()
-	var out []*Trace
-	if tr.full {
-		out = append(out, tr.recent[tr.next:]...)
-	}
-	out = append(out, tr.recent[:tr.next]...)
-	if n > 0 && n < len(out) {
-		out = out[len(out)-n:]
-	}
-	return out
+	return tr.recent.last(n)
 }

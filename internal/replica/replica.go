@@ -459,14 +459,14 @@ func (r *Replica) updateFreshness() {
 	}
 	if lag > r.cfg.MaxLag {
 		if r.stale.CompareAndSwap(false, true) {
-			r.obs.SetReplStale(true)
+			r.obs.Gauge(obs.ReplStale).Set(1)
 			r.obs.RecordEvent(obs.Event{
 				Type:   obs.EventReplStale,
 				Detail: fmt.Sprintf("lag %d exceeds bound %d", lag, r.cfg.MaxLag),
 			})
 		}
 	} else if r.stale.CompareAndSwap(true, false) {
-		r.obs.SetReplStale(false)
+		r.obs.Gauge(obs.ReplStale).Set(0)
 		r.obs.RecordEvent(obs.Event{
 			Type:   obs.EventReplFresh,
 			Detail: fmt.Sprintf("lag %d within bound %d", lag, r.cfg.MaxLag),
@@ -476,13 +476,13 @@ func (r *Replica) updateFreshness() {
 
 func (r *Replica) noteRetry(err error) {
 	r.retries.Add(1)
-	r.obs.ObserveReplRetry()
+	r.obs.Counter(obs.ReplRetries).Inc()
 	_ = err
 }
 
 func (r *Replica) noteReconnect(err error) {
 	r.reconnects.Add(1)
-	r.obs.ObserveReplReconnect()
+	r.obs.Counter(obs.ReplReconnects).Inc()
 	r.obs.RecordEvent(obs.Event{Type: obs.EventReplReconnect, Detail: err.Error()})
 }
 

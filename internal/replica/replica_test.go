@@ -166,7 +166,9 @@ func catchUp(tb testing.TB, rep *Replica, st *dkindex.Store) {
 }
 
 func testObserver() *obs.Observer {
-	return obs.NewObserverWith(obs.NewRegistry(), obs.NewStream(256), obs.NewTracer(0, 8))
+	o := obs.NewObserver()
+	o.Tracer = obs.NewTracer(0, 8)
+	return o
 }
 
 // waitFor polls cond until it holds or the deadline passes.
@@ -285,10 +287,10 @@ func TestReplicaConvergesUnderFaults(t *testing.T) {
 	}
 
 	// Lag gauge settled at zero; lifecycle events recorded.
-	if v := gaugeValue(t, o, obs.MetricReplLagSeq); v != 0 {
+	if v := gaugeValue(t, o, obs.ReplLagSeq.Name); v != 0 {
 		t.Fatalf("dk_repl_lag_seq = %v after catch-up, want 0", v)
 	}
-	if v := gaugeValue(t, o, obs.MetricReplAppliedSeq); uint64(v) != head {
+	if v := gaugeValue(t, o, obs.ReplAppliedSeq.Name); uint64(v) != head {
 		t.Fatalf("dk_repl_applied_seq = %v, want %d", v, head)
 	}
 	ev := eventTypes(o)
@@ -350,7 +352,7 @@ func TestReplicaBoundedLagAndStaleness(t *testing.T) {
 	if err := rep.Ready(); err == nil {
 		t.Fatal("Ready() = nil while stale, want lag error")
 	}
-	if v := gaugeValue(t, o, obs.MetricReplStale); v != 1 {
+	if v := gaugeValue(t, o, obs.ReplStale.Name); v != 1 {
 		t.Fatalf("dk_repl_stale = %v while stale, want 1", v)
 	}
 	// Degraded, not down: the index still answers queries.
@@ -368,7 +370,7 @@ func TestReplicaBoundedLagAndStaleness(t *testing.T) {
 	if err := rep.Ready(); err != nil {
 		t.Fatalf("Ready() = %v at the head", err)
 	}
-	if v := gaugeValue(t, o, obs.MetricReplStale); v != 0 {
+	if v := gaugeValue(t, o, obs.ReplStale.Name); v != 0 {
 		t.Fatalf("dk_repl_stale = %v at the head, want 0", v)
 	}
 	ev := eventTypes(o)

@@ -11,7 +11,6 @@ import (
 	"testing"
 
 	"dkindex"
-	"dkindex/internal/obs"
 )
 
 // FuzzQueryBodyAgainstEncodingJSON holds the append encoder to its contract:
@@ -167,7 +166,7 @@ func TestQueryEndpointsMatchOracle(t *testing.T) {
 
 	// A sampled evaluation says so, on the miss alone.
 	idx := goldenIndex(t)
-	idx.Observe(obs.NewObserverWith(obs.NewRegistry(), obs.NewStream(8), obs.NewTracer(1, 8)))
+	idx.Observe(tracedObserver())
 	srv, ref := New(idx), goldenIndex(t)
 	q := query{dkindex.KindRPE, "director//title", defaultListed}
 	for pass := 0; pass < 3; pass++ {

@@ -88,7 +88,7 @@ func (s *Server) handleTraces(w http.ResponseWriter, r *http.Request) {
 		traces = []*obs.Trace{}
 	}
 	writeJSON(w, http.StatusOK, map[string]any{
-		"sampled": s.obs.Tracer.Sampled(),
+		"sampled": s.obs.Counter(obs.TracesSampled).Value(),
 		"traces":  traces,
 	})
 }

@@ -45,21 +45,21 @@ func TestMetricsEndpoint(t *testing.T) {
 	}
 
 	wantType := map[string]string{
-		obs.MetricQueries:            "counter",
-		obs.MetricQueryErrors:        "counter",
-		obs.MetricQuerySeconds:       "histogram",
-		obs.MetricQueryIndexVisited:  "histogram",
-		obs.MetricQueryDataValidated: "histogram",
-		obs.MetricQueryValidations:   "histogram",
-		obs.MetricQueryResults:       "histogram",
-		obs.MetricLifecycleEvents:    "counter",
-		obs.MetricIndexNodes:         "gauge",
-		obs.MetricIndexEdges:         "gauge",
-		obs.MetricDataNodes:          "gauge",
-		obs.MetricDataEdges:          "gauge",
-		obs.MetricIndexMaxK:          "gauge",
-		obs.MetricHTTPRequests:       "counter",
-		obs.MetricBatchStageSeconds:  "histogram",
+		obs.Queries.Name:            "counter",
+		obs.QueryErrors.Name:        "counter",
+		obs.QuerySeconds.Name:       "histogram",
+		obs.QueryIndexVisited.Name:  "histogram",
+		obs.QueryDataValidated.Name: "histogram",
+		obs.QueryValidations.Name:   "histogram",
+		obs.QueryResults.Name:       "histogram",
+		obs.LifecycleEvents.Name:    "counter",
+		obs.IndexNodes.Name:         "gauge",
+		obs.IndexEdges.Name:         "gauge",
+		obs.DataNodes.Name:          "gauge",
+		obs.DataEdges.Name:          "gauge",
+		obs.IndexMaxK.Name:          "gauge",
+		obs.HTTPRequests.Name:       "counter",
+		obs.BatchStageSeconds.Name:  "histogram",
 	}
 	for name, typ := range wantType {
 		f := fams[name]
@@ -75,21 +75,21 @@ func TestMetricsEndpoint(t *testing.T) {
 		}
 	}
 	byKind := map[string]float64{}
-	for _, s := range fams[obs.MetricQueries].Samples {
+	for _, s := range fams[obs.Queries.Name].Samples {
 		byKind[s.Labels["kind"]] = s.Value
 	}
 	if byKind["path"] != 1 || byKind["rpe"] != 1 {
 		t.Errorf("query counters = %v, want path=1 rpe=1", byKind)
 	}
 	byType := map[string]float64{}
-	for _, s := range fams[obs.MetricLifecycleEvents].Samples {
+	for _, s := range fams[obs.LifecycleEvents.Name].Samples {
 		byType[s.Labels["type"]] = s.Value
 	}
 	if byType["promote"] != 1 {
 		t.Errorf("lifecycle counters = %v, want promote=1", byType)
 	}
 	st := idx.Stats()
-	if v := fams[obs.MetricIndexNodes].Samples[0].Value; int(v) != st.IndexNodes {
+	if v := fams[obs.IndexNodes.Name].Samples[0].Value; int(v) != st.IndexNodes {
 		t.Errorf("index nodes gauge = %v, Stats says %d", v, st.IndexNodes)
 	}
 }
@@ -155,13 +155,20 @@ func TestEventsEndpointRejectsGarbage(t *testing.T) {
 	}
 }
 
+// tracedObserver returns an observer whose tracer samples every query.
+func tracedObserver() *obs.Observer {
+	o := obs.NewObserver()
+	o.Tracer = obs.NewTracer(1, 8)
+	return o
+}
+
 // TestTracesEndpoint samples every query and expects traces to surface.
 func TestTracesEndpoint(t *testing.T) {
 	idx, err := dkindex.LoadXMLString(doc, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	idx.Observe(obs.NewObserverWith(obs.NewRegistry(), obs.NewStream(16), obs.NewTracer(1, 8)))
+	idx.Observe(tracedObserver())
 	ts := httptest.NewServer(New(idx))
 	defer ts.Close()
 
@@ -227,10 +234,10 @@ func TestHTTPRequestCounter(t *testing.T) {
 	http.Get(ts.URL + "/nosuch")
 
 	o := idx.Observer()
-	if v := o.Registry.Counter(obs.MetricHTTPRequests, "", obs.L("route", "/v1/healthz")).Value(); v != 2 {
+	if v := obs.HTTPRequests.Counter(o.Registry, "/v1/healthz").Value(); v != 2 {
 		t.Errorf("healthz requests = %d, want 2", v)
 	}
-	if v := o.Registry.Counter(obs.MetricHTTPRequests, "", obs.L("route", "other")).Value(); v != 1 {
+	if v := obs.HTTPRequests.Counter(o.Registry, "other").Value(); v != 1 {
 		t.Errorf("other requests = %d, want 1", v)
 	}
 }

@@ -18,9 +18,10 @@ import (
 const headerRequestID = "X-Request-Id"
 
 // routeRED is one route's pre-registered RED bundle (rate, errors, duration,
-// plus in-flight). NewBackend registers one per path of the route table plus
-// the "other" catch-all, which bounds the label cardinality and leaves the
-// per-request path a map lookup and a handful of atomics.
+// plus in-flight), taken from the metric table's RED rows. NewBackend
+// registers one per path of the route table plus the "other" catch-all,
+// which bounds the label cardinality and leaves the per-request path a map
+// lookup and a handful of atomics.
 type routeRED struct {
 	requests *obs.Counter
 	err4xx   *obs.Counter
@@ -30,18 +31,12 @@ type routeRED struct {
 }
 
 func newRouteRED(reg *obs.Registry, route string) *routeRED {
-	l := obs.L("route", route)
 	return &routeRED{
-		requests: reg.Counter(obs.MetricHTTPRequests, "HTTP requests served, by route.", l),
-		err4xx: reg.Counter(obs.MetricHTTPErrors,
-			"HTTP error responses, by route and status class.", l, obs.L("class", "4xx")),
-		err5xx: reg.Counter(obs.MetricHTTPErrors,
-			"HTTP error responses, by route and status class.", l, obs.L("class", "5xx")),
-		inflight: reg.Gauge(obs.MetricHTTPInFlight,
-			"HTTP requests currently being served, by route.", l),
-		duration: reg.Histogram(obs.MetricHTTPDuration,
-			"HTTP request latency in seconds, by route.",
-			obs.ExpBuckets(1e-5, 2.5, 14), l),
+		requests: obs.HTTPRequests.Counter(reg, route),
+		err4xx:   obs.HTTPErrors.Counter(reg, route, "4xx"),
+		err5xx:   obs.HTTPErrors.Counter(reg, route, "5xx"),
+		inflight: obs.HTTPInFlight.Gauge(reg, route),
+		duration: obs.HTTPDuration.Histogram(reg, route),
 	}
 }
 

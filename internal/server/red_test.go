@@ -78,20 +78,20 @@ func TestREDMetrics(t *testing.T) {
 	http.Get(ts.URL + "/nosuch")             // 404, route "other"
 
 	reg := idx.Observer().Registry
-	if v := reg.Counter(obs.MetricHTTPRequests, "", obs.L("route", "/v1/query")).Value(); v != 3 {
+	if v := obs.HTTPRequests.Counter(reg, "/v1/query").Value(); v != 3 {
 		t.Errorf("/v1/query requests = %d, want 3", v)
 	}
-	h := reg.Histogram(obs.MetricHTTPDuration, "", obs.ExpBuckets(1e-5, 2.5, 14), obs.L("route", "/v1/query"))
+	h := obs.HTTPDuration.Histogram(reg, "/v1/query")
 	if h.Count() != 3 || h.Sum() <= 0 {
 		t.Errorf("duration histogram count=%d sum=%v, want 3 observations", h.Count(), h.Sum())
 	}
-	if v := reg.Counter(obs.MetricHTTPErrors, "", obs.L("route", "/v1/query"), obs.L("class", "4xx")).Value(); v != 1 {
+	if v := obs.HTTPErrors.Counter(reg, "/v1/query", "4xx").Value(); v != 1 {
 		t.Errorf("4xx errors = %d, want 1", v)
 	}
-	if v := reg.Counter(obs.MetricHTTPErrors, "", obs.L("route", "other"), obs.L("class", "4xx")).Value(); v != 1 {
+	if v := obs.HTTPErrors.Counter(reg, "other", "4xx").Value(); v != 1 {
 		t.Errorf("other 4xx errors = %d, want 1", v)
 	}
-	if v := reg.Gauge(obs.MetricHTTPInFlight, "", obs.L("route", "/v1/query")).Value(); v != 0 {
+	if v := obs.HTTPInFlight.Gauge(reg, "/v1/query").Value(); v != 0 {
 		t.Errorf("in-flight after drain = %v, want 0", v)
 	}
 }
@@ -160,7 +160,7 @@ func TestSlowLinksTrace(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	idx.Observe(obs.NewObserverWith(obs.NewRegistry(), obs.NewStream(16), obs.NewTracer(1, 8)))
+	idx.Observe(tracedObserver())
 	ts := httptest.NewServer(New(idx))
 	defer ts.Close()
 
@@ -193,7 +193,7 @@ func TestTracesPagination(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	idx.Observe(obs.NewObserverWith(obs.NewRegistry(), obs.NewStream(16), obs.NewTracer(1, 8)))
+	idx.Observe(tracedObserver())
 	ts := httptest.NewServer(New(idx))
 	defer ts.Close()
 

@@ -159,7 +159,7 @@ func TestPanicRecoveryMiddleware(t *testing.T) {
 		t.Fatalf("metrics unparseable after panic: %v", err)
 	}
 	found := false
-	if f := fams[obs.MetricHTTPPanics]; f != nil {
+	if f := fams[obs.HTTPPanics.Name]; f != nil {
 		for _, sm := range f.Samples {
 			if sm.Value >= 1 {
 				found = true
@@ -167,7 +167,7 @@ func TestPanicRecoveryMiddleware(t *testing.T) {
 		}
 	}
 	if !found {
-		t.Errorf("%s not incremented", obs.MetricHTTPPanics)
+		t.Errorf("%s not incremented", obs.HTTPPanics.Name)
 	}
 }
 

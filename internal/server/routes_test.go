@@ -16,7 +16,7 @@ import (
 
 // requests reads one route's request counter.
 func requests(s *Server, route string) uint64 {
-	return s.obs.Registry.Counter(obs.MetricHTTPRequests, "", obs.L("route", route)).Value()
+	return obs.HTTPRequests.Counter(s.obs.Registry, route).Value()
 }
 
 // TestRouteTableIsTheSurface walks the route table: every row is mounted
@@ -84,7 +84,7 @@ func TestRouteTableIsTheSurface(t *testing.T) {
 		t.Fatal(err)
 	}
 	got := map[string]bool{}
-	for _, sm := range fams[obs.MetricHTTPRequests].Samples {
+	for _, sm := range fams[obs.HTTPRequests.Name].Samples {
 		got[sm.Labels["route"]] = true
 	}
 	if !reflect.DeepEqual(got, labels) {
@@ -154,7 +154,7 @@ func TestFailedAppendIsTheServersFault(t *testing.T) {
 		return buf.Bytes()
 	}
 	err5xx := func(route string) uint64 {
-		return srv.obs.Registry.Counter(obs.MetricHTTPErrors, "", obs.L("route", route), obs.L("class", "5xx")).Value()
+		return obs.HTTPErrors.Counter(srv.obs.Registry, route, "5xx").Value()
 	}
 
 	for _, tc := range []struct {

@@ -229,7 +229,7 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	start := time.Now()
 	defer func() {
 		if rec := recover(); rec != nil {
-			s.obs.ObserveHTTPPanic()
+			s.obs.Counter(obs.HTTPPanics).Inc()
 			// The handler may have written already; this is best-effort.
 			writeError(sw, http.StatusInternalServerError, codeInternal,
 				fmt.Errorf("internal error"))
@@ -248,7 +248,7 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		case s.inflight <- struct{}{}:
 			defer func() { <-s.inflight }()
 		default:
-			s.obs.ObserveHTTPShed()
+			s.obs.Counter(obs.HTTPShed).Inc()
 			sw.Header().Set("Retry-After", "1")
 			writeError(sw, http.StatusServiceUnavailable, codeOverloaded,
 				fmt.Errorf("server at capacity, retry shortly"))
@@ -435,18 +435,19 @@ func (s *Server) handleQueryBatch(w http.ResponseWriter, r *http.Request) {
 	start := time.Now()
 	batch := s.idx.RunBatch(reqs)
 	// The batch enters the slow log as one entry (items are not individually
-	// timed); the aggregated cost counters still attribute the work.
+	// timed); the aggregated cost counters still attribute the work. Every
+	// item, failed or not, carries the snapshot's generation.
 	bentry := obs.SlowEntry{
 		Time: start, RequestID: reqID, Route: r.URL.Path, Method: r.Method,
 		Kind: "batch", Query: fmt.Sprintf("%d queries", len(reqs)),
 		Status: http.StatusOK, Duration: time.Since(start),
+		Generation: batch[0].Result.Generation,
 	}
 	for i := range batch {
 		if batch[i].Err != nil {
 			continue
 		}
 		res := &batch[i].Result
-		bentry.Generation = res.Generation
 		bentry.Traced = bentry.Traced || res.Traced
 		bentry.IndexNodesVisited += res.Stats.IndexNodesVisited
 		bentry.DataNodesValidated += res.Stats.DataNodesValidated

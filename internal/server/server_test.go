@@ -296,11 +296,11 @@ func TestConcurrentQueriesAndUpdates(t *testing.T) {
 		t.Fatalf("/v1/metrics stopped parsing after the storm: %v", err)
 	}
 	var served float64
-	for _, sm := range fams[obs.MetricHTTPRequests].Samples {
+	for _, sm := range fams[obs.HTTPRequests.Name].Samples {
 		served += sm.Value
 	}
 	if served < 300 {
-		t.Errorf("%s sums to %v after 300 requests", obs.MetricHTTPRequests, served)
+		t.Errorf("%s sums to %v after 300 requests", obs.HTTPRequests.Name, served)
 	}
 }
 

@@ -1,11 +1,14 @@
 package server
 
 import (
+	"encoding/json"
 	"fmt"
 	"io"
 	"net/http"
 	"strings"
 	"testing"
+
+	"dkindex"
 )
 
 // httpGetRaw fetches a URL and returns the raw body (for non-JSON routes).
@@ -121,6 +124,44 @@ func TestV1QueryBatch(t *testing.T) {
 		}
 		if m["generation"].(float64) != gen {
 			t.Errorf("item %d generation %v != batch generation %v", i, m["generation"], gen)
+		}
+	}
+}
+
+// TestV1QueryBatchAllFailedCarriesGeneration: a batch none of whose items
+// evaluates still answered from one snapshot, and the envelope and the slow
+// log name it.
+func TestV1QueryBatchAllFailedCarriesGeneration(t *testing.T) {
+	idx := goldenIndex(t)
+	gen := idx.Generation()
+	if gen < 1 {
+		t.Fatalf("fixture generation %d, want >= 1", gen)
+	}
+	srv := New(idx)
+	code, raw := fetch(t, srv, "POST", "/v1/query", `{"queries":[{"kind":"nope","q":"x"},{"kind":"rpe","q":"a.(b"}]}`)
+	var out struct {
+		Generation uint64           `json:"generation"`
+		Results    []map[string]any `json:"results"`
+	}
+	if err := json.Unmarshal(raw, &out); err != nil || code != http.StatusOK {
+		t.Fatalf("batch = %d %s (%v)", code, raw, err)
+	}
+	for i, r := range out.Results {
+		if r["code"] != codeBadQuery {
+			t.Errorf("item %d = %v, want a bad_query error", i, r)
+		}
+	}
+	if out.Generation != gen {
+		t.Errorf("envelope generation = %d, want %d", out.Generation, gen)
+	}
+	for _, e := range srv.Observer().Slow.Snapshot() {
+		if e.Kind == "batch" && e.Generation != gen {
+			t.Errorf("slow-log batch entry generation = %d, want %d", e.Generation, gen)
+		}
+	}
+	for i, br := range idx.RunBatch([]dkindex.Request{{Kind: "nope", Text: "x"}, {Kind: dkindex.KindRPE, Text: "a.(b"}}) {
+		if br.Err == nil || br.Result.Generation != gen {
+			t.Errorf("RunBatch item %d = generation %d, err %v; want generation %d and an error", i, br.Result.Generation, br.Err, gen)
 		}
 	}
 }

@@ -265,7 +265,7 @@ func (x *Index) prepare(m Mutation) (*preparedMutation, error) {
 		if err != nil {
 			return nil, err
 		}
-		x.observer.AddDanglingRefs(len(rep.DanglingRefs))
+		x.observer.Counter(obs.DanglingRefs).Add(uint64(len(rep.DanglingRefs)))
 		p.doc, p.opts = h, opts
 	default:
 		return nil, fmt.Errorf("dkindex: unknown mutation op %q", m.Op)
@@ -367,7 +367,8 @@ func (x *Index) commitLocked(ps []*preparedMutation) {
 		wall := published.Sub(start)
 		x.observer.ObserveBatchCommit(len(applied), len(ps)-len(applied), wall)
 		x.observer.ObserveBatchStages(cloned.Sub(start), appliedAt.Sub(cloned), logged.Sub(appliedAt), published.Sub(logged))
-		x.observer.SetMutationProgress(x.mutSeq.Load(), mark)
+		x.observer.Gauge(obs.MutationSeq).Set(float64(x.mutSeq.Load()))
+		x.observer.Gauge(obs.MutationWatermark).Set(float64(mark))
 		if len(ps) > 1 {
 			x.observer.RecordEvent(obs.Event{Type: obs.EventBatchCommit,
 				NodesBefore: cur.dk.IG.NumNodes(), NodesAfter: x.handle.Load().dk.IG.NumNodes(),

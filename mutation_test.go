@@ -196,7 +196,7 @@ func TestBatchingCoalesces(t *testing.T) {
 	idx := open(t)
 	o := obs.NewObserver()
 	idx.Observe(o)
-	commits := o.Registry.Counter(obs.MetricBatchCommits, "")
+	commits := o.Counter(obs.BatchCommits)
 	c0 := commits.Value()
 
 	// The first submitter becomes the committer and blocks on the held mutex;
@@ -335,7 +335,7 @@ func TestApplyAsyncSettles(t *testing.T) {
 	idx := open(t)
 	o := obs.NewObserver()
 	idx.Observe(o)
-	rejected := o.Registry.Counter(obs.MetricBatchRejected, "")
+	rejected := o.Counter(obs.BatchRejected)
 	gen := idx.Generation()
 
 	idx.mu.Lock()
@@ -363,7 +363,7 @@ func TestApplyAsyncSettles(t *testing.T) {
 		t.Errorf("rejected member: watermark %d below its seq %d", idx.Watermark(), ack.Seq)
 	}
 	if got := rejected.Value() - r0; got != 1 {
-		t.Errorf("%s moved by %d, want 1", obs.MetricBatchRejected, got)
+		t.Errorf("%s moved by %d, want 1", obs.BatchRejected.Name, got)
 	}
 	if idx.Generation() != gen+1 {
 		t.Errorf("rejected member moved the generation to %d", idx.Generation())

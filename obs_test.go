@@ -222,7 +222,8 @@ func TestObserveReloadEvent(t *testing.T) {
 func TestObservedCostBitIdentical(t *testing.T) {
 	plain := open(t)
 	observed := open(t)
-	o := obs.NewObserverWith(obs.NewRegistry(), obs.NewStream(16), obs.NewTracer(1, 8))
+	o := obs.NewObserver()
+	o.Tracer = obs.NewTracer(1, 8)
 	observed.Observe(o)
 
 	type result struct {
@@ -254,8 +255,8 @@ func TestObservedCostBitIdentical(t *testing.T) {
 	if !reflect.DeepEqual(got, want) {
 		t.Errorf("observed runs = %+v\nwant (unobserved) %+v", got, want)
 	}
-	if o.Tracer.Sampled() != 5 {
-		t.Errorf("traces sampled = %d, want 5", o.Tracer.Sampled())
+	if n := o.Counter(obs.TracesSampled).Value(); n != 5 {
+		t.Errorf("traces sampled = %d, want 5", n)
 	}
 	for _, tr := range o.Tracer.Recent(0) {
 		if len(tr.Spans) == 0 {
@@ -304,30 +305,30 @@ func TestObserveMetricsExposition(t *testing.T) {
 		t.Fatalf("%s{%s=%q} missing", name, labelKey, labelVal)
 		return 0
 	}
-	if v := find(obs.MetricQueries, "kind", "path"); v != 1 {
+	if v := find(obs.Queries.Name, "kind", "path"); v != 1 {
 		t.Errorf("path queries = %v, want 1", v)
 	}
-	if v := find(obs.MetricQueryErrors, "kind", "path"); v != 1 {
+	if v := find(obs.QueryErrors.Name, "kind", "path"); v != 1 {
 		t.Errorf("path query errors = %v, want 1", v)
 	}
-	if v := find(obs.MetricDanglingRefs, "", ""); v != 1 {
+	if v := find(obs.DanglingRefs.Name, "", ""); v != 1 {
 		t.Errorf("dangling refs = %v, want 1", v)
 	}
 	s := idx.Stats()
-	if v := find(obs.MetricIndexNodes, "", ""); int(v) != s.IndexNodes {
+	if v := find(obs.IndexNodes.Name, "", ""); int(v) != s.IndexNodes {
 		t.Errorf("index nodes gauge = %v, Stats says %d", v, s.IndexNodes)
 	}
-	if v := find(obs.MetricDataNodes, "", ""); int(v) != s.DataNodes {
+	if v := find(obs.DataNodes.Name, "", ""); int(v) != s.DataNodes {
 		t.Errorf("data nodes gauge = %v, Stats says %d", v, s.DataNodes)
 	}
 	// The one commit above (the document graft) is attributed stage by stage.
-	stages := fams[obs.MetricBatchStageSeconds]
+	stages := fams[obs.BatchStageSeconds.Name]
 	if stages == nil || stages.Type != "histogram" {
-		t.Fatalf("family %s = %+v, want a histogram", obs.MetricBatchStageSeconds, stages)
+		t.Fatalf("family %s = %+v, want a histogram", obs.BatchStageSeconds.Name, stages)
 	}
 	counts := map[string]float64{}
 	for _, smp := range stages.Samples {
-		if smp.Name == obs.MetricBatchStageSeconds+"_count" {
+		if smp.Name == obs.BatchStageSeconds.Name+"_count" {
 			counts[smp.Labels["stage"]] = smp.Value
 		}
 	}
@@ -380,18 +381,18 @@ func TestObserveBuildMetrics(t *testing.T) {
 		t.Fatalf("metrics output unparsable: %v", err)
 	}
 	byTrigger := map[string]float64{}
-	for _, s := range fams[obs.MetricBuilds].Samples {
+	for _, s := range fams[obs.Builds.Name].Samples {
 		byTrigger[s.Labels["trigger"]] = s.Value
 	}
 	if byTrigger["set_requirements"] != 1 || byTrigger["demote"] != 1 {
 		t.Fatalf("build counters = %v", byTrigger)
 	}
-	for _, fam := range []string{obs.MetricBuildSeconds, obs.MetricBuildRounds, obs.MetricBuildCSRSeconds} {
+	for _, fam := range []string{obs.BuildSeconds.Name, obs.BuildRounds.Name, obs.BuildCSRSeconds.Name} {
 		if fams[fam] == nil || fams[fam].Type != "histogram" {
 			t.Errorf("family %s missing or not histogram", fam)
 		}
 	}
-	if fams[obs.MetricBuildPeakBlocks] == nil {
+	if fams[obs.BuildPeakBlocks.Name] == nil {
 		t.Error("peak blocks gauge missing")
 	}
 }

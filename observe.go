@@ -105,12 +105,16 @@ func (x *Index) syncGauges() {
 	if x.observer == nil {
 		return
 	}
-	s := x.Stats()
-	x.observer.SetIndexSize(s.DataNodes, s.DataEdges, s.IndexNodes, s.IndexEdges, s.MaxK)
-	x.observer.SetSnapshotGeneration(s.Generation)
-	x.observer.SetCacheEntries(s.CachedResults)
+	o, s := x.observer, x.Stats()
+	o.Gauge(obs.DataNodes).Set(float64(s.DataNodes))
+	o.Gauge(obs.DataEdges).Set(float64(s.DataEdges))
+	o.Gauge(obs.IndexNodes).Set(float64(s.IndexNodes))
+	o.Gauge(obs.IndexEdges).Set(float64(s.IndexEdges))
+	o.Gauge(obs.IndexMaxK).Set(float64(s.MaxK))
+	o.SetSnapshotGeneration(s.Generation)
+	o.Gauge(obs.CacheEntries).Set(float64(s.CachedResults))
 	ms := x.handle.Load().dk.IG.MemStats()
-	x.observer.SetExtentMemory(obs.MemorySample{
+	o.SetExtentMemory(obs.MemorySample{
 		ExtentSparseBytes:  ms.Extents.SparseTotal(),
 		ExtentDenseBytes:   ms.Extents.DenseTotal(),
 		ExtentRawBytes:     ms.ExtentRawBytes,

@@ -171,13 +171,15 @@ func (x *Index) Run(req Request) (Result, error) {
 }
 
 // RunBatch evaluates several queries against one snapshot: all results carry
-// the same Generation even if mutations land between items. Per-item errors
-// are reported in place; the batch always returns len(reqs) entries.
+// the same Generation even if mutations land between items, failed ones
+// included. Per-item errors are reported in place; the batch always returns
+// len(reqs) entries.
 func (x *Index) RunBatch(reqs []Request) []BatchResult {
 	s := x.handle.Load()
 	out := make([]BatchResult, len(reqs))
 	for i, req := range reqs {
 		out[i].Result, out[i].Err = x.runOn(s, req)
+		out[i].Result.Generation = s.gen
 	}
 	return out
 }
@@ -239,7 +241,7 @@ func (x *Index) runOn(s *snapshot, req Request) (Result, error) {
 	cache := x.cache.Load()
 	if v, ok := cache.Get(s.gen, key); ok {
 		cr := v.(*cachedResult)
-		x.observer.ObserveCacheHit(string(kind))
+		x.observer.CountKind(obs.CacheHits, string(kind))
 		x.observer.ObserveQuery(string(kind), 0, costSample(cr.cost), len(cr.nodes))
 		if r := x.recorder.Load(); r != nil {
 			r.Record(cr.path)
@@ -261,7 +263,7 @@ func (x *Index) runOn(s *snapshot, req Request) (Result, error) {
 	case KindPath:
 		q, err := eval.ParseQuery(labels, req.Text)
 		if err != nil {
-			x.observer.ObserveQueryError(string(kind))
+			x.observer.CountKind(obs.QueryErrors, string(kind))
 			return Result{}, err
 		}
 		if r := x.recorder.Load(); r != nil {
@@ -274,7 +276,7 @@ func (x *Index) runOn(s *snapshot, req Request) (Result, error) {
 	case KindRPE:
 		e, err := rpe.Parse(req.Text)
 		if err != nil {
-			x.observer.ObserveQueryError(string(kind))
+			x.observer.CountKind(obs.QueryErrors, string(kind))
 			return Result{}, err
 		}
 		evalFn = func(tr *obs.Trace) ([]NodeID, eval.Cost) {
@@ -283,14 +285,14 @@ func (x *Index) runOn(s *snapshot, req Request) (Result, error) {
 	case KindTwig:
 		tw, err := eval.ParseTwig(labels, req.Text)
 		if err != nil {
-			x.observer.ObserveQueryError(string(kind))
+			x.observer.CountKind(obs.QueryErrors, string(kind))
 			return Result{}, err
 		}
 		evalFn = func(tr *obs.Trace) ([]NodeID, eval.Cost) {
 			return eval.IndexTwigTraced(ig, tw, tr)
 		}
 	}
-	x.observer.ObserveCacheMiss(string(kind))
+	x.observer.CountKind(obs.CacheMisses, string(kind))
 
 	tr := x.observer.SampleTrace(string(kind), req.Text)
 	tr.SetOrigin(req.Origin)
@@ -302,8 +304,8 @@ func (x *Index) runOn(s *snapshot, req Request) (Result, error) {
 	x.noteValidation(s, path, cost.Validations)
 	if x.observer != nil {
 		x.observer.ObserveQuery(string(kind), time.Since(begin), costSample(cost), len(nodes))
-		x.observer.FinishTrace(tr)
-		x.observer.SetCacheEntries(cache.Len())
+		x.observer.Tracer.Finish(tr)
+		x.observer.Gauge(obs.CacheEntries).Set(float64(cache.Len()))
 	}
 	// Put after noteValidation: if an auto-promotion just bumped the
 	// generation, this store is stale and the cache drops it on its own.

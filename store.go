@@ -198,7 +198,8 @@ func CreateStore(dir string, idx *Index, opts *StoreOptions) (*Store, error) {
 		w.Close()
 		return nil, err
 	}
-	s.observer.ObserveCheckpoint(n)
+	s.observer.Counter(obs.Checkpoints).Inc()
+	s.observer.Counter(obs.CheckpointBytes).Add(uint64(n))
 	s.observer.RecordEvent(obs.Event{Type: obs.EventCheckpointOK,
 		Detail: fmt.Sprintf("epoch 0, %d bytes (initial)", n)})
 	return s, nil
@@ -370,7 +371,10 @@ func OpenStore(dir string, opts *StoreOptions) (*Store, *RecoveryReport, error) 
 		return nil, nil, err
 	}
 	rep.Epoch = s.epoch
-	s.observer.ObserveRecovery(rep.Replayed, rep.TruncatedTail)
+	s.observer.Counter(obs.RecoveryReplayed).Add(uint64(rep.Replayed))
+	if rep.TruncatedTail {
+		s.observer.Counter(obs.RecoveryTruncatedTail).Inc()
+	}
 	s.observer.RecordEvent(obs.Event{Type: obs.EventRecoveryReplayed,
 		Detail: fmt.Sprintf("%d records onto %s, epoch %d", rep.Replayed, rep.Checkpoint, rep.Epoch)})
 	return s, rep, nil
@@ -422,11 +426,11 @@ func (s *Store) logGroup(recs []wal.GroupRecord) error {
 	}
 	s.appended += uint64(len(recs))
 	s.segs[len(s.segs)-1].count += uint64(len(recs))
-	if len(recs) == 1 {
-		s.observer.ObserveWALAppend(n)
-	} else {
-		s.observer.ObserveWALGroup(len(recs), n)
+	if len(recs) > 1 {
+		s.observer.Counter(obs.WALGroups).Inc()
 	}
+	s.observer.Counter(obs.WALRecords).Add(uint64(len(recs)))
+	s.observer.Counter(obs.WALBytes).Add(uint64(n))
 	s.observer.RecordEvent(obs.Event{Type: obs.EventWALAppend,
 		Detail: fmt.Sprintf("%s, %d bytes, epoch %d", what, n, s.epoch)})
 	return nil
@@ -483,7 +487,8 @@ func (s *Store) Checkpoint() error {
 	s.appended = 0
 	s.lastCkpt = next
 	s.idx.mu.Unlock()
-	s.observer.ObserveCheckpoint(n)
+	s.observer.Counter(obs.Checkpoints).Inc()
+	s.observer.Counter(obs.CheckpointBytes).Add(uint64(n))
 	s.observer.RecordEvent(obs.Event{Type: obs.EventCheckpointOK,
 		Detail: fmt.Sprintf("epoch %d, %d bytes", next, n)})
 	s.prune()
