@@ -59,11 +59,12 @@ stress:
 # fuzz-smoke gives each untrusted-input decoder a short fuzzing burst — the
 # checkpoint codec, the write-ahead log replayer, the XML loader — and each
 # query kernel a differential one against its reference oracle: the
-# table-driven RPE automata and the twig evaluator's memo tables. The
-# server's append encoder and its RawQuery reader are held to encoding/json
-# and net/url the same way, Algorithm 3's in-place graft to the whole-index
-# rebuild it replaces, and the copy-on-write column behind every snapshot to
-# plain slices. Long exploratory runs stay manual (go test
+# table-driven RPE automata, and the one trunk walker behind twigs and simple
+# paths (a predicate-free twig is also run as a path through Data, Index and
+# IndexNoValidation). The server's append encoder and its RawQuery reader are
+# held to encoding/json and net/url the same way, Algorithm 3's in-place graft
+# to the whole-index rebuild it replaces, and the copy-on-write column behind
+# every snapshot to plain slices. Long exploratory runs stay manual (go test
 # -fuzz=... -fuzztime=5m).
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzLoadDK -fuzztime 5s ./internal/codec

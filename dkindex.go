@@ -394,33 +394,17 @@ func (x *Index) Explain(path string) (*Explanation, error) {
 		return nil, err
 	}
 	out := &Explanation{Query: path}
-	matched, cost := eval.MatchedIndexNodes(ig, q)
-	need := q.Length()
-	data := ig.Data()
-	for _, m := range matched {
-		mn := MatchedNode{
+	res, cost := eval.Explain(ig, q, func(m graph.NodeID, validated bool, kept int) {
+		out.Matched = append(out.Matched, MatchedNode{
 			IndexNode:  m,
 			Label:      labels.Name(ig.Label(m)),
 			K:          ig.K(m),
 			ExtentSize: ig.ExtentSize(m),
-		}
-		if ig.K(m) >= need {
-			mn.Kept = mn.ExtentSize
-		} else {
-			mn.Validated = true
-			cost.Validations++
-			ig.ExtentSet(m).Iterate(func(d graph.NodeID) bool {
-				ok := data.LabelPathMatchesNode(q, d, func(graph.NodeID) { cost.DataNodesValidated++ })
-				if ok {
-					mn.Kept++
-				}
-				return true
-			})
-		}
-		out.Results += mn.Kept
-		out.Matched = append(out.Matched, mn)
-	}
-	out.Stats = fromCost(cost)
+			Validated:  validated,
+			Kept:       kept,
+		})
+	})
+	out.Results, out.Stats = len(res), fromCost(cost)
 	return out, nil
 }
 

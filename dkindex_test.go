@@ -453,6 +453,36 @@ func TestExplain(t *testing.T) {
 	}
 }
 
+// TestExplainAgreesWithRun: Explain reports the answer size and the cost Run
+// does, for every path of the tuned XMark 0.25 load, on the tuned index and
+// on a label-split one (no requirements), where every path of two or more
+// labels is validated.
+func TestExplainAgreesWithRun(t *testing.T) {
+	ds, tuned := tunedXMark(t, 0.25)
+	for name, idx := range map[string]*Index{"tuned": tuned, "label-split": FromGraph(ds.G, nil)} {
+		idx.SetResultCache(0)
+		validations := 0
+		for _, q := range ds.W.Queries {
+			text := q.Format(ds.G.Labels())
+			e, err := idx.Explain(text)
+			if err != nil {
+				t.Fatal(err)
+			}
+			res, err := idx.Run(Request{Kind: KindPath, Text: text, Limit: -1})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if e.Results != res.Total || e.Stats != res.Stats {
+				t.Errorf("%s %s: Explain %d results %+v, Run %d results %+v", name, text, e.Results, e.Stats, res.Total, res.Stats)
+			}
+			validations += res.Stats.Validations
+		}
+		if name == "label-split" && validations == 0 {
+			t.Errorf("%s: no path validated", name)
+		}
+	}
+}
+
 func TestCompactAfterSubtreeDeletion(t *testing.T) {
 	idx := open(t)
 	mustApply(t, idx, Mutation{Op: MutSetRequirements, Reqs: map[string]int{"title": 2}})

@@ -87,7 +87,7 @@ func Build(g *graph.Graph, load []workload.WeightedQuery, minSupport int) (*APEX
 			continue
 		}
 		q := suffixes[key(k)]
-		ext := g.EvalLabelPath(q, nil)
+		ext, _ := eval.Data(g, q)
 		a.insert(q, ext)
 	}
 	if a.size == 0 {
@@ -172,7 +172,9 @@ func (a *APEX) Eval(q eval.Query) ([]graph.NodeID, eval.Cost) {
 		cost.Validations++
 		var out []graph.NodeID
 		for _, d := range deepest.extent {
-			if a.data.LabelPathMatchesNode(q, d, func(graph.NodeID) { cost.DataNodesValidated++ }) {
+			ok, charged := eval.MatchesNode(a.data, q, d)
+			cost.DataNodesValidated += charged
+			if ok {
 				out = append(out, d)
 			}
 		}
@@ -181,7 +183,8 @@ func (a *APEX) Eval(q eval.Query) ([]graph.NodeID, eval.Cost) {
 	default:
 		// Cold query: full scan of the data graph.
 		cost.Validations++
-		res := a.data.EvalLabelPath(q, func(graph.NodeID) { cost.DataNodesValidated++ })
+		res, c := eval.Data(a.data, q)
+		cost.DataNodesValidated += c.IndexNodesVisited
 		return res, cost
 	}
 }

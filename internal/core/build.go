@@ -5,6 +5,7 @@ import (
 	"slices"
 	"time"
 
+	"dkindex/internal/eval"
 	"dkindex/internal/graph"
 	"dkindex/internal/index"
 	"dkindex/internal/partition"
@@ -345,7 +346,7 @@ func Audit(ig *index.IndexGraph, maxK int) error {
 				if !seen[key] {
 					seen[key] = true
 					for _, d := range ext {
-						if !g.LabelPathMatchesNode(cur.path, d, nil) {
+						if ok, _ := eval.MatchesNode(g, cur.path, d); !ok {
 							return fmt.Errorf("core: audit failed: index node %d claims k=%d but a length-%d path does not match data node %d",
 								b, ig.K(graph.NodeID(b)), len(cur.path)-1, d)
 						}

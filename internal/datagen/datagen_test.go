@@ -6,6 +6,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"dkindex/internal/eval"
 	"dkindex/internal/graph"
 	"dkindex/internal/xmlgraph"
 )
@@ -66,7 +67,7 @@ func TestXMarkGraphPipeline(t *testing.T) {
 				t.Fatalf("label %s missing from XMark data", l)
 			}
 		}
-		if res := g.EvalLabelPath(q, nil); len(res) == 0 {
+		if res, _ := eval.Data(g, q); len(res) == 0 {
 			t.Errorf("path %v has no matches", path)
 		}
 	}
@@ -275,7 +276,7 @@ func TestDBLPGeneration(t *testing.T) {
 	if q[0] == graph.InvalidLabel || q[1] == graph.InvalidLabel {
 		t.Fatal("cite/article labels missing")
 	}
-	if res := g.EvalLabelPath(q, nil); len(res) == 0 {
+	if res, _ := eval.Data(g, q); len(res) == 0 {
 		t.Error("no cite->article paths")
 	}
 }

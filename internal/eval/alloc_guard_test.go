@@ -4,40 +4,44 @@ import (
 	"testing"
 
 	"dkindex/internal/datagen"
-	"dkindex/internal/graph"
 )
 
-// TestTwigValidationAllocatesNothingPerMember is the twig half of the root
-// package's TestColdReadAllocatesItsAnswer (matchesEndingAt is not exported):
-// on XMark at scale 1.0, validating one extent member against the data graph
-// — the upward trunk walk plus the downward predicate checks — allocates
-// nothing once the evaluator's pooled memo tables exist. With Go maps for
-// both memos every member grew and cleared a map.
+// TestTwigValidationAllocatesNothingPerMember is the trunk walker's half of
+// the root package's TestColdReadAllocatesItsAnswer (matchesEndingAt is not
+// exported): on XMark at scale 1.0, validating one extent member against the
+// data graph — the upward trunk walk, plus the downward predicate checks of
+// a twig — allocates nothing once the evaluator's pooled memo tables exist,
+// for a twig and for a simple path filling the evaluator's own twig. With Go
+// maps for both memos every member grew and cleared a map.
 func TestTwigValidationAllocatesNothingPerMember(t *testing.T) {
 	g, _, err := datagen.Graph(datagen.XMark(datagen.XMarkScale(1.0)))
 	if err != nil {
 		t.Fatal(err)
 	}
-	q, err := ParseTwig(g.Labels(), "item[location].name")
+	tw, err := ParseTwig(g.Labels(), "item[location].name")
 	if err != nil {
 		t.Fatal(err)
 	}
+	path := mustQuery(t, g, "person.name")
 	members := g.NodesWithLabel(g.Labels().Lookup("name"))
-	charged := 0
-	ev := newTwigEval(g, q, func(graph.NodeID) { charged++ })
-	defer ev.release()
-	next, hits := 0, 0
-	check := func() {
-		if ev.matchesEndingAt(members.At(next % members.Len())) {
-			hits++
+	for name, ev := range map[string]*twigEval{
+		"twig item[location].name": newTwigEval(g, tw),
+		"path person.name":         newPathEval(g, path),
+	} {
+		next, hits := 0, 0
+		check := func() {
+			if ev.matchesEndingAt(members.At(next % members.Len())) {
+				hits++
+			}
+			next++
 		}
-		next++
-	}
-	check()
-	if allocs := testing.AllocsPerRun(members.Len(), check); allocs != 0 {
-		t.Errorf("matchesEndingAt allocates %.2f times per member, want 0", allocs)
-	}
-	if hits == 0 || charged == 0 {
-		t.Fatalf("validation matched %d members and charged %d nodes", hits, charged)
+		check()
+		if allocs := testing.AllocsPerRun(members.Len(), check); allocs != 0 {
+			t.Errorf("%s: matchesEndingAt allocates %.2f times per member, want 0", name, allocs)
+		}
+		if hits == 0 || ev.visited == 0 {
+			t.Fatalf("%s: validation matched %d members and charged %d nodes", name, hits, ev.visited)
+		}
+		ev.release()
 	}
 }

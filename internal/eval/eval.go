@@ -116,9 +116,24 @@ func (c *Cost) Add(other Cost) {
 // Data evaluates q directly on the data graph — the ground truth (and the
 // cost of queries without any index). Results are sorted data node ids.
 func Data(g *graph.Graph, q Query) ([]graph.NodeID, Cost) {
-	var c Cost
-	res := g.EvalLabelPath(q, func(graph.NodeID) { c.IndexNodesVisited++ })
-	return res, c
+	e := newPathEval(g, q)
+	defer e.release()
+	res := slices.Clone(e.eval())
+	return res, Cost{IndexNodesVisited: e.visited}
+}
+
+// MatchesNode reports whether some node path of g ending at n spells q (an
+// empty q matches every node) — the paper's validation of one extent member
+// — and how many data nodes the check inspected, which the cost model
+// charges.
+func MatchesNode(g *graph.Graph, q Query, n graph.NodeID) (bool, int) {
+	if len(q) == 0 {
+		return true, 0
+	}
+	e := newPathEval(g, q)
+	defer e.release()
+	ok := e.matchesEndingAt(n)
+	return ok, e.visited
 }
 
 // Index evaluates q on a structural summary. The query is first run over
@@ -141,36 +156,18 @@ func Index(ig *index.IndexGraph, q Query) ([]graph.NodeID, Cost) {
 // unchanged — and the counters themselves are computed identically either
 // way, keeping traced and untraced costs bit-for-bit equal.
 func IndexTraced(ig *index.IndexGraph, q Query, tr *obs.Trace) ([]graph.NodeID, Cost) {
-	var c Cost
-	st := tr.StageStart()
-	matched := evalOnIndex(ig, q, &c)
-	tr.EndStage("match", st)
-	need := q.Length()
-	data := ig.Data()
-	st = tr.StageStart()
-	// Sound matches stay compressed until the final merge; validated hits
-	// accumulate uncompressed. Extents are disjoint (they partition the data
-	// nodes), so the container-level merge emits the same sorted result the
-	// old append-everything-then-sort produced.
-	check := func(d graph.NodeID, charge func(graph.NodeID)) bool {
-		return data.LabelPathMatchesNode(q, d, charge)
-	}
-	vs := valScratchPool.Get().(*valScratch)
-	for _, m := range matched {
-		if ig.K(m) >= need {
-			vs.sound = append(vs.sound, ig.ExtentSet(m))
-			continue
-		}
-		c.Validations++
-		vs.ext = ig.AppendExtent(vs.ext[:0], m)
-		var charged int
-		vs.hits, charged = validateMembers(vs.hits, vs.ext, check)
-		c.DataNodesValidated += charged
-	}
-	res := vs.finish()
-	tr.EndStage("validate", st)
-	tr.RecordCost(c.IndexNodesVisited, c.DataNodesValidated, c.Validations, len(res))
-	return res, c
+	e := newPathEval(ig, q)
+	defer e.release()
+	return e.onIndex(ig, tr, nil)
+}
+
+// Explain is Index reporting every matched index node to each, in ascending
+// order: whether its extent was validated and how many of its members the
+// answer kept.
+func Explain(ig *index.IndexGraph, q Query, each func(m graph.NodeID, validated bool, kept int)) ([]graph.NodeID, Cost) {
+	e := newPathEval(ig, q)
+	defer e.release()
+	return e.onIndex(ig, nil, each)
 }
 
 // IndexNoValidation evaluates q on the summary trusting every match: the
@@ -179,13 +176,14 @@ func IndexTraced(ig *index.IndexGraph, q Query, tr *obs.Trace) ([]graph.NodeID, 
 // this equals the true result; otherwise it may contain false positives.
 // Exposed for soundness experiments and tests.
 func IndexNoValidation(ig *index.IndexGraph, q Query) ([]graph.NodeID, Cost) {
-	var c Cost
-	matched := evalOnIndex(ig, q, &c)
+	e := newPathEval(ig, q)
+	defer e.release()
+	matched := e.eval()
 	sets := make([]nodeset.Set, len(matched))
 	for i, m := range matched {
 		sets[i] = ig.ExtentSet(m)
 	}
-	return nodeset.MergeAppend(nil, sets, nil), c
+	return nodeset.MergeAppend(nil, sets, nil), Cost{IndexNodesVisited: e.visited}
 }
 
 // valScratch pools the result-assembly buffers of the index evaluators: sound
@@ -214,32 +212,22 @@ func (vs *valScratch) finish() []graph.NodeID {
 // validateParallelThreshold is the extent size above which validation fans
 // out across CPUs (mirroring partition's parallel refinement threshold, tuned
 // lower because validating one member costs a backward search, not a hash).
-// Per-member validation is independent — the memo scratch is per call — and
-// the charge for one member is deterministic, so summing per-chunk counters
-// in chunk order reproduces the serial Cost exactly.
 var validateParallelThreshold = 1 << 11
 
-// validateMembers runs check over every extent member, appending the members
-// that passed to dst (in extent order) and returning it with the total number
-// of data nodes charged. Large extents are validated by a bounded worker
-// pool; results and charges are merged in chunk order so the outcome is
-// identical to the serial loop.
-func validateMembers(dst, ext []graph.NodeID, check func(d graph.NodeID, charge func(graph.NodeID)) bool) ([]graph.NodeID, int) {
-	if len(ext) < validateParallelThreshold || runtime.GOMAXPROCS(0) <= 1 {
-		charged := 0
-		charge := func(graph.NodeID) { charged++ }
-		for _, d := range ext {
-			if check(d, charge) {
-				dst = append(dst, d)
-			}
-		}
-		return dst, charged
+// validateMembers validates the members of one extent, appending those that
+// pass to dst in extent order and returning it with the number of data nodes
+// charged. validate does the same for one contiguous run of members. With
+// parallel set, an extent of validateParallelThreshold members or more is
+// split into chunks across a bounded worker pool, one validate call per
+// chunk, and the results and charges are merged in chunk order — identical
+// to one serial call when each member's charges are its own.
+func validateMembers(dst, ext []graph.NodeID, parallel bool, validate func(dst, members []graph.NodeID) ([]graph.NodeID, int)) ([]graph.NodeID, int) {
+	if !parallel || len(ext) < validateParallelThreshold || runtime.GOMAXPROCS(0) <= 1 {
+		return validate(dst, ext)
 	}
 	// Fan out over the shared workpool budget (the same pool construction
 	// rounds draw from, so concurrent query + build traffic cannot
-	// oversubscribe the machine). Chunk boundaries and the chunk-order merge
-	// are unchanged from the dedicated pool this replaced: per-member charges
-	// are deterministic, so the summed Cost stays bit-identical to serial.
+	// oversubscribe the machine).
 	type chunkResult struct {
 		hits    []graph.NodeID
 		charged int
@@ -248,12 +236,7 @@ func validateMembers(dst, ext []graph.NodeID, check func(d graph.NodeID, charge 
 	results := make([]chunkResult, workers)
 	workpool.Chunks(len(ext), workers, func(w, lo, hi int) {
 		r := &results[w]
-		charge := func(graph.NodeID) { r.charged++ }
-		for _, d := range ext[lo:hi] {
-			if check(d, charge) {
-				r.hits = append(r.hits, d)
-			}
-		}
+		r.hits, r.charged = validate(nil, ext[lo:hi])
 	})
 	charged := 0
 	for w := range results {
@@ -261,71 +244,6 @@ func validateMembers(dst, ext []graph.NodeID, check func(d graph.NodeID, charge 
 		charged += results[w].charged
 	}
 	return dst, charged
-}
-
-// idxScratch pools the dense frontier buffers of evalOnIndex.
-type idxScratch struct {
-	seen graph.VisitSet
-	a, b []graph.NodeID
-	cand []graph.NodeID
-}
-
-var idxScratchPool = sync.Pool{New: func() any { return new(idxScratch) }}
-
-// evalOnIndex runs the label-path traversal over the index graph, charging
-// one visit per (node, position) expansion, and returns the matched index
-// nodes in ascending order. Each step is pure set algebra over the
-// compressed posting lists: the frontier's distinct children (deduplicated
-// by an epoch-stamped visit set) are intersected with the next label's
-// posting set, either by probing the visit set while walking the compressed
-// list (when the posting list is the smaller side) or by a container-skipping
-// sorted intersection. Frontiers come out ascending, so no final sort is
-// needed. The charges are exactly those of the per-child label-check
-// evaluator: a step charges one visit per distinct frontier child carrying
-// the wanted label — precisely |children(frontier) ∩ posting(label)| — and
-// charge totals are independent of frontier order.
-func evalOnIndex(ig *index.IndexGraph, q Query, c *Cost) []graph.NodeID {
-	if len(q) == 0 {
-		return nil
-	}
-	sc := idxScratchPool.Get().(*idxScratch)
-	seed := ig.PostingSet(q[0])
-	cur := seed.AppendTo(sc.a[:0])
-	c.IndexNodesVisited += seed.Len()
-	next, cand := sc.b[:0], sc.cand[:0]
-	for pos := 1; pos < len(q) && len(cur) > 0; pos++ {
-		sc.seen.Reset(ig.NumNodes())
-		cand = cand[:0]
-		for _, n := range cur {
-			for _, ch := range ig.Children(n) {
-				if sc.seen.Add(ch) {
-					cand = append(cand, ch)
-				}
-			}
-		}
-		next = next[:0]
-		post := ig.PostingSet(q[pos])
-		if post.Len() <= 2*len(cand) {
-			post.Iterate(func(id graph.NodeID) bool {
-				if sc.seen.Contains(id) {
-					next = append(next, id)
-				}
-				return true
-			})
-		} else {
-			slices.Sort(cand)
-			next = nodeset.IntersectSortedAppend(post, cand, next)
-		}
-		c.IndexNodesVisited += len(next)
-		cur, next = next, cur
-	}
-	var out []graph.NodeID
-	if len(cur) > 0 {
-		out = append([]graph.NodeID(nil), cur...)
-	}
-	sc.a, sc.b, sc.cand = cur, next, cand
-	idxScratchPool.Put(sc)
-	return out
 }
 
 // SameResult reports whether two sorted result slices are identical; a test
@@ -340,12 +258,4 @@ func SameResult(a, b []graph.NodeID) bool {
 		}
 	}
 	return true
-}
-
-// MatchedIndexNodes runs the index-graph traversal for q and returns the
-// matched index nodes (ascending) with the traversal cost, leaving the
-// sound-or-validate decision to the caller. It backs explanation tooling.
-func MatchedIndexNodes(ig *index.IndexGraph, q Query) ([]graph.NodeID, Cost) {
-	var c Cost
-	return evalOnIndex(ig, q, &c), c
 }

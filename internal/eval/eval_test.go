@@ -36,7 +36,9 @@ func TestParseQuery(t *testing.T) {
 }
 
 // TestParseQueryBoundsLength: a path of maxQueryLabels labels parses, one
-// label more is rejected before anything is looked up.
+// label more is rejected before anything is looked up. A twig is bounded the
+// same way in steps, counted across the trunk and every predicate, so a
+// deeply nested one is rejected before the parser recurses.
 func TestParseQueryBoundsLength(t *testing.T) {
 	g := graph.FigureOneMovies()
 	longest := "movie" + strings.Repeat(".movie", maxQueryLabels-1)
@@ -45,6 +47,28 @@ func TestParseQueryBoundsLength(t *testing.T) {
 	}
 	if _, err := ParseQuery(g.Labels(), longest+".movie"); err == nil || !strings.Contains(err.Error(), "at most 1024") {
 		t.Errorf("%d-label query: err = %v, want a length error", maxQueryLabels+1, err)
+	}
+	var steps func(q *Twig) int
+	steps = func(q *Twig) int {
+		n := 0
+		for _, s := range q.Steps {
+			n++
+			for _, p := range s.Preds {
+				n += steps(p)
+			}
+		}
+		return n
+	}
+	for shape, twig := range map[string]func(n int) string{
+		"flat":   func(n int) string { return "movie" + strings.Repeat(".movie", n-1) },
+		"nested": func(n int) string { return strings.Repeat("movie[", n-1) + "movie" + strings.Repeat("]", n-1) },
+	} {
+		if q, err := ParseTwig(g.Labels(), twig(maxQueryLabels)); err != nil || steps(q) != maxQueryLabels {
+			t.Fatalf("%d-step %s twig: err %v", maxQueryLabels, shape, err)
+		}
+		if _, err := ParseTwig(g.Labels(), twig(maxQueryLabels+1)); err == nil || !strings.Contains(err.Error(), "at most 1024") {
+			t.Errorf("%d-step %s twig: err = %v, want a length error", maxQueryLabels+1, shape, err)
+		}
 	}
 }
 
@@ -58,6 +82,81 @@ func TestDataMatchesPaperExample(t *testing.T) {
 	if cost.Total() == 0 {
 		t.Error("direct evaluation reported zero cost")
 	}
+}
+
+// TestDataCases runs simple paths straight over the data graph: answers,
+// the empty answer as nil, and the visit charges of the cost model, which
+// must equal the map-based oracle's.
+func TestDataCases(t *testing.T) {
+	g := graph.FigureOneMovies()
+	for _, tc := range []struct {
+		name   string
+		q      Query
+		want   []graph.NodeID
+		visits int // -1: only compared with the oracle
+	}{
+		{"paper_example", mustQuery(t, g, "director.movie.title"), []graph.NodeID{15, 16, 18}, -1},
+		{"no_match", mustQuery(t, g, "title.movie"), nil, -1},
+		{"empty_path", nil, nil, 0},
+		// 4 movie seeds + 4 title matches.
+		{"counts_visits", mustQuery(t, g, "movie.title"), []graph.NodeID{13, 15, 16, 18}, 8},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			got, c := Data(g, tc.q)
+			if !SameResult(got, tc.want) || (tc.want == nil && got != nil) {
+				t.Errorf("%s = %v, want %v", tc.q.Format(g.Labels()), got, tc.want)
+			}
+			if tc.visits >= 0 && c.IndexNodesVisited != tc.visits {
+				t.Errorf("%s: visits = %d, want %d", tc.q.Format(g.Labels()), c.IndexNodesVisited, tc.visits)
+			}
+			if _, wc := ReferenceData(g, tc.q); c != wc {
+				t.Errorf("%s: cost %+v, reference %+v", tc.q.Format(g.Labels()), c, wc)
+			}
+		})
+	}
+}
+
+// TestMatchesNodeCases checks the per-member validation primitive, on the
+// paper's example and around a cycle.
+func TestMatchesNodeCases(t *testing.T) {
+	movies, cycle := graph.FigureOneMovies(), graph.TinyCycle()
+	for _, tc := range []struct {
+		name string
+		g    *graph.Graph
+		path string // "" is the empty path
+		n    graph.NodeID
+		want bool
+	}{
+		{"paper_example", movies, "director.movie.title", 15, true},
+		// Movie 5 has no director parent.
+		{"paper_example_miss", movies, "director.movie.title", 13, false},
+		{"empty_path", movies, "", 13, true},
+		// Node path a->b->a->b exists via the cycle.
+		{"cycle", cycle, "a.b.a.b", 2, true},
+		// But ROOT appears only at the start.
+		{"cycle_root_inside", cycle, "b." + graph.RootLabel + ".a", 1, false},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			var q Query
+			if tc.path != "" {
+				q = mustQuery(t, tc.g, tc.path)
+			}
+			ok, charged := MatchesNode(tc.g, q, tc.n)
+			if ok != tc.want {
+				t.Errorf("%q at node %d = %v, want %v", tc.path, tc.n, ok, tc.want)
+			}
+			wantOK, wantCharged := referenceMatchesNode(tc.g, q, tc.n)
+			if ok != wantOK || charged != wantCharged {
+				t.Errorf("%q at node %d = %v charging %d, reference %v charging %d", tc.path, tc.n, ok, charged, wantOK, wantCharged)
+			}
+		})
+	}
+}
+
+func referenceMatchesNode(g *graph.Graph, q Query, n graph.NodeID) (bool, int) {
+	charged := 0
+	ok := referenceLabelPathMatchesNode(g, q, n, func(graph.NodeID) { charged++ })
+	return ok, charged
 }
 
 func TestIndexSoundWithoutValidation(t *testing.T) {

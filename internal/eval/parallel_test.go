@@ -76,10 +76,13 @@ func TestParallelValidationTinyExtents(t *testing.T) {
 		for i := range ext {
 			ext[i] = graph.NodeID(10 + i)
 		}
-		hits, charged := validateMembers([]graph.NodeID{7}, ext, func(d graph.NodeID, charge func(graph.NodeID)) bool {
-			charge(d)
-			charge(d)
-			return d != 11
+		hits, charged := validateMembers([]graph.NodeID{7}, ext, true, func(dst, members []graph.NodeID) ([]graph.NodeID, int) {
+			for _, d := range members {
+				if d != 11 {
+					dst = append(dst, d)
+				}
+			}
+			return dst, 2 * len(members)
 		})
 		want := []graph.NodeID{7}
 		for _, d := range ext {

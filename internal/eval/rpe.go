@@ -36,10 +36,17 @@ func IndexRPETraced(ig *index.IndexGraph, c *rpe.Compiled, tr *obs.Trace) ([]gra
 	matched := c.EvalTraced(ig, func(graph.NodeID) { cost.IndexNodesVisited++ }, tr)
 	data := ig.Data()
 	st := tr.StageStart()
-	// As in IndexTraced: sound extents stay compressed until the final
+	// As in twigEval.onIndex: sound extents stay compressed until the final
 	// disjoint-set merge, unsound ones decompress into a pooled buffer.
-	check := func(d graph.NodeID, charge func(graph.NodeID)) bool {
-		return c.MatchesNode(data, d, charge)
+	validate := func(dst, members []graph.NodeID) ([]graph.NodeID, int) {
+		charged := 0
+		charge := func(graph.NodeID) { charged++ }
+		for _, d := range members {
+			if c.MatchesNode(data, d, charge) {
+				dst = append(dst, d)
+			}
+		}
+		return dst, charged
 	}
 	vs := valScratchPool.Get().(*valScratch)
 	for _, m := range matched {
@@ -50,7 +57,7 @@ func IndexRPETraced(ig *index.IndexGraph, c *rpe.Compiled, tr *obs.Trace) ([]gra
 		cost.Validations++
 		vs.ext = ig.AppendExtent(vs.ext[:0], m)
 		var charged int
-		vs.hits, charged = validateMembers(vs.hits, vs.ext, check)
+		vs.hits, charged = validateMembers(vs.hits, vs.ext, true, validate)
 		cost.DataNodesValidated += charged
 	}
 	res := vs.finish()

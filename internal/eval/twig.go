@@ -36,8 +36,16 @@ type TwigStep struct {
 //	twig := step ('.' step)*
 //	step := label ('[' twig ']')*
 //
-// Labels follow the same lexical rules as simple queries.
+// A label is a run of letters, digits and "_-:@" — narrower than a simple
+// query's labels, which may hold any byte but '.'. A twig of more than
+// maxQueryLabels steps, counted across the trunk and every predicate, is
+// rejected as ParseQuery rejects a longer path.
 func ParseTwig(t *graph.LabelTable, s string) (*Twig, error) {
+	// Every step starts the text or follows a '.' or a '[', so this bounds
+	// the steps, and with them the parser's recursion, before it starts.
+	if n := 1 + strings.Count(s, ".") + strings.Count(s, "["); n > maxQueryLabels {
+		return nil, fmt.Errorf("eval: twig of %d steps, at most %d allowed", n, maxQueryLabels)
+	}
 	p := &twigParser{src: s, tab: t}
 	q, err := p.twig()
 	if err != nil {
@@ -133,8 +141,9 @@ func (q *Twig) Format(t *graph.LabelTable) string {
 // index node would need for the trunk alone).
 func (q *Twig) Length() int { return len(q.Steps) - 1 }
 
-// twigSource is the graph view twig evaluation needs; data graphs and index
-// graphs both provide it.
+// twigSource is the graph view twig evaluation needs. Only data graphs and
+// index graphs are evaluated, and each also provides one of the posting-list
+// views below, which seed the trunk.
 type twigSource interface {
 	NumNodes() int
 	Label(n graph.NodeID) graph.LabelID
@@ -142,15 +151,14 @@ type twigSource interface {
 	Parents(n graph.NodeID) []graph.NodeID
 }
 
-// labelIndexed is the optional posting-list view: sources that provide it
-// (data graphs do) seed evaluation in O(|matches|) instead of a full node
-// scan. The returned list must be the label's nodes in ascending order.
+// labelIndexed is the data graph's posting-list view: the label's nodes in
+// ascending order, so seeding costs O(|matches|).
 type labelIndexed interface {
 	NodesWithLabel(l graph.LabelID) cow.Paged[graph.NodeID]
 }
 
-// postingIndexed is the succinct posting-list view: index graphs provide it,
-// and the evaluator then seeds and advances predicate-free trunk steps by
+// postingIndexed is the index graph's succinct posting-list view: the
+// evaluator seeds from it and advances predicate-free trunk steps by
 // compressed set intersection instead of per-child label checks.
 type postingIndexed interface {
 	PostingSet(l graph.LabelID) nodeset.Set
@@ -236,49 +244,57 @@ func (m *memoTable) grow() {
 	}
 }
 
-// twigScratch pools a twig evaluator's working state: the dense frontier
-// buffers of eval and the two memo tables.
-type twigScratch struct {
+// twigEval evaluates one trunk over one source — every query kind but RPE
+// walks its labels here: a simple path is a predicate-free twig. Evaluators
+// are pooled with their working state (the dense frontier buffers of eval,
+// the two memo tables and the twig a simple path fills): take one with
+// newTwigEval or newPathEval and release it when done.
+type twigEval struct {
+	src twigSource
+	q   *Twig
+	// path marks a simple path query, whose index matches are sound by the
+	// paper's k rule rather than the twig's F&B rule (see sound).
+	path bool
+	// visited counts the nodes evaluation charged, the paper's cost unit.
+	visited int
+
 	inNext graph.VisitSet
 	a, b   []graph.NodeID
 	cand   []graph.NodeID
-	// pred caches downward predicate matching by (step id, node); it lives
-	// until forget.
+	// pred caches downward predicate matching by (step id, node) for the
+	// evaluator's lifetime.
 	pred memoTable
 	// trunk backs matchesEndingAt by (trunk position, node); emptied per call.
 	trunk memoTable
+	// pathTwig holds a simple path query's labels (see newPathEval).
+	pathTwig Twig
 }
 
-var twigScratchPool = sync.Pool{New: func() any { return new(twigScratch) }}
+var twigEvalPool = sync.Pool{New: func() any { return new(twigEval) }}
 
-// twigEval evaluates one twig over one source. Its scratch comes from a
-// pool: release it when done.
-type twigEval struct {
-	src   twigSource
-	q     *Twig
-	visit func(graph.NodeID)
-	sc    *twigScratch
-}
-
-func newTwigEval(src twigSource, q *Twig, visit func(graph.NodeID)) *twigEval {
-	e := &twigEval{src: src, q: q, visit: visit, sc: twigScratchPool.Get().(*twigScratch)}
-	e.forget()
+func newTwigEval(src twigSource, q *Twig) *twigEval {
+	e := twigEvalPool.Get().(*twigEval)
+	e.src, e.q, e.path, e.visited = src, q, false, 0
+	e.pred.reset()
 	return e
 }
 
-// forget drops every cached predicate outcome, leaving the evaluator as a
-// freshly constructed one.
-func (e *twigEval) forget() { e.sc.pred.reset() }
-
-func (e *twigEval) release() {
-	twigScratchPool.Put(e.sc)
-	e.sc = nil
+// newPathEval is newTwigEval for a simple path query: q's labels fill the
+// evaluator's own predicate-free twig, so a path allocates no Twig.
+func newPathEval(src twigSource, q Query) *twigEval {
+	e := newTwigEval(src, nil)
+	steps := e.pathTwig.Steps[:0]
+	for _, l := range q {
+		steps = append(steps, TwigStep{Label: l})
+	}
+	e.pathTwig.Steps = steps
+	e.q, e.path = &e.pathTwig, true
+	return e
 }
 
-func (e *twigEval) see(n graph.NodeID) {
-	if e.visit != nil {
-		e.visit(n)
-	}
+func (e *twigEval) release() {
+	e.src, e.q = nil, nil // a pooled evaluator must not pin a snapshot
+	twigEvalPool.Put(e)
 }
 
 // stepOK reports whether node n satisfies step s locally: label match plus
@@ -298,14 +314,14 @@ func (e *twigEval) stepOK(n graph.NodeID, s *TwigStep) bool {
 // matchDown reports whether some child chain of n matches pred starting at
 // step i (the predicate is rooted strictly below n).
 func (e *twigEval) matchDown(n graph.NodeID, pred *Twig, i int) bool {
-	memo, key := &e.sc.pred, memoKey(pred.Steps[i].id, n)
+	memo, key := &e.pred, memoKey(pred.Steps[i].id, n)
 	if v, ok := memo.get(key); ok {
 		return v
 	}
 	memo.set(key, false) // cycle cut: revisiting (step, node) cannot help
 	res := false
 	for _, c := range e.src.Children(n) {
-		e.see(c)
+		e.visited++
 		if !e.stepOK(c, &pred.Steps[i]) {
 			continue
 		}
@@ -318,12 +334,13 @@ func (e *twigEval) matchDown(n graph.NodeID, pred *Twig, i int) bool {
 	return res
 }
 
-// eval runs the trunk forward and returns matched nodes, ascending. Seeding
-// reads the source's posting list (the compressed set for index graphs, the
-// paged list for data graphs); frontiers are pooled dense slices
-// deduplicated by an epoch-stamped visit set. On posting-indexed sources,
-// predicate-FREE steps advance by pure set algebra — the frontier's distinct
-// children intersected with the label's compressed posting set — while
+// eval runs the trunk forward and returns the matched nodes, ascending, in
+// the evaluator's own buffer: it is valid until the next eval or release.
+// Seeding reads the source's posting list (the compressed set for index
+// graphs, the paged list for data graphs); frontiers are pooled dense slices
+// deduplicated by an epoch-stamped visit set. On index graphs, predicate-FREE
+// steps advance by pure set algebra — the frontier's distinct children
+// intersected with the label's compressed posting set — while
 // predicate-bearing steps keep the per-child loop, whose stepOK calls drive
 // the memoized downward matching. The charge pattern of the per-child
 // evaluator is preserved exactly either way: on a predicate-free step every
@@ -332,43 +349,33 @@ func (e *twigEval) matchDown(n graph.NodeID, pred *Twig, i int) bool {
 // and on predicate-bearing steps charge totals are properties of the
 // frontier set and the memo DAG, not of iteration order.
 func (e *twigEval) eval() []graph.NodeID {
-	sc := e.sc
-	cur, next, cand := sc.a[:0], sc.b[:0], sc.cand[:0]
+	if len(e.q.Steps) == 0 {
+		return nil
+	}
+	cur, next, cand := e.a[:0], e.b[:0], e.cand[:0]
+	first := &e.q.Steps[0]
 	pi, piOK := e.src.(postingIndexed)
-	switch {
-	case piOK:
-		pi.PostingSet(e.q.Steps[0].Label).Iterate(func(id graph.NodeID) bool {
-			e.see(id)
-			if e.stepOK(id, &e.q.Steps[0]) {
+	if piOK {
+		pi.PostingSet(first.Label).Iterate(func(id graph.NodeID) bool {
+			e.visited++
+			if e.stepOK(id, first) {
 				cur = append(cur, id)
 			}
 			return true
 		})
-	default:
-		if li, ok := e.src.(labelIndexed); ok {
-			seeds := li.NodesWithLabel(e.q.Steps[0].Label)
-			for i := range seeds.Len() {
-				id := seeds.At(i)
-				e.see(id)
-				if e.stepOK(id, &e.q.Steps[0]) {
-					cur = append(cur, id)
-				}
-			}
-		} else {
-			for n := 0; n < e.src.NumNodes(); n++ {
-				id := graph.NodeID(n)
-				if e.src.Label(id) == e.q.Steps[0].Label {
-					e.see(id)
-					if e.stepOK(id, &e.q.Steps[0]) {
-						cur = append(cur, id)
-					}
-				}
+	} else {
+		seeds := e.src.(labelIndexed).NodesWithLabel(first.Label)
+		for i := range seeds.Len() {
+			id := seeds.At(i)
+			e.visited++
+			if e.stepOK(id, first) {
+				cur = append(cur, id)
 			}
 		}
 	}
 	sorted := true // posting-seeded frontiers are ascending
 	for pos := 1; pos < len(e.q.Steps) && len(cur) > 0; pos++ {
-		sc.inNext.Reset(e.src.NumNodes())
+		e.inNext.Reset(e.src.NumNodes())
 		next = next[:0]
 		step := &e.q.Steps[pos]
 		if piOK && len(step.Preds) == 0 {
@@ -377,7 +384,7 @@ func (e *twigEval) eval() []graph.NodeID {
 			cand = cand[:0]
 			for _, n := range cur {
 				for _, c := range e.src.Children(n) {
-					if sc.inNext.Add(c) {
+					if e.inNext.Add(c) {
 						cand = append(cand, c)
 					}
 				}
@@ -385,7 +392,7 @@ func (e *twigEval) eval() []graph.NodeID {
 			post := pi.PostingSet(step.Label)
 			if post.Len() <= 2*len(cand) {
 				post.Iterate(func(id graph.NodeID) bool {
-					if sc.inNext.Contains(id) {
+					if e.inNext.Contains(id) {
 						next = append(next, id)
 					}
 					return true
@@ -394,20 +401,18 @@ func (e *twigEval) eval() []graph.NodeID {
 				slices.Sort(cand)
 				next = nodeset.IntersectSortedAppend(post, cand, next)
 			}
-			for _, id := range next {
-				e.see(id)
-			}
+			e.visited += len(next)
 			sorted = true
 		} else {
 			want := step.Label
 			for _, n := range cur {
 				for _, c := range e.src.Children(n) {
-					if e.src.Label(c) != want || sc.inNext.Contains(c) {
+					if e.src.Label(c) != want || e.inNext.Contains(c) {
 						continue
 					}
-					e.see(c)
+					e.visited++
 					if e.stepOK(c, step) {
-						sc.inNext.Add(c)
+						e.inNext.Add(c)
 						next = append(next, c)
 					}
 				}
@@ -416,37 +421,36 @@ func (e *twigEval) eval() []graph.NodeID {
 		}
 		cur, next = next, cur
 	}
-	var out []graph.NodeID
-	if len(cur) > 0 {
-		out = append([]graph.NodeID(nil), cur...)
-		if !sorted {
-			slices.Sort(out)
-		}
+	if !sorted {
+		slices.Sort(cur)
 	}
-	sc.a, sc.b, sc.cand = cur, next, cand
-	return out
+	e.a, e.b, e.cand = cur, next, cand
+	if len(cur) == 0 {
+		return nil
+	}
+	return cur
 }
 
 // matchesEndingAt reports whether some trunk instance ends at node n, with
 // every trunk node satisfying its predicates; the validation primitive. The
 // trunk memo is scoped to one call (emptied on entry); the predicate memo is
-// shared across the members of an extent.
+// shared by every call on the evaluator.
 func (e *twigEval) matchesEndingAt(n graph.NodeID) bool {
-	e.sc.trunk.reset()
+	e.trunk.reset()
 	return e.trunkEndsAt(n, len(e.q.Steps)-1)
 }
 
 // trunkEndsAt reports whether trunk steps 0..i match some node path ending
 // at n.
 func (e *twigEval) trunkEndsAt(n graph.NodeID, i int) bool {
-	e.see(n)
+	e.visited++
 	if !e.stepOK(n, &e.q.Steps[i]) {
 		return false
 	}
 	if i == 0 {
 		return true
 	}
-	memo, key := &e.sc.trunk, memoKey(i, n)
+	memo, key := &e.trunk, memoKey(i, n)
 	if v, hit := memo.get(key); hit {
 		return v
 	}
@@ -462,20 +466,96 @@ func (e *twigEval) trunkEndsAt(n graph.NodeID, i int) bool {
 	return res
 }
 
-// DataTwig evaluates a branching path query directly on the data graph.
-func DataTwig(g *graph.Graph, q *Twig) ([]graph.NodeID, Cost) {
-	var c Cost
-	e := newTwigEval(g, q, func(graph.NodeID) { c.IndexNodesVisited++ })
-	defer e.release()
-	return e.eval(), c
+// sound reports whether matched index node m's whole extent answers the
+// query, with no validation. The rule is per kind. A simple path trusts m
+// when k(m) covers its length, the paper's rule. A twig trusts only an
+// F&B-stable index (BuildFB): forward-and-backward bisimilar extents agree on
+// both the trunk's incoming paths and every predicate's downward pattern,
+// while backward bisimilarity alone says nothing about child structure.
+func (e *twigEval) sound(ig *index.IndexGraph, m graph.NodeID) bool {
+	if e.path {
+		return ig.K(m) >= e.q.Length()
+	}
+	return ig.FBStable()
 }
 
-// IndexTwig evaluates a branching path query on a structural summary. On an
-// F&B-stable index (BuildFB) the result is sound without validation:
-// forward-and-backward bisimilar extents agree on both the trunk's incoming
-// paths and every predicate's downward pattern. On any other index, matched
-// extents are validated member by member against the data graph — backward
-// bisimilarity alone says nothing about child structure.
+// onIndex runs e's trunk over ig, e's source, and resolves every match: a
+// sound index node contributes its extent wholesale, compressed until the
+// final disjoint-set merge; any other is validated member by member against
+// the data graph, by a fresh evaluator per run of members. A predicate-free
+// trunk validates large extents in parallel chunks, because each member's
+// charges are its own. A trunk with predicates validates an extent in one
+// serial run, whose members share the predicate memo, so later members ride
+// on charges earlier ones paid. The match and the validation are traced as
+// "match" and "validate" spans; nil traces are free and never change the
+// counters. each, when non-nil, hears every matched node in ascending order,
+// with whether it was validated and how many of its members the answer kept.
+func (e *twigEval) onIndex(ig *index.IndexGraph, tr *obs.Trace, each func(m graph.NodeID, validated bool, kept int)) ([]graph.NodeID, Cost) {
+	st := tr.StageStart()
+	matched := e.eval()
+	tr.EndStage("match", st)
+	c := Cost{IndexNodesVisited: e.visited}
+	st = tr.StageStart()
+	data, q := ig.Data(), e.q
+	validate := func(dst, members []graph.NodeID) ([]graph.NodeID, int) {
+		ev := newTwigEval(data, q)
+		for _, d := range members {
+			if ev.matchesEndingAt(d) {
+				dst = append(dst, d)
+			}
+		}
+		charged := ev.visited
+		ev.release()
+		return dst, charged
+	}
+	parallel := q.predicateFree()
+	vs := valScratchPool.Get().(*valScratch)
+	for _, m := range matched {
+		validated, kept := !e.sound(ig, m), 0
+		if validated {
+			c.Validations++
+			vs.ext = ig.AppendExtent(vs.ext[:0], m)
+			before := len(vs.hits)
+			var charged int
+			vs.hits, charged = validateMembers(vs.hits, vs.ext, parallel, validate)
+			c.DataNodesValidated += charged
+			kept = len(vs.hits) - before
+		} else {
+			ext := ig.ExtentSet(m)
+			vs.sound = append(vs.sound, ext)
+			kept = ext.Len()
+		}
+		if each != nil {
+			each(m, validated, kept)
+		}
+	}
+	res := vs.finish()
+	tr.EndStage("validate", st)
+	tr.RecordCost(c.IndexNodesVisited, c.DataNodesValidated, c.Validations, len(res))
+	return res, c
+}
+
+// predicateFree reports whether no trunk step carries a predicate.
+func (q *Twig) predicateFree() bool {
+	for _, s := range q.Steps {
+		if len(s.Preds) > 0 {
+			return false
+		}
+	}
+	return true
+}
+
+// DataTwig evaluates a branching path query directly on the data graph.
+func DataTwig(g *graph.Graph, q *Twig) ([]graph.NodeID, Cost) {
+	e := newTwigEval(g, q)
+	defer e.release()
+	res := slices.Clone(e.eval())
+	return res, Cost{IndexNodesVisited: e.visited}
+}
+
+// IndexTwig evaluates a branching path query on a structural summary:
+// matched extents are trusted on an F&B-stable index and validated member by
+// member on any other (see sound).
 func IndexTwig(ig *index.IndexGraph, q *Twig) ([]graph.NodeID, Cost) {
 	return IndexTwigTraced(ig, q, nil)
 }
@@ -484,44 +564,9 @@ func IndexTwig(ig *index.IndexGraph, q *Twig) ([]graph.NodeID, Cost) {
 // "validate" spans, cost counters copied onto the trace). Nil traces are
 // free and never change the counters.
 func IndexTwigTraced(ig *index.IndexGraph, q *Twig, tr *obs.Trace) ([]graph.NodeID, Cost) {
-	var c Cost
-	e := newTwigEval(ig, q, func(graph.NodeID) { c.IndexNodesVisited++ })
-	st := tr.StageStart()
-	matched := e.eval()
-	e.release()
-	tr.EndStage("match", st)
-	st = tr.StageStart()
-	var res []graph.NodeID
-	if ig.FBStable() {
-		// F&B-stable extents stay compressed until the disjoint-set merge.
-		vs := valScratchPool.Get().(*valScratch)
-		for _, m := range matched {
-			vs.sound = append(vs.sound, ig.ExtentSet(m))
-		}
-		res = vs.finish()
-	} else if len(matched) > 0 {
-		// Unsound matches decompress into a pooled buffer for validation.
-		// Validation stays serial: extent members share ev's predicate memo,
-		// so later members ride on charges already paid by earlier ones; the
-		// memo is forgotten between extents.
-		ev := newTwigEval(ig.Data(), q, func(graph.NodeID) { c.DataNodesValidated++ })
-		vs := valScratchPool.Get().(*valScratch)
-		for _, m := range matched {
-			c.Validations++
-			ev.forget()
-			vs.ext = ig.AppendExtent(vs.ext[:0], m)
-			for _, d := range vs.ext {
-				if ev.matchesEndingAt(d) {
-					vs.hits = append(vs.hits, d)
-				}
-			}
-		}
-		ev.release()
-		res = vs.finish()
-	}
-	tr.EndStage("validate", st)
-	tr.RecordCost(c.IndexNodesVisited, c.DataNodesValidated, c.Validations, len(res))
-	return res, c
+	e := newTwigEval(ig, q)
+	defer e.release()
+	return e.onIndex(ig, tr, nil)
 }
 
 // TwigFromQuery converts a simple path query into a predicate-free twig.

@@ -227,7 +227,8 @@ func FuzzParseTwig(f *testing.F) {
 		for _, n := range res {
 			matched[n] = true
 		}
-		e := newTwigEval(g, q, nil)
+		e := newTwigEval(g, q)
+		defer e.release()
 		for _, n := range []graph.NodeID{0, 5, 10, 18} {
 			if got := e.matchesEndingAt(n); got != matched[n] {
 				t.Fatalf("%q: matchesEndingAt(%d)=%v, eval=%v", src, n, got, matched[n])

@@ -171,77 +171,6 @@ func TestMaxDepth(t *testing.T) {
 	}
 }
 
-func labelIDs(g *Graph, names ...string) []LabelID {
-	out := make([]LabelID, len(names))
-	for i, n := range names {
-		out[i] = g.Labels().Intern(n)
-	}
-	return out
-}
-
-func TestEvalLabelPathPaperExample(t *testing.T) {
-	g := FigureOneMovies()
-	got := g.EvalLabelPath(labelIDs(g, "director", "movie", "title"), nil)
-	want := []NodeID{15, 16, 18}
-	if len(got) != len(want) {
-		t.Fatalf("director.movie.title = %v, want %v", got, want)
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("director.movie.title = %v, want %v", got, want)
-		}
-	}
-}
-
-func TestEvalLabelPathNoMatch(t *testing.T) {
-	g := FigureOneMovies()
-	if got := g.EvalLabelPath(labelIDs(g, "title", "movie"), nil); got != nil {
-		t.Errorf("title.movie = %v, want empty", got)
-	}
-	if got := g.EvalLabelPath(nil, nil); got != nil {
-		t.Errorf("empty path = %v, want nil", got)
-	}
-}
-
-func TestEvalLabelPathCountsVisits(t *testing.T) {
-	g := FigureOneMovies()
-	visits := 0
-	g.EvalLabelPath(labelIDs(g, "movie", "title"), func(NodeID) { visits++ })
-	// 4 movie seeds + 4 title matches.
-	if visits != 8 {
-		t.Errorf("visits = %d, want 8", visits)
-	}
-}
-
-func TestLabelPathMatchesNode(t *testing.T) {
-	g := FigureOneMovies()
-	path := labelIDs(g, "director", "movie", "title")
-	if !g.LabelPathMatchesNode(path, 15, nil) {
-		t.Error("director.movie.title should match node 15")
-	}
-	if g.LabelPathMatchesNode(path, 13, nil) {
-		t.Error("director.movie.title should not match node 13 (movie 5 has no director parent)")
-	}
-	if !g.LabelPathMatchesNode(nil, 13, nil) {
-		t.Error("empty label path must match every node")
-	}
-}
-
-func TestLabelPathMatchesNodeOnCycle(t *testing.T) {
-	g := TinyCycle()
-	a := g.Labels().Lookup("a")
-	b := g.Labels().Lookup("b")
-	// Node path a->b->a->b exists via the cycle.
-	if !g.LabelPathMatchesNode([]LabelID{a, b, a, b}, 2, nil) {
-		t.Error("cycle path a.b.a.b should match node b")
-	}
-	// But ROOT appears only at the start.
-	root := g.Labels().Lookup(RootLabel)
-	if g.LabelPathMatchesNode([]LabelID{b, root, a}, 1, nil) {
-		t.Error("b.ROOT.a must not match")
-	}
-}
-
 func TestFigureOneBisimilarityFacts(t *testing.T) {
 	g := FigureOneMovies()
 	// The text's justification: node 7 has a parent labeled actor, node 9

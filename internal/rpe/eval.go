@@ -11,7 +11,8 @@ import (
 )
 
 // Source is the graph view expression evaluation needs. Both the data graph
-// and index graphs satisfy it.
+// and index graphs satisfy it, and Eval is given nothing else: it also reads
+// one of their posting-list views below.
 type Source interface {
 	NumNodes() int
 	Label(n graph.NodeID) graph.LabelID
@@ -19,9 +20,8 @@ type Source interface {
 	Parents(n graph.NodeID) []graph.NodeID
 }
 
-// labelIndexed is the optional posting-list view of a Source: when provided
-// (data graphs do), evaluation seeds from per-label node lists instead of
-// probing the automaton once per node.
+// labelIndexed is the data graph's posting-list view: evaluation seeds from
+// per-label node lists instead of probing the automaton once per node.
 type labelIndexed interface {
 	NodesWithLabel(l graph.LabelID) cow.Paged[graph.NodeID]
 	NumLabels() int
@@ -86,7 +86,7 @@ func reverseExpr(e Expr) Expr {
 //
 // Seeding exploits that the start transition depends only on a node's label:
 // the successor set is computed once per label and the seed nodes come from
-// the source's posting lists when it provides them. Seeds enter the worklist
+// the source's posting lists. Seeds enter the worklist
 // in ascending node order — exactly the order of the per-node probe loop —
 // so the FIFO fixpoint performs the identical sequence of expansions and the
 // visited charges are unchanged.
@@ -138,9 +138,9 @@ func (c *Compiled) EvalTraced(g Source, visited func(graph.NodeID), tr *obs.Trac
 	st := tr.StageStart()
 	// Assign seed states label by label (every node with one label starts in
 	// the same set), then queue the seeded nodes in one ascending scan over
-	// the state table.
-	switch src := g.(type) {
-	case postingIndexed:
+	// the state table. Index graphs give compressed posting sets, data graphs
+	// paged lists; no other Source is evaluated.
+	if src, ok := g.(postingIndexed); ok {
 		for l := 0; l < src.NumLabels(); l++ {
 			post := src.PostingSet(graph.LabelID(l))
 			if post.IsEmpty() || !a.stepSet(delta, a.start, graph.LabelID(l)) {
@@ -151,7 +151,8 @@ func (c *Compiled) EvalTraced(g Source, visited func(graph.NodeID), tr *obs.Trac
 				return true
 			})
 		}
-	case labelIndexed:
+	} else {
+		src := g.(labelIndexed)
 		for l := 0; l < src.NumLabels(); l++ {
 			nodes := src.NodesWithLabel(graph.LabelID(l))
 			if nodes.Len() == 0 || !a.stepSet(delta, a.start, graph.LabelID(l)) {
@@ -160,10 +161,6 @@ func (c *Compiled) EvalTraced(g Source, visited func(graph.NodeID), tr *obs.Trac
 			for i := range nodes.Len() {
 				copy(of(nodes.At(i)), delta)
 			}
-		}
-	default:
-		for i := 0; i < n; i++ {
-			a.stepSet(of(graph.NodeID(i)), a.start, g.Label(graph.NodeID(i)))
 		}
 	}
 	head, tail, pending := 0, 0, 0

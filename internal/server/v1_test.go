@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"net/url"
 	"strings"
 	"testing"
 
@@ -78,6 +79,22 @@ func TestV1QueryErrors(t *testing.T) {
 		}
 		if body["error"] == "" {
 			t.Errorf("%s: empty error message", tc.url)
+		}
+	}
+}
+
+// TestV1QueryBoundsTwigSteps: a twig is held to ParseQuery's 1 024 labels,
+// counted in steps across its trunk and predicates, flat or nested.
+func TestV1QueryBoundsTwigSteps(t *testing.T) {
+	ts, _ := newTestServer(t)
+	for n, status := range map[int]int{1024: 200, 1025: 400} {
+		flat := "movie" + strings.Repeat(".movie", n-1)
+		nested := strings.Repeat("movie[", n-1) + "movie" + strings.Repeat("]", n-1)
+		for _, twig := range []string{flat, nested} {
+			code, body := get(t, ts.URL+"/v1/query?kind=twig&limit=0&q="+url.QueryEscape(twig))
+			if code != status || (status == 400 && body["code"] != "bad_query") {
+				t.Errorf("%d-step twig %.12q... = %d %v, want %d", n, twig, code, body["code"], status)
+			}
 		}
 	}
 }

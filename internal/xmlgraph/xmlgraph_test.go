@@ -4,6 +4,7 @@ import (
 	"strings"
 	"testing"
 
+	"dkindex/internal/eval"
 	"dkindex/internal/graph"
 )
 
@@ -63,7 +64,7 @@ func TestLoadReferenceEdgesResolve(t *testing.T) {
 		g.Labels().Lookup("movie"),
 		g.Labels().Lookup("title"),
 	}
-	res := g.EvalLabelPath(q, nil)
+	res, _ := eval.Data(g, q)
 	// a1 -> m1 (Dune), a1 -> m3 (Blade Runner): two titles.
 	if len(res) != 2 {
 		t.Errorf("actor.movie.title = %v, want 2 titles", res)
@@ -80,7 +81,7 @@ func TestLoadWithValues(t *testing.T) {
 	}
 	// Every name has text: name -> VALUE must match rep count relationships.
 	q := []graph.LabelID{g.Labels().Lookup("name"), g.Labels().Lookup(graph.ValueLabel)}
-	res := g.EvalLabelPath(q, nil)
+	res, _ := eval.Data(g, q)
 	if len(res) != 5 {
 		t.Errorf("name.VALUE = %d results, want 5", len(res))
 	}
