@@ -112,13 +112,14 @@ inline-check:
 # bench-baseline records the regression-guard baseline: several short
 # repetitions of the guarded benchmarks (query throughput, the cold RPE and
 # twig evaluations that validate against the data graph, the parallel
-# snapshot-serving path, the in-memory group-commit write pipeline, the
-# in-memory shard engine's scatter-gather read and shard-split write paths
-# (the engine serves nothing; benchmark/probes.go times it), and one
+# snapshot-serving path, the in-memory group-commit write pipeline for an
+# edge batch and for a batch of eight documents, the in-memory shard
+# engine's scatter-gather read and shard-split write paths (the engine
+# serves nothing; benchmark/probes.go times it), and one
 # /v1/query through the server's ServeHTTP as a result-cache hit and as a
 # miss), parsed to JSON. bench-guard compares future runs against it per
 # benchmark name on best-of-N B/op and allocs/op.
-GUARDED_BENCH = BenchmarkQueryThroughput$$|BenchmarkQueryRPE$$|BenchmarkQueryTwigDK$$|BenchmarkSnapshotQueryParallel$$|BenchmarkApplyBatchPipeline$$|BenchmarkShardQueryFanout$$|BenchmarkShardApplyBatch$$|BenchmarkServeQueryHit$$|BenchmarkServeQueryMiss$$
+GUARDED_BENCH = BenchmarkQueryThroughput$$|BenchmarkQueryRPE$$|BenchmarkQueryTwigDK$$|BenchmarkSnapshotQueryParallel$$|BenchmarkApplyBatchPipeline$$|BenchmarkApplyDocBatch$$|BenchmarkShardQueryFanout$$|BenchmarkShardApplyBatch$$|BenchmarkServeQueryHit$$|BenchmarkServeQueryMiss$$
 GUARDED_PKGS = . ./internal/shard/ ./internal/server/
 
 bench-baseline:

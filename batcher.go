@@ -36,9 +36,7 @@ func (x *Index) submitPrepared(ps []*preparedMutation, wait bool) {
 	switch {
 	case !committer:
 		if wait {
-			for _, p := range ps {
-				<-p.done
-			}
+			<-ps[0].done
 		}
 	case !wait:
 		go x.drain(0)
@@ -68,8 +66,10 @@ func (x *Index) drain(until uint64) {
 		}
 		x.commitLocked(g)
 		x.mu.Unlock()
-		for _, p := range g {
-			close(p.done)
+		for i, p := range g { // a client batch is contiguous and shares one channel
+			if i == len(g)-1 || g[i+1].done != p.done {
+				close(p.done)
+			}
 		}
 		if until > 0 && g[len(g)-1].seq >= until {
 			return

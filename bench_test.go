@@ -425,9 +425,9 @@ func BenchmarkEdgeUpdateAK2(b *testing.B) {
 func BenchmarkSubgraphAddition(b *testing.B) {
 	ds := benchXMark(b)
 	base := core.Build(ds.G.Clone(), ds.W.Requirements())
-	docs := make([]*graph.Graph, 3)
+	docs := make([]*xmlgraph.Doc, 3)
 	for i := range docs {
-		h, _, err := xmlgraph.Load(bytes.NewReader(auctionFragment(b, i)), nil)
+		h, _, err := xmlgraph.LoadDoc(bytes.NewReader(auctionFragment(b, i)), nil)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -818,6 +818,39 @@ func BenchmarkApplyBatchPipeline(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
+		acks, err := idx.ApplyBatch(batch)
+		if err != nil {
+			b.Fatal(err)
+		}
+		for _, a := range acks {
+			if a.Err != nil {
+				b.Fatal(a.Err)
+			}
+		}
+	}
+	b.ReportMetric(float64(len(batch)), "mutations/op")
+}
+
+// BenchmarkApplyDocBatch is BenchmarkApplyBatchPipeline's document half: each
+// iteration pushes one batch of eight add_document mutations — auction
+// fragments, the benchmark's document pool — through the same pipeline onto
+// the load-tuned XMark index, with no store. Every iteration starts from the
+// same index (set up with the timer stopped), so B/op does not depend on how
+// many iterations ran before; every document grafts, so it is what Algorithm
+// 3 costs a commit: the parse, the document's sub-index, the refinement and
+// the pages the graft writes.
+func BenchmarkApplyDocBatch(b *testing.B) {
+	ds := benchXMark(b)
+	base := core.Build(ds.G.Clone(), ds.W.Requirements())
+	batch := make([]Mutation, 8)
+	for i := range batch {
+		batch[i] = Mutation{Op: MutAddDocument, Doc: auctionFragment(b, i)}
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		idx := newIndex(base.Clone())
+		b.StartTimer()
 		acks, err := idx.ApplyBatch(batch)
 		if err != nil {
 			b.Fatal(err)

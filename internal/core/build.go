@@ -137,7 +137,7 @@ func (sc *refineScratch) build(src index.Source, reqs Requirements, memberK func
 // set, rounds run on the preserved reference refiner instead of the CSR
 // pipeline (for the build audit). stats.Total is left for the caller, who
 // knows what else the job includes.
-func (sc *refineScratch) refine(src index.Source, reqs Requirements, memberK func(graph.NodeID) int, reference bool) (p *partition.Partition, blockK []int, clamped bool, stats BuildStats) {
+func (sc *refineScratch) refine(src partition.Labeled, reqs Requirements, memberK func(graph.NodeID) int, reference bool) (p *partition.Partition, blockK []int, clamped bool, stats BuildStats) {
 	p = &sc.part
 	p.ResetByLabel(src)
 	labelBlocks := p.NumBlocks()
@@ -237,7 +237,7 @@ func (q *quotientGraph) Parents(n graph.NodeID) []graph.NodeID { return q.parent
 
 // reset materializes the quotient of p over src, each block's parents in
 // order of first appearance over its members in node order.
-func (q *quotientGraph) reset(src index.Source, p *partition.Partition) {
+func (q *quotientGraph) reset(src partition.Labeled, p *partition.Partition) {
 	nb := p.NumBlocks()
 	q.parents = slices.Grow(q.parents[:0], nb)[:nb]
 	q.lastFor = slices.Grow(q.lastFor[:0], nb)[:nb]

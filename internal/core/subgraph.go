@@ -11,8 +11,8 @@ import (
 	"dkindex/internal/partition"
 )
 
-// AddSubgraph is Algorithm 3, the subgraph-addition update: the document
-// graph h (with its own ROOT) is grafted under the root of the indexed data
+// AddSubgraph is Algorithm 3, the subgraph-addition update: the document h
+// (its node 0 its own ROOT) is grafted under the root of the indexed data
 // graph — h's root is identified with the data graph's root — and the index
 // is updated without re-examining the old data:
 //
@@ -34,66 +34,45 @@ import (
 // It returns the mapping from h's node ids to the ids the grafted nodes
 // received in the data graph (h's root maps to the data graph's root).
 // Labels are matched by name, so h may use its own label table.
-func (dk *DK) AddSubgraph(h *graph.Graph) ([]graph.NodeID, error) {
+func (dk *DK) AddSubgraph(h index.Document) ([]graph.NodeID, error) {
 	return dk.addSubgraph(h, false)
 }
 
 // addSubgraph is AddSubgraph; with rebuild set it materialises whatever the
 // partition says, which is the oracle the graft is tested against.
-func (dk *DK) addSubgraph(h *graph.Graph, rebuild bool) ([]graph.NodeID, error) {
+func (dk *DK) addSubgraph(h index.Document, rebuild bool) ([]graph.NodeID, error) {
 	start := time.Now()
 	g := dk.IG.Data()
 	if g.Root() == graph.InvalidNode {
 		return nil, fmt.Errorf("core: data graph has no root to graft under")
 	}
-	if h.Root() == graph.InvalidNode {
-		return nil, fmt.Errorf("core: subgraph has no root")
+	// Nothing of g is written until the document is known to be acceptable —
+	// a rejected document must leave the index exactly as it found it,
+	// interned labels included, because a batch's surviving members publish
+	// this very clone. The subgraph only looks g's label table up.
+	sub, err := index.NewSubgraph(g.Labels(), h)
+	if err != nil {
+		return nil, fmt.Errorf("core: %w", err)
 	}
-
-	// Build hg first: a standalone copy of h over a scratch copy of g's label
-	// table (same ids, so I_H composes with I_G), root first and then h's
-	// nodes in order, and I_H over it. Nothing of g is written until the
-	// document is known to be acceptable — a rejected document must leave the
-	// index exactly as it found it, interned labels included, because a
-	// batch's surviving members publish this very clone.
-	hg := graph.NewWithLabels(g.Labels().Clone())
-	hgOf := make([]graph.NodeID, h.NumNodes())
-	hgRoot := hg.AddRoot()
-	for n := 0; n < h.NumNodes(); n++ {
-		if hn := graph.NodeID(n); hn == h.Root() {
-			hgOf[n] = hgRoot
-		} else {
-			hgOf[n] = hg.AddNode(h.LabelName(hn))
-		}
-	}
-	for n := 0; n < h.NumNodes(); n++ {
-		for _, c := range h.Children(graph.NodeID(n)) {
-			hg.AddEdge(hgOf[n], hgOf[c])
-		}
-	}
-
-	// Step 1: D(k)-index of the new subgraph, with the same per-label
-	// requirements ("index nodes with the same label should have the same
-	// local similarity").
 	sc := graftScratch.Get().(*refineScratch)
 	defer graftScratch.Put(sc)
-	ih, _ := sc.build(index.DataSource{G: hg}, dk.LabelReqs, nil, false)
+	// Step 1: the D(k)-index of the new subgraph, with the same per-label
+	// requirements ("index nodes with the same label should have the same
+	// local similarity").
+	ih := sc.subIndex(sub, dk.LabelReqs)
 	// Step 2: attach it under I_G's root class.
 	comp, err := index.NewGraftSource(dk.IG, ih, graph.NodeID(g.NumNodes()))
 	if err != nil {
 		return nil, fmt.Errorf("core: subgraph rejected: %w", err)
 	}
-
-	// Graft h's nodes into the data graph, in hg's order: labels are interned
-	// in the order hg interned them into its copy of the same table, so label
-	// ids agree, and hg's node i >= 1 becomes the i-th new data node, which is
-	// the translation comp applies to I_H's extents.
-	mapping := make([]graph.NodeID, h.NumNodes())
-	for n := 0; n < h.NumNodes(); n++ {
-		if hn := graph.NodeID(n); hn == h.Root() {
-			mapping[n] = g.Root()
-		} else {
-			mapping[n] = g.AddNode(h.LabelName(hn))
+	// Graft h's nodes into the data graph: its node i >= 1 becomes the i-th
+	// new data node, which is the translation comp applies to I_H's extents.
+	mapping := sub.AddTo(g)
+	addEdges := func(add func(u, v graph.NodeID)) {
+		for n, at := range mapping {
+			for _, c := range sub.Children(graph.NodeID(n)) {
+				add(at, mapping[c])
+			}
 		}
 	}
 
@@ -101,25 +80,24 @@ func (dk *DK) addSubgraph(h *graph.Graph, rebuild bool) ([]graph.NodeID, error) 
 	p, blockK, clamped, stats := sc.refine(comp, dk.LabelReqs, comp.MemberK, false)
 	if !rebuild && keepsOldNodes(p, comp.Base()) {
 		graft(dk.IG, comp, p, blockK)
-		for n := 0; n < h.NumNodes(); n++ {
-			for _, c := range h.Children(graph.NodeID(n)) {
-				dk.IG.AddDataEdge(mapping[n], mapping[c])
-			}
-		}
+		addEdges(func(u, v graph.NodeID) { dk.IG.AddDataEdge(u, v) })
 		if clamped {
 			sc.lower.run(dk.IG)
 		}
 	} else {
-		for n := 0; n < h.NumNodes(); n++ {
-			for _, c := range h.Children(graph.NodeID(n)) {
-				g.AddEdge(mapping[n], mapping[c])
-			}
-		}
+		addEdges(func(u, v graph.NodeID) { g.AddEdge(u, v) })
 		dk.IG = sc.materialise(comp, p, blockK, clamped)
 	}
 	stats.Total = time.Since(start)
 	dk.Stats = stats
 	return mapping, nil
+}
+
+// subIndex is step 1 of Algorithm 3: the document's own D(k)-index, refined
+// on the scratch and copied out of it, so the scratch is free for step 3.
+func (sc *refineScratch) subIndex(sub *index.Subgraph, reqs Requirements) *index.SubIndex {
+	p, blockK, _, _ := sc.refine(sub, reqs, nil, false)
+	return index.NewSubIndex(sub, p, func(b partition.BlockID) int { return blockK[b] })
 }
 
 // graftScratch hands Algorithm 3's refinement scratch from one document to

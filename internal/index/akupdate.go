@@ -56,15 +56,16 @@ func AKEdgeUpdate(ig *IndexGraph, k int, u, v graph.NodeID) UpdateStats {
 	// that region can require re-partitioning. Finding the region is itself
 	// a data-graph traversal — part of the cost the paper charges this
 	// baseline for.
-	affected := make(map[graph.NodeID]bool)
+	var affected []graph.NodeID
 	ig.data.BFS(v, func(n graph.NodeID, d int) bool {
 		if d > k-1 {
 			return false
 		}
 		stats.DataNodesTouched++
-		affected[n] = true
+		affected = append(affected, n)
 		return true
 	})
+	slices.Sort(affected)
 
 	// Worklist fixpoint: re-partition every affected block by its members'
 	// current parent classes; when a block splits, its children (those in
@@ -83,12 +84,15 @@ func AKEdgeUpdate(ig *IndexGraph, k int, u, v graph.NodeID) UpdateStats {
 	intersectsAffected := func(b graph.NodeID) bool {
 		hit := false
 		ig.ExtentSet(b).Iterate(func(d graph.NodeID) bool {
-			hit = affected[d]
+			_, hit = slices.BinarySearch(affected, d)
 			return !hit
 		})
 		return hit
 	}
-	for d := range affected {
+	// Seed the worklist in ascending data-node order: the order blocks are
+	// re-partitioned in decides how far the propagation over-splits and
+	// which ids the fragments receive, so it must not be a map's.
+	for _, d := range affected {
 		push(ig.IndexOf(d))
 	}
 	// The paper's baseline always re-checks the children of the newly
@@ -187,46 +191,34 @@ func (ig *IndexGraph) repartitionByParents(b graph.NodeID, stats *UpdateStats) [
 // uniform k.
 //
 // It returns the updated index over the mutated data graph plus the mapping
-// from h's nodes to data-graph ids (h's root maps to the data root).
-func AKSubgraphAdd(ig *IndexGraph, k int, h *graph.Graph) (*IndexGraph, []graph.NodeID, error) {
+// from h's nodes to data-graph ids (h's root maps to the data root). A
+// rejected document leaves both as they were.
+func AKSubgraphAdd(ig *IndexGraph, k int, h Document) (*IndexGraph, []graph.NodeID, error) {
 	g := ig.Data()
-	if g.Root() == graph.InvalidNode || h.Root() == graph.InvalidNode {
+	if g.Root() == graph.InvalidNode {
 		return nil, nil, fmt.Errorf("index: both graphs need roots")
 	}
-	// Graft h into g and build a standalone copy for the sub-index.
-	mapping := make([]graph.NodeID, h.NumNodes())
-	hg := graph.NewWithLabels(g.Labels())
-	hgRoot := hg.AddRoot()
-	hgOf := make([]graph.NodeID, h.NumNodes())
-	firstNew := graph.NodeID(g.NumNodes())
-	for n := 0; n < h.NumNodes(); n++ {
-		hn := graph.NodeID(n)
-		if hn == h.Root() {
-			mapping[n] = g.Root()
-			hgOf[n] = hgRoot
-			continue
-		}
-		l := g.Labels().Intern(h.LabelName(hn))
-		mapping[n] = g.AddNodeID(l)
-		hgOf[n] = hg.AddNodeID(l)
-	}
-	for n := 0; n < h.NumNodes(); n++ {
-		for _, c := range h.Children(graph.NodeID(n)) {
-			g.AddEdge(mapping[n], mapping[c])
-			hg.AddEdge(hgOf[n], hgOf[c])
-		}
-	}
-	ih := BuildAK(hg, k)
-
-	comp, err := NewGraftSource(ig, ih, firstNew)
+	sub, err := NewSubgraph(g.Labels(), h)
 	if err != nil {
 		return nil, nil, err
+	}
+	// The sub-index's blocks are k-bisimulation classes, so k is a true
+	// similarity for them; the quotient below does not read it.
+	p, _ := partition.KBisimulation(sub, k)
+	comp, err := NewGraftSource(ig, NewSubIndex(sub, p, func(partition.BlockID) int { return k }), graph.NodeID(g.NumNodes()))
+	if err != nil {
+		return nil, nil, err
+	}
+	mapping := sub.AddTo(g)
+	for n, at := range mapping {
+		for _, c := range sub.Children(graph.NodeID(n)) {
+			g.AddEdge(at, mapping[c])
+		}
 	}
 	p, rounds := partition.KBisimulation(comp, k)
 	sim := k
 	if rounds < k {
 		sim = Exact
 	}
-	out := FromPartition(comp, p, func(partition.BlockID) int { return sim })
-	return out, mapping, nil
+	return FromPartition(comp, p, func(partition.BlockID) int { return sim }), mapping, nil
 }

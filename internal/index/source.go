@@ -67,11 +67,12 @@ func (s DataSource) Data() *graph.Graph { return s.G }
 // are [0, Base) = I_G's nodes, unchanged, then I_H's nodes except its root
 // class, whose children re-parent to I_G's root class.
 //
-// I_H indexes a standalone copy of the document whose node 0 is its root and
-// whose node i >= 1 is data node firstNew+i-1 of I_G's data graph, so grafted
-// extents translate by an offset and stay ascending.
+// I_H's members are document nodes: node 0 is the root and node i >= 1
+// became data node firstNew+i-1 of I_G's data graph (Subgraph.AddTo), so
+// grafted extents translate by an offset and stay ascending.
 type GraftSource struct {
-	ig, ih         *IndexGraph
+	ig             *IndexGraph
+	ih             *SubIndex
 	base           int
 	ihRoot, igRoot graph.NodeID
 	firstNew       graph.NodeID
@@ -87,9 +88,9 @@ type GraftSource struct {
 // (a document node that carries the ROOT label and was not split from it):
 // such a document cannot be identified with I_G's root. It reads both indexes
 // and writes neither, so callers may check a document before grafting it.
-func NewGraftSource(ig, ih *IndexGraph, firstNew graph.NodeID) (*GraftSource, error) {
-	ihRoot := ih.IndexOf(ih.Data().Root())
-	if ih.ExtentSize(ihRoot) != 1 {
+func NewGraftSource(ig *IndexGraph, ih *SubIndex, firstNew graph.NodeID) (*GraftSource, error) {
+	ihRoot := ih.Root()
+	if len(ih.Members(ihRoot)) != 1 {
 		return nil, fmt.Errorf("index: sub-index root class is not a singleton")
 	}
 	c := &GraftSource{
@@ -189,10 +190,9 @@ func (c *GraftSource) AppendExtent(dst []graph.NodeID, n graph.NodeID) []graph.N
 	if int(n) < c.base {
 		return c.ig.AppendExtent(dst, n)
 	}
-	c.ih.ExtentSet(c.toIH(n)).Iterate(func(hn graph.NodeID) bool {
+	for _, hn := range c.ih.Members(c.toIH(n)) {
 		dst = append(dst, c.firstNew+hn-1)
-		return true
-	})
+	}
 	return dst
 }
 

@@ -6,6 +6,7 @@ import (
 
 	"dkindex/internal/graph"
 	"dkindex/internal/nodeset"
+	"dkindex/internal/partition"
 )
 
 // TestDataSourceAppendExtent checks the identity source: every node's extent
@@ -92,37 +93,23 @@ func TestIndexGraphAppendExtentEmpty(t *testing.T) {
 }
 
 // buildGraft constructs a GraftSource the way AKSubgraphAdd and Algorithm 3
-// do: a document sub-index grafted under the base index's root class, the
+// do: a document's sub-index grafted under the base index's root class, the
 // document's node i >= 1 having become data node firstNew+i-1.
-func buildGraft(t *testing.T) (gs *GraftSource, ig, ih *IndexGraph, firstNew graph.NodeID) {
+func buildGraft(t *testing.T) (gs *GraftSource, ig *IndexGraph, ih *SubIndex, firstNew graph.NodeID) {
 	t.Helper()
 	g := graph.FigureOneMovies()
 	ig = BuildAK(g, 2)
-	h := graph.FigureOneMovies()
-	hg := graph.NewWithLabels(g.Labels())
-	hgRoot := hg.AddRoot()
-	hgOf := make([]graph.NodeID, h.NumNodes())
-	firstNew = graph.NodeID(g.NumNodes())
-	for n := 0; n < h.NumNodes(); n++ {
-		hn := graph.NodeID(n)
-		if hn == h.Root() {
-			hgOf[n] = hgRoot
-			continue
-		}
-		l := g.Labels().Intern(h.LabelName(hn))
-		g.AddNodeID(l)
-		hgOf[n] = hg.AddNodeID(l)
-	}
-	for n := 0; n < h.NumNodes(); n++ {
-		for _, c := range h.Children(graph.NodeID(n)) {
-			hg.AddEdge(hgOf[n], hgOf[c])
-		}
-	}
-	ih = BuildAK(hg, 1)
-	gs, err := NewGraftSource(ig, ih, firstNew)
+	sub, err := NewSubgraph(g.Labels(), graph.FigureOneMovies())
 	if err != nil {
 		t.Fatal(err)
 	}
+	p, _ := partition.KBisimulation(sub, 1)
+	ih = NewSubIndex(sub, p, func(partition.BlockID) int { return 1 })
+	firstNew = graph.NodeID(g.NumNodes())
+	if gs, err = NewGraftSource(ig, ih, firstNew); err != nil {
+		t.Fatal(err)
+	}
+	sub.AddTo(g)
 	return gs, ig, ih, firstNew
 }
 
@@ -144,7 +131,7 @@ func TestGraftSourceAppendExtent(t *testing.T) {
 	for n := ig.NumNodes(); n < gs.NumNodes(); n++ {
 		id := graph.NodeID(n)
 		var want []graph.NodeID
-		for _, hn := range ih.Extent(gs.toIH(id)) {
+		for _, hn := range ih.Members(gs.toIH(id)) {
 			want = append(want, firstNew+hn-1)
 		}
 		if len(want) == 1 {
@@ -171,7 +158,7 @@ func TestGraftSourceAppendExtent(t *testing.T) {
 	if singles == 0 {
 		t.Fatal("no singleton grafted extent exercised")
 	}
-	if want := ih.Data().NumNodes() - 1; covered != want {
+	if want := graph.FigureOneMovies().NumNodes() - 1; covered != want {
 		t.Fatalf("grafted extents cover %d document nodes, want %d (all but the root)", covered, want)
 	}
 }
@@ -194,14 +181,21 @@ func TestGraftSourceAdjacency(t *testing.T) {
 		}
 		return out
 	}
+	type blocks interface {
+		Label(graph.NodeID) graph.LabelID
+		K(graph.NodeID) int
+		Parents(graph.NodeID) []graph.NodeID
+		Children(graph.NodeID) []graph.NodeID
+	}
 	for n := 0; n < gs.NumNodes(); n++ {
 		id := graph.NodeID(n)
-		at, from := id, ig
-		if n >= gs.Base() {
+		var at, from = id, blocks(ig)
+		grafted := n >= gs.Base()
+		if grafted {
 			at, from = gs.toIH(id), ih
 		}
 		wantP, wantC := from.Parents(at), from.Children(at)
-		if from == ih {
+		if grafted {
 			wantP, wantC = translate(wantP), translate(wantC)
 		}
 		if id == gs.igRoot {

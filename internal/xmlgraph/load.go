@@ -33,8 +33,9 @@ type Options struct {
 	// space-separated IDREFS). Defaults to ["idref", "ref"], plus any
 	// attribute name ending in "ref".
 	IDRefAttrs []string
-	// Labels, when non-nil, is the label table to intern into (lets several
-	// documents share one table). A fresh table is created otherwise.
+	// Labels, when non-nil, is the label table Load interns into (lets
+	// several documents share one table). A fresh table is created otherwise.
+	// LoadDoc always keeps its own.
 	Labels *graph.LabelTable
 }
 
@@ -76,15 +77,58 @@ type Report struct {
 // Load parses one XML document into a data graph. The graph has a single
 // ROOT node whose child is the document element.
 func Load(r io.Reader, opts *Options) (*graph.Graph, *Report, error) {
+	tab := graph.NewLabelTable()
+	if opts != nil && opts.Labels != nil {
+		tab = opts.Labels
+	}
+	g := graph.NewWithLabels(tab)
+	g.AddRoot()
+	rep, err := parse(r, opts, graphSink{g})
+	if err != nil {
+		return nil, nil, err
+	}
+	return g, rep, nil
+}
+
+// LoadDoc parses one XML document into its compact form, for adding to an
+// index: the same nodes, labels and edges Load makes, in the same order,
+// without a graph's pages.
+func LoadDoc(r io.Reader, opts *Options) (*Doc, *Report, error) {
+	d := &Doc{ids: make(map[string]graph.LabelID)}
+	d.node(graph.RootLabel)
+	rep, err := parse(r, opts, d)
+	if err != nil {
+		return nil, nil, err
+	}
+	return d, rep, nil
+}
+
+// LoadString is Load over a string; a convenience for tests and examples.
+func LoadString(doc string, opts *Options) (*graph.Graph, *Report, error) {
+	return Load(strings.NewReader(doc), opts)
+}
+
+// sink is what the tokenizer builds: a graph.Graph for Load, a Doc for
+// LoadDoc. Node 0, the root, is already there.
+type sink interface {
+	node(name string) graph.NodeID
+	// edge adds from -> to; a repeated edge is one edge.
+	edge(from, to graph.NodeID)
+	// seal finishes the build and returns its number of distinct edges.
+	seal() int
+}
+
+type graphSink struct{ g *graph.Graph }
+
+func (s graphSink) node(name string) graph.NodeID { return s.g.AddNode(name) }
+func (s graphSink) edge(from, to graph.NodeID)    { s.g.AddEdge(from, to) }
+func (s graphSink) seal() int                     { return s.g.NumEdges() }
+
+// parse is the one tokenizer loop behind Load and LoadDoc.
+func parse(r io.Reader, opts *Options, s sink) (*Report, error) {
 	if opts == nil {
 		opts = &Options{}
 	}
-	tab := opts.Labels
-	if tab == nil {
-		tab = graph.NewLabelTable()
-	}
-	g := graph.NewWithLabels(tab)
-	root := g.AddRoot()
 	rep := &Report{}
 
 	byID := make(map[string]graph.NodeID)
@@ -93,9 +137,16 @@ func Load(r io.Reader, opts *Options) (*graph.Graph, *Report, error) {
 		id   string
 	}
 	var refs []pendingRef
+	treeEdges := 0
+	child := func(parent graph.NodeID, name string) graph.NodeID {
+		n := s.node(name)
+		s.edge(parent, n)
+		treeEdges++
+		return n
+	}
 
 	dec := xml.NewDecoder(r)
-	stack := []graph.NodeID{root}
+	stack := []graph.NodeID{0}
 	sawElement := false
 	for {
 		tok, err := dec.Token()
@@ -103,17 +154,16 @@ func Load(r io.Reader, opts *Options) (*graph.Graph, *Report, error) {
 			break
 		}
 		if err != nil {
-			return nil, nil, fmt.Errorf("xmlgraph: %w", err)
+			return nil, fmt.Errorf("xmlgraph: %w", err)
 		}
 		switch t := tok.(type) {
 		case xml.StartElement:
 			if len(stack) == 1 && sawElement {
-				return nil, nil, fmt.Errorf("xmlgraph: multiple document elements")
+				return nil, fmt.Errorf("xmlgraph: multiple document elements")
 			}
 			sawElement = true
-			n := g.AddNode(t.Name.Local)
+			n := child(stack[len(stack)-1], t.Name.Local)
 			rep.Elements++
-			g.AddEdge(stack[len(stack)-1], n)
 			for _, a := range t.Attr {
 				name := a.Name.Local
 				switch {
@@ -124,20 +174,18 @@ func Load(r io.Reader, opts *Options) (*graph.Graph, *Report, error) {
 						refs = append(refs, pendingRef{from: n, id: id})
 					}
 				case opts.IncludeAttributes:
-					an := g.AddNode("@" + name)
+					an := child(n, "@"+name)
 					rep.Attributes++
-					g.AddEdge(n, an)
 					if opts.IncludeValues {
-						vn := g.AddNode(graph.ValueLabel)
+						child(an, graph.ValueLabel)
 						rep.Values++
-						g.AddEdge(an, vn)
 					}
 				}
 			}
 			stack = append(stack, n)
 		case xml.EndElement:
 			if len(stack) <= 1 {
-				return nil, nil, fmt.Errorf("xmlgraph: unbalanced end element %s", t.Name.Local)
+				return nil, fmt.Errorf("xmlgraph: unbalanced end element %s", t.Name.Local)
 			}
 			stack = stack[:len(stack)-1]
 		case xml.CharData:
@@ -147,16 +195,15 @@ func Load(r io.Reader, opts *Options) (*graph.Graph, *Report, error) {
 			if strings.TrimSpace(string(t)) == "" {
 				continue
 			}
-			vn := g.AddNode(graph.ValueLabel)
+			child(stack[len(stack)-1], graph.ValueLabel)
 			rep.Values++
-			g.AddEdge(stack[len(stack)-1], vn)
 		}
 	}
 	if len(stack) != 1 {
-		return nil, nil, fmt.Errorf("xmlgraph: unexpected end of document (%d open elements)", len(stack)-1)
+		return nil, fmt.Errorf("xmlgraph: unexpected end of document (%d open elements)", len(stack)-1)
 	}
 	if !sawElement {
-		return nil, nil, fmt.Errorf("xmlgraph: empty document")
+		return nil, fmt.Errorf("xmlgraph: empty document")
 	}
 
 	for _, ref := range refs {
@@ -165,14 +212,8 @@ func Load(r io.Reader, opts *Options) (*graph.Graph, *Report, error) {
 			rep.DanglingRefs = append(rep.DanglingRefs, ref.id)
 			continue
 		}
-		if g.AddEdge(ref.from, target) {
-			rep.ReferenceEdges++
-		}
+		s.edge(ref.from, target)
 	}
-	return g, rep, nil
-}
-
-// LoadString is Load over a string; a convenience for tests and examples.
-func LoadString(doc string, opts *Options) (*graph.Graph, *Report, error) {
-	return Load(strings.NewReader(doc), opts)
+	rep.ReferenceEdges = s.seal() - treeEdges
+	return rep, nil
 }

@@ -105,10 +105,12 @@ type Ack struct {
 // acceptance, and the ack is filled by the commit that settles it.
 type preparedMutation struct {
 	m    Mutation
-	doc  *graph.Graph // parsed document for MutAddDocument
+	doc  *xmlgraph.Doc // parsed document for MutAddDocument
 	opts *LoadOptions
 	seq  uint64
-	done chan struct{} // closed once ack is final; read acks only after it
+	// done is shared by the members of one client batch and closed once the
+	// last of them has settled; read acks only after it.
+	done chan struct{}
 	ack  Ack
 }
 
@@ -147,8 +149,8 @@ var ErrNotDurable = errors.New("dkindex: mutation not durable")
 // commit in progress the caller commits it itself. The returned error equals
 // Ack.Err.
 func (x *Index) Apply(m Mutation) (Ack, error) {
-	p, err := x.prepare(m)
-	if err != nil {
+	p := &preparedMutation{done: make(chan struct{})}
+	if err := x.prepare(p, m); err != nil {
 		return Ack{}, err
 	}
 	x.submitPrepared([]*preparedMutation{p}, true)
@@ -174,33 +176,34 @@ func (x *Index) applyBatch(ms []Mutation, wait bool) ([]Ack, error) {
 	if len(ms) == 0 {
 		return nil, errEmptyBatch
 	}
+	all := make([]preparedMutation, len(ms))
 	ps := make([]*preparedMutation, 0, len(ms))
 	acks := make([]Ack, len(ms))
-	slots := make([]int, 0, len(ms))
+	done := make(chan struct{})
 	for i, m := range ms {
-		p, err := x.prepare(m)
-		if err != nil {
+		p := &all[i]
+		if err := x.prepare(p, m); err != nil {
 			acks[i] = Ack{Err: err}
 			continue
 		}
+		p.done = done
 		ps = append(ps, p)
-		slots = append(slots, i)
 	}
 	if len(ps) == 0 {
 		return acks, nil
 	}
 	x.submitPrepared(ps, wait)
-	if wait {
-		for j, p := range ps {
-			acks[slots[j]] = p.ack
-		}
-		return acks, nil
-	}
-	// p.seq was assigned synchronously by submitPrepared; the rest of the ack
-	// belongs to the committer, which may still be running.
+	// Without wait, p.seq was assigned synchronously by submitPrepared; the
+	// rest of the ack belongs to the committer, which may still be running.
 	w := x.Watermark()
-	for j, p := range ps {
-		acks[slots[j]] = Ack{Seq: p.seq, Watermark: w}
+	for i := range all {
+		switch p := &all[i]; {
+		case p.done == nil: // rejected by prepare
+		case wait:
+			acks[i] = p.ack
+		default:
+			acks[i] = Ack{Seq: p.seq, Watermark: w}
+		}
 	}
 	return acks, nil
 }
@@ -244,33 +247,33 @@ func (x *Index) Watermark() uint64 { return x.durableMark.Load() }
 // Watermark is the pipeline's in-flight window.
 func (x *Index) LastSeq() uint64 { return x.mutSeq.Load() }
 
-// prepare validates the stateless half of a mutation and parses documents
-// outside the writer mutex. State-dependent checks (node bounds, label
-// lookups) run at apply time against the clone the batch mutates.
-func (x *Index) prepare(m Mutation) (*preparedMutation, error) {
-	p := &preparedMutation{m: m, done: make(chan struct{})}
+// prepare validates the stateless half of a mutation into p and parses
+// documents outside the writer mutex. State-dependent checks (node bounds,
+// label lookups) run at apply time against the clone the batch mutates.
+func (x *Index) prepare(p *preparedMutation, m Mutation) error {
+	p.m = m
 	switch m.Op {
 	case MutAddEdge, MutRemoveEdge, MutDemote, MutSetRequirements, MutOptimize, MutCompact:
 		// Nothing to pre-compute.
 	case MutPromote:
 		if m.Label == "" {
-			return nil, fmt.Errorf("dkindex: promote needs a label")
+			return fmt.Errorf("dkindex: promote needs a label")
 		}
 	case MutAddDocument:
 		opts := m.DocOptions
 		if opts == nil {
 			opts = &LoadOptions{}
 		}
-		h, rep, err := xmlgraph.Load(bytes.NewReader(m.Doc), opts)
+		d, rep, err := xmlgraph.LoadDoc(bytes.NewReader(m.Doc), opts)
 		if err != nil {
-			return nil, err
+			return err
 		}
 		x.observer.Counter(obs.DanglingRefs).Add(uint64(len(rep.DanglingRefs)))
-		p.doc, p.opts = h, opts
+		p.doc, p.opts = d, opts
 	default:
-		return nil, fmt.Errorf("dkindex: unknown mutation op %q", m.Op)
+		return fmt.Errorf("dkindex: unknown mutation op %q", m.Op)
 	}
-	return p, nil
+	return nil
 }
 
 // commitLocked settles a batch: one composite application to a copy-on-write

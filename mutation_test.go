@@ -579,6 +579,60 @@ func TestDocumentBatchEqualsItsMembers(t *testing.T) {
 	}
 }
 
+// TestDocumentNamesInternedOnAcceptance: a document's new label names are
+// interned when it is accepted, in order of first appearance, and not before.
+// A batch of an accepted document with new names, a rejected one (a nested
+// ROOT) with other new names, and an accepted one using both sets must intern
+// exactly what the two accepted documents applied singly intern, under the
+// same ids and with the same mappings; a name only the rejected document
+// carries is never interned.
+func TestDocumentNamesInternedOnAcceptance(t *testing.T) {
+	docs := []Mutation{
+		{Op: MutAddDocument, Doc: []byte(`<site><alpha><beta/></alpha><gamma/></site>`)},
+		{Op: MutAddDocument, Doc: []byte(`<ROOT><delta><ghost/></delta><epsilon/></ROOT>`)},
+		{Op: MutAddDocument, Doc: []byte(`<site><epsilon><beta/><delta/></epsilon><alpha/><zeta/></site>`)},
+	}
+	batched, err := LoadXMLString(moviesXML, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	singly, err := LoadXMLString(moviesXML, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	acks, err := batched.ApplyBatch(docs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if acks[0].Err != nil || acks[2].Err != nil || acks[1].Err == nil {
+		t.Fatalf("want the outer documents accepted and the nested ROOT rejected, got %v, %v, %v", acks[0].Err, acks[1].Err, acks[2].Err)
+	}
+	for _, i := range []int{0, 2} {
+		ack, err := singly.Apply(docs[i])
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !slices.Equal(ack.Mapping, acks[i].Mapping) {
+			t.Fatalf("document %d: mapping %v in the batch, %v alone", i, acks[i].Mapping, ack.Mapping)
+		}
+	}
+	got, want := batched.Graph().Labels(), singly.Graph().Labels()
+	if got.Len() != want.Len() {
+		t.Fatalf("the batch interned %d labels, the accepted documents alone %d", got.Len(), want.Len())
+	}
+	for l := 0; l < want.Len(); l++ {
+		if name := want.Name(graph.LabelID(l)); got.Lookup(name) != graph.LabelID(l) {
+			t.Errorf("label %q is %d in the batch, %d applied singly", name, got.Lookup(name), l)
+		}
+	}
+	if l := got.Lookup("ghost"); l != graph.InvalidLabel {
+		t.Errorf("the rejected document's own name was interned as %d", l)
+	}
+	if fingerprint(t, batched) != fingerprint(t, singly) {
+		t.Error("the batch and its accepted members applied singly disagree")
+	}
+}
+
 // TestBatchedStoreDurability drives concurrent writers through the pipeline
 // over a store, then leaves one ApplyAsync queued behind a held writer mutex
 // and closes the store: Close must wait for it, so recovery reproduces the
