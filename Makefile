@@ -119,7 +119,7 @@ inline-check:
 # /v1/query through the server's ServeHTTP as a result-cache hit and as a
 # miss), parsed to JSON. bench-guard compares future runs against it per
 # benchmark name on best-of-N B/op and allocs/op.
-GUARDED_BENCH = BenchmarkQueryThroughput$$|BenchmarkQueryRPE$$|BenchmarkQueryTwigDK$$|BenchmarkSnapshotQueryParallel$$|BenchmarkApplyBatchPipeline$$|BenchmarkApplyDocBatch$$|BenchmarkShardQueryFanout$$|BenchmarkShardApplyBatch$$|BenchmarkServeQueryHit$$|BenchmarkServeQueryMiss$$
+GUARDED_BENCH = BenchmarkQueryThroughput$$|BenchmarkXMLLoad$$|BenchmarkCodecLoad$$|BenchmarkQueryRPE$$|BenchmarkQueryTwigDK$$|BenchmarkSnapshotQueryParallel$$|BenchmarkApplyBatchPipeline$$|BenchmarkApplyDocBatch$$|BenchmarkShardQueryFanout$$|BenchmarkShardApplyBatch$$|BenchmarkServeQueryHit$$|BenchmarkServeQueryMiss$$
 GUARDED_PKGS = . ./internal/shard/ ./internal/server/
 
 bench-baseline:

@@ -2,9 +2,11 @@ package dkindex
 
 import (
 	"bytes"
+	"encoding/binary"
 	"go/ast"
 	"go/parser"
 	"go/token"
+	"math"
 	"path/filepath"
 	"sort"
 	"strings"
@@ -369,5 +371,24 @@ func TestWALBytesUnchangedByOneCommitPath(t *testing.T) {
 	}
 	if fingerprint(t, st3.Index()) != fingerprint(t, idx) {
 		t.Error("the hand-written log recovered to a different state than the live session")
+	}
+}
+
+// TestDecodeWALMutationRejectsWideEndpoints: an edge record's endpoints are
+// uvarints, and node ids are int32. An endpoint past that range must be
+// refused, not truncated onto a node that exists — 2^32+5 would replay as an
+// edge to node 5 and pass every range check after the decode.
+func TestDecodeWALMutationRejectsWideEndpoints(t *testing.T) {
+	for _, op := range []wal.Op{opEdgeAdd, opEdgeRemove} {
+		for _, e := range [][2]uint64{{1<<32 + 5, 1}, {1, 1<<32 + 5}, {math.MaxInt32 + 1, 1}, {1, math.MaxUint64}} {
+			payload := binary.AppendUvarint(binary.AppendUvarint(nil, e[0]), e[1])
+			if m, err := DecodeWALMutation(op, payload); err == nil {
+				t.Errorf("op %d: edge %d-%d decoded as %d-%d", op, e[0], e[1], m.From, m.To)
+			}
+		}
+		m, err := DecodeWALMutation(op, encodeEdgePayload(math.MaxInt32, 5))
+		if err != nil || m.From != math.MaxInt32 || m.To != 5 {
+			t.Errorf("op %d: the widest node id decoded as %+v, %v", op, m, err)
+		}
 	}
 }

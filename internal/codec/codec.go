@@ -272,10 +272,7 @@ func (st *loadState) decodeSection(id byte, dec *decoder) error {
 
 func (st *loadState) decodeLabels(dec *decoder) error {
 	st.tab = graph.NewLabelTable()
-	st.nLabels = dec.uint()
-	if st.nLabels > 1<<24 {
-		return fmt.Errorf("implausible label count %d", st.nLabels)
-	}
+	st.nLabels = dec.count("label", 1)
 	for i := uint64(0); i < st.nLabels; i++ {
 		name := dec.str()
 		if dec.err != nil {
@@ -288,13 +285,13 @@ func (st *loadState) decodeLabels(dec *decoder) error {
 	return dec.err
 }
 
+// decodeGraph reads the rows in the order SaveDK writes them — by source,
+// each ascending — and builds the graph from them at once; anything else is
+// damage.
 func (st *loadState) decodeGraph(dec *decoder) error {
-	st.g = graph.NewWithLabels(st.tab)
-	st.nNodes = dec.uint()
-	if st.nNodes > 1<<31 {
-		return fmt.Errorf("implausible node count %d", st.nNodes)
-	}
-	for i := uint64(0); i < st.nNodes; i++ {
+	st.nNodes = dec.count("node", 1)
+	labels := make([]graph.LabelID, st.nNodes)
+	for i := range labels {
 		l := dec.uint()
 		if dec.err != nil {
 			return dec.err
@@ -302,18 +299,14 @@ func (st *loadState) decodeGraph(dec *decoder) error {
 		if l >= st.nLabels {
 			return fmt.Errorf("node %d has label %d out of range", i, l)
 		}
-		st.g.AddNodeID(graph.LabelID(l))
+		labels[i] = graph.LabelID(l)
 	}
-	if root := dec.uint(); root > 0 {
-		if root > st.nNodes {
-			return fmt.Errorf("root %d out of range", root-1)
-		}
-		st.g.SetRoot(graph.NodeID(root - 1))
+	root := dec.uint()
+	if root > st.nNodes {
+		return fmt.Errorf("root %d out of range", root-1)
 	}
-	nEdges := dec.uint()
-	if nEdges > 1<<32 {
-		return fmt.Errorf("implausible edge count %d", nEdges)
-	}
+	nEdges := dec.count("edge", 2)
+	children := graph.MakeCSR(int(st.nNodes), int(nEdges))
 	for i := uint64(0); i < nEdges; i++ {
 		from, to := dec.uint(), dec.uint()
 		if dec.err != nil {
@@ -322,13 +315,21 @@ func (st *loadState) decodeGraph(dec *decoder) error {
 		if from >= st.nNodes || to >= st.nNodes {
 			return fmt.Errorf("edge %d-%d out of range", from, to)
 		}
-		st.g.AddEdge(graph.NodeID(from), graph.NodeID(to))
+		if int(from) < children.NumNodes() {
+			return fmt.Errorf("edge %d-%d out of row order: row %d is open", from, to, children.NumNodes())
+		}
+		children.Close(int(from))
+		children.Append(graph.NodeID(to))
+	}
+	children.Close(int(st.nNodes))
+	if dec.err == nil {
+		st.g, dec.err = graph.FromCSR(st.tab, labels, graph.NodeID(root)-1, children)
 	}
 	return dec.err
 }
 
 func (st *loadState) decodeIndex(dec *decoder) error {
-	nIdx := dec.uint()
+	nIdx := dec.count("index node", 2)
 	if nIdx > st.nNodes {
 		return fmt.Errorf("more index nodes (%d) than data nodes (%d)", nIdx, st.nNodes)
 	}
@@ -336,7 +337,7 @@ func (st *loadState) decodeIndex(dec *decoder) error {
 	st.extents = make([][]graph.NodeID, nIdx)
 	for b := uint64(0); b < nIdx; b++ {
 		st.ks[b] = int(dec.uint())
-		sz := dec.uint()
+		sz := dec.count("extent member", 1)
 		if dec.err != nil {
 			return dec.err
 		}
@@ -421,6 +422,19 @@ func (d *decoder) uint() uint64 {
 	v, err := binary.ReadUvarint(d.r)
 	if err != nil {
 		d.err = fmt.Errorf("truncated stream: %w", err)
+		return 0
+	}
+	return v
+}
+
+// count reads the number of items that follow, each at least size bytes
+// long, and refuses one the rest of the payload cannot hold: a slice sized
+// by a count is then bounded by the section's length, never by what the
+// stream claims.
+func (d *decoder) count(what string, size int) uint64 {
+	v := d.uint()
+	if d.err == nil && v > uint64(d.r.Len()/size) {
+		d.err = fmt.Errorf("%s count %d overruns the %d bytes left", what, v, d.r.Len())
 		return 0
 	}
 	return v

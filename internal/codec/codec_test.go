@@ -11,6 +11,7 @@ import (
 	"dkindex/internal/core"
 	"dkindex/internal/datagen"
 	"dkindex/internal/eval"
+	"dkindex/internal/experiments"
 	"dkindex/internal/graph"
 )
 
@@ -107,6 +108,41 @@ func TestRoundTripQueriesIdentically(t *testing.T) {
 	}
 }
 
+// TestSaveLoadSaveIsIdentity: a loaded index saves to the bytes it was
+// loaded from, on all three datasets with a few reference edges added.
+func TestSaveLoadSaveIsIdentity(t *testing.T) {
+	for _, load := range []func(float64, int64) (*experiments.Dataset, error){
+		experiments.XMarkDataset, experiments.NasaDataset, experiments.DblpDataset,
+	} {
+		ds, err := load(0.03, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		dk := core.Build(ds.G, ds.W.Requirements())
+		edges, err := ds.RandomEdges(10, 2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, e := range edges {
+			dk.AddEdge(e[0], e[1])
+		}
+		var first, second bytes.Buffer
+		if err := SaveDK(&first, dk); err != nil {
+			t.Fatal(err)
+		}
+		got, err := LoadDK(bytes.NewReader(first.Bytes()))
+		if err != nil {
+			t.Fatalf("%s: %v", ds.Name, err)
+		}
+		if err := SaveDK(&second, got); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(first.Bytes(), second.Bytes()) {
+			t.Errorf("%s: saved %d bytes, and %d after a load", ds.Name, first.Len(), second.Len())
+		}
+	}
+}
+
 func TestRoundTripAfterUpdates(t *testing.T) {
 	dk := buildSample(t)
 	g := dk.IG.Data()
@@ -187,7 +223,7 @@ func TestVersion1IsRejected(t *testing.T) {
 
 // frameRanges walks a stream and returns the byte ranges
 // [start,end) of each section frame, keyed by section name.
-func frameRanges(t *testing.T, data []byte) map[string][2]int {
+func frameRanges(t testing.TB, data []byte) map[string][2]int {
 	t.Helper()
 	out := make(map[string][2]int)
 	off := 5 // magic + version

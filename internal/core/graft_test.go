@@ -149,8 +149,8 @@ func runGraftScript(t testing.TB, dk *core.DK, s *script, doc func(*script, *gra
 				dk.AddEdge(u, v)
 			}
 		case 3:
-			if g.OutDegree(u) > 0 {
-				dk.RemoveEdge(u, g.Children(u)[s.next(g.OutDegree(u))])
+			if len(g.Children(u)) > 0 {
+				dk.RemoveEdge(u, g.Children(u)[s.next(len(g.Children(u)))])
 			}
 		case 4:
 			dk.PromoteLabel(graph.LabelID(1+s.next(g.Labels().Len()-1)), 1+s.next(3))

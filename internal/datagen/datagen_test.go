@@ -80,7 +80,7 @@ func TestXMarkIsGraphNotTree(t *testing.T) {
 	}
 	multi := 0
 	for n := 0; n < g.NumNodes(); n++ {
-		if g.InDegree(graph.NodeID(n)) > 1 {
+		if len(g.Parents(graph.NodeID(n))) > 1 {
 			multi++
 		}
 	}

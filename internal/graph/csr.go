@@ -5,16 +5,18 @@ import (
 	"slices"
 )
 
-// CSR is a compressed-sparse-row snapshot of one adjacency direction: the
-// neighbor lists of all nodes concatenated into one flat edges array, indexed
-// by a flat offsets array. Row(n) is edges[offsets[n]:offsets[n+1]].
+// CSR is the one flat form of a list of node lists (compressed sparse rows):
+// the rows of all nodes concatenated into one flat edges array, indexed by a
+// flat offsets array. Row(n) is edges[offsets[n]:offsets[n+1]].
 //
-// Refinement jobs build one CSR per direction up front and read contiguous
-// memory every round instead of chasing per-node slice headers; the offsets
-// double as exact per-node scratch budgets (a node's signature can never
-// exceed its degree), which is what lets the partition refiner run without
-// per-node allocation. A CSR is an immutable snapshot: mutations to the
-// source graph after the build are not reflected.
+// Refinement jobs snapshot one adjacency direction into a CSR up front
+// (NewCSR) and read contiguous memory every round instead of chasing
+// per-node slice headers; the offsets double as exact per-node scratch
+// budgets (a node's signature can never exceed its degree), which is what
+// lets the partition refiner run without per-node allocation. Whole graphs
+// are built from their children rows (FromCSR), which Transpose turns into
+// parents. A CSR is a snapshot: mutations to a source graph after the build
+// are not reflected.
 type CSR struct {
 	offsets []int32
 	edges   []NodeID
@@ -49,27 +51,90 @@ func (c *CSR) Reset(numNodes int, neighbors func(NodeID) []NodeID) {
 	}
 }
 
-// NumNodes returns the number of nodes the snapshot covers.
+// MakeCSR returns a CSR of no rows with room for rows rows holding edges
+// entries in all, to be filled in row order with Append and Close.
+func MakeCSR(rows, edges int) CSR {
+	return CSR{offsets: make([]int32, 1, rows+1), edges: make([]NodeID, 0, edges)}
+}
+
+// Append adds vs to the open row, the one after the rows Close closed.
+func (c *CSR) Append(vs ...NodeID) { c.edges = append(c.edges, vs...) }
+
+// Close closes the open row, and as many empty rows after it as it takes for
+// c to hold n rows; it does nothing when c holds them already.
+func (c *CSR) Close(n int) {
+	for c.NumNodes() < n {
+		c.offsets = append(c.offsets, int32(len(c.edges)))
+	}
+}
+
+// Transpose returns the CSR whose row v lists, ascending, every u < numNodes
+// whose row rows(u) holds v: the parents of a graph given its children. It is
+// one counting sort, filled backwards so that every row comes out ascending.
+// Every entry of every row must lie in [0, numNodes).
+func Transpose(numNodes int, rows func(NodeID) []NodeID) CSR {
+	off := make([]int32, numNodes+1)
+	for u := range numNodes {
+		for _, v := range rows(NodeID(u)) {
+			off[v]++
+		}
+	}
+	for v := range numNodes {
+		off[v+1] += off[v] // off[numNodes] starts at 0, there being no node numNodes, and ends at the total
+	}
+	edges := make([]NodeID, off[numNodes])
+	for u := numNodes - 1; u >= 0; u-- {
+		for _, v := range rows(NodeID(u)) {
+			off[v]--
+			edges[off[v]] = NodeID(u)
+		}
+	}
+	return CSR{off, edges}
+}
+
+// EdgeCSR returns the CSR of numNodes rows in which row u lists, ascending
+// and once each, every v of an edge (u, v): a counting sort by source, then
+// each row sorted and rid of repeats. Every endpoint must lie in
+// [0, numNodes).
+func EdgeCSR(numNodes int, edges [][2]NodeID) CSR {
+	off := make([]int32, numNodes+1)
+	for _, e := range edges {
+		off[e[0]]++
+	}
+	for u := range numNodes {
+		off[u+1] += off[u]
+	}
+	out := make([]NodeID, len(edges))
+	for j := len(edges) - 1; j >= 0; j-- {
+		e := edges[j]
+		off[e[0]]--
+		out[off[e[0]]] = e[1]
+	}
+	w := int32(0)
+	for u := range numNodes {
+		row := out[off[u]:off[u+1]]
+		slices.Sort(row)
+		off[u] = w
+		w += int32(copy(out[w:], slices.Compact(row)))
+	}
+	off[numNodes] = w
+	return CSR{off, out[:w]}
+}
+
+// NumNodes returns the number of rows.
 func (c *CSR) NumNodes() int { return len(c.offsets) - 1 }
 
 // NumEdges returns the total number of entries across all rows.
 func (c *CSR) NumEdges() int { return len(c.edges) }
 
-// Row returns node n's neighbor list. The slice aliases the snapshot's flat
-// storage and must not be mutated.
-func (c *CSR) Row(n NodeID) []NodeID { return c.edges[c.offsets[n]:c.offsets[n+1]] }
-
-// Degree returns len(Row(n)) without materializing the slice header.
-func (c *CSR) Degree(n NodeID) int { return int(c.offsets[n+1] - c.offsets[n]) }
+// Row returns node n's neighbor list, with no spare capacity. The slice
+// aliases the snapshot's flat storage and must not be mutated.
+func (c *CSR) Row(n NodeID) []NodeID {
+	lo, hi := c.offsets[n], c.offsets[n+1]
+	return c.edges[lo:hi:hi]
+}
 
 // RowBounds returns the [lo, hi) range of node n's row within the flat edge
 // array — the refiner uses it to carve per-node scratch slots out of one
 // arena allocation.
 func (c *CSR) RowBounds(n NodeID) (lo, hi int32) { return c.offsets[n], c.offsets[n+1] }
-
-// ParentCSR snapshots the graph's parent (incoming) adjacency. Rows are in
-// the same ascending order Parents maintains.
-func (g *Graph) ParentCSR() *CSR { return NewCSR(g.NumNodes(), g.Parents) }
-
-// ChildCSR snapshots the graph's child (outgoing) adjacency.
-func (g *Graph) ChildCSR() *CSR { return NewCSR(g.NumNodes(), g.Children) }

@@ -58,10 +58,6 @@ func csrMatches(t *testing.T, c *CSR, numNodes int, neighbors func(NodeID) []Nod
 			t.Logf("node %d: CSR row %v, want %v", i, c.Row(n), want)
 			return false
 		}
-		if c.Degree(n) != len(want) {
-			t.Logf("node %d: degree %d, want %d", i, c.Degree(n), len(want))
-			return false
-		}
 		lo, hi := c.RowBounds(n)
 		if int(hi-lo) != len(want) || int(lo) != total {
 			t.Logf("node %d: bounds [%d,%d), want len %d at %d", i, lo, hi, len(want), total)
@@ -79,8 +75,8 @@ func csrMatches(t *testing.T, c *CSR, numNodes int, neighbors func(NodeID) []Nod
 func TestQuickCSRMatchesAdjacency(t *testing.T) {
 	f := func(s csrSpec) bool {
 		g := s.build()
-		if !csrMatches(t, g.ParentCSR(), g.NumNodes(), g.Parents) ||
-			!csrMatches(t, g.ChildCSR(), g.NumNodes(), g.Children) {
+		if !csrMatches(t, NewCSR(g.NumNodes(), g.Parents), g.NumNodes(), g.Parents) ||
+			!csrMatches(t, NewCSR(g.NumNodes(), g.Children), g.NumNodes(), g.Children) {
 			return false
 		}
 		// Mutate: random edge inserts and removes, re-snapshot, re-check.
@@ -95,8 +91,8 @@ func TestQuickCSRMatchesAdjacency(t *testing.T) {
 			} else if ch := g.Children(from); len(ch) > 0 {
 				g.RemoveEdge(from, ch[rng.Intn(len(ch))])
 			}
-			if !csrMatches(t, g.ParentCSR(), g.NumNodes(), g.Parents) ||
-				!csrMatches(t, g.ChildCSR(), g.NumNodes(), g.Children) {
+			if !csrMatches(t, NewCSR(g.NumNodes(), g.Parents), g.NumNodes(), g.Parents) ||
+				!csrMatches(t, NewCSR(g.NumNodes(), g.Children), g.NumNodes(), g.Children) {
 				return false
 			}
 		}
@@ -111,5 +107,134 @@ func TestCSREmptyGraph(t *testing.T) {
 	c := NewCSR(0, func(NodeID) []NodeID { return nil })
 	if c.NumNodes() != 0 || c.NumEdges() != 0 {
 		t.Fatalf("empty CSR: %d nodes, %d edges", c.NumNodes(), c.NumEdges())
+	}
+}
+
+// csrOf lays rows out back to back in one CSR.
+func csrOf(rows ...[]NodeID) CSR {
+	c := MakeCSR(len(rows), 0)
+	for i, r := range rows {
+		c.Append(r...)
+		c.Close(i + 1)
+	}
+	return c
+}
+
+// Property: FromCSR builds the graph an incremental AddNodeID/AddEdge build
+// makes of the same rows — labels, both directions, posting lists, edge
+// count and root — and the result validates.
+func TestQuickFromCSRMatchesIncremental(t *testing.T) {
+	f := func(s csrSpec) bool {
+		g := s.build()
+		labels := make([]LabelID, g.NumNodes())
+		for n := range labels {
+			labels[n] = g.Label(NodeID(n))
+		}
+		got, err := FromCSR(g.Labels(), labels, g.Root(), *NewCSR(g.NumNodes(), g.Children))
+		if err != nil {
+			t.Log(err)
+			return false
+		}
+		if err := got.Validate(); err != nil {
+			t.Log(err)
+			return false
+		}
+		if a, b := dumpGraph(got), dumpGraph(g); string(a) != string(b) {
+			t.Logf("FromCSR built\n%s\nthe incremental build\n%s", a, b)
+			return false
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
+		t.Error(err)
+	}
+}
+
+func TestFromCSRRejectsBadInput(t *testing.T) {
+	tab := NewLabelTable()
+	tab.Intern(RootLabel)
+	tab.Intern("a")
+	two := []LabelID{0, 1}
+	for _, c := range []struct {
+		name     string
+		labels   []LabelID
+		root     NodeID
+		children CSR
+	}{
+		{"fewer labels than rows", []LabelID{0}, 0, csrOf([]NodeID{1}, nil)},
+		{"more labels than rows", two, 0, csrOf(nil)},
+		{"no rows at all", nil, InvalidNode, CSR{}},
+		{"label past the table", []LabelID{0, 2}, 0, csrOf(nil, nil)},
+		{"negative label", []LabelID{0, -1}, 0, csrOf(nil, nil)},
+		{"root past the nodes", two, 2, csrOf(nil, nil)},
+		{"negative root", two, -2, csrOf(nil, nil)},
+		{"child past the nodes", two, 0, csrOf([]NodeID{2}, nil)},
+		{"negative child", two, 0, csrOf([]NodeID{-1}, nil)},
+		{"descending row", two, 0, csrOf([]NodeID{1, 0}, nil)},
+		{"repeated child", two, 0, csrOf(nil, []NodeID{1, 1})},
+	} {
+		if g, err := FromCSR(tab, c.labels, c.root, c.children); err == nil {
+			t.Errorf("%s: accepted, built %s", c.name, dumpGraph(g))
+		}
+	}
+}
+
+// TestFromCSRRowIsolation: FromCSR's rows lie back to back in two flat
+// arrays, so a row that kept spare capacity would let a write to it land in
+// its neighbour. Each edit of a built graph must leave every other row as it
+// was, and a clone taken before it must not see it at all.
+func TestFromCSRRowIsolation(t *testing.T) {
+	rows := [][]NodeID{{1, 2}, {2, 3}, {3}, nil}
+	build := func() *Graph {
+		tab := NewLabelTable()
+		tab.Intern(RootLabel)
+		g, err := FromCSR(tab, []LabelID{0, 0, 0, 0}, 0, csrOf(rows...))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return g
+	}
+	incremental := func() *Graph {
+		g := New()
+		g.AddRoot()
+		for range len(rows) - 1 {
+			g.AddNode(RootLabel)
+		}
+		for u, row := range rows {
+			for _, v := range row {
+				g.AddEdge(NodeID(u), v)
+			}
+		}
+		return g
+	}
+	for _, e := range []struct {
+		name string
+		edit func(*Graph)
+	}{
+		{"add at a row's end", func(g *Graph) { g.AddEdge(0, 3) }},
+		{"add at a row's start", func(g *Graph) { g.AddEdge(1, 1) }},
+		{"remove", func(g *Graph) { g.RemoveEdge(1, 2) }},
+		{"remove then add", func(g *Graph) { g.RemoveEdge(0, 1); g.AddEdge(0, 3) }},
+	} {
+		want := incremental()
+		e.edit(want)
+		g := build()
+		e.edit(g)
+		if got := dumpGraph(g); string(got) != string(dumpGraph(want)) {
+			t.Errorf("%s: edited graph\n%s\nwant\n%s", e.name, got, dumpGraph(want))
+		}
+		g = build()
+		c := g.Clone()
+		before := dumpGraph(c)
+		e.edit(g)
+		if got := dumpGraph(g); string(got) != string(dumpGraph(want)) {
+			t.Errorf("%s after a clone: edited graph\n%s\nwant\n%s", e.name, got, dumpGraph(want))
+		}
+		if got := dumpGraph(c); string(got) != string(before) {
+			t.Errorf("%s: the clone saw the edit\n%s\nwant\n%s", e.name, got, before)
+		}
+		if err := g.Validate(); err != nil {
+			t.Errorf("%s: %v", e.name, err)
+		}
 	}
 }

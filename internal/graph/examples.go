@@ -41,10 +41,10 @@ func FigureOneMovies() *Graph {
 		"actor",    // 21
 		"name",     // 22
 	}
-	for _, l := range labels {
+	g.AddRoot()
+	for _, l := range labels[1:] {
 		g.AddNode(l)
 	}
-	g.SetRoot(0)
 	edges := [][2]NodeID{
 		{0, 1},
 		{1, 2}, {1, 3}, {1, 4}, {1, 5},

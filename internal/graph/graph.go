@@ -72,6 +72,58 @@ func NewWithLabels(t *LabelTable) *Graph {
 	return g
 }
 
+// FromCSR builds a whole graph at once, the one constructor that does: node n
+// is labeled labels[n], an id of tab, which the graph shares; its children
+// are children.Row(n); and root is its root, or InvalidNode for none. Rows
+// must be strictly ascending and every id in range, or FromCSR answers an
+// error. The parents are children's transpose and the per-label lists a
+// counting sort of labels. Every column is filled in place from cow.Make,
+// each row a clipped slice of children's flat array or of the transpose's,
+// so no row has spare capacity another row could be written through. The
+// graph keeps children's array: the caller must not write it afterwards.
+func FromCSR(tab *LabelTable, labels []LabelID, root NodeID, children CSR) (*Graph, error) {
+	n := len(labels)
+	if children.NumNodes() != n || root < InvalidNode || int(root) >= n {
+		return nil, fmt.Errorf("graph: %d labels, %d rows and root %d do not make a graph", n, children.NumNodes(), root)
+	}
+	counts := make([]int, tab.Len())
+	for i, l := range labels {
+		if uint(l) >= uint(len(counts)) {
+			return nil, fmt.Errorf("graph: node %d has label %d out of range [0,%d)", i, l, len(counts))
+		}
+		counts[l]++
+		row := children.Row(NodeID(i))
+		for j, c := range row {
+			if uint(c) >= uint(n) || j > 0 && row[j-1] >= c {
+				return nil, fmt.Errorf("graph: children of %d not strictly ascending in [0,%d) at %d", i, n, j)
+			}
+		}
+	}
+	parents := Transpose(n, children.Row)
+	g := &Graph{
+		labels:    tab,
+		nodeLabel: cow.Make[LabelID](n),
+		children:  cow.Make[[]NodeID](n),
+		parents:   cow.Make[[]NodeID](n),
+		numEdges:  parents.NumEdges(),
+		root:      root,
+		byLabel:   cow.Make[cow.Paged[NodeID]](len(counts)),
+	}
+	g.children.OnCopy, g.parents.OnCopy = clipRows, clipRows
+	for l, c := range counts {
+		*g.byLabel.Mut(nil, l) = cow.Make[NodeID](c)
+	}
+	for i := n - 1; i >= 0; i-- { // backwards, so counts end as each list's start
+		l := labels[i]
+		counts[l]--
+		*g.byLabel.Mut(nil, int(l)).Mut(nil, counts[l]) = NodeID(i)
+		*g.nodeLabel.Mut(nil, i) = l
+		*g.children.Mut(nil, i) = children.Row(NodeID(i))
+		*g.parents.Mut(nil, i) = parents.Row(NodeID(i))
+	}
+	return g, nil
+}
+
 // Labels returns the label table shared by this graph.
 func (g *Graph) Labels() *LabelTable { return g.labels }
 
@@ -111,12 +163,6 @@ func (g *Graph) AddRoot() NodeID {
 	}
 	g.root = g.AddNode(RootLabel)
 	return g.root
-}
-
-// SetRoot marks an existing node as the root.
-func (g *Graph) SetRoot(n NodeID) {
-	g.checkNode(n)
-	g.root = n
 }
 
 // Root returns the root node, or InvalidNode if none was set.
@@ -205,12 +251,6 @@ func (g *Graph) Children(n NodeID) []NodeID {
 func (g *Graph) Parents(n NodeID) []NodeID {
 	return g.parents.At(g.checkNode(n))
 }
-
-// OutDegree returns the number of children of n.
-func (g *Graph) OutDegree(n NodeID) int { return len(g.Children(n)) }
-
-// InDegree returns the number of parents of n.
-func (g *Graph) InDegree(n NodeID) int { return len(g.Parents(n)) }
 
 // NodesByLabel returns, for every label id, the list of nodes carrying it.
 // The outer slice is indexed by LabelID. The slices are fresh copies of the
@@ -357,25 +397,25 @@ func (g *Graph) CompactReachable() (*Graph, []NodeID, error) {
 	}
 	keep := g.ReachableFrom(g.root)
 	mapping := make([]NodeID, g.NumNodes())
-	for i := range mapping {
-		mapping[i] = InvalidNode
-	}
-	out := NewWithLabels(g.labels)
-	for n := 0; n < g.NumNodes(); n++ {
+	labels := make([]LabelID, 0, len(keep))
+	for n := range mapping {
+		mapping[n] = InvalidNode
 		if keep[NodeID(n)] {
-			mapping[n] = out.AddNodeID(g.nodeLabel.At(n))
+			mapping[n] = NodeID(len(labels))
+			labels = append(labels, g.nodeLabel.At(n))
 		}
 	}
-	out.SetRoot(mapping[g.root])
-	for n := 0; n < g.NumNodes(); n++ {
-		if mapping[n] == InvalidNode {
-			continue
-		}
-		for _, c := range g.children.At(n) {
-			if mapping[c] != InvalidNode {
-				out.AddEdge(mapping[n], mapping[c])
+	// The children of a reachable node are reachable, and the renumbering
+	// keeps node order, so every kept row maps to an ascending row.
+	children := MakeCSR(len(labels), g.numEdges)
+	for n, at := range mapping {
+		if at != InvalidNode {
+			for _, c := range g.children.At(n) {
+				children.Append(mapping[c])
 			}
+			children.Close(int(at) + 1)
 		}
 	}
-	return out, mapping, nil
+	out, err := FromCSR(g.labels, labels, mapping[g.root], children)
+	return out, mapping, err
 }

@@ -80,7 +80,7 @@ func TestAdjacencyBothDirections(t *testing.T) {
 	if got := g.Parents(b); len(got) != 2 {
 		t.Errorf("Parents(b) = %v, want 2 parents", got)
 	}
-	if g.InDegree(b) != 2 || g.OutDegree(a) != 1 {
+	if len(g.Parents(b)) != 2 || len(g.Children(a)) != 1 {
 		t.Error("degree accounting wrong")
 	}
 }

@@ -13,7 +13,6 @@ import (
 	"fmt"
 	"maps"
 	"slices"
-	"sort"
 	"sync/atomic"
 
 	"dkindex/internal/cow"
@@ -89,15 +88,6 @@ func (t *LabelTable) Name(id LabelID) string {
 
 // Len returns the number of distinct labels interned.
 func (t *LabelTable) Len() int { return len(t.names) }
-
-// Names returns all interned label names in sorted order. The slice is fresh
-// and may be retained by the caller.
-func (t *LabelTable) Names() []string {
-	out := make([]string, len(t.names))
-	copy(out, t.names)
-	sort.Strings(out)
-	return out
-}
 
 // Clone returns an independent copy of the table in constant time: both
 // sides share what they hold until either interns a new name. Like

@@ -11,11 +11,12 @@ import (
 // Document is the read view of a document to be added to an index
 // (Algorithm 3, and AKSubgraphAdd's baseline): node 0 is its root, the node
 // identified with the data graph's root, and every node's label is an id
-// into the document's own label table, named by LabelName. A *graph.Graph
-// built root first satisfies it, and so does the compact *xmlgraph.Doc a
-// mutation parses.
+// into the document's own label table of NumLabels names, named by
+// LabelName. A *graph.Graph built root first satisfies it, and so does the
+// compact *xmlgraph.Doc a mutation parses.
 type Document interface {
 	NumNodes() int
+	NumLabels() int
 	Root() graph.NodeID
 	Label(n graph.NodeID) graph.LabelID
 	LabelName(n graph.NodeID) string
@@ -33,7 +34,7 @@ type Subgraph struct {
 	labels    []graph.LabelID
 	newNames  []string
 	nextLabel graph.LabelID // the id of newNames[0]
-	parents   rows          // ascending
+	parents   graph.CSR     // ascending
 }
 
 // NewSubgraph translates h's labels into tab's ids with one remap, looking
@@ -47,15 +48,15 @@ func NewSubgraph(tab *graph.LabelTable, h Document) (*Subgraph, error) {
 		doc:       h,
 		labels:    make([]graph.LabelID, n),
 		nextLabel: graph.LabelID(tab.Len()),
-		parents:   rows{off: make([]int32, n+1)},
+		parents:   graph.Transpose(n, h.Children),
 	}
-	var remap []graph.LabelID // by h's label id, InvalidLabel until seen
+	remap := make([]graph.LabelID, h.NumLabels()) // by h's label id, InvalidLabel until seen
+	for l := range remap {
+		remap[l] = graph.InvalidLabel
+	}
 	for i := range n {
 		id := graph.NodeID(i)
 		l := h.Label(id)
-		for int(l) >= len(remap) {
-			remap = append(remap, graph.InvalidLabel)
-		}
 		if remap[l] == graph.InvalidLabel {
 			name := h.LabelName(id)
 			if remap[l] = tab.Lookup(name); remap[l] == graph.InvalidLabel {
@@ -64,23 +65,6 @@ func NewSubgraph(tab *graph.LabelTable, h Document) (*Subgraph, error) {
 			}
 		}
 		s.labels[i] = remap[l]
-		for _, c := range h.Children(id) {
-			s.parents.off[c]++
-		}
-	}
-	// Transpose the children: a counting sort filled backwards, so every
-	// parent list comes out ascending.
-	off := s.parents.off
-	for i := range n {
-		off[i+1] += off[i] // off[n] starts at 0, there being no node n, and ends at the total
-	}
-	s.parents.ids = make([]graph.NodeID, off[n])
-	for i := n - 1; i >= 0; i-- {
-		row := h.Children(graph.NodeID(i))
-		for j := len(row) - 1; j >= 0; j-- {
-			off[row[j]]--
-			s.parents.ids[off[row[j]]] = graph.NodeID(i)
-		}
 	}
 	return s, nil
 }
@@ -92,7 +76,7 @@ func (s *Subgraph) NumNodes() int { return len(s.labels) }
 func (s *Subgraph) Label(n graph.NodeID) graph.LabelID { return s.labels[n] }
 
 // Parents implements partition.Labeled.
-func (s *Subgraph) Parents(n graph.NodeID) []graph.NodeID { return s.parents.at(n) }
+func (s *Subgraph) Parents(n graph.NodeID) []graph.NodeID { return s.parents.Row(n) }
 
 // Children returns the document's children of node n.
 func (s *Subgraph) Children(n graph.NodeID) []graph.NodeID { return s.doc.Children(n) }
@@ -125,38 +109,21 @@ type SubIndex struct {
 	root                       graph.NodeID // the block holding the document root
 	label                      []graph.LabelID
 	k                          []int
-	members, parents, children rows
+	members, parents, children graph.CSR
 }
-
-// rows is a list of node lists in one backing array, filled in order.
-type rows struct {
-	off []int32 // row i is ids[off[i]:off[i+1]]
-	ids []graph.NodeID
-}
-
-func makeRows(n, total int) rows {
-	return rows{off: make([]int32, 1, n+1), ids: make([]graph.NodeID, 0, total)}
-}
-
-func (r *rows) add(row []graph.NodeID) {
-	r.ids = append(r.ids, row...)
-	r.off = append(r.off, int32(len(r.ids)))
-}
-
-func (r *rows) at(i graph.NodeID) []graph.NodeID { return r.ids[r.off[i]:r.off[i+1]] }
 
 // NewSubIndex copies out of p, a refined partition of s, what a GraftSource
 // reads, so p's storage may be reused at once. kOf supplies each block's
 // local similarity.
 func NewSubIndex(s *Subgraph, p *partition.Partition, kOf func(partition.BlockID) int) *SubIndex {
-	nb, edges := p.NumBlocks(), len(s.parents.ids)
+	nb, edges := p.NumBlocks(), s.parents.NumEdges()
 	ih := &SubIndex{
 		root:     graph.NodeID(p.BlockOf(0)),
 		label:    make([]graph.LabelID, nb),
 		k:        make([]int, nb),
-		members:  makeRows(nb, s.NumNodes()),
-		parents:  makeRows(nb, edges),
-		children: makeRows(nb, edges),
+		members:  graph.MakeCSR(nb, s.NumNodes()),
+		parents:  graph.MakeCSR(nb, edges),
+		children: graph.MakeCSR(nb, edges),
 	}
 	buf := make([]graph.NodeID, 0, edges)
 	blocks := func(mem []graph.NodeID, adj func(graph.NodeID) []graph.NodeID) []graph.NodeID {
@@ -173,9 +140,12 @@ func NewSubIndex(s *Subgraph, p *partition.Partition, kOf func(partition.BlockID
 		mem := p.Members(partition.BlockID(b))
 		ih.label[b] = s.Label(mem[0])
 		ih.k[b] = kOf(partition.BlockID(b))
-		ih.members.add(mem)
-		ih.parents.add(blocks(mem, s.Parents))
-		ih.children.add(blocks(mem, s.Children))
+		ih.members.Append(mem...)
+		ih.parents.Append(blocks(mem, s.Parents)...)
+		ih.children.Append(blocks(mem, s.Children)...)
+		ih.members.Close(b + 1)
+		ih.parents.Close(b + 1)
+		ih.children.Close(b + 1)
 	}
 	return ih
 }
@@ -194,10 +164,10 @@ func (ih *SubIndex) K(b graph.NodeID) int { return ih.k[b] }
 
 // Members returns block b's document nodes, ascending. Like the adjacency
 // accessors' slices it must not be mutated.
-func (ih *SubIndex) Members(b graph.NodeID) []graph.NodeID { return ih.members.at(b) }
+func (ih *SubIndex) Members(b graph.NodeID) []graph.NodeID { return ih.members.Row(b) }
 
 // Parents returns the blocks with an edge into block b, ascending.
-func (ih *SubIndex) Parents(b graph.NodeID) []graph.NodeID { return ih.parents.at(b) }
+func (ih *SubIndex) Parents(b graph.NodeID) []graph.NodeID { return ih.parents.Row(b) }
 
 // Children returns the blocks block b has an edge into, ascending.
-func (ih *SubIndex) Children(b graph.NodeID) []graph.NodeID { return ih.children.at(b) }
+func (ih *SubIndex) Children(b graph.NodeID) []graph.NodeID { return ih.children.Row(b) }

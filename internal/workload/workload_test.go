@@ -256,8 +256,7 @@ func TestMineBudgetRespectsBudget(t *testing.T) {
 // tries one candidate at the bound instead of one refinement round per label.
 func TestMinedKIsBounded(t *testing.T) {
 	g := graph.New()
-	root := g.AddNode(graph.RootLabel)
-	g.SetRoot(root)
+	root := g.AddRoot()
 	prev := root
 	for i := 0; i < 3; i++ {
 		a := g.AddNode("a")

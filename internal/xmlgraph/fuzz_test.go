@@ -3,7 +3,6 @@ package xmlgraph
 import (
 	"fmt"
 	"reflect"
-	"slices"
 	"strings"
 	"testing"
 
@@ -11,10 +10,10 @@ import (
 )
 
 // FuzzLoad checks that arbitrary bytes never panic the loader, that every
-// accepted document yields a structurally valid graph, and that the
-// tokenizer's two sinks agree: LoadDoc accepts exactly what Load accepts,
-// reports the same, and its compact form is Load's graph node for node —
-// label names, children rows and root.
+// accepted document yields a structurally valid graph, and that Load, which
+// builds its graph from LoadDoc's rows at once, accepts exactly what LoadDoc
+// accepts, reports the same, and makes the graph an edge-by-edge build of
+// those rows makes.
 func FuzzLoad(f *testing.F) {
 	for _, seed := range []string{
 		`<a/>`,
@@ -64,32 +63,41 @@ func FuzzLoad(f *testing.F) {
 			if !reflect.DeepEqual(rep, drep) {
 				t.Fatalf("Load reports %+v, LoadDoc %+v", rep, drep)
 			}
-			if err := sameAsGraph(d, g); err != nil {
-				t.Fatalf("the compact form is not Load's graph: %v", err)
+			if got, want := dump(g), dump(incremental(d)); got != want {
+				t.Fatalf("Load built\n%s\nan edge-by-edge build of LoadDoc's rows\n%s", got, want)
 			}
 		}
 	})
 }
 
-// sameAsGraph compares a compact document with the graph Load made of the
-// same bytes: node count, root, every label name and every children row.
-func sameAsGraph(d *Doc, g *graph.Graph) error {
-	edges := 0
-	if d.NumNodes() != g.NumNodes() || d.Root() != g.Root() {
-		return fmt.Errorf("%d nodes rooted at %d, want %d rooted at %d", d.NumNodes(), d.Root(), g.NumNodes(), g.Root())
+// incremental builds d into a graph one node and one edge at a time, the
+// way graphs were built before FromCSR.
+func incremental(d *Doc) *graph.Graph {
+	g := graph.New()
+	g.AddRoot()
+	for n := 1; n < d.NumNodes(); n++ {
+		g.AddNode(d.LabelName(graph.NodeID(n)))
 	}
-	for n := 0; n < g.NumNodes(); n++ {
+	for n := range d.NumNodes() {
+		for _, c := range d.Children(graph.NodeID(n)) {
+			g.AddEdge(graph.NodeID(n), c)
+		}
+	}
+	return g
+}
+
+// dump renders what a reader can observe of g: root, edge count, the label
+// table, the per-label lists, and every node's label and both rows.
+func dump(g *graph.Graph) string {
+	var b strings.Builder
+	fmt.Fprintf(&b, "root %d edges %d", g.Root(), g.NumEdges())
+	for l := range g.NumLabels() {
+		list := g.NodesWithLabel(graph.LabelID(l))
+		fmt.Fprintf(&b, " %s=%v", g.Labels().Name(graph.LabelID(l)), list.AppendTo(nil))
+	}
+	for n := range g.NumNodes() {
 		id := graph.NodeID(n)
-		if d.LabelName(id) != g.LabelName(id) {
-			return fmt.Errorf("node %d labeled %q, want %q", n, d.LabelName(id), g.LabelName(id))
-		}
-		if !slices.Equal(d.Children(id), g.Children(id)) {
-			return fmt.Errorf("node %d children %v, want %v", n, d.Children(id), g.Children(id))
-		}
-		edges += len(d.Children(id))
+		fmt.Fprintf(&b, "\n%d %d %v %v", n, g.Label(id), g.Children(id), g.Parents(id))
 	}
-	if edges != g.NumEdges() {
-		return fmt.Errorf("%d edges, want %d", edges, g.NumEdges())
-	}
-	return nil
+	return b.String()
 }

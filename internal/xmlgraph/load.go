@@ -33,10 +33,6 @@ type Options struct {
 	// space-separated IDREFS). Defaults to ["idref", "ref"], plus any
 	// attribute name ending in "ref".
 	IDRefAttrs []string
-	// Labels, when non-nil, is the label table Load interns into (lets
-	// several documents share one table). A fresh table is created otherwise.
-	// LoadDoc always keeps its own.
-	Labels *graph.LabelTable
 }
 
 func (o *Options) isID(name string) bool {
@@ -75,26 +71,24 @@ type Report struct {
 }
 
 // Load parses one XML document into a data graph. The graph has a single
-// ROOT node whose child is the document element.
+// ROOT node whose child is the document element: it is LoadDoc's compact form
+// built into a graph at once, over the document's own label table.
 func Load(r io.Reader, opts *Options) (*graph.Graph, *Report, error) {
-	tab := graph.NewLabelTable()
-	if opts != nil && opts.Labels != nil {
-		tab = opts.Labels
-	}
-	g := graph.NewWithLabels(tab)
-	g.AddRoot()
-	rep, err := parse(r, opts, graphSink{g})
+	d, rep, err := LoadDoc(r, opts)
 	if err != nil {
 		return nil, nil, err
+	}
+	g, err := graph.FromCSR(d.tab, d.labels, d.Root(), d.children)
+	if err != nil {
+		return nil, nil, fmt.Errorf("xmlgraph: %w", err)
 	}
 	return g, rep, nil
 }
 
 // LoadDoc parses one XML document into its compact form, for adding to an
-// index: the same nodes, labels and edges Load makes, in the same order,
-// without a graph's pages.
+// index or for Load to build a graph from.
 func LoadDoc(r io.Reader, opts *Options) (*Doc, *Report, error) {
-	d := &Doc{ids: make(map[string]graph.LabelID)}
+	d := &Doc{tab: graph.NewLabelTable()}
 	d.node(graph.RootLabel)
 	rep, err := parse(r, opts, d)
 	if err != nil {
@@ -103,29 +97,9 @@ func LoadDoc(r io.Reader, opts *Options) (*Doc, *Report, error) {
 	return d, rep, nil
 }
 
-// LoadString is Load over a string; a convenience for tests and examples.
-func LoadString(doc string, opts *Options) (*graph.Graph, *Report, error) {
-	return Load(strings.NewReader(doc), opts)
-}
-
-// sink is what the tokenizer builds: a graph.Graph for Load, a Doc for
-// LoadDoc. Node 0, the root, is already there.
-type sink interface {
-	node(name string) graph.NodeID
-	// edge adds from -> to; a repeated edge is one edge.
-	edge(from, to graph.NodeID)
-	// seal finishes the build and returns its number of distinct edges.
-	seal() int
-}
-
-type graphSink struct{ g *graph.Graph }
-
-func (s graphSink) node(name string) graph.NodeID { return s.g.AddNode(name) }
-func (s graphSink) edge(from, to graph.NodeID)    { s.g.AddEdge(from, to) }
-func (s graphSink) seal() int                     { return s.g.NumEdges() }
-
-// parse is the one tokenizer loop behind Load and LoadDoc.
-func parse(r io.Reader, opts *Options, s sink) (*Report, error) {
+// parse is the tokenizer loop behind LoadDoc: it adds the document's nodes
+// and edges to d, whose node 0, the root, is already there.
+func parse(r io.Reader, opts *Options, d *Doc) (*Report, error) {
 	if opts == nil {
 		opts = &Options{}
 	}
@@ -137,11 +111,9 @@ func parse(r io.Reader, opts *Options, s sink) (*Report, error) {
 		id   string
 	}
 	var refs []pendingRef
-	treeEdges := 0
 	child := func(parent graph.NodeID, name string) graph.NodeID {
-		n := s.node(name)
-		s.edge(parent, n)
-		treeEdges++
+		n := d.node(name)
+		d.edge(parent, n)
 		return n
 	}
 
@@ -212,8 +184,9 @@ func parse(r io.Reader, opts *Options, s sink) (*Report, error) {
 			rep.DanglingRefs = append(rep.DanglingRefs, ref.id)
 			continue
 		}
-		s.edge(ref.from, target)
+		d.edge(ref.from, target)
 	}
-	rep.ReferenceEdges = s.seal() - treeEdges
+	d.children, d.edges = graph.EdgeCSR(len(d.labels), d.edges), nil
+	rep.ReferenceEdges = d.children.NumEdges() - (d.NumNodes() - 1) // every node but the root has one tree edge
 	return rep, nil
 }

@@ -56,7 +56,7 @@ func TestLoadTruncatedMidStream(t *testing.T) {
 		`<a><![CDATA[stuff`,   // cut inside CDATA
 		`<a><!-- comment <b>`, // cut inside a comment
 	} {
-		g, rep, err := LoadString(doc, nil)
+		g, rep, err := Load(strings.NewReader(doc), nil)
 		if err == nil {
 			t.Errorf("doc %q: expected error", doc)
 		}
@@ -70,7 +70,7 @@ func TestLoadTruncatedMidStream(t *testing.T) {
 // and the decoder's line position — the details an operator needs to find
 // the cut.
 func TestLoadErrorAttribution(t *testing.T) {
-	_, _, err := LoadString("<a>\n<b>\n<c></c>", nil)
+	_, _, err := Load(strings.NewReader("<a>\n<b>\n<c></c>"), nil)
 	if err == nil {
 		t.Fatal("expected error for unclosed elements")
 	}
@@ -84,7 +84,7 @@ func TestLoadErrorAttribution(t *testing.T) {
 // unresolved reference, including repeats, in document order.
 func TestLoadDanglingRefsReportedInOrder(t *testing.T) {
 	doc := `<a><b ref="x y"/><c ref="x"/><d id="y"/></a>`
-	_, rep, err := LoadString(doc, nil)
+	_, rep, err := Load(strings.NewReader(doc), nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -25,7 +25,7 @@ const moviesDoc = `<?xml version="1.0"?>
 `
 
 func TestLoadBasicStructure(t *testing.T) {
-	g, rep, err := LoadString(moviesDoc, nil)
+	g, rep, err := Load(strings.NewReader(moviesDoc), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -54,7 +54,7 @@ func TestLoadBasicStructure(t *testing.T) {
 }
 
 func TestLoadReferenceEdgesResolve(t *testing.T) {
-	g, _, err := LoadString(moviesDoc, nil)
+	g, _, err := Load(strings.NewReader(moviesDoc), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -72,7 +72,7 @@ func TestLoadReferenceEdgesResolve(t *testing.T) {
 }
 
 func TestLoadWithValues(t *testing.T) {
-	g, rep, err := LoadString(moviesDoc, &Options{IncludeValues: true})
+	g, rep, err := Load(strings.NewReader(moviesDoc), &Options{IncludeValues: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -91,7 +91,7 @@ func TestLoadWithAttributes(t *testing.T) {
 	// Note href would be consumed by the default "ends in ref" reference
 	// heuristic (XLink hrefs are references); kind and class are plain.
 	doc := `<a kind="x" id="n1"><b class="c"/></a>`
-	g, rep, err := LoadString(doc, &Options{IncludeAttributes: true})
+	g, rep, err := Load(strings.NewReader(doc), &Options{IncludeAttributes: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -109,7 +109,7 @@ func TestLoadWithAttributes(t *testing.T) {
 
 func TestLoadDanglingRef(t *testing.T) {
 	doc := `<a><b ref="nope"/><c id="x"/></a>`
-	_, rep, err := LoadString(doc, nil)
+	_, rep, err := Load(strings.NewReader(doc), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -124,7 +124,7 @@ func TestLoadDanglingRef(t *testing.T) {
 func TestLoadCustomRefAttrs(t *testing.T) {
 	doc := `<a><b link="x"/><c id="x"/><d wref="x"/></a>`
 	// With explicit IDRefAttrs, the "ends in ref" heuristic is off.
-	_, rep, err := LoadString(doc, &Options{IDRefAttrs: []string{"link"}})
+	_, rep, err := Load(strings.NewReader(doc), &Options{IDRefAttrs: []string{"link"}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -132,7 +132,7 @@ func TestLoadCustomRefAttrs(t *testing.T) {
 		t.Errorf("reference edges = %d, want 1 (only link=)", rep.ReferenceEdges)
 	}
 	// Default heuristic picks up wref.
-	_, rep, err = LoadString(doc, nil)
+	_, rep, err = Load(strings.NewReader(doc), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -150,27 +150,9 @@ func TestLoadMalformed(t *testing.T) {
 		`<a>`,
 		`plain text`,
 	} {
-		if _, _, err := LoadString(doc, nil); err == nil {
+		if _, _, err := Load(strings.NewReader(doc), nil); err == nil {
 			t.Errorf("doc %q: expected error", doc)
 		}
-	}
-}
-
-func TestSharedLabelTable(t *testing.T) {
-	tab := graph.NewLabelTable()
-	g1, _, err := LoadString(`<a><b/></a>`, &Options{Labels: tab})
-	if err != nil {
-		t.Fatal(err)
-	}
-	g2, _, err := LoadString(`<a><c/></a>`, &Options{Labels: tab})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if g1.Labels() != g2.Labels() {
-		t.Error("graphs do not share the label table")
-	}
-	if g1.Label(1) != g2.Label(1) {
-		t.Error("label 'a' interned differently across documents")
 	}
 }
 
@@ -195,7 +177,7 @@ func TestElemWriteAndRoundTrip(t *testing.T) {
 		t.Errorf("CountNodes = %d, want 4", root.CountNodes())
 	}
 
-	g, rep, err := LoadString(out, &Options{IncludeValues: true})
+	g, rep, err := Load(strings.NewReader(out), &Options{IncludeValues: true})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -3,6 +3,7 @@ package dkindex
 import (
 	"encoding/binary"
 	"fmt"
+	"math"
 	"sort"
 
 	"dkindex/internal/wal"
@@ -113,6 +114,9 @@ func decodeEdgePayload(payload []byte) (from, to NodeID, err error) {
 	t, err := p.uint()
 	if err != nil {
 		return 0, 0, err
+	}
+	if f > math.MaxInt32 || t > math.MaxInt32 {
+		return 0, 0, fmt.Errorf("dkindex: wal edge %d-%d has an endpoint past the node id range", f, t)
 	}
 	return NodeID(f), NodeID(t), nil
 }
