@@ -52,7 +52,7 @@ stress:
 	$(GO) test -race -count 2 -run TestSnapshotStressConcurrent .
 	$(GO) test -race -count 2 -run TestApplyBatchStressConcurrent .
 	$(GO) test -race -count 1 -run TestStoreCrashPointSweep .
-	$(GO) test -race -count 1 -run TestBuildPartitionIdentity ./internal/experiments/
+	$(GO) test -race -count 1 -run 'TestBuildPartitionIdentityXMark|TestBuildPartitionIdentityNasa|TestBuildPartitionIdentityDblp' ./internal/experiments/
 	$(GO) test -race -count 1 -run 'TestReplicaConvergesUnderFaults|TestReplicaCatchUpCrashSweep' ./internal/replica/
 	$(GO) test -race -count 1 -run TestShardConcurrentReadersWriters ./internal/shard/
 
@@ -70,7 +70,6 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzLoadDK -fuzztime 5s ./internal/codec
 	$(GO) test -run '^$$' -fuzz FuzzWALReplay -fuzztime 5s ./internal/wal
 	$(GO) test -run '^$$' -fuzz FuzzLoad -fuzztime 5s ./internal/xmlgraph
-	$(GO) test -run '^$$' -fuzz FuzzDecodeBlock -fuzztime 5s ./internal/nodeset
 	$(GO) test -run '^$$' -fuzz FuzzFromSortedAlgebra -fuzztime 5s ./internal/nodeset
 	$(GO) test -run '^$$' -fuzz FuzzKernelAgainstReference -fuzztime 5s ./internal/rpe
 	$(GO) test -run '^$$' -fuzz FuzzTwigAgainstReference -fuzztime 5s ./internal/eval

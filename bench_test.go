@@ -130,9 +130,9 @@ func BenchmarkBuildNasa(b *testing.B) { benchBuild(b, benchNasa(b)) }
 func BenchmarkBuildDblp(b *testing.B) { benchBuild(b, benchDblp(b)) }
 
 // benchMemFootprint measures the succinct-set memory experiment on one
-// dataset and reports the D(k) row's headline numbers — resident and raw set
-// bytes, the compression ratio, and resident bytes per data node — as custom
-// metrics. Run all three datasets with
+// dataset and reports the D(k) row's headline numbers — resident and raw
+// bytes, the compression ratio, resident bytes per data node, and the label
+// lists' payload inside them — as custom metrics. Run all three datasets with
 // `go test -run '^$' -bench 'BenchmarkMemFootprint' .`.
 func benchMemFootprint(b *testing.B, ds *experiments.Dataset) {
 	b.Helper()
@@ -150,16 +150,19 @@ func benchMemFootprint(b *testing.B, ds *experiments.Dataset) {
 	b.ReportMetric(float64(dk.Raw()), "dk_raw_bytes")
 	b.ReportMetric(dk.Ratio(), "dk_compression_x")
 	b.ReportMetric(dk.BytesPerNode(), "dk_bytes/node")
+	b.ReportMetric(float64(dk.Postings), "dk_postings_bytes")
 }
 
-// BenchmarkMemFootprintXMark measures extent/posting footprint on XMark.
+// BenchmarkMemFootprintXMark measures the extent and label-list footprint on
+// XMark.
 func BenchmarkMemFootprintXMark(b *testing.B) { benchMemFootprint(b, benchXMark(b)) }
 
-// BenchmarkMemFootprintNasa measures extent/posting footprint on NASA.
+// BenchmarkMemFootprintNasa measures the extent and label-list footprint on
+// NASA.
 func BenchmarkMemFootprintNasa(b *testing.B) { benchMemFootprint(b, benchNasa(b)) }
 
-// BenchmarkMemFootprintDblp measures extent/posting footprint on DBLP, whose
-// citation-fragmented extents are the sparse-encoding stress case.
+// BenchmarkMemFootprintDblp measures the extent and label-list footprint on
+// DBLP, whose citation-fragmented extents are the sparse-encoding stress case.
 func BenchmarkMemFootprintDblp(b *testing.B) { benchMemFootprint(b, benchDblp(b)) }
 
 // reportSeries logs the rendered series and reports the D(k) headline

@@ -159,11 +159,11 @@ var experimentTable = []struct {
 			"Ablation (Xmark): Algorithm 4 probe vs naive reset on edge addition",
 			must(experiments.AblationAlg4(e.loadXMark(), e.cfg()))))
 	}},
-	{"mem", "set footprint: succinct extents/postings vs raw slices, all datasets", true, func(e *env) {
+	{"mem", "set footprint: succinct extents vs raw slices, and the label lists, all datasets", true, func(e *env) {
 		for _, ds := range []*experiments.Dataset{e.loadXMark(), e.loadNasa(), e.loadDblp()} {
 			rows := experiments.MemoryFootprint(ds, e.maxK)
 			check(experiments.RenderMemRows(e.stdout,
-				fmt.Sprintf("Memory footprint (%s): succinct extents and postings vs raw node slices", ds.Name), rows))
+				fmt.Sprintf("Memory footprint (%s): succinct extents vs raw node slices, and the label lists", ds.Name), rows))
 			e.writeCSV(fmt.Sprintf("mem_%s.csv", ds.Name),
 				func(w io.Writer) error { return experiments.WriteMemRowsCSV(w, rows) })
 		}

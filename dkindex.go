@@ -150,7 +150,6 @@ func (x *Index) attachJournal(j mutationJournal) error {
 func newIndex(dk *core.DK) *Index {
 	x := &Index{}
 	x.batch.idle.L = &x.batch.mu
-	dk.IG.SealPostings()
 	x.handle.Store(&snapshot{dk: dk})
 	x.cache.Store(qcache.New(DefaultResultCacheSize))
 	return x
@@ -202,10 +201,8 @@ func (x *Index) DK() *core.DK { return x.handle.Load().dk }
 
 // publish installs dk as the next snapshot. Callers hold mu — commitLocked
 // for every sequenced mutation, Reload for the wholesale swap, and nothing
-// else (TestOneCommitPath). Posting views are sealed first so the published
-// graph never lazily mutates under its lock-free readers.
+// else (TestOneCommitPath).
 func (x *Index) publish(dk *core.DK) {
-	dk.IG.SealPostings()
 	x.handle.Store(&snapshot{dk: dk, gen: x.handle.Load().gen + 1})
 }
 
@@ -535,10 +532,11 @@ func (x *Index) noteValidation(s *snapshot, path eval.Query, validations int) {
 // labelReaches reports whether every index node labelled l has local
 // similarity at least k, so promoting l to k would change nothing.
 func labelReaches(ig *index.IndexGraph, l graph.LabelID, k int) bool {
-	ok := true
-	ig.PostingSet(l).Iterate(func(n graph.NodeID) bool {
-		ok = ig.K(n) >= k
-		return ok
-	})
-	return ok
+	nodes := ig.NodesWithLabel(l)
+	for i := range nodes.Len() {
+		if ig.K(nodes.At(i)) < k {
+			return false
+		}
+	}
+	return true
 }

@@ -142,3 +142,68 @@ func TestDocsNameOnlyWhatExists(t *testing.T) {
 		}
 	}
 }
+
+// TestMakeRecipesNameRealTests holds `make fuzz-smoke` and `make stress` to
+// the tests they name. go test passes silently when -fuzz or -run matches
+// nothing, so every -fuzz NAME and every name of a -run 'A|B' alternation
+// ('^$' aside) must be declared as func NAME( in a _test.go file of the
+// package the line tests.
+func TestMakeRecipesNameRealTests(t *testing.T) {
+	data, err := os.ReadFile("Makefile")
+	if err != nil {
+		t.Fatal(err)
+	}
+	declared := func(pkg string) map[string]bool {
+		files, err := filepath.Glob(filepath.Join(pkg, "*_test.go"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		set := map[string]bool{}
+		for _, file := range files {
+			src, err := os.ReadFile(file)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, m := range regexp.MustCompile(`(?m)^func (\w+)\(`).FindAllStringSubmatch(string(src), -1) {
+				set[m[1]] = true
+			}
+		}
+		return set
+	}
+	recipe, checked := "", 0
+	for _, line := range strings.Split(string(data), "\n") {
+		if line == "" {
+			continue
+		}
+		if !strings.HasPrefix(line, "\t") {
+			recipe, _, _ = strings.Cut(line, ":")
+			continue
+		}
+		if recipe != "fuzz-smoke" && recipe != "stress" {
+			continue
+		}
+		fields := strings.Fields(line)
+		var names []string
+		for i := 0; i+1 < len(fields); i++ {
+			switch arg := strings.Trim(fields[i+1], "'"); fields[i] {
+			case "-fuzz":
+				names = append(names, arg)
+			case "-run":
+				if arg != "^$$" {
+					names = append(names, strings.Split(arg, "|")...)
+				}
+			}
+		}
+		pkg := fields[len(fields)-1]
+		funcs := declared(pkg)
+		for _, name := range names {
+			checked++
+			if !funcs[name] {
+				t.Errorf("make %s runs %s in %s, which declares no such test", recipe, name, pkg)
+			}
+		}
+	}
+	if checked < 15 {
+		t.Fatalf("only %d test names found in the fuzz-smoke and stress recipes", checked)
+	}
+}

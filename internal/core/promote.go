@@ -160,9 +160,10 @@ func (dk *DK) PromoteLabel(l graph.LabelID, kn int) index.UpdateStats {
 	// iterate until the target is met or a pass makes no progress.
 	for pass := 0; pass <= kn+1; pass++ {
 		targets := make(map[graph.NodeID]int)
-		for n := 0; n < ig.NumNodes(); n++ {
-			if ig.Label(graph.NodeID(n)) == l && ig.K(graph.NodeID(n)) < kn {
-				targets[graph.NodeID(n)] = kn
+		nodes := ig.NodesWithLabel(l) // read per pass: splits append to it
+		for i := range nodes.Len() {
+			if n := nodes.At(i); ig.K(n) < kn {
+				targets[n] = kn
 			}
 		}
 		if len(targets) == 0 {
@@ -186,13 +187,12 @@ func (dk *DK) PromoteLabel(l graph.LabelID, kn int) index.UpdateStats {
 // labelMinK returns the smallest similarity among index nodes with label l
 // (or a large value when the label is absent).
 func labelMinK(ig *index.IndexGraph, l graph.LabelID) int {
-	min := index.Exact
-	for n := 0; n < ig.NumNodes(); n++ {
-		if ig.Label(graph.NodeID(n)) == l && ig.K(graph.NodeID(n)) < min {
-			min = ig.K(graph.NodeID(n))
-		}
+	least := index.Exact
+	nodes := ig.NodesWithLabel(l)
+	for i := range nodes.Len() {
+		least = min(least, ig.K(nodes.At(i)))
 	}
-	return min
+	return least
 }
 
 // Demote shrinks the index for a lowered set of query-load requirements

@@ -10,7 +10,6 @@ import (
 	"dkindex/internal/cow"
 	"dkindex/internal/graph"
 	"dkindex/internal/index"
-	"dkindex/internal/nodeset"
 	"dkindex/internal/obs"
 )
 
@@ -141,27 +140,15 @@ func (q *Twig) Format(t *graph.LabelTable) string {
 // index node would need for the trunk alone).
 func (q *Twig) Length() int { return len(q.Steps) - 1 }
 
-// twigSource is the graph view twig evaluation needs. Only data graphs and
-// index graphs are evaluated, and each also provides one of the posting-list
-// views below, which seed the trunk.
+// twigSource is the graph view twig evaluation needs: data graphs and index
+// graphs both provide it. NodesWithLabel lists a label's nodes in ascending
+// order, so seeding the trunk costs O(|matches|).
 type twigSource interface {
 	NumNodes() int
 	Label(n graph.NodeID) graph.LabelID
 	Children(n graph.NodeID) []graph.NodeID
 	Parents(n graph.NodeID) []graph.NodeID
-}
-
-// labelIndexed is the data graph's posting-list view: the label's nodes in
-// ascending order, so seeding costs O(|matches|).
-type labelIndexed interface {
 	NodesWithLabel(l graph.LabelID) cow.Paged[graph.NodeID]
-}
-
-// postingIndexed is the index graph's succinct posting-list view: the
-// evaluator seeds from it and advances predicate-free trunk steps by
-// compressed set intersection instead of per-child label checks.
-type postingIndexed interface {
-	PostingSet(l graph.LabelID) nodeset.Set
 }
 
 // memoTable is a memo of booleans keyed by (step, node) pairs. Like
@@ -260,7 +247,6 @@ type twigEval struct {
 
 	inNext graph.VisitSet
 	a, b   []graph.NodeID
-	cand   []graph.NodeID
 	// pred caches downward predicate matching by (step id, node) for the
 	// evaluator's lifetime.
 	pred memoTable
@@ -336,95 +322,48 @@ func (e *twigEval) matchDown(n graph.NodeID, pred *Twig, i int) bool {
 
 // eval runs the trunk forward and returns the matched nodes, ascending, in
 // the evaluator's own buffer: it is valid until the next eval or release.
-// Seeding reads the source's posting list (the compressed set for index
-// graphs, the paged list for data graphs); frontiers are pooled dense slices
-// deduplicated by an epoch-stamped visit set. On index graphs, predicate-FREE
-// steps advance by pure set algebra — the frontier's distinct children
-// intersected with the label's compressed posting set — while
-// predicate-bearing steps keep the per-child loop, whose stepOK calls drive
-// the memoized downward matching. The charge pattern of the per-child
-// evaluator is preserved exactly either way: on a predicate-free step every
-// label-matching distinct child passes stepOK, so the old loop charged
-// precisely |children(frontier) ∩ posting(label)| — the kernel's |next| —
-// and on predicate-bearing steps charge totals are properties of the
-// frontier set and the memo DAG, not of iteration order.
+// Seeding reads the source's label list; frontiers are pooled dense slices
+// deduplicated by an epoch-stamped visit set. Each later step charges every
+// label-matching child of the frontier not yet accepted, so a child its
+// predicates reject is charged once per frontier parent and an accepted one
+// exactly once; on a predicate-free step that is |children(frontier) ∩
+// nodes(label)|. The memoized downward matching recurses to ever larger step
+// ids, so what it accepts and charges does not depend on the frontier's
+// order, and neither do the step's totals.
 func (e *twigEval) eval() []graph.NodeID {
 	if len(e.q.Steps) == 0 {
 		return nil
 	}
-	cur, next, cand := e.a[:0], e.b[:0], e.cand[:0]
+	cur, next := e.a[:0], e.b[:0]
 	first := &e.q.Steps[0]
-	pi, piOK := e.src.(postingIndexed)
-	if piOK {
-		pi.PostingSet(first.Label).Iterate(func(id graph.NodeID) bool {
-			e.visited++
-			if e.stepOK(id, first) {
-				cur = append(cur, id)
-			}
-			return true
-		})
-	} else {
-		seeds := e.src.(labelIndexed).NodesWithLabel(first.Label)
-		for i := range seeds.Len() {
-			id := seeds.At(i)
-			e.visited++
-			if e.stepOK(id, first) {
-				cur = append(cur, id)
-			}
+	seeds := e.src.NodesWithLabel(first.Label)
+	for i := range seeds.Len() {
+		id := seeds.At(i)
+		e.visited++
+		if e.stepOK(id, first) {
+			cur = append(cur, id)
 		}
 	}
-	sorted := true // posting-seeded frontiers are ascending
 	for pos := 1; pos < len(e.q.Steps) && len(cur) > 0; pos++ {
 		e.inNext.Reset(e.src.NumNodes())
 		next = next[:0]
 		step := &e.q.Steps[pos]
-		if piOK && len(step.Preds) == 0 {
-			// Set-algebra kernel: dedupe the frontier's children, intersect
-			// with the compressed posting list of the wanted label.
-			cand = cand[:0]
-			for _, n := range cur {
-				for _, c := range e.src.Children(n) {
-					if e.inNext.Add(c) {
-						cand = append(cand, c)
-					}
+		for _, n := range cur {
+			for _, c := range e.src.Children(n) {
+				if e.src.Label(c) != step.Label || e.inNext.Contains(c) {
+					continue
+				}
+				e.visited++
+				if e.stepOK(c, step) {
+					e.inNext.Add(c)
+					next = append(next, c)
 				}
 			}
-			post := pi.PostingSet(step.Label)
-			if post.Len() <= 2*len(cand) {
-				post.Iterate(func(id graph.NodeID) bool {
-					if e.inNext.Contains(id) {
-						next = append(next, id)
-					}
-					return true
-				})
-			} else {
-				slices.Sort(cand)
-				next = nodeset.IntersectSortedAppend(post, cand, next)
-			}
-			e.visited += len(next)
-			sorted = true
-		} else {
-			want := step.Label
-			for _, n := range cur {
-				for _, c := range e.src.Children(n) {
-					if e.src.Label(c) != want || e.inNext.Contains(c) {
-						continue
-					}
-					e.visited++
-					if e.stepOK(c, step) {
-						e.inNext.Add(c)
-						next = append(next, c)
-					}
-				}
-			}
-			sorted = false
 		}
 		cur, next = next, cur
 	}
-	if !sorted {
-		slices.Sort(cur)
-	}
-	e.a, e.b, e.cand = cur, next, cand
+	slices.Sort(cur) // label-list seeds are ascending, later frontiers not
+	e.a, e.b = cur, next
 	if len(cur) == 0 {
 		return nil
 	}

@@ -9,31 +9,28 @@ import (
 	"dkindex/internal/index"
 )
 
-// MemRow reports the resident footprint of one summary's extents and label
-// postings under the succinct set encoding, against the raw []NodeID cost the
-// same lists would occupy uncompressed.
+// MemRow reports the resident footprint of one summary's extents under the
+// succinct set encoding, against the raw []NodeID cost the same extents would
+// occupy uncompressed, and of its label lists, which are stored raw.
 type MemRow struct {
 	Index      string
 	IndexNodes int
 	DataNodes  int
 	// Extent-side resident bytes split by physical encoding (payload plus
-	// per-container bookkeeping), and the posting-side totals.
-	ExtentSparse  int
-	ExtentDense   int
-	PostingSparse int
-	PostingDense  int
-	// Raw bytes: slice header + 4 bytes per member for every list.
-	ExtentRaw  int
-	PostingRaw int
+	// per-container bookkeeping).
+	ExtentSparse int
+	ExtentDense  int
+	// ExtentRaw is slice header + 4 bytes per member for every extent.
+	ExtentRaw int
+	// Postings is the label lists' payload: 4 bytes per index node.
+	Postings int
 }
 
-// Resident is the total compressed footprint of extents and postings.
-func (r MemRow) Resident() int {
-	return r.ExtentSparse + r.ExtentDense + r.PostingSparse + r.PostingDense
-}
+// Resident is the total footprint of extents and label lists.
+func (r MemRow) Resident() int { return r.ExtentSparse + r.ExtentDense + r.Postings }
 
-// Raw is the total uncompressed footprint.
-func (r MemRow) Raw() int { return r.ExtentRaw + r.PostingRaw }
+// Raw is the total footprint with the extents uncompressed.
+func (r MemRow) Raw() int { return r.ExtentRaw + r.Postings }
 
 // Ratio is raw/resident — how many times smaller the succinct encoding is.
 func (r MemRow) Ratio() float64 {
@@ -62,15 +59,13 @@ func MemoryFootprint(ds *Dataset, maxK int) []MemRow {
 	row := func(name string, ig *index.IndexGraph) MemRow {
 		ms := ig.MemStats()
 		return MemRow{
-			Index:         name,
-			IndexNodes:    ig.NumNodes(),
-			DataNodes:     ds.G.NumNodes(),
-			ExtentSparse:  ms.Extents.SparseTotal(),
-			ExtentDense:   ms.Extents.DenseTotal(),
-			PostingSparse: ms.Postings.SparseTotal(),
-			PostingDense:  ms.Postings.DenseTotal(),
-			ExtentRaw:     ms.ExtentRawBytes,
-			PostingRaw:    ms.PostingRawBytes,
+			Index:        name,
+			IndexNodes:   ig.NumNodes(),
+			DataNodes:    ds.G.NumNodes(),
+			ExtentSparse: ms.Extents.SparseTotal(),
+			ExtentDense:  ms.Extents.DenseTotal(),
+			ExtentRaw:    ms.ExtentRawBytes,
+			Postings:     ms.PostingBytes(),
 		}
 	}
 	var rows []MemRow
@@ -86,26 +81,24 @@ func RenderMemRows(w io.Writer, title string, rows []MemRow) error {
 		return err
 	}
 	tw := tabwriter.NewWriter(w, 2, 4, 2, ' ', 0)
-	fmt.Fprintln(tw, "index\tsize(nodes)\text sparse\text dense\tpost sparse\tpost dense\tresident\traw\tratio\tB/node")
+	fmt.Fprintln(tw, "index\tsize(nodes)\text sparse\text dense\tpostings\tresident\traw\tratio\tB/node")
 	for _, r := range rows {
-		fmt.Fprintf(tw, "%s\t%d\t%d\t%d\t%d\t%d\t%d\t%d\t%.2fx\t%.2f\n",
+		fmt.Fprintf(tw, "%s\t%d\t%d\t%d\t%d\t%d\t%d\t%.2fx\t%.2f\n",
 			r.Index, r.IndexNodes, r.ExtentSparse, r.ExtentDense,
-			r.PostingSparse, r.PostingDense, r.Resident(), r.Raw(),
-			r.Ratio(), r.BytesPerNode())
+			r.Postings, r.Resident(), r.Raw(), r.Ratio(), r.BytesPerNode())
 	}
 	return tw.Flush()
 }
 
 // WriteMemRowsCSV emits the memory-footprint rows as CSV.
 func WriteMemRowsCSV(w io.Writer, rows []MemRow) error {
-	if _, err := fmt.Fprintln(w, "index,index_nodes,data_nodes,extent_sparse,extent_dense,posting_sparse,posting_dense,resident,raw,ratio,bytes_per_node"); err != nil {
+	if _, err := fmt.Fprintln(w, "index,index_nodes,data_nodes,extent_sparse,extent_dense,postings,resident,raw,ratio,bytes_per_node"); err != nil {
 		return err
 	}
 	for _, r := range rows {
-		if _, err := fmt.Fprintf(w, "%s,%d,%d,%d,%d,%d,%d,%d,%d,%.3f,%.3f\n",
+		if _, err := fmt.Fprintf(w, "%s,%d,%d,%d,%d,%d,%d,%d,%.3f,%.3f\n",
 			r.Index, r.IndexNodes, r.DataNodes, r.ExtentSparse, r.ExtentDense,
-			r.PostingSparse, r.PostingDense, r.Resident(), r.Raw(),
-			r.Ratio(), r.BytesPerNode()); err != nil {
+			r.Postings, r.Resident(), r.Raw(), r.Ratio(), r.BytesPerNode()); err != nil {
 			return err
 		}
 	}

@@ -42,13 +42,9 @@ type Graph struct {
 	parents   cow.Paged[[]NodeID]
 	numEdges  int
 	root      NodeID
-	// byLabel[l] lists the nodes carrying label l in ascending order (node
-	// ids are assigned ascending and labels never change, so appending on
-	// node creation keeps the lists sorted). Query evaluation seeds from
-	// these posting lists in O(|matches|) instead of scanning all nodes.
-	// Each list is a column of its own, so the first append to a label
-	// after a clone copies one page of it, not the whole list.
-	byLabel cow.Paged[cow.Paged[NodeID]]
+	// byLabel lists the nodes of every label: query evaluation seeds from it
+	// in O(|matches|) instead of scanning all nodes.
+	byLabel LabelLists
 }
 
 // clipRows marks every row of a freshly copied adjacency page as shared; it
@@ -77,21 +73,20 @@ func NewWithLabels(t *LabelTable) *Graph {
 // are children.Row(n); and root is its root, or InvalidNode for none. Rows
 // must be strictly ascending and every id in range, or FromCSR answers an
 // error. The parents are children's transpose and the per-label lists a
-// counting sort of labels. Every column is filled in place from cow.Make,
-// each row a clipped slice of children's flat array or of the transpose's,
-// so no row has spare capacity another row could be written through. The
-// graph keeps children's array: the caller must not write it afterwards.
+// counting sort of labels (MakeLabelLists). Every column is filled in place
+// from cow.Make, each row a clipped slice of children's flat array or of the
+// transpose's, so no row has spare capacity another row could be written
+// through. The graph keeps children's array: the caller must not write it
+// afterwards.
 func FromCSR(tab *LabelTable, labels []LabelID, root NodeID, children CSR) (*Graph, error) {
 	n := len(labels)
 	if children.NumNodes() != n || root < InvalidNode || int(root) >= n {
 		return nil, fmt.Errorf("graph: %d labels, %d rows and root %d do not make a graph", n, children.NumNodes(), root)
 	}
-	counts := make([]int, tab.Len())
 	for i, l := range labels {
-		if uint(l) >= uint(len(counts)) {
-			return nil, fmt.Errorf("graph: node %d has label %d out of range [0,%d)", i, l, len(counts))
+		if uint(l) >= uint(tab.Len()) {
+			return nil, fmt.Errorf("graph: node %d has label %d out of range [0,%d)", i, l, tab.Len())
 		}
-		counts[l]++
 		row := children.Row(NodeID(i))
 		for j, c := range row {
 			if uint(c) >= uint(n) || j > 0 && row[j-1] >= c {
@@ -107,16 +102,10 @@ func FromCSR(tab *LabelTable, labels []LabelID, root NodeID, children CSR) (*Gra
 		parents:   cow.Make[[]NodeID](n),
 		numEdges:  parents.NumEdges(),
 		root:      root,
-		byLabel:   cow.Make[cow.Paged[NodeID]](len(counts)),
+		byLabel:   MakeLabelLists(tab.Len(), n, func(i NodeID) LabelID { return labels[i] }),
 	}
 	g.children.OnCopy, g.parents.OnCopy = clipRows, clipRows
-	for l, c := range counts {
-		*g.byLabel.Mut(nil, l) = cow.Make[NodeID](c)
-	}
-	for i := n - 1; i >= 0; i-- { // backwards, so counts end as each list's start
-		l := labels[i]
-		counts[l]--
-		*g.byLabel.Mut(nil, int(l)).Mut(nil, counts[l]) = NodeID(i)
+	for i, l := range labels {
 		*g.nodeLabel.Mut(nil, i) = l
 		*g.children.Mut(nil, i) = children.Row(NodeID(i))
 		*g.parents.Mut(nil, i) = parents.Row(NodeID(i))
@@ -148,10 +137,7 @@ func (g *Graph) AddNodeID(label LabelID) NodeID {
 	g.nodeLabel.Append(own, label)
 	g.children.Append(own, nil)
 	g.parents.Append(own, nil)
-	for int(label) >= g.byLabel.Len() {
-		g.byLabel.Append(own, cow.Paged[NodeID]{})
-	}
-	g.byLabel.Mut(own, int(label)).Append(own, id)
+	g.byLabel.Append(own, label, id)
 	return id
 }
 
@@ -254,11 +240,11 @@ func (g *Graph) Parents(n NodeID) []NodeID {
 
 // NodesByLabel returns, for every label id, the list of nodes carrying it.
 // The outer slice is indexed by LabelID. The slices are fresh copies of the
-// maintained posting lists and may be retained by the caller.
+// maintained label lists and may be retained by the caller.
 func (g *Graph) NodesByLabel() [][]NodeID {
 	out := make([][]NodeID, g.labels.Len())
-	for l := range g.byLabel.Len() {
-		if list := g.byLabel.At(l); list.Len() > 0 {
+	for l := range out {
+		if list := g.byLabel.Of(LabelID(l)); list.Len() > 0 {
 			out[l] = list.AppendTo(nil)
 		}
 	}
@@ -266,15 +252,10 @@ func (g *Graph) NodesByLabel() [][]NodeID {
 }
 
 // NodesWithLabel returns the nodes carrying label l in ascending order: the
-// label posting list that seeds query evaluation, read with Len and At. It
+// label list that seeds query evaluation, read with Len and At. It
 // shares the graph's pages and must not be written. Unknown labels
 // (including InvalidLabel) return an empty list.
-func (g *Graph) NodesWithLabel(l LabelID) cow.Paged[NodeID] {
-	if l < 0 || int(l) >= g.byLabel.Len() {
-		return cow.Paged[NodeID]{}
-	}
-	return g.byLabel.At(int(l))
-}
+func (g *Graph) NodesWithLabel(l LabelID) cow.Paged[NodeID] { return g.byLabel.Of(l) }
 
 // NumLabels returns the number of labels interned in the shared table.
 func (g *Graph) NumLabels() int { return g.labels.Len() }
@@ -305,7 +286,7 @@ func (g *Graph) Clone() *Graph {
 var ErrNoRoot = errors.New("graph: no root node set")
 
 // Validate performs structural sanity checks: adjacency symmetry and
-// ordering, edge count, posting lists and root validity. It is intended for
+// ordering, edge count, label lists and root validity. It is intended for
 // tests and for validating loaded data, not for hot paths.
 func (g *Graph) Validate() error {
 	if g.root != InvalidNode {
@@ -343,26 +324,8 @@ func (g *Graph) Validate() error {
 		return fmt.Errorf("graph: edge count mismatch: children %d, parents %d, counter %d",
 			fwd, bwd, g.numEdges)
 	}
-	// Posting lists must exactly re-derive from the node labels.
-	want := make([][]NodeID, g.byLabel.Len())
-	for n := 0; n < g.NumNodes(); n++ {
-		l := g.nodeLabel.At(n)
-		if int(l) >= len(want) {
-			return fmt.Errorf("graph: posting lists missing label %d", l)
-		}
-		want[l] = append(want[l], NodeID(n))
-	}
-	for l := range want {
-		list := g.byLabel.At(l)
-		if len(want[l]) != list.Len() {
-			return fmt.Errorf("graph: posting list for label %d has %d nodes, want %d",
-				l, list.Len(), len(want[l]))
-		}
-		for i := range want[l] {
-			if list.At(i) != want[l][i] {
-				return fmt.Errorf("graph: posting list for label %d wrong at position %d", l, i)
-			}
-		}
+	if err := g.byLabel.Check(g.NumNodes(), g.Label); err != nil {
+		return fmt.Errorf("graph: %w", err)
 	}
 	return nil
 }

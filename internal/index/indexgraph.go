@@ -31,27 +31,23 @@ const Exact = math.MaxInt32 / 4
 //
 // Storage is copy-on-write under one ownership token (internal/cow): the
 // per-node, per-label and per-data-node columns are paged, each node's
-// adjacency and each label's posting builder records the token that may
-// write it in place, and every mutator goes through mutAdj / Paged.Mut /
-// appendPosting, which copy what the token does not own. Clone therefore
-// copies nothing but the struct.
+// adjacency records the token that may write it in place, and every mutator
+// goes through mutAdj / Paged.Mut / LabelLists.Append, which copy what the
+// token does not own. Clone therefore copies nothing but the struct.
 type IndexGraph struct {
 	data   *graph.Graph
 	own    atomic.Pointer[cow.Owner]
 	labels cow.Paged[graph.LabelID]
 	// extents holds each node's extent as an immutable succinct set
-	// (internal/nodeset): query-side set algebra operates on the compressed
-	// form directly. Mutation paths (splits, repartitioning) decompress
+	// (internal/nodeset): result assembly merges trusted extents in the
+	// compressed form. Mutation paths (splits, repartitioning) decompress
 	// through extentScratch, recombine, and swap in fresh sets.
 	extents cow.Paged[nodeset.Set]
 	k       cow.Paged[int]
 	adj     cow.Paged[*adjacency]
-	// byLabel[l] lists index nodes carrying label l in ascending order (new
-	// nodes always receive the largest id, so appending keeps lists sorted).
-	// Each posting list is a succinct-set builder: the sealed prefix is
-	// compressed, the open chunk stays as raw low-16 values, and query
-	// seeding reads PostingSet views instead of scanning all nodes.
-	byLabel  cow.Paged[posting]
+	// byLabel lists the index nodes of every label, as the data graph lists
+	// its nodes: query seeding reads it instead of scanning all nodes.
+	byLabel  graph.LabelLists
 	numEdges int
 	nodeOf   cow.Paged[graph.NodeID] // data node -> index node
 	// fbStable records that extents are forward-and-backward bisimilar
@@ -109,17 +105,10 @@ func (e *edges) dec(id graph.NodeID) bool {
 
 func (e edges) clone() edges { return edges{slices.Clone(e.ids), slices.Clone(e.counts)} }
 
-// posting is one label's posting-list builder and the token that may append
-// to it in place.
-type posting struct {
-	own *cow.Owner
-	b   *nodeset.Builder
-}
-
 // newIndexGraph allocates an index graph of nb nodes over data with empty
-// adjacency, for FromPartition and Reconstruct to fill in. Everything in it
-// belongs to the nil token — the token of a graph that has never been cloned
-// — so the builders write it in place.
+// adjacency and no label lists, for FromPartition and Reconstruct to fill in
+// and derive. Everything in it belongs to the nil token — the token of a
+// graph that has never been cloned — so the builders write it in place.
 func newIndexGraph(data *graph.Graph, nb int) *IndexGraph {
 	ig := &IndexGraph{
 		data:    data,
@@ -159,7 +148,6 @@ func FromPartition(src Source, p *partition.Partition, kOf func(partition.BlockI
 		label := src.Label(mem[0])
 		*ig.labels.Mut(nil, b) = label
 		*ig.k.Mut(nil, b) = kOf(partition.BlockID(b))
-		ig.appendPosting(label, graph.NodeID(b))
 		ext := extentScratchGet()
 		for _, m := range mem {
 			ext = src.AppendExtent(ext, m)
@@ -171,35 +159,21 @@ func FromPartition(src Source, p *partition.Partition, kOf func(partition.BlockI
 		}
 		extentScratchPut(ext)
 	}
-	ig.deriveEdges()
+	ig.derive()
 	return ig
 }
 
-// deriveEdges fills the index adjacency of a freshly allocated graph from the
-// data edges, counting multiplicities.
-func (ig *IndexGraph) deriveEdges() {
+// derive fills in what a freshly allocated graph's labels and extents
+// determine: the label lists, and the adjacency from the data edges, counting
+// multiplicities.
+func (ig *IndexGraph) derive() {
+	ig.byLabel = graph.MakeLabelLists(ig.NumLabels(), ig.NumNodes(), ig.Label)
 	for u := 0; u < ig.data.NumNodes(); u++ {
 		a := ig.nodeOf.At(u)
 		for _, v := range ig.data.Children(graph.NodeID(u)) {
 			ig.incEdge(a, ig.nodeOf.At(int(v)))
 		}
 	}
-}
-
-// appendPosting records that index node n carries label l. Nodes are created
-// with ascending ids, so appending keeps each posting list sorted.
-func (ig *IndexGraph) appendPosting(l graph.LabelID, n graph.NodeID) {
-	own := ig.own.Load()
-	for int(l) >= ig.byLabel.Len() {
-		ig.byLabel.Append(own, posting{})
-	}
-	p := ig.byLabel.Mut(own, int(l))
-	if p.b == nil {
-		*p = posting{own: own, b: new(nodeset.Builder)}
-	} else if p.own != own {
-		*p = posting{own: own, b: p.b.Clone()}
-	}
-	p.b.Append(n)
 }
 
 // extentScratch recycles the decompression buffers the mutation and
@@ -274,7 +248,7 @@ func (ig *IndexGraph) Extent(n graph.NodeID) []graph.NodeID {
 }
 
 // ExtentSet returns index node n's extent in its succinct immutable form —
-// the zero-copy accessor for set-algebra query primitives.
+// the zero-copy accessor result assembly merges from.
 func (ig *IndexGraph) ExtentSet(n graph.NodeID) nodeset.Set { return ig.extents.At(int(n)) }
 
 // ExtentSize returns the extent cardinality without decompressing it.
@@ -302,41 +276,12 @@ func (ig *IndexGraph) HasEdge(a, b graph.NodeID) bool {
 	return ok
 }
 
-// NodesWithLabel returns the index nodes carrying label l in ascending order
-// as a freshly allocated slice owned by the caller. Query evaluation seeds
-// from PostingSet instead, which exposes the compressed list without
-// materializing it. Unknown labels (including graph.InvalidLabel) return nil.
-func (ig *IndexGraph) NodesWithLabel(l graph.LabelID) []graph.NodeID {
-	s := ig.PostingSet(l)
-	if s.IsEmpty() {
-		return nil
-	}
-	return s.AppendTo(nil)
-}
-
-// SealPostings materializes every pending posting-list view. Builders cache
-// their View lazily — a write — so a graph about to be shared with lock-free
-// readers must seal first: afterwards PostingSet on a quiescent graph is a
-// pure read, safe under concurrent readers and cloning writers.
-func (ig *IndexGraph) SealPostings() {
-	for l := range ig.byLabel.Len() {
-		if b := ig.byLabel.At(l).b; b != nil {
-			b.View()
-		}
-	}
-}
-
-// PostingSet returns the posting list for label l as a succinct set view:
-// the ascending index nodes carrying l. The view is immutable — later node
-// creation never mutates it. Unknown labels return the empty set.
-func (ig *IndexGraph) PostingSet(l graph.LabelID) nodeset.Set {
-	if l < 0 || int(l) >= ig.byLabel.Len() {
-		return nodeset.Set{}
-	}
-	if b := ig.byLabel.At(int(l)).b; b != nil {
-		return b.View()
-	}
-	return nodeset.Set{}
+// NodesWithLabel returns the index nodes carrying label l in ascending order,
+// read with Len and At, exactly as graph.Graph.NodesWithLabel returns data
+// nodes. It shares the graph's pages and must not be written. Unknown labels
+// (including graph.InvalidLabel) return an empty list.
+func (ig *IndexGraph) NodesWithLabel(l graph.LabelID) cow.Paged[graph.NodeID] {
+	return ig.byLabel.Of(l)
 }
 
 // NumLabels returns the number of labels interned in the shared table.
@@ -352,15 +297,13 @@ func (ig *IndexGraph) AppendExtent(dst []graph.NodeID, n graph.NodeID) []graph.N
 var _ Source = (*IndexGraph)(nil)
 
 // Clone returns an independent copy of the index graph and its data graph
-// in constant time: columns, adjacency and posting builders are shared until
+// in constant time: columns, adjacency and label lists are shared until
 // either side writes them (see IndexGraph), extent sets are immutable and
 // always shared. A write through either side — to the summary or to the data
 // graph under it — is never visible through the other. Like graph.Clone it
 // only reads the receiver apart from retiring its write token, so a
-// published snapshot may be cloned beside its readers; the receiver's
-// postings must be sealed (SealPostings) for that, as for any concurrent
-// read. The split hook is not copied — instrumentation re-attaches per
-// mutation.
+// published snapshot may be cloned beside its readers. The split hook is not
+// copied — instrumentation re-attaches per mutation.
 func (ig *IndexGraph) Clone() *IndexGraph {
 	c := &IndexGraph{
 		data:     ig.data.Clone(),
@@ -456,57 +399,40 @@ func (ig *IndexGraph) Validate() error {
 	if got != ig.numEdges || mirrored != got {
 		return fmt.Errorf("index: numEdges=%d, actual %d, %d listed as parents", ig.numEdges, got, mirrored)
 	}
-	// Posting lists must exactly re-derive from the node labels.
-	wantPost := make([][]graph.NodeID, ig.byLabel.Len())
-	for n := 0; n < ig.NumNodes(); n++ {
-		l := ig.labels.At(n)
-		if int(l) >= len(wantPost) {
-			return fmt.Errorf("index: posting lists missing label %d", l)
-		}
-		wantPost[l] = append(wantPost[l], graph.NodeID(n))
-	}
-	for l := range wantPost {
-		if got := ig.NodesWithLabel(graph.LabelID(l)); !slices.Equal(wantPost[l], got) {
-			return fmt.Errorf("index: posting list for label %d is %v, want %v",
-				l, got, wantPost[l])
-		}
+	if err := ig.byLabel.Check(ig.NumNodes(), ig.Label); err != nil {
+		return fmt.Errorf("index: %w", err)
 	}
 	return nil
 }
 
-// MemStats reports the physical memory held by the succinct extents and
-// posting lists, alongside the bytes an uncompressed [][]graph.NodeID
-// representation would occupy (one slice header plus 4 bytes per member for
-// each list) — the compression-ratio denominators exported to observability.
+// MemStats reports the physical memory held by the succinct extents, beside
+// the bytes an uncompressed [][]graph.NodeID representation would occupy (one
+// slice header plus 4 bytes per member for each extent) — the
+// compression-ratio denominator exported to observability — and the label
+// lists' payload.
 type MemStats struct {
-	Extents  nodeset.Stats
-	Postings nodeset.Stats
-	// ExtentRawBytes / PostingRawBytes are the raw-slice equivalents.
-	ExtentRawBytes  int
-	PostingRawBytes int
+	Extents nodeset.Stats
+	// ExtentRawBytes is the extents' raw-slice equivalent.
+	ExtentRawBytes int
+	// Postings is the label lists' payload: 4 bytes per listed index node.
+	Postings int
 }
 
 // ExtentBytes returns the resident bytes of all extent sets.
 func (m MemStats) ExtentBytes() int { return m.Extents.Bytes() }
 
-// PostingBytes returns the resident bytes of all posting lists.
-func (m MemStats) PostingBytes() int { return m.Postings.Bytes() }
+// PostingBytes returns the label lists' payload bytes.
+func (m MemStats) PostingBytes() int { return m.Postings }
 
 const sliceHeaderBytes = 24
 
-// MemStats computes the current footprint in one pass over the containers.
+// MemStats computes the current footprint in one pass over the extents.
 func (ig *IndexGraph) MemStats() MemStats {
-	var m MemStats
+	m := MemStats{Postings: 4 * ig.NumNodes()}
 	for b := 0; b < ig.NumNodes(); b++ {
 		ext := ig.extents.At(b)
 		ext.AddStats(&m.Extents)
 		m.ExtentRawBytes += sliceHeaderBytes + 4*ext.Len()
-	}
-	for l := range ig.byLabel.Len() {
-		if b := ig.byLabel.At(l).b; b != nil {
-			b.AddStats(&m.Postings)
-			m.PostingRawBytes += sliceHeaderBytes + 4*b.Len()
-		}
 	}
 	return m
 }

@@ -2,6 +2,7 @@ package index
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -113,12 +114,12 @@ func TestQuickAKUpdateRefinesTruth(t *testing.T) {
 }
 
 // Property: under randomized mixed mutation sequences — splits, isolations,
-// edge insertions AND removals — the label posting lists and the counted
+// edge insertions AND removals — the label lists and the counted
 // adjacency stay exactly consistent with a brute-force re-derivation:
 // NodesWithLabel(l) lists precisely the ascending index nodes labeled l, and
 // Children/Parents list ascending exactly the neighbours whose data-edge
 // count matches a recount, each mirrored by the other side (both checked by
-// Validate), so posting-list query seeding can never drift from a full scan.
+// Validate), so label-list query seeding can never drift from a full scan.
 func TestQuickPostingListsConsistentUnderMixedOps(t *testing.T) {
 	f := func(s genSpec, ops uint8, opSeed int64) bool {
 		g := s.build()
@@ -152,7 +153,9 @@ func TestQuickPostingListsConsistentUnderMixedOps(t *testing.T) {
 		if ig.Validate() != nil || g.Validate() != nil {
 			return false
 		}
-		// Posting lists against a brute-force label scan.
+		// Label lists against a brute-force label scan, and against the
+		// lists graph.MakeLabelLists builds from scratch.
+		fresh := graph.MakeLabelLists(ig.NumLabels(), ig.NumNodes(), ig.Label)
 		for l := 0; l < ig.NumLabels(); l++ {
 			var want []graph.NodeID
 			for n := 0; n < ig.NumNodes(); n++ {
@@ -160,14 +163,9 @@ func TestQuickPostingListsConsistentUnderMixedOps(t *testing.T) {
 					want = append(want, graph.NodeID(n))
 				}
 			}
-			got := ig.NodesWithLabel(graph.LabelID(l))
-			if len(got) != len(want) {
+			got, built := ig.NodesWithLabel(graph.LabelID(l)), fresh.Of(graph.LabelID(l))
+			if !slices.Equal(got.AppendTo(nil), want) || !slices.Equal(built.AppendTo(nil), want) {
 				return false
-			}
-			for i := range want {
-				if got[i] != want[i] {
-					return false
-				}
 			}
 		}
 		return true

@@ -28,7 +28,6 @@ func Reconstruct(data *graph.Graph, extents [][]graph.NodeID, ks []int) (*IndexG
 		label := data.Label(cp[0])
 		*ig.labels.Mut(nil, b) = label
 		*ig.k.Mut(nil, b) = ks[b]
-		ig.appendPosting(label, graph.NodeID(b))
 		for _, d := range cp {
 			if d < 0 || int(d) >= data.NumNodes() {
 				return nil, fmt.Errorf("index: extent %d references node %d out of range", b, d)
@@ -51,6 +50,6 @@ func Reconstruct(data *graph.Graph, extents [][]graph.NodeID, ks []int) (*IndexG
 			return nil, fmt.Errorf("index: data node %d not covered", d)
 		}
 	}
-	ig.deriveEdges()
+	ig.derive()
 	return ig, nil
 }

@@ -41,7 +41,7 @@ func (ig *IndexGraph) SplitNode(b graph.NodeID, inSet func(graph.NodeID) bool) (
 	ig.extents.Append(own, nodeset.FromSorted(ins))
 	extentScratchPut(ext)
 	ig.adj.Append(own, &adjacency{own: own})
-	ig.appendPosting(ig.Label(b), nb)
+	ig.byLabel.Append(own, ig.Label(b), nb)
 
 	moved := make(map[graph.NodeID]bool, len(ins))
 	for _, d := range ins {
@@ -160,7 +160,7 @@ func (ig *IndexGraph) GraftNode(l graph.LabelID, k int, ids []graph.NodeID) grap
 	ig.k.Append(own, k)
 	ig.extents.Append(own, nodeset.FromSorted(ids))
 	ig.adj.Append(own, &adjacency{own: own})
-	ig.appendPosting(l, nb)
+	ig.byLabel.Append(own, l, nb)
 	ig.cover(own, nb, ids)
 	return nb
 }

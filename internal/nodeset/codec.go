@@ -1,13 +1,9 @@
 package nodeset
 
-import "fmt"
-
 // The varint-delta block codec. A block encodes a strictly ascending
 // sequence of low-16 values as the uvarint of the first value followed by
-// uvarints of the gaps (always >= 1). Blocks built by this package are
-// always valid; DecodeBlock is the defensive entry point for blocks read
-// from untrusted bytes (checkpoint sections, fuzzing) and must error —
-// never panic — on truncated or corrupt input.
+// uvarints of the gaps (always >= 1). Blocks live only in memory and only this
+// package builds them, so they are always valid.
 
 // appendUvarint appends the LEB128 encoding of v (v < 2^21 in practice:
 // low-16 values and their gaps need at most three bytes).
@@ -19,83 +15,15 @@ func appendUvarint(dst []byte, v uint32) []byte {
 	return append(dst, byte(v))
 }
 
-// decodeUvarint decodes one uvarint from b, returning the value and the
-// bytes consumed. n <= 0 signals truncation (0) or a malformed encoding (-1):
-// values are capped at 32 bits — enough for any block payload — so hostile
-// input cannot spin the shift loop, and non-minimal encodings (a zero
-// continuation byte, as in 0x85 0x00 for 5) are rejected so that every
-// accepted block is canonical.
+// decodeUvarint decodes the uvarint at the front of b, returning the value
+// and its length in bytes.
 func decodeUvarint(b []byte) (uint32, int) {
 	var v uint32
-	for i := 0; i < len(b); i++ {
-		c := b[i]
-		if i == 4 && c > 0x0f { // would exceed 32 bits
-			return 0, -1
-		}
-		if i > 4 {
-			return 0, -1
-		}
+	for i, c := range b {
 		v |= uint32(c&0x7f) << (7 * i)
 		if c < 0x80 {
-			if c == 0 && i > 0 { // overlong: trailing zero byte
-				return 0, -1
-			}
 			return v, i + 1
 		}
 	}
 	return 0, 0
-}
-
-// EncodeBlock encodes card strictly ascending values from lows into a fresh
-// varint-delta block. It is the canonical sparse-container encoding; exposed
-// for tests and fuzzing of the codec round trip.
-func EncodeBlock(lows []uint16) []byte {
-	blk := make([]byte, 0, len(lows)+len(lows)/4+2)
-	for i, l := range lows {
-		if i == 0 {
-			blk = appendUvarint(blk, uint32(l))
-		} else {
-			blk = appendUvarint(blk, uint32(l)-uint32(lows[i-1]))
-		}
-	}
-	return blk
-}
-
-// DecodeBlock decodes a varint-delta block holding card values, validating
-// every invariant: each uvarint must be well formed, gaps must be strictly
-// positive, the running value must stay within 16 bits, and the block must
-// hold exactly card values with no trailing bytes. Corrupt or truncated
-// input returns an error; it never panics.
-func DecodeBlock(blk []byte, card int) ([]uint16, error) {
-	if card < 0 || card > 1<<16 {
-		return nil, fmt.Errorf("nodeset: block cardinality %d out of range", card)
-	}
-	out := make([]uint16, 0, card)
-	cur, off := uint32(0), 0
-	for i := 0; i < card; i++ {
-		d, n := decodeUvarint(blk[off:])
-		switch {
-		case n == 0:
-			return nil, fmt.Errorf("nodeset: block truncated at value %d/%d", i, card)
-		case n < 0:
-			return nil, fmt.Errorf("nodeset: overlong uvarint at offset %d", off)
-		}
-		off += n
-		if i == 0 {
-			cur = d
-		} else {
-			if d == 0 {
-				return nil, fmt.Errorf("nodeset: zero gap at value %d (values must ascend strictly)", i)
-			}
-			cur += d
-		}
-		if cur > 0xffff {
-			return nil, fmt.Errorf("nodeset: value %d overflows 16 bits at index %d", cur, i)
-		}
-		out = append(out, uint16(cur))
-	}
-	if off != len(blk) {
-		return nil, fmt.Errorf("nodeset: %d trailing bytes after %d values", len(blk)-off, card)
-	}
-	return out, nil
 }

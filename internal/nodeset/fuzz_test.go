@@ -1,65 +1,14 @@
 package nodeset
 
 import (
-	"bytes"
 	"slices"
 	"testing"
 
 	"dkindex/internal/graph"
 )
 
-// FuzzDecodeBlock drives the defensive varint-delta decoder with arbitrary
-// bytes: it must either return a valid strictly ascending sequence of the
-// requested cardinality or an error — never panic, never accept a malformed
-// block. Valid blocks must round-trip.
-func FuzzDecodeBlock(f *testing.F) {
-	// Seeds: valid blocks of several shapes plus classic corruptions.
-	seed := func(lows []uint16) {
-		f.Add(EncodeBlock(lows), len(lows))
-	}
-	seed(nil)
-	seed([]uint16{0})
-	seed([]uint16{65535})
-	seed([]uint16{0, 1, 2, 3})
-	seed([]uint16{5, 200, 4000, 65535})
-	run := make([]uint16, 4096)
-	for i := range run {
-		run[i] = uint16(i * 16)
-	}
-	seed(run)
-	valid := EncodeBlock([]uint16{5, 200, 4000, 65535})
-	f.Add(valid[:len(valid)-1], 4)                 // truncated
-	f.Add(append(valid, 0x01), 4)                  // trailing byte
-	f.Add([]byte{0x80, 0x80, 0x80, 0x80, 0x80}, 1) // unterminated uvarint
-	f.Add([]byte{0xff, 0xff, 0xff, 0xff, 0x7f}, 1) // 35-bit value
-	f.Add([]byte{0x05, 0x00}, 2)                   // zero gap
-	f.Add([]byte{0xff, 0xff, 0x03, 0x01}, 2)       // 16-bit overflow mid-walk
-
-	f.Fuzz(func(t *testing.T, blk []byte, card int) {
-		lows, err := DecodeBlock(blk, card)
-		if err != nil {
-			return
-		}
-		if len(lows) != card {
-			t.Fatalf("decoded %d values, want %d", len(lows), card)
-		}
-		if !slices.IsSorted(lows) {
-			t.Fatalf("decoded values not ascending: %v", lows)
-		}
-		for i := 1; i < len(lows); i++ {
-			if lows[i] == lows[i-1] {
-				t.Fatalf("duplicate value %d", lows[i])
-			}
-		}
-		// Accepted blocks must be canonical: re-encoding reproduces them.
-		if re := EncodeBlock(lows); !bytes.Equal(re, blk) {
-			t.Fatalf("round trip mismatch: %x -> %v -> %x", blk, lows, re)
-		}
-	})
-}
-
-// FuzzFromSortedAlgebra cross-checks the set kernels against slice oracles on
-// fuzzer-chosen inputs.
+// FuzzFromSortedAlgebra cross-checks the set kernels, Union and MergeAppend,
+// against slice oracles on fuzzer-chosen inputs.
 func FuzzFromSortedAlgebra(f *testing.F) {
 	f.Add([]byte{1, 2, 3}, []byte{2, 3, 4}, uint16(1))
 	f.Add([]byte{0}, []byte{}, uint16(9))
@@ -68,14 +17,19 @@ func FuzzFromSortedAlgebra(f *testing.F) {
 		a := idsFromBytes(rawA, stride)
 		b := idsFromBytes(rawB, stride)
 		A, B := FromSorted(a), FromSorted(b)
-		if got, want := toSlice(Intersect(A, B)), refIntersect(a, b); !slices.Equal(got, want) {
-			t.Fatalf("Intersect mismatch")
-		}
 		if got, want := toSlice(Union(A, B)), refUnion(a, b); !slices.Equal(got, want) {
 			t.Fatalf("Union mismatch")
 		}
-		if got, want := toSlice(Difference(A, B)), refDifference(a, b); !slices.Equal(got, want) {
-			t.Fatalf("Difference mismatch")
+		// MergeAppend takes disjoint sets: a's members outside b, then b.
+		var onlyA []graph.NodeID
+		for _, x := range a {
+			if !slices.Contains(b, x) {
+				onlyA = append(onlyA, x)
+			}
+		}
+		got := MergeAppend(nil, []Set{FromSorted(onlyA)}, b)
+		if want := refUnion(a, b); !slices.Equal(got, want) {
+			t.Fatalf("MergeAppend mismatch")
 		}
 	})
 }

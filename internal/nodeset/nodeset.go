@@ -1,7 +1,7 @@
 // Package nodeset implements succinct immutable sets of sorted node ids —
-// the storage form of index extents and label posting lists. A set is split
-// into 2^16-id chunks (roaring-style); each chunk picks the cheaper of two
-// physical encodings at build time:
+// the storage form of index extents. A set is split into 2^16-id chunks
+// (roaring-style); each chunk picks the cheaper of two physical encodings at
+// build time:
 //
 //   - sparse: a varint-delta block. The chunk's members are stored as the
 //     uvarint of the first low-16 value followed by uvarints of the strictly
@@ -12,9 +12,10 @@
 //     than any delta block and set algebra degenerates to word ops).
 //
 // Sets are immutable after construction, so clones and snapshots share them
-// freely; Builder grows a set by strictly ascending appends (the posting
-// list case). All kernels operate container-at-a-time without decompressing
-// into intermediate node slices.
+// freely. Two kernels combine them, container-at-a-time and without
+// decompressing into intermediate node slices: Union grows an extent by a
+// grafted document's nodes, and MergeAppend assembles a query's answer from
+// the disjoint extents it matched.
 package nodeset
 
 import (
@@ -52,8 +53,8 @@ func low16(id graph.NodeID) uint16 { return uint16(uint32(id)) }
 
 // FromSorted builds a set from strictly ascending non-negative ids. The
 // input slice is not retained; callers may reuse it. It panics on unsorted
-// or duplicate input — extents and postings are sorted by invariant, so a
-// violation is a programming error, not data corruption.
+// or duplicate input — extents are sorted by invariant, so a violation is a
+// programming error, not data corruption.
 func FromSorted(ids []graph.NodeID) Set {
 	var s Set
 	if len(ids) == 0 {
@@ -104,85 +105,11 @@ func makeContainer(run []graph.NodeID) container {
 	return container{card: len(run), blk: blk}
 }
 
-// makeContainerLows is makeContainer over ascending low-16 values.
-func makeContainerLows(lows []uint16) container {
-	if len(lows) > denseThreshold {
-		bits := make([]uint64, containerWords)
-		for _, l := range lows {
-			bits[l>>6] |= 1 << (l & 63)
-		}
-		return container{card: len(lows), bits: bits}
-	}
-	blk := make([]byte, 0, len(lows)+len(lows)/4+2)
-	prev := uint32(lows[0])
-	blk = appendUvarint(blk, prev)
-	for _, l := range lows[1:] {
-		blk = appendUvarint(blk, uint32(l)-prev)
-		prev = uint32(l)
-	}
-	return container{card: len(lows), blk: blk}
-}
-
 // Len returns the number of members.
 func (s Set) Len() int { return s.n }
 
 // IsEmpty reports whether the set has no members.
 func (s Set) IsEmpty() bool { return s.n == 0 }
-
-// findKey returns the container index for chunk k, or -1.
-func (s Set) findKey(k uint16) int {
-	lo, hi := 0, len(s.keys)
-	for lo < hi {
-		mid := (lo + hi) / 2
-		if s.keys[mid] < k {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	if lo < len(s.keys) && s.keys[lo] == k {
-		return lo
-	}
-	return -1
-}
-
-// Contains reports membership of id.
-func (s Set) Contains(id graph.NodeID) bool {
-	if id < 0 {
-		return false
-	}
-	i := s.findKey(key16(id))
-	if i < 0 {
-		return false
-	}
-	c := &s.cons[i]
-	l := low16(id)
-	if c.bits != nil {
-		return c.bits[l>>6]&(1<<(l&63)) != 0
-	}
-	// Sparse: linear delta walk (containers hold at most denseThreshold
-	// members; Contains is not on the query hot path).
-	cur, off := uint32(0), 0
-	for i := 0; i < c.card; i++ {
-		d, n := decodeUvarint(c.blk[off:])
-		if n <= 0 {
-			panic("nodeset: corrupt sparse block")
-		}
-		off += n
-		if i == 0 {
-			cur = d
-		} else {
-			cur += d
-		}
-		if cur == uint32(l) {
-			return true
-		}
-		if cur > uint32(l) {
-			return false
-		}
-	}
-	return false
-}
 
 // AppendTo appends all members to dst in ascending order and returns the
 // extended slice — the decompression escape hatch for callers that need a
@@ -210,17 +137,9 @@ func (c *container) appendTo(dst []graph.NodeID, base graph.NodeID) []graph.Node
 		return dst
 	}
 	cur, off := uint32(0), 0
-	for i := 0; i < c.card; i++ {
+	for range c.card {
 		d, n := decodeUvarint(c.blk[off:])
-		if n <= 0 {
-			panic("nodeset: corrupt sparse block")
-		}
-		off += n
-		if i == 0 {
-			cur = d
-		} else {
-			cur += d
-		}
+		off, cur = off+n, cur+d // the first value is stored whole, as a gap from 0
 		dst = append(dst, base+graph.NodeID(cur))
 	}
 	return dst
@@ -249,17 +168,9 @@ func (c *container) iterate(base graph.NodeID, f func(graph.NodeID) bool) bool {
 		return true
 	}
 	cur, off := uint32(0), 0
-	for i := 0; i < c.card; i++ {
+	for range c.card {
 		d, n := decodeUvarint(c.blk[off:])
-		if n <= 0 {
-			panic("nodeset: corrupt sparse block")
-		}
-		off += n
-		if i == 0 {
-			cur = d
-		} else {
-			cur += d
-		}
+		off, cur = off+n, cur+d // the first value is stored whole, as a gap from 0
 		if !f(base + graph.NodeID(cur)) {
 			return false
 		}
@@ -308,13 +219,6 @@ func (s Set) AddStats(st *Stats) {
 			st.SparseBytes += len(c.blk)
 		}
 	}
-}
-
-// MemBytes returns the set's resident payload bytes (see Stats.Bytes).
-func (s Set) MemBytes() int {
-	var st Stats
-	s.AddStats(&st)
-	return st.Bytes()
 }
 
 // String renders a compact summary for debugging.

@@ -20,32 +20,6 @@ var wordsPool = sync.Pool{New: func() any {
 	return &b
 }}
 
-// lowsPool recycles sparse-container decode buffers.
-var lowsPool = sync.Pool{New: func() any {
-	b := make([]uint16, 0, denseThreshold)
-	return &b
-}}
-
-// toLows decodes a sparse container into dst (reset to length 0 first).
-func (c *container) toLows(dst []uint16) []uint16 {
-	dst = dst[:0]
-	cur, off := uint32(0), 0
-	for i := 0; i < c.card; i++ {
-		d, n := decodeUvarint(c.blk[off:])
-		if n <= 0 {
-			panic("nodeset: corrupt sparse block")
-		}
-		off += n
-		if i == 0 {
-			cur = d
-		} else {
-			cur += d
-		}
-		dst = append(dst, uint16(cur))
-	}
-	return dst
-}
-
 // orInto ORs the container's members into words.
 func (c *container) orInto(words []uint64) {
 	if c.bits != nil {
@@ -55,17 +29,9 @@ func (c *container) orInto(words []uint64) {
 		return
 	}
 	cur, off := uint32(0), 0
-	for i := 0; i < c.card; i++ {
+	for range c.card {
 		d, n := decodeUvarint(c.blk[off:])
-		if n <= 0 {
-			panic("nodeset: corrupt sparse block")
-		}
-		off += n
-		if i == 0 {
-			cur = d
-		} else {
-			cur += d
-		}
+		off, cur = off+n, cur+d // the first value is stored whole, as a gap from 0
 		words[cur>>6] |= 1 << (cur & 63)
 	}
 }
@@ -98,94 +64,6 @@ func containerFromBits(words []uint64, card int) container {
 // shareContainer returns a copy of the container struct sharing its payload
 // (payloads are immutable).
 func shareContainer(c *container) container { return *c }
-
-// Intersect returns the members present in both sets.
-func Intersect(a, b Set) Set {
-	var out Set
-	i, j := 0, 0
-	for i < len(a.keys) && j < len(b.keys) {
-		switch {
-		case a.keys[i] < b.keys[j]:
-			i++
-		case a.keys[i] > b.keys[j]:
-			j++
-		default:
-			if c, ok := intersectContainers(&a.cons[i], &b.cons[j]); ok {
-				out.keys = append(out.keys, a.keys[i])
-				out.cons = append(out.cons, c)
-				out.n += c.card
-			}
-			i++
-			j++
-		}
-	}
-	return out
-}
-
-func intersectContainers(a, b *container) (container, bool) {
-	switch {
-	case a.bits != nil && b.bits != nil:
-		wp := wordsPool.Get().(*[]uint64)
-		words := *wp
-		card := 0
-		for w := range words {
-			words[w] = a.bits[w] & b.bits[w]
-			card += bits.OnesCount64(words[w])
-		}
-		if card == 0 {
-			clearWords(words)
-			wordsPool.Put(wp)
-			return container{}, false
-		}
-		c := containerFromBits(words, card)
-		clearWords(words)
-		wordsPool.Put(wp)
-		return c, true
-	case a.bits == nil && b.bits == nil:
-		lp, lq := lowsPool.Get().(*[]uint16), lowsPool.Get().(*[]uint16)
-		la, lb := a.toLows(*lp), b.toLows(*lq)
-		keep := make([]uint16, 0, min(len(la), len(lb)))
-		x, y := 0, 0
-		for x < len(la) && y < len(lb) {
-			switch {
-			case la[x] < lb[y]:
-				x++
-			case la[x] > lb[y]:
-				y++
-			default:
-				keep = append(keep, la[x])
-				x++
-				y++
-			}
-		}
-		*lp, *lq = la[:0], lb[:0]
-		lowsPool.Put(lp)
-		lowsPool.Put(lq)
-		if len(keep) == 0 {
-			return container{}, false
-		}
-		return makeContainerLows(keep), true
-	default:
-		sparse, dense := a, b
-		if a.bits != nil {
-			sparse, dense = b, a
-		}
-		lp := lowsPool.Get().(*[]uint16)
-		ls := sparse.toLows(*lp)
-		keep := make([]uint16, 0, len(ls))
-		for _, l := range ls {
-			if dense.bits[l>>6]&(1<<(l&63)) != 0 {
-				keep = append(keep, l)
-			}
-		}
-		*lp = ls[:0]
-		lowsPool.Put(lp)
-		if len(keep) == 0 {
-			return container{}, false
-		}
-		return makeContainerLows(keep), true
-	}
-}
 
 // Union returns the members present in either set.
 func Union(a, b Set) Set {
@@ -221,90 +99,6 @@ func Union(a, b Set) Set {
 		}
 	}
 	return out
-}
-
-// Difference returns the members of a absent from b.
-func Difference(a, b Set) Set {
-	var out Set
-	j := 0
-	for i := range a.keys {
-		for j < len(b.keys) && b.keys[j] < a.keys[i] {
-			j++
-		}
-		if j == len(b.keys) || b.keys[j] > a.keys[i] {
-			out.keys = append(out.keys, a.keys[i])
-			out.cons = append(out.cons, shareContainer(&a.cons[i]))
-			out.n += a.cons[i].card
-			continue
-		}
-		if c, ok := differenceContainers(&a.cons[i], &b.cons[j]); ok {
-			out.keys = append(out.keys, a.keys[i])
-			out.cons = append(out.cons, c)
-			out.n += c.card
-		}
-	}
-	return out
-}
-
-func differenceContainers(a, b *container) (container, bool) {
-	if a.bits != nil {
-		wp := wordsPool.Get().(*[]uint64)
-		words := *wp
-		copy(words, a.bits)
-		if b.bits != nil {
-			for w := range words {
-				words[w] &^= b.bits[w]
-			}
-		} else {
-			lp := lowsPool.Get().(*[]uint16)
-			for _, l := range b.toLows(*lp) {
-				words[l>>6] &^= 1 << (l & 63)
-			}
-			lowsPool.Put(lp)
-		}
-		card := 0
-		for _, w := range words {
-			card += bits.OnesCount64(w)
-		}
-		var c container
-		ok := card > 0
-		if ok {
-			c = containerFromBits(words, card)
-		}
-		clearWords(words)
-		wordsPool.Put(wp)
-		return c, ok
-	}
-	lp := lowsPool.Get().(*[]uint16)
-	la := a.toLows(*lp)
-	keep := make([]uint16, 0, len(la))
-	if b.bits != nil {
-		for _, l := range la {
-			if b.bits[l>>6]&(1<<(l&63)) == 0 {
-				keep = append(keep, l)
-			}
-		}
-	} else {
-		lq := lowsPool.Get().(*[]uint16)
-		lb := b.toLows(*lq)
-		y := 0
-		for _, l := range la {
-			for y < len(lb) && lb[y] < l {
-				y++
-			}
-			if y == len(lb) || lb[y] != l {
-				keep = append(keep, l)
-			}
-		}
-		*lq = lb[:0]
-		lowsPool.Put(lq)
-	}
-	*lp = la[:0]
-	lowsPool.Put(lp)
-	if len(keep) == 0 {
-		return container{}, false
-	}
-	return makeContainerLows(keep), true
 }
 
 func clearWords(words []uint64) { clear(words) }
@@ -411,66 +205,4 @@ func MergeAppend(dst []graph.NodeID, sets []Set, extra []graph.NodeID) []graph.N
 		}
 		ei = ee
 	}
-}
-
-// IntersectSortedAppend appends s ∩ probes to dst in ascending order. probes
-// must be strictly ascending. It is the frontier kernel of the compressed
-// query paths: containers with no probe in range are skipped wholesale, and
-// matching containers are combined in their physical encoding.
-func IntersectSortedAppend(s Set, probes []graph.NodeID, dst []graph.NodeID) []graph.NodeID {
-	pi := 0
-	for ci := range s.cons {
-		if pi == len(probes) {
-			break
-		}
-		k := s.keys[ci]
-		for pi < len(probes) && key16(probes[pi]) < k {
-			pi++
-		}
-		if pi == len(probes) {
-			break
-		}
-		if key16(probes[pi]) > k {
-			continue
-		}
-		end := pi
-		for end < len(probes) && key16(probes[end]) == k {
-			end++
-		}
-		chunk := probes[pi:end]
-		c := &s.cons[ci]
-		if c.bits != nil {
-			for _, p := range chunk {
-				l := low16(p)
-				if c.bits[l>>6]&(1<<(l&63)) != 0 {
-					dst = append(dst, p)
-				}
-			}
-		} else {
-			// Dual walk: advance the delta stream and the probe slice in
-			// lockstep without materializing the container.
-			cur, off, x := uint32(0), 0, 0
-			for i := 0; i < c.card && x < len(chunk); i++ {
-				d, n := decodeUvarint(c.blk[off:])
-				if n <= 0 {
-					panic("nodeset: corrupt sparse block")
-				}
-				off += n
-				if i == 0 {
-					cur = d
-				} else {
-					cur += d
-				}
-				for x < len(chunk) && uint32(low16(chunk[x])) < cur {
-					x++
-				}
-				if x < len(chunk) && uint32(low16(chunk[x])) == cur {
-					dst = append(dst, chunk[x])
-					x++
-				}
-			}
-		}
-		pi = end
-	}
-	return dst
 }

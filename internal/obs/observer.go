@@ -219,16 +219,13 @@ func (o *Observer) RecordEvent(e Event) {
 	}
 }
 
-// MemorySample carries the succinct-set footprint of an index (kept
-// decoupled from the index package, like BuildSample): resident bytes by
-// encoding plus the bytes equivalent uncompressed slices would occupy.
+// MemorySample carries the succinct-set footprint of an index's extents
+// (kept decoupled from the index package, like BuildSample): resident bytes
+// by encoding plus the bytes equivalent uncompressed slices would occupy.
 type MemorySample struct {
-	ExtentSparseBytes  int
-	ExtentDenseBytes   int
-	ExtentRawBytes     int
-	PostingSparseBytes int
-	PostingDenseBytes  int
-	PostingRawBytes    int
+	ExtentSparseBytes int
+	ExtentDenseBytes  int
+	ExtentRawBytes    int
 }
 
 // SetExtentMemory refreshes the succinct-set memory gauges; call after any
@@ -237,16 +234,12 @@ func (o *Observer) SetExtentMemory(m MemorySample) {
 	if o == nil {
 		return
 	}
-	// Series run extent before posting, and sparse before dense.
+	// Series run sparse before dense.
 	bytes, raw, ratios := o.fixed[SetBytes.id], o.fixed[SetRawBytes.id], o.fixed[SetCompression.id]
 	bytes[0].g.Set(float64(m.ExtentSparseBytes))
 	bytes[1].g.Set(float64(m.ExtentDenseBytes))
-	bytes[2].g.Set(float64(m.PostingSparseBytes))
-	bytes[3].g.Set(float64(m.PostingDenseBytes))
 	raw[0].g.Set(float64(m.ExtentRawBytes))
-	raw[1].g.Set(float64(m.PostingRawBytes))
 	ratios[0].g.Set(ratio(m.ExtentRawBytes, m.ExtentSparseBytes+m.ExtentDenseBytes))
-	ratios[1].g.Set(ratio(m.PostingRawBytes, m.PostingSparseBytes+m.PostingDenseBytes))
 }
 
 func ratio(raw, resident int) float64 {

@@ -53,7 +53,7 @@ var (
 	queryKinds = []string{"path", "rpe", "twig"}
 
 	byKind     = Key{"kind", queryKinds}
-	bySetKind  = Key{"kind", []string{"extent", "posting"}}
+	bySetKind  = Key{"kind", []string{"extent"}}
 	byEncoding = Key{"encoding", []string{"sparse", "dense"}}
 	// byStage names a group commit's stages in the order they run: the
 	// copy-on-write clone of the published snapshot, the application of

@@ -6,31 +6,19 @@ import (
 
 	"dkindex/internal/cow"
 	"dkindex/internal/graph"
-	"dkindex/internal/nodeset"
 	"dkindex/internal/obs"
 )
 
 // Source is the graph view expression evaluation needs. Both the data graph
-// and index graphs satisfy it, and Eval is given nothing else: it also reads
-// one of their posting-list views below.
+// and index graphs satisfy it. Evaluation seeds from NodesWithLabel, each
+// label's nodes in ascending order, instead of probing the automaton once per
+// node.
 type Source interface {
 	NumNodes() int
 	Label(n graph.NodeID) graph.LabelID
 	Children(n graph.NodeID) []graph.NodeID
 	Parents(n graph.NodeID) []graph.NodeID
-}
-
-// labelIndexed is the data graph's posting-list view: evaluation seeds from
-// per-label node lists instead of probing the automaton once per node.
-type labelIndexed interface {
 	NodesWithLabel(l graph.LabelID) cow.Paged[graph.NodeID]
-	NumLabels() int
-}
-
-// postingIndexed is the succinct posting-list view index graphs provide:
-// seeding then walks each label's compressed set without materializing it.
-type postingIndexed interface {
-	PostingSet(l graph.LabelID) nodeset.Set
 	NumLabels() int
 }
 
@@ -86,10 +74,10 @@ func reverseExpr(e Expr) Expr {
 //
 // Seeding exploits that the start transition depends only on a node's label:
 // the successor set is computed once per label and the seed nodes come from
-// the source's posting lists. Seeds enter the worklist
-// in ascending node order — exactly the order of the per-node probe loop —
-// so the FIFO fixpoint performs the identical sequence of expansions and the
-// visited charges are unchanged.
+// the source's label lists. Seeds enter the worklist in ascending node order
+// — exactly the order of the per-node probe loop — so the FIFO fixpoint
+// performs the identical sequence of expansions and the visited charges are
+// unchanged.
 func (c *Compiled) Eval(g Source, visited func(graph.NodeID)) []graph.NodeID {
 	return c.EvalTraced(g, visited, nil)
 }
@@ -117,7 +105,7 @@ func zeroed[T any](buf []T, n int) []T {
 	return buf
 }
 
-// EvalTraced is Eval with per-stage tracing: posting-list seeding records an
+// EvalTraced is Eval with per-stage tracing: label-list seeding records an
 // "rpe_seed" span and the worklist fixpoint (plus accept collection) an
 // "rpe_fixpoint" span. A nil trace makes both free — StageStart skips the
 // clock read — and the visited charges are identical either way.
@@ -138,29 +126,14 @@ func (c *Compiled) EvalTraced(g Source, visited func(graph.NodeID), tr *obs.Trac
 	st := tr.StageStart()
 	// Assign seed states label by label (every node with one label starts in
 	// the same set), then queue the seeded nodes in one ascending scan over
-	// the state table. Index graphs give compressed posting sets, data graphs
-	// paged lists; no other Source is evaluated.
-	if src, ok := g.(postingIndexed); ok {
-		for l := 0; l < src.NumLabels(); l++ {
-			post := src.PostingSet(graph.LabelID(l))
-			if post.IsEmpty() || !a.stepSet(delta, a.start, graph.LabelID(l)) {
-				continue
-			}
-			post.Iterate(func(id graph.NodeID) bool {
-				copy(of(id), delta)
-				return true
-			})
+	// the state table.
+	for l := 0; l < g.NumLabels(); l++ {
+		nodes := g.NodesWithLabel(graph.LabelID(l))
+		if nodes.Len() == 0 || !a.stepSet(delta, a.start, graph.LabelID(l)) {
+			continue
 		}
-	} else {
-		src := g.(labelIndexed)
-		for l := 0; l < src.NumLabels(); l++ {
-			nodes := src.NodesWithLabel(graph.LabelID(l))
-			if nodes.Len() == 0 || !a.stepSet(delta, a.start, graph.LabelID(l)) {
-				continue
-			}
-			for i := range nodes.Len() {
-				copy(of(nodes.At(i)), delta)
-			}
+		for i := range nodes.Len() {
+			copy(of(nodes.At(i)), delta)
 		}
 	}
 	head, tail, pending := 0, 0, 0

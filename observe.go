@@ -115,12 +115,9 @@ func (x *Index) syncGauges() {
 	o.Gauge(obs.CacheEntries).Set(float64(s.CachedResults))
 	ms := x.handle.Load().dk.IG.MemStats()
 	o.SetExtentMemory(obs.MemorySample{
-		ExtentSparseBytes:  ms.Extents.SparseTotal(),
-		ExtentDenseBytes:   ms.Extents.DenseTotal(),
-		ExtentRawBytes:     ms.ExtentRawBytes,
-		PostingSparseBytes: ms.Postings.SparseTotal(),
-		PostingDenseBytes:  ms.Postings.DenseTotal(),
-		PostingRawBytes:    ms.PostingRawBytes,
+		ExtentSparseBytes: ms.Extents.SparseTotal(),
+		ExtentDenseBytes:  ms.Extents.DenseTotal(),
+		ExtentRawBytes:    ms.ExtentRawBytes,
 	})
 }
 

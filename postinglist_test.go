@@ -8,15 +8,19 @@ import (
 
 	"dkindex/internal/eval"
 	"dkindex/internal/graph"
+	"dkindex/internal/rpe"
 )
 
-// Property: the label posting lists and adjacency mirrors survive the whole
-// public mutation surface — edge insertion/removal, document grafting,
-// promotion, demotion, and compaction — in any interleaving. After every
-// sequence the graph and index re-validate (posting lists are re-derived and
-// compared inside Validate) and queries still equal direct evaluation, i.e.
-// posting-list seeding sees exactly the live nodes.
+// Property: the label lists of both graphs and the adjacency mirrors survive
+// the whole public mutation surface — edge insertion/removal, document
+// grafting, promotion, demotion, and compaction — in any interleaving. After
+// every sequence the graph and index re-validate (label lists are re-derived
+// and compared inside Validate), both graphs' lists equal a brute-force label
+// scan, and path, RPE and twig queries, all seeded from the index's lists,
+// still equal direct evaluation on the data graph.
 func TestQuickPostingListsSurviveLifecycle(t *testing.T) {
+	rpes := []string{"movieDB//title", "director.movie.title|actor.name", "movie//name"}
+	twigs := []string{"movie[year].title", "director[name].movie.title", "movie[actor.name].title"}
 	f := func(opSeed int64, ops uint8) bool {
 		idx, err := LoadXMLString(moviesXML, nil)
 		if err != nil {
@@ -94,7 +98,38 @@ func TestQuickPostingListsSurviveLifecycle(t *testing.T) {
 				return false
 			}
 		}
-		return true
+		ig := idx.IG()
+		for l := range ig.NumLabels() {
+			var want []graph.NodeID
+			for n := range ig.NumNodes() {
+				if ig.Label(graph.NodeID(n)) == graph.LabelID(l) {
+					want = append(want, graph.NodeID(n))
+				}
+			}
+			if list := ig.NodesWithLabel(graph.LabelID(l)); !slices.Equal(list.AppendTo(nil), want) {
+				return false
+			}
+		}
+		g, labels := idx.Graph(), idx.Graph().Labels()
+		text := rpes[rng.Intn(len(rpes))]
+		res, _, err := query(idx, KindRPE, text)
+		if err != nil {
+			return false
+		}
+		if truth, _ := eval.DataRPE(g, rpe.CompileExpr(rpe.MustParse(text), labels)); !eval.SameResult(res, truth) {
+			return false
+		}
+		text = twigs[rng.Intn(len(twigs))]
+		res, _, err = query(idx, KindTwig, text)
+		if err != nil {
+			return false
+		}
+		tw, err := eval.ParseTwig(labels, text)
+		if err != nil {
+			return false
+		}
+		truth, _ := eval.DataTwig(g, tw)
+		return eval.SameResult(res, truth)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 25}); err != nil {
 		t.Error(err)
