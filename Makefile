@@ -63,9 +63,9 @@ stress:
 # paths (a predicate-free twig is also run as a path through Data, Index and
 # IndexNoValidation). The server's append encoder and its RawQuery reader are
 # held to encoding/json and net/url the same way, Algorithm 3's in-place graft
-# to the whole-index rebuild it replaces, and the copy-on-write column behind
-# every snapshot to plain slices. Long exploratory runs stay manual (go test
-# -fuzz=... -fuzztime=5m).
+# to the whole-index rebuild it replaces, and the two copy-on-write columns
+# behind every snapshot (elements and adjacency rows) to plain slices. Long
+# exploratory runs stay manual (go test -fuzz=... -fuzztime=5m).
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzLoadDK -fuzztime 5s ./internal/codec
 	$(GO) test -run '^$$' -fuzz FuzzWALReplay -fuzztime 5s ./internal/wal
@@ -77,6 +77,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzQueryParamAgainstParseQuery -fuzztime 5s ./internal/server
 	$(GO) test -run '^$$' -fuzz FuzzGraftAgainstRebuild -fuzztime 5s ./internal/core
 	$(GO) test -run '^$$' -fuzz FuzzPagedAgainstSlices -fuzztime 5s ./internal/cow
+	$(GO) test -run '^$$' -fuzz FuzzRowsAgainstSlices -fuzztime 5s ./internal/cow
 
 vet:
 	$(GO) vet ./...
@@ -106,6 +107,7 @@ inline-check:
 		echo "$$out" | grep -qF "can inline $$fn" || { echo "no longer inlined: $$fn"; fail=1; }; \
 	done; \
 	echo "$$out" | grep -qE 'can inline cow\.\(\*Paged\[.*\]\)\.At$$' || { echo "no longer inlined: (*Paged[...]).At"; fail=1; }; \
+	echo "$$out" | grep -qE 'can inline cow\.\(\*Rows\[.*\]\)\.Row$$' || { echo "no longer inlined: (*Rows[...]).Row"; fail=1; }; \
 	exit $$fail
 
 # bench-baseline records the regression-guard baseline: several short

@@ -22,7 +22,8 @@ type DK struct {
 	// soundly, longer ones require validation against the data graph.
 	IG *index.IndexGraph
 	// LabelReqs records the query-load requirements (pre-broadcast) the
-	// index currently targets.
+	// index currently targets. Clones share the map: replace it, never
+	// write it in place.
 	LabelReqs Requirements
 	// Stats describes the construction that produced this index. Zero for
 	// indexes that were cloned or decoded rather than built.

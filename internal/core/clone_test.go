@@ -2,7 +2,9 @@ package core_test
 
 import (
 	"fmt"
+	"maps"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"dkindex/internal/core"
@@ -91,4 +93,25 @@ func TestCloneIsolationProperty(t *testing.T) {
 			return core.CheckInvariant(dk.IG)
 		},
 	})
+}
+
+// TestPromoteLabelOnACloneLeavesTheSnapshot: Clone shares the requirement
+// map, so PromoteLabel must replace it, not write it: a promotion through the
+// clone leaves the snapshot's map and its codec.SaveDK bytes as they were.
+func TestPromoteLabelOnACloneLeavesTheSnapshot(t *testing.T) {
+	g := graph.FigureOneMovies()
+	title := g.Labels().Lookup("title")
+	dk := core.Build(g, core.ReqsFromNames(g.Labels(), map[string]int{"movie": 1}))
+	reqs, bytes := dk.LabelReqs.Clone(), saved(t, dk)
+	c := dk.Clone()
+	c.PromoteLabel(title, 2)
+	if c.LabelReqs[title] != 2 {
+		t.Fatalf("the clone's requirement for title is %d, want 2", c.LabelReqs[title])
+	}
+	if !maps.Equal(dk.LabelReqs, reqs) {
+		t.Errorf("promoting the clone changed the snapshot's requirements to %v, want %v", dk.LabelReqs, reqs)
+	}
+	if !slices.Equal(saved(t, dk), bytes) {
+		t.Error("promoting the clone changed the snapshot's codec.SaveDK bytes")
+	}
 }

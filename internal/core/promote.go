@@ -175,11 +175,11 @@ func (dk *DK) PromoteLabel(l graph.LabelID, kn int) index.UpdateStats {
 			break // no progress: structurally capped (e.g. tight cycles)
 		}
 	}
-	if dk.LabelReqs == nil {
-		dk.LabelReqs = make(Requirements)
-	}
 	if dk.LabelReqs[l] < kn {
-		dk.LabelReqs[l] = kn
+		// Clone shares the map, so it is replaced, never written in place.
+		reqs := dk.LabelReqs.Clone()
+		reqs[l] = kn
+		dk.LabelReqs = reqs
 	}
 	return stats
 }

@@ -220,7 +220,9 @@ var validateParallelThreshold = 1 << 11
 // parallel set, an extent of validateParallelThreshold members or more is
 // split into chunks across a bounded worker pool, one validate call per
 // chunk, and the results and charges are merged in chunk order — identical
-// to one serial call when each member's charges are its own.
+// to one serial call when each member's charges are its own. The chunks
+// write their hits into dst's own spare room, one member-sized slot each, so
+// a pooled dst is the only buffer the fan-out uses.
 func validateMembers(dst, ext []graph.NodeID, parallel bool, validate func(dst, members []graph.NodeID) ([]graph.NodeID, int)) ([]graph.NodeID, int) {
 	if !parallel || len(ext) < validateParallelThreshold || runtime.GOMAXPROCS(0) <= 1 {
 		return validate(dst, ext)
@@ -232,12 +234,18 @@ func validateMembers(dst, ext []graph.NodeID, parallel bool, validate func(dst, 
 		hits    []graph.NodeID
 		charged int
 	}
+	base := len(dst)
+	dst = slices.Grow(dst, len(ext))
+	slots := dst[base : base+len(ext)]
 	workers := workpool.Workers(len(ext), 0, 8)
 	results := make([]chunkResult, workers)
 	workpool.Chunks(len(ext), workers, func(w, lo, hi int) {
 		r := &results[w]
-		r.hits, r.charged = validate(nil, ext[lo:hi])
+		r.hits, r.charged = validate(slots[lo:lo:hi], ext[lo:hi])
 	})
+	// Chunk w's hits start at slot lo_w, at or after where they go: every
+	// earlier chunk kept at most its own members, so moving them down in
+	// chunk order never overwrites hits not yet moved.
 	charged := 0
 	for w := range results {
 		dst = append(dst, results[w].hits...)

@@ -179,16 +179,23 @@ func TestFromCSRRejectsBadInput(t *testing.T) {
 	}
 }
 
-// TestFromCSRRowIsolation: FromCSR's rows lie back to back in two flat
-// arrays, so a row that kept spare capacity would let a write to it land in
-// its neighbour. Each edit of a built graph must leave every other row as it
+// TestFromCSRRowIsolation: FromCSR's pages lie over two flat arrays, each
+// page's rows back to back, so an edit that kept spare capacity or shifted
+// too far would land in a neighbouring row or page. Each edit of a built
+// graph — at either side of a page edge (rows 31 and 32) and in a row of
+// more children than a page has rows — must leave every other row as it
 // was, and a clone taken before it must not see it at all.
 func TestFromCSRRowIsolation(t *testing.T) {
-	rows := [][]NodeID{{1, 2}, {2, 3}, {3}, nil}
+	rows := make([][]NodeID, 70)
+	for v := 1; v < 65; v++ {
+		rows[0] = append(rows[0], NodeID(v)) // a high-degree row spanning two pages of parents
+	}
+	rows[1], rows[2] = []NodeID{2, 3}, []NodeID{3}
+	rows[31], rows[32] = []NodeID{32, 40}, []NodeID{33}
 	build := func() *Graph {
 		tab := NewLabelTable()
 		tab.Intern(RootLabel)
-		g, err := FromCSR(tab, []LabelID{0, 0, 0, 0}, 0, csrOf(rows...))
+		g, err := FromCSR(tab, make([]LabelID, len(rows)), 0, csrOf(rows...))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -211,10 +218,16 @@ func TestFromCSRRowIsolation(t *testing.T) {
 		name string
 		edit func(*Graph)
 	}{
-		{"add at a row's end", func(g *Graph) { g.AddEdge(0, 3) }},
-		{"add at a row's start", func(g *Graph) { g.AddEdge(1, 1) }},
+		{"add at a row's end", func(g *Graph) { g.AddEdge(1, 5) }},
+		{"add at a row's start", func(g *Graph) { g.AddEdge(2, 1) }},
 		{"remove", func(g *Graph) { g.RemoveEdge(1, 2) }},
-		{"remove then add", func(g *Graph) { g.RemoveEdge(0, 1); g.AddEdge(0, 3) }},
+		{"remove then add", func(g *Graph) { g.RemoveEdge(1, 2); g.AddEdge(1, 6) }},
+		{"add to a page's last row", func(g *Graph) { g.AddEdge(31, 69) }},
+		{"add to a page's first row", func(g *Graph) { g.AddEdge(32, 31) }},
+		{"remove on both sides of a page edge", func(g *Graph) { g.RemoveEdge(31, 32); g.RemoveEdge(32, 33) }},
+		{"empty a page's first row, then refill it", func(g *Graph) { g.RemoveEdge(32, 33); g.AddEdge(32, 0); g.AddEdge(31, 33) }},
+		{"add to a high-degree row", func(g *Graph) { g.AddEdge(0, 69); g.AddEdge(0, 65) }},
+		{"remove from a high-degree row", func(g *Graph) { g.RemoveEdge(0, 1); g.RemoveEdge(0, 32); g.RemoveEdge(0, 64) }},
 	} {
 		want := incremental()
 		e.edit(want)

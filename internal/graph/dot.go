@@ -26,7 +26,7 @@ func (g *Graph) WriteDOT(w io.Writer, name string) error {
 		}
 	}
 	for n := 0; n < g.NumNodes(); n++ {
-		for _, c := range g.children.At(n) {
+		for _, c := range g.children.Row(n) {
 			if _, err := fmt.Fprintf(w, "  n%d -> n%d;\n", n, c); err != nil {
 				return err
 			}
@@ -67,10 +67,10 @@ func (g *Graph) ComputeStats() Stats {
 		MaxDepth: g.MaxDepth(),
 	}
 	for n := 0; n < g.NumNodes(); n++ {
-		if d := len(g.children.At(n)); d > s.MaxOutDeg {
+		if d := len(g.children.Row(n)); d > s.MaxOutDeg {
 			s.MaxOutDeg = d
 		}
-		if d := len(g.parents.At(n)); d > s.MaxInDeg {
+		if d := len(g.parents.Row(n)); d > s.MaxInDeg {
 			s.MaxInDeg = d
 		}
 	}

@@ -28,9 +28,12 @@ const InvalidNode NodeID = -1
 // Node labels, both adjacency directions and the per-label node lists live in
 // copy-on-write columns (internal/cow): Clone copies none of them, and a write
 // copies the directory, chunk and page it lands in unless this graph already
-// owns them. Adjacency rows are kept ascending, and a row with spare capacity
-// is referenced by exactly one page — copying a page clips every row to its
-// length — so a row is edited in place only when no other graph can see it.
+// owns them. Each adjacency direction is a cow.Rows: pages of 32 ascending
+// rows laid out back to back, so an edge written after a clone copies one
+// page of ids per endpoint, and an edge written on a page this graph owns
+// shifts the rows after it in place. A row returned by Children or Parents is
+// therefore valid only until the next write to the graph: a writer must not
+// range over a row of the graph it is writing (copy the row first).
 //
 // Graph is not safe for concurrent mutation; concurrent reads are fine, and
 // so is Clone beside them.
@@ -38,21 +41,13 @@ type Graph struct {
 	labels    *LabelTable
 	own       atomic.Pointer[cow.Owner]
 	nodeLabel cow.Paged[LabelID]
-	children  cow.Paged[[]NodeID]
-	parents   cow.Paged[[]NodeID]
+	children  cow.Rows[NodeID]
+	parents   cow.Rows[NodeID]
 	numEdges  int
 	root      NodeID
 	// byLabel lists the nodes of every label: query evaluation seeds from it
 	// in O(|matches|) instead of scanning all nodes.
 	byLabel LabelLists
-}
-
-// clipRows marks every row of a freshly copied adjacency page as shared; it
-// is the OnCopy hook of both adjacency columns.
-func clipRows(rows *[cow.PageSize][]NodeID) {
-	for i, r := range rows {
-		rows[i] = r[:len(r):len(r)]
-	}
 }
 
 // New returns an empty graph with a fresh label table.
@@ -62,10 +57,7 @@ func New() *Graph {
 
 // NewWithLabels returns an empty graph that shares the given label table.
 func NewWithLabels(t *LabelTable) *Graph {
-	g := &Graph{labels: t, root: InvalidNode}
-	g.children.OnCopy = clipRows
-	g.parents.OnCopy = clipRows
-	return g
+	return &Graph{labels: t, root: InvalidNode}
 }
 
 // FromCSR builds a whole graph at once, the one constructor that does: node n
@@ -73,11 +65,10 @@ func NewWithLabels(t *LabelTable) *Graph {
 // are children.Row(n); and root is its root, or InvalidNode for none. Rows
 // must be strictly ascending and every id in range, or FromCSR answers an
 // error. The parents are children's transpose and the per-label lists a
-// counting sort of labels (MakeLabelLists). Every column is filled in place
-// from cow.Make, each row a clipped slice of children's flat array or of the
-// transpose's, so no row has spare capacity another row could be written
-// through. The graph keeps children's array: the caller must not write it
-// afterwards.
+// counting sort of labels (MakeLabelLists). The adjacency pages lie over
+// children's flat arrays and the transpose's (cow.MakeRows) and the labels
+// fill a column from cow.Make, so the graph copies no row. It keeps
+// children's arrays: the caller must not write them afterwards.
 func FromCSR(tab *LabelTable, labels []LabelID, root NodeID, children CSR) (*Graph, error) {
 	n := len(labels)
 	if children.NumNodes() != n || root < InvalidNode || int(root) >= n {
@@ -98,17 +89,14 @@ func FromCSR(tab *LabelTable, labels []LabelID, root NodeID, children CSR) (*Gra
 	g := &Graph{
 		labels:    tab,
 		nodeLabel: cow.Make[LabelID](n),
-		children:  cow.Make[[]NodeID](n),
-		parents:   cow.Make[[]NodeID](n),
+		children:  cow.MakeRows(children.offsets, children.edges),
+		parents:   cow.MakeRows(parents.offsets, parents.edges),
 		numEdges:  parents.NumEdges(),
 		root:      root,
 		byLabel:   MakeLabelLists(tab.Len(), n, func(i NodeID) LabelID { return labels[i] }),
 	}
-	g.children.OnCopy, g.parents.OnCopy = clipRows, clipRows
 	for i, l := range labels {
 		*g.nodeLabel.Mut(nil, i) = l
-		*g.children.Mut(nil, i) = children.Row(NodeID(i))
-		*g.parents.Mut(nil, i) = parents.Row(NodeID(i))
 	}
 	return g, nil
 }
@@ -135,8 +123,8 @@ func (g *Graph) AddNodeID(label LabelID) NodeID {
 	id := NodeID(g.nodeLabel.Len())
 	own := g.own.Load()
 	g.nodeLabel.Append(own, label)
-	g.children.Append(own, nil)
-	g.parents.Append(own, nil)
+	g.children.Append(own)
+	g.parents.Append(own)
 	g.byLabel.Append(own, label, id)
 	return id
 }
@@ -162,16 +150,14 @@ func (g *Graph) Root() NodeID { return g.root }
 func (g *Graph) AddEdge(from, to NodeID) bool {
 	g.checkNode(from)
 	g.checkNode(to)
-	i, dup := slices.BinarySearch(g.children.At(int(from)), to)
+	i, dup := slices.BinarySearch(g.children.Row(int(from)), to)
 	if dup {
 		return false
 	}
 	own := g.own.Load()
-	row := g.children.Mut(own, int(from))
-	*row = slices.Insert(*row, i, to)
-	row = g.parents.Mut(own, int(to))
-	i, _ = slices.BinarySearch(*row, from)
-	*row = slices.Insert(*row, i, from)
+	g.children.Insert(own, int(from), i, to)
+	i, _ = slices.BinarySearch(g.parents.Row(int(to)), from)
+	g.parents.Insert(own, int(to), i, from)
 	g.numEdges++
 	return true
 }
@@ -181,32 +167,16 @@ func (g *Graph) AddEdge(from, to NodeID) bool {
 func (g *Graph) RemoveEdge(from, to NodeID) bool {
 	g.checkNode(from)
 	g.checkNode(to)
-	i, ok := slices.BinarySearch(g.children.At(int(from)), to)
+	i, ok := slices.BinarySearch(g.children.Row(int(from)), to)
 	if !ok {
 		return false
 	}
 	own := g.own.Load()
-	row := g.children.Mut(own, int(from))
-	*row = removeAt(*row, i)
-	row = g.parents.Mut(own, int(to))
-	i, _ = slices.BinarySearch(*row, from)
-	*row = removeAt(*row, i)
+	g.children.Delete(own, int(from), i)
+	i, _ = slices.BinarySearch(g.parents.Row(int(to)), from)
+	g.parents.Delete(own, int(to), i)
 	g.numEdges--
 	return true
-}
-
-// removeAt deletes s[i]. A row without spare capacity may be shared with
-// another graph's page (see Graph), so it is rebuilt instead of shifted.
-func removeAt(s []NodeID, i int) []NodeID {
-	if cap(s) > len(s) {
-		return slices.Delete(s, i, i+1)
-	}
-	if len(s) == 1 {
-		return nil
-	}
-	out := make([]NodeID, len(s)-1)
-	copy(out[copy(out, s[:i]):], s[i+1:])
-	return out
 }
 
 // HasEdge reports whether the directed edge from -> to exists: rows are
@@ -226,16 +196,16 @@ func (g *Graph) LabelName(n NodeID) string {
 	return g.labels.Name(g.Label(n))
 }
 
-// Children returns the out-neighbors of n. The returned slice is owned by the
-// graph and must not be mutated.
+// Children returns the out-neighbors of n, ascending. The returned slice is
+// owned by the graph: it must not be mutated, and it is valid until the next
+// write to the graph. It panics with a cow.RangeError unless n is a node.
 func (g *Graph) Children(n NodeID) []NodeID {
-	return g.children.At(g.checkNode(n))
+	return g.children.Row(int(n))
 }
 
-// Parents returns the in-neighbors of n. The returned slice is owned by the
-// graph and must not be mutated.
+// Parents returns the in-neighbors of n, ascending, on Children's terms.
 func (g *Graph) Parents(n NodeID) []NodeID {
-	return g.parents.At(g.checkNode(n))
+	return g.parents.Row(int(n))
 }
 
 // NodesByLabel returns, for every label id, the list of nodes carrying it.
@@ -296,7 +266,7 @@ func (g *Graph) Validate() error {
 	}
 	fwd := 0
 	for n := 0; n < g.NumNodes(); n++ {
-		row := g.children.At(n)
+		row := g.children.Row(n)
 		for i, c := range row {
 			if int(c) >= g.NumNodes() {
 				return fmt.Errorf("graph: edge %d->%d points past node range", n, c)
@@ -304,7 +274,7 @@ func (g *Graph) Validate() error {
 			if i > 0 && row[i-1] >= c {
 				return fmt.Errorf("graph: children of %d not strictly ascending at %d", n, i)
 			}
-			if _, ok := slices.BinarySearch(g.parents.At(int(c)), NodeID(n)); !ok {
+			if _, ok := slices.BinarySearch(g.parents.Row(int(c)), NodeID(n)); !ok {
 				return fmt.Errorf("graph: edge %d->%d missing reverse adjacency", n, c)
 			}
 			fwd++
@@ -312,7 +282,7 @@ func (g *Graph) Validate() error {
 	}
 	bwd := 0
 	for n := 0; n < g.NumNodes(); n++ {
-		row := g.parents.At(n)
+		row := g.parents.Row(n)
 		for i := 1; i < len(row); i++ {
 			if row[i-1] >= row[i] {
 				return fmt.Errorf("graph: parents of %d not strictly ascending at %d", n, i)
@@ -332,7 +302,8 @@ func (g *Graph) Validate() error {
 
 // checkNode panics unless n is a node of g and returns n as a column index.
 // Panicking with a value (formatted only if it is ever printed) keeps the
-// check, and with it Label, Children and Parents, within the inlining budget.
+// check, and with it Label, within the inlining budget; Children and Parents
+// leave the check to cow.Rows.Row, which does the same.
 func (g *Graph) checkNode(n NodeID) int {
 	if uint(n) >= uint(g.nodeLabel.Len()) {
 		panic(nodeRangeError{n, g.nodeLabel.Len()})
@@ -373,7 +344,7 @@ func (g *Graph) CompactReachable() (*Graph, []NodeID, error) {
 	children := MakeCSR(len(labels), g.numEdges)
 	for n, at := range mapping {
 		if at != InvalidNode {
-			for _, c := range g.children.At(n) {
+			for _, c := range g.children.Row(n) {
 				children.Append(mapping[c])
 			}
 			children.Close(int(at) + 1)

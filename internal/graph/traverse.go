@@ -18,7 +18,7 @@ func (g *Graph) BFS(start NodeID, visit func(n NodeID, depth int) bool) {
 		if !visit(cur.n, cur.d) {
 			continue
 		}
-		for _, c := range g.children.At(int(cur.n)) {
+		for _, c := range g.children.Row(int(cur.n)) {
 			if !seen[c] {
 				seen[c] = true
 				queue = append(queue, item{c, cur.d + 1})

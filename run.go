@@ -236,9 +236,13 @@ func (x *Index) runOn(s *snapshot, req Request) (Result, error) {
 	// Put, so a key that hits spelled a well-formed query when its entry was
 	// stored, and the entry keeps what a hit needs from that parse; malformed
 	// text finds nothing and fails in the parse below, before it is counted
-	// as a miss or reaches the cache or the recorder.
-	key := string(kind) + "\x00" + req.Text
+	// as a miss or reaches the cache or the recorder. With the cache off
+	// there is no key to build and, below, no entry to allocate.
+	var key string
 	cache := x.cache.Load()
+	if cache != nil {
+		key = string(kind) + "\x00" + req.Text
+	}
 	if v, ok := cache.Get(s.gen, key); ok {
 		cr := v.(*cachedResult)
 		x.observer.CountKind(obs.CacheHits, string(kind))
@@ -309,7 +313,9 @@ func (x *Index) runOn(s *snapshot, req Request) (Result, error) {
 	}
 	// Put after noteValidation: if an auto-promotion just bumped the
 	// generation, this store is stale and the cache drops it on its own.
-	cache.Put(s.gen, key, &cachedResult{nodes: nodes, cost: cost, path: path})
+	if cache != nil {
+		cache.Put(s.gen, key, &cachedResult{nodes: nodes, cost: cost, path: path})
+	}
 	res := s.result(len(nodes), cost, false)
 	res.Nodes = append([]NodeID(nil), nodes[:listed(req.Limit, len(nodes))]...)
 	res.Traced = tr != nil
