@@ -5,7 +5,7 @@ GO ?= go
 DK_BENCH_SCALE ?= 1.0
 BENCHTIME ?= 2s
 
-.PHONY: all build test race vet fmt-check inline-check bench-compile bench-baseline bench-guard profile-build profile-read stress fuzz-smoke ci size clean
+.PHONY: all build test race vet fmt-check inline-check bench-compile bench-baseline bench-guard profile-build profile-read profile-write stress fuzz-smoke ci size clean
 
 all: build test
 
@@ -61,8 +61,9 @@ stress:
 # query kernel a differential one against its reference oracle: the
 # table-driven RPE automata, and the one trunk walker behind twigs and simple
 # paths (a predicate-free twig is also run as a path through Data, Index and
-# IndexNoValidation). The server's append encoder and its RawQuery reader are
-# held to encoding/json and net/url the same way, Algorithm 3's in-place graft
+# IndexNoValidation). The server's append encoder, its /v1/mutate body scanner
+# and its RawQuery reader are held to encoding/json and net/url the same way,
+# Algorithm 3's in-place graft
 # to the whole-index rebuild it replaces, and the two copy-on-write columns
 # behind every snapshot (elements and adjacency rows) to plain slices. Long
 # exploratory runs stay manual (go test -fuzz=... -fuzztime=5m).
@@ -75,6 +76,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzTwigAgainstReference -fuzztime 5s ./internal/eval
 	$(GO) test -run '^$$' -fuzz FuzzQueryBodyAgainstEncodingJSON -fuzztime 5s ./internal/server
 	$(GO) test -run '^$$' -fuzz FuzzQueryParamAgainstParseQuery -fuzztime 5s ./internal/server
+	$(GO) test -run '^$$' -fuzz FuzzMutateBodyAgainstEncodingJSON -fuzztime 5s ./internal/server
 	$(GO) test -run '^$$' -fuzz FuzzGraftAgainstRebuild -fuzztime 5s ./internal/core
 	$(GO) test -run '^$$' -fuzz FuzzPagedAgainstSlices -fuzztime 5s ./internal/cow
 	$(GO) test -run '^$$' -fuzz FuzzRowsAgainstSlices -fuzztime 5s ./internal/cow
@@ -154,6 +156,16 @@ profile-read:
 	DK_BENCH_SCALE=$(DK_BENCH_SCALE) $(GO) test -run '^$$' \
 		-bench 'BenchmarkQuery(RPE|TwigDK)$$' -benchmem -benchtime $(BENCHTIME) \
 		-cpuprofile read_cpu.prof -memprofile read_mem.prof -memprofilerate 4096 .
+
+# profile-write captures CPU and exact allocation profiles of the write path:
+# edge batches through the group-commit pipeline (clone, Algorithms 4 and 5,
+# publish). Every allocation is sampled (-memprofilerate 1), so the bytes per
+# batch can be split by function. Inspect with
+# `go tool pprof -sample_index=alloc_space write_mem.prof`.
+profile-write:
+	DK_BENCH_SCALE=$(DK_BENCH_SCALE) $(GO) test -run '^$$' \
+		-bench 'BenchmarkApplyBatchPipeline$$' -benchmem -benchtime $(BENCHTIME) \
+		-cpuprofile write_cpu.prof -memprofile write_mem.prof -memprofilerate 1 .
 
 # size prints the three numbers a PR serving ROADMAP aim 2 reports, so every
 # such PR measures the same thing: non-test Go lines, test lines and package

@@ -83,13 +83,15 @@ func commitAllocBytes(t *testing.T, scale float64) (edgeBatch, docBatch float64)
 // With deep-copy clones the edge batch allocated 8.7 MB at scale 1.0, four
 // times its cost at scale 0.25; with a whole-index rebuild per add_document
 // the document batch allocated 15.5 MB against 9.5 MB. The limits are the
-// measured 47.7 kB and 220 kB plus 25 %; with one level of 128-element pages,
+// measured 25.8 kB and 220 kB plus 25 %; with one level of 128-element pages,
 // map adjacency and whole-list posting copies the two read 133 kB and 980 kB,
 // while adjacency pages held one slice header per row the edge batch read
-// 53.9 kB, and while every document was parsed into a paged graph, copied
-// into a second one and indexed by an IndexGraph of its own the document
-// batch read 494 kB. The race detector makes sync.Pool drop Algorithm 3's
-// pooled scratch at random, which the larger index pays more for: under it
+// 53.9 kB, and while an index edge kept a count on both of its ends, Algorithm
+// 4 built maps per probe and every member took a second record to the log the
+// edge batch read 47.7 kB; while every document was parsed into a paged graph,
+// copied into a second one and indexed by an IndexGraph of its own the
+// document batch read 494 kB. The race detector makes sync.Pool drop Algorithm
+// 3's pooled scratch at random, which the larger index pays more for: under it
 // the document batch read 1.34-1.59 MB over ten runs with those three graphs
 // (1.19 MB without), is held to ~1.5 MB plus 25 % and its growth is not
 // checked.
@@ -105,7 +107,7 @@ func TestCommitAllocationFlatInCorpusSize(t *testing.T) {
 		small, full float64
 		limit       float64
 	}{
-		{"8-edge", smallEdge, fullEdge, 59_655},
+		{"8-edge", smallEdge, fullEdge, 32_310},
 		{"8-document", smallDoc, fullDoc, docLimit},
 	} {
 		t.Logf("bytes per %s commit: %.0f at scale 0.25, %.0f at scale 1.0 (ratio %.2f)", c.batch, c.small, c.full, c.full/c.small)

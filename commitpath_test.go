@@ -340,8 +340,8 @@ func TestWALBytesUnchangedByOneCommitPath(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, r := range []wal.GroupRecord{
-		{Op: 1, Payload: encodeEdgePayload(from, to)},
-		{Op: 2, Payload: encodeEdgePayload(root, dir)},
+		{Op: 1, Payload: appendEdgePayload(nil, from, to)},
+		{Op: 2, Payload: appendEdgePayload(nil, root, dir)},
 		{Op: 4, Payload: encodePromotePayload("title", 2)},
 		{Op: 7},
 	} {
@@ -386,7 +386,7 @@ func TestDecodeWALMutationRejectsWideEndpoints(t *testing.T) {
 				t.Errorf("op %d: edge %d-%d decoded as %d-%d", op, e[0], e[1], m.From, m.To)
 			}
 		}
-		m, err := DecodeWALMutation(op, encodeEdgePayload(math.MaxInt32, 5))
+		m, err := DecodeWALMutation(op, appendEdgePayload(nil, math.MaxInt32, 5))
 		if err != nil || m.From != math.MaxInt32 || m.To != 5 {
 			t.Errorf("op %d: the widest node id decoded as %+v, %v", op, m, err)
 		}

@@ -123,6 +123,12 @@ type Index struct {
 	mutSeq      atomic.Uint64
 	durableMark atomic.Uint64
 	batch       batcher
+
+	// upd and walRecs are the committer's scratch, reused by every commit
+	// under mu: the edge updates' working memory (Algorithms 4 and 5) and
+	// the buffer a commit lists its write-ahead records in.
+	upd     core.UpdateScratch
+	walRecs []wal.GroupRecord
 }
 
 // mutationJournal is the write-ahead hook a Store installs. logGroup must

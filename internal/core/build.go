@@ -28,6 +28,8 @@ type DK struct {
 	// Stats describes the construction that produced this index. Zero for
 	// indexes that were cloned or decoded rather than built.
 	Stats BuildStats
+	// scratch is the edge updates' working memory (UseScratch).
+	scratch *UpdateScratch
 }
 
 // BuildStats are the construction-cost counters of one build job, surfaced

@@ -374,13 +374,14 @@ func TestUpdateLocalSimilarityWorstCase(t *testing.T) {
 	if dk.IG.K(zNode) != 2 {
 		t.Fatalf("precondition: k(z)=%d", dk.IG.K(zNode))
 	}
-	kn := UpdateLocalSimilarity(dk.IG, dk.IG.IndexOf(x), zNode)
+	var s UpdateScratch
+	kn := s.LocalSimilarity(dk.IG, dk.IG.IndexOf(x), zNode)
 	if kn != 0 {
 		t.Errorf("new x->z edge should force k_N=0, got %d", kn)
 	}
 	// A second y parent keeps similarity 1 at least: label path "y" into z
 	// already existed.
-	kn = UpdateLocalSimilarity(dk.IG, dk.IG.IndexOf(y2), zNode)
+	kn = s.LocalSimilarity(dk.IG, dk.IG.IndexOf(y2), zNode)
 	if kn < 1 {
 		t.Errorf("new y->z edge should keep k_N >= 1, got %d", kn)
 	}

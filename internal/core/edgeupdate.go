@@ -1,7 +1,8 @@
 package core
 
 import (
-	"encoding/binary"
+	"math/bits"
+	"slices"
 
 	"dkindex/internal/graph"
 	"dkindex/internal/index"
@@ -19,44 +20,170 @@ const maxTrackedPaths = 4096
 // expression length, and stopping early is always sound.
 const maxProbedSimilarity = 64
 
-// UpdateLocalSimilarity is Algorithm 4: given the index endpoints U -> V of
-// an edge about to be added, it computes the largest k_N <= min(k_U+1, k_V)
+// UpdateScratch is the working memory of the edge updates: Algorithm 4's
+// label-path sets and the breadth-first lowering of Algorithm 5 and
+// RemoveEdge. Its tables are emptied by bumping an epoch stamp and its lists
+// by truncation, so it grows to the largest update it served and the next
+// one reuses it. The zero value is ready. It is not safe for concurrent
+// use: the facade keeps one per index and lends it to each batch clone under
+// its writer mutex (DK.UseScratch).
+type UpdateScratch struct {
+	paths pathTable
+	// The probe's occurrence sets, one label path and one index node packed
+	// per entry (see occ): the current level's new and old paths and the
+	// next level's.
+	newOcc, oldOcc, nextNew, nextOld []uint64
+
+	onPath stamps[int32]        // label path ids, for the probe
+	onNode stamps[graph.NodeID] // index nodes queued by a lowering
+	queue  []lowering
+}
+
+// lowering is one index node of a breadth-first lowering and its distance
+// from the edge's target.
+type lowering struct {
+	n graph.NodeID
+	d int
+}
+
+// occ packs an occurrence: label path id p starts at index node n.
+func occ(p int32, n graph.NodeID) uint64 { return uint64(uint32(p))<<32 | uint64(uint32(n)) }
+
+func occPath(o uint64) int32        { return int32(o >> 32) }
+func occNode(o uint64) graph.NodeID { return graph.NodeID(uint32(o)) }
+
+// stamps is a set of dense ids, epoch-stamped: emptying it is one
+// increment, and the storage is wiped only when the stamp wraps.
+type stamps[T ~int32] struct {
+	mark []uint32
+	cur  uint32
+}
+
+// reset empties the set and makes room for ids below n.
+func (s *stamps[T]) reset(n int) {
+	if s.cur++; s.cur == 0 {
+		clear(s.mark)
+		s.cur = 1
+	}
+	if len(s.mark) < n {
+		s.mark = append(s.mark, make([]uint32, n-len(s.mark))...)
+	}
+}
+
+func (s *stamps[T]) has(i T) bool { return s.mark[i] == s.cur }
+func (s *stamps[T]) add(i T)      { s.mark[i] = s.cur }
+func (s *stamps[T]) remove(i T)   { s.mark[i] = 0 }
+
+// sortOccs sorts and dedupes occurrences and counts their distinct paths.
+func sortOccs(os []uint64) ([]uint64, int) {
+	slices.Sort(os)
+	os = slices.Compact(os)
+	paths := 0
+	for i, o := range os {
+		if i == 0 || occPath(o) != occPath(os[i-1]) {
+			paths++
+		}
+	}
+	return os, paths
+}
+
+// pathTable interns label paths: a path is its first label and the id of
+// the path after it (rootPath for a one-label path), so equal label
+// sequences get equal ids and a path is extended by one lookup. It is the
+// epoch-stamped open-addressing table of eval's memoTable: reset is one
+// increment and the storage is reused; ids are dense from 0 per epoch.
+type pathTable struct {
+	keys  []uint64
+	ids   []int32
+	cells []uint32 // the epoch that claimed the slot
+	shift uint32   // 64 - log2(len(keys))
+	used  int
+	epoch uint32
+}
+
+// rootPath is the suffix of a one-label path.
+const rootPath int32 = -1
+
+func (t *pathTable) reset() {
+	t.used = 0
+	if t.epoch++; t.epoch == 0 { // stamp wrap-around: wipe
+		clear(t.cells)
+		t.epoch = 1
+	}
+}
+
+// id returns the id of label l followed by the path suffix, interning it.
+func (t *pathTable) id(l graph.LabelID, suffix int32) int32 {
+	if 2*t.used >= len(t.keys) {
+		t.grow()
+	}
+	key := uint64(uint32(l))<<32 | uint64(uint32(suffix))
+	mask := uint64(len(t.keys) - 1)
+	for i := key * 0x9E3779B97F4A7C15 >> t.shift; ; i = (i + 1) & mask {
+		if t.cells[i] != t.epoch {
+			t.keys[i], t.ids[i], t.cells[i] = key, int32(t.used), t.epoch
+			t.used++
+			return t.ids[i]
+		}
+		if t.keys[i] == key {
+			return t.ids[i]
+		}
+	}
+}
+
+// grow doubles the table and re-seats the current epoch's paths.
+func (t *pathTable) grow() {
+	keys, ids, cells := t.keys, t.ids, t.cells
+	size := max(64, 2*len(keys))
+	t.keys, t.ids, t.cells = make([]uint64, size), make([]int32, size), make([]uint32, size)
+	t.shift = uint32(64 - bits.TrailingZeros(uint(size)))
+	mask := uint64(size - 1)
+	for j, c := range cells {
+		if c != t.epoch {
+			continue
+		}
+		i := keys[j] * 0x9E3779B97F4A7C15 >> t.shift
+		for t.cells[i] == t.epoch {
+			i = (i + 1) & mask
+		}
+		t.keys[i], t.ids[i], t.cells[i] = keys[j], ids[j], t.epoch
+	}
+}
+
+// LocalSimilarity is Algorithm 4: given the index endpoints U -> V of an
+// edge about to be added, it computes the largest k_N <= min(k_U+1, k_V)
 // such that every label path of length k_N entering V through U already
 // matched V in the index graph before the edge existed. V's local similarity
 // can then be reset to k_N instead of 0 after the edge addition.
 //
 // It must be called on the index graph *before* the new edge is inserted
 // (the "original I_G" of the paper).
-func UpdateLocalSimilarity(ig *index.IndexGraph, u, v graph.NodeID) int {
-	upbound := ig.K(u) + 1
-	if kv := ig.K(v); kv < upbound {
-		upbound = kv
-	}
-	if upbound > maxProbedSimilarity {
-		upbound = maxProbedSimilarity
-	}
+func (s *UpdateScratch) LocalSimilarity(ig *index.IndexGraph, u, v graph.NodeID) int {
+	upbound := min(ig.K(u)+1, ig.K(v), maxProbedSimilarity)
 	if upbound <= 0 {
 		return 0
 	}
 
-	// Label paths are tracked together with the set of index nodes at which
-	// matching occurrences start (the paper's S and S' sets). Keys encode
-	// the label sequence; extending a path by a parent prepends its label.
-	newSet := map[string]map[graph.NodeID]bool{
-		encodeLabel(nil, ig.Label(u)): {u: true},
-	}
-	oldSet := make(map[string]map[graph.NodeID]bool)
-	for _, p := range ig.Parents(v) {
-		key := encodeLabel(nil, ig.Label(p))
-		addOcc(oldSet, key, p)
+	// Label paths are tracked together with the index nodes at which
+	// matching occurrences start (the paper's S and S' sets). Extending a
+	// path by a parent prepends its label.
+	s.paths.reset()
+	s.newOcc = append(s.newOcc[:0], occ(s.paths.id(ig.Label(u), rootPath), u))
+	s.oldOcc = s.oldOcc[:0]
+	for _, p := range ig.Parents(v) { // distinct parents: no duplicates
+		s.oldOcc = append(s.oldOcc, occ(s.paths.id(ig.Label(p), rootPath), p))
 	}
 
 	kN := 0
 	for kN < upbound {
 		// Check: every new label path of the current length occurs among
 		// the old label paths into V.
-		for key := range newSet {
-			if _, ok := oldSet[key]; !ok {
+		s.onPath.reset(s.paths.used)
+		for _, o := range s.oldOcc {
+			s.onPath.add(occPath(o))
+		}
+		for _, o := range s.newOcc {
+			if !s.onPath.has(occPath(o)) {
 				return kN
 			}
 		}
@@ -68,50 +195,41 @@ func UpdateLocalSimilarity(ig *index.IndexGraph, u, v graph.NodeID) int {
 		// matching a new path first (the paper's OldLabelPathSet =
 		// NewLabelPathSet step): longer paths can only match through the
 		// suffixes that are still candidates.
-		nextOld := make(map[string]map[graph.NodeID]bool)
-		for key := range newSet {
-			for w := range oldSet[key] {
-				for _, x := range ig.Parents(w) {
-					addOcc(nextOld, encodeLabel([]byte(key), ig.Label(x)), x)
+		s.onPath.reset(s.paths.used)
+		for _, o := range s.newOcc {
+			s.onPath.add(occPath(o))
+		}
+		s.nextOld = s.nextOld[:0]
+		for _, o := range s.oldOcc {
+			if p := occPath(o); s.onPath.has(p) {
+				for _, x := range ig.Parents(occNode(o)) {
+					s.nextOld = append(s.nextOld, occ(s.paths.id(ig.Label(x), p), x))
 				}
 			}
 		}
-		nextNew := make(map[string]map[graph.NodeID]bool)
-		for key, occ := range newSet {
-			for w := range occ {
-				for _, x := range ig.Parents(w) {
-					addOcc(nextNew, encodeLabel([]byte(key), ig.Label(x)), x)
-				}
+		s.nextNew = s.nextNew[:0]
+		for _, o := range s.newOcc {
+			p := occPath(o)
+			for _, x := range ig.Parents(occNode(o)) {
+				s.nextNew = append(s.nextNew, occ(s.paths.id(ig.Label(x), p), x))
 			}
 		}
-		if len(nextNew) == 0 {
+		if len(s.nextNew) == 0 {
 			// No longer new paths exist (U's ancestry is exhausted): every
 			// longer path through U trivially matches. The similarity is
 			// only capped by the upbound.
 			return upbound
 		}
-		if len(nextNew) > maxTrackedPaths || len(nextOld) > maxTrackedPaths {
+		var newPaths, oldPaths int
+		s.nextNew, newPaths = sortOccs(s.nextNew)
+		s.nextOld, oldPaths = sortOccs(s.nextOld)
+		if newPaths > maxTrackedPaths || oldPaths > maxTrackedPaths {
 			return kN
 		}
-		newSet, oldSet = nextNew, nextOld
+		s.newOcc, s.nextNew = s.nextNew, s.newOcc
+		s.oldOcc, s.nextOld = s.nextOld, s.oldOcc
 	}
 	return kN
-}
-
-func addOcc(set map[string]map[graph.NodeID]bool, key string, n graph.NodeID) {
-	occ, ok := set[key]
-	if !ok {
-		occ = make(map[graph.NodeID]bool)
-		set[key] = occ
-	}
-	occ[n] = true
-}
-
-// encodeLabel prepends label l to the encoded path suffix.
-func encodeLabel(suffix []byte, l graph.LabelID) string {
-	var buf [4]byte
-	binary.BigEndian.PutUint32(buf[:], uint32(l))
-	return string(buf[:]) + string(suffix)
 }
 
 // AddEdge is Algorithm 5, the D(k)-index edge-addition update: insert the
@@ -140,9 +258,10 @@ func (dk *DK) addEdge(u, v graph.NodeID, probe bool) index.UpdateStats {
 		return stats // duplicate data edge: paths are unchanged
 	}
 	a, b := ig.IndexOf(u), ig.IndexOf(v)
+	s := dk.updateScratch()
 	kN := 0
 	if probe {
-		kN = UpdateLocalSimilarity(ig, a, b)
+		kN = s.LocalSimilarity(ig, a, b)
 	}
 	stats.IndexNodesVisited++ // V itself
 	ig.AddDataEdge(u, v)
@@ -152,21 +271,22 @@ func (dk *DK) addEdge(u, v graph.NodeID, probe bool) index.UpdateStats {
 	ig.SetK(b, kN)
 
 	// Breadth-first lowering: an index node r distant from V may keep no
-	// more than k_N + r.
-	queue := []graph.NodeID{b}
-	inQueue := map[graph.NodeID]bool{b: true}
-	for len(queue) > 0 {
-		w := queue[0]
-		queue = queue[1:]
-		delete(inQueue, w)
+	// more than k_N + r. A node leaves the queue when it is taken off it and
+	// may enter again.
+	s.onNode.reset(ig.NumNodes())
+	s.queue = append(s.queue[:0], lowering{n: b})
+	s.onNode.add(b)
+	for head := 0; head < len(s.queue); head++ {
+		w := s.queue[head].n
+		s.onNode.remove(w)
 		limit := ig.K(w) + 1
 		for _, x := range ig.Children(w) {
 			stats.IndexNodesVisited++
 			if ig.K(x) > limit {
 				ig.SetK(x, limit)
-				if !inQueue[x] {
-					inQueue[x] = true
-					queue = append(queue, x)
+				if !s.onNode.has(x) {
+					s.onNode.add(x)
+					s.queue = append(s.queue, lowering{n: x})
 				}
 			}
 		}
@@ -220,26 +340,34 @@ func (dk *DK) RemoveEdge(u, v graph.NodeID) index.UpdateStats {
 	// Forced breadth-first lowering: each reachable index node X gets
 	// K(X) <= kept + dist(b, X). Stopping when a node needs no change is
 	// safe because Definition 3 then bounds everything below it.
-	type item struct {
-		n graph.NodeID
-		d int
-	}
-	queue := []item{{b, 0}}
-	seen := map[graph.NodeID]bool{b: true}
-	for len(queue) > 0 {
-		cur := queue[0]
-		queue = queue[1:]
+	s := dk.updateScratch()
+	s.onNode.reset(ig.NumNodes())
+	s.queue = append(s.queue[:0], lowering{n: b})
+	s.onNode.add(b)
+	for head := 0; head < len(s.queue); head++ {
+		cur := s.queue[head]
 		for _, x := range ig.Children(cur.n) {
 			stats.IndexNodesVisited++
 			limit := kept + cur.d + 1
 			if ig.K(x) > limit {
 				ig.SetK(x, limit)
-				if !seen[x] {
-					seen[x] = true
-					queue = append(queue, item{x, cur.d + 1})
+				if !s.onNode.has(x) {
+					s.onNode.add(x)
+					s.queue = append(s.queue, lowering{x, cur.d + 1})
 				}
 			}
 		}
 	}
 	return stats
+}
+
+// UseScratch lends s to this index's edge updates in place of the scratch it
+// would allocate on its first one. Clone does not carry it.
+func (dk *DK) UseScratch(s *UpdateScratch) { dk.scratch = s }
+
+func (dk *DK) updateScratch() *UpdateScratch {
+	if dk.scratch == nil {
+		dk.scratch = new(UpdateScratch)
+	}
+	return dk.scratch
 }

@@ -21,3 +21,9 @@ func (dk *DK) SubIndex(h index.Document) (*index.SubIndex, error) {
 	}
 	return new(refineScratch).subIndex(sub, dk.LabelReqs), nil
 }
+
+// ReferenceLocalSimilarity is the map-based Algorithm 4 UpdateScratch's probe
+// is held equal to (alg4ref_test.go).
+func ReferenceLocalSimilarity(ig *index.IndexGraph, u, v graph.NodeID) (kN, levels int, capped bool) {
+	return referenceLocalSimilarity(ig, u, v)
+}

@@ -62,48 +62,65 @@ type IndexGraph struct {
 }
 
 // adjacency is one index node's edges and the token that may write them in
-// place: children lists the out-neighbours, each with the number of data
-// edges from this node's extent into its extent, and parents mirrors it. An
-// index edge exists iff it is listed.
+// place. children lists the out-neighbours in ascending order and counts, in
+// parallel, the data edges from this node's extent into each one's extent
+// (all > 0); parents lists the in-neighbours by id alone, so an index edge
+// carries one count, on its tail's side. An index edge exists iff it is
+// listed.
+//
+// A record the writer copied shares every slice it has not written yet,
+// clipped; owns says which of them were allocated under own and may be
+// written in place. A change to a count copies counts alone, and the parents
+// list is written only when the index edge set changes.
 type adjacency struct {
-	own               *cow.Owner
-	children, parents edges
+	own      *cow.Owner
+	owns     uint8 // ownChildren | ownCounts | ownParents
+	children []graph.NodeID
+	counts   []int32
+	parents  []graph.NodeID
 }
 
-// edges is one direction of an index node's adjacency: ascending neighbour
-// ids and, in parallel, their data-edge counts, all > 0. The query hot path
-// reads ids as they are.
-type edges struct {
-	ids    []graph.NodeID
-	counts []int
-}
+const (
+	ownChildren uint8 = 1 << iota
+	ownCounts
+	ownParents
+	ownAll = ownChildren | ownCounts | ownParents
+)
 
-// inc counts one more data edge to id, reporting whether the index edge is
-// new.
-func (e *edges) inc(id graph.NodeID) bool {
-	i, ok := slices.BinarySearch(e.ids, id)
-	if ok {
-		e.counts[i]++
-		return false
+// mutCounts returns the counts for writing, copying them first unless the
+// record owns them.
+func (a *adjacency) mutCounts() []int32 {
+	if a.owns&ownCounts == 0 {
+		a.counts = slices.Clone(a.counts)
+		a.owns |= ownCounts
 	}
-	e.ids = slices.Insert(e.ids, i, id)
-	e.counts = slices.Insert(e.counts, i, 1)
-	return true
+	return a.counts
 }
 
-// dec counts one data edge fewer to id, which must be listed, reporting
-// whether the index edge disappeared.
-func (e *edges) dec(id graph.NodeID) bool {
-	i, _ := slices.BinarySearch(e.ids, id)
-	if e.counts[i]--; e.counts[i] > 0 {
-		return false
+// insertAt inserts v at i: in place when the slice is owned, else into a
+// fresh copy with the gap already made.
+func insertAt[T any](s []T, owned bool, i int, v T) []T {
+	if owned {
+		return slices.Insert(s, i, v)
 	}
-	e.ids = slices.Delete(e.ids, i, i+1)
-	e.counts = slices.Delete(e.counts, i, i+1)
-	return true
+	c := make([]T, len(s)+1)
+	copy(c, s[:i])
+	c[i] = v
+	copy(c[i+1:], s[i:])
+	return c
 }
 
-func (e edges) clone() edges { return edges{slices.Clone(e.ids), slices.Clone(e.counts)} }
+// deleteAt removes element i: in place when the slice is owned, else into a
+// fresh copy without it.
+func deleteAt[T any](s []T, owned bool, i int) []T {
+	if owned {
+		return slices.Delete(s, i, i+1)
+	}
+	c := make([]T, len(s)-1)
+	copy(c, s[:i])
+	copy(c[i:], s[i+1:])
+	return c
+}
 
 // newIndexGraph allocates an index graph of nb nodes over data with empty
 // adjacency and no label lists, for FromPartition and Reconstruct to fill in
@@ -120,21 +137,27 @@ func newIndexGraph(data *graph.Graph, nb int) *IndexGraph {
 	}
 	recs := make([]adjacency, nb)
 	for b := range recs {
+		recs[b].owns = ownAll
 		*ig.adj.Mut(nil, b) = &recs[b]
 	}
 	return ig
 }
 
-// mutAdj returns index node n's adjacency for writing, copying it first
-// unless this graph already owns it.
+// mutAdj returns index node n's adjacency record for writing, copying the
+// record first unless this graph already owns it. A copied record shares the
+// slices (see adjacency): the caller copies what it writes.
 func (ig *IndexGraph) mutAdj(n graph.NodeID) *adjacency {
 	a := ig.adj.At(int(n))
 	if own := ig.own.Load(); a.own != own {
-		a = &adjacency{own: own, children: a.children.clone(), parents: a.parents.clone()}
+		a = &adjacency{own: own, children: slices.Clip(a.children),
+			counts: slices.Clip(a.counts), parents: slices.Clip(a.parents)}
 		*ig.adj.Mut(own, int(n)) = a
 	}
 	return a
 }
+
+// newAdjacency is the record of a node created under own.
+func newAdjacency(own *cow.Owner) *adjacency { return &adjacency{own: own, owns: ownAll} }
 
 // FromPartition materializes the index graph induced by a partition of src.
 // kOf supplies the local similarity recorded for each block; blocks become
@@ -191,21 +214,45 @@ func extentScratchPut(b []graph.NodeID) {
 	extentScratch.Put(&b)
 }
 
+// incEdge counts one more data edge from index node a to index node b. Only
+// a new index edge writes b's parents.
 func (ig *IndexGraph) incEdge(a, b graph.NodeID) {
-	if ig.mutAdj(a).children.inc(b) {
-		ig.numEdges++
+	r := ig.mutAdj(a)
+	i, ok := slices.BinarySearch(r.children, b)
+	if ok {
+		r.mutCounts()[i]++
+		return
 	}
-	ig.mutAdj(b).parents.inc(a)
+	r.children = insertAt(r.children, r.owns&ownChildren != 0, i, b)
+	r.counts = insertAt(r.counts, r.owns&ownCounts != 0, i, 1)
+	r.owns |= ownChildren | ownCounts
+	ig.numEdges++
+	p := ig.mutAdj(b)
+	j, _ := slices.BinarySearch(p.parents, a)
+	p.parents = insertAt(p.parents, p.owns&ownParents != 0, j, a)
+	p.owns |= ownParents
 }
 
+// decEdge counts one data edge fewer from a to b; the index edge must exist.
+// Only an index edge that disappears writes b's parents.
 func (ig *IndexGraph) decEdge(a, b graph.NodeID) {
-	if !ig.HasEdge(a, b) {
+	i, ok := slices.BinarySearch(ig.Children(a), b)
+	if !ok {
 		panic(fmt.Sprintf("index: decEdge on absent edge %d->%d", a, b))
 	}
-	if ig.mutAdj(a).children.dec(b) {
-		ig.numEdges--
+	r := ig.mutAdj(a)
+	if r.counts[i] > 1 {
+		r.mutCounts()[i]--
+		return
 	}
-	ig.mutAdj(b).parents.dec(a)
+	r.children = deleteAt(r.children, r.owns&ownChildren != 0, i)
+	r.counts = deleteAt(r.counts, r.owns&ownCounts != 0, i)
+	r.owns |= ownChildren | ownCounts
+	ig.numEdges--
+	p := ig.mutAdj(b)
+	j, _ := slices.BinarySearch(p.parents, a)
+	p.parents = deleteAt(p.parents, p.owns&ownParents != 0, j)
+	p.owns |= ownParents
 }
 
 // Data returns the underlying data graph.
@@ -260,13 +307,13 @@ func (ig *IndexGraph) IndexOf(d graph.NodeID) graph.NodeID { return ig.nodeOf.At
 // Children returns the out-neighbors of index node n in ascending order.
 // The slice is owned by the index graph and must not be mutated.
 func (ig *IndexGraph) Children(n graph.NodeID) []graph.NodeID {
-	return ig.adj.At(int(n)).children.ids
+	return ig.adj.At(int(n)).children
 }
 
 // Parents returns the in-neighbors of index node n in ascending order. The
 // slice is owned by the index graph and must not be mutated.
 func (ig *IndexGraph) Parents(n graph.NodeID) []graph.NodeID {
-	return ig.adj.At(int(n)).parents.ids
+	return ig.adj.At(int(n)).parents
 }
 
 // HasEdge reports whether the index edge a -> b exists: a binary search of
@@ -367,31 +414,30 @@ func (ig *IndexGraph) Validate() error {
 	got, mirrored := 0, 0
 	for a := 0; a < ig.NumNodes(); a++ {
 		adj := ig.adj.At(a)
-		for _, e := range []edges{adj.children, adj.parents} {
-			if len(e.ids) != len(e.counts) {
-				return fmt.Errorf("index: node %d lists %d neighbours and %d counts", a, len(e.ids), len(e.counts))
-			}
-			for i, b := range e.ids {
-				if i > 0 && e.ids[i-1] >= b {
+		if len(adj.children) != len(adj.counts) {
+			return fmt.Errorf("index: node %d lists %d children and %d counts", a, len(adj.children), len(adj.counts))
+		}
+		for _, ids := range [][]graph.NodeID{adj.children, adj.parents} {
+			for i := 1; i < len(ids); i++ {
+				if ids[i-1] >= ids[i] {
 					return fmt.Errorf("index: adjacency of %d not strictly ascending at %d", a, i)
-				}
-				if e.counts[i] <= 0 {
-					return fmt.Errorf("index: non-positive edge count between %d and %d", a, b)
 				}
 			}
 		}
-		for i, b := range adj.children.ids {
-			cnt := adj.children.counts[i]
+		for i, b := range adj.children {
+			cnt := int(adj.counts[i])
+			if cnt <= 0 {
+				return fmt.Errorf("index: non-positive edge count %d->%d", a, b)
+			}
 			if w := want[[2]graph.NodeID{graph.NodeID(a), b}]; w != cnt {
 				return fmt.Errorf("index: edge %d->%d count %d, want %d", a, b, cnt, w)
 			}
-			p := ig.adj.At(int(b)).parents
-			if j, ok := slices.BinarySearch(p.ids, graph.NodeID(a)); !ok || p.counts[j] != cnt {
-				return fmt.Errorf("index: edge %d->%d parent mirror mismatch", a, b)
+			if _, ok := slices.BinarySearch(ig.Parents(b), graph.NodeID(a)); !ok {
+				return fmt.Errorf("index: edge %d->%d missing from %d's parents", a, b, b)
 			}
 			got++
 		}
-		mirrored += len(adj.parents.ids)
+		mirrored += len(adj.parents)
 	}
 	if got != len(want) {
 		return fmt.Errorf("index: %d edges present, want %d", got, len(want))

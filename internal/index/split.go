@@ -40,7 +40,7 @@ func (ig *IndexGraph) SplitNode(b graph.NodeID, inSet func(graph.NodeID) bool) (
 	*ig.extents.Mut(own, int(b)) = nodeset.FromSorted(outs)
 	ig.extents.Append(own, nodeset.FromSorted(ins))
 	extentScratchPut(ext)
-	ig.adj.Append(own, &adjacency{own: own})
+	ig.adj.Append(own, newAdjacency(own))
 	ig.byLabel.Append(own, ig.Label(b), nb)
 
 	moved := make(map[graph.NodeID]bool, len(ins))
@@ -159,7 +159,7 @@ func (ig *IndexGraph) GraftNode(l graph.LabelID, k int, ids []graph.NodeID) grap
 	ig.labels.Append(own, l)
 	ig.k.Append(own, k)
 	ig.extents.Append(own, nodeset.FromSorted(ids))
-	ig.adj.Append(own, &adjacency{own: own})
+	ig.adj.Append(own, newAdjacency(own))
 	ig.byLabel.Append(own, l, nb)
 	ig.cover(own, nb, ids)
 	return nb

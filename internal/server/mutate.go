@@ -1,10 +1,14 @@
 package server
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"io"
 	"net/http"
+	"slices"
+	"strconv"
+	"sync"
 
 	"dkindex"
 )
@@ -15,72 +19,20 @@ const maxBatchMutations = 256
 // maxDocumentBody bounds one POST /v1/documents body.
 const maxDocumentBody = 64 << 20
 
-// mutateItem is one mutation in a POST /v1/mutate body, mirroring
-// dkindex.Mutation field for field. Op names are the dkindex.MutOp values.
-type mutateItem struct {
-	Op     string         `json:"op"`
-	From   dkindex.NodeID `json:"from"`
-	To     dkindex.NodeID `json:"to"`
-	Doc    string         `json:"doc"`
-	Label  string         `json:"label"`
-	K      int            `json:"k"`
-	Reqs   map[string]int `json:"reqs"`
-	Budget int            `json:"budget"`
-}
-
-// checkK holds every similarity the item carries — k and each reqs value,
+// checkK holds every similarity a mutation carries — k and each reqs value,
 // whatever the op does with them — to 0..dkindex.MaxK. The check lives here
 // and not in the index because WAL replay must accept whatever the Go API
 // logged.
-func (it mutateItem) checkK() error {
-	if it.K < 0 || it.K > dkindex.MaxK {
+func checkK(m *dkindex.Mutation) error {
+	if m.K < 0 || m.K > dkindex.MaxK {
 		return fmt.Errorf("k must be in 0..%d", dkindex.MaxK)
 	}
-	for label, k := range it.Reqs {
+	for label, k := range m.Reqs {
 		if k < 0 || k > dkindex.MaxK {
 			return fmt.Errorf("reqs[%q] must be in 0..%d", label, dkindex.MaxK)
 		}
 	}
 	return nil
-}
-
-func (it mutateItem) mutation() dkindex.Mutation {
-	return dkindex.Mutation{
-		Op:         dkindex.MutOp(it.Op),
-		From:       it.From,
-		To:         it.To,
-		Doc:        []byte(it.Doc),
-		Label:      it.Label,
-		K:          it.K,
-		Reqs:       it.Reqs,
-		SizeBudget: it.Budget,
-	}
-}
-
-// mutateBody is the POST /v1/mutate union: either a single mutation inline
-// (the embedded fields) or a batch under "mutations" — not both.
-type mutateBody struct {
-	mutateItem
-	Mutations []mutateItem `json:"mutations"`
-}
-
-// mutateAck is the JSON shape of one mutation acknowledgement.
-type mutateAck struct {
-	Seq       uint64 `json:"seq"`
-	Watermark uint64 `json:"watermark"`
-	// Generation is the snapshot generation that made the mutation visible;
-	// zero for rejected members and asynchronous acks.
-	Generation uint64 `json:"generation,omitempty"`
-	// Error and Code report a rejected member in place, the same envelope
-	// fields top-level errors use.
-	Error string `json:"error,omitempty"`
-	Code  string `json:"code,omitempty"`
-	// Nodes counts grafted nodes for add_document acks. For compact acks it
-	// is the length of the renumbering — the data node count before the
-	// compaction; what it dropped is the difference to /v1/stats afterwards.
-	Nodes int `json:"nodes,omitempty"`
-	// Requirements reports the mined per-label requirements for optimize acks.
-	Requirements map[string]int `json:"requirements,omitempty"`
 }
 
 // handleMutate is the write endpoint: a single mutation or a batch, applied
@@ -95,7 +47,7 @@ func (s *Server) handleMutate(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	async := false
-	switch r.URL.Query().Get("ack") {
+	switch queryParam(r.URL.RawQuery, "ack") {
 	case "", "sync":
 	case "async":
 		async = true
@@ -103,57 +55,71 @@ func (s *Server) handleMutate(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, codeBadRequest, fmt.Errorf("ack= must be sync or async"))
 		return
 	}
+	buf := bufPool.Get().(*bytes.Buffer)
+	defer func() { buf.Reset(); bufPool.Put(buf) }()
+	bp := mutationBufs.Get().(*[]dkindex.Mutation)
 	var body mutateBody
-	if err := decodeJSON(w, r, &body); err != nil {
+	err := readBody(w, r, buf)
+	if err == nil {
+		body, err = decodeMutateBody(buf.Bytes(), *bp)
+	}
+	if err != nil {
 		writeDecodeError(w, err)
 		return
 	}
-	single := body.Mutations == nil
-	var items []mutateItem
+	single := body.batch == nil
+	ms := body.batch
 	if single {
-		if body.Op == "" {
+		if body.inline.Op == "" {
 			writeError(w, http.StatusBadRequest, codeBadRequest,
 				fmt.Errorf("op is required (or send a mutations array)"))
 			return
 		}
-		items = []mutateItem{body.mutateItem}
+		ms = append((*bp)[:0], body.inline)
 	} else {
-		if body.Op != "" {
+		if body.inline.Op != "" {
 			writeError(w, http.StatusBadRequest, codeBadRequest,
 				fmt.Errorf("send either one inline mutation or mutations, not both"))
 			return
 		}
-		if len(body.Mutations) == 0 {
+		if len(ms) == 0 {
 			writeError(w, http.StatusBadRequest, codeBadRequest,
 				fmt.Errorf("mutations must not be empty"))
 			return
 		}
-		if len(body.Mutations) > maxBatchMutations {
+		if len(ms) > maxBatchMutations {
 			writeError(w, http.StatusRequestEntityTooLarge, codeTooLarge,
 				fmt.Errorf("at most %d mutations per batch", maxBatchMutations))
 			return
 		}
-		items = body.Mutations
 	}
-	ms := make([]dkindex.Mutation, len(items))
-	for i, it := range items {
-		if err := it.checkK(); err != nil {
+	for i := range ms {
+		if err := checkK(&ms[i]); err != nil {
 			if !single {
 				err = fmt.Errorf("mutations[%d]: %w", i, err)
 			}
 			writeError(w, http.StatusBadRequest, codeBadRequest, err)
 			return
 		}
-		ms[i] = it.mutation()
 	}
+	var acks []dkindex.Ack
+	status := http.StatusOK
 	if async {
-		acks, err := s.idx.ApplyBatchAsync(ms)
-		writeAcks(w, http.StatusAccepted, single, acks, err)
-		return
+		status = http.StatusAccepted
+		acks, err = s.idx.ApplyBatchAsync(ms)
+	} else {
+		acks, err = s.idx.ApplyBatch(ms)
 	}
-	acks, err := s.idx.ApplyBatch(ms)
-	writeAcks(w, http.StatusOK, single, acks, err)
+	writeAcks(w, status, single, acks, err)
+	clear(ms)
+	*bp = ms[:0]
+	mutationBufs.Put(bp)
 }
+
+// mutationBufs recycles the slices /v1/mutate decodes mutations into: the
+// index reads a batch only until ApplyBatch returns, and ApplyBatchAsync
+// copies it. A request that fails before it applies drops its slice.
+var mutationBufs = sync.Pool{New: func() any { return new([]dkindex.Mutation) }}
 
 // handleDocument is the raw-XML door: the body is the document itself, not
 // JSON, and bounded by maxDocumentBody rather than maxJSONBody. It is applied
@@ -196,40 +162,16 @@ func writeAcks(w http.ResponseWriter, status int, single bool, acks []dkindex.Ac
 		writeError(w, st, code, acks[0].Err)
 		return
 	}
-	out := make([]mutateAck, len(acks))
-	var watermark, generation uint64
-	for i, a := range acks {
-		oa := mutateAck{Seq: a.Seq, Watermark: a.Watermark, Generation: a.Generation}
-		if a.Err != nil {
-			st, code := ackFailure(a.Err)
-			if st == http.StatusInternalServerError {
-				status = st
-			}
-			oa.Error, oa.Code, oa.Generation = a.Err.Error(), code, 0
-		}
-		if a.Mapping != nil {
-			oa.Nodes = len(a.Mapping)
-		}
-		if a.Mined != nil {
-			oa.Requirements = a.Mined
-		}
-		if a.Watermark > watermark {
-			watermark = a.Watermark
-		}
-		if a.Generation > generation {
-			generation = a.Generation
-		}
-		out[i] = oa
-	}
+	buf := bufPool.Get().(*bytes.Buffer)
+	defer func() { buf.Reset(); bufPool.Put(buf) }()
+	var b []byte
 	if single {
-		writeJSON(w, status, out[0])
-		return
+		b = appendAck(buf.AvailableBuffer(), &acks[0])
+	} else {
+		b, status = appendAckBatch(buf.AvailableBuffer(), status, acks)
 	}
-	writeJSON(w, status, map[string]any{
-		"watermark":  watermark,
-		"generation": generation,
-		"acks":       out,
-	})
+	buf.Write(append(b, '\n'))
+	writeBody(w, status, buf.Bytes())
 }
 
 // handleWatermark reports the write pipeline's progress: the acknowledged-
@@ -241,4 +183,76 @@ func (s *Server) handleWatermark(w http.ResponseWriter, _ *http.Request) {
 		"lastSeq":    s.idx.LastSeq(),
 		"generation": s.idx.Generation(),
 	})
+}
+
+// The acks are append-encoded like query responses (encode.go): the bytes are
+// what json.Encoder wrote for the ack structs this endpoint used to build,
+// which the tests keep as the oracle.
+
+// appendAck appends one ack object: seq and watermark always, then the
+// generation, the error and its code, the node count and the mined
+// requirements when they are set.
+func appendAck(dst []byte, a *dkindex.Ack) []byte {
+	dst = append(dst, `{"seq":`...)
+	dst = strconv.AppendUint(dst, a.Seq, 10)
+	dst = append(dst, `,"watermark":`...)
+	dst = strconv.AppendUint(dst, a.Watermark, 10)
+	if a.Err != nil {
+		_, code := ackFailure(a.Err)
+		dst = append(dst, `,"error":`...)
+		dst = appendJSONString(dst, a.Err.Error())
+		dst = append(dst, `,"code":"`+code+`"`...)
+	} else if a.Generation != 0 {
+		dst = append(dst, `,"generation":`...)
+		dst = strconv.AppendUint(dst, a.Generation, 10)
+	}
+	if len(a.Mapping) > 0 {
+		dst = append(dst, `,"nodes":`...)
+		dst = strconv.AppendInt(dst, int64(len(a.Mapping)), 10)
+	}
+	if len(a.Mined) > 0 {
+		names := make([]string, 0, len(a.Mined))
+		for name := range a.Mined {
+			names = append(names, name)
+		}
+		slices.Sort(names)
+		dst = append(dst, `,"requirements":{`...)
+		for i, name := range names {
+			if i > 0 {
+				dst = append(dst, ',')
+			}
+			dst = appendJSONString(dst, name)
+			dst = append(dst, ':')
+			dst = strconv.AppendInt(dst, int64(a.Mined[name]), 10)
+		}
+		dst = append(dst, '}')
+	}
+	return append(dst, '}')
+}
+
+// appendAckBatch appends a batch answer — the acks under the highest
+// watermark and generation among them — and returns the status to send:
+// status, or 500 when a member was not made durable.
+func appendAckBatch(dst []byte, status int, acks []dkindex.Ack) ([]byte, int) {
+	var watermark, generation uint64
+	dst = append(dst, `{"acks":[`...)
+	for i := range acks {
+		a := &acks[i]
+		if i > 0 {
+			dst = append(dst, ',')
+		}
+		dst = appendAck(dst, a)
+		if a.Err != nil {
+			if st, _ := ackFailure(a.Err); st == http.StatusInternalServerError {
+				status = st
+			}
+		}
+		watermark = max(watermark, a.Watermark)
+		generation = max(generation, a.Generation)
+	}
+	dst = append(dst, `],"generation":`...)
+	dst = strconv.AppendUint(dst, generation, 10)
+	dst = append(dst, `,"watermark":`...)
+	dst = strconv.AppendUint(dst, watermark, 10)
+	return append(dst, '}'), status
 }

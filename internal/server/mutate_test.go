@@ -53,7 +53,8 @@ func TestV1MutateCompact(t *testing.T) {
 }
 
 func TestV1MutateErrors(t *testing.T) {
-	ts, _ := newTestServer(t)
+	ts, idx := newTestServer(t)
+	gen := idx.Generation()
 	for _, tc := range []struct {
 		body   string
 		status int
@@ -68,11 +69,20 @@ func TestV1MutateErrors(t *testing.T) {
 			400, "bad_request"}, // both forms at once
 		{`{"mutations":[]}`, 400, "bad_request"},
 		{`{"nonsense":true}`, 400, "bad_request"}, // unknown field
+		// Anything after the body's one value rejects the whole body: the
+		// scanner and encoding/json each used to apply the first object alone.
+		{`{"op":"promote","label":"title","k":1} {"op":"promote","label":"title","k":1}`, 400, "bad_request"},
+		{`{"mutations":[{"op":"promote","label":"title","k":1}]}]`, 400, "bad_request"},
+		{`{"op":"promote","label":"title","k":1}` + "\n\tx", 400, "bad_request"},
+		{`{"Op":"promote","label":"title","k":1} {}`, 400, "bad_request"}, // the encoding/json path
 	} {
 		status, out := post(t, ts.URL+"/v1/mutate", "application/json", tc.body)
 		if status != tc.status || out["code"] != tc.code {
 			t.Errorf("%s = %d %v, want %d code=%s", tc.body, status, out, tc.status, tc.code)
 		}
+	}
+	if got := idx.Generation(); got != gen {
+		t.Errorf("rejected bodies moved the generation %d -> %d", gen, got)
 	}
 	status, out := post(t, ts.URL+"/v1/mutate?ack=never", "application/json", `{"op":"promote","label":"title","k":1}`)
 	if status != 400 || out["code"] != "bad_request" {

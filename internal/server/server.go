@@ -514,21 +514,26 @@ func bodyReadError(err error) error {
 	return fmt.Errorf("bad request body: %w", err)
 }
 
-func decodeJSON(w http.ResponseWriter, r *http.Request, v any) error {
-	buf := bufPool.Get().(*bytes.Buffer)
-	defer func() { buf.Reset(); bufPool.Put(buf) }()
-	// MaxBytesReader (rather than a bare LimitReader) also closes the body
-	// and tells the HTTP server to stop reading the connection, so an
-	// oversized body cannot be streamed in indefinitely.
+// readBody reads a JSON request body into buf. MaxBytesReader (rather than
+// a bare LimitReader) also closes the body and tells the HTTP server to stop
+// reading the connection, so an oversized body cannot be streamed in
+// indefinitely.
+func readBody(w http.ResponseWriter, r *http.Request, buf *bytes.Buffer) error {
 	if _, err := buf.ReadFrom(http.MaxBytesReader(w, r.Body, maxJSONBody)); err != nil {
 		return bodyReadError(err)
 	}
-	dec := json.NewDecoder(bytes.NewReader(buf.Bytes()))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(v); err != nil {
-		return fmt.Errorf("bad request body: %w", err)
-	}
 	return nil
+}
+
+// decodeJSON reads a JSON request body into v: one value of v's shape with
+// no unknown fields and nothing after it but white space.
+func decodeJSON(w http.ResponseWriter, r *http.Request, v any) error {
+	buf := bufPool.Get().(*bytes.Buffer)
+	defer func() { buf.Reset(); bufPool.Put(buf) }()
+	if err := readBody(w, r, buf); err != nil {
+		return err
+	}
+	return unmarshalStrict(buf.Bytes(), v)
 }
 
 func writeJSON(w http.ResponseWriter, code int, v any) {

@@ -189,6 +189,10 @@ func TestV1QueryBatchLimits(t *testing.T) {
 	if code != 400 || out["code"] != "bad_request" {
 		t.Errorf("empty batch = %d %v", code, out)
 	}
+	code, out = post(t, ts.URL+"/v1/query", "application/json", `{"queries":[{"q":"director.movie.title"}]} {"queries":[]}`)
+	if code != 400 || out["code"] != "bad_request" {
+		t.Errorf("trailing data = %d %v", code, out)
+	}
 	var b strings.Builder
 	b.WriteString(`{"queries":[`)
 	for i := 0; i <= maxBatchQueries; i++ {

@@ -100,9 +100,9 @@ func appendStr(b []byte, s string) []byte {
 	return append(b, s...)
 }
 
-func encodeEdgePayload(from, to NodeID) []byte {
-	b := binary.AppendUvarint(nil, uint64(from))
-	return binary.AppendUvarint(b, uint64(to))
+// appendEdgePayload appends an edge record's payload to dst.
+func appendEdgePayload(dst []byte, from, to NodeID) []byte {
+	return binary.AppendUvarint(binary.AppendUvarint(dst, uint64(from)), uint64(to))
 }
 
 func decodeEdgePayload(payload []byte) (from, to NodeID, err error) {

@@ -2,11 +2,15 @@ package dkindex
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"fmt"
+	"slices"
+	"time"
 
 	"dkindex/internal/core"
 	"dkindex/internal/graph"
+	"dkindex/internal/index"
 	"dkindex/internal/obs"
 	"dkindex/internal/wal"
 	"dkindex/internal/workload"
@@ -100,35 +104,77 @@ type Ack struct {
 	Mined map[string]int
 }
 
-// preparedMutation is a Mutation after submit-time validation: documents are
-// parsed outside the writer mutex, the sequence number is assigned at
-// acceptance, and the ack is filled by the commit that settles it.
+// preparedMutation is the one record a batch member is carried in from
+// acceptance to its ack: the Mutation after submit-time validation (documents
+// are parsed outside the writer mutex, the sequence number is assigned at
+// acceptance), what applying it produced for the write-ahead log and the
+// observer, and the ack the commit that settles it fills.
 type preparedMutation struct {
-	m    Mutation
+	// m and ack are the caller's: ApplyBatch waits until the member settled,
+	// so neither moves before the commit is done with them (an asynchronous
+	// batch hands in copies).
+	m    *Mutation
+	ack  *Ack
 	doc  *xmlgraph.Doc // parsed document for MutAddDocument
 	opts *LoadOptions
 	seq  uint64
 	// done is shared by the members of one client batch and closed once the
 	// last of them has settled; read acks only after it.
 	done chan struct{}
-	ack  Ack
+
+	// Set by applyOne when the member applied: its write-ahead record (an
+	// edge's payload lives in edge), what its lifecycle event reports (see
+	// event), and for a member that rebuilt the index what to report and
+	// reset once it committed.
+	op               wal.Op
+	edge             [2 * binary.MaxVarintLen32]byte
+	payload          []byte
+	before, after    int32
+	visited, created int32
+	wall             time.Duration
+	rebuilt          *rebuild
 }
 
-// appliedMutation is one batch member that survived application and is headed
-// for the write-ahead log.
-type appliedMutation struct {
-	p       *preparedMutation
-	op      wal.Op
-	payload []byte
-	ev      obs.Event
-	// trigger and stats feed observeBuildStats for members that rebuilt the
-	// index (documents, demotes, retunes); trigger is empty otherwise.
+// rebuild is what a member that rebuilt the index (a document, a demote, a
+// retune, a compaction) reports after it commits.
+type rebuild struct {
+	// trigger and stats feed observeBuildStats; detail is the event's.
 	trigger string
 	stats   core.BuildStats
+	detail  string
 	// resetRecorder, when set, is reset after the member commits durably
 	// (MutOptimize tunes each epoch to fresh observations; MutCompact
 	// invalidates the old ones).
 	resetRecorder *workload.Recorder
+}
+
+// mutEvents is the lifecycle event type of each op.
+var mutEvents = map[MutOp]obs.EventType{
+	MutAddEdge:         obs.EventEdgeAdd,
+	MutRemoveEdge:      obs.EventEdgeRemove,
+	MutAddDocument:     obs.EventSubgraphAdd,
+	MutPromote:         obs.EventPromote,
+	MutDemote:          obs.EventDemote,
+	MutSetRequirements: obs.EventRetune,
+	MutOptimize:        obs.EventOptimize,
+	MutCompact:         obs.EventCompact,
+}
+
+// event is the lifecycle event of a member that committed. An edge's detail
+// is formatted here, when an observer records it, not when the edge applies.
+func (p *preparedMutation) event() obs.Event {
+	m := p.m
+	e := obs.Event{Type: mutEvents[m.Op], NodesBefore: int(p.before), NodesAfter: int(p.after),
+		Visited: int(p.visited), Created: int(p.created), Wall: p.wall}
+	switch {
+	case m.Op == MutAddEdge, m.Op == MutRemoveEdge:
+		e.Detail = fmt.Sprintf("%d->%d", m.From, m.To)
+	case m.Op == MutPromote:
+		e.Label, e.K = m.Label, m.K
+	case p.rebuilt != nil:
+		e.Detail = p.rebuilt.detail
+	}
+	return e
 }
 
 // errEmptyBatch rejects ApplyBatch with no members.
@@ -149,12 +195,13 @@ var ErrNotDurable = errors.New("dkindex: mutation not durable")
 // commit in progress the caller commits it itself. The returned error equals
 // Ack.Err.
 func (x *Index) Apply(m Mutation) (Ack, error) {
-	p := &preparedMutation{done: make(chan struct{})}
-	if err := x.prepare(p, m); err != nil {
+	var ack Ack
+	p := &preparedMutation{ack: &ack, done: make(chan struct{})}
+	if err := x.prepare(p, &m); err != nil {
 		return Ack{}, err
 	}
 	x.submitPrepared([]*preparedMutation{p}, true)
-	return p.ack, p.ack.Err
+	return ack, ack.Err
 }
 
 // ApplyBatch performs several mutations as one group commit: one composite
@@ -170,8 +217,9 @@ func (x *Index) ApplyBatch(ms []Mutation) ([]Ack, error) {
 
 // applyBatch is what ApplyBatch and ApplyBatchAsync share: members that fail
 // submit-time validation are rejected in place, the rest enter the pipeline
-// as one group. With wait the acks are the settled outcomes; without it they
-// report what acceptance assigned.
+// as one group. With wait the acks are the settled outcomes, filled in place
+// by the commit; without it they report what acceptance assigned, and the
+// commit, which may run after the return, settles copies.
 func (x *Index) applyBatch(ms []Mutation, wait bool) ([]Ack, error) {
 	if len(ms) == 0 {
 		return nil, errEmptyBatch
@@ -179,10 +227,15 @@ func (x *Index) applyBatch(ms []Mutation, wait bool) ([]Ack, error) {
 	all := make([]preparedMutation, len(ms))
 	ps := make([]*preparedMutation, 0, len(ms))
 	acks := make([]Ack, len(ms))
+	settled := acks
+	if !wait {
+		ms, settled = slices.Clone(ms), make([]Ack, len(ms))
+	}
 	done := make(chan struct{})
-	for i, m := range ms {
+	for i := range ms {
 		p := &all[i]
-		if err := x.prepare(p, m); err != nil {
+		p.ack = &settled[i]
+		if err := x.prepare(p, &ms[i]); err != nil {
 			acks[i] = Ack{Err: err}
 			continue
 		}
@@ -193,15 +246,14 @@ func (x *Index) applyBatch(ms []Mutation, wait bool) ([]Ack, error) {
 		return acks, nil
 	}
 	x.submitPrepared(ps, wait)
-	// Without wait, p.seq was assigned synchronously by submitPrepared; the
-	// rest of the ack belongs to the committer, which may still be running.
+	if wait {
+		return acks, nil // settled in place
+	}
+	// p.seq was assigned synchronously by submitPrepared; the rest of the
+	// member's record belongs to the committer, which may still be running.
 	w := x.Watermark()
 	for i := range all {
-		switch p := &all[i]; {
-		case p.done == nil: // rejected by prepare
-		case wait:
-			acks[i] = p.ack
-		default:
+		if p := &all[i]; p.done != nil {
 			acks[i] = Ack{Seq: p.seq, Watermark: w}
 		}
 	}
@@ -250,7 +302,7 @@ func (x *Index) LastSeq() uint64 { return x.mutSeq.Load() }
 // prepare validates the stateless half of a mutation into p and parses
 // documents outside the writer mutex. State-dependent checks (node bounds,
 // label lookups) run at apply time against the clone the batch mutates.
-func (x *Index) prepare(p *preparedMutation, m Mutation) error {
+func (x *Index) prepare(p *preparedMutation, m *Mutation) error {
 	p.m = m
 	switch m.Op {
 	case MutAddEdge, MutRemoveEdge, MutDemote, MutSetRequirements, MutOptimize, MutCompact:
@@ -297,47 +349,53 @@ func (x *Index) commitLocked(ps []*preparedMutation) {
 	x.instrument(nd)
 	cloned := x.stamp()
 
-	applied := make([]appliedMutation, 0, len(ps))
+	applied := 0
 	for _, p := range ps {
 		opStart := x.stamp()
 		before := nd.IG.NumNodes()
-		next, a, err := x.applyOne(nd, p)
+		next, err := x.applyOne(nd, p)
 		if err != nil {
 			p.ack.Err = err
 			continue
 		}
 		nd = next
-		a.p = p
-		a.ev.NodesBefore = before
-		a.ev.NodesAfter = nd.IG.NumNodes()
-		a.ev.Wall = opWall(opStart)
-		applied = append(applied, a)
+		p.before, p.after = int32(before), int32(nd.IG.NumNodes())
+		p.wall = opWall(opStart)
+		applied++
 	}
 	appliedAt := x.stamp()
 
-	if x.jr != nil && len(applied) > 0 {
-		recs := make([]wal.GroupRecord, len(applied))
-		for i, a := range applied {
-			recs[i] = wal.GroupRecord{Op: a.op, Payload: a.payload}
-		}
-		if err := x.jr.logGroup(recs); err != nil {
-			err = fmt.Errorf("%w: %w", ErrNotDurable, err)
-			for _, a := range applied {
-				a.p.ack.Err = err
+	// From here on a member applied iff its ack carries no error.
+	if x.jr != nil && applied > 0 {
+		recs := x.walRecs[:0]
+		for _, p := range ps {
+			if p.ack.Err == nil {
+				recs = append(recs, wal.GroupRecord{Op: p.op, Payload: p.payload})
 			}
-			applied = applied[:0]
+		}
+		err := x.jr.logGroup(recs)
+		clear(recs) // keep the buffer, not the payloads
+		x.walRecs = recs[:0]
+		if err != nil {
+			err = fmt.Errorf("%w: %w", ErrNotDurable, err)
+			for _, p := range ps {
+				if p.ack.Err == nil {
+					p.ack.Err = err
+				}
+			}
+			applied = 0
 		}
 	}
 
 	logged := x.stamp()
 
 	var gen uint64
-	if len(applied) > 0 {
+	if applied > 0 {
 		x.publish(nd)
 		gen = x.handle.Load().gen
-		for _, a := range applied {
-			if a.resetRecorder != nil {
-				a.resetRecorder.Reset()
+		for _, p := range ps {
+			if p.ack.Err == nil && p.rebuilt != nil && p.rebuilt.resetRecorder != nil {
+				p.rebuilt.resetRecorder.Reset()
 			}
 		}
 	}
@@ -361,14 +419,17 @@ func (x *Index) commitLocked(ps []*preparedMutation) {
 	}
 
 	if x.observer != nil {
-		for _, a := range applied {
-			x.observer.RecordEvent(a.ev)
-			if a.trigger != "" {
-				x.observeBuildStats(a.trigger, a.stats, a.ev.NodesAfter)
+		for _, p := range ps {
+			if p.ack.Err != nil {
+				continue
+			}
+			x.observer.RecordEvent(p.event())
+			if p.rebuilt != nil {
+				x.observeBuildStats(p.rebuilt.trigger, p.rebuilt.stats, int(p.after))
 			}
 		}
 		wall := published.Sub(start)
-		x.observer.ObserveBatchCommit(len(applied), len(ps)-len(applied), wall)
+		x.observer.ObserveBatchCommit(applied, len(ps)-applied, wall)
 		x.observer.ObserveBatchStages(cloned.Sub(start), appliedAt.Sub(cloned), logged.Sub(appliedAt), published.Sub(logged))
 		x.observer.Gauge(obs.MutationSeq).Set(float64(x.mutSeq.Load()))
 		x.observer.Gauge(obs.MutationWatermark).Set(float64(mark))
@@ -377,43 +438,43 @@ func (x *Index) commitLocked(ps []*preparedMutation) {
 				NodesBefore: cur.dk.IG.NumNodes(), NodesAfter: x.handle.Load().dk.IG.NumNodes(),
 				Wall: wall,
 				Detail: fmt.Sprintf("%d applied, %d rejected, seq %d..%d",
-					len(applied), len(ps)-len(applied), ps[0].seq, ps[len(ps)-1].seq)})
+					applied, len(ps)-applied, ps[0].seq, ps[len(ps)-1].seq)})
 		}
-		if len(applied) > 0 {
+		if applied > 0 {
 			x.syncGauges()
 		}
 	}
 }
 
 // applyOne applies one member to the batch clone, returning the (possibly
-// replaced) clone and the member's WAL record and lifecycle event. Every
-// branch (and core.AddSubgraph under it) validates before mutating, so an
-// error leaves nd untouched and the rest of the batch applies on a clean
-// state.
-func (x *Index) applyOne(nd *core.DK, p *preparedMutation) (*core.DK, appliedMutation, error) {
-	m := &p.m
+// replaced) clone and recording the member's WAL record and lifecycle event
+// in p. Every branch (and core.AddSubgraph under it) validates before
+// mutating, so an error leaves nd untouched and the rest of the batch applies
+// on a clean state.
+func (x *Index) applyOne(nd *core.DK, p *preparedMutation) (*core.DK, error) {
+	m := p.m
 	switch m.Op {
 	case MutAddEdge, MutRemoveEdge:
 		g := nd.IG.Data()
 		if int(m.From) >= g.NumNodes() || int(m.To) >= g.NumNodes() || m.From < 0 || m.To < 0 {
-			return nd, appliedMutation{}, fmt.Errorf("dkindex: edge endpoints out of range")
+			return nd, fmt.Errorf("dkindex: edge endpoints out of range")
 		}
+		nd.UseScratch(&x.upd)
+		p.payload = appendEdgePayload(p.edge[:0], m.From, m.To)
+		var stats index.UpdateStats
 		if m.Op == MutAddEdge {
-			stats := nd.AddEdge(m.From, m.To)
-			return nd, appliedMutation{op: opEdgeAdd, payload: encodeEdgePayload(m.From, m.To),
-				ev: obs.Event{Type: obs.EventEdgeAdd, Visited: stats.IndexNodesVisited,
-					Detail: fmt.Sprintf("%d->%d", m.From, m.To)}}, nil
+			p.op, stats = opEdgeAdd, nd.AddEdge(m.From, m.To)
+		} else {
+			p.op, stats = opEdgeRemove, nd.RemoveEdge(m.From, m.To)
 		}
-		stats := nd.RemoveEdge(m.From, m.To)
-		return nd, appliedMutation{op: opEdgeRemove, payload: encodeEdgePayload(m.From, m.To),
-			ev: obs.Event{Type: obs.EventEdgeRemove, Visited: stats.IndexNodesVisited,
-				Detail: fmt.Sprintf("%d->%d", m.From, m.To)}}, nil
+		p.visited = int32(stats.IndexNodesVisited)
+		return nd, nil
 
 	case MutAddDocument:
 		before := nd.IG
 		mapping, err := nd.AddSubgraph(p.doc)
 		if err != nil {
-			return nd, appliedMutation{}, err
+			return nd, err
 		}
 		if nd.IG != before {
 			// The refinement merged index nodes and AddSubgraph materialised
@@ -422,46 +483,47 @@ func (x *Index) applyOne(nd *core.DK, p *preparedMutation) (*core.DK, appliedMut
 			x.instrument(nd)
 		}
 		p.ack.Mapping = mapping
-		return nd, appliedMutation{op: opDocument, payload: encodeDocumentPayload(p.opts, m.Doc),
-			trigger: "subgraph_add", stats: nd.Stats,
-			ev: obs.Event{Type: obs.EventSubgraphAdd,
-				Detail: fmt.Sprintf("%d document nodes grafted", len(mapping))}}, nil
+		p.op, p.payload = opDocument, encodeDocumentPayload(p.opts, m.Doc)
+		p.rebuilt = &rebuild{trigger: "subgraph_add", stats: nd.Stats,
+			detail: fmt.Sprintf("%d document nodes grafted", len(mapping))}
+		return nd, nil
 
 	case MutPromote:
 		l := nd.IG.Data().Labels().Lookup(m.Label)
 		if l == graph.InvalidLabel {
-			return nd, appliedMutation{}, fmt.Errorf("dkindex: unknown label %q", m.Label)
+			return nd, fmt.Errorf("dkindex: unknown label %q", m.Label)
 		}
 		stats := nd.PromoteLabel(l, m.K)
-		return nd, appliedMutation{op: opPromote, payload: encodePromotePayload(m.Label, m.K),
-			ev: obs.Event{Type: obs.EventPromote, Label: m.Label, K: m.K,
-				Created: stats.IndexNodesCreated, Visited: stats.IndexNodesVisited}}, nil
+		p.op, p.payload = opPromote, encodePromotePayload(m.Label, m.K)
+		p.created, p.visited = int32(stats.IndexNodesCreated), int32(stats.IndexNodesVisited)
+		return nd, nil
 
 	case MutDemote:
 		nd.Demote(core.ReqsFromNames(nd.IG.Data().Labels(), m.Reqs))
 		// Demote replaced nd.IG wholesale; instrument the one being published.
 		x.instrument(nd)
-		return nd, appliedMutation{op: opDemote, payload: encodeReqsPayload(m.Reqs),
-			trigger: "demote", stats: nd.Stats,
-			ev: obs.Event{Type: obs.EventDemote}}, nil
+		p.op, p.payload = opDemote, encodeReqsPayload(m.Reqs)
+		p.rebuilt = &rebuild{trigger: "demote", stats: nd.Stats}
+		return nd, nil
 
 	case MutSetRequirements:
 		g := nd.IG.Data()
 		next := core.Build(g, core.ReqsFromNames(g.Labels(), m.Reqs))
 		x.instrument(next)
-		return next, appliedMutation{op: opSetReqs, payload: encodeReqsPayload(m.Reqs),
-			trigger: "set_requirements", stats: next.Stats,
-			ev: obs.Event{Type: obs.EventRetune, Detail: "explicit requirements"}}, nil
+		p.op, p.payload = opSetReqs, encodeReqsPayload(m.Reqs)
+		p.rebuilt = &rebuild{trigger: "set_requirements", stats: next.Stats,
+			detail: "explicit requirements"}
+		return next, nil
 
 	case MutOptimize:
 		rec := x.recorder.Load()
 		if rec == nil || rec.Len() == 0 {
-			return nd, appliedMutation{}, fmt.Errorf("dkindex: no observed load (call WatchLoad and run queries first)")
+			return nd, fmt.Errorf("dkindex: no observed load (call WatchLoad and run queries first)")
 		}
 		g := nd.IG.Data()
 		res, err := workload.MineBudget(g, rec.Load(), m.SizeBudget)
 		if err != nil {
-			return nd, appliedMutation{}, err
+			return nd, err
 		}
 		next := core.Build(g, res.Reqs)
 		x.instrument(next)
@@ -470,23 +532,23 @@ func (x *Index) applyOne(nd *core.DK, p *preparedMutation) (*core.DK, appliedMut
 			mined[g.Labels().Name(l)] = k
 		}
 		p.ack.Mined = mined
-		return next, appliedMutation{op: opSetReqs, payload: encodeReqsPayload(mined),
-			trigger: "optimize", stats: next.Stats, resetRecorder: rec,
-			ev: obs.Event{Type: obs.EventOptimize,
-				Detail: fmt.Sprintf("%d requirements mined", len(res.Reqs))}}, nil
+		p.op, p.payload = opSetReqs, encodeReqsPayload(mined)
+		p.rebuilt = &rebuild{trigger: "optimize", stats: next.Stats, resetRecorder: rec,
+			detail: fmt.Sprintf("%d requirements mined", len(res.Reqs))}
+		return next, nil
 
 	case MutCompact:
 		g, mapping, err := nd.IG.Data().CompactReachable()
 		if err != nil {
-			return nd, appliedMutation{}, err
+			return nd, err
 		}
 		next := core.Build(g, nd.LabelReqs)
 		x.instrument(next)
 		p.ack.Mapping = mapping
-		return next, appliedMutation{op: opCompact,
-			trigger: "compact", stats: next.Stats, resetRecorder: x.recorder.Load(),
-			ev: obs.Event{Type: obs.EventCompact,
-				Detail: fmt.Sprintf("%d data nodes dropped", len(mapping)-g.NumNodes())}}, nil
+		p.op, p.payload = opCompact, nil
+		p.rebuilt = &rebuild{trigger: "compact", stats: next.Stats, resetRecorder: x.recorder.Load(),
+			detail: fmt.Sprintf("%d data nodes dropped", len(mapping)-g.NumNodes())}
+		return next, nil
 	}
-	return nd, appliedMutation{}, fmt.Errorf("dkindex: unknown mutation op %q", m.Op)
+	return nd, fmt.Errorf("dkindex: unknown mutation op %q", m.Op)
 }
