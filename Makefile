@@ -44,7 +44,8 @@ race:
 # implementation on every experiment dataset, the fifth drives a replica
 # over a flaky link to bit-identical convergence and sweeps a primary crash
 # at every I/O point of a replica catch-up (the full grid; `go test -short`
-# runs a strided subset), and the sixth races concurrent merged readers
+# runs a strided subset) and reaches one document batch live, on a replica and
+# by recovery, one commit per logged frame each, and the sixth races concurrent merged readers
 # against a writer feeding the in-memory shard engine (the one
 # benchmark/probes.go times) documents and edge batches split across its
 # shards, checking every merged result stays sorted and duplicate-free.
@@ -53,7 +54,7 @@ stress:
 	$(GO) test -race -count 2 -run TestApplyBatchStressConcurrent .
 	$(GO) test -race -count 1 -run TestStoreCrashPointSweep .
 	$(GO) test -race -count 1 -run 'TestBuildPartitionIdentityXMark|TestBuildPartitionIdentityNasa|TestBuildPartitionIdentityDblp' ./internal/experiments/
-	$(GO) test -race -count 1 -run 'TestReplicaConvergesUnderFaults|TestReplicaCatchUpCrashSweep' ./internal/replica/
+	$(GO) test -race -count 1 -run 'TestReplicaConvergesUnderFaults|TestReplicaCatchUpCrashSweep|TestDocumentGroupThreeWays' ./internal/replica/
 	$(GO) test -race -count 1 -run TestShardConcurrentReadersWriters ./internal/shard/
 
 # fuzz-smoke gives each untrusted-input decoder a short fuzzing burst — the

@@ -345,7 +345,7 @@ func TestWALBytesUnchangedByOneCommitPath(t *testing.T) {
 		{Op: 4, Payload: encodePromotePayload("title", 2)},
 		{Op: 7},
 	} {
-		if _, err := w.Append(r.Op, r.Payload); err != nil {
+		if _, err := w.AppendGroup([]wal.GroupRecord{r}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -382,11 +382,11 @@ func TestDecodeWALMutationRejectsWideEndpoints(t *testing.T) {
 	for _, op := range []wal.Op{opEdgeAdd, opEdgeRemove} {
 		for _, e := range [][2]uint64{{1<<32 + 5, 1}, {1, 1<<32 + 5}, {math.MaxInt32 + 1, 1}, {1, math.MaxUint64}} {
 			payload := binary.AppendUvarint(binary.AppendUvarint(nil, e[0]), e[1])
-			if m, err := DecodeWALMutation(op, payload); err == nil {
+			if m, err := decodeWALMutation(op, payload); err == nil {
 				t.Errorf("op %d: edge %d-%d decoded as %d-%d", op, e[0], e[1], m.From, m.To)
 			}
 		}
-		m, err := DecodeWALMutation(op, appendEdgePayload(nil, math.MaxInt32, 5))
+		m, err := decodeWALMutation(op, appendEdgePayload(nil, math.MaxInt32, 5))
 		if err != nil || m.From != math.MaxInt32 || m.To != 5 {
 			t.Errorf("op %d: the widest node id decoded as %+v, %v", op, m, err)
 		}

@@ -8,13 +8,13 @@
 //	GET /v1/repl/wal?from=N   catch-up: acknowledged WAL frames re-sequenced
 //	                          into the primary's per-boot global numbering
 //
-// The replica applies shipped records through the same Mutation pipeline the
-// primary's recovery path uses, so its snapshots are bit-identical to the
-// primary's at the same global sequence. Correctness never depends on the
-// link behaving: every frame carries a CRC, a torn tail is simply re-fetched,
-// a sequence-space change (the primary restarted) forces a fresh bootstrap,
-// and an apply divergence — which should be impossible — is repaired the same
-// way rather than trusted.
+// The replica applies every shipped frame through dkindex.ApplyWALFrame, the
+// one commit per frame that the primary's crash recovery makes too, so its
+// snapshots are bit-identical to the primary's at the same global sequence.
+// Correctness never depends on the link behaving: every frame carries a CRC,
+// a torn tail is simply re-fetched, a sequence-space change (the primary
+// restarted) forces a fresh bootstrap, and an apply divergence — which should
+// be impossible — is repaired the same way rather than trusted.
 package replica
 
 import (
@@ -392,29 +392,14 @@ func (r *Replica) applyChunk(data []byte, first uint64) error {
 	if len(data) < wal.HeaderSize || first == 0 {
 		return nil
 	}
-	if err := wal.CheckHeader(data); err != nil {
-		return err
-	}
-	off := wal.HeaderSize
-	prev := first - 1
-	for {
-		recs, end, ok := wal.ParseFrame(data, off, prev)
-		if !ok || len(recs) == 0 {
-			return nil
-		}
-		off = end
-		prev = recs[len(recs)-1].Seq
-		if err := r.applyFrame(recs); err != nil {
-			return err
-		}
-	}
+	_, err := wal.Walk(data, first-1, r.applyFrame)
+	return err
 }
 
 // applyFrame applies one frame — a single record or a whole group — through
-// the same pipeline recovery uses: its records decode to Mutations and commit
-// as one ApplyBatch (one commit, one generation bump, atomic like the frame
-// itself). Members at or below the applied watermark (a group the primary
-// rounded down to ship whole) are skipped.
+// dkindex.ApplyWALFrame, as crash recovery does: one commit, one generation
+// bump, atomic like the frame itself. Members at or below the applied
+// watermark (a group the primary rounded down to ship whole) are skipped.
 func (r *Replica) applyFrame(recs []wal.Record) error {
 	applied := r.applied.Load()
 	for len(recs) > 0 && recs[0].Seq <= applied {
@@ -423,22 +408,8 @@ func (r *Replica) applyFrame(recs []wal.Record) error {
 	if len(recs) == 0 {
 		return nil
 	}
-	ms := make([]dkindex.Mutation, len(recs))
-	for i, rec := range recs {
-		m, err := dkindex.DecodeWALMutation(rec.Op, rec.Payload)
-		if err != nil {
-			return fmt.Errorf("decode seq %d: %w", rec.Seq, err)
-		}
-		ms[i] = m
-	}
-	acks, err := r.idx.ApplyBatch(ms)
-	if err != nil {
+	if err := r.idx.ApplyWALFrame(recs); err != nil {
 		return fmt.Errorf("apply seqs %d-%d: %w", recs[0].Seq, recs[len(recs)-1].Seq, err)
-	}
-	for i, a := range acks {
-		if a.Err != nil {
-			return fmt.Errorf("apply seq %d: %w", recs[i].Seq, a.Err)
-		}
 	}
 	r.applied.Store(recs[len(recs)-1].Seq)
 	return nil

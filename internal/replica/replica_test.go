@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"crypto/sha256"
+	"encoding/binary"
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
@@ -19,6 +20,7 @@ import (
 	"dkindex/internal/fsx"
 	"dkindex/internal/obs"
 	"dkindex/internal/server"
+	"dkindex/internal/wal"
 )
 
 const moviesXML = `<?xml version="1.0"?>
@@ -446,9 +448,10 @@ func errorsIsReset(err error) bool {
 // add_document mutations, the first of them right after edge updates, so its
 // refinement merges index nodes and the others graft in place — and reaches
 // the resulting state three ways: live (one ApplyBatch on one clone), on a
-// replica (the group frame shipped whole and applied as one batch) and by
-// crash recovery (the frame's records replayed one Apply at a time). All
-// three must save to the same bytes: a batch is its members applied singly.
+// replica (the group frame shipped whole) and by crash recovery. The replica
+// and recovery both replay each logged frame as the one commit that wrote it,
+// so the recovered index has published one generation per frame, not one per
+// record, and all three must save to the same bytes.
 func TestDocumentGroupThreeWays(t *testing.T) {
 	fs := faultfs.New()
 	p, err := newPrimary(t, fs, "store")
@@ -529,7 +532,146 @@ func TestDocumentGroupThreeWays(t *testing.T) {
 		t.Fatalf("recovery replayed %d records, want %d", rec.Replayed, len(prime)+len(docs))
 	}
 	if got := fingerprint(t, st.Index()); got != live {
-		t.Error("the recovered store, which replayed the group record by record, differs from the live state")
+		t.Error("the recovered store differs from the live state")
+	}
+	if got, frames := st.Index().Generation(), uint64(len(prime)+1); got != frames {
+		t.Errorf("recovery published %d generations, want one per logged frame (%d), not one per record (%d)",
+			got, frames, len(prime)+len(docs))
+	}
+}
+
+// TestFrameThatFailsToReplay: a logged group frame one of whose members no
+// longer applies — an edge to a node past the graph, which no live commit
+// logs — is divergence, on recovery and on a replica alike. The frame commits
+// as one ApplyBatch, so its other members are in the state (a batch applies
+// its members independently) and the frames after it are not. OpenStore
+// reports a broken chain, re-anchors at a fresh epoch and opens; a replica fed
+// the same log resets its stream after reaching the same state.
+func TestFrameThatFailsToReplay(t *testing.T) {
+	fs := faultfs.New()
+	idx, err := dkindex.LoadXMLString(moviesXML, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	st, err := dkindex.CreateStore("store", idx, &dkindex.StoreOptions{FS: fs})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := st.Close(); err != nil {
+		t.Fatal(err)
+	}
+	var base bytes.Buffer
+	if err := idx.Save(&base); err != nil {
+		t.Fatal(err)
+	}
+
+	edge := func(from, to dkindex.NodeID) dkindex.Mutation {
+		return dkindex.Mutation{Op: dkindex.MutAddEdge, From: from, To: to}
+	}
+	director, actor, movieDB := nodeWithLabel(t, idx, "director", 0), nodeWithLabel(t, idx, "actor", 0), nodeWithLabel(t, idx, "movieDB", 0)
+	first := edge(movieDB, nodeWithLabel(t, idx, "movie", 0))
+	group := []dkindex.Mutation{
+		edge(director, nodeWithLabel(t, idx, "movie", 2)),
+		edge(director, dkindex.NodeID(idx.Graph().NumNodes()+5)),
+		edge(actor, nodeWithLabel(t, idx, "movie", 2)),
+	}
+	after := edge(movieDB, nodeWithLabel(t, idx, "movie", 1))
+	// Op 1 is add_edge on disk; its payload is the two endpoints as uvarints.
+	record := func(m dkindex.Mutation) wal.GroupRecord {
+		return wal.GroupRecord{Op: 1, Payload: binary.AppendUvarint(binary.AppendUvarint(nil, uint64(m.From)), uint64(m.To))}
+	}
+	logPath := "store/wal-00000000.log"
+	w, err := wal.Create(fs, logPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, frame := range [][]wal.GroupRecord{
+		{record(first)},
+		{record(group[0]), record(group[1]), record(group[2])},
+		{record(after)},
+	} {
+		if _, err := w.AppendGroup(frame); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	log, err := fsx.ReadAll(fs, logPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	// The state both replays must reach: the first frame, then the group as
+	// the one batch it is, its bad member rejected in place.
+	want, err := dkindex.LoadXMLString(moviesXML, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := want.Apply(first); err != nil {
+		t.Fatal(err)
+	}
+	acks, err := want.ApplyBatch(group)
+	if err != nil || acks[0].Err != nil || acks[1].Err == nil || acks[2].Err != nil {
+		t.Fatalf("the group alone: %v, acks %+v", err, acks)
+	}
+	g := want.Graph()
+	if !g.HasEdge(group[0].From, group[0].To) || !g.HasEdge(group[2].From, group[2].To) || g.HasEdge(after.From, after.To) {
+		t.Fatal("precondition: the group's good members hold, the frame after it does not")
+	}
+
+	rec, rrep, err := dkindex.OpenStore("store", &dkindex.StoreOptions{FS: fs})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !rrep.ChainBroken || rrep.Replayed != 1 || rrep.Epoch != 1 {
+		t.Fatalf("recovery report %+v, want a broken chain after 1 record, re-anchored at epoch 1", rrep)
+	}
+	if fingerprint(t, rec.Index()) != fingerprint(t, want) {
+		t.Error("recovery holds other than the first frame and the group's good members")
+	}
+	if err := rec.Close(); err != nil {
+		t.Fatal(err)
+	}
+	reopened, rrep, err := dkindex.OpenStore("store", &dkindex.StoreOptions{FS: fs})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer reopened.Close()
+	if rrep.ChainBroken || fingerprint(t, reopened.Index()) != fingerprint(t, want) {
+		t.Errorf("the re-anchored store reopens with %+v to a different state", rrep)
+	}
+
+	// A replica bootstrapped from the base checkpoint and fed the same log.
+	mux := http.NewServeMux()
+	mux.HandleFunc("GET /v1/repl/checkpoint", func(w http.ResponseWriter, r *http.Request) {
+		h := w.Header()
+		h.Set(server.HeaderReplInstance, "i")
+		h.Set(server.HeaderReplNext, "1")
+		h.Set(server.HeaderReplHead, "5")
+		w.Write(base.Bytes())
+	})
+	mux.HandleFunc("GET /v1/repl/wal", func(w http.ResponseWriter, r *http.Request) {
+		h := w.Header()
+		h.Set(server.HeaderReplInstance, "i")
+		h.Set(server.HeaderReplFrom, "1")
+		h.Set(server.HeaderReplHead, "5")
+		w.Write(log)
+	})
+	ts := httptest.NewServer(mux)
+	defer ts.Close()
+	rep := New(Config{Primary: ts.URL, Client: ts.Client(), Seed: 1})
+	if err := rep.bootstrapOnce(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	if err := rep.tailOnce(context.Background()); !errorsIsReset(err) {
+		t.Fatalf("tail over the failing frame = %v, want a stream reset", err)
+	}
+	if rep.Applied() != 1 {
+		t.Errorf("replica applied through %d, want 1 (the frame before the failing one)", rep.Applied())
+	}
+	if fingerprint(t, rep.Index()) != fingerprint(t, want) {
+		t.Error("the replica stopped in a different state than recovery")
 	}
 }
 

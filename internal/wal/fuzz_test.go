@@ -1,6 +1,8 @@
 package wal
 
 import (
+	"bytes"
+	"slices"
 	"testing"
 
 	"dkindex/internal/faultfs"
@@ -10,7 +12,10 @@ import (
 // FuzzWALReplay feeds arbitrary bytes to the replay parser: it must never
 // panic, every record it applies must round-trip its framing invariants
 // (contiguous sequence numbers from 1), and it must never report more valid
-// bytes than the file holds.
+// bytes than the file holds. The frame walker and the per-record Replay must
+// agree on the records, in order, and on the result; and the frames it found,
+// appended again by a Writer, must be byte for byte what AppendFrame encodes
+// for them.
 func FuzzWALReplay(f *testing.F) {
 	// A valid two-record log as the primary seed.
 	fs := faultfs.New()
@@ -19,8 +24,8 @@ func FuzzWALReplay(f *testing.F) {
 	if err != nil {
 		f.Fatal(err)
 	}
-	w.Append(1, []byte("hello"))
-	w.Append(2, []byte{0, 1, 2, 3, 255})
+	appendOne(w, 1, []byte("hello"))
+	appendOne(w, 2, []byte{0, 1, 2, 3, 255})
 	w.Close()
 	if valid, err := fsx.ReadAll(fs, "d/w"); err == nil {
 		f.Add(valid)
@@ -57,13 +62,23 @@ func FuzzWALReplay(f *testing.F) {
 		fh.Write(data)
 		fh.Close()
 		var prev uint64
+		var recs []Record
 		res, err := Replay(m, "d/f", func(r Record) error {
 			if r.Seq != prev+1 {
 				t.Fatalf("sequence gap: %d after %d", r.Seq, prev)
 			}
 			prev = r.Seq
+			recs = append(recs, r)
 			return nil
 		})
+		var frames [][]Record
+		walked, werr := Walk(data, 0, func(fr []Record) error {
+			frames = append(frames, fr)
+			return nil
+		})
+		if (err == nil) != (werr == nil) {
+			t.Fatalf("Replay error %v, Walk error %v", err, werr)
+		}
 		if err != nil {
 			return
 		}
@@ -72,6 +87,36 @@ func FuzzWALReplay(f *testing.F) {
 		}
 		if res.LastSeq != prev {
 			t.Fatalf("LastSeq %d, applied through %d", res.LastSeq, prev)
+		}
+		if *walked != *res {
+			t.Fatalf("Walk found %+v, Replay %+v", *walked, *res)
+		}
+		var flat []Record
+		for _, fr := range frames {
+			flat = append(flat, fr...)
+		}
+		if !slices.EqualFunc(flat, recs, func(a, b Record) bool {
+			return a.Seq == b.Seq && a.Op == b.Op && bytes.Equal(a.Payload, b.Payload)
+		}) {
+			t.Fatalf("Walk's frames hold %v, Replay applied %v", flat, recs)
+		}
+
+		w, err := Create(m, "d/again")
+		if err != nil {
+			t.Fatal(err)
+		}
+		encoded := Header()
+		for _, fr := range frames {
+			if _, err := w.AppendGroup(fr); err != nil {
+				t.Fatal(err)
+			}
+			if encoded, err = AppendFrame(encoded, fr); err != nil {
+				t.Fatal(err)
+			}
+		}
+		w.Close()
+		if again, _ := fsx.ReadAll(m, "d/again"); !bytes.Equal(again, encoded) {
+			t.Fatalf("AppendGroup wrote %x, AppendFrame encodes %x", again, encoded)
 		}
 	})
 }
@@ -106,7 +151,7 @@ func groupFrameLogs(tb testing.TB) []groupLog {
 	}
 	return []groupLog{
 		{prefix: 1, group: 3, data: build(func(w *Writer) {
-			w.Append(1, []byte("solo"))
+			appendOne(w, 1, []byte("solo"))
 			w.AppendGroup([]GroupRecord{
 				{Op: 2, Payload: []byte("first member")},
 				{Op: 3, Payload: []byte{0xff, 0x00, 0xaa}},

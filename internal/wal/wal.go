@@ -14,17 +14,19 @@
 //	        payload length, payload. Members take sequence numbers
 //	        seq..seq+count-1; the single frame CRC makes the batch atomic.
 //
-// Append is write-ahead durable: the record is written and fsynced before
-// Append returns. A failed append rolls the file back to the previous record
-// boundary so a later append cannot strand readable records behind garbage;
-// if even the rollback fails the writer latches ErrWriterBroken and refuses
-// further appends — the store recovers by rotating to a fresh log at the
-// next checkpoint.
+// A frame — one plain record, or one group — is the unit of everything: a
+// commit appends one, recovery and a replica apply one at a time, and the
+// replication feed ships them whole. AppendGroup writes one frame and is
+// write-ahead durable: the frame is written and fsynced before it returns. A
+// failed append rolls the file back to the previous frame boundary so a later
+// append cannot strand readable frames behind garbage; if even the rollback
+// fails the writer latches ErrWriterBroken and refuses further appends — the
+// store recovers by rotating to a fresh log at the next checkpoint.
 //
-// Replay tolerates a torn tail: it applies every intact record and reports
+// Replay tolerates a torn tail: it hands over every intact frame and reports
 // the number of valid bytes so the caller can truncate the garbage and keep
 // appending. A checksum mismatch, a short frame or a sequence gap all end
-// the replay the same way — records beyond that point were never
+// the replay the same way — frames beyond that point were never
 // acknowledged durable in an order that could matter.
 package wal
 
@@ -42,8 +44,8 @@ import (
 type Op byte
 
 // opGroup frames an atomic group of records inside one physical frame. The
-// value is reserved: Append rejects it so the facade vocabulary can never
-// collide with the framing layer.
+// value is reserved: the encoder rejects it so the facade vocabulary can
+// never collide with the framing layer.
 const opGroup Op = 0xFF
 
 // ErrReservedOp reports an attempt to append a record with the reserved
@@ -62,7 +64,8 @@ const headerSize = 5
 // nothing more can be safely appended to its file.
 var ErrWriterBroken = errors.New("wal: writer broken (failed rollback after bad append)")
 
-// ErrBadHeader reports a file that is not a WAL (or whose header was torn).
+// ErrBadHeader reports a file or stream that is not a WAL of this version:
+// too short for a header, a foreign magic, or an unsupported version byte.
 var ErrBadHeader = errors.New("wal: bad file header")
 
 // Record is one replayed entry.
@@ -71,6 +74,10 @@ type Record struct {
 	Op      Op
 	Payload []byte
 }
+
+// GroupRecord is one member of an AppendGroup: a Record whose Seq the writer
+// assigns (the field is not read).
+type GroupRecord = Record
 
 // Writer appends records to one WAL file.
 type Writer struct {
@@ -81,7 +88,6 @@ type Writer struct {
 	bytes  int64  // payload+frame bytes acknowledged
 	broken bool
 	buf    []byte
-	gbuf   []byte // group-body scratch
 }
 
 // Create creates (or truncates) a WAL file and durably writes its header.
@@ -92,8 +98,7 @@ func Create(fs fsx.FS, path string) (*Writer, error) {
 	if err != nil {
 		return nil, err
 	}
-	hdr := append(magic[:], Version)
-	if _, err := f.Write(hdr); err != nil {
+	if _, err := f.Write(Header()); err != nil {
 		f.Close()
 		return nil, err
 	}
@@ -137,94 +142,36 @@ func (w *Writer) Seq() uint64 { return w.seq }
 // this writer has appended in its lifetime (not counting replayed ones).
 func (w *Writer) Bytes() int64 { return w.bytes }
 
-// Append durably appends one record: it returns only after the bytes are
-// written and fsynced. On failure the record is not acknowledged and the
-// file is rolled back to the previous record boundary.
-func (w *Writer) Append(op Op, payload []byte) (int, error) {
-	if op == opGroup {
-		return 0, ErrReservedOp
-	}
-	if w.broken {
-		return 0, ErrWriterBroken
-	}
-	frame := w.buf[:0]
-	frame = binary.AppendUvarint(frame, w.seq+1)
-	frame = append(frame, byte(op))
-	frame = binary.AppendUvarint(frame, uint64(len(payload)))
-	frame = append(frame, payload...)
-	frame = binary.LittleEndian.AppendUint32(frame, crc32.ChecksumIEEE(frame))
-	w.buf = frame
-
-	if err := w.commit(frame); err != nil {
-		return 0, err
-	}
-	w.seq++
-	return len(frame), nil
-}
-
-// GroupRecord is one member of an atomic group append.
-type GroupRecord struct {
-	Op      Op
-	Payload []byte
-}
-
-// AppendGroup durably appends a batch of records as one physical frame with
-// one fsync. The group is atomic under the frame checksum: recovery replays
-// either every member (in order, with contiguous sequence numbers) or none —
-// a torn write can never surface a prefix of the batch. A single-record
-// group degenerates to a plain Append so the on-disk format for singles is
-// unchanged. On failure no member is acknowledged and the file is rolled
-// back to the previous record boundary.
+// AppendGroup durably appends recs as one frame with one fsync and returns
+// the frame's length. One record is written as a plain frame, several as a
+// group frame, atomic under its checksum: replay hands over either every
+// member (in order, with contiguous sequence numbers) or none — a torn write
+// can never surface a prefix of the batch. On failure no member is
+// acknowledged and the file is rolled back to the previous frame boundary.
 func (w *Writer) AppendGroup(recs []GroupRecord) (int, error) {
 	if len(recs) == 0 {
-		return 0, errors.New("wal: empty group")
-	}
-	if len(recs) == 1 {
-		return w.Append(recs[0].Op, recs[0].Payload)
+		return 0, errEmptyFrame
 	}
 	if w.broken {
 		return 0, ErrWriterBroken
 	}
-	body := w.gbuf[:0]
-	body = binary.AppendUvarint(body, uint64(len(recs)))
-	for _, r := range recs {
-		if r.Op == opGroup {
-			return 0, ErrReservedOp
-		}
-		body = append(body, byte(r.Op))
-		body = binary.AppendUvarint(body, uint64(len(r.Payload)))
-		body = append(body, r.Payload...)
-	}
-	w.gbuf = body
-
-	frame := w.buf[:0]
-	frame = binary.AppendUvarint(frame, w.seq+1)
-	frame = append(frame, byte(opGroup))
-	frame = binary.AppendUvarint(frame, uint64(len(body)))
-	frame = append(frame, body...)
-	frame = binary.LittleEndian.AppendUint32(frame, crc32.ChecksumIEEE(frame))
-	w.buf = frame
-
-	if err := w.commit(frame); err != nil {
+	frame, err := appendFrame(w.buf[:0], w.seq+1, recs)
+	if err != nil {
 		return 0, err
 	}
-	w.seq += uint64(len(recs))
-	return len(frame), nil
-}
-
-// commit writes and fsyncs one frame, rolling back on failure.
-func (w *Writer) commit(frame []byte) error {
+	w.buf = frame
 	if _, err := w.f.Write(frame); err != nil {
 		w.rollback()
-		return err
+		return 0, err
 	}
 	if err := w.f.Sync(); err != nil {
 		w.rollback()
-		return err
+		return 0, err
 	}
 	w.off += int64(len(frame))
 	w.bytes += int64(len(frame))
-	return nil
+	w.seq += uint64(len(recs))
+	return len(frame), nil
 }
 
 // rollback chops a partially written frame so the file ends at the last
@@ -246,70 +193,50 @@ func (w *Writer) Broken() bool { return w.broken }
 // Close closes the underlying file.
 func (w *Writer) Close() error { return w.f.Close() }
 
-// ReplayResult describes what Replay found.
+// ReplayResult describes what a replay or a Walk found.
 type ReplayResult struct {
-	// Records is how many intact records were applied.
+	// Records is how many records the intact frames that were applied hold.
 	Records int
 	// LastSeq is the sequence number of the last applied record.
 	LastSeq uint64
-	// ValidSize is the byte offset of the end of the last intact record;
+	// ValidSize is the byte offset of the end of the last intact frame;
 	// everything after it is a torn or corrupt tail.
 	ValidSize int64
 	// Truncated reports whether a torn/corrupt tail was found.
 	Truncated bool
 }
 
-// Replay reads the WAL at path and calls apply for every intact record, in
-// order. A torn or corrupt tail ends the replay and is reported, not an
-// error; an apply error aborts the replay and is returned as-is. A missing
-// or header-corrupt file returns ErrBadHeader (wrapped for context).
-func Replay(fs fsx.FS, path string, apply func(Record) error) (*ReplayResult, error) {
+// ReplayFrames reads the WAL at path and calls apply once per intact frame,
+// in order, with the frame's records (see Walk). A torn or corrupt tail ends
+// the replay and is reported, not an error; an apply error aborts the replay
+// and is returned as-is, with a result covering the frames before it. A file
+// that cannot be read returns the filesystem's error and a nil result; a
+// header that is short, foreign or of another version returns ErrBadHeader,
+// wrapped with the path, and a nil result.
+func ReplayFrames(fs fsx.FS, path string, apply func([]Record) error) (*ReplayResult, error) {
 	data, err := fsx.ReadAll(fs, path)
 	if err != nil {
 		return nil, err
 	}
-	if len(data) < headerSize || [4]byte(data[:4]) != magic {
-		return nil, fmt.Errorf("%w: %s", ErrBadHeader, path)
+	res, err := Walk(data, 0, apply)
+	if res == nil {
+		return nil, fmt.Errorf("%s: %w", path, err)
 	}
-	if data[4] != Version {
-		return nil, fmt.Errorf("wal: %s: unsupported version %d", path, data[4])
-	}
-	res := &ReplayResult{ValidSize: headerSize}
-	off := headerSize
-	for off < len(data) {
-		rec, end, ok := parseRecord(data, off, res.LastSeq)
-		if !ok {
-			res.Truncated = true
-			return res, nil
+	return res, err
+}
+
+// Replay is ReplayFrames one record at a time: apply sees every record of
+// every intact frame, in order. An apply error aborts the replay; the result
+// then covers only the frames before the one that failed.
+func Replay(fs fsx.FS, path string, apply func(Record) error) (*ReplayResult, error) {
+	return ReplayFrames(fs, path, func(recs []Record) error {
+		for _, r := range recs {
+			if err := apply(r); err != nil {
+				return err
+			}
 		}
-		if rec.Op == opGroup {
-			// A group frame expands to its members; the frame checksum
-			// already vouched for all of them, so a malformed body can only
-			// come from corruption that collided with the CRC — treat it
-			// like a torn tail and stop before applying anything from it.
-			members, ok := parseGroupBody(rec.Seq, rec.Payload)
-			if !ok {
-				res.Truncated = true
-				return res, nil
-			}
-			for _, m := range members {
-				if err := apply(m); err != nil {
-					return res, err
-				}
-				res.Records++
-				res.LastSeq = m.Seq
-			}
-		} else {
-			if err := apply(rec); err != nil {
-				return res, err
-			}
-			res.Records++
-			res.LastSeq = rec.Seq
-		}
-		res.ValidSize = int64(end)
-		off = end
-	}
-	return res, nil
+		return nil
+	})
 }
 
 // parseGroupBody decodes the members of a group frame whose first member

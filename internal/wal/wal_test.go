@@ -2,7 +2,10 @@ package wal
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
+	"hash/crc32"
+	iofs "io/fs"
 	"path/filepath"
 	"testing"
 
@@ -23,6 +26,11 @@ func collect(t *testing.T, fs fsx.FS, path string) ([]Record, *ReplayResult) {
 	return recs, res
 }
 
+// appendOne appends one record as its own frame.
+func appendOne(w *Writer, op Op, payload []byte) (int, error) {
+	return w.AppendGroup([]GroupRecord{{Op: op, Payload: payload}})
+}
+
 func TestAppendReplayRoundTrip(t *testing.T) {
 	fs := fsx.OS{}
 	path := filepath.Join(t.TempDir(), "wal-1.log")
@@ -32,7 +40,7 @@ func TestAppendReplayRoundTrip(t *testing.T) {
 	}
 	payloads := [][]byte{[]byte("a"), {}, []byte("long payload with \x00 bytes \xff")}
 	for i, p := range payloads {
-		if _, err := w.Append(Op(i+1), p); err != nil {
+		if _, err := appendOne(w, Op(i+1), p); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -57,8 +65,8 @@ func TestTornTailIsTruncatedAndAppendable(t *testing.T) {
 	fs := fsx.OS{}
 	path := filepath.Join(t.TempDir(), "wal-1.log")
 	w, _ := Create(fs, path)
-	w.Append(1, []byte("first"))
-	w.Append(2, []byte("second"))
+	appendOne(w, 1, []byte("first"))
+	appendOne(w, 2, []byte("second"))
 	w.Close()
 
 	// Tear the tail: chop the last 3 bytes of the file.
@@ -82,7 +90,7 @@ func TestTornTailIsTruncatedAndAppendable(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := w2.Append(7, []byte("third")); err != nil {
+	if _, err := appendOne(w2, 7, []byte("third")); err != nil {
 		t.Fatal(err)
 	}
 	w2.Close()
@@ -100,9 +108,9 @@ func TestCorruptMiddleStopsReplay(t *testing.T) {
 	fs.MkdirAll("d")
 	path := "d/wal-1.log"
 	w, _ := Create(fs, path)
-	w.Append(1, []byte("aaaa"))
-	n2, _ := w.Append(2, []byte("bbbb"))
-	w.Append(3, []byte("cccc"))
+	appendOne(w, 1, []byte("aaaa"))
+	n2, _ := appendOne(w, 2, []byte("bbbb"))
+	appendOne(w, 3, []byte("cccc"))
 	w.Close()
 
 	// Flip a byte inside the second record's payload.
@@ -128,19 +136,19 @@ func TestFailedAppendRollsBack(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := w.Append(1, []byte("keep")); err != nil {
+	if _, err := appendOne(w, 1, []byte("keep")); err != nil {
 		t.Fatal(err)
 	}
 	// Fail the next write; the rollback (truncate+sync) must leave the file
 	// ending at record 1, and a subsequent append must still work.
 	fs.FailAt(1, faultfs.ModeError)
-	if _, err := w.Append(2, []byte("lost")); !errors.Is(err, faultfs.ErrInjected) {
+	if _, err := appendOne(w, 2, []byte("lost")); !errors.Is(err, faultfs.ErrInjected) {
 		t.Fatalf("want injected error, got %v", err)
 	}
 	if w.Broken() {
 		t.Fatal("writer should have rolled back, not broken")
 	}
-	if _, err := w.Append(2, []byte("second-try")); err != nil {
+	if _, err := appendOne(w, 2, []byte("second-try")); err != nil {
 		t.Fatal(err)
 	}
 	w.Close()
@@ -157,29 +165,37 @@ func TestWriterBreaksWhenRollbackFails(t *testing.T) {
 	fs := faultfs.New()
 	fs.MkdirAll("d")
 	w, _ := Create(fs, "d/wal-1.log")
-	w.Append(1, []byte("keep"))
+	appendOne(w, 1, []byte("keep"))
 	// Fail the write AND the rollback's truncate (ops 1 and 2 counted from
 	// here): arm a crash so every subsequent op fails.
 	fs.FailAt(1, faultfs.ModeCrash)
-	if _, err := w.Append(2, []byte("lost")); err == nil {
+	if _, err := appendOne(w, 2, []byte("lost")); err == nil {
 		t.Fatal("append should fail")
 	}
 	if !w.Broken() {
 		t.Fatal("writer should be broken after failed rollback")
 	}
-	if _, err := w.Append(3, nil); !errors.Is(err, ErrWriterBroken) {
+	if _, err := appendOne(w, 3, nil); !errors.Is(err, ErrWriterBroken) {
 		t.Fatalf("want ErrWriterBroken, got %v", err)
 	}
 }
 
+// TestBadHeader: a file that is no WAL of this version — a foreign magic, a
+// short header, another version byte — is ErrBadHeader; a missing file is
+// the filesystem's not-exist error.
 func TestBadHeader(t *testing.T) {
 	fs := faultfs.New()
 	fs.MkdirAll("d")
-	f, _ := fs.Create("d/x")
-	f.Write([]byte("NOPE"))
-	f.Close()
-	if _, err := Replay(fs, "d/x", func(Record) error { return nil }); !errors.Is(err, ErrBadHeader) {
-		t.Fatalf("want ErrBadHeader, got %v", err)
+	for _, data := range []string{"NOPE", "DKW", "DKWL\x02\x01\x00"} {
+		f, _ := fs.Create("d/x")
+		f.Write([]byte(data))
+		f.Close()
+		if _, err := Replay(fs, "d/x", func(Record) error { return nil }); !errors.Is(err, ErrBadHeader) {
+			t.Fatalf("%q: want ErrBadHeader, got %v", data, err)
+		}
+	}
+	if _, err := Replay(fs, "d/missing", func(Record) error { return nil }); !errors.Is(err, iofs.ErrNotExist) {
+		t.Fatalf("missing file: want fs.ErrNotExist, got %v", err)
 	}
 }
 
@@ -191,7 +207,7 @@ func TestAppendGroupRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := w.Append(1, []byte("solo")); err != nil {
+	if _, err := appendOne(w, 1, []byte("solo")); err != nil {
 		t.Fatal(err)
 	}
 	group := []GroupRecord{
@@ -205,7 +221,7 @@ func TestAppendGroupRoundTrip(t *testing.T) {
 	if w.Seq() != 4 {
 		t.Fatalf("Seq after group = %d, want 4", w.Seq())
 	}
-	if _, err := w.Append(5, []byte("tail")); err != nil {
+	if _, err := appendOne(w, 5, []byte("tail")); err != nil {
 		t.Fatal(err)
 	}
 	w.Close()
@@ -239,19 +255,15 @@ func TestAppendGroupSingleDegeneratesToPlainRecord(t *testing.T) {
 	fs := faultfs.New()
 	fs.MkdirAll("d")
 	wg, _ := Create(fs, "d/group.log")
-	if _, err := wg.AppendGroup([]GroupRecord{{Op: 7, Payload: []byte("x")}}); err != nil {
+	if _, err := appendOne(wg, 7, []byte("x")); err != nil {
 		t.Fatal(err)
 	}
 	wg.Close()
-	wp, _ := Create(fs, "d/plain.log")
-	if _, err := wp.Append(7, []byte("x")); err != nil {
-		t.Fatal(err)
-	}
-	wp.Close()
-	g, _ := fsx.ReadAll(fs, "d/group.log")
-	p, _ := fsx.ReadAll(fs, "d/plain.log")
-	if !bytes.Equal(g, p) {
-		t.Fatalf("single-member group bytes differ from plain record:\n%x\n%x", g, p)
+	// The plain frame, spelled out: seq 1, op 7, payload length 1, "x", CRC.
+	frame := []byte{1, 7, 1, 'x'}
+	want := binary.LittleEndian.AppendUint32(append(Header(), frame...), crc32.ChecksumIEEE(frame))
+	if g, _ := fsx.ReadAll(fs, "d/group.log"); !bytes.Equal(g, want) {
+		t.Fatalf("single-member group bytes differ from plain record:\n%x\n%x", g, want)
 	}
 }
 
@@ -259,8 +271,8 @@ func TestAppendGroupRejectsReservedAndEmpty(t *testing.T) {
 	fs := faultfs.New()
 	fs.MkdirAll("d")
 	w, _ := Create(fs, "d/wal-1.log")
-	if _, err := w.Append(opGroup, nil); !errors.Is(err, ErrReservedOp) {
-		t.Fatalf("Append(opGroup) = %v, want ErrReservedOp", err)
+	if _, err := appendOne(w, opGroup, nil); !errors.Is(err, ErrReservedOp) {
+		t.Fatalf("one-record AppendGroup(opGroup) = %v, want ErrReservedOp", err)
 	}
 	if _, err := w.AppendGroup([]GroupRecord{{Op: 1}, {Op: opGroup}}); !errors.Is(err, ErrReservedOp) {
 		t.Fatalf("AppendGroup with reserved member = %v, want ErrReservedOp", err)
@@ -272,7 +284,7 @@ func TestAppendGroupRejectsReservedAndEmpty(t *testing.T) {
 		t.Fatalf("rejected appends must not advance seq: %d", w.Seq())
 	}
 	// The writer is still usable after rejections.
-	if _, err := w.Append(1, []byte("ok")); err != nil {
+	if _, err := appendOne(w, 1, []byte("ok")); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -284,7 +296,7 @@ func TestTornGroupReplaysNothing(t *testing.T) {
 	fs.MkdirAll("d")
 	path := "d/wal-1.log"
 	w, _ := Create(fs, path)
-	w.Append(1, []byte("before"))
+	appendOne(w, 1, []byte("before"))
 	base, _ := fs.Size(path)
 	n, err := w.AppendGroup([]GroupRecord{
 		{Op: 2, Payload: []byte("aaaa")},
@@ -318,7 +330,7 @@ func TestFailedGroupAppendRollsBack(t *testing.T) {
 	fs := faultfs.New()
 	fs.MkdirAll("d")
 	w, _ := Create(fs, "d/wal-1.log")
-	w.Append(1, []byte("keep"))
+	appendOne(w, 1, []byte("keep"))
 	fs.FailAt(1, faultfs.ModeError)
 	_, err := w.AppendGroup([]GroupRecord{{Op: 2, Payload: []byte("x")}, {Op: 3, Payload: []byte("y")}})
 	if !errors.Is(err, faultfs.ErrInjected) {

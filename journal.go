@@ -36,11 +36,10 @@ var walMutOps = map[wal.Op]MutOp{
 	opCompact:    MutCompact,
 }
 
-// DecodeWALMutation maps one write-ahead record back onto the Mutation that
-// produced it, so a shipped record replays through the same Apply path
-// recovery uses. Unknown ops are errors — a feed never ships vocabulary the
-// client cannot apply faithfully.
-func DecodeWALMutation(op wal.Op, payload []byte) (Mutation, error) {
+// decodeWALMutation maps one write-ahead record back onto the Mutation that
+// produced it. Unknown ops are errors — a log or a feed never carries
+// vocabulary that cannot be applied faithfully.
+func decodeWALMutation(op wal.Op, payload []byte) (Mutation, error) {
 	m := Mutation{Op: walMutOps[op]}
 	var err error
 	switch m.Op {
@@ -61,6 +60,36 @@ func DecodeWALMutation(op wal.Op, payload []byte) (Mutation, error) {
 		return Mutation{}, err
 	}
 	return m, nil
+}
+
+// ApplyWALFrame commits the records of one logged frame as the commit that
+// wrote the frame did: decoded to Mutations and applied as one ApplyBatch —
+// one clone, one publish, one generation. Crash recovery (OpenStore) and a
+// replica (internal/replica) replay every frame through it, so the live, the
+// recovered and the replicated index reach each state by the same commits. A
+// record that does not decode fails the frame before anything applies. A
+// member the batch rejects fails it too, after the frame's other members
+// committed (a batch applies its members independently); either way the log
+// and the state it is replayed onto have diverged.
+func (x *Index) ApplyWALFrame(recs []wal.Record) error {
+	ms := make([]Mutation, len(recs))
+	for i, r := range recs {
+		m, err := decodeWALMutation(r.Op, r.Payload)
+		if err != nil {
+			return fmt.Errorf("record %d: %w", r.Seq, err)
+		}
+		ms[i] = m
+	}
+	acks, err := x.ApplyBatch(ms)
+	if err != nil {
+		return err
+	}
+	for i, a := range acks {
+		if a.Err != nil {
+			return fmt.Errorf("record %d: %w", recs[i].Seq, a.Err)
+		}
+	}
+	return nil
 }
 
 // payloadReader decodes the uvarint/string payload encoding with bounds

@@ -456,7 +456,7 @@ func TestGroupCommitSurvivesRecovery(t *testing.T) {
 		t.Fatal("recovered state differs from acknowledged batch")
 	}
 	if rep.Replayed != 3 {
-		t.Errorf("replayed %d records, want 3 (group frame expands)", rep.Replayed)
+		t.Errorf("replayed %d records, want 3 (the group frame's members, in one commit)", rep.Replayed)
 	}
 }
 
@@ -521,11 +521,13 @@ func TestRejectedDocumentLeavesBatchCloneUntouched(t *testing.T) {
 
 // TestDocumentBatchEqualsItsMembers runs the benchmark's write mix on XMark —
 // edge batches, then eight documents — twice: the documents as one ApplyBatch
-// (the live path: one clone, Algorithm 3 grafting onto it eight times) and as
-// eight Applies (what crash recovery replays a group frame into). The two
-// indexes must save to the same bytes and hand out the same node ids, round
-// after round; the first document of a round follows edge updates, so its
-// refinement merges index nodes and takes the materialising branch.
+// (one clone, Algorithm 3 grafting onto it eight times) and as eight Applies.
+// The two indexes must save to the same bytes and hand out the same node ids,
+// round after round; the first document of a round follows edge updates, so
+// its refinement merges index nodes and takes the materialising branch. No
+// replay depends on this — recovery and a replica replay a logged batch as
+// one batch — it is a property of per-document refinement, and a refinement
+// run once per batch would be free to break it.
 func TestDocumentBatchEqualsItsMembers(t *testing.T) {
 	ds, batched := tunedXMark(t, 0.05)
 	_, singly := tunedXMark(t, 0.05)

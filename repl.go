@@ -34,6 +34,9 @@ import (
 // FeedCheckpoint.
 var ErrReplGone = errors.New("dkindex: replication position no longer retained")
 
+// errChunkFull ends a segment's walk once the chunk holds its byte budget.
+var errChunkFull = errors.New("dkindex: replication chunk full")
+
 // replChunkBytes bounds one FeedWAL response body when the caller does not.
 const replChunkBytes = 1 << 20
 
@@ -180,22 +183,12 @@ func (s *Store) feedSegment(chunk *ReplChunk, seg replSeg, from uint64, maxBytes
 	if current && int64(len(data)) > durable {
 		data = data[:durable]
 	}
-	if err := wal.CheckHeader(data); err != nil {
-		return fmt.Errorf("dkindex: wal %d for feed: %w", seg.epoch, err)
-	}
-	off := wal.HeaderSize
-	prev := uint64(0)
-	for off < len(data) && (chunk.From == 0 || len(chunk.Data) < maxBytes) {
-		recs, end, ok := wal.ParseFrame(data, off, prev)
-		if !ok {
-			// The durable prefix should always parse; treat damage as the end
-			// of what this segment can serve rather than failing the feed.
-			return nil
+	_, err = wal.Walk(data, 0, func(recs []wal.Record) error {
+		if chunk.From != 0 && len(chunk.Data) >= maxBytes {
+			return errChunkFull
 		}
-		prev = recs[len(recs)-1].Seq
-		off = end
-		if seg.base+prev < from {
-			continue // frame wholly applied before the requested position
+		if seg.base+recs[len(recs)-1].Seq < from {
+			return nil // frame wholly applied before the requested position
 		}
 		for i := range recs {
 			recs[i].Seq += seg.base
@@ -203,9 +196,14 @@ func (s *Store) feedSegment(chunk *ReplChunk, seg replSeg, from uint64, maxBytes
 		if chunk.From == 0 {
 			chunk.From = recs[0].Seq
 		}
-		if chunk.Data, err = wal.AppendFrame(chunk.Data, recs); err != nil {
-			return err
-		}
+		var err error
+		chunk.Data, err = wal.AppendFrame(chunk.Data, recs)
+		return err
+	})
+	// The durable prefix should always walk whole; a torn frame in it ends
+	// what this segment can serve rather than failing the feed.
+	if err != nil && !errors.Is(err, errChunkFull) {
+		return fmt.Errorf("dkindex: wal %d for feed: %w", seg.epoch, err)
 	}
 	return nil
 }

@@ -19,7 +19,7 @@ import (
 
 // A Store makes an Index crash-safe. It owns a directory of checkpoint files
 // (full codec snapshots, written atomically) and write-ahead logs (one per
-// checkpoint epoch, fsynced record by record):
+// checkpoint epoch, one fsynced frame per commit):
 //
 //	checkpoint-00000004.dkx   state as of epoch 4
 //	wal-00000004.log          mutations applied after checkpoint 4
@@ -35,8 +35,8 @@ import (
 // checkpoint-e → wal-e → wal-e+1 → ... always reconstructs the latest state
 // even when a checkpoint write fails or is torn by a crash. OpenStore
 // recovers by loading the newest readable checkpoint, replaying the log
-// chain above it, truncating any torn tail of the last log, and resuming
-// appends there.
+// chain above it — each frame as the one commit that wrote it — truncating
+// any torn tail of the last log, and resuming appends there.
 type Store struct {
 	fs       fsx.FS
 	dir      string
@@ -220,9 +220,9 @@ type RecoveryReport struct {
 	// record (the unacknowledged residue of a crash) that was chopped.
 	TruncatedTail bool
 	// ChainBroken reports damage inside the chain — a log other than the
-	// last was unreadable or torn, or a record failed to re-apply — so logs
-	// beyond the damage were ignored and a fresh checkpoint was written
-	// immediately to re-anchor durability.
+	// last was unreadable or torn, or a frame failed to re-apply — so frames
+	// and logs beyond the damage were ignored and a fresh checkpoint was
+	// written immediately to re-anchor durability.
 	ChainBroken bool
 	// SweptTemp lists leftover temp files from interrupted atomic writes
 	// that were removed.
@@ -230,7 +230,8 @@ type RecoveryReport struct {
 }
 
 // OpenStore recovers the store in dir: it loads the newest readable
-// checkpoint, replays the write-ahead logs above it in epoch order, chops
+// checkpoint, replays the write-ahead logs above it in epoch order — every
+// frame through Index.ApplyWALFrame, one commit each, as a replica does — chops
 // the torn tail a crash may have left on the last log, and resumes. The
 // recovered index is reachable via Index; attach an Observer to it afterwards
 // if desired (replayed mutations are not re-observed or re-logged).
@@ -299,7 +300,7 @@ func OpenStore(dir string, opts *StoreOptions) (*Store, *RecoveryReport, error) 
 		replInst: newReplInstance(), lastCkpt: base}
 
 	// Replay the log chain above the checkpoint. Only the last log may
-	// legitimately end torn; damage earlier in the chain (or a record that
+	// legitimately end torn; damage earlier in the chain (or a frame that
 	// fails to re-apply) orphans everything after it. Each replayed log also
 	// becomes one replication segment: the feed's global sequence numbering
 	// starts at zero before the first record of wal-base, which is exactly
@@ -308,9 +309,7 @@ func OpenStore(dir string, opts *StoreOptions) (*Store, *RecoveryReport, error) 
 	var lastRes *wal.ReplayResult
 	haveLog := false
 	for e := base; walSet[e]; e++ {
-		res, rerr := wal.Replay(fs, filepath.Join(dir, walName(e)), func(r wal.Record) error {
-			return s.applyRecord(r)
-		})
+		res, rerr := wal.ReplayFrames(fs, filepath.Join(dir, walName(e)), idx.ApplyWALFrame)
 		if rerr != nil && res == nil {
 			// Unreadable file (torn header): chain ends here.
 			rep.ChainBroken = rep.ChainBroken || walSet[e+1]
@@ -320,7 +319,7 @@ func OpenStore(dir string, opts *StoreOptions) (*Store, *RecoveryReport, error) 
 		s.segs = append(s.segs, replSeg{epoch: e, base: s.headSeqLocked(), count: uint64(res.Records)})
 		last, lastRes, haveLog = e, res, true
 		if rerr != nil {
-			// A record failed to re-apply; nothing after it can be trusted.
+			// A frame failed to re-apply; nothing after it can be trusted.
 			rep.ChainBroken = true
 			break
 		}
@@ -402,25 +401,18 @@ func (s *Store) Appended() uint64 {
 func (s *Store) Dir() string { return s.dir }
 
 // logGroup implements mutationJournal: it durably appends the records of one
-// commit with one fsync. Several records form one group frame, which recovery
-// replays whole or not at all; a lone record is written as the plain frame it
-// has always been. Called by commitLocked with idx.mu held.
+// commit as one frame with one fsync — a group frame, which recovery replays
+// whole or not at all, or for a lone record the plain frame it has always
+// been. Called by commitLocked with idx.mu held.
 func (s *Store) logGroup(recs []wal.GroupRecord) error {
 	if s.closed {
 		return ErrStoreClosed
 	}
-	var (
-		what string
-		n    int
-		err  error
-	)
-	if len(recs) == 1 {
-		what = string(walMutOps[recs[0].Op])
-		n, err = s.w.Append(recs[0].Op, recs[0].Payload)
-	} else {
+	what := string(walMutOps[recs[0].Op])
+	if len(recs) > 1 {
 		what = fmt.Sprintf("group of %d", len(recs))
-		n, err = s.w.AppendGroup(recs)
 	}
+	n, err := s.w.AppendGroup(recs)
 	if err != nil {
 		return fmt.Errorf("dkindex: wal append (%s): %w", what, err)
 	}
@@ -557,17 +549,4 @@ func (s *Store) Close() error {
 		return w.Close()
 	}
 	return nil
-}
-
-// applyRecord re-applies one write-ahead record during recovery, through the
-// same record-to-Mutation table and the same Apply a replica uses on shipped
-// records. The journal is not yet attached, so replayed mutations are not
-// re-logged.
-func (s *Store) applyRecord(r wal.Record) error {
-	m, err := DecodeWALMutation(r.Op, r.Payload)
-	if err != nil {
-		return fmt.Errorf("record %d: %w", r.Seq, err)
-	}
-	_, err = s.idx.Apply(m)
-	return err
 }

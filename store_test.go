@@ -130,9 +130,8 @@ func storeSteps(tb testing.TB) []func(*Index) error {
 		},
 		// The benchmark's document batch: eight add_document mutations in one
 		// group frame, the first of them after an edge update. The live path
-		// applies them as one batch to one clone; recovery replays the frame
-		// record by record, each through its own Apply — the two must agree
-		// bit for bit, which is why a batch is not refined jointly.
+		// applies them as one batch to one clone, and recovery replays the
+		// frame as the same one batch.
 		func(x *Index) error { return applyAll(x, eightDocuments()...) },
 		// Tune mines a seeded load and sends what it mined through the write
 		// pipeline: recovery sees one set_requirements record.
