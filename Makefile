@@ -40,8 +40,8 @@ race:
 # pollers, the third injects a crash at every I/O operation of a mutation
 # scenario (including inside a WAL group frame) and proves recovery lands on
 # exactly the acknowledged state, the fourth proves the parallel
-# counting-sort refinement is block-identical to the preserved reference
-# implementation on every experiment dataset, the fifth drives a replica
+# counting-sort refinement and the D(k) builds block-identical to the
+# independent ones of internal/oracle on every experiment dataset, the fifth drives a replica
 # over a flaky link to bit-identical convergence and sweeps a primary crash
 # at every I/O point of a replica catch-up (the full grid; `go test -short`
 # runs a strided subset) and reaches one document batch live, on a replica and
@@ -59,10 +59,10 @@ stress:
 
 # fuzz-smoke gives each untrusted-input decoder a short fuzzing burst — the
 # checkpoint codec, the write-ahead log replayer, the XML loader — and each
-# query kernel a differential one against its reference oracle: the
-# table-driven RPE automata, and the one trunk walker behind twigs and simple
-# paths (a predicate-free twig is also run as a path through Data, Index and
-# IndexNoValidation). The server's append encoder, its /v1/mutate body scanner
+# query kernel a differential one against its oracle in internal/oracle: the
+# table-driven RPE automata (against a Thompson construction of the oracle's
+# own), and the one trunk walker behind twigs and simple paths (a
+# predicate-free twig is also run as a path through Data and Index). The server's append encoder, its /v1/mutate body scanner
 # and its RawQuery reader are held to encoding/json and net/url the same way,
 # Algorithm 3's in-place graft
 # to the whole-index rebuild it replaces, and the two copy-on-write columns
@@ -168,17 +168,26 @@ profile-write:
 		-bench 'BenchmarkApplyBatchPipeline$$' -benchmem -benchtime $(BENCHTIME) \
 		-cpuprofile write_cpu.prof -memprofile write_mem.prof -memprofilerate 1 .
 
-# size prints the three numbers a PR serving ROADMAP aim 2 reports, so every
-# such PR measures the same thing: non-test Go lines, test lines and package
-# count, all outside benchmark/ (a module of its own) and .bench_build/; and
-# the non-test lines of internal/obs, which ROADMAP item 5 budgets.
+# size prints the numbers a PR serving ROADMAP aim 2 reports, so every such
+# PR measures the same thing, all outside benchmark/ (a module of its own)
+# and .bench_build/: non-test Go lines; the non-test lines of the
+# test-support packages, which only tests import (the oracles, the metrics
+# parser, the copy-on-write isolation check, the faulty filesystem and
+# network); production lines, the first minus the second; test lines;
+# package count; and the non-test lines of internal/obs without its
+# test-support package, which ROADMAP item 5 budgets.
 GO_FILES = find . -name '*.go' -not -path './benchmark/*' -not -path './.bench_build/*'
+TEST_SUPPORT = internal/oracle internal/obs/promtest internal/cow/cowtest internal/faultfs internal/faultnet
 
 size:
-	@echo "non-test Go lines: $$($(GO_FILES) -not -name '*_test.go' -print0 | xargs -0 cat | wc -l)"
+	@total=$$($(GO_FILES) -not -name '*_test.go' -print0 | xargs -0 cat | wc -l); \
+	support=$$(find $(TEST_SUPPORT) -name '*.go' -not -name '*_test.go' -print0 | xargs -0 cat | wc -l); \
+	echo "non-test Go lines: $$total"; \
+	echo "test-support non-test lines: $$support ($(TEST_SUPPORT))"; \
+	echo "production lines:  $$((total - support))"
 	@echo "test Go lines:     $$($(GO_FILES) -name '*_test.go' -print0 | xargs -0 cat | wc -l)"
 	@echo "packages:          $$($(GO) list ./... | wc -l)"
-	@echo "internal/obs non-test lines: $$(find internal/obs -name '*.go' -not -name '*_test.go' -print0 | xargs -0 cat | wc -l)"
+	@echo "internal/obs non-test lines: $$(find internal/obs -name '*.go' -not -name '*_test.go' -not -path 'internal/obs/promtest/*' -print0 | xargs -0 cat | wc -l)"
 
 # clean removes what building, profiling and benchmarking leave behind, all of
 # it untracked; the recorded BENCH_BASELINE.json is part of the repository.

@@ -6,7 +6,6 @@ import (
 
 	"dkindex/internal/experiments"
 	"dkindex/internal/graph"
-	"dkindex/internal/rpe"
 )
 
 // tunedXMark builds the load-tuned D(k)-index of XMark at the given scale.
@@ -164,7 +163,7 @@ func TestColdReadAllocatesItsAnswer(t *testing.T) {
 	idx.SetResultCache(0)
 	const text = "site//name"
 
-	c := rpe.CompileExpr(rpe.MustParse(text), ds.G.Labels())
+	c := compileRPE(t, text, ds.G.Labels())
 	members := ds.G.NodesWithLabel(ds.G.Labels().Lookup("name"))
 	charged := 0
 	charge := func(graph.NodeID) { charged++ }

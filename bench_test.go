@@ -585,7 +585,7 @@ func BenchmarkCodecLoad(b *testing.B) {
 func BenchmarkQueryRPE(b *testing.B) {
 	ds := benchXMark(b)
 	dk := core.Build(ds.G, ds.W.Requirements())
-	c := rpe.CompileExpr(rpe.MustParse("open_auction.itemref//name"), ds.G.Labels())
+	c := compileRPE(b, "open_auction.itemref//name", ds.G.Labels())
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		eval.IndexRPE(dk.IG, c)
@@ -634,8 +634,8 @@ func BenchmarkQueryThroughput(b *testing.B) {
 	ds := benchXMark(b)
 	dk := core.Build(ds.G, ds.W.Requirements())
 	rpes := []*rpe.Compiled{
-		rpe.CompileExpr(rpe.MustParse("open_auction.itemref//name"), ds.G.Labels()),
-		rpe.CompileExpr(rpe.MustParse("person.name|item.name"), ds.G.Labels()),
+		compileRPE(b, "open_auction.itemref//name", ds.G.Labels()),
+		compileRPE(b, "person.name|item.name", ds.G.Labels()),
 	}
 	twigSrcs := []string{"item[mailbox].name", "person[name].emailaddress"}
 	var twigs []*eval.Twig
@@ -675,8 +675,8 @@ func BenchmarkQueryThroughputInstrumented(b *testing.B) {
 	dk := core.Build(ds.G, ds.W.Requirements())
 	o := obs.NewObserver()
 	rpes := []*rpe.Compiled{
-		rpe.CompileExpr(rpe.MustParse("open_auction.itemref//name"), ds.G.Labels()),
-		rpe.CompileExpr(rpe.MustParse("person.name|item.name"), ds.G.Labels()),
+		compileRPE(b, "open_auction.itemref//name", ds.G.Labels()),
+		compileRPE(b, "person.name|item.name", ds.G.Labels()),
 	}
 	twigSrcs := []string{"item[mailbox].name", "person[name].emailaddress"}
 	var twigs []*eval.Twig

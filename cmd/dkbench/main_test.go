@@ -8,7 +8,7 @@ import (
 	"strings"
 	"testing"
 
-	"dkindex/internal/obs"
+	"dkindex/internal/obs/promtest"
 )
 
 // TestRunSingleExperiment walks the experiment table: every id that is part
@@ -55,7 +55,7 @@ func TestRunMetricsSnapshot(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fams, err := obs.ParsePrometheusText(bytes.NewReader(data))
+	fams, err := promtest.Parse(bytes.NewReader(data))
 	if err != nil {
 		t.Fatalf("snapshot unparsable: %v\n%s", err, data)
 	}

@@ -5,6 +5,8 @@ import (
 	"fmt"
 	"testing"
 
+	"dkindex/internal/graph"
+	"dkindex/internal/rpe"
 	"dkindex/internal/xmlgraph"
 )
 
@@ -13,6 +15,16 @@ import (
 func query(x *Index, kind Kind, text string) ([]NodeID, QueryStats, error) {
 	res, err := x.Run(Request{Kind: kind, Text: text})
 	return res.Nodes, res.Stats, err
+}
+
+// compileRPE compiles an expression the test knows to be well formed.
+func compileRPE(tb testing.TB, src string, labels *graph.LabelTable) *rpe.Compiled {
+	tb.Helper()
+	e, err := rpe.Parse(src)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return rpe.CompileExpr(e, labels)
 }
 
 // mustApply applies one mutation and fails the test if it is rejected.

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"dkindex/internal/obs"
+	"dkindex/internal/obs/promtest"
 )
 
 // TestParkedBodyContract walks the body slot of a cache entry through its
@@ -172,7 +173,7 @@ func TestCacheHitKeepsTheSideEffectsOfAParse(t *testing.T) {
 		if err := o.Registry.WritePrometheus(&sb); err != nil {
 			t.Fatal(err)
 		}
-		fams, err := obs.ParsePrometheusText(strings.NewReader(sb.String()))
+		fams, err := promtest.Parse(strings.NewReader(sb.String()))
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -148,7 +148,10 @@ func TestStaleAfterUpdateRebuildFixes(t *testing.T) {
 }
 
 func TestRandomizedAgainstTruthOnWarmLoad(t *testing.T) {
-	g := datagen.MustGraph(datagen.XMark(datagen.XMarkScale(0.02)))
+	g, _, err := datagen.Graph(datagen.XMark(datagen.XMarkScale(0.02)))
+	if err != nil {
+		t.Fatal(err)
+	}
 	w, err := workload.Generate(g, workload.Config{N: 40, MinLen: 2, MaxLen: 4, Seed: 9})
 	if err != nil {
 		t.Fatal(err)

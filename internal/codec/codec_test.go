@@ -17,7 +17,10 @@ import (
 
 func buildSample(t *testing.T) *core.DK {
 	t.Helper()
-	g := datagen.MustGraph(datagen.XMark(datagen.XMarkScale(0.02)))
+	g, _, err := datagen.Graph(datagen.XMark(datagen.XMarkScale(0.02)))
+	if err != nil {
+		t.Fatal(err)
+	}
 	reqs := core.ReqsFromNames(g.Labels(), map[string]int{"category": 3, "name": 2})
 	return core.Build(g, reqs)
 }

@@ -66,7 +66,7 @@ type BuildStats struct {
 // The result's node local similarities equal the broadcast requirements, and
 // the structural invariant of Definition 3 holds. Runs in O(k_max * m).
 func Build(g *graph.Graph, reqs Requirements) *DK {
-	ig, stats := buildFromSource(index.DataSource{G: g}, reqs, nil, false)
+	ig, stats := new(refineScratch).build(index.DataSource{G: g}, reqs, nil)
 	return &DK{IG: ig, LabelReqs: reqs.Clone(), Stats: stats}
 }
 
@@ -81,30 +81,8 @@ func Build(g *graph.Graph, reqs Requirements) *DK {
 // always sound. This is the engine behind subgraph addition (Algorithm 3)
 // and the demoting process (Section 5.4).
 func BuildFromIndex(src *index.IndexGraph, reqs Requirements) *DK {
-	ig, stats := buildFromSource(src, reqs, src.K, false)
+	ig, stats := new(refineScratch).build(src, reqs, src.K)
 	return &DK{IG: ig, LabelReqs: reqs.Clone(), Stats: stats}
-}
-
-// BuildReference is Build on the preserved reference refinement path
-// (partition.ReferenceRefineRound). It exists for the build audit, which
-// asserts the fast pipeline is block-identical to it over every experiment
-// dataset; it is never the production path.
-func BuildReference(g *graph.Graph, reqs Requirements) *DK {
-	ig, stats := buildFromSource(index.DataSource{G: g}, reqs, nil, true)
-	return &DK{IG: ig, LabelReqs: reqs.Clone(), Stats: stats}
-}
-
-// BuildFromIndexReference is BuildFromIndex on the reference refinement
-// path; for the build audit.
-func BuildFromIndexReference(src *index.IndexGraph, reqs Requirements) *DK {
-	ig, stats := buildFromSource(src, reqs, src.K, true)
-	return &DK{IG: ig, LabelReqs: reqs.Clone(), Stats: stats}
-}
-
-// buildFromSource is the shared Algorithm 2 engine: refine decides the blocks
-// and their local similarities, materialise makes them an index graph.
-func buildFromSource(src index.Source, reqs Requirements, memberK func(graph.NodeID) int, reference bool) (*index.IndexGraph, BuildStats) {
-	return new(refineScratch).build(src, reqs, memberK, reference)
 }
 
 // refineScratch is the working memory of a refinement job, all of it sized by
@@ -122,9 +100,11 @@ type refineScratch struct {
 	lower    lowerScratch
 }
 
-func (sc *refineScratch) build(src index.Source, reqs Requirements, memberK func(graph.NodeID) int, reference bool) (*index.IndexGraph, BuildStats) {
+// build is the shared Algorithm 2 engine: refine decides the blocks and their
+// local similarities, materialise makes them an index graph.
+func (sc *refineScratch) build(src index.Source, reqs Requirements, memberK func(graph.NodeID) int) (*index.IndexGraph, BuildStats) {
 	start := time.Now()
-	p, blockK, clamped, stats := sc.refine(src, reqs, memberK, reference)
+	p, blockK, clamped, stats := sc.refine(src, reqs, memberK)
 	ig := sc.materialise(src, p, blockK, clamped)
 	stats.Total = time.Since(start)
 	return ig, stats
@@ -136,11 +116,9 @@ func (sc *refineScratch) build(src index.Source, reqs Requirements, memberK func
 // already established for each source node: a block takes the min of its
 // broadcast requirement and its members' similarities, and clamped reports
 // that some block fell short of its requirement, so Definition 3 has to be
-// re-established by lowering once the blocks are index nodes. With reference
-// set, rounds run on the preserved reference refiner instead of the CSR
-// pipeline (for the build audit). stats.Total is left for the caller, who
-// knows what else the job includes.
-func (sc *refineScratch) refine(src partition.Labeled, reqs Requirements, memberK func(graph.NodeID) int, reference bool) (p *partition.Partition, blockK []int, clamped bool, stats BuildStats) {
+// re-established by lowering once the blocks are index nodes. stats.Total is
+// left for the caller, who knows what else the job includes.
+func (sc *refineScratch) refine(src partition.Labeled, reqs Requirements, memberK func(graph.NodeID) int) (p *partition.Partition, blockK []int, clamped bool, stats BuildStats) {
 	p = &sc.part
 	p.ResetByLabel(src)
 	labelBlocks := p.NumBlocks()
@@ -170,19 +148,14 @@ func (sc *refineScratch) refine(src partition.Labeled, reqs Requirements, member
 			kmax = r
 		}
 	}
-	if kmax > 0 && !reference {
+	if kmax > 0 {
 		sc.refiner.Reset(src)
 		stats.CSRBuild = sc.refiner.CSRBuild
 	}
 	for k := 1; k <= kmax; k++ {
 		req := blockReq // capture this round's values
 		sel := func(b partition.BlockID) bool { return req[b] >= k }
-		var res partition.RefineResult
-		if reference {
-			res = p.ReferenceRefineRound(src, sel)
-		} else {
-			res = sc.refiner.Round(p, sel)
-		}
+		res := sc.refiner.Round(p, sel)
 		sc.req[k%2] = slices.Grow(sc.req[k%2][:0], p.NumBlocks())[:p.NumBlocks()]
 		next := sc.req[k%2]
 		workpool.Chunks(len(next), workpool.Workers(len(next), 1<<15, 16), func(_, lo, hi int) {
@@ -261,14 +234,11 @@ func (q *quotientGraph) reset(src partition.Labeled, p *partition.Partition) {
 	}
 }
 
-// LowerToInvariant restores Definition 3 on an index graph by lowering: for
+// lowerScratch restores Definition 3 on an index graph by lowering: for
 // every edge a -> b it enforces k(b) <= k(a) + 1, propagating with a
-// worklist until stable. Lowering never breaks soundness (a smaller budget
-// only means more validation), so this is always safe to call.
-func LowerToInvariant(ig *index.IndexGraph) { new(lowerScratch).run(ig) }
-
-// lowerScratch is LowerToInvariant's worklist: every node once, then again
-// whenever it was lowered.
+// worklist (every node once, then again whenever it was lowered) until
+// stable. Lowering never breaks soundness (a smaller budget only means more
+// validation), so it is always safe to run.
 type lowerScratch struct {
 	queue   []graph.NodeID
 	inQueue []bool

@@ -7,6 +7,7 @@ import (
 	"dkindex/internal/eval"
 	"dkindex/internal/graph"
 	"dkindex/internal/index"
+	"dkindex/internal/oracle"
 )
 
 func randomGraph(seed int64, nodes, labels, extraEdges int) *graph.Graph {
@@ -89,23 +90,6 @@ func TestReqsFromNames(t *testing.T) {
 	if r.Get(tab.Intern("other")) != 0 {
 		t.Error("absent label should default to 0")
 	}
-	if r.Max() != 2 {
-		t.Errorf("Max = %d, want 2", r.Max())
-	}
-}
-
-func TestRequirementsAtMost(t *testing.T) {
-	lo := Requirements{0: 1, 1: 0}
-	hi := Requirements{0: 2, 1: 1}
-	if !lo.AtMost(hi) {
-		t.Error("lo should be AtMost hi")
-	}
-	if hi.AtMost(lo) {
-		t.Error("hi should not be AtMost lo")
-	}
-	if !Requirements(nil).AtMost(lo) {
-		t.Error("nil requirements are AtMost anything")
-	}
 }
 
 func TestRequirementsCloneAndFormat(t *testing.T) {
@@ -115,11 +99,6 @@ func TestRequirementsCloneAndFormat(t *testing.T) {
 	c[tab.Lookup("a")] = 9
 	if r.Get(tab.Lookup("a")) == 9 {
 		t.Error("clone shares storage")
-	}
-	if got := r.Format(tab); got != "{b:2 a:1}" && got != "{a:1 b:2}" {
-		// order follows label ids; both labels interned in map order, so
-		// accept either but require both entries present.
-		t.Errorf("Format = %q", got)
 	}
 }
 
@@ -274,7 +253,7 @@ func TestConstructionFigure2Style(t *testing.T) {
 	for _, qs := range []string{"a.b.e", "a.c.e"} {
 		q := mustQuery(t, g, qs)
 		truth, _ := eval.Data(g, q)
-		raw, _ := eval.IndexNoValidation(dk.IG, q)
+		raw, _ := oracle.IndexNoValidation(dk.IG, q)
 		if !eval.SameResult(raw, truth) {
 			t.Errorf("query %s unsound without validation: %v != %v", qs, raw, truth)
 		}
@@ -477,7 +456,7 @@ func TestAddEdgeSoundnessOfClaimedSimilarities(t *testing.T) {
 			}
 			if cost.Validations == 0 {
 				// Every matched node claimed soundness; verify the claim.
-				raw, _ := eval.IndexNoValidation(dk.IG, q)
+				raw, _ := oracle.IndexNoValidation(dk.IG, q)
 				if !eval.SameResult(raw, truth) {
 					t.Fatalf("seed %d: claimed similarity unsound on %s", seed, q.Format(g.Labels()))
 				}
@@ -535,7 +514,7 @@ func TestRemoveEdgeCorrectnessProperty(t *testing.T) {
 				t.Fatalf("seed %d: wrong after removals on %s", seed, q.Format(g.Labels()))
 			}
 			if cost.Validations == 0 {
-				raw, _ := eval.IndexNoValidation(dk.IG, q)
+				raw, _ := oracle.IndexNoValidation(dk.IG, q)
 				if !eval.SameResult(raw, truth) {
 					t.Fatalf("seed %d: unsound claim after removals on %s", seed, q.Format(g.Labels()))
 				}

@@ -7,6 +7,7 @@ import (
 	"dkindex/internal/eval"
 	"dkindex/internal/graph"
 	"dkindex/internal/index"
+	"dkindex/internal/oracle"
 )
 
 // --- Promoting (Algorithm 6) ---
@@ -17,7 +18,7 @@ func TestPromoteRestoresSoundness(t *testing.T) {
 	dk := Build(g, nil) // label split: everything at k=0
 	q := mustQuery(t, g, "director.movie.title")
 	truth, _ := eval.Data(g, q)
-	raw, _ := eval.IndexNoValidation(dk.IG, q)
+	raw, _ := oracle.IndexNoValidation(dk.IG, q)
 	if eval.SameResult(raw, truth) {
 		t.Fatal("precondition: label split should over-answer director.movie.title")
 	}
@@ -28,7 +29,7 @@ func TestPromoteRestoresSoundness(t *testing.T) {
 	if err := dk.IG.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	raw, _ = eval.IndexNoValidation(dk.IG, q)
+	raw, _ = oracle.IndexNoValidation(dk.IG, q)
 	if !eval.SameResult(raw, truth) {
 		t.Errorf("after PromoteLabel(title,2): %v != %v", raw, truth)
 	}
@@ -76,7 +77,7 @@ func TestPromoteSoundnessProperty(t *testing.T) {
 				t.Fatalf("seed %d: validated result wrong after promote on %s", seed, q.Format(g.Labels()))
 			}
 			if cost.Validations == 0 {
-				raw, _ := eval.IndexNoValidation(dk.IG, q)
+				raw, _ := oracle.IndexNoValidation(dk.IG, q)
 				if !eval.SameResult(raw, truth) {
 					t.Fatalf("seed %d: promote claimed unsound similarity on %s", seed, q.Format(g.Labels()))
 				}
@@ -194,7 +195,7 @@ func TestPromoteOnCyclicGraph(t *testing.T) {
 			t.Fatalf("cyclic promote: wrong result on %s", q.Format(g.Labels()))
 		}
 		if cost.Validations == 0 {
-			raw, _ := eval.IndexNoValidation(dk.IG, q)
+			raw, _ := oracle.IndexNoValidation(dk.IG, q)
 			if !eval.SameResult(raw, truth) {
 				t.Fatalf("cyclic promote: unsound claim on %s", q.Format(g.Labels()))
 			}
@@ -296,7 +297,7 @@ func TestDemoteAfterUpdatesStaysSound(t *testing.T) {
 			t.Fatalf("demote after updates: wrong result on %s", q.Format(g.Labels()))
 		}
 		if cost.Validations == 0 {
-			raw, _ := eval.IndexNoValidation(dk.IG, q)
+			raw, _ := oracle.IndexNoValidation(dk.IG, q)
 			if !eval.SameResult(raw, truth) {
 				t.Fatalf("demote after updates: unsound claim on %s", q.Format(g.Labels()))
 			}
@@ -466,7 +467,7 @@ func TestAddSubgraphSoundAfterPriorUpdates(t *testing.T) {
 			t.Fatalf("subgraph after updates: wrong result on %s", q.Format(g.Labels()))
 		}
 		if cost.Validations == 0 {
-			raw, _ := eval.IndexNoValidation(dk.IG, q)
+			raw, _ := oracle.IndexNoValidation(dk.IG, q)
 			if !eval.SameResult(raw, truth) {
 				t.Fatalf("subgraph after updates: unsound claim on %s", q.Format(g.Labels()))
 			}
@@ -474,7 +475,7 @@ func TestAddSubgraphSoundAfterPriorUpdates(t *testing.T) {
 	}
 }
 
-// --- LowerToInvariant ---
+// --- lowering ---
 
 func TestLowerToInvariant(t *testing.T) {
 	g := chainGraph()
@@ -485,7 +486,7 @@ func TestLowerToInvariant(t *testing.T) {
 	if err := CheckInvariant(dk.IG); err == nil {
 		t.Fatal("precondition: invariant should be broken")
 	}
-	LowerToInvariant(dk.IG)
+	new(lowerScratch).run(dk.IG)
 	if err := CheckInvariant(dk.IG); err != nil {
 		t.Fatal(err)
 	}

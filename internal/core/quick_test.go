@@ -8,6 +8,7 @@ import (
 	"dkindex/internal/eval"
 	"dkindex/internal/graph"
 	"dkindex/internal/index"
+	"dkindex/internal/oracle"
 	"dkindex/internal/partition"
 )
 
@@ -50,7 +51,7 @@ func checkIndexExact(dk *DK, seed int64) bool {
 			return false
 		}
 		if cost.Validations == 0 {
-			raw, _ := eval.IndexNoValidation(dk.IG, q)
+			raw, _ := oracle.IndexNoValidation(dk.IG, q)
 			if !eval.SameResult(raw, truth) {
 				return false
 			}

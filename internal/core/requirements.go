@@ -11,7 +11,6 @@ package core
 
 import (
 	"slices"
-	"strconv"
 
 	"dkindex/internal/graph"
 )
@@ -50,29 +49,6 @@ func (r Requirements) Clone() Requirements {
 		c[k] = v
 	}
 	return c
-}
-
-// Max returns the largest requirement (0 for empty requirements).
-func (r Requirements) Max() int {
-	max := 0
-	for _, v := range r {
-		if v > max {
-			max = v
-		}
-	}
-	return max
-}
-
-// AtMost reports whether every requirement in r is <= the corresponding
-// requirement in other. It is the precondition of the demoting process
-// (shrinking means lowering requirements).
-func (r Requirements) AtMost(other Requirements) bool {
-	for l, v := range r {
-		if v > other.Get(l) {
-			return false
-		}
-	}
-	return true
 }
 
 // broadcastGraph is the adjacency view Algorithm 1 needs: for each node of
@@ -134,16 +110,4 @@ func (r Requirements) SortedLabels() []graph.LabelID {
 	}
 	slices.Sort(out)
 	return out
-}
-
-// String renders requirements with a label table for diagnostics.
-func (r Requirements) Format(t *graph.LabelTable) string {
-	s := "{"
-	for i, l := range r.SortedLabels() {
-		if i > 0 {
-			s += " "
-		}
-		s += t.Name(l) + ":" + strconv.Itoa(r[l])
-	}
-	return s + "}"
 }

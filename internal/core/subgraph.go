@@ -77,7 +77,7 @@ func (dk *DK) addSubgraph(h index.Document, rebuild bool) ([]graph.NodeID, error
 	}
 
 	// Step 3: refine the combination, then graft or materialise.
-	p, blockK, clamped, stats := sc.refine(comp, dk.LabelReqs, comp.MemberK, false)
+	p, blockK, clamped, stats := sc.refine(comp, dk.LabelReqs, comp.MemberK)
 	if !rebuild && keepsOldNodes(p, comp.Base()) {
 		graft(dk.IG, comp, p, blockK)
 		addEdges(func(u, v graph.NodeID) { dk.IG.AddDataEdge(u, v) })
@@ -96,7 +96,7 @@ func (dk *DK) addSubgraph(h index.Document, rebuild bool) ([]graph.NodeID, error
 // subIndex is step 1 of Algorithm 3: the document's own D(k)-index, refined
 // on the scratch and copied out of it, so the scratch is free for step 3.
 func (sc *refineScratch) subIndex(sub *index.Subgraph, reqs Requirements) *index.SubIndex {
-	p, blockK, _, _ := sc.refine(sub, reqs, nil, false)
+	p, blockK, _, _ := sc.refine(sub, reqs, nil)
 	return index.NewSubIndex(sub, p, func(b partition.BlockID) int { return blockK[b] })
 }
 

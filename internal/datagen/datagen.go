@@ -33,16 +33,6 @@ func Graph(doc *xmlgraph.Elem) (*graph.Graph, *xmlgraph.Report, error) {
 	return xmlgraph.Load(&buf, LoadOptions())
 }
 
-// MustGraph is Graph that panics on error; generator output is always
-// well-formed, so failures indicate bugs.
-func MustGraph(doc *xmlgraph.Elem) *graph.Graph {
-	g, _, err := Graph(doc)
-	if err != nil {
-		panic(err)
-	}
-	return g
-}
-
 // LoadOptions returns xmlgraph options matching the generators' conventions:
 // identity in id= attributes and references in *ref attributes (the loader's
 // defaults cover both).

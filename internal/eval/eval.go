@@ -170,22 +170,6 @@ func Explain(ig *index.IndexGraph, q Query, each func(m graph.NodeID, validated 
 	return e.onIndex(ig, nil, each)
 }
 
-// IndexNoValidation evaluates q on the summary trusting every match: the
-// union of matched extents is returned without consulting the data graph.
-// For a sound index (every matched node with similarity >= query length)
-// this equals the true result; otherwise it may contain false positives.
-// Exposed for soundness experiments and tests.
-func IndexNoValidation(ig *index.IndexGraph, q Query) ([]graph.NodeID, Cost) {
-	e := newPathEval(ig, q)
-	defer e.release()
-	matched := e.eval()
-	sets := make([]nodeset.Set, len(matched))
-	for i, m := range matched {
-		sets[i] = ig.ExtentSet(m)
-	}
-	return nodeset.MergeAppend(nil, sets, nil), Cost{IndexNodesVisited: e.visited}
-}
-
 // valScratch pools the result-assembly buffers of the index evaluators: sound
 // collects the extents that contribute wholesale, ext holds the extent being
 // validated, decompressed, and hits the members that passed so far, so the

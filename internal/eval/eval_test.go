@@ -84,81 +84,6 @@ func TestDataMatchesPaperExample(t *testing.T) {
 	}
 }
 
-// TestDataCases runs simple paths straight over the data graph: answers,
-// the empty answer as nil, and the visit charges of the cost model, which
-// must equal the map-based oracle's.
-func TestDataCases(t *testing.T) {
-	g := graph.FigureOneMovies()
-	for _, tc := range []struct {
-		name   string
-		q      Query
-		want   []graph.NodeID
-		visits int // -1: only compared with the oracle
-	}{
-		{"paper_example", mustQuery(t, g, "director.movie.title"), []graph.NodeID{15, 16, 18}, -1},
-		{"no_match", mustQuery(t, g, "title.movie"), nil, -1},
-		{"empty_path", nil, nil, 0},
-		// 4 movie seeds + 4 title matches.
-		{"counts_visits", mustQuery(t, g, "movie.title"), []graph.NodeID{13, 15, 16, 18}, 8},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			got, c := Data(g, tc.q)
-			if !SameResult(got, tc.want) || (tc.want == nil && got != nil) {
-				t.Errorf("%s = %v, want %v", tc.q.Format(g.Labels()), got, tc.want)
-			}
-			if tc.visits >= 0 && c.IndexNodesVisited != tc.visits {
-				t.Errorf("%s: visits = %d, want %d", tc.q.Format(g.Labels()), c.IndexNodesVisited, tc.visits)
-			}
-			if _, wc := ReferenceData(g, tc.q); c != wc {
-				t.Errorf("%s: cost %+v, reference %+v", tc.q.Format(g.Labels()), c, wc)
-			}
-		})
-	}
-}
-
-// TestMatchesNodeCases checks the per-member validation primitive, on the
-// paper's example and around a cycle.
-func TestMatchesNodeCases(t *testing.T) {
-	movies, cycle := graph.FigureOneMovies(), graph.TinyCycle()
-	for _, tc := range []struct {
-		name string
-		g    *graph.Graph
-		path string // "" is the empty path
-		n    graph.NodeID
-		want bool
-	}{
-		{"paper_example", movies, "director.movie.title", 15, true},
-		// Movie 5 has no director parent.
-		{"paper_example_miss", movies, "director.movie.title", 13, false},
-		{"empty_path", movies, "", 13, true},
-		// Node path a->b->a->b exists via the cycle.
-		{"cycle", cycle, "a.b.a.b", 2, true},
-		// But ROOT appears only at the start.
-		{"cycle_root_inside", cycle, "b." + graph.RootLabel + ".a", 1, false},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			var q Query
-			if tc.path != "" {
-				q = mustQuery(t, tc.g, tc.path)
-			}
-			ok, charged := MatchesNode(tc.g, q, tc.n)
-			if ok != tc.want {
-				t.Errorf("%q at node %d = %v, want %v", tc.path, tc.n, ok, tc.want)
-			}
-			wantOK, wantCharged := referenceMatchesNode(tc.g, q, tc.n)
-			if ok != wantOK || charged != wantCharged {
-				t.Errorf("%q at node %d = %v charging %d, reference %v charging %d", tc.path, tc.n, ok, charged, wantOK, wantCharged)
-			}
-		})
-	}
-}
-
-func referenceMatchesNode(g *graph.Graph, q Query, n graph.NodeID) (bool, int) {
-	charged := 0
-	ok := referenceLabelPathMatchesNode(g, q, n, func(graph.NodeID) { charged++ })
-	return ok, charged
-}
-
 func TestIndexSoundWithoutValidation(t *testing.T) {
 	g := graph.FigureOneMovies()
 	q := mustQuery(t, g, "director.movie.title")
@@ -173,32 +98,6 @@ func TestIndexSoundWithoutValidation(t *testing.T) {
 	}
 	if cost.DataNodesValidated != 0 {
 		t.Error("1-index charged validation visits")
-	}
-}
-
-func TestLabelSplitNeedsValidation(t *testing.T) {
-	g := graph.FigureOneMovies()
-	q := mustQuery(t, g, "director.movie.title")
-	ls := index.BuildLabelSplit(g)
-	res, cost := Index(ls, q)
-	truth, _ := Data(g, q)
-	if !SameResult(res, truth) {
-		t.Errorf("label-split validated result %v != truth %v", res, truth)
-	}
-	if cost.Validations == 0 {
-		t.Error("label-split should validate a length-2 query")
-	}
-	if cost.DataNodesValidated == 0 {
-		t.Error("validation should charge data node visits")
-	}
-	// Without validation the label-split index over-answers: title 13
-	// (movie 5 has no director parent) is a false positive.
-	raw, _ := IndexNoValidation(ls, q)
-	if SameResult(raw, truth) {
-		t.Error("label-split without validation should over-answer this query")
-	}
-	if len(raw) <= len(truth) {
-		t.Errorf("unvalidated result (%d) not larger than truth (%d)", len(raw), len(truth))
 	}
 }
 
@@ -284,73 +183,6 @@ func randomQuery(rng *rand.Rand, g *graph.Graph, maxLen int) Query {
 		q = append(q, g.Label(n))
 	}
 	return q
-}
-
-// The central safety/soundness property: for every index, every query,
-// validated index evaluation equals direct evaluation; and unvalidated
-// evaluation is a superset (safety).
-func TestIndexEvaluationMatchesTruthProperty(t *testing.T) {
-	for seed := int64(0); seed < 8; seed++ {
-		g := randomGraph(seed, 250, 4, 70)
-		rng := rand.New(rand.NewSource(seed * 31))
-		indexes := []*index.IndexGraph{
-			index.BuildLabelSplit(g),
-			index.BuildAK(g, 1),
-			index.BuildAK(g, 2),
-			index.BuildAK(g, 3),
-			index.Build1Index(g),
-		}
-		for qi := 0; qi < 25; qi++ {
-			q := randomQuery(rng, g, 2+rng.Intn(4))
-			truth, _ := Data(g, q)
-			for ii, ig := range indexes {
-				res, _ := Index(ig, q)
-				if !SameResult(res, truth) {
-					t.Fatalf("seed %d index %d query %s: %v != truth %v",
-						seed, ii, q.Format(g.Labels()), res, truth)
-				}
-				raw, _ := IndexNoValidation(ig, q)
-				if !isSuperset(raw, truth) {
-					t.Fatalf("seed %d index %d query %s: safety violated",
-						seed, ii, q.Format(g.Labels()))
-				}
-			}
-		}
-	}
-}
-
-// Soundness property: when every matched node's similarity covers the query
-// length, unvalidated evaluation already equals the truth.
-func TestAKSoundnessWithinBudgetProperty(t *testing.T) {
-	for seed := int64(0); seed < 6; seed++ {
-		g := randomGraph(seed+100, 220, 4, 50)
-		rng := rand.New(rand.NewSource(seed))
-		for _, k := range []int{1, 2, 3, 4} {
-			ig := index.BuildAK(g, k)
-			for qi := 0; qi < 15; qi++ {
-				q := randomQuery(rng, g, k+1) // length <= k
-				truth, _ := Data(g, q)
-				raw, _ := IndexNoValidation(ig, q)
-				if !SameResult(raw, truth) {
-					t.Fatalf("seed %d A(%d) query %s (len %d): unsound without validation",
-						seed, k, q.Format(g.Labels()), q.Length())
-				}
-			}
-		}
-	}
-}
-
-func isSuperset(sup, sub []graph.NodeID) bool {
-	set := make(map[graph.NodeID]bool, len(sup))
-	for _, n := range sup {
-		set[n] = true
-	}
-	for _, n := range sub {
-		if !set[n] {
-			return false
-		}
-	}
-	return true
 }
 
 func TestCostAdd(t *testing.T) {

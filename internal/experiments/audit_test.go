@@ -7,12 +7,13 @@ import (
 	"dkindex/internal/core"
 	"dkindex/internal/eval"
 	"dkindex/internal/index"
+	"dkindex/internal/oracle"
 	"dkindex/internal/rpe"
 )
 
 // The query fast path (posting-list seeding, dense frontiers, pooled
 // scratch, parallel validation) must be observationally identical to the
-// original map-based evaluators: same results AND the same value in every
+// map-based evaluators of internal/oracle: same results AND the same value in every
 // Cost counter, query by query. This audit assembles the index states behind
 // every reported experiment — the Figure 4/5 before-update family, the
 // Figure 6/7 / Table 1 after-update states, and the Figure family spectrum —
@@ -104,21 +105,21 @@ func auditDataset(t *testing.T, ds *Dataset) {
 	// Direct (data graph) evaluation: audited once per dataset.
 	for _, q := range ds.W.Queries {
 		got, gc := eval.Data(ds.G, q)
-		want, wc := eval.ReferenceData(ds.G, q)
+		want, wc := oracle.Data(ds.G, q)
 		if !eval.SameResult(got, want) || !sameCost(gc, wc) {
 			t.Fatalf("Data diverges on %s: cost %+v vs %+v", q.Format(ds.G.Labels()), gc, wc)
 		}
 	}
 	for _, c := range exprs {
 		got, gc := eval.DataRPE(ds.G, c)
-		want, wc := eval.ReferenceDataRPE(ds.G, c)
+		want, wc := oracle.DataRPE(ds.G, oracle.CompileRPE(c.Expr, ds.G.Labels()))
 		if !eval.SameResult(got, want) || !sameCost(gc, wc) {
 			t.Fatalf("DataRPE diverges on %s: cost %+v vs %+v", c.Expr, gc, wc)
 		}
 	}
 	for _, tw := range twigs {
 		got, gc := eval.DataTwig(ds.G, tw)
-		want, wc := eval.ReferenceDataTwig(ds.G, tw)
+		want, wc := oracle.DataTwig(ds.G, tw)
 		if !eval.SameResult(got, want) || !sameCost(gc, wc) {
 			t.Fatalf("DataTwig diverges on %s: cost %+v vs %+v", tw.Format(ds.G.Labels()), gc, wc)
 		}
@@ -128,28 +129,22 @@ func auditDataset(t *testing.T, ds *Dataset) {
 		g := st.ig.Data()
 		for _, q := range ds.W.Queries {
 			got, gc := eval.Index(st.ig, q)
-			want, wc := eval.ReferenceIndex(st.ig, q)
+			want, wc := oracle.Index(st.ig, q)
 			if !eval.SameResult(got, want) || !sameCost(gc, wc) {
 				t.Fatalf("%s: Index diverges on %s: cost %+v vs %+v",
-					st.name, q.Format(g.Labels()), gc, wc)
-			}
-			got, gc = eval.IndexNoValidation(st.ig, q)
-			want, wc = eval.ReferenceIndexNoValidation(st.ig, q)
-			if !eval.SameResult(got, want) || !sameCost(gc, wc) {
-				t.Fatalf("%s: IndexNoValidation diverges on %s: cost %+v vs %+v",
 					st.name, q.Format(g.Labels()), gc, wc)
 			}
 		}
 		for _, c := range exprs {
 			got, gc := eval.IndexRPE(st.ig, c)
-			want, wc := eval.ReferenceIndexRPE(st.ig, c)
+			want, wc := oracle.IndexRPE(st.ig, oracle.CompileRPE(c.Expr, ds.G.Labels()))
 			if !eval.SameResult(got, want) || !sameCost(gc, wc) {
 				t.Fatalf("%s: IndexRPE diverges on %s: cost %+v vs %+v", st.name, c.Expr, gc, wc)
 			}
 		}
 		for _, tw := range twigs {
 			got, gc := eval.IndexTwig(st.ig, tw)
-			want, wc := eval.ReferenceIndexTwig(st.ig, tw)
+			want, wc := oracle.IndexTwig(st.ig, tw)
 			if !eval.SameResult(got, want) || !sameCost(gc, wc) {
 				t.Fatalf("%s: IndexTwig diverges on %s: cost %+v vs %+v",
 					st.name, tw.Format(g.Labels()), gc, wc)

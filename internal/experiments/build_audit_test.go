@@ -7,14 +7,17 @@ import (
 	"dkindex/internal/core"
 	"dkindex/internal/graph"
 	"dkindex/internal/index"
+	"dkindex/internal/oracle"
 	"dkindex/internal/partition"
 )
 
 // The construction fast path (CSR adjacency snapshots, counting-sort
 // signature grouping, pooled scratch, workpool fan-out) must be
-// block-identical to the preserved reference refinement: the same partition
-// with the same canonical block numbering, which makes the resulting index
-// graphs identical node for node. This audit runs both pipelines over every
+// block-identical to the signature-map refinement of internal/oracle: the
+// same partition with the same canonical block numbering. The D(k) builds
+// must equal the oracle's own Algorithms 1 and 2 (broadcast, rounds,
+// clamping, lowering and extents, none of it shared with core) node for
+// node. This audit runs both over every
 // construction the experiments report — the A(k) series, 1-index, F&B, the
 // load-tuned D(k), demotion via Theorem 2, and rebuild-after-updates with
 // similarity clamping — on each dataset. Run it under -race to also check
@@ -29,29 +32,30 @@ func testDblp(t *testing.T) *Dataset {
 	return ds
 }
 
-// igIdentical asserts two index graphs are identical node for node: labels,
-// local similarities, extents and adjacency. Canonical partition numbering
-// makes this the expected outcome — not just isomorphism.
-func igIdentical(t *testing.T, name string, got, want *index.IndexGraph) {
+// igIdentical asserts an index graph is the oracle's D(k)-index node for
+// node: labels, local similarities, extents and adjacency. Canonical
+// partition numbering makes this the expected outcome — not just
+// isomorphism.
+func igIdentical(t *testing.T, name string, got *index.IndexGraph, want *oracle.DK) {
 	t.Helper()
-	if got.NumNodes() != want.NumNodes() {
-		t.Fatalf("%s: %d index nodes, reference built %d", name, got.NumNodes(), want.NumNodes())
+	if got.NumNodes() != len(want.Label) {
+		t.Fatalf("%s: %d index nodes, reference built %d", name, got.NumNodes(), len(want.Label))
 	}
-	for n := 0; n < want.NumNodes(); n++ {
+	for n := range want.Label {
 		id := graph.NodeID(n)
-		if got.Label(id) != want.Label(id) {
-			t.Fatalf("%s: node %d label %d, reference %d", name, n, got.Label(id), want.Label(id))
+		if got.Label(id) != want.Label[n] {
+			t.Fatalf("%s: node %d label %d, reference %d", name, n, got.Label(id), want.Label[n])
 		}
-		if got.K(id) != want.K(id) {
-			t.Fatalf("%s: node %d k=%d, reference k=%d", name, n, got.K(id), want.K(id))
+		if got.K(id) != want.K[n] {
+			t.Fatalf("%s: node %d k=%d, reference k=%d", name, n, got.K(id), want.K[n])
 		}
-		if !slices.Equal(got.Extent(id), want.Extent(id)) {
+		if !slices.Equal(got.Extent(id), want.Extent[n]) {
 			t.Fatalf("%s: node %d extent diverges", name, n)
 		}
-		if !slices.Equal(got.Children(id), want.Children(id)) {
+		if !slices.Equal(got.Children(id), want.Children[n]) {
 			t.Fatalf("%s: node %d children diverge", name, n)
 		}
-		if !slices.Equal(got.Parents(id), want.Parents(id)) {
+		if !slices.Equal(got.Parents(id), want.Parents[n]) {
 			t.Fatalf("%s: node %d parents diverge", name, n)
 		}
 	}
@@ -64,30 +68,31 @@ func auditBuilds(t *testing.T, ds *Dataset) {
 
 	// Bisimulation family: fixpoint, the A(k) ladder, and F&B.
 	fp, fr := partition.Bisimulation(ds.G)
-	rp, rr := partition.ReferenceBisimulation(ds.G)
-	if fr != rr || !partition.Identical(fp, rp) {
+	rp, rr := oracle.Bisimulation(ds.G)
+	if fr != rr || !oracle.Identical(fp, rp) {
 		t.Fatalf("Bisimulation diverges from reference (rounds %d vs %d)", fr, rr)
 	}
 	for k := 0; k <= maxK; k++ {
 		fp, fr = partition.KBisimulation(ds.G, k)
-		rp, rr = partition.ReferenceKBisimulation(ds.G, k)
-		if fr != rr || !partition.Identical(fp, rp) {
+		rp, rr = oracle.KBisimulation(ds.G, k)
+		if fr != rr || !oracle.Identical(fp, rp) {
 			t.Fatalf("KBisimulation(%d) diverges from reference", k)
 		}
 	}
 	fp, fr = partition.FBBisimulation(ds.G)
-	rp, rr = partition.ReferenceFBBisimulation(ds.G)
-	if fr != rr || !partition.Identical(fp, rp) {
+	rp, rr = oracle.FBBisimulation(ds.G)
+	if fr != rr || !oracle.Identical(fp, rp) {
 		t.Fatalf("FBBisimulation diverges from reference")
 	}
 
 	// D(k) construction (Algorithm 2) with the load-tuned requirements.
 	dk := core.Build(ds.G, reqs)
-	ref := core.BuildReference(ds.G, reqs)
-	igIdentical(t, "D(k)", dk.IG, ref.IG)
-	if dk.Stats.Rounds != ref.Stats.Rounds || dk.Stats.Splits != ref.Stats.Splits ||
-		dk.Stats.PeakBlocks != ref.Stats.PeakBlocks {
-		t.Fatalf("D(k) stats diverge: %+v vs %+v", dk.Stats, ref.Stats)
+	ref := oracle.BuildDK(ds.G, reqs)
+	igIdentical(t, "D(k)", dk.IG, ref)
+	if dk.Stats.Rounds != ref.Rounds || dk.Stats.Splits != ref.Splits ||
+		dk.Stats.PeakBlocks != ref.PeakBlocks {
+		t.Fatalf("D(k) stats diverge: %+v vs rounds %d, splits %d, peak blocks %d",
+			dk.Stats, ref.Rounds, ref.Splits, ref.PeakBlocks)
 	}
 
 	// Theorem 2 rebuilds: demotion (index as construction source) ...
@@ -99,7 +104,7 @@ func auditBuilds(t *testing.T, ds *Dataset) {
 	}
 	igIdentical(t, "demote",
 		core.BuildFromIndex(dk.IG, lowered).IG,
-		core.BuildFromIndexReference(ref.IG, lowered).IG)
+		oracle.BuildDKFromIndex(dk.IG, lowered))
 
 	// ... and rebuild after updates, where decayed similarities force the
 	// memberK clamp + lowering path.
@@ -114,21 +119,21 @@ func auditBuilds(t *testing.T, ds *Dataset) {
 	}
 	igIdentical(t, "rebuild-after-updates",
 		core.BuildFromIndex(upd.IG, reqs).IG,
-		core.BuildFromIndexReference(upd.IG, reqs).IG)
+		oracle.BuildDKFromIndex(upd.IG, reqs))
 
 	// Per-round origin lineage with partial selectors, on the real dataset
 	// (the quick tests cover random graphs; this covers skewed real shapes).
 	fastP := partition.NewByLabel(ds.G)
-	refP := partition.NewByLabel(ds.G)
+	refP := oracle.NewByLabel(ds.G)
 	refiner := partition.NewRefiner(ds.G)
 	for round := 0; round < 3; round++ {
 		sel := func(b partition.BlockID) bool { return int(b)%3 != round%3 }
 		fres := refiner.Round(fastP, sel)
-		rres := refP.ReferenceRefineRound(ds.G, sel)
+		rres := refP.Round(ds.G.Parents, sel)
 		if fres.Changed != rres.Changed || !slices.Equal(fres.Origin, rres.Origin) {
 			t.Fatalf("round %d: origin lineage diverges", round)
 		}
-		if !partition.Identical(fastP, refP) {
+		if !oracle.Identical(fastP, refP) {
 			t.Fatalf("round %d: selective refinement diverges", round)
 		}
 	}

@@ -5,6 +5,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"dkindex/internal/obs/promtest"
 )
 
 // TestNilObserver checks every Observer method is inert on a nil receiver,
@@ -44,7 +46,7 @@ func TestObserverBuildMetrics(t *testing.T) {
 	if err := o.Registry.WritePrometheus(&sb); err != nil {
 		t.Fatal(err)
 	}
-	fams, err := ParsePrometheusText(strings.NewReader(sb.String()))
+	fams, err := promtest.Parse(strings.NewReader(sb.String()))
 	if err != nil {
 		t.Fatalf("parse: %v", err)
 	}
@@ -90,7 +92,7 @@ func TestObserverQueryMetrics(t *testing.T) {
 	if err := o.Registry.WritePrometheus(&sb); err != nil {
 		t.Fatal(err)
 	}
-	fams, err := ParsePrometheusText(strings.NewReader(sb.String()))
+	fams, err := promtest.Parse(strings.NewReader(sb.String()))
 	if err != nil {
 		t.Fatalf("parse: %v", err)
 	}
@@ -137,7 +139,7 @@ func TestObserverEventsAndGauges(t *testing.T) {
 	if err := o.Registry.WritePrometheus(&sb); err != nil {
 		t.Fatal(err)
 	}
-	fams, err := ParsePrometheusText(strings.NewReader(sb.String()))
+	fams, err := promtest.Parse(strings.NewReader(sb.String()))
 	if err != nil {
 		t.Fatal(err)
 	}

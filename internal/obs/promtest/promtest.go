@@ -1,4 +1,7 @@
-package obs
+// Package promtest parses the Prometheus text exposition that
+// obs.Registry.WritePrometheus writes, so that tests can read /v1/metrics
+// back as families and samples. Only tests import it.
+package promtest
 
 import (
 	"bufio"
@@ -8,8 +11,8 @@ import (
 	"strings"
 )
 
-// PromSample is one parsed sample line of the Prometheus text format.
-type PromSample struct {
+// Sample is one parsed sample line of the Prometheus text format.
+type Sample struct {
 	// Name is the full sample name, including histogram suffixes
 	// (_bucket/_sum/_count).
 	Name   string
@@ -17,22 +20,21 @@ type PromSample struct {
 	Value  float64
 }
 
-// PromFamily is one parsed metric family: the # HELP/# TYPE header plus the
+// Family is one parsed metric family: the # HELP/# TYPE header plus the
 // sample lines attached to it.
-type PromFamily struct {
+type Family struct {
 	Name, Help, Type string
-	Samples          []PromSample
+	Samples          []Sample
 }
 
-// ParsePrometheusText parses the subset of the Prometheus text exposition
+// Parse parses the subset of the Prometheus text exposition
 // format (version 0.0.4) that Registry.WritePrometheus emits: # HELP and
 // # TYPE headers followed by their samples. It verifies that every sample
 // belongs to the family declared above it (allowing the _bucket/_sum/_count
-// suffixes on histograms) and that histogram buckets are cumulative. It
-// backs the round-trip tests of /metrics output.
-func ParsePrometheusText(r io.Reader) (map[string]*PromFamily, error) {
-	out := make(map[string]*PromFamily)
-	var cur *PromFamily
+// suffixes on histograms) and that histogram buckets are cumulative.
+func Parse(r io.Reader) (map[string]*Family, error) {
+	out := make(map[string]*Family)
+	var cur *Family
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 0, 64*1024), 16*1024*1024)
 	lineNo := 0
@@ -46,11 +48,11 @@ func ParsePrometheusText(r io.Reader) (map[string]*PromFamily, error) {
 			rest := strings.TrimPrefix(line, "# HELP ")
 			name, help, _ := strings.Cut(rest, " ")
 			if name == "" {
-				return nil, fmt.Errorf("obs: line %d: HELP without metric name", lineNo)
+				return nil, fmt.Errorf("promtest: line %d: HELP without metric name", lineNo)
 			}
 			f, ok := out[name]
 			if !ok {
-				f = &PromFamily{Name: name}
+				f = &Family{Name: name}
 				out[name] = f
 			}
 			f.Help = help
@@ -60,11 +62,11 @@ func ParsePrometheusText(r io.Reader) (map[string]*PromFamily, error) {
 		if strings.HasPrefix(line, "# TYPE ") {
 			fields := strings.Fields(strings.TrimPrefix(line, "# TYPE "))
 			if len(fields) != 2 {
-				return nil, fmt.Errorf("obs: line %d: malformed TYPE line", lineNo)
+				return nil, fmt.Errorf("promtest: line %d: malformed TYPE line", lineNo)
 			}
 			f, ok := out[fields[0]]
 			if !ok {
-				f = &PromFamily{Name: fields[0]}
+				f = &Family{Name: fields[0]}
 				out[fields[0]] = f
 			}
 			f.Type = fields[1]
@@ -76,10 +78,10 @@ func ParsePrometheusText(r io.Reader) (map[string]*PromFamily, error) {
 		}
 		s, err := parseSampleLine(line)
 		if err != nil {
-			return nil, fmt.Errorf("obs: line %d: %w", lineNo, err)
+			return nil, fmt.Errorf("promtest: line %d: %w", lineNo, err)
 		}
 		if cur == nil || !sampleBelongsTo(cur, s.Name) {
-			return nil, fmt.Errorf("obs: line %d: sample %s outside its family", lineNo, s.Name)
+			return nil, fmt.Errorf("promtest: line %d: sample %s outside its family", lineNo, s.Name)
 		}
 		cur.Samples = append(cur.Samples, s)
 	}
@@ -96,7 +98,7 @@ func ParsePrometheusText(r io.Reader) (map[string]*PromFamily, error) {
 	return out, nil
 }
 
-func sampleBelongsTo(f *PromFamily, sampleName string) bool {
+func sampleBelongsTo(f *Family, sampleName string) bool {
 	if sampleName == f.Name {
 		return true
 	}
@@ -109,7 +111,7 @@ func sampleBelongsTo(f *PromFamily, sampleName string) bool {
 
 // checkHistogram verifies that each series' buckets are cumulative and end in
 // a +Inf bucket equal to its _count.
-func checkHistogram(f *PromFamily) error {
+func checkHistogram(f *Family) error {
 	type state struct {
 		last  float64
 		inf   float64
@@ -136,7 +138,7 @@ func checkHistogram(f *PromFamily) error {
 		switch {
 		case s.Name == f.Name+"_bucket":
 			if s.Value < st.last {
-				return fmt.Errorf("obs: histogram %s buckets not cumulative", f.Name)
+				return fmt.Errorf("promtest: histogram %s buckets not cumulative", f.Name)
 			}
 			st.last = s.Value
 			if s.Labels["le"] == "+Inf" {
@@ -149,10 +151,10 @@ func checkHistogram(f *PromFamily) error {
 	}
 	for _, st := range byKey {
 		if !st.seen {
-			return fmt.Errorf("obs: histogram %s missing +Inf bucket", f.Name)
+			return fmt.Errorf("promtest: histogram %s missing +Inf bucket", f.Name)
 		}
 		if st.inf != st.count {
-			return fmt.Errorf("obs: histogram %s +Inf bucket %v != count %v", f.Name, st.inf, st.count)
+			return fmt.Errorf("promtest: histogram %s +Inf bucket %v != count %v", f.Name, st.inf, st.count)
 		}
 	}
 	return nil
@@ -160,8 +162,8 @@ func checkHistogram(f *PromFamily) error {
 
 // parseSampleLine parses `name{k="v",...} value` (timestamp suffixes are not
 // emitted by the registry and not accepted).
-func parseSampleLine(line string) (PromSample, error) {
-	s := PromSample{Labels: map[string]string{}}
+func parseSampleLine(line string) (Sample, error) {
+	s := Sample{Labels: map[string]string{}}
 	i := 0
 	for i < len(line) && !strings.ContainsRune("{ \t", rune(line[i])) {
 		i++

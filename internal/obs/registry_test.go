@@ -5,6 +5,8 @@ import (
 	"strings"
 	"sync"
 	"testing"
+
+	"dkindex/internal/obs/promtest"
 )
 
 // testRow declares a row of a test's own; the table's rows are exercised
@@ -78,7 +80,7 @@ func TestWritePrometheusRoundTrip(t *testing.T) {
 	if err := r.WritePrometheus(&sb); err != nil {
 		t.Fatal(err)
 	}
-	fams, err := ParsePrometheusText(strings.NewReader(sb.String()))
+	fams, err := promtest.Parse(strings.NewReader(sb.String()))
 	if err != nil {
 		t.Fatalf("parse: %v\noutput:\n%s", err, sb.String())
 	}
@@ -166,7 +168,7 @@ func TestParsePrometheusTextErrors(t *testing.T) {
 		"# TYPE a counter\na{x=\"y\"} notanumber", // bad value
 		"# TYPE h histogram\nh_bucket{le=\"1\"} 2\nh_bucket{le=\"+Inf\"} 1\nh_sum 1\nh_count 1", // non-cumulative
 	} {
-		if _, err := ParsePrometheusText(strings.NewReader(bad)); err == nil {
+		if _, err := promtest.Parse(strings.NewReader(bad)); err == nil {
 			t.Errorf("no error for %q", bad)
 		}
 	}

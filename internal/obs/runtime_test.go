@@ -5,6 +5,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"dkindex/internal/obs/promtest"
 )
 
 // TestRuntimeCollect checks one poll populates the runtime gauges with sane
@@ -19,7 +21,7 @@ func TestRuntimeCollect(t *testing.T) {
 	if err := o.Registry.WritePrometheus(&sb); err != nil {
 		t.Fatal(err)
 	}
-	fams, err := ParsePrometheusText(strings.NewReader(sb.String()))
+	fams, err := promtest.Parse(strings.NewReader(sb.String()))
 	if err != nil {
 		t.Fatalf("parse: %v", err)
 	}

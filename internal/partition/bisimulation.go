@@ -36,73 +36,11 @@ func Bisimulation(g Labeled) (p *Partition, depth int) {
 	}
 }
 
-// ChildrenAccess extends Labeled with forward adjacency; the splitter-based
-// algorithm needs Succ sets.
+// ChildrenAccess extends Labeled with forward adjacency, which forward
+// refinement rounds need.
 type ChildrenAccess interface {
 	Labeled
 	Children(n graph.NodeID) []graph.NodeID
-}
-
-// BisimulationSplitter computes the same full bisimulation partition as
-// Bisimulation but with a Paige–Tarjan-style splitter worklist: pop a
-// splitter block S, split every block that overlaps Succ(S) without being
-// contained in it, and enqueue the fragments of any block that splits. (We
-// enqueue both fragments rather than only the smaller one; the smaller-half
-// bookkeeping of the original O(m log n) algorithm is an optimization, and
-// for the non-functional edge relations of data graphs it requires the full
-// three-way counted split, which this repository does not need for its
-// experiment scale.) It exists chiefly as an independent implementation to
-// cross-check Bisimulation in tests.
-func BisimulationSplitter(g ChildrenAccess) *Partition {
-	p := NewByLabel(g)
-
-	// Worklist of block ids pending processing as splitters. Block ids are
-	// only ever appended by SplitBlock (old id keeps the "out" part), so ids
-	// remain valid; a block that split since being enqueued is simply
-	// processed with its current, smaller membership, and its fragments are
-	// enqueued too, preserving correctness.
-	work := make([]BlockID, 0, p.NumBlocks())
-	inWork := make(map[BlockID]bool)
-	push := func(b BlockID) {
-		if !inWork[b] {
-			inWork[b] = true
-			work = append(work, b)
-		}
-	}
-	for b := 0; b < p.NumBlocks(); b++ {
-		push(BlockID(b))
-	}
-
-	for len(work) > 0 {
-		s := work[0]
-		work = work[1:]
-		inWork[s] = false
-
-		// Succ(S): children of members of S.
-		succ := make(map[graph.NodeID]bool)
-		for _, n := range p.Members(s) {
-			for _, c := range g.Children(n) {
-				succ[c] = true
-			}
-		}
-		// Candidate blocks overlapping Succ(S).
-		touched := make(map[BlockID]bool)
-		for n := range succ {
-			touched[p.BlockOf(n)] = true
-		}
-		for b := range touched {
-			nb, split := p.SplitBlock(b, func(n graph.NodeID) bool { return succ[n] })
-			if split {
-				push(b)
-				push(nb)
-				// Splitting b may destabilize any block: b itself was a
-				// potential splitter for others. Re-enqueueing both fragments
-				// suffices because stability w.r.t. b's fragments is what the
-				// final fixpoint requires.
-			}
-		}
-	}
-	return p
 }
 
 // FBBisimulation computes the forward & backward bisimulation partition of

@@ -42,8 +42,7 @@ type Partition struct {
 	blockOf []BlockID
 	members [][]graph.NodeID
 	// flat is the one backing array ResetByLabel, Refiner.Round and Clone
-	// carve all member lists out of. SplitBlock moves the lists it rewrites
-	// off it; that only makes part of it unused.
+	// carve all member lists out of.
 	flat []graph.NodeID
 }
 
@@ -157,79 +156,4 @@ type RefineResult struct {
 	Origin []BlockID
 	// Changed reports whether any block split.
 	Changed bool
-}
-
-// RefineRound advances the partition by one bisimulation level: every node in
-// a selected block is regrouped by the pair (its current block, the set of
-// current blocks of its parents); nodes in unselected blocks keep their
-// grouping. Passing a nil selector selects every block.
-//
-// One round applied to the (k-1)-bisimulation partition yields the
-// k-bisimulation partition: this is exactly the "split the copy until stable
-// with respect to the previous classes" step of the A(k) and D(k)
-// construction algorithms, implemented by signatures instead of successive
-// pairwise splits (the resulting partition is identical, because stability
-// against every previous block is equivalent to grouping by the full set of
-// parent blocks).
-//
-// RefineRound snapshots g's adjacency on every call; jobs that run many
-// rounds against fixed adjacency should create a Refiner once and call
-// Round, which amortizes the snapshot and reuses all round scratch.
-func (p *Partition) RefineRound(g Labeled, selected func(BlockID) bool) RefineResult {
-	return NewRefiner(g).Round(p, selected)
-}
-
-// RefineRoundForward is RefineRound with the edge direction flipped: nodes
-// regroup by the blocks of their *children*. Alternating backward and
-// forward rounds to a joint fixpoint yields the F&B partition (forward &
-// backward bisimulation), the equivalence needed to answer branching path
-// queries on the index alone (Kaushik et al., SIGMOD 2002).
-func (p *Partition) RefineRoundForward(g ChildrenAccess, selected func(BlockID) bool) RefineResult {
-	return NewRefinerForward(g).Round(p, selected)
-}
-
-// SplitBlock splits block b into the sub-block of members satisfying inSet
-// and the sub-block of members that do not. If both are non-empty, the
-// "out" part keeps id b, the "in" part receives a fresh id which is
-// returned with split=true. If the block is not actually split (all in or
-// all out), it is left untouched and split=false.
-//
-// This is the primitive used by the promoting process (Algorithm 6:
-// split extent(V) into V ∩ Succ(W) and V − Succ(W)) and by the A(k)
-// propagate-style update baseline.
-func (p *Partition) SplitBlock(b BlockID, inSet func(graph.NodeID) bool) (in BlockID, split bool) {
-	mem := p.members[b]
-	var ins, outs []graph.NodeID
-	for _, n := range mem {
-		if inSet(n) {
-			ins = append(ins, n)
-		} else {
-			outs = append(outs, n)
-		}
-	}
-	if len(ins) == 0 || len(outs) == 0 {
-		return InvalidBlock, false
-	}
-	nb := BlockID(len(p.members))
-	p.members[b] = outs
-	p.members = append(p.members, ins)
-	for _, n := range ins {
-		p.blockOf[n] = nb
-	}
-	return nb, true
-}
-
-// MoveNodeToNewBlock splits the single node n out of its block into a fresh
-// singleton block and returns the new block id. If n is already alone in its
-// block, no change is made and its current block is returned.
-func (p *Partition) MoveNodeToNewBlock(n graph.NodeID) BlockID {
-	b := p.blockOf[n]
-	if len(p.members[b]) == 1 {
-		return b
-	}
-	nb, split := p.SplitBlock(b, func(m graph.NodeID) bool { return m == n })
-	if !split {
-		panic("partition: singleton split failed on multi-member block")
-	}
-	return nb
 }

@@ -1,21 +1,24 @@
-package partition
+package partition_test
 
 import (
+	"fmt"
 	"math/rand"
 	"runtime"
 	"testing"
 
 	"dkindex/internal/graph"
+	"dkindex/internal/oracle"
+	"dkindex/internal/partition"
 )
 
 // sameGrouping reports whether two partitions induce the same equivalence
 // relation, ignoring block numbering.
-func sameGrouping(a, b *Partition) bool {
+func sameGrouping(a, b oracle.Blocks) bool {
 	if a.NumNodes() != b.NumNodes() || a.NumBlocks() != b.NumBlocks() {
 		return false
 	}
-	fwd := make(map[BlockID]BlockID)
-	bwd := make(map[BlockID]BlockID)
+	fwd := make(map[partition.BlockID]partition.BlockID)
+	bwd := make(map[partition.BlockID]partition.BlockID)
 	for n := 0; n < a.NumNodes(); n++ {
 		ba, bb := a.BlockOf(graph.NodeID(n)), b.BlockOf(graph.NodeID(n))
 		if m, ok := fwd[ba]; ok && m != bb {
@@ -28,6 +31,28 @@ func sameGrouping(a, b *Partition) bool {
 		bwd[bb] = ba
 	}
 	return true
+}
+
+// validate checks what Partition.Validate checks, through the Blocks view:
+// every block lists its members once each, and they are all its members.
+func validate(p oracle.Blocks) error {
+	listed := 0
+	for b := range p.NumBlocks() {
+		mem := p.Members(partition.BlockID(b))
+		if len(mem) == 0 {
+			return fmt.Errorf("empty block %d", b)
+		}
+		for _, n := range mem {
+			if p.BlockOf(n) != partition.BlockID(b) {
+				return fmt.Errorf("node %d listed in block %d but in block %d", n, b, p.BlockOf(n))
+			}
+		}
+		listed += len(mem)
+	}
+	if listed != p.NumNodes() {
+		return fmt.Errorf("blocks list %d nodes, want %d", listed, p.NumNodes())
+	}
+	return nil
 }
 
 // randomGraph builds a seeded random DAG-ish labeled graph with some back
@@ -55,7 +80,7 @@ func randomGraph(seed int64, nodes, labels, extraEdges int) *graph.Graph {
 
 func TestNewByLabelGroupsByLabel(t *testing.T) {
 	g := graph.FigureOneMovies()
-	p := NewByLabel(g)
+	p := partition.NewByLabel(g)
 	if err := p.Validate(); err != nil {
 		t.Fatal(err)
 	}
@@ -71,8 +96,8 @@ func TestNewByLabelGroupsByLabel(t *testing.T) {
 
 func TestRefineRoundSeparatesByParents(t *testing.T) {
 	g := graph.FigureOneMovies()
-	p := NewByLabel(g)
-	res := p.RefineRound(g, nil)
+	p := partition.NewByLabel(g)
+	res := partition.NewRefiner(g).Round(p, nil)
 	if !res.Changed {
 		t.Fatal("first refinement round should split something")
 	}
@@ -95,12 +120,12 @@ func TestRefineRoundSeparatesByParents(t *testing.T) {
 
 func TestRefineRoundOriginLineage(t *testing.T) {
 	g := graph.FigureOneMovies()
-	p := NewByLabel(g)
-	before := make([]BlockID, g.NumNodes())
+	p := partition.NewByLabel(g)
+	before := make([]partition.BlockID, g.NumNodes())
 	for n := range before {
 		before[n] = p.BlockOf(graph.NodeID(n))
 	}
-	res := p.RefineRound(g, nil)
+	res := partition.NewRefiner(g).Round(p, nil)
 	for n := 0; n < g.NumNodes(); n++ {
 		nb := p.BlockOf(graph.NodeID(n))
 		if res.Origin[nb] != before[n] {
@@ -112,10 +137,10 @@ func TestRefineRoundOriginLineage(t *testing.T) {
 
 func TestRefineRoundSelective(t *testing.T) {
 	g := graph.FigureOneMovies()
-	p := NewByLabel(g)
+	p := partition.NewByLabel(g)
 	movieBlock := p.BlockOf(7)
 	// Refine only the movie block: all other blocks must stay whole.
-	res := p.RefineRound(g, func(b BlockID) bool { return b == movieBlock })
+	res := partition.NewRefiner(g).Round(p, func(b partition.BlockID) bool { return b == movieBlock })
 	if !res.Changed {
 		t.Fatal("selective refinement should split the movie block")
 	}
@@ -137,11 +162,11 @@ func TestRefineRoundSelective(t *testing.T) {
 
 func TestKBisimulationStabilizes(t *testing.T) {
 	g := graph.FigureOneMovies()
-	full, depth := Bisimulation(g)
+	full, depth := partition.Bisimulation(g)
 	if depth == 0 {
 		t.Fatal("figure-1 bisimulation depth should be positive")
 	}
-	pk, rounds := KBisimulation(g, 100)
+	pk, rounds := partition.KBisimulation(g, 100)
 	if rounds != depth {
 		t.Errorf("KBisimulation stabilized after %d rounds, Bisimulation after %d", rounds, depth)
 	}
@@ -154,7 +179,7 @@ func TestKBisimulationMonotone(t *testing.T) {
 	g := randomGraph(7, 300, 4, 80)
 	prevBlocks := 0
 	for k := 0; k <= 6; k++ {
-		p, _ := KBisimulation(g, k)
+		p, _ := partition.KBisimulation(g, k)
 		if err := p.Validate(); err != nil {
 			t.Fatalf("k=%d: %v", k, err)
 		}
@@ -167,7 +192,7 @@ func TestKBisimulationMonotone(t *testing.T) {
 
 func TestBisimulationPaperFacts(t *testing.T) {
 	g := graph.FigureOneMovies()
-	p, _ := Bisimulation(g)
+	p, _ := partition.Bisimulation(g)
 	if p.BlockOf(7) != p.BlockOf(10) {
 		t.Error("paper: movies 7 and 10 are bisimilar")
 	}
@@ -182,9 +207,9 @@ func TestBisimulationPaperFacts(t *testing.T) {
 func TestBisimulationAgreesWithSplitter(t *testing.T) {
 	for seed := int64(0); seed < 12; seed++ {
 		g := randomGraph(seed, 200+int(seed)*37, 3+int(seed)%4, 60)
-		a, _ := Bisimulation(g)
-		b := BisimulationSplitter(g)
-		if err := b.Validate(); err != nil {
+		a, _ := partition.Bisimulation(g)
+		b := oracle.Splitter(g)
+		if err := validate(b); err != nil {
 			t.Fatalf("seed %d: splitter partition invalid: %v", seed, err)
 		}
 		if !sameGrouping(a, b) {
@@ -196,14 +221,14 @@ func TestBisimulationAgreesWithSplitter(t *testing.T) {
 
 func TestBisimulationOnCycle(t *testing.T) {
 	g := graph.TinyCycle()
-	p, _ := Bisimulation(g)
+	p, _ := partition.Bisimulation(g)
 	if err := p.Validate(); err != nil {
 		t.Fatal(err)
 	}
 	if p.NumBlocks() != 3 {
 		t.Errorf("tiny cycle bisimulation has %d blocks, want 3", p.NumBlocks())
 	}
-	s := BisimulationSplitter(g)
+	s := oracle.Splitter(g)
 	if !sameGrouping(p, s) {
 		t.Error("cycle: splitter disagrees with fixpoint")
 	}
@@ -211,10 +236,10 @@ func TestBisimulationOnCycle(t *testing.T) {
 
 func TestBisimulationRefinesLabelSplit(t *testing.T) {
 	g := randomGraph(42, 500, 5, 150)
-	p, _ := Bisimulation(g)
+	p, _ := partition.Bisimulation(g)
 	// Every bisimulation block must be label-homogeneous.
 	for b := 0; b < p.NumBlocks(); b++ {
-		mem := p.Members(BlockID(b))
+		mem := p.Members(partition.BlockID(b))
 		for _, n := range mem[1:] {
 			if g.Label(n) != g.Label(mem[0]) {
 				t.Fatalf("block %d mixes labels", b)
@@ -227,16 +252,16 @@ func TestBisimulationRefinesLabelSplit(t *testing.T) {
 // same sets of parent blocks.
 func TestBisimulationStability(t *testing.T) {
 	g := randomGraph(99, 400, 4, 120)
-	p, _ := Bisimulation(g)
-	parentSig := func(n graph.NodeID) map[BlockID]bool {
-		s := make(map[BlockID]bool)
+	p, _ := partition.Bisimulation(g)
+	parentSig := func(n graph.NodeID) map[partition.BlockID]bool {
+		s := make(map[partition.BlockID]bool)
 		for _, par := range g.Parents(n) {
 			s[p.BlockOf(par)] = true
 		}
 		return s
 	}
 	for b := 0; b < p.NumBlocks(); b++ {
-		mem := p.Members(BlockID(b))
+		mem := p.Members(partition.BlockID(b))
 		ref := parentSig(mem[0])
 		for _, n := range mem[1:] {
 			got := parentSig(n)
@@ -252,62 +277,11 @@ func TestBisimulationStability(t *testing.T) {
 	}
 }
 
-func TestSplitBlock(t *testing.T) {
-	g := graph.FigureOneMovies()
-	p := NewByLabel(g)
-	movieBlock := p.BlockOf(5)
-	nb, split := p.SplitBlock(movieBlock, func(n graph.NodeID) bool { return n == 7 || n == 10 })
-	if !split {
-		t.Fatal("split of movie block into {7,10} vs {5,9} failed")
-	}
-	if err := p.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	if p.BlockOf(7) != nb || p.BlockOf(10) != nb {
-		t.Error("in-set members not in new block")
-	}
-	if p.BlockOf(5) != movieBlock || p.BlockOf(9) != movieBlock {
-		t.Error("out-set members did not keep the old block")
-	}
-}
-
-func TestSplitBlockNoOp(t *testing.T) {
-	g := graph.FigureOneMovies()
-	p := NewByLabel(g)
-	b := p.BlockOf(5)
-	before := p.NumBlocks()
-	if _, split := p.SplitBlock(b, func(graph.NodeID) bool { return true }); split {
-		t.Error("all-in split reported a split")
-	}
-	if _, split := p.SplitBlock(b, func(graph.NodeID) bool { return false }); split {
-		t.Error("all-out split reported a split")
-	}
-	if p.NumBlocks() != before {
-		t.Error("no-op splits changed block count")
-	}
-}
-
-func TestMoveNodeToNewBlock(t *testing.T) {
-	g := graph.FigureOneMovies()
-	p := NewByLabel(g)
-	nb := p.MoveNodeToNewBlock(7)
-	if len(p.Members(nb)) != 1 || p.Members(nb)[0] != 7 {
-		t.Errorf("singleton block = %v", p.Members(nb))
-	}
-	// Moving it again is a no-op returning the same block.
-	if got := p.MoveNodeToNewBlock(7); got != nb {
-		t.Errorf("second move returned %d, want %d", got, nb)
-	}
-	if err := p.Validate(); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestCloneIndependence(t *testing.T) {
 	g := graph.FigureOneMovies()
-	p := NewByLabel(g)
+	p := partition.NewByLabel(g)
 	c := p.Clone()
-	c.MoveNodeToNewBlock(7)
+	partition.NewRefiner(g).Round(c, nil)
 	if p.NumBlocks() == c.NumBlocks() {
 		t.Error("clone shares block storage")
 	}
@@ -318,8 +292,8 @@ func TestCloneIndependence(t *testing.T) {
 
 func TestDeterministicRefinement(t *testing.T) {
 	g := randomGraph(5, 300, 4, 90)
-	a, _ := KBisimulation(g, 3)
-	b, _ := KBisimulation(g, 3)
+	a, _ := partition.KBisimulation(g, 3)
+	b, _ := partition.KBisimulation(g, 3)
 	for n := 0; n < g.NumNodes(); n++ {
 		if a.BlockOf(graph.NodeID(n)) != b.BlockOf(graph.NodeID(n)) {
 			t.Fatal("KBisimulation is not deterministic (block numbering differs across runs)")
@@ -331,10 +305,10 @@ func TestParallelRefinementMatchesSerial(t *testing.T) {
 	// Cross the parallel threshold so the worker path runs (and, under
 	// -race, is checked), then verify bit-identical results with one CPU.
 	g := randomGraph(13, 40_000, 5, 9_000)
-	par, _ := KBisimulation(g, 3)
+	par, _ := partition.KBisimulation(g, 3)
 
 	prev := runtime.GOMAXPROCS(1)
-	ser, _ := KBisimulation(g, 3)
+	ser, _ := partition.KBisimulation(g, 3)
 	runtime.GOMAXPROCS(prev)
 
 	if par.NumBlocks() != ser.NumBlocks() {

@@ -1,11 +1,12 @@
-package partition
+package partition_test
 
 import (
-	"math/rand"
 	"testing"
 	"testing/quick"
 
 	"dkindex/internal/graph"
+	"dkindex/internal/oracle"
+	"dkindex/internal/partition"
 )
 
 // genSpec is a compact, generatable description of a random labeled graph;
@@ -29,10 +30,13 @@ func (s genSpec) build() *graph.Graph {
 func TestQuickRefinementOnlySplits(t *testing.T) {
 	f := func(s genSpec, rounds uint8) bool {
 		g := s.build()
-		p := NewByLabel(g)
+		p := partition.NewByLabel(g)
 		for r := 0; r < int(rounds%4)+1; r++ {
-			prev := append([]BlockID(nil), p.blockOf...)
-			res := p.RefineRound(g, nil)
+			prev := make([]partition.BlockID, g.NumNodes())
+			for n := range prev {
+				prev[n] = p.BlockOf(graph.NodeID(n))
+			}
+			res := partition.NewRefiner(g).Round(p, nil)
 			for n := 0; n < g.NumNodes(); n++ {
 				nb := p.BlockOf(graph.NodeID(n))
 				if res.Origin[nb] != prev[n] {
@@ -55,9 +59,9 @@ func TestQuickRefinementOnlySplits(t *testing.T) {
 func TestQuickBisimulationIsFixpoint(t *testing.T) {
 	f := func(s genSpec) bool {
 		g := s.build()
-		p, _ := Bisimulation(g)
+		p, _ := partition.Bisimulation(g)
 		before := p.NumBlocks()
-		res := p.RefineRound(g, nil)
+		res := partition.NewRefiner(g).Round(p, nil)
 		return !res.Changed && p.NumBlocks() == before
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
@@ -71,7 +75,7 @@ func TestQuickKBisimilarSamePathSets(t *testing.T) {
 	f := func(s genSpec, kk uint8) bool {
 		g := s.build()
 		k := int(kk%3) + 1
-		p, _ := KBisimulation(g, k)
+		p, _ := partition.KBisimulation(g, k)
 		// For every node, enumerate all label paths of length exactly k
 		// (bounded graphs keep this small).
 		paths := make([]map[string]bool, g.NumNodes())
@@ -95,7 +99,7 @@ func TestQuickKBisimilarSamePathSets(t *testing.T) {
 			paths[n] = set
 		}
 		for b := 0; b < p.NumBlocks(); b++ {
-			mem := p.Members(BlockID(b))
+			mem := p.Members(partition.BlockID(b))
 			ref := paths[mem[0]]
 			for _, m := range mem[1:] {
 				got := paths[m]
@@ -116,51 +120,13 @@ func TestQuickKBisimilarSamePathSets(t *testing.T) {
 	}
 }
 
-// Property: SplitBlock with a random predicate preserves partition validity
-// and exactly separates the predicate.
-func TestQuickSplitBlockSeparates(t *testing.T) {
-	f := func(s genSpec, which uint8, bits uint64) bool {
-		g := s.build()
-		p := NewByLabel(g)
-		b := BlockID(int(which) % p.NumBlocks())
-		rng := rand.New(rand.NewSource(int64(bits)))
-		in := make(map[graph.NodeID]bool)
-		for _, n := range p.Members(b) {
-			if rng.Intn(2) == 0 {
-				in[n] = true
-			}
-		}
-		nb, split := p.SplitBlock(b, func(n graph.NodeID) bool { return in[n] })
-		if p.Validate() != nil {
-			return false
-		}
-		if !split {
-			return true // degenerate predicate
-		}
-		for _, n := range p.Members(nb) {
-			if !in[n] {
-				return false
-			}
-		}
-		for _, n := range p.Members(b) {
-			if in[n] {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
-		t.Error(err)
-	}
-}
-
 // Property: the splitter-based and signature-based full bisimulations agree
 // on arbitrary generated graphs.
 func TestQuickSplitterAgreesWithFixpoint(t *testing.T) {
 	f := func(s genSpec) bool {
 		g := s.build()
-		a, _ := Bisimulation(g)
-		b := BisimulationSplitter(g)
+		a, _ := partition.Bisimulation(g)
+		b := oracle.Splitter(g)
 		return sameGrouping(a, b)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
@@ -173,23 +139,23 @@ func TestQuickSplitterAgreesWithFixpoint(t *testing.T) {
 func TestQuickFBBisimulationStableBothWays(t *testing.T) {
 	f := func(s genSpec) bool {
 		g := s.build()
-		fb, _ := FBBisimulation(g)
+		fb, _ := partition.FBBisimulation(g)
 		if fb.Validate() != nil {
 			return false
 		}
 		// Neither direction refines it further.
 		c := fb.Clone()
-		if c.RefineRound(g, nil).Changed {
+		if partition.NewRefiner(g).Round(c, nil).Changed {
 			return false
 		}
-		if c.RefineRoundForward(g, nil).Changed {
+		if partition.NewRefinerForward(g).Round(c, nil).Changed {
 			return false
 		}
 		// It refines the backward bisimulation: members of an F&B block
 		// never straddle two backward blocks.
-		back, _ := Bisimulation(g)
+		back, _ := partition.Bisimulation(g)
 		for b := 0; b < fb.NumBlocks(); b++ {
-			mem := fb.Members(BlockID(b))
+			mem := fb.Members(partition.BlockID(b))
 			ref := back.BlockOf(mem[0])
 			for _, m := range mem[1:] {
 				if back.BlockOf(m) != ref {

@@ -16,8 +16,8 @@ import (
 // form once, and then every round reuses the same pooled scratch arrays —
 // signature arena, fingerprints, grouping tables — so the steady state does
 // no per-node heap allocation. Rounds are spread over the shared workpool
-// budget; results are block-identical to the preserved reference
-// implementation (reference.go), which the build audit enforces.
+// budget; results are block-identical to the signature-map refinement of
+// internal/oracle, which the partition tests and the build audit enforce.
 //
 // A Refiner is tied to the adjacency it last snapshotted: mutate the graph and
 // you must Reset it or create a new one. It is not safe for concurrent use.
@@ -123,9 +123,15 @@ func (s *shardScratch) reserve(blockSize int) {
 // Round advances p by one bisimulation level over the snapshot's adjacency:
 // every node of a selected block regroups by (current block, set of current
 // neighbor blocks); unselected blocks keep their grouping wholesale. A nil
-// selector selects every block. Semantics — including the canonical
-// numbering of new blocks by first occurrence in node order — match
-// ReferenceRefineRound exactly.
+// selector selects every block. New blocks are numbered canonically, by first
+// occurrence in node order.
+//
+// One round applied to the (k-1)-bisimulation partition yields the
+// k-bisimulation partition: this is the "split the copy until stable with
+// respect to the previous classes" step of the A(k) and D(k) construction
+// algorithms, done by signatures instead of successive pairwise splits (the
+// partition is the same, because stability against every previous block is
+// grouping by the full set of parent blocks).
 //
 // The round runs in three phases. Phase 1 (parallel over node ranges)
 // computes each node's signature into its arena slot and fingerprints it.
@@ -233,8 +239,8 @@ func (r *Refiner) Round(p *Partition, selected func(BlockID) bool) RefineResult 
 	})
 
 	// Phase 3a: canonical renumbering. Scanning nodes 0..n-1 and assigning
-	// final ids at each group's first member reproduces the reference
-	// numbering exactly — first occurrence in node order — no matter how
+	// final ids at each group's first member gives the canonical
+	// numbering — first occurrence in node order — no matter how
 	// phase 2 numbered the groups.
 	total := int32(0)
 	r.shardBase = grow(r.shardBase, numShards)

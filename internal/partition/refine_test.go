@@ -1,4 +1,4 @@
-package partition
+package partition_test
 
 import (
 	"runtime"
@@ -6,28 +6,29 @@ import (
 	"testing"
 	"testing/quick"
 
-	"dkindex/internal/graph"
+	"dkindex/internal/oracle"
+	"dkindex/internal/partition"
 )
 
 // Property: the CSR + counting-sort refiner is block-identical to the
-// preserved reference implementation — same membership and same canonical
+// oracle's signature-map refinement — same membership and same canonical
 // numbering — on random graphs, across multiple rounds, with and without
 // selectors.
 func TestQuickRefinerMatchesReference(t *testing.T) {
 	f := func(s genSpec, rounds uint8, selEvery uint8) bool {
 		g := s.build()
-		fast := NewByLabel(g)
-		ref := NewByLabel(g)
-		r := NewRefiner(g)
+		fast := partition.NewByLabel(g)
+		ref := oracle.NewByLabel(g)
+		r := partition.NewRefiner(g)
 		for round := 0; round < int(rounds%4)+1; round++ {
-			var sel func(BlockID) bool
+			var sel func(partition.BlockID) bool
 			if m := int(selEvery % 4); m > 1 {
 				// Select a deterministic subset of blocks so the unselected
 				// carry-over path is exercised too.
-				sel = func(b BlockID) bool { return int(b)%m != 0 }
+				sel = func(b partition.BlockID) bool { return int(b)%m != 0 }
 			}
 			fres := r.Round(fast, sel)
-			rres := ref.ReferenceRefineRound(g, sel)
+			rres := ref.Round(g.Parents, sel)
 			if fres.Changed != rres.Changed || len(fres.Origin) != len(rres.Origin) {
 				return false
 			}
@@ -36,7 +37,7 @@ func TestQuickRefinerMatchesReference(t *testing.T) {
 					return false
 				}
 			}
-			if !Identical(fast, ref) || fast.Validate() != nil {
+			if !oracle.Identical(fast, ref) || fast.Validate() != nil {
 				return false
 			}
 		}
@@ -53,21 +54,21 @@ func TestQuickRefinerMatchesReference(t *testing.T) {
 func TestDriversMatchReference(t *testing.T) {
 	for seed := int64(0); seed < 8; seed++ {
 		g := randomGraph(seed, 90, 4, 40)
-		fp, fr := Bisimulation(g)
-		rp, rr := ReferenceBisimulation(g)
-		if fr != rr || !Identical(fp, rp) {
+		fp, fr := partition.Bisimulation(g)
+		rp, rr := oracle.Bisimulation(g)
+		if fr != rr || !oracle.Identical(fp, rp) {
 			t.Fatalf("seed %d: Bisimulation diverges from reference (rounds %d vs %d)", seed, fr, rr)
 		}
 		for k := 0; k <= 3; k++ {
-			fp, fr = KBisimulation(g, k)
-			rp, rr = ReferenceKBisimulation(g, k)
-			if fr != rr || !Identical(fp, rp) {
+			fp, fr = partition.KBisimulation(g, k)
+			rp, rr = oracle.KBisimulation(g, k)
+			if fr != rr || !oracle.Identical(fp, rp) {
 				t.Fatalf("seed %d k=%d: KBisimulation diverges from reference", seed, k)
 			}
 		}
-		fp, fr = FBBisimulation(g)
-		rp, rr = ReferenceFBBisimulation(g)
-		if fr != rr || !Identical(fp, rp) {
+		fp, fr = partition.FBBisimulation(g)
+		rp, rr = oracle.FBBisimulation(g)
+		if fr != rr || !oracle.Identical(fp, rp) {
 			t.Fatalf("seed %d: FBBisimulation diverges from reference", seed)
 		}
 	}
@@ -79,9 +80,9 @@ func TestDriversMatchReference(t *testing.T) {
 func TestRefinerParallelMatchesSerial(t *testing.T) {
 	g := randomGraph(7, 110, 4, 55)
 
-	run := func() *Partition {
-		p := NewByLabel(g)
-		r := NewRefiner(g)
+	run := func() *partition.Partition {
+		p := partition.NewByLabel(g)
+		r := partition.NewRefiner(g)
 		for i := 0; i < 3; i++ {
 			r.Round(p, nil)
 		}
@@ -91,70 +92,65 @@ func TestRefinerParallelMatchesSerial(t *testing.T) {
 	prev := runtime.GOMAXPROCS(1)
 	serial := run()
 	runtime.GOMAXPROCS(prev)
-	if !Identical(parallel, serial) {
+	if !oracle.Identical(parallel, serial) {
 		t.Fatal("refiner result depends on GOMAXPROCS")
 	}
 }
 
 // Clone must produce fully independent deep copies (its members now share
-// one flat backing array; splits on the clone must not corrupt the
-// original).
+// one flat backing array, and a round hands the arrays of the partition it
+// replaces to the refiner to overwrite; refining the clone must not corrupt
+// the original).
 func TestCloneIndependentBacking(t *testing.T) {
 	g := randomGraph(3, 60, 3, 30)
-	p, _ := KBisimulation(g, 2)
+	p := partition.NewByLabel(g)
 	c := p.Clone()
-	if !Identical(p, c) {
+	if !oracle.Identical(p, c) {
 		t.Fatal("clone differs from original")
 	}
-	// Split every splittable block of the clone; the original must be
-	// untouched and both must stay internally consistent.
+	// Refine the clone twice; the original must be untouched and both must
+	// stay internally consistent.
 	snapshot := p.Clone()
-	for b := c.NumBlocks() - 1; b >= 0; b-- {
-		mem := c.Members(BlockID(b))
-		if len(mem) > 1 {
-			pivot := mem[0]
-			c.SplitBlock(BlockID(b), func(n graph.NodeID) bool { return n == pivot })
-		}
+	r := partition.NewRefiner(g)
+	r.Round(c, nil)
+	r.Round(c, nil)
+	if c.NumBlocks() == p.NumBlocks() {
+		t.Fatal("refinement did not split the clone")
 	}
 	if err := c.Validate(); err != nil {
-		t.Fatalf("clone invalid after splits: %v", err)
+		t.Fatalf("clone invalid after refinement: %v", err)
 	}
 	if err := p.Validate(); err != nil {
-		t.Fatalf("original invalid after clone splits: %v", err)
+		t.Fatalf("original invalid after clone refinement: %v", err)
 	}
-	if !Identical(p, snapshot) {
-		t.Fatal("splitting the clone mutated the original")
+	if !oracle.Identical(p, snapshot) {
+		t.Fatal("refining the clone mutated the original")
 	}
 }
 
 // A Partition and a Refiner recycled from job to job (ResetByLabel, Reset) —
-// over graphs that grow, shrink and grow again, with splits between rounds —
-// must give what a fresh pair gives and make no new arrays once theirs have
+// over graphs that grow, shrink and grow again — must give what a fresh pair gives and make no new arrays once theirs have
 // reached the largest graph's size.
 func TestRecycledRefinerMatchesFresh(t *testing.T) {
-	var p Partition
-	var r Refiner
+	var p partition.Partition
+	var r partition.Refiner
 	sizes := []int{120, 9, 300, 40, 300, 2}
 	for job, nodes := range sizes {
 		g := randomGraph(int64(job), nodes, 1+job%4, nodes/3)
 		p.ResetByLabel(g)
-		fresh := NewByLabel(g)
-		if !Identical(&p, fresh) || p.Validate() != nil {
+		fresh := partition.NewByLabel(g)
+		if !oracle.Identical(&p, fresh) || p.Validate() != nil {
 			t.Fatalf("job %d: recycled label split differs from NewByLabel", job)
 		}
 		r.Reset(g)
-		fr := NewRefiner(g)
+		fr := partition.NewRefiner(g)
 		for round := 0; round < 4; round++ {
 			got, want := r.Round(&p, nil), fr.Round(fresh, nil)
 			if got.Changed != want.Changed || !slices.Equal(got.Origin, want.Origin) {
 				t.Fatalf("job %d round %d: results differ", job, round)
 			}
-			if !Identical(&p, fresh) || p.Validate() != nil {
+			if !oracle.Identical(&p, fresh) || p.Validate() != nil {
 				t.Fatalf("job %d round %d: recycled refinement differs from a fresh one", job, round)
-			}
-			if round == 1 { // member lists moved off the flat backing
-				p.MoveNodeToNewBlock(graph.NodeID(nodes - 1))
-				fresh.MoveNodeToNewBlock(graph.NodeID(nodes - 1))
 			}
 		}
 	}
@@ -167,12 +163,11 @@ func TestRecycledRefinerMatchesFresh(t *testing.T) {
 		for round := 0; round < 3; round++ {
 			r.Round(&p, nil)
 		}
-		return map[any]bool{
-			&p.blockOf[0]: true, &r.spareBlock[0]: true,
-			&p.flat[0]: true, &r.spareFlat[0]: true,
-			&p.members[0]: true, &r.spareMembers[0]: true,
-			&r.origin[:1][0]: true, &r.arena[0]: true,
+		arrays := map[any]bool{}
+		for _, a := range partition.BackingArrays(&p, &r) {
+			arrays[a] = true
 		}
+		return arrays
 	}
 	warm := job()
 	for again := 0; again < 3; again++ {

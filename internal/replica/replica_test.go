@@ -19,6 +19,7 @@ import (
 	"dkindex/internal/faultnet"
 	"dkindex/internal/fsx"
 	"dkindex/internal/obs"
+	"dkindex/internal/obs/promtest"
 	"dkindex/internal/server"
 	"dkindex/internal/wal"
 )
@@ -200,7 +201,7 @@ func gaugeValue(tb testing.TB, o *obs.Observer, name string) float64 {
 	if err := o.Registry.WritePrometheus(&sb); err != nil {
 		tb.Fatal(err)
 	}
-	fams, err := obs.ParsePrometheusText(strings.NewReader(sb.String()))
+	fams, err := promtest.Parse(strings.NewReader(sb.String()))
 	if err != nil {
 		tb.Fatal(err)
 	}

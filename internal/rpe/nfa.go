@@ -28,13 +28,6 @@ const wildLabel graph.LabelID = -3
 // |edges| x |states| bits where a dense (state, label) table would be
 // |states| x |labels| x |states|.
 type NFA struct {
-	// The Thompson construction: epsilon successors, consuming transitions
-	// and accepting flags per state. Once tabulate has run, only the
-	// reference interpreter (reference.go) reads these.
-	eps    [][]int32
-	step   [][]edge
-	accept []bool
-
 	words int
 	// Consuming edges of state q are first[q] .. first[q+1]-1; edge e fires
 	// on label[e] (a concrete label, wildLabel or deadLabel) and leads to
@@ -47,6 +40,13 @@ type NFA struct {
 	final []uint64
 }
 
+// thompson is the automaton Compile builds and tabulates: the epsilon
+// successors and consuming edges of every state.
+type thompson struct {
+	eps  [][]int32
+	step [][]edge
+}
+
 type edge struct {
 	label graph.LabelID // deadLabel, wildLabel or a concrete label
 	to    int32
@@ -56,71 +56,68 @@ type edge struct {
 // the given table. Names the table has never seen compile to dead
 // transitions (they cannot match any node), without mutating the table.
 func Compile(e Expr, t *graph.LabelTable) *NFA {
-	n := &NFA{}
-	start := n.newState()
-	end := n.build(e, t, start)
-	n.accept[end] = true
-	n.tabulate()
-	return n
+	var b thompson
+	end := b.build(e, t, b.newState())
+	return b.tabulate(end)
 }
 
-func (n *NFA) newState() int32 {
-	n.eps = append(n.eps, nil)
-	n.step = append(n.step, nil)
-	n.accept = append(n.accept, false)
-	return int32(len(n.accept) - 1)
+func (b *thompson) newState() int32 {
+	b.eps = append(b.eps, nil)
+	b.step = append(b.step, nil)
+	return int32(len(b.step) - 1)
 }
 
 // build wires e between state from and a fresh exit state, which it returns.
-func (n *NFA) build(e Expr, t *graph.LabelTable, from int32) int32 {
+func (b *thompson) build(e Expr, t *graph.LabelTable, from int32) int32 {
 	switch x := e.(type) {
 	case Label:
-		to := n.newState()
+		to := b.newState()
 		l := t.Lookup(x.Name)
 		if l == graph.InvalidLabel {
 			l = deadLabel
 		}
-		n.step[from] = append(n.step[from], edge{label: l, to: to})
+		b.step[from] = append(b.step[from], edge{label: l, to: to})
 		return to
 	case Wildcard:
-		to := n.newState()
-		n.step[from] = append(n.step[from], edge{label: wildLabel, to: to})
+		to := b.newState()
+		b.step[from] = append(b.step[from], edge{label: wildLabel, to: to})
 		return to
 	case Seq:
-		mid := n.build(x.L, t, from)
-		return n.build(x.R, t, mid)
+		mid := b.build(x.L, t, from)
+		return b.build(x.R, t, mid)
 	case Alt:
-		lEnd := n.build(x.L, t, from)
-		rEnd := n.build(x.R, t, from)
-		to := n.newState()
-		n.eps[lEnd] = append(n.eps[lEnd], to)
-		n.eps[rEnd] = append(n.eps[rEnd], to)
+		lEnd := b.build(x.L, t, from)
+		rEnd := b.build(x.R, t, from)
+		to := b.newState()
+		b.eps[lEnd] = append(b.eps[lEnd], to)
+		b.eps[rEnd] = append(b.eps[rEnd], to)
 		return to
 	case Opt:
-		end := n.build(x.X, t, from)
-		n.eps[from] = append(n.eps[from], end)
+		end := b.build(x.X, t, from)
+		b.eps[from] = append(b.eps[from], end)
 		return end
 	case Star:
 		// from -eps-> inner ... innerEnd -eps-> from ; exit at from.
-		inner := n.newState()
-		n.eps[from] = append(n.eps[from], inner)
-		innerEnd := n.build(x.X, t, inner)
-		n.eps[innerEnd] = append(n.eps[innerEnd], inner)
-		to := n.newState()
-		n.eps[from] = append(n.eps[from], to)
-		n.eps[innerEnd] = append(n.eps[innerEnd], to)
+		inner := b.newState()
+		b.eps[from] = append(b.eps[from], inner)
+		innerEnd := b.build(x.X, t, inner)
+		b.eps[innerEnd] = append(b.eps[innerEnd], inner)
+		to := b.newState()
+		b.eps[from] = append(b.eps[from], to)
+		b.eps[innerEnd] = append(b.eps[innerEnd], to)
 		return to
 	}
 	panic("rpe: unknown expression type")
 }
 
-// tabulate derives the transition tables from the Thompson construction.
-func (n *NFA) tabulate() {
-	states := len(n.accept)
+// tabulate derives the transition tables of the automaton whose one
+// accepting state is end.
+func (b *thompson) tabulate(end int32) *NFA {
+	states := len(b.step)
 	w := (states + 63) / 64
-	n.words = w
+	n := &NFA{words: w}
 	edges := 0
-	for _, es := range n.step {
+	for _, es := range b.step {
 		edges += len(es)
 	}
 	// One backing array: edge rows, then start, then final.
@@ -129,30 +126,29 @@ func (n *NFA) tabulate() {
 	n.first = make([]int32, states+1)
 	n.label = make([]graph.LabelID, 0, edges)
 	var stack []int32
-	for q, es := range n.step {
+	for q, es := range b.step {
 		n.first[q] = int32(len(n.label))
 		for _, e := range es {
 			row := n.target[len(n.label)*w:][:w]
 			n.label = append(n.label, e.label)
-			stack = n.closeOver(row, e.to, stack)
-		}
-		if n.accept[q] {
-			n.final[q>>6] |= 1 << (q & 63)
+			stack = b.closeOver(row, e.to, stack)
 		}
 	}
 	n.first[states] = int32(len(n.label))
-	n.closeOver(n.start, 0, stack)
+	n.final[end>>6] |= 1 << (end & 63)
+	b.closeOver(n.start, 0, stack)
+	return n
 }
 
 // closeOver ORs the epsilon closure of state q into set; stack is scratch,
 // returned for reuse.
-func (n *NFA) closeOver(set []uint64, q int32, stack []int32) []int32 {
+func (b *thompson) closeOver(set []uint64, q int32, stack []int32) []int32 {
 	stack = append(stack[:0], q)
 	set[q>>6] |= 1 << (q & 63)
 	for len(stack) > 0 {
 		q := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
-		for _, e := range n.eps[q] {
+		for _, e := range b.eps[q] {
 			if set[e>>6]&(1<<(e&63)) == 0 {
 				set[e>>6] |= 1 << (e & 63)
 				stack = append(stack, e)
@@ -163,7 +159,7 @@ func (n *NFA) closeOver(set []uint64, q int32, stack []int32) []int32 {
 }
 
 // NumStates returns the number of NFA states.
-func (n *NFA) NumStates() int { return len(n.accept) }
+func (n *NFA) NumStates() int { return len(n.first) - 1 }
 
 // stepState ORs into out the closed successor set of the single state q
 // after consuming a node labelled l, and reports whether any edge fired.

@@ -51,15 +51,6 @@ func Parse(src string) (Expr, error) {
 // the data.
 const maxExprTokens = 1024
 
-// MustParse is Parse that panics on error; for tests and fixed expressions.
-func MustParse(src string) Expr {
-	e, err := Parse(src)
-	if err != nil {
-		panic(err)
-	}
-	return e
-}
-
 type token int
 
 const (
@@ -240,33 +231,4 @@ func (p *parser) atom() (Expr, error) {
 	default:
 		return nil, fmt.Errorf("rpe: unexpected %q at offset %d", p.text, p.off)
 	}
-}
-
-// Labels returns the distinct label names mentioned by the expression, in
-// first-appearance order; workload mining uses it.
-func Labels(e Expr) []string {
-	var out []string
-	seen := make(map[string]bool)
-	var walk func(Expr)
-	walk = func(x Expr) {
-		switch v := x.(type) {
-		case Label:
-			if !seen[v.Name] {
-				seen[v.Name] = true
-				out = append(out, v.Name)
-			}
-		case Seq:
-			walk(v.L)
-			walk(v.R)
-		case Alt:
-			walk(v.L)
-			walk(v.R)
-		case Opt:
-			walk(v.X)
-		case Star:
-			walk(v.X)
-		}
-	}
-	walk(e)
-	return out
 }

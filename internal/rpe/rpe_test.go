@@ -17,6 +17,15 @@ func evalOn(t *testing.T, g *graph.Graph, src string) []graph.NodeID {
 	return CompileExpr(e, g.Labels()).Eval(g, nil)
 }
 
+// mustParse is Parse for expressions the test knows to be well formed.
+func mustParse(src string) Expr {
+	e, err := Parse(src)
+	if err != nil {
+		panic(err)
+	}
+	return e
+}
+
 func ids(ns ...graph.NodeID) []graph.NodeID { return ns }
 
 func same(a, b []graph.NodeID) bool {
@@ -50,7 +59,7 @@ func TestParseRoundTrip(t *testing.T) {
 
 func TestParsePrecedence(t *testing.T) {
 	// '|' binds loosest: a.b|c = (a.b)|c.
-	e := MustParse("a.b|c")
+	e := mustParse("a.b|c")
 	alt, ok := e.(Alt)
 	if !ok {
 		t.Fatalf("a.b|c parsed as %T, want Alt at top", e)
@@ -59,7 +68,7 @@ func TestParsePrecedence(t *testing.T) {
 		t.Errorf("left branch is %T, want Seq", alt.L)
 	}
 	// Postfix binds tightest: a.b* = a.(b*).
-	e = MustParse("a.b*")
+	e = mustParse("a.b*")
 	seq := e.(Seq)
 	if _, ok := seq.R.(Star); !ok {
 		t.Errorf("a.b*: right is %T, want Star", seq.R)
@@ -67,13 +76,13 @@ func TestParsePrecedence(t *testing.T) {
 }
 
 func TestParseDescendantSugar(t *testing.T) {
-	a := MustParse("a//b").String()
-	b := MustParse("a.(_)*.b").String()
+	a := mustParse("a//b").String()
+	b := mustParse("a.(_)*.b").String()
 	if a != b {
 		t.Errorf("a//b = %q, a.(_)*.b = %q", a, b)
 	}
-	lead := MustParse("//a").String()
-	want := MustParse("(_)*.a").String()
+	lead := mustParse("//a").String()
+	want := mustParse("(_)*.a").String()
 	if lead != want {
 		t.Errorf("//a = %q, want %q", lead, want)
 	}
@@ -108,19 +117,6 @@ func TestParseBoundsExpressionSize(t *testing.T) {
 	}
 }
 
-func TestLabelsCollection(t *testing.T) {
-	got := Labels(MustParse("a.(b|c)*.a._"))
-	want := []string{"a", "b", "c"}
-	if len(got) != len(want) {
-		t.Fatalf("Labels = %v", got)
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("Labels = %v, want %v", got, want)
-		}
-	}
-}
-
 func TestMaxWordLen(t *testing.T) {
 	cases := map[string]int{
 		"a":        1,
@@ -134,7 +130,7 @@ func TestMaxWordLen(t *testing.T) {
 		"_._":      2,
 	}
 	for src, want := range cases {
-		if got := MaxWordLen(MustParse(src)); got != want {
+		if got := MaxWordLen(mustParse(src)); got != want {
 			t.Errorf("MaxWordLen(%q) = %d, want %d", src, got, want)
 		}
 	}
@@ -223,7 +219,7 @@ func TestEvalEmptyWordExpressionMatchesNothing(t *testing.T) {
 
 func TestEvalCountsVisits(t *testing.T) {
 	g := graph.FigureOneMovies()
-	c := CompileExpr(MustParse("movie.title"), g.Labels())
+	c := CompileExpr(mustParse("movie.title"), g.Labels())
 	visits := 0
 	c.Eval(g, func(graph.NodeID) { visits++ })
 	if visits == 0 {
@@ -242,7 +238,7 @@ func TestMatchesNodeAgreesWithEval(t *testing.T) {
 		"(director|actor).movie",
 		"actor.movie.title",
 	} {
-		c := CompileExpr(MustParse(src), g.Labels())
+		c := CompileExpr(mustParse(src), g.Labels())
 		matched := make(map[graph.NodeID]bool)
 		for _, n := range c.Eval(g, nil) {
 			matched[n] = true
@@ -257,7 +253,7 @@ func TestMatchesNodeAgreesWithEval(t *testing.T) {
 
 func TestMatchesNodeOnCycles(t *testing.T) {
 	g := graph.TinyCycle()
-	c := CompileExpr(MustParse("a.(b.a)*.b"), g.Labels())
+	c := CompileExpr(mustParse("a.(b.a)*.b"), g.Labels())
 	if !c.MatchesNode(g, 2, nil) {
 		t.Error("a.(b.a)*.b should match node b")
 	}
@@ -285,7 +281,7 @@ func TestMatchesNodeRandomizedAgainstEval(t *testing.T) {
 		}
 		exprs := []string{"a.b", "a//c", "(a|b).c", "a.(b|c)*.a", "_.b.c?"}
 		for _, src := range exprs {
-			c := CompileExpr(MustParse(src), g.Labels())
+			c := CompileExpr(mustParse(src), g.Labels())
 			matched := make(map[graph.NodeID]bool)
 			for _, n := range c.Eval(g, nil) {
 				matched[n] = true
@@ -302,26 +298,25 @@ func TestMatchesNodeRandomizedAgainstEval(t *testing.T) {
 
 func TestNFAMatchesEmpty(t *testing.T) {
 	g := graph.FigureOneMovies()
-	if !Compile(MustParse("a?"), g.Labels()).MatchesEmpty() {
+	if !Compile(mustParse("a?"), g.Labels()).MatchesEmpty() {
 		t.Error("a? should accept the empty word")
 	}
-	if Compile(MustParse("a"), g.Labels()).MatchesEmpty() {
+	if Compile(mustParse("a"), g.Labels()).MatchesEmpty() {
 		t.Error("a should not accept the empty word")
 	}
-	if !Compile(MustParse("a*"), g.Labels()).MatchesEmpty() {
+	if !Compile(mustParse("a*"), g.Labels()).MatchesEmpty() {
 		t.Error("a* should accept the empty word")
 	}
 }
 
 func TestParseUnderscoreLabels(t *testing.T) {
 	// Labels containing underscores must not lex as wildcards.
-	e := MustParse("open_auction.itemref//name")
-	labels := Labels(e)
-	if len(labels) != 3 || labels[0] != "open_auction" {
-		t.Fatalf("Labels = %v", labels)
+	e := mustParse("open_auction.itemref//name")
+	if got := e.String(); got != "open_auction.itemref._*.name" {
+		t.Fatalf("parsed as %s", got)
 	}
 	// A lone underscore remains the wildcard.
-	if _, ok := MustParse("_").(Wildcard); !ok {
+	if _, ok := mustParse("_").(Wildcard); !ok {
 		t.Error("lone _ is not a wildcard")
 	}
 	// Wildcard followed by an operator still parses.
@@ -329,8 +324,7 @@ func TestParseUnderscoreLabels(t *testing.T) {
 		t.Errorf("a._.b: %v", err)
 	}
 	// Underscore-leading label.
-	e = MustParse("_foo.bar")
-	if labels := Labels(e); len(labels) != 2 || labels[0] != "_foo" {
-		t.Errorf("_foo.bar labels = %v", labels)
+	if e, ok := mustParse("_foo.bar").(Seq); !ok || e.L != (Label{Name: "_foo"}) || e.R != (Label{Name: "bar"}) {
+		t.Errorf("_foo.bar parsed as %v", e)
 	}
 }

@@ -10,6 +10,7 @@ import (
 
 	"dkindex"
 	"dkindex/internal/obs"
+	"dkindex/internal/obs/promtest"
 )
 
 // TestMetricsEndpoint drives real traffic and asserts /metrics serves valid
@@ -39,7 +40,7 @@ func TestMetricsEndpoint(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fams, err := obs.ParsePrometheusText(strings.NewReader(string(body)))
+	fams, err := promtest.Parse(strings.NewReader(string(body)))
 	if err != nil {
 		t.Fatalf("/metrics output invalid: %v\n%s", err, body)
 	}

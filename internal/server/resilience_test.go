@@ -12,6 +12,7 @@ import (
 
 	"dkindex"
 	"dkindex/internal/obs"
+	"dkindex/internal/obs/promtest"
 )
 
 func TestReadyz(t *testing.T) {
@@ -154,7 +155,7 @@ func TestPanicRecoveryMiddleware(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer resp.Body.Close()
-	fams, err := obs.ParsePrometheusText(resp.Body)
+	fams, err := promtest.Parse(resp.Body)
 	if err != nil {
 		t.Fatalf("metrics unparseable after panic: %v", err)
 	}

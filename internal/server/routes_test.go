@@ -12,6 +12,7 @@ import (
 	"dkindex"
 	"dkindex/internal/faultfs"
 	"dkindex/internal/obs"
+	"dkindex/internal/obs/promtest"
 )
 
 // requests reads one route's request counter.
@@ -79,7 +80,7 @@ func TestRouteTableIsTheSurface(t *testing.T) {
 	}
 
 	_, body := fetch(t, srv, "GET", "/v1/metrics", "")
-	fams, err := obs.ParsePrometheusText(bytes.NewReader(body))
+	fams, err := promtest.Parse(bytes.NewReader(body))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -11,6 +11,7 @@ import (
 
 	"dkindex"
 	"dkindex/internal/obs"
+	"dkindex/internal/obs/promtest"
 )
 
 const doc = `<?xml version="1.0"?>
@@ -291,7 +292,7 @@ func TestConcurrentQueriesAndUpdates(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer resp.Body.Close()
-	fams, err := obs.ParsePrometheusText(resp.Body)
+	fams, err := promtest.Parse(resp.Body)
 	if err != nil {
 		t.Fatalf("/v1/metrics stopped parsing after the storm: %v", err)
 	}

@@ -181,25 +181,3 @@ func (w *Workload) Format() string {
 	}
 	return b.String()
 }
-
-// ParseQueries parses one query per line (dotted label paths); blank lines
-// and lines starting with '#' are skipped. It lets tools replay a saved
-// query load.
-func ParseQueries(t *graph.LabelTable, text string) (*Workload, error) {
-	w := &Workload{labels: t}
-	for i, line := range strings.Split(text, "\n") {
-		line = strings.TrimSpace(line)
-		if line == "" || strings.HasPrefix(line, "#") {
-			continue
-		}
-		q, err := eval.ParseQuery(t, line)
-		if err != nil {
-			return nil, fmt.Errorf("workload: line %d: %w", i+1, err)
-		}
-		w.Queries = append(w.Queries, q)
-	}
-	if len(w.Queries) == 0 {
-		return nil, fmt.Errorf("workload: no queries")
-	}
-	return w, nil
-}

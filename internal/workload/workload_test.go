@@ -1,6 +1,7 @@
 package workload
 
 import (
+	"slices"
 	"strings"
 	"testing"
 
@@ -11,7 +12,7 @@ import (
 )
 
 func TestGenerateBasics(t *testing.T) {
-	g := datagen.MustGraph(datagen.XMark(datagen.XMarkScale(0.02)))
+	g := xmarkGraph(t, 0.02)
 	w, err := Generate(g, DefaultConfig(1))
 	if err != nil {
 		t.Fatal(err)
@@ -39,7 +40,7 @@ func TestGenerateBasics(t *testing.T) {
 }
 
 func TestGenerateDeterministic(t *testing.T) {
-	g := datagen.MustGraph(datagen.XMark(datagen.XMarkScale(0.02)))
+	g := xmarkGraph(t, 0.02)
 	a, err := Generate(g, DefaultConfig(7))
 	if err != nil {
 		t.Fatal(err)
@@ -120,35 +121,20 @@ func TestRequirementsMining(t *testing.T) {
 	}
 }
 
-func TestParseQueries(t *testing.T) {
-	g := graph.FigureOneMovies()
-	w, err := ParseQueries(g.Labels(), "# comment\nmovie.title\n\ndirector.movie\n")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if w.Len() != 2 {
-		t.Errorf("parsed %d queries, want 2", w.Len())
-	}
-	if _, err := ParseQueries(g.Labels(), "# nothing\n"); err == nil {
-		t.Error("empty workload accepted")
-	}
-	if _, err := ParseQueries(g.Labels(), "a..b\n"); err == nil {
-		t.Error("malformed query accepted")
-	}
-}
-
 func TestFormatRoundTrip(t *testing.T) {
-	g := datagen.MustGraph(datagen.XMark(datagen.XMarkScale(0.01)))
+	g := xmarkGraph(t, 0.01)
 	w, err := Generate(g, Config{N: 20, MinLen: 2, MaxLen: 4, Seed: 5})
 	if err != nil {
 		t.Fatal(err)
 	}
-	w2, err := ParseQueries(g.Labels(), w.Format())
-	if err != nil {
-		t.Fatal(err)
+	lines := strings.Split(strings.TrimSuffix(w.Format(), "\n"), "\n")
+	if len(lines) != w.Len() {
+		t.Fatalf("Format wrote %d lines for %d queries", len(lines), w.Len())
 	}
-	if w2.Format() != w.Format() {
-		t.Error("Format/ParseQueries round trip failed")
+	for i, line := range lines {
+		if q, err := eval.ParseQuery(g.Labels(), line); err != nil || !slices.Equal(q, w.Queries[i]) {
+			t.Errorf("line %d %q parses to %v (%v), want %v", i, line, q, err, w.Queries[i])
+		}
 	}
 }
 
@@ -189,7 +175,7 @@ func TestRecorder(t *testing.T) {
 }
 
 func TestMineBudgetUnbounded(t *testing.T) {
-	g := datagen.MustGraph(datagen.XMark(datagen.XMarkScale(0.02)))
+	g := xmarkGraph(t, 0.02)
 	w, err := Generate(g, Config{N: 30, MinLen: 2, MaxLen: 4, Seed: 3})
 	if err != nil {
 		t.Fatal(err)
@@ -221,7 +207,7 @@ func TestMineBudgetUnbounded(t *testing.T) {
 }
 
 func TestMineBudgetRespectsBudget(t *testing.T) {
-	g := datagen.MustGraph(datagen.XMark(datagen.XMarkScale(0.02)))
+	g := xmarkGraph(t, 0.02)
 	w, err := Generate(g, Config{N: 30, MinLen: 2, MaxLen: 4, Seed: 3})
 	if err != nil {
 		t.Fatal(err)
@@ -282,4 +268,14 @@ func TestMinedKIsBounded(t *testing.T) {
 	if got := res.Reqs.Get(b); got != core.MaxK || len(res.Steps) != 1 {
 		t.Errorf("MineBudget: req(b) = %d after %d steps, want %d after 1", got, len(res.Steps), core.MaxK)
 	}
+}
+
+// xmarkGraph generates an XMark document at the given scale as a data graph.
+func xmarkGraph(t *testing.T, scale float64) *graph.Graph {
+	t.Helper()
+	g, _, err := datagen.Graph(datagen.XMark(datagen.XMarkScale(scale)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return g
 }

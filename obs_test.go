@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"dkindex/internal/obs"
+	"dkindex/internal/obs/promtest"
 )
 
 func eventTypes(events []obs.Event) map[obs.EventType]int {
@@ -288,7 +289,7 @@ func TestObserveMetricsExposition(t *testing.T) {
 	if err := o.Registry.WritePrometheus(&sb); err != nil {
 		t.Fatal(err)
 	}
-	fams, err := obs.ParsePrometheusText(strings.NewReader(sb.String()))
+	fams, err := promtest.Parse(strings.NewReader(sb.String()))
 	if err != nil {
 		t.Fatalf("metrics output unparsable: %v", err)
 	}
@@ -376,7 +377,7 @@ func TestObserveBuildMetrics(t *testing.T) {
 	if err := o.Registry.WritePrometheus(&sb); err != nil {
 		t.Fatal(err)
 	}
-	fams, err := obs.ParsePrometheusText(strings.NewReader(sb.String()))
+	fams, err := promtest.Parse(strings.NewReader(sb.String()))
 	if err != nil {
 		t.Fatalf("metrics output unparsable: %v", err)
 	}

@@ -8,7 +8,6 @@ import (
 
 	"dkindex/internal/eval"
 	"dkindex/internal/graph"
-	"dkindex/internal/rpe"
 )
 
 // Property: the label lists of both graphs and the adjacency mirrors survive
@@ -116,7 +115,7 @@ func TestQuickPostingListsSurviveLifecycle(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		if truth, _ := eval.DataRPE(g, rpe.CompileExpr(rpe.MustParse(text), labels)); !eval.SameResult(res, truth) {
+		if truth, _ := eval.DataRPE(g, compileRPE(t, text, labels)); !eval.SameResult(res, truth) {
 			return false
 		}
 		text = twigs[rng.Intn(len(twigs))]

@@ -6,21 +6,25 @@ import (
 	"io/fs"
 	"os"
 	"path/filepath"
+	"slices"
 	"strconv"
 	"strings"
 	"testing"
 )
 
-// TestNothingServesTheShardEngine pins the retirement of sharded serving by
-// reading the source: internal/shard is kept only for the benchmark module's
-// fan-out probe, so no non-test .go file of this module outside that package
-// may import it. A command, server or facade that wires the engine back in
-// fails here by name. The benchmark module (its own go.mod) and hidden
-// directories are not this module and are skipped.
-func TestNothingServesTheShardEngine(t *testing.T) {
-	const engine = "dkindex/internal/shard"
-	parsed := 0
-	var importers []string
+// sourceFile is one non-test .go file: its slash-separated path and imports.
+type sourceFile struct {
+	path    string
+	imports []string
+}
+
+// nonTestImports reads the imports of this module's non-test .go files,
+// skipping the directories named in skip. The benchmark module (its own
+// go.mod), hidden directories and testdata are not this module's code and
+// are skipped too.
+func nonTestImports(t *testing.T, skip ...string) []sourceFile {
+	t.Helper()
+	var files []sourceFile
 	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
 		if err != nil {
 			return err
@@ -29,7 +33,7 @@ func TestNothingServesTheShardEngine(t *testing.T) {
 			if path == "." {
 				return nil
 			}
-			if strings.HasPrefix(d.Name(), ".") || d.Name() == "testdata" || filepath.ToSlash(path) == "internal/shard" {
+			if strings.HasPrefix(d.Name(), ".") || d.Name() == "testdata" || slices.Contains(skip, filepath.ToSlash(path)) {
 				return filepath.SkipDir
 			}
 			if _, err := os.Stat(filepath.Join(path, "go.mod")); err == nil {
@@ -44,21 +48,49 @@ func TestNothingServesTheShardEngine(t *testing.T) {
 		if err != nil {
 			return err
 		}
-		parsed++
+		file := sourceFile{path: filepath.ToSlash(path)}
 		for _, imp := range f.Imports {
-			if p, _ := strconv.Unquote(imp.Path.Value); p == engine {
-				importers = append(importers, filepath.ToSlash(path))
-			}
+			p, _ := strconv.Unquote(imp.Path.Value)
+			file.imports = append(file.imports, p)
 		}
+		files = append(files, file)
 		return nil
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if parsed < 50 {
-		t.Fatalf("parsed only %d non-test files; the walk missed the module", parsed)
+	if len(files) < 50 {
+		t.Fatalf("parsed only %d non-test files; the walk missed the module", len(files))
 	}
-	for _, path := range importers {
-		t.Errorf("%s imports %s, which is kept only for benchmark/probes.go", path, engine)
+	return files
+}
+
+// TestNothingServesTheShardEngine pins the retirement of sharded serving by
+// reading the source: internal/shard is kept only for the benchmark module's
+// fan-out probe, so no non-test .go file of this module outside that package
+// may import it. A command, server or facade that wires the engine back in
+// fails here by name.
+func TestNothingServesTheShardEngine(t *testing.T) {
+	const engine = "dkindex/internal/shard"
+	for _, f := range nonTestImports(t, "internal/shard") {
+		if slices.Contains(f.imports, engine) {
+			t.Errorf("%s imports %s, which is kept only for benchmark/probes.go", f.path, engine)
+		}
+	}
+}
+
+// TestOnlyTestsImportTestSupport keeps the test-support packages out of
+// every binary: the reference oracles the kernels are audited against, the
+// Prometheus text parser, the copy-on-write isolation check and the faulty
+// filesystem and network are imported by _test.go files only. A non-test
+// file outside those packages that imports one fails here by name.
+func TestOnlyTestsImportTestSupport(t *testing.T) {
+	support := []string{"internal/oracle", "internal/obs/promtest", "internal/cow/cowtest", "internal/faultfs", "internal/faultnet"}
+	for _, f := range nonTestImports(t, support...) {
+		for _, pkg := range support {
+			if slices.Contains(f.imports, "dkindex/"+pkg) {
+				t.Errorf("%s imports dkindex/%s, which only tests may import", f.path, pkg)
+			}
+		}
 	}
 }
