@@ -23,7 +23,6 @@ import (
 	"dkindex/internal/datagen"
 	"dkindex/internal/eval"
 	"dkindex/internal/experiments"
-	"dkindex/internal/graph"
 	"dkindex/internal/index"
 	"dkindex/internal/obs"
 	"dkindex/internal/rpe"
@@ -693,7 +692,7 @@ func BenchmarkQueryThroughputInstrumented(b *testing.B) {
 		for pb.Next() {
 			var (
 				kind string
-				res  []graph.NodeID
+				ans  eval.Answer
 				cost eval.Cost
 				tr   *obs.Trace
 			)
@@ -702,21 +701,22 @@ func BenchmarkQueryThroughputInstrumented(b *testing.B) {
 			case 0, 1:
 				kind = "path"
 				tr = o.SampleTrace(kind, "bench-path")
-				res, cost = eval.IndexTraced(dk.IG, ds.W.Queries[i%len(ds.W.Queries)], tr)
+				ans, cost = eval.IndexTraced(dk.IG, ds.W.Queries[i%len(ds.W.Queries)], tr)
 			case 2:
 				kind = "rpe"
 				tr = o.SampleTrace(kind, "bench-rpe")
-				res, cost = eval.IndexRPETraced(dk.IG, rpes[(i/4)%len(rpes)], tr)
+				ans, cost = eval.IndexRPETraced(dk.IG, rpes[(i/4)%len(rpes)], tr)
 			default:
 				kind = "twig"
 				tr = o.SampleTrace(kind, "bench-twig")
-				res, cost = eval.IndexTwigTraced(dk.IG, twigs[(i/4)%len(twigs)], tr)
+				ans, cost = eval.IndexTwigTraced(dk.IG, twigs[(i/4)%len(twigs)], tr)
 			}
 			o.ObserveQuery(kind, time.Since(begin), obs.CostSample{
 				IndexNodesVisited:  cost.IndexNodesVisited,
 				DataNodesValidated: cost.DataNodesValidated,
 				Validations:        cost.Validations,
-			}, len(res))
+			}, ans.Len())
+			ans.Release()
 			o.Tracer.Finish(tr)
 			i++
 		}

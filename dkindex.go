@@ -397,7 +397,7 @@ func (x *Index) Explain(path string) (*Explanation, error) {
 		return nil, err
 	}
 	out := &Explanation{Query: path}
-	res, cost := eval.Explain(ig, q, func(m graph.NodeID, validated bool, kept int) {
+	ans, cost := eval.Explain(ig, q, func(m graph.NodeID, validated bool, kept int) {
 		out.Matched = append(out.Matched, MatchedNode{
 			IndexNode:  m,
 			Label:      labels.Name(ig.Label(m)),
@@ -407,7 +407,8 @@ func (x *Index) Explain(path string) (*Explanation, error) {
 			Kept:       kept,
 		})
 	})
-	out.Results, out.Stats = len(res), fromCost(cost)
+	out.Results, out.Stats = ans.Len(), fromCost(cost)
+	ans.Release()
 	return out, nil
 }
 

@@ -6,6 +6,8 @@ import (
 	"strings"
 	"testing"
 
+	"dkindex/internal/eval"
+	"dkindex/internal/graph"
 	"dkindex/internal/obs"
 	"dkindex/internal/obs/promtest"
 )
@@ -213,5 +215,70 @@ func TestCacheHitKeepsTheSideEffectsOfAParse(t *testing.T) {
 	}
 	if n := idx.ResultCacheLen(); n != 4 {
 		t.Errorf("the cache holds %d entries, want the 4 well-formed queries", n)
+	}
+}
+
+// TestCachedAnswerOwnsItsHits: an evaluated answer borrows its validated
+// hits from pooled scratch until Run releases it, so the answer a miss
+// stores in the result cache must be a copy that owns them. The test misses
+// a validating RPE, lets more than fifty other validating misses and a
+// RunBatch refill that scratch, and then reads the first answer back from
+// the cache, whole and as a prefix, against the data graph.
+func TestCachedAnswerOwnsItsHits(t *testing.T) {
+	ds, idx := tunedXMark(t, 0.25)
+	const text = "site//name"
+	want, _ := eval.DataRPE(ds.G, compileRPE(t, text, ds.G.Labels()))
+	first, err := idx.Run(Request{Kind: KindRPE, Text: text, Limit: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if first.CacheHit || first.Stats.Validations == 0 || first.Total != len(want) {
+		t.Fatalf("%s: want a validating miss of %d nodes, got %d nodes, %+v, hit %v", text, len(want), first.Total, first.Stats, first.CacheHit)
+	}
+
+	labels := ds.G.Labels()
+	var others []Request
+	for l := range labels.Len() {
+		if name := labels.Name(graph.LabelID(l)); name != "name" {
+			others = append(others, Request{Kind: KindRPE, Text: "site//" + name, Limit: 5})
+		}
+	}
+	validating := 0
+	for _, req := range others {
+		res, err := idx.Run(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !res.CacheHit && res.Stats.Validations > 0 && res.Total > 0 {
+			validating++
+		}
+	}
+	if validating < 50 {
+		t.Fatalf("%d validating misses with an answer refilled the scratch, want at least 50", validating)
+	}
+	batch := []Request{
+		{Kind: KindTwig, Text: "person[emailaddress].name"},
+		{Kind: KindTwig, Text: "item[location].name"},
+		{Kind: KindRPE, Text: "people//emailaddress"},
+	}
+	for _, br := range idx.RunBatch(batch) {
+		if br.Err != nil {
+			t.Fatal(br.Err)
+		}
+	}
+
+	for _, limit := range []int{0, 7} {
+		res, err := idx.Run(Request{Kind: KindRPE, Text: text, Limit: limit})
+		if err != nil {
+			t.Fatal(err)
+		}
+		n := len(want)
+		if limit > 0 {
+			n = limit
+		}
+		if !res.CacheHit || res.Total != len(want) || !slices.Equal(res.Nodes, want[:n]) {
+			t.Errorf("limit %d: the cached answer (hit %v, total %d) lists %v..., want the first %d of the data graph's %d nodes %v...",
+				limit, res.CacheHit, res.Total, res.Nodes[:min(len(res.Nodes), 7)], n, len(want), want[:min(n, 7)])
+		}
 	}
 }

@@ -146,35 +146,84 @@ func MatchesNode(g *graph.Graph, q Query, n graph.NodeID) (bool, int) {
 // Results are sorted data node ids and always equal Data(g, q): safety
 // guarantees no misses, validation removes false positives.
 func Index(ig *index.IndexGraph, q Query) ([]graph.NodeID, Cost) {
-	return IndexTraced(ig, q, nil)
+	return materialize(IndexTraced(ig, q, nil))
 }
 
-// IndexTraced is Index with per-stage tracing: the index-graph match and the
-// validation loop are recorded as "match" and "validate" spans, and the cost
-// counters are copied onto the trace. A nil trace makes every tracing call a
-// no-op (StageStart then skips the clock read), so the uninstrumented path is
-// unchanged — and the counters themselves are computed identically either
-// way, keeping traced and untraced costs bit-for-bit equal.
-func IndexTraced(ig *index.IndexGraph, q Query, tr *obs.Trace) ([]graph.NodeID, Cost) {
+// IndexTraced is Index returning the unmerged Answer, with per-stage tracing:
+// the index-graph match and the validation loop are recorded as "match" and
+// "validate" spans, and the cost counters are copied onto the trace. A nil
+// trace makes every tracing call a no-op (StageStart then skips the clock
+// read), so the uninstrumented path is unchanged — and the counters
+// themselves are computed identically either way, keeping traced and
+// untraced costs bit-for-bit equal.
+func IndexTraced(ig *index.IndexGraph, q Query, tr *obs.Trace) (Answer, Cost) {
 	e := newPathEval(ig, q)
 	defer e.release()
 	return e.onIndex(ig, tr, nil)
 }
 
-// Explain is Index reporting every matched index node to each, in ascending
-// order: whether its extent was validated and how many of its members the
-// answer kept.
-func Explain(ig *index.IndexGraph, q Query, each func(m graph.NodeID, validated bool, kept int)) ([]graph.NodeID, Cost) {
+// Explain is IndexTraced reporting every matched index node to each, in
+// ascending order: whether its extent was validated and how many of its
+// members the answer kept.
+func Explain(ig *index.IndexGraph, q Query, each func(m graph.NodeID, validated bool, kept int)) (Answer, Cost) {
 	e := newPathEval(ig, q)
 	defer e.release()
 	return e.onIndex(ig, nil, each)
 }
 
+// Answer is the result of an index evaluation, left unmerged (Section 4.1's
+// union): the extents of the sound index nodes it matched, as the snapshot's
+// immutable sets, and the sorted members of the other matched extents that
+// passed validation. Extents partition the data nodes, so the parts are
+// disjoint and Len needs no merge; a caller lists what it needs with
+// AppendFirst. An Answer an evaluator returns borrows pooled scratch: it is
+// valid until Release, and Keep copies out one that owns its hits.
+type Answer struct {
+	sound []nodeset.Set
+	hits  []graph.NodeID
+	n     int
+	vs    *valScratch // the borrowed scratch; nil once released or kept
+}
+
+// Len returns the number of data nodes in the answer.
+func (a *Answer) Len() int { return a.n }
+
+// AppendFirst appends the answer's n smallest members, or all of them when
+// it has fewer, to dst in ascending order.
+func (a *Answer) AppendFirst(dst []graph.NodeID, n int) []graph.NodeID {
+	return nodeset.MergeAppend(dst, a.sound, a.hits, n)
+}
+
+// Release returns the borrowed scratch to its pool and empties a; it does
+// nothing to a kept answer.
+func (a *Answer) Release() {
+	if vs := a.vs; vs != nil {
+		clear(vs.sound) // a pooled buffer must not pin a snapshot's extents
+		vs.sound, vs.hits = vs.sound[:0], vs.hits[:0]
+		valScratchPool.Put(vs)
+		*a = Answer{}
+	}
+}
+
+// Keep returns a copy of a that borrows nothing: it shares the extent sets,
+// which are immutable, and owns a copy of the hits and of the list of sets.
+// The copy pins the extents of the snapshot that answered.
+func (a *Answer) Keep() Answer {
+	return Answer{sound: slices.Clone(a.sound), hits: slices.Clone(a.hits), n: a.n}
+}
+
+// materialize lists a whole answer and releases it.
+func materialize(a Answer, c Cost) ([]graph.NodeID, Cost) {
+	defer a.Release()
+	return a.AppendFirst(nil, a.Len()), c
+}
+
 // valScratch pools the result-assembly buffers of the index evaluators: sound
 // collects the extents that contribute wholesale, ext holds the extent being
-// validated, decompressed, and hits the members that passed so far, so the
-// only slice a query allocates for its answer is the answer. sound and hits
-// are empty whenever the scratch is in the pool.
+// validated, decompressed, and hits the members that passed so far, so an
+// evaluation allocates nothing for its answer: the Answer borrows sound and
+// hits until Release. sound and hits are empty whenever the scratch is in
+// the pool.
 type valScratch struct {
 	sound     []nodeset.Set
 	ext, hits []graph.NodeID
@@ -182,15 +231,14 @@ type valScratch struct {
 
 var valScratchPool = sync.Pool{New: func() any { return new(valScratch) }}
 
-// finish merges the sound extents with the validated hits into a freshly
-// allocated sorted result and returns the scratch to the pool.
-func (vs *valScratch) finish() []graph.NodeID {
+// answer sorts the validated hits and lends the scratch out as an Answer.
+func (vs *valScratch) answer() Answer {
 	slices.Sort(vs.hits)
-	res := nodeset.MergeAppend(nil, vs.sound, vs.hits)
-	clear(vs.sound) // a pooled buffer must not pin a snapshot's extents
-	vs.sound, vs.hits = vs.sound[:0], vs.hits[:0]
-	valScratchPool.Put(vs)
-	return res
+	n := len(vs.hits)
+	for _, s := range vs.sound {
+		n += s.Len()
+	}
+	return Answer{sound: vs.sound, hits: vs.hits, n: n, vs: vs}
 }
 
 // validateParallelThreshold is the extent size above which validation fans

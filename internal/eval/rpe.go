@@ -24,20 +24,21 @@ func DataRPE(g *graph.Graph, c *rpe.Compiled) ([]graph.NodeID, Cost) {
 // extents is spread across CPUs: each member's reversed-automaton search is
 // independent, so the per-chunk charges sum to the serial Cost exactly.
 func IndexRPE(ig *index.IndexGraph, c *rpe.Compiled) ([]graph.NodeID, Cost) {
-	return IndexRPETraced(ig, c, nil)
+	return materialize(IndexRPETraced(ig, c, nil))
 }
 
-// IndexRPETraced is IndexRPE with per-stage tracing: the automaton run over
-// the index graph records "rpe_seed" and "rpe_fixpoint" spans (inside
-// Compiled.EvalTraced) and the validation loop a "validate" span. A nil trace
-// is free, and the cost counters are identical with tracing on or off.
-func IndexRPETraced(ig *index.IndexGraph, c *rpe.Compiled, tr *obs.Trace) ([]graph.NodeID, Cost) {
+// IndexRPETraced is IndexRPE returning the unmerged Answer, with per-stage
+// tracing: the automaton run over the index graph records "rpe_seed" and
+// "rpe_fixpoint" spans (inside Compiled.EvalTraced) and the validation loop a
+// "validate" span. A nil trace is free, and the cost counters are identical
+// with tracing on or off.
+func IndexRPETraced(ig *index.IndexGraph, c *rpe.Compiled, tr *obs.Trace) (Answer, Cost) {
 	var cost Cost
 	matched := c.EvalTraced(ig, func(graph.NodeID) { cost.IndexNodesVisited++ }, tr)
 	data := ig.Data()
 	st := tr.StageStart()
-	// As in twigEval.onIndex: sound extents stay compressed until the final
-	// disjoint-set merge, unsound ones decompress into a pooled buffer.
+	// As in twigEval.onIndex: sound extents stay compressed in the Answer,
+	// unsound ones decompress into a pooled buffer.
 	validate := func(dst, members []graph.NodeID) ([]graph.NodeID, int) {
 		charged := 0
 		charge := func(graph.NodeID) { charged++ }
@@ -60,8 +61,8 @@ func IndexRPETraced(ig *index.IndexGraph, c *rpe.Compiled, tr *obs.Trace) ([]gra
 		vs.hits, charged = validateMembers(vs.hits, vs.ext, true, validate)
 		cost.DataNodesValidated += charged
 	}
-	res := vs.finish()
+	ans := vs.answer()
 	tr.EndStage("validate", st)
-	tr.RecordCost(cost.IndexNodesVisited, cost.DataNodesValidated, cost.Validations, len(res))
-	return res, cost
+	tr.RecordCost(cost.IndexNodesVisited, cost.DataNodesValidated, cost.Validations, ans.Len())
+	return ans, cost
 }

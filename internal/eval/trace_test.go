@@ -27,7 +27,7 @@ func TestTracedCostBitIdentical(t *testing.T) {
 
 	plain, plainCost := Index(ls, q)
 	tr := &obs.Trace{Kind: "path", Query: "director.movie.title"}
-	traced, tracedCost := IndexTraced(ls, q, tr)
+	traced, tracedCost := materialize(IndexTraced(ls, q, tr))
 	if !SameResult(plain, traced) {
 		t.Errorf("traced result %v != untraced %v", traced, plain)
 	}
@@ -55,7 +55,7 @@ func TestTracedRPEBitIdentical(t *testing.T) {
 
 	plain, plainCost := IndexRPE(ls, c)
 	tr := &obs.Trace{Kind: "rpe"}
-	traced, tracedCost := IndexRPETraced(ls, c, tr)
+	traced, tracedCost := materialize(IndexRPETraced(ls, c, tr))
 	if !SameResult(plain, traced) || plainCost != tracedCost {
 		t.Errorf("traced (%v, %+v) != untraced (%v, %+v)", traced, tracedCost, plain, plainCost)
 	}
@@ -75,7 +75,7 @@ func TestTracedTwigBitIdentical(t *testing.T) {
 
 	plain, plainCost := IndexTwig(ls, tw)
 	tr := &obs.Trace{Kind: "twig"}
-	traced, tracedCost := IndexTwigTraced(ls, tw, tr)
+	traced, tracedCost := materialize(IndexTwigTraced(ls, tw, tr))
 	if !SameResult(plain, traced) || plainCost != tracedCost {
 		t.Errorf("traced (%v, %+v) != untraced (%v, %+v)", traced, tracedCost, plain, plainCost)
 	}

@@ -419,8 +419,8 @@ func (e *twigEval) sound(ig *index.IndexGraph, m graph.NodeID) bool {
 }
 
 // onIndex runs e's trunk over ig, e's source, and resolves every match: a
-// sound index node contributes its extent wholesale, compressed until the
-// final disjoint-set merge; any other is validated member by member against
+// sound index node contributes its extent wholesale, compressed, to the
+// Answer; any other is validated member by member against
 // the data graph, by a fresh evaluator per run of members. A predicate-free
 // trunk validates large extents in parallel chunks, because each member's
 // charges are its own. A trunk with predicates validates an extent in one
@@ -429,7 +429,7 @@ func (e *twigEval) sound(ig *index.IndexGraph, m graph.NodeID) bool {
 // "match" and "validate" spans; nil traces are free and never change the
 // counters. each, when non-nil, hears every matched node in ascending order,
 // with whether it was validated and how many of its members the answer kept.
-func (e *twigEval) onIndex(ig *index.IndexGraph, tr *obs.Trace, each func(m graph.NodeID, validated bool, kept int)) ([]graph.NodeID, Cost) {
+func (e *twigEval) onIndex(ig *index.IndexGraph, tr *obs.Trace, each func(m graph.NodeID, validated bool, kept int)) (Answer, Cost) {
 	st := tr.StageStart()
 	matched := e.eval()
 	tr.EndStage("match", st)
@@ -468,10 +468,10 @@ func (e *twigEval) onIndex(ig *index.IndexGraph, tr *obs.Trace, each func(m grap
 			each(m, validated, kept)
 		}
 	}
-	res := vs.finish()
+	ans := vs.answer()
 	tr.EndStage("validate", st)
-	tr.RecordCost(c.IndexNodesVisited, c.DataNodesValidated, c.Validations, len(res))
-	return res, c
+	tr.RecordCost(c.IndexNodesVisited, c.DataNodesValidated, c.Validations, ans.Len())
+	return ans, c
 }
 
 // predicateFree reports whether no trunk step carries a predicate.
@@ -496,13 +496,13 @@ func DataTwig(g *graph.Graph, q *Twig) ([]graph.NodeID, Cost) {
 // matched extents are trusted on an F&B-stable index and validated member by
 // member on any other (see sound).
 func IndexTwig(ig *index.IndexGraph, q *Twig) ([]graph.NodeID, Cost) {
-	return IndexTwigTraced(ig, q, nil)
+	return materialize(IndexTwigTraced(ig, q, nil))
 }
 
-// IndexTwigTraced is IndexTwig with per-stage tracing ("match" and
-// "validate" spans, cost counters copied onto the trace). Nil traces are
-// free and never change the counters.
-func IndexTwigTraced(ig *index.IndexGraph, q *Twig, tr *obs.Trace) ([]graph.NodeID, Cost) {
+// IndexTwigTraced is IndexTwig returning the unmerged Answer, with per-stage
+// tracing ("match" and "validate" spans, cost counters copied onto the
+// trace). Nil traces are free and never change the counters.
+func IndexTwigTraced(ig *index.IndexGraph, q *Twig, tr *obs.Trace) (Answer, Cost) {
 	e := newTwigEval(ig, q)
 	defer e.release()
 	return e.onIndex(ig, tr, nil)

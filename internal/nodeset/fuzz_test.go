@@ -1,6 +1,7 @@
 package nodeset
 
 import (
+	"math"
 	"slices"
 	"testing"
 
@@ -8,7 +9,8 @@ import (
 )
 
 // FuzzFromSortedAlgebra cross-checks the set kernels, Union and MergeAppend,
-// against slice oracles on fuzzer-chosen inputs.
+// against slice oracles on fuzzer-chosen inputs, and MergeAppend of every
+// prefix length checkPrefixes tries against the full merge.
 func FuzzFromSortedAlgebra(f *testing.F) {
 	f.Add([]byte{1, 2, 3}, []byte{2, 3, 4}, uint16(1))
 	f.Add([]byte{0}, []byte{}, uint16(9))
@@ -27,10 +29,12 @@ func FuzzFromSortedAlgebra(f *testing.F) {
 				onlyA = append(onlyA, x)
 			}
 		}
-		got := MergeAppend(nil, []Set{FromSorted(onlyA)}, b)
+		sets := []Set{FromSorted(onlyA)}
+		got := MergeAppend(nil, sets, b, math.MaxInt)
 		if want := refUnion(a, b); !slices.Equal(got, want) {
 			t.Fatalf("MergeAppend mismatch")
 		}
+		checkPrefixes(t, sets, b, []int{len(got) / 2})
 	})
 }
 

@@ -114,33 +114,49 @@ func (s Set) IsEmpty() bool { return s.n == 0 }
 // AppendTo appends all members to dst in ascending order and returns the
 // extended slice — the decompression escape hatch for callers that need a
 // plain node slice.
-func (s Set) AppendTo(dst []graph.NodeID) []graph.NodeID {
-	if cap(dst)-len(dst) < s.n {
-		grown := make([]graph.NodeID, len(dst), len(dst)+s.n)
+func (s Set) AppendTo(dst []graph.NodeID) []graph.NodeID { return s.appendFirst(dst, s.n) }
+
+// appendFirst appends the n smallest members (n <= s.n) to dst.
+func (s Set) appendFirst(dst []graph.NodeID, n int) []graph.NodeID {
+	if cap(dst)-len(dst) < n {
+		grown := make([]graph.NodeID, len(dst), len(dst)+n)
 		copy(grown, dst)
 		dst = grown
 	}
-	for i := range s.cons {
-		dst = s.cons[i].appendTo(dst, graph.NodeID(uint32(s.keys[i])<<16))
+	end := len(dst) + n
+	for i := 0; len(dst) < end; i++ {
+		dst = s.cons[i].appendTo(dst, graph.NodeID(uint32(s.keys[i])<<16), end-len(dst))
 	}
 	return dst
 }
 
-func (c *container) appendTo(dst []graph.NodeID, base graph.NodeID) []graph.NodeID {
+// appendTo appends the container's n smallest members, or all of them when
+// it holds fewer, to dst.
+func (c *container) appendTo(dst []graph.NodeID, base graph.NodeID, n int) []graph.NodeID {
 	if c.bits != nil {
-		for w, word := range c.bits {
-			for word != 0 {
-				dst = append(dst, base+graph.NodeID(w<<6)+graph.NodeID(bits.TrailingZeros64(word)))
-				word &= word - 1
-			}
-		}
-		return dst
+		return appendBits(dst, c.bits, base, n)
 	}
 	cur, off := uint32(0), 0
-	for range c.card {
-		d, n := decodeUvarint(c.blk[off:])
-		off, cur = off+n, cur+d // the first value is stored whole, as a gap from 0
+	for range min(n, c.card) {
+		d, w := decodeUvarint(c.blk[off:])
+		off, cur = off+w, cur+d // the first value is stored whole, as a gap from 0
 		dst = append(dst, base+graph.NodeID(cur))
+	}
+	return dst
+}
+
+// appendBits appends the first n members of a chunk bitmap, or all of them
+// when it holds fewer, to dst.
+func appendBits(dst []graph.NodeID, words []uint64, base graph.NodeID, n int) []graph.NodeID {
+	end := len(dst) + n
+	for w, word := range words {
+		for word != 0 {
+			if len(dst) == end {
+				return dst
+			}
+			dst = append(dst, base+graph.NodeID(w<<6)+graph.NodeID(bits.TrailingZeros64(word)))
+			word &= word - 1
+		}
 	}
 	return dst
 }

@@ -1,6 +1,7 @@
 package nodeset
 
 import (
+	"math"
 	"math/rand"
 	"slices"
 	"testing"
@@ -138,15 +139,70 @@ func TestMergeAppend(t *testing.T) {
 		extra := parts[nsets]
 		slices.Sort(extra)
 
-		got := MergeAppend([]graph.NodeID{7}, sets, extra)
+		got := MergeAppend([]graph.NodeID{7}, sets, extra, math.MaxInt)
 		slices.Sort(universe)
 		want := append([]graph.NodeID{7}, universe...)
 		if !slices.Equal(got, want) {
 			t.Fatalf("trial %d: MergeAppend mismatch: got %d want %d members", trial, len(got), len(want))
 		}
+		checkPrefixes(t, sets, extra, append(extraCuts(rng, len(universe)), 0))
 	}
-	if out := MergeAppend(nil, nil, nil); len(out) != 0 {
+	if out := MergeAppend(nil, nil, nil, math.MaxInt); len(out) != 0 {
 		t.Fatalf("empty merge returned %v", out)
+	}
+
+	// One stream of each kind per chunk, ids past 2^16: chunk 0 is a dense
+	// extent that shares its chunk with validation hits (the pooled-bitmap
+	// merge), chunk 1 a sparse extent alone, chunk 2 hits alone and chunk 3 a
+	// dense extent alone.
+	var dense0, sparse1, hits, dense3 []graph.NodeID
+	for i := range 6000 {
+		dense0 = append(dense0, graph.NodeID(2*i))
+	}
+	for i := range 50 {
+		hits = append(hits, graph.NodeID(2*i+1))
+	}
+	for i := range 1000 {
+		sparse1 = append(sparse1, graph.NodeID(1<<16+3*i))
+	}
+	for i := range 40 {
+		hits = append(hits, graph.NodeID(2<<16+5*i))
+	}
+	for i := range 5000 {
+		dense3 = append(dense3, graph.NodeID(3<<16+i))
+	}
+	sets := []Set{FromSorted(dense3), FromSorted(sparse1), FromSorted(dense0)}
+	checkPrefixes(t, sets, hits, []int{25, 3000, 6050 + 500, 6050 + 1000 + 20, 6050 + 1000 + 40 + 2500})
+	// The single-stream fast paths: one set spanning a dense and a sparse
+	// chunk, and hits alone.
+	checkPrefixes(t, []Set{{}, FromSorted(append(dense0, sparse1...)), {}}, nil, []int{3000, 6000 + 500})
+	checkPrefixes(t, nil, hits, []int{25})
+}
+
+// extraCuts returns a few random prefix lengths of a union of total members.
+func extraCuts(rng *rand.Rand, total int) []int {
+	return []int{rng.Intn(total + 1), rng.Intn(total + 1)}
+}
+
+// checkPrefixes checks MergeAppend at n = 0, 1, total, total+1, at each
+// given cut, and around every 2^16 chunk boundary of the union: each result
+// must be the prefix of the full merge, appended after what dst held.
+func checkPrefixes(t *testing.T, sets []Set, extra []graph.NodeID, cuts []int) {
+	t.Helper()
+	full := MergeAppend(nil, sets, extra, math.MaxInt)
+	total := len(full)
+	cuts = append(cuts, 0, 1, total, total+1)
+	for i := 1; i < total; i++ {
+		if key16(full[i]) != key16(full[i-1]) {
+			cuts = append(cuts, i-1, i, i+1)
+		}
+	}
+	for _, n := range cuts {
+		got := MergeAppend([]graph.NodeID{-1}, sets, extra, n)
+		want := append([]graph.NodeID{-1}, full[:min(n, total)]...)
+		if !slices.Equal(got, want) {
+			t.Fatalf("MergeAppend of the first %d of %d members: got %d members, want %d", n, total, len(got)-1, len(want)-1)
+		}
 	}
 }
 

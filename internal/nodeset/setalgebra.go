@@ -103,13 +103,15 @@ func Union(a, b Set) Set {
 
 func clearWords(words []uint64) { clear(words) }
 
-// MergeAppend appends the sorted union of the given sets plus the sorted
-// slice extra to dst. It is the query result-assembly primitive: matched
-// extents are disjoint by the partition invariant, so the union is a
-// container-level merge that replaces append-everything-then-sort. Chunks
+// MergeAppend appends the first n members of the sorted union of the given
+// sets plus the sorted slice extra to dst; an n beyond the union's size
+// (math.MaxInt, say) appends all of it. It is the query result-assembly
+// primitive: matched extents are disjoint by the partition invariant, so the
+// union is a container-level merge that replaces append-everything-then-sort,
+// and a request that lists a prefix stops decoding once it has it. Chunks
 // owned by a single stream are emitted directly; the rare chunk shared by
 // several streams is merged through a pooled bitmap.
-func MergeAppend(dst []graph.NodeID, sets []Set, extra []graph.NodeID) []graph.NodeID {
+func MergeAppend(dst []graph.NodeID, sets []Set, extra []graph.NodeID, n int) []graph.NodeID {
 	total := len(extra)
 	live := 0
 	for _, s := range sets {
@@ -118,28 +120,29 @@ func MergeAppend(dst []graph.NodeID, sets []Set, extra []graph.NodeID) []graph.N
 			live++
 		}
 	}
-	if total == 0 {
+	if n = min(n, total); n <= 0 {
 		return dst
 	}
 	// Fast paths: one stream needs no merging at all.
 	if live == 0 {
-		return append(dst, extra...)
+		return append(dst, extra[:n]...)
 	}
 	if live == 1 && len(extra) == 0 {
 		for _, s := range sets {
 			if s.n > 0 {
-				return s.AppendTo(dst)
+				return s.appendFirst(dst, n)
 			}
 		}
 	}
-	if cap(dst)-len(dst) < total {
-		grown := make([]graph.NodeID, len(dst), len(dst)+total)
+	if cap(dst)-len(dst) < n {
+		grown := make([]graph.NodeID, len(dst), len(dst)+n)
 		copy(grown, dst)
 		dst = grown
 	}
+	end := len(dst) + n
 	pos := make([]int, len(sets))
 	ei := 0
-	for {
+	for len(dst) < end {
 		// Find the smallest chunk key across all streams.
 		const noKey = 1 << 17
 		minKey := noKey
@@ -150,9 +153,6 @@ func MergeAppend(dst []graph.NodeID, sets []Set, extra []graph.NodeID) []graph.N
 		}
 		if ei < len(extra) && int(key16(extra[ei])) < minKey {
 			minKey = int(key16(extra[ei]))
-		}
-		if minKey == noKey {
-			return dst
 		}
 		k := uint16(minKey)
 		// Count the streams contributing to this chunk.
@@ -174,9 +174,9 @@ func MergeAppend(dst []graph.NodeID, sets []Set, extra []graph.NodeID) []graph.N
 		base := graph.NodeID(uint32(k) << 16)
 		switch {
 		case owners == 1 && ee > ei:
-			dst = append(dst, extra[ei:ee]...)
+			dst = append(dst, extra[ei:min(ee, ei+end-len(dst))]...)
 		case owners == 1:
-			dst = sets[ownerSet].cons[ownerCon].appendTo(dst, base)
+			dst = sets[ownerSet].cons[ownerCon].appendTo(dst, base, end-len(dst))
 		default:
 			wp := wordsPool.Get().(*[]uint64)
 			words := *wp
@@ -189,12 +189,7 @@ func MergeAppend(dst []graph.NodeID, sets []Set, extra []graph.NodeID) []graph.N
 				l := low16(id)
 				words[l>>6] |= 1 << (l & 63)
 			}
-			for w, word := range words {
-				for word != 0 {
-					dst = append(dst, base+graph.NodeID(w<<6)+graph.NodeID(bits.TrailingZeros64(word)))
-					word &= word - 1
-				}
-			}
+			dst = appendBits(dst, words, base, end-len(dst))
 			clearWords(words)
 			wordsPool.Put(wp)
 		}
@@ -205,4 +200,5 @@ func MergeAppend(dst []graph.NodeID, sets []Set, extra []graph.NodeID) []graph.N
 		}
 		ei = ee
 	}
+	return dst
 }

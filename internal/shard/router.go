@@ -1,6 +1,7 @@
 package shard
 
 import (
+	"math"
 	"sync"
 
 	"dkindex"
@@ -119,7 +120,7 @@ func (e *Engine) mergeResults(m *Map, per []dkindex.Result, limit int) dkindex.R
 	if rootMatched {
 		extra = []graph.NodeID{0}
 	}
-	nodes := nodeset.MergeAppend(nil, sets, extra)
+	nodes := nodeset.MergeAppend(nil, sets, extra, math.MaxInt)
 	switch {
 	case limit < 0:
 		nodes = nil

@@ -92,7 +92,8 @@ func MineBudget(g *graph.Graph, load []WeightedQuery, sizeBudget int) (*TuneResu
 		total := 0.0
 		weight := 0
 		for _, wq := range load {
-			_, c := eval.Index(dk.IG, wq.Q)
+			ans, c := eval.IndexTraced(dk.IG, wq.Q, nil) // the cost alone: nothing is listed
+			ans.Release()
 			total += float64(c.Total() * wq.Count)
 			weight += wq.Count
 		}

@@ -126,14 +126,16 @@ const DefaultResultCacheSize = 4096
 // (256 MiB at DefaultResultCacheSize) beside the node sets it already holds.
 const MaxParkedBody = 64 << 10
 
-// cachedResult is the cache payload: the full result set, the cost of
-// computing it and what a hit still needs from the parse, all immutable once
-// stored; and one slot for a rendering of the answer, swapped atomically. The
-// slot needs no invalidation of its own: the entry belongs to one generation
-// of one cache table and the body lives and dies with it.
+// cachedResult is the cache payload: the answer, kept unmerged (its extent
+// sets by reference, its validated hits copied out of the evaluator's
+// scratch), the cost of computing it and what a hit still needs from the
+// parse, all immutable once stored; and one slot for a rendering of the
+// answer, swapped atomically. The slot needs no invalidation of its own: the
+// entry belongs to one generation of one cache table and the body, like the
+// extents the answer pins, lives and dies with it.
 type cachedResult struct {
-	nodes []NodeID
-	cost  eval.Cost
+	ans  eval.Answer
+	cost eval.Cost
 	// path is the label sequence of a KindPath query (nil for the other
 	// kinds): a hit records it in the load and feeds it to auto-promotion
 	// exactly as the evaluation that stored the entry did.
@@ -246,7 +248,7 @@ func (x *Index) runOn(s *snapshot, req Request) (Result, error) {
 	if v, ok := cache.Get(s.gen, key); ok {
 		cr := v.(*cachedResult)
 		x.observer.CountKind(obs.CacheHits, string(kind))
-		x.observer.ObserveQuery(string(kind), 0, costSample(cr.cost), len(cr.nodes))
+		x.observer.ObserveQuery(string(kind), 0, costSample(cr.cost), cr.ans.Len())
 		if r := x.recorder.Load(); r != nil {
 			r.Record(cr.path)
 		}
@@ -261,7 +263,7 @@ func (x *Index) runOn(s *snapshot, req Request) (Result, error) {
 	// inside the closure, next to the evaluation that needs it.
 	ig := s.dk.IG
 	labels := ig.Data().Labels()
-	var evalFn func(tr *obs.Trace) ([]NodeID, eval.Cost)
+	var evalFn func(tr *obs.Trace) (eval.Answer, eval.Cost)
 	var path eval.Query // stays nil for RPEs and twigs, which feed neither the load nor auto-promotion
 	switch kind {
 	case KindPath:
@@ -274,7 +276,7 @@ func (x *Index) runOn(s *snapshot, req Request) (Result, error) {
 			r.Record(q)
 		}
 		path = q
-		evalFn = func(tr *obs.Trace) ([]NodeID, eval.Cost) {
+		evalFn = func(tr *obs.Trace) (eval.Answer, eval.Cost) {
 			return eval.IndexTraced(ig, q, tr)
 		}
 	case KindRPE:
@@ -283,7 +285,7 @@ func (x *Index) runOn(s *snapshot, req Request) (Result, error) {
 			x.observer.CountKind(obs.QueryErrors, string(kind))
 			return Result{}, err
 		}
-		evalFn = func(tr *obs.Trace) ([]NodeID, eval.Cost) {
+		evalFn = func(tr *obs.Trace) (eval.Answer, eval.Cost) {
 			return eval.IndexRPETraced(ig, rpe.CompileExpr(e, labels), tr)
 		}
 	case KindTwig:
@@ -292,7 +294,7 @@ func (x *Index) runOn(s *snapshot, req Request) (Result, error) {
 			x.observer.CountKind(obs.QueryErrors, string(kind))
 			return Result{}, err
 		}
-		evalFn = func(tr *obs.Trace) ([]NodeID, eval.Cost) {
+		evalFn = func(tr *obs.Trace) (eval.Answer, eval.Cost) {
 			return eval.IndexTwigTraced(ig, tw, tr)
 		}
 	}
@@ -304,20 +306,22 @@ func (x *Index) runOn(s *snapshot, req Request) (Result, error) {
 	if x.observer != nil {
 		begin = time.Now()
 	}
-	nodes, cost := evalFn(tr)
+	ans, cost := evalFn(tr)
+	total := ans.Len()
 	x.noteValidation(s, path, cost.Validations)
 	if x.observer != nil {
-		x.observer.ObserveQuery(string(kind), time.Since(begin), costSample(cost), len(nodes))
+		x.observer.ObserveQuery(string(kind), time.Since(begin), costSample(cost), total)
 		x.observer.Tracer.Finish(tr)
 		x.observer.Gauge(obs.CacheEntries).Set(float64(cache.Len()))
 	}
 	// Put after noteValidation: if an auto-promotion just bumped the
 	// generation, this store is stale and the cache drops it on its own.
 	if cache != nil {
-		cache.Put(s.gen, key, &cachedResult{nodes: nodes, cost: cost, path: path})
+		cache.Put(s.gen, key, &cachedResult{ans: ans.Keep(), cost: cost, path: path})
 	}
-	res := s.result(len(nodes), cost, false)
-	res.Nodes = append([]NodeID(nil), nodes[:listed(req.Limit, len(nodes))]...)
+	res := s.result(total, cost, false)
+	res.Nodes = list(&ans, listed(req.Limit, total))
+	ans.Release()
 	res.Traced = tr != nil
 	return res, nil
 }
@@ -334,9 +338,18 @@ func listed(limit, total int) int {
 	return limit
 }
 
+// list returns the first n nodes of an answer in a slice of their own, or nil
+// for none: the merge stops at what the request lists, so a count-only or
+// short request does not pay for the whole answer.
+func list(a *eval.Answer, n int) []NodeID {
+	if n == 0 {
+		return nil
+	}
+	return a.AppendFirst(make([]NodeID, 0, n), n)
+}
+
 // result starts the Result of an answer of total nodes; the caller adds the
-// nodes it lists, as a copy of its own (the evaluated slice goes to the cache,
-// shared and immutable).
+// nodes it lists (list).
 func (s *snapshot) result(total int, cost eval.Cost, hit bool) Result {
 	return Result{
 		Total:      total,
@@ -351,8 +364,8 @@ func (s *snapshot) result(total int, cost eval.Cost, hit bool) Result {
 // the entry's parked body when it lists as many nodes as the request would
 // (and then no copy of the nodes), and otherwise the means to park one.
 func (s *snapshot) hit(cr *cachedResult, req Request) Result {
-	res := s.result(len(cr.nodes), cr.cost, true)
-	n := listed(req.Limit, len(cr.nodes))
+	res := s.result(cr.ans.Len(), cr.cost, true)
+	n := listed(req.Limit, cr.ans.Len())
 	if req.AcceptBody {
 		if pb := cr.body.Load(); pb != nil && pb.listed == n {
 			res.Body = pb.bytes
@@ -360,6 +373,6 @@ func (s *snapshot) hit(cr *cachedResult, req Request) Result {
 		}
 		res.entry, res.listed = cr, n
 	}
-	res.Nodes = append([]NodeID(nil), cr.nodes[:n]...)
+	res.Nodes = list(&cr.ans, n)
 	return res
 }
