@@ -44,8 +44,9 @@ race:
 # independent ones of internal/oracle on every experiment dataset, the fifth drives a replica
 # over a flaky link to bit-identical convergence and sweeps a primary crash
 # at every I/O point of a replica catch-up (the full grid; `go test -short`
-# runs a strided subset) and reaches one document batch live, on a replica and
-# by recovery, one commit per logged frame each, and the sixth races concurrent merged readers
+# runs a strided subset) and reaches two document batches (one that merges
+# index nodes in place, one that grafts) live, on a replica and by recovery,
+# one commit per logged frame each, and the sixth races concurrent merged readers
 # against a writer feeding the in-memory shard engine (the one
 # benchmark/probes.go times) documents and edge batches split across its
 # shards, checking every merged result stays sorted and duplicate-free.
@@ -64,8 +65,8 @@ stress:
 # own), and the one trunk walker behind twigs and simple paths (a
 # predicate-free twig is also run as a path through Data and Index). The server's append encoder, its /v1/mutate body scanner
 # and its RawQuery reader are held to encoding/json and net/url the same way,
-# Algorithm 3's in-place graft
-# to the whole-index rebuild it replaces, and the two copy-on-write columns
+# Algorithm 3's in-place graft and merge
+# to the whole-index rebuild they replace, and the two copy-on-write columns
 # behind every snapshot (elements and adjacency rows) to plain slices. Long
 # exploratory runs stay manual (go test -fuzz=... -fuzztime=5m).
 fuzz-smoke:
@@ -117,13 +118,15 @@ inline-check:
 # repetitions of the guarded benchmarks (query throughput, the cold RPE and
 # twig evaluations that validate against the data graph, the parallel
 # snapshot-serving path, the in-memory group-commit write pipeline for an
-# edge batch and for a batch of eight documents, the in-memory shard
+# edge batch and for a batch of eight documents, onto the tuned index and
+# onto one fifteen edge batches decayed, so that the documents merge index
+# nodes in place, the in-memory shard
 # engine's scatter-gather read and shard-split write paths (the engine
 # serves nothing; benchmark/probes.go times it), and one
 # /v1/query through the server's ServeHTTP as a result-cache hit and as a
 # miss), parsed to JSON. bench-guard compares future runs against it per
 # benchmark name on best-of-N B/op and allocs/op.
-GUARDED_BENCH = BenchmarkQueryThroughput$$|BenchmarkXMLLoad$$|BenchmarkCodecLoad$$|BenchmarkQueryRPE$$|BenchmarkQueryTwigDK$$|BenchmarkSnapshotQueryParallel$$|BenchmarkApplyBatchPipeline$$|BenchmarkApplyDocBatch$$|BenchmarkShardQueryFanout$$|BenchmarkShardApplyBatch$$|BenchmarkServeQueryHit$$|BenchmarkServeQueryMiss$$
+GUARDED_BENCH = BenchmarkQueryThroughput$$|BenchmarkXMLLoad$$|BenchmarkCodecLoad$$|BenchmarkQueryRPE$$|BenchmarkQueryTwigDK$$|BenchmarkSnapshotQueryParallel$$|BenchmarkApplyBatchPipeline$$|BenchmarkApplyDocBatch$$|BenchmarkApplyDocBatchAfterEdges$$|BenchmarkShardQueryFanout$$|BenchmarkShardApplyBatch$$|BenchmarkServeQueryHit$$|BenchmarkServeQueryMiss$$
 GUARDED_PKGS = . ./internal/shard/ ./internal/server/
 
 bench-baseline:
@@ -159,13 +162,15 @@ profile-read:
 		-cpuprofile read_cpu.prof -memprofile read_mem.prof -memprofilerate 4096 .
 
 # profile-write captures CPU and exact allocation profiles of the write path:
-# edge batches through the group-commit pipeline (clone, Algorithms 4 and 5,
-# publish). Every allocation is sampled (-memprofilerate 1), so the bytes per
-# batch can be split by function. Inspect with
+# edge batches and batches of eight documents through the group-commit
+# pipeline (clone, Algorithms 3, 4 and 5, publish). Every allocation is
+# sampled (-memprofilerate 1), so the bytes per batch can be split by
+# function; the two benchmarks share one profile, so focus on one with
+# `-focus ApplyBatchPipeline` or `-focus ApplyDocBatch`. Inspect with
 # `go tool pprof -sample_index=alloc_space write_mem.prof`.
 profile-write:
 	DK_BENCH_SCALE=$(DK_BENCH_SCALE) $(GO) test -run '^$$' \
-		-bench 'BenchmarkApplyBatchPipeline$$' -benchmem -benchtime $(BENCHTIME) \
+		-bench 'BenchmarkApplyBatchPipeline$$|BenchmarkApplyDocBatch$$' -benchmem -benchtime $(BENCHTIME) \
 		-cpuprofile write_cpu.prof -memprofile write_mem.prof -memprofilerate 1 .
 
 # size prints the numbers a PR serving ROADMAP aim 2 reports, so every such

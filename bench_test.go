@@ -867,6 +867,70 @@ func BenchmarkApplyDocBatch(b *testing.B) {
 	b.ReportMetric(float64(len(batch)), "mutations/op")
 }
 
+// BenchmarkApplyDocBatchAfterEdges is BenchmarkApplyDocBatch after fifteen
+// of BenchmarkApplyBatchPipeline's kind of edge batch (four reference-edge
+// additions and the removal of the four before), which is how the serving
+// benchmark's write_durable interleaves them: the edges decay similarities,
+// so the documents' refinement merges index nodes, and Algorithm 3 applies
+// the merges in place. Every iteration starts from the same index, set up
+// with the timer stopped; the run fails if the documents merged nothing.
+func BenchmarkApplyDocBatchAfterEdges(b *testing.B) {
+	ds := benchXMark(b)
+	idx := newIndex(core.Build(ds.G.Clone(), ds.W.Requirements()))
+	const edgeBatches = 15
+	edges, err := ds.RandomEdges(4*(edgeBatches+1), 3) // seed 3: the documents merge 18 index nodes into others
+	if err != nil {
+		b.Fatal(err)
+	}
+	for e := 0; e < edgeBatches; e++ {
+		batch := make([]Mutation, 0, 8)
+		for _, ed := range edges[4*(e+1) : 4*(e+2)] {
+			batch = append(batch, Mutation{Op: MutAddEdge, From: ed[0], To: ed[1]})
+		}
+		if e > 0 {
+			for _, ed := range edges[4*e : 4*(e+1)] {
+				batch = append(batch, Mutation{Op: MutRemoveEdge, From: ed[0], To: ed[1]})
+			}
+		}
+		if _, err := idx.ApplyBatch(batch); err != nil {
+			b.Fatal(err)
+		}
+	}
+	base := idx.DK()
+	batch := make([]Mutation, 8)
+	for i := range batch {
+		batch[i] = Mutation{Op: MutAddDocument, Doc: auctionFragment(b, i)}
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		idx := newIndex(base.Clone())
+		b.StartTimer()
+		acks, err := idx.ApplyBatch(batch)
+		if err != nil {
+			b.Fatal(err)
+		}
+		for _, a := range acks {
+			if a.Err != nil {
+				b.Fatal(a.Err)
+			}
+		}
+		if i == 0 {
+			b.StopTimer()
+			// Merged: two index nodes of base now share one.
+			into := make(map[NodeID]bool)
+			for n := range base.IG.NumNodes() {
+				into[idx.IG().IndexOf(base.IG.ExtentSet(NodeID(n)).AppendTo(nil)[0])] = true
+			}
+			if len(into) == base.IG.NumNodes() {
+				b.Fatal("the documents merged no index node; the benchmark no longer reaches the in-place merge")
+			}
+			b.StartTimer()
+		}
+	}
+	b.ReportMetric(float64(len(batch)), "mutations/op")
+}
+
 // BenchmarkXMLLoad measures the XML-to-graph pipeline on the XMark document.
 func BenchmarkXMLLoad(b *testing.B) {
 	doc := datagen.XMark(datagen.XMarkScale(benchScale()))

@@ -88,37 +88,40 @@ func BuildFromIndex(src *index.IndexGraph, reqs Requirements) *DK {
 // refineScratch is the working memory of a refinement job, all of it sized by
 // the source: the partition and the refiner's snapshot and round arrays, the
 // per-block requirements, the label-split quotient graph, the lowering
-// worklist. A build over a data graph makes one and drops it; Algorithm 3,
-// whose sources are an index and a document, keeps one from document to
-// document (graftScratch), so that adding a document allocates for what it
-// adds and not again for the index it is added to.
+// worklist, Algorithm 3's label graph. A build over a data graph makes one
+// and drops it; Algorithm 3, whose sources are an index and a run of
+// documents, keeps one from run to run (graftScratch), so that adding
+// documents allocates for what they add and not again for the index they
+// are added to.
 type refineScratch struct {
 	part     partition.Partition
 	refiner  partition.Refiner
 	req      [2][]int // this round's per-block requirements and the next's
 	quotient quotientGraph
 	lower    lowerScratch
+	labels   labelGraph // Algorithm 3's label graph of I_G and the forest
 }
 
 // build is the shared Algorithm 2 engine: refine decides the blocks and their
 // local similarities, materialise makes them an index graph.
 func (sc *refineScratch) build(src index.Source, reqs Requirements, memberK func(graph.NodeID) int) (*index.IndexGraph, BuildStats) {
 	start := time.Now()
-	p, blockK, clamped, stats := sc.refine(src, reqs, memberK)
+	p, blockK, clamped, stats := sc.refine(src, reqs.Get, memberK)
 	ig := sc.materialise(src, p, blockK, clamped)
 	stats.Total = time.Since(start)
 	return ig, stats
 }
 
-// refine runs Algorithms 1 and 2 over src and returns the refined partition
-// with the local similarity of every block; both are the scratch's, good
-// until its next refine. memberK, when non-nil, supplies the similarity
+// refine runs Algorithms 1 and 2 over src, label l requiring reqOf(l), and
+// returns the refined partition with the local similarity of every block;
+// both are the scratch's, good until its next refine. memberK, when non-nil,
+// supplies the similarity
 // already established for each source node: a block takes the min of its
 // broadcast requirement and its members' similarities, and clamped reports
 // that some block fell short of its requirement, so Definition 3 has to be
 // re-established by lowering once the blocks are index nodes. stats.Total is
 // left for the caller, who knows what else the job includes.
-func (sc *refineScratch) refine(src partition.Labeled, reqs Requirements, memberK func(graph.NodeID) int) (p *partition.Partition, blockK []int, clamped bool, stats BuildStats) {
+func (sc *refineScratch) refine(src partition.Labeled, reqOf func(graph.LabelID) int, memberK func(graph.NodeID) int) (p *partition.Partition, blockK []int, clamped bool, stats BuildStats) {
 	p = &sc.part
 	p.ResetByLabel(src)
 	labelBlocks := p.NumBlocks()
@@ -127,7 +130,7 @@ func (sc *refineScratch) refine(src partition.Labeled, reqs Requirements, member
 	sc.req[0] = slices.Grow(sc.req[0][:0], p.NumBlocks())[:p.NumBlocks()]
 	blockReq := sc.req[0]
 	for b := range blockReq {
-		blockReq[b] = reqs.Get(src.Label(p.Members(partition.BlockID(b))[0]))
+		blockReq[b] = reqOf(src.Label(p.Members(partition.BlockID(b))[0]))
 	}
 
 	// Algorithm 1 operates on the label-split index graph; derive its
@@ -190,8 +193,9 @@ func (sc *refineScratch) refine(src partition.Labeled, reqs Requirements, member
 
 // materialise makes the blocks of a refined partition of src the nodes of a
 // new index graph: every extent re-encoded, every data edge re-counted. It is
-// what a build costs beyond its refinement, and what Algorithm 3 skips when
-// the partition lets it graft the document onto the index it already has.
+// what a build costs beyond its refinement, and what Algorithm 3 skips: it
+// grafts and merges in place on the index it already has (only its test
+// oracle materialises).
 func (sc *refineScratch) materialise(src index.Source, p *partition.Partition, blockK []int, clamped bool) *index.IndexGraph {
 	ig := index.FromPartition(src, p, func(b partition.BlockID) int { return blockK[b] })
 	if clamped {

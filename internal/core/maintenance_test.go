@@ -338,10 +338,11 @@ func TestAddSubgraphMatchesFreshBuild(t *testing.T) {
 
 		// Incremental: Algorithm 3.
 		dk := Build(g, reqs)
-		mapping, err := dk.AddSubgraph(h)
+		mappings, err := dk.AddSubgraph(h)
 		if err != nil {
 			t.Fatal(err)
 		}
+		mapping := mappings[0]
 		if err := dk.IG.Validate(); err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}

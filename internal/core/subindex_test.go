@@ -23,9 +23,11 @@ var auctionFragments = []string{
 	`<site><people><person id="seller"><name/></person></people><open_auctions><open_auction id="open_auction2"><initial/><bidder personref="seller"><date/><increase/></bidder><current/><seller personref="seller"/><interval><start/></interval></open_auction></open_auctions></site>`,
 }
 
-// sameSubIndex holds Algorithm 3's step 1 to its definition: the sub-index
-// AddSubgraph would graft h with must be, block for block, the D(k)-index
-// Build makes of a standalone copy of h over the index's labels — the same
+// sameSubIndex holds Algorithm 3's step 1 to its definition: the sub-index of
+// h under dk's requirements (the one CheckDocument builds; AddSubgraph builds
+// the forest's under the requirements broadcast over the index's labels too)
+// must be, block for block, the D(k)-index Build makes of a standalone copy
+// of h over the index's labels — the same
 // labels, ascending extents, similarities, and ascending parents and
 // children. The copy is built the way AddSubgraph built one before it kept
 // I_H as a partition, so the oracle shares nothing with the code under test.

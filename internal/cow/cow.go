@@ -112,10 +112,11 @@ type page[T any] struct {
 	v   [PageSize]T
 }
 
-// Paged is an append-only column of T stored in fixed-size pages under a
-// directory of fixed-size chunks. The zero value is an empty column. A copy
-// of the value shares everything with the original and is what Clone
-// returns; read through copies, write only through Clone's.
+// Paged is a column of T stored in fixed-size pages under a directory of
+// fixed-size chunks, grown by Append and shortened by Truncate. The zero
+// value is an empty column. A copy of the value shares everything with the
+// original and is what Clone returns; read through copies, write only
+// through Clone's.
 type Paged[T any] struct {
 	table[page[T]]
 	n int
@@ -167,6 +168,16 @@ func (p *Paged[T]) Append(own *Owner, v T) {
 	}
 	p.n++
 	*p.Mut(own, i) = v
+}
+
+// Truncate shortens the column to its first n elements (n <= Len()). It
+// writes no page: the directory is cut to the chunks the n elements span and
+// clipped, so a later Append opens its chunks on a directory of its own, and
+// the elements past n stay where they are, in pages a clone may share, until
+// an Append writes over them through Mut.
+func (p *Paged[T]) Truncate(n int) {
+	chunks := (n + 1<<dirShift - 1) >> dirShift
+	p.dir, p.n = p.dir[:chunks:chunks], n
 }
 
 // rowPage holds PageSize rows back to back in one slice, compressed sparse

@@ -1,9 +1,12 @@
 package cow
 
 import (
+	"fmt"
 	"math/rand"
 	"slices"
 	"testing"
+
+	"dkindex/internal/cow/cowtest"
 )
 
 func TestPagedSharesUntilWritten(t *testing.T) {
@@ -306,4 +309,98 @@ func FuzzRowsAgainstSlices(f *testing.F) {
 			}
 		}
 	})
+}
+
+// truncMember is one container of TestTruncateIsolation's family: a column,
+// the token its container holds, and the plain slice it must equal.
+type truncMember struct {
+	col    Paged[int]
+	own    *Owner
+	oracle []int
+}
+
+// TestTruncateIsolation runs Truncate beside Mut and Append through a family
+// of structurally sharing columns (see cowtest.Isolation): cutting a column
+// back across page and chunk boundaries and growing it again must neither
+// show through a sibling that shares the cut pages nor leave an element of
+// the old tail readable in the regrown one, which must equal its model.
+func TestTruncateIsolation(t *testing.T) {
+	cowtest.Isolation(t, 20, cowtest.Subject[*truncMember]{
+		New: func(rng *rand.Rand) *truncMember {
+			m := &truncMember{col: Make[int](2*PageSize*ChunkPages + rng.Intn(100))}
+			for i := range m.col.Len() {
+				*m.col.Mut(nil, i) = i
+				m.oracle = append(m.oracle, i)
+			}
+			return m
+		},
+		Clone: func(m *truncMember) *truncMember {
+			c := &truncMember{col: m.col.Clone(), own: new(Owner), oracle: slices.Clone(m.oracle)}
+			m.own = new(Owner)
+			return c
+		},
+		Mutate: func(rng *rand.Rand, m *truncMember) {
+			for op := 0; op < 6; op++ {
+				switch n := m.col.Len(); rng.Intn(3) {
+				case 0:
+					cut := rng.Intn(n + 1)
+					m.col.Truncate(cut)
+					m.oracle = m.oracle[:cut]
+				case 1:
+					for k := rng.Intn(3 * PageSize); k > 0; k-- {
+						v := -rng.Intn(1000) - 1
+						m.col.Append(m.own, v)
+						m.oracle = append(m.oracle, v)
+					}
+				default:
+					if n > 0 {
+						i, v := rng.Intn(n), rng.Int()
+						*m.col.Mut(m.own, i) = v
+						m.oracle[i] = v
+					}
+				}
+			}
+		},
+		Fingerprint: func(m *truncMember) []byte { return fmt.Appendf(nil, "%v", m.col.AppendTo(nil)) },
+		Validate: func(m *truncMember) error {
+			if got := m.col.AppendTo(nil); !slices.Equal(got, m.oracle) || m.col.Len() != len(m.oracle) {
+				return fmt.Errorf("the column reads %d elements, its model %d, or they differ", len(got), len(m.oracle))
+			}
+			return nil
+		},
+	})
+}
+
+// TestTruncateThenAppend: a truncated column reads back exactly its kept
+// prefix plus what was appended after, whether the cut falls inside a page,
+// on a page boundary or on a chunk boundary, and a clone taken before the cut
+// keeps every element.
+func TestTruncateThenAppend(t *testing.T) {
+	for _, cut := range []int{0, 5, PageSize, PageSize + 3, PageSize * ChunkPages, PageSize*ChunkPages + 1} {
+		a := Make[int](2*PageSize*ChunkPages + 7)
+		for i := range a.Len() {
+			*a.Mut(nil, i) = i
+		}
+		b := a.Clone()
+		own := new(Owner)
+		a.Truncate(cut)
+		for i := range 2 * PageSize {
+			a.Append(own, -i-1)
+		}
+		want := make([]int, 0, cut+2*PageSize)
+		for i := range cut {
+			want = append(want, i)
+		}
+		for i := range 2 * PageSize {
+			want = append(want, -i-1)
+		}
+		if got := a.AppendTo(nil); !slices.Equal(got, want) {
+			t.Fatalf("cut at %d: the column reads %v, want %v", cut, got, want)
+		}
+		for i := range b.Len() {
+			if b.At(i) != i {
+				t.Fatalf("cut at %d: the clone's element %d is %d", cut, i, b.At(i))
+			}
+		}
+	}
 }

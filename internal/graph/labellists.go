@@ -3,6 +3,7 @@ package graph
 import (
 	"fmt"
 	"slices"
+	"sort"
 
 	"dkindex/internal/cow"
 )
@@ -11,9 +12,11 @@ import (
 // the list that seeds query evaluation, kept the same way by the data graph
 // (of data nodes) and by the index graph (of index nodes). Node ids are
 // assigned ascending and labels never change, so appending on node creation
-// keeps every list sorted. Each list is a copy-on-write column of its own
-// (internal/cow): Clone copies nothing, and the first append to a label after
-// a clone copies one page of its list, not the whole list.
+// keeps every list sorted; an index graph that renumbers nodes (Algorithm 3's
+// in-place merge) removes and inserts instead. Each list is a copy-on-write
+// column of its own (internal/cow): Clone copies nothing, and the first
+// append to a label after a clone copies one page of its list, not the whole
+// list.
 type LabelLists struct {
 	lists cow.Paged[cow.Paged[NodeID]]
 }
@@ -45,6 +48,29 @@ func (ls *LabelLists) Append(own *cow.Owner, l LabelID, n NodeID) {
 		ls.lists.Append(own, cow.Paged[NodeID]{})
 	}
 	ls.lists.Mut(own, int(l)).Append(own, n)
+}
+
+// Insert lists node n under label l for the holder of own, at its place in
+// the ascending list: the ids above it move up one.
+func (ls *LabelLists) Insert(own *cow.Owner, l LabelID, n NodeID) {
+	ls.Append(own, l, n)
+	list := ls.lists.Mut(own, int(l))
+	i := list.Len() - 1
+	for ; i > 0 && list.At(i-1) > n; i-- {
+		*list.Mut(own, i) = list.At(i - 1)
+	}
+	*list.Mut(own, i) = n
+}
+
+// Remove unlists node n, which label l's list holds, for the holder of own:
+// the ids above it move down one.
+func (ls *LabelLists) Remove(own *cow.Owner, l LabelID, n NodeID) {
+	list := ls.lists.Mut(own, int(l))
+	i := sort.Search(list.Len(), func(i int) bool { return list.At(i) >= n })
+	for ; i+1 < list.Len(); i++ {
+		*list.Mut(own, i) = list.At(i + 1)
+	}
+	list.Truncate(i)
 }
 
 // Of returns the nodes carrying label l in ascending order, read with Len and

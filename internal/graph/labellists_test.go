@@ -1,10 +1,13 @@
 package graph
 
 import (
+	"fmt"
+	"math/rand"
 	"slices"
 	"testing"
 
 	"dkindex/internal/cow"
+	"dkindex/internal/cow/cowtest"
 )
 
 // TestLabelListsCheck: Check accepts the lists that MakeLabelLists and Append
@@ -43,4 +46,73 @@ func TestLabelListsCheck(t *testing.T) {
 	if err := ls.Check(len(labels), label); err == nil {
 		t.Fatal("Check accepted lists that no longer match the labels")
 	}
+}
+
+// listsMember is one container of TestLabelListsInsertRemoveIsolation's
+// family: label lists, the token their container holds, and the label of
+// every node they should list (InvalidLabel for an unlisted one).
+type listsMember struct {
+	ls     LabelLists
+	own    *cow.Owner
+	labels []LabelID
+}
+
+// TestLabelListsInsertRemoveIsolation runs Insert and Remove, the writes an
+// index graph that renumbers its nodes makes, through a family of
+// structurally sharing label lists (see cowtest.Isolation): every list must
+// stay the ascending list of exactly the nodes its member's model gives the
+// label, and a write through one member must not show through another.
+func TestLabelListsInsertRemoveIsolation(t *testing.T) {
+	const nodes, numLabels = 3 * cow.PageSize, 3
+	cowtest.Isolation(t, 20, cowtest.Subject[*listsMember]{
+		New: func(rng *rand.Rand) *listsMember {
+			m := &listsMember{labels: make([]LabelID, nodes)}
+			for i := range m.labels {
+				m.labels[i] = LabelID(rng.Intn(numLabels))
+			}
+			m.ls = MakeLabelLists(numLabels, nodes, func(n NodeID) LabelID { return m.labels[n] })
+			return m
+		},
+		Clone: func(m *listsMember) *listsMember {
+			c := &listsMember{ls: m.ls.Clone(), own: new(cow.Owner), labels: slices.Clone(m.labels)}
+			m.own = new(cow.Owner)
+			return c
+		},
+		Mutate: func(rng *rand.Rand, m *listsMember) {
+			for op := 0; op < 8; op++ {
+				n := NodeID(rng.Intn(nodes))
+				if l := m.labels[n]; l != InvalidLabel {
+					m.ls.Remove(m.own, l, n)
+					m.labels[n] = InvalidLabel
+				} else {
+					l = LabelID(rng.Intn(numLabels))
+					m.ls.Insert(m.own, l, n)
+					m.labels[n] = l
+				}
+			}
+		},
+		Fingerprint: func(m *listsMember) []byte {
+			var b []byte
+			for l := range LabelID(numLabels) {
+				list := m.ls.Of(l)
+				b = fmt.Appendf(b, "%d=%v ", l, list.AppendTo(nil))
+			}
+			return b
+		},
+		Validate: func(m *listsMember) error {
+			for l := range LabelID(numLabels) {
+				var want []NodeID
+				for n, nl := range m.labels {
+					if nl == l {
+						want = append(want, NodeID(n))
+					}
+				}
+				list := m.ls.Of(l)
+				if got := list.AppendTo(nil); !slices.Equal(got, want) {
+					return fmt.Errorf("label %d lists %v, want %v", l, got, want)
+				}
+			}
+			return nil
+		},
+	})
 }

@@ -209,7 +209,7 @@ func AKSubgraphAdd(ig *IndexGraph, k int, h Document) (*IndexGraph, []graph.Node
 	if err != nil {
 		return nil, nil, err
 	}
-	mapping := sub.AddTo(g)
+	mapping := sub.AddTo(g)[0] // one document: its node ids are the forest's
 	for n, at := range mapping {
 		for _, c := range sub.Children(graph.NodeID(n)) {
 			g.AddEdge(at, mapping[c])

@@ -16,7 +16,8 @@ import (
 
 // TestCloneIsolationProperty drives every index-graph mutator — data-edge
 // insertion and removal, extent splits, similarity writes, singleton
-// isolation and the A(k) propagate update with its repartitioning — through
+// isolation, the A(k) propagate update with its repartitioning, and merges
+// with the renumbering they make — through
 // random members of a family of structurally sharing clones (see
 // cowtest.Isolation). The fingerprint is the codec's serialization of the
 // index and its data graph; adjacency, which the codec re-derives on load,
@@ -36,7 +37,7 @@ func TestCloneIsolationProperty(t *testing.T) {
 			data := func() graph.NodeID { return graph.NodeID(rng.Intn(ig.Data().NumNodes())) }
 			node := func() graph.NodeID { return graph.NodeID(rng.Intn(ig.NumNodes())) }
 			for op := 0; op < 6; op++ {
-				switch rng.Intn(6) {
+				switch rng.Intn(7) {
 				case 0:
 					ig.AddDataEdge(data(), 1+graph.NodeID(rng.Intn(ig.Data().NumNodes()-1)))
 				case 1:
@@ -51,6 +52,18 @@ func TestCloneIsolationProperty(t *testing.T) {
 					ig.IsolateDataNode(data())
 				case 5:
 					index.AKEdgeUpdate(ig, 1, data(), 1+graph.NodeID(rng.Intn(ig.Data().NumNodes()-1)))
+				case 6:
+					// Two or three nodes of one label become one, and the
+					// last nodes move into the freed ids.
+					nodes := ig.NodesWithLabel(ig.Label(node()))
+					grp := []graph.NodeID{nodes.At(rng.Intn(nodes.Len()))}
+					for i := rng.Intn(2); i >= 0; i-- {
+						if n := nodes.At(rng.Intn(nodes.Len())); !slices.Contains(grp, n) {
+							grp = append(grp, n)
+						}
+					}
+					slices.Sort(grp)
+					ig.MergeNodes([][]graph.NodeID{grp})
 				}
 			}
 		},

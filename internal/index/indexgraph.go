@@ -97,6 +97,26 @@ func (a *adjacency) mutCounts() []int32 {
 	return a.counts
 }
 
+// mutChildren returns the children for writing, copying them first unless
+// the record owns them.
+func (a *adjacency) mutChildren() []graph.NodeID {
+	if a.owns&ownChildren == 0 {
+		a.children = slices.Clone(a.children)
+		a.owns |= ownChildren
+	}
+	return a.children
+}
+
+// mutParents returns the parents for writing, copying them first unless the
+// record owns them.
+func (a *adjacency) mutParents() []graph.NodeID {
+	if a.owns&ownParents == 0 {
+		a.parents = slices.Clone(a.parents)
+		a.owns |= ownParents
+	}
+	return a.parents
+}
+
 // insertAt inserts v at i: in place when the slice is owned, else into a
 // fresh copy with the gap already made.
 func insertAt[T any](s []T, owned bool, i int, v T) []T {
@@ -214,17 +234,20 @@ func extentScratchPut(b []graph.NodeID) {
 	extentScratch.Put(&b)
 }
 
-// incEdge counts one more data edge from index node a to index node b. Only
+// incEdge counts one more data edge from index node a to index node b.
+func (ig *IndexGraph) incEdge(a, b graph.NodeID) { ig.addEdges(a, b, 1) }
+
+// addEdges counts n more data edges from index node a to index node b. Only
 // a new index edge writes b's parents.
-func (ig *IndexGraph) incEdge(a, b graph.NodeID) {
+func (ig *IndexGraph) addEdges(a, b graph.NodeID, n int32) {
 	r := ig.mutAdj(a)
 	i, ok := slices.BinarySearch(r.children, b)
 	if ok {
-		r.mutCounts()[i]++
+		r.mutCounts()[i] += n
 		return
 	}
 	r.children = insertAt(r.children, r.owns&ownChildren != 0, i, b)
-	r.counts = insertAt(r.counts, r.owns&ownCounts != 0, i, 1)
+	r.counts = insertAt(r.counts, r.owns&ownCounts != 0, i, n)
 	r.owns |= ownChildren | ownCounts
 	ig.numEdges++
 	p := ig.mutAdj(b)
@@ -240,15 +263,29 @@ func (ig *IndexGraph) decEdge(a, b graph.NodeID) {
 	if !ok {
 		panic(fmt.Sprintf("index: decEdge on absent edge %d->%d", a, b))
 	}
-	r := ig.mutAdj(a)
-	if r.counts[i] > 1 {
+	if r := ig.mutAdj(a); r.counts[i] > 1 {
 		r.mutCounts()[i]--
 		return
 	}
+	ig.cut(a, i)
+	ig.unlistParent(b, a)
+}
+
+// cut removes child i of a from a's children, whatever its count, and
+// returns the count: the index edge is gone once the caller unlists a from
+// the child's parents.
+func (ig *IndexGraph) cut(a graph.NodeID, i int) int32 {
+	r := ig.mutAdj(a)
+	n := r.counts[i]
 	r.children = deleteAt(r.children, r.owns&ownChildren != 0, i)
 	r.counts = deleteAt(r.counts, r.owns&ownCounts != 0, i)
 	r.owns |= ownChildren | ownCounts
 	ig.numEdges--
+	return n
+}
+
+// unlistParent removes a from b's parents.
+func (ig *IndexGraph) unlistParent(b, a graph.NodeID) {
 	p := ig.mutAdj(b)
 	j, _ := slices.BinarySearch(p.parents, a)
 	p.parents = deleteAt(p.parents, p.owns&ownParents != 0, j)

@@ -61,15 +61,15 @@ func (s DataSource) AppendExtent(dst []graph.NodeID, n graph.NodeID) []graph.Nod
 // Data implements Source.
 func (s DataSource) Data() *graph.Graph { return s.G }
 
-// GraftSource presents an index I_G with a document's sub-index I_H grafted
-// under its root class as one construction source: the combination Algorithm
-// 3 (and the A(k) quotient baseline) treats as a data graph. Source node ids
-// are [0, Base) = I_G's nodes, unchanged, then I_H's nodes except its root
-// class, whose children re-parent to I_G's root class.
+// GraftSource presents an index I_G with a run of documents' sub-index I_H
+// grafted under its root class as one construction source: the combination
+// Algorithm 3 (and the A(k) quotient baseline) treats as a data graph. Source
+// node ids are [0, Base) = I_G's nodes, unchanged, then I_H's nodes except its
+// root class, whose children re-parent to I_G's root class.
 //
-// I_H's members are document nodes: node 0 is the root and node i >= 1
-// became data node firstNew+i-1 of I_G's data graph (Subgraph.AddTo), so
-// grafted extents translate by an offset and stay ascending.
+// I_H's members are forest nodes: node 0 is the root and node i >= 1 became
+// data node firstNew+i-1 of I_G's data graph (Subgraph.AddTo), so grafted
+// extents translate by an offset and stay ascending.
 type GraftSource struct {
 	ig             *IndexGraph
 	ih             *SubIndex
@@ -84,13 +84,12 @@ type GraftSource struct {
 	parents, children [][]graph.NodeID
 }
 
-// NewGraftSource fails when I_H's root class is not the document root alone
-// (a document node that carries the ROOT label and was not split from it):
-// such a document cannot be identified with I_G's root. It reads both indexes
-// and writes neither, so callers may check a document before grafting it.
+// NewGraftSource fails when I_H's root class is not the forest's root alone
+// (see SubIndex.RootAlone): such a run cannot be identified with I_G's root.
+// It reads both indexes and writes neither.
 func NewGraftSource(ig *IndexGraph, ih *SubIndex, firstNew graph.NodeID) (*GraftSource, error) {
 	ihRoot := ih.Root()
-	if len(ih.Members(ihRoot)) != 1 {
+	if !ih.RootAlone() {
 		return nil, fmt.Errorf("index: sub-index root class is not a singleton")
 	}
 	c := &GraftSource{

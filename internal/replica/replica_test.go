@@ -445,14 +445,16 @@ func errorsIsReset(err error) bool {
 	return err != nil && strings.Contains(err.Error(), errStreamReset.Error())
 }
 
-// TestDocumentGroupThreeWays commits the benchmark's write — a group of eight
-// add_document mutations, the first of them right after edge updates, so its
-// refinement merges index nodes and the others graft in place — and reaches
-// the resulting state three ways: live (one ApplyBatch on one clone), on a
-// replica (the group frame shipped whole) and by crash recovery. The replica
-// and recovery both replay each logged frame as the one commit that wrote it,
-// so the recovered index has published one generation per frame, not one per
-// record, and all three must save to the same bytes.
+// TestDocumentGroupThreeWays commits the benchmark's write — groups of eight
+// add_document mutations, each group one run of Algorithm 3 — twice: the
+// first group right after edge updates, so its refinement merges index nodes
+// in place, and the second onto the index the first left, which it grafts
+// onto. It reaches the resulting state three ways: live (one ApplyBatch on
+// one clone per group), on a replica (each group frame shipped whole) and by
+// crash recovery. The replica and recovery both replay each logged frame as
+// the one commit that wrote it, so they group the documents into the same
+// runs, the recovered index has published one generation per frame, not one
+// per record, and all three must save to the same bytes.
 func TestDocumentGroupThreeWays(t *testing.T) {
 	fs := faultfs.New()
 	p, err := newPrimary(t, fs, "store")
@@ -481,44 +483,56 @@ func TestDocumentGroupThreeWays(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	docs := make([]dkindex.Mutation, 8)
-	for i := range docs {
+	group := func(doc func(i int) string) []dkindex.Mutation {
+		docs := make([]dkindex.Mutation, 8)
+		for i := range docs {
+			docs[i] = dkindex.Mutation{Op: dkindex.MutAddDocument, Doc: []byte(doc(i))}
+		}
+		return docs
+	}
+	groups := [][]dkindex.Mutation{
 		// A movie reached from movieDB, a director and an actor, like the
-		// merged class: the document adds no class of its own.
-		doc := `<movieDB movieref="x"><director><movie id="x"><title/></movie></director><actor movieref="x"><name/></actor></movieDB>`
-		if i%2 == 1 {
-			doc = fmt.Sprintf(`<movieDB><studio><movie><title/><kind%d/></movie></studio></movieDB>`, i/3)
+		// merged class: the documents add no class of their own.
+		group(func(int) string {
+			return `<movieDB movieref="x"><director><movie id="x"><title/></movie></director><actor movieref="x"><name/></actor></movieDB>`
+		}),
+		group(func(i int) string {
+			return fmt.Sprintf(`<movieDB><studio><movie><title/><kind%d/></movie></studio></movieDB>`, i/3)
+		}),
+	}
+	for g, docs := range groups {
+		acks, err := p.idx.ApplyBatch(docs)
+		if err != nil {
+			t.Fatal(err)
 		}
-		docs[i] = dkindex.Mutation{Op: dkindex.MutAddDocument, Doc: []byte(doc)}
-	}
-	acks, err := p.idx.ApplyBatch(docs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, a := range acks {
-		if a.Err != nil {
-			t.Fatal(a.Err)
+		for _, a := range acks {
+			if a.Err != nil {
+				t.Fatalf("group %d: %v", g, a.Err)
+			}
 		}
 	}
-	merged, grafted := 0, 0
+	var added []obs.Event
 	for _, e := range o.Events.Recent(0) {
-		if e.Type != obs.EventSubgraphAdd {
-			continue
-		}
-		if e.NodesAfter < e.NodesBefore {
-			merged++
-		} else {
-			grafted++
+		if e.Type == obs.EventSubgraphAdd {
+			added = append(added, e)
 		}
 	}
-	if merged == 0 || grafted == 0 {
-		t.Fatalf("the group should take both of Algorithm 3's branches: %d documents shrank the index, %d did not", merged, grafted)
+	if len(added) != 16 {
+		t.Fatalf("%d subgraph_add events, want one per document", len(added))
+	}
+	if first := added[0]; first.NodesAfter >= first.NodesBefore {
+		t.Errorf("the first group took the index from %d to %d nodes; it should merge nodes in place and shrink it",
+			first.NodesBefore, first.NodesAfter)
+	}
+	if second := added[8]; second.NodesAfter <= second.NodesBefore {
+		t.Errorf("the second group took the index from %d to %d nodes; it should graft new classes and grow it",
+			second.NodesBefore, second.NodesAfter)
 	}
 	live := fingerprint(t, p.idx)
 
 	catchUp(t, rep, p.store)
 	if got := fingerprint(t, rep.Index()); got != live {
-		t.Error("the replica, which applied the group frame as one batch, differs from the primary")
+		t.Error("the replica, which applied each group frame as one batch, differs from the primary")
 	}
 
 	p.ts.Close()
@@ -529,15 +543,15 @@ func TestDocumentGroupThreeWays(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer st.Close()
-	if rec.Replayed != len(prime)+len(docs) {
-		t.Fatalf("recovery replayed %d records, want %d", rec.Replayed, len(prime)+len(docs))
+	if want := len(prime) + 16; rec.Replayed != want {
+		t.Fatalf("recovery replayed %d records, want %d", rec.Replayed, want)
 	}
 	if got := fingerprint(t, st.Index()); got != live {
 		t.Error("the recovered store differs from the live state")
 	}
-	if got, frames := st.Index().Generation(), uint64(len(prime)+1); got != frames {
+	if got, frames := st.Index().Generation(), uint64(len(prime)+len(groups)); got != frames {
 		t.Errorf("recovery published %d generations, want one per logged frame (%d), not one per record (%d)",
-			got, frames, len(prime)+len(docs))
+			got, frames, len(prime)+16)
 	}
 }
 

@@ -349,8 +349,27 @@ func (x *Index) commitLocked(ps []*preparedMutation) {
 	x.instrument(nd)
 	cloned := x.stamp()
 
+	// Consecutive documents are grafted as one run, in one Algorithm 3, once
+	// the next accepted member that is not a document (or the end) closes the
+	// run. A rejected member leaves the run open: the frame logs the accepted
+	// members alone, and recovery and replicas, which replay it as one batch,
+	// must group its documents as this commit did. So a document's acceptance
+	// is decided from the document alone, and another member's (check) on the
+	// state the open run will leave, before the run is grafted.
 	applied := 0
+	var run []*preparedMutation
 	for _, p := range ps {
+		if p.m.Op == MutAddDocument {
+			if p.ack.Err = nd.CheckDocument(p.doc); p.ack.Err == nil {
+				run = append(run, p)
+			}
+			continue
+		}
+		if p.ack.Err = x.check(nd, p.m, run); p.ack.Err != nil {
+			continue
+		}
+		applied += x.addDocuments(nd, run)
+		run = run[:0]
 		opStart := x.stamp()
 		before := nd.IG.NumNodes()
 		next, err := x.applyOne(nd, p)
@@ -363,6 +382,7 @@ func (x *Index) commitLocked(ps []*preparedMutation) {
 		p.wall = opWall(opStart)
 		applied++
 	}
+	applied += x.addDocuments(nd, run)
 	appliedAt := x.stamp()
 
 	// From here on a member applied iff its ack carries no error.
@@ -446,19 +466,84 @@ func (x *Index) commitLocked(ps []*preparedMutation) {
 	}
 }
 
-// applyOne applies one member to the batch clone, returning the (possibly
-// replaced) clone and recording the member's WAL record and lifecycle event
-// in p. Every branch (and core.AddSubgraph under it) validates before
-// mutating, so an error leaves nd untouched and the rest of the batch applies
-// on a clean state.
+// addDocuments grafts a run of accepted add_document members onto the batch
+// clone as one Algorithm 3 (core.DK.AddSubgraph) and records each member's
+// WAL record, mapping and lifecycle event in it; it returns how many applied.
+// Every member reports the run's index sizes and wall time. The run is one
+// refinement, so its last member alone carries the build statistics, and the
+// run records one build sample.
+func (x *Index) addDocuments(nd *core.DK, run []*preparedMutation) int {
+	if len(run) == 0 {
+		return 0
+	}
+	start := x.stamp()
+	before := nd.IG.NumNodes()
+	docs := make([]index.Document, len(run))
+	for i, p := range run {
+		docs[i] = p.doc
+	}
+	mappings, err := nd.AddSubgraph(docs...)
+	if err != nil {
+		for _, p := range run {
+			p.ack.Err = err
+		}
+		return 0
+	}
+	wall := opWall(start)
+	for i, p := range run {
+		p.ack.Mapping = mappings[i]
+		p.op, p.payload = opDocument, encodeDocumentPayload(p.opts, p.m.Doc)
+		p.before, p.after, p.wall = int32(before), int32(nd.IG.NumNodes()), wall
+		p.rebuilt = &rebuild{trigger: "subgraph_add",
+			detail: fmt.Sprintf("%d document nodes grafted", len(mappings[i]))}
+	}
+	run[len(run)-1].rebuilt.stats = nd.Stats
+	return len(run)
+}
+
+// check rejects a member other than a document that applyOne would reject on
+// the state nd will be in once the run of accepted documents before it is
+// grafted, without grafting them: their nodes count towards the edge
+// endpoints in range, their names towards the labels known.
+func (x *Index) check(nd *core.DK, m *Mutation, run []*preparedMutation) error {
+	switch m.Op {
+	case MutAddEdge, MutRemoveEdge:
+		n := nd.IG.Data().NumNodes()
+		for _, p := range run {
+			n += p.doc.NumNodes() - 1
+		}
+		if int(m.From) >= n || int(m.To) >= n || m.From < 0 || m.To < 0 {
+			return fmt.Errorf("dkindex: edge endpoints out of range")
+		}
+	case MutPromote:
+		if nd.IG.Data().Labels().Lookup(m.Label) != graph.InvalidLabel {
+			return nil
+		}
+		for _, p := range run {
+			for v := range p.doc.NumNodes() {
+				if p.doc.LabelName(graph.NodeID(v)) == m.Label {
+					return nil
+				}
+			}
+		}
+		return fmt.Errorf("dkindex: unknown label %q", m.Label)
+	case MutOptimize:
+		if rec := x.recorder.Load(); rec == nil || rec.Len() == 0 {
+			return fmt.Errorf("dkindex: no observed load (call WatchLoad and run queries first)")
+		}
+	}
+	return nil
+}
+
+// applyOne applies one member other than a document (see addDocuments) that
+// passed check to the batch clone, returning the (possibly replaced) clone
+// and recording the member's WAL record and lifecycle event in p. A branch
+// that can still fail does so before mutating, so an error leaves nd
+// untouched and the rest of the batch applies on a clean state.
 func (x *Index) applyOne(nd *core.DK, p *preparedMutation) (*core.DK, error) {
 	m := p.m
 	switch m.Op {
 	case MutAddEdge, MutRemoveEdge:
-		g := nd.IG.Data()
-		if int(m.From) >= g.NumNodes() || int(m.To) >= g.NumNodes() || m.From < 0 || m.To < 0 {
-			return nd, fmt.Errorf("dkindex: edge endpoints out of range")
-		}
 		nd.UseScratch(&x.upd)
 		p.payload = appendEdgePayload(p.edge[:0], m.From, m.To)
 		var stats index.UpdateStats
@@ -470,30 +555,8 @@ func (x *Index) applyOne(nd *core.DK, p *preparedMutation) (*core.DK, error) {
 		p.visited = int32(stats.IndexNodesVisited)
 		return nd, nil
 
-	case MutAddDocument:
-		before := nd.IG
-		mapping, err := nd.AddSubgraph(p.doc)
-		if err != nil {
-			return nd, err
-		}
-		if nd.IG != before {
-			// The refinement merged index nodes and AddSubgraph materialised
-			// a new graph in place of the instrumented one; later members of
-			// the batch split extents of this one.
-			x.instrument(nd)
-		}
-		p.ack.Mapping = mapping
-		p.op, p.payload = opDocument, encodeDocumentPayload(p.opts, m.Doc)
-		p.rebuilt = &rebuild{trigger: "subgraph_add", stats: nd.Stats,
-			detail: fmt.Sprintf("%d document nodes grafted", len(mapping))}
-		return nd, nil
-
 	case MutPromote:
-		l := nd.IG.Data().Labels().Lookup(m.Label)
-		if l == graph.InvalidLabel {
-			return nd, fmt.Errorf("dkindex: unknown label %q", m.Label)
-		}
-		stats := nd.PromoteLabel(l, m.K)
+		stats := nd.PromoteLabel(nd.IG.Data().Labels().Lookup(m.Label), m.K)
 		p.op, p.payload = opPromote, encodePromotePayload(m.Label, m.K)
 		p.created, p.visited = int32(stats.IndexNodesCreated), int32(stats.IndexNodesVisited)
 		return nd, nil
@@ -516,10 +579,7 @@ func (x *Index) applyOne(nd *core.DK, p *preparedMutation) (*core.DK, error) {
 		return next, nil
 
 	case MutOptimize:
-		rec := x.recorder.Load()
-		if rec == nil || rec.Len() == 0 {
-			return nd, fmt.Errorf("dkindex: no observed load (call WatchLoad and run queries first)")
-		}
+		rec := x.recorder.Load() // check saw it hold load; nothing resets it before this commit does
 		g := nd.IG.Data()
 		res, err := workload.MineBudget(g, rec.Load(), m.SizeBudget)
 		if err != nil {

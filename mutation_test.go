@@ -10,10 +10,12 @@ import (
 	"testing"
 	"time"
 
+	"dkindex/internal/core"
 	"dkindex/internal/datagen"
 	"dkindex/internal/faultfs"
 	"dkindex/internal/graph"
 	"dkindex/internal/obs"
+	"dkindex/internal/oracle"
 )
 
 // TestApplySequencesAndWatermark checks the pipeline's bookkeeping for one
@@ -519,40 +521,25 @@ func TestRejectedDocumentLeavesBatchCloneUntouched(t *testing.T) {
 	}
 }
 
-// TestDocumentBatchEqualsItsMembers runs the benchmark's write mix on XMark —
-// edge batches, then eight documents — twice: the documents as one ApplyBatch
-// (one clone, Algorithm 3 grafting onto it eight times) and as eight Applies.
-// The two indexes must save to the same bytes and hand out the same node ids,
-// round after round; the first document of a round follows edge updates, so
-// its refinement merges index nodes and takes the materialising branch. No
-// replay depends on this — recovery and a replica replay a logged batch as
-// one batch — it is a property of per-document refinement, and a refinement
-// run once per batch would be free to break it.
-func TestDocumentBatchEqualsItsMembers(t *testing.T) {
-	ds, batched := tunedXMark(t, 0.05)
+// TestDocumentBatchEqualsFreshBuild holds a commit of eight documents, which
+// runs Algorithm 3 once for all eight, to Theorem 2 on the load-tuned XMark
+// index: with no edge update to decay it, the index the run grafts onto is
+// the D(k)-index of its data, so refining it together with the documents'
+// sub-index must give the D(k)-index of the grown data — what core.Build
+// makes of the grown data graph from scratch, node for node up to
+// numbering. The acks' mappings must be those adding the documents one by
+// one gives.
+func TestDocumentBatchEqualsFreshBuild(t *testing.T) {
+	_, batched := tunedXMark(t, 0.05)
 	_, singly := tunedXMark(t, 0.05)
-	edges, err := ds.RandomEdges(24, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	shrank := 0
 	for round := 0; round < 3; round++ {
-		for _, e := range edges[8*round : 8*(round+1)] {
-			m := Mutation{Op: MutAddEdge, From: e[0], To: e[1]}
-			mustApply(t, batched, m)
-			mustApply(t, singly, m)
-		}
 		docs := make([]Mutation, 8)
 		for i := range docs {
 			docs[i] = Mutation{Op: MutAddDocument, Doc: auctionFragment(t, 8*round+i)}
 		}
-		before := batched.Stats().IndexNodes
 		acks, err := batched.ApplyBatch(docs)
 		if err != nil {
 			t.Fatal(err)
-		}
-		if batched.Stats().IndexNodes < before {
-			shrank++
 		}
 		for i, m := range docs {
 			if acks[i].Err != nil {
@@ -566,18 +553,151 @@ func TestDocumentBatchEqualsItsMembers(t *testing.T) {
 				t.Fatalf("round %d document %d: mapping %v in the batch, %v alone", round, i, acks[i].Mapping, ack.Mapping)
 			}
 		}
-		if fingerprint(t, batched) != fingerprint(t, singly) {
-			t.Fatalf("round %d: the batch and its members applied singly disagree", round)
+		dk := batched.DK()
+		fresh := core.Build(dk.IG.Data().Clone(), dk.LabelReqs)
+		if diff := oracle.SameIndex(dk.IG, fresh.IG); diff != "" {
+			t.Fatalf("round %d: the batch's index is not the fresh build of its data: %s", round, diff)
 		}
-	}
-	if shrank == 0 {
-		t.Error("no round's documents merged index nodes; the scenario no longer reaches the materialising branch")
 	}
 	if err := batched.IG().Validate(); err != nil {
 		t.Fatal(err)
 	}
 	if err := batched.Audit(3); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestDocumentRunSkipsTheRejected: a batch of four documents whose second
+// nests a ROOT element commits the other three as one run of Algorithm 3 —
+// one build, and one index size before and after for all three — and their
+// mappings and interned label ids are those the three applied singly get.
+func TestDocumentRunSkipsTheRejected(t *testing.T) {
+	docs := []Mutation{
+		{Op: MutAddDocument, Doc: []byte(`<movieDB><movie><title/></movie></movieDB>`)},
+		{Op: MutAddDocument, Doc: []byte(`<ROOT><movie><title/></movie></ROOT>`)},
+		{Op: MutAddDocument, Doc: []byte(`<movieDB><series><episode><title/></episode></series></movieDB>`)},
+		{Op: MutAddDocument, Doc: []byte(`<movieDB><series><title/></series><movie/></movieDB>`)},
+	}
+	batched, err := LoadXMLString(moviesXML, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	singly, err := LoadXMLString(moviesXML, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	o := obs.NewObserver()
+	batched.Observe(o)
+	acks, err := batched.ApplyBatch(docs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if acks[1].Err == nil {
+		t.Fatal("document with a nested ROOT element accepted")
+	}
+	for _, i := range []int{0, 2, 3} {
+		if acks[i].Err != nil {
+			t.Fatalf("document %d rejected: %v", i, acks[i].Err)
+		}
+		ack, err := singly.Apply(docs[i])
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !slices.Equal(ack.Mapping, acks[i].Mapping) {
+			t.Fatalf("document %d: mapping %v in the batch, %v alone", i, acks[i].Mapping, ack.Mapping)
+		}
+	}
+	got, want := batched.Graph().Labels(), singly.Graph().Labels()
+	if got.Len() != want.Len() {
+		t.Fatalf("the batch interned %d labels, the accepted documents alone %d", got.Len(), want.Len())
+	}
+	for l := 0; l < want.Len(); l++ {
+		if name := want.Name(graph.LabelID(l)); got.Lookup(name) != graph.LabelID(l) {
+			t.Errorf("label %q is %d in the batch, %d applied singly", name, got.Lookup(name), l)
+		}
+	}
+	var added []obs.Event
+	builds := 0
+	for _, e := range o.Events.Recent(0) {
+		switch e.Type {
+		case obs.EventSubgraphAdd:
+			added = append(added, e)
+		case obs.EventBuild:
+			builds++
+		}
+	}
+	if len(added) != 3 || builds != 1 {
+		t.Fatalf("%d subgraph_add events and %d builds, want 3 and 1: the accepted documents are one run", len(added), builds)
+	}
+	for _, e := range added[1:] {
+		if e.NodesBefore != added[0].NodesBefore || e.NodesAfter != added[0].NodesAfter {
+			t.Errorf("the run's members report %d->%d and %d->%d index nodes, want the run's for each",
+				added[0].NodesBefore, added[0].NodesAfter, e.NodesBefore, e.NodesAfter)
+		}
+	}
+	if err := batched.IG().Validate(); err != nil {
+		t.Fatal(err)
+	}
+	if err := batched.Audit(3); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestRejectedMemberKeepsTheDocumentRun: a member that is not a document and
+// is rejected between two documents leaves them one run, as replaying the
+// logged frame — which holds the accepted members alone — groups them, so
+// the recovered store reaches the live state. It is judged on the state the
+// open run will leave: an edge to a node of a document still in the run is
+// in range, so it is accepted and closes the run, and a promotion of a label
+// only a document of the run brings is accepted too.
+func TestRejectedMemberKeepsTheDocumentRun(t *testing.T) {
+	fs := faultfs.New()
+	idx, err := LoadXMLString(moviesXML, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	st, err := CreateStore("store", idx, &StoreOptions{FS: fs})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	o := obs.NewObserver()
+	idx.Observe(o)
+	firstNew := NodeID(idx.Stats().DataNodes) // the first document's first node
+	batch := []Mutation{
+		{Op: MutAddDocument, Doc: []byte(`<movieDB><series><title/></series></movieDB>`)},
+		{Op: MutAddEdge, From: 0, To: firstNew + 100}, // out of range even after the run
+		{Op: MutPromote, Label: "nowhere", K: 1},      // a label neither the index nor the run has
+		{Op: MutAddDocument, Doc: []byte(`<movieDB><movie><title/></movie></movieDB>`)},
+		{Op: MutPromote, Label: "series", K: 1},            // brought by the run
+		{Op: MutAddEdge, From: firstNew, To: firstNew + 1}, // in range once the run is grafted
+		{Op: MutAddDocument, Doc: []byte(`<movieDB><series/></movieDB>`)},
+	}
+	acks, err := idx.ApplyBatch(batch)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, a := range acks {
+		if rejected := i == 1 || i == 2; (a.Err != nil) != rejected {
+			t.Fatalf("member %d: error %v, want rejected=%v", i, a.Err, rejected)
+		}
+	}
+	builds := 0
+	for _, e := range o.Events.Recent(0) {
+		if e.Type == obs.EventBuild {
+			builds++
+		}
+	}
+	if builds != 2 {
+		t.Errorf("%d builds, want 2: the first two documents are one run, the third another", builds)
+	}
+	live := fingerprint(t, idx)
+	fs.Crash()
+	fs.Reset()
+	st2, _ := recoverStore(t, fs, "store")
+	defer st2.Close()
+	if got := fingerprint(t, st2.Index()); got != live {
+		t.Error("the recovered store, which replayed the frame as one batch, differs from the live state")
 	}
 }
 
