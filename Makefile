@@ -39,7 +39,7 @@ race:
 # cycles concurrent ApplyBatch writers against snapshot readers and watermark
 # pollers, the third injects a crash at every I/O operation of a mutation
 # scenario (including inside a WAL group frame) and proves recovery lands on
-# exactly the acknowledged state, the fourth proves the parallel
+# exactly the acknowledged state, the fourth proves the
 # counting-sort refinement and the D(k) builds block-identical to the
 # independent ones of internal/oracle on every experiment dataset, the fifth drives a replica
 # over a flaky link to bit-identical convergence and sweeps a primary crash
@@ -115,7 +115,9 @@ inline-check:
 	exit $$fail
 
 # bench-baseline records the regression-guard baseline: several short
-# repetitions of the guarded benchmarks (query throughput, the cold RPE and
+# repetitions of the guarded benchmarks (query throughput, the XMark
+# construction trio — 1-index, A(2) and the load-tuned D(k) — and the D(k)
+# build alone, the cold RPE and
 # twig evaluations that validate against the data graph, the parallel
 # snapshot-serving path, the in-memory group-commit write pipeline for an
 # edge batch and for a batch of eight documents, onto the tuned index and
@@ -126,7 +128,7 @@ inline-check:
 # /v1/query through the server's ServeHTTP as a result-cache hit and as a
 # miss), parsed to JSON. bench-guard compares future runs against it per
 # benchmark name on best-of-N B/op and allocs/op.
-GUARDED_BENCH = BenchmarkQueryThroughput$$|BenchmarkXMLLoad$$|BenchmarkCodecLoad$$|BenchmarkQueryRPE$$|BenchmarkQueryTwigDK$$|BenchmarkSnapshotQueryParallel$$|BenchmarkApplyBatchPipeline$$|BenchmarkApplyDocBatch$$|BenchmarkApplyDocBatchAfterEdges$$|BenchmarkShardQueryFanout$$|BenchmarkShardApplyBatch$$|BenchmarkServeQueryHit$$|BenchmarkServeQueryMiss$$
+GUARDED_BENCH = BenchmarkQueryThroughput$$|BenchmarkBuildXMark$$|BenchmarkConstructionDK$$|BenchmarkXMLLoad$$|BenchmarkCodecLoad$$|BenchmarkQueryRPE$$|BenchmarkQueryTwigDK$$|BenchmarkSnapshotQueryParallel$$|BenchmarkApplyBatchPipeline$$|BenchmarkApplyDocBatch$$|BenchmarkApplyDocBatchAfterEdges$$|BenchmarkShardQueryFanout$$|BenchmarkShardApplyBatch$$|BenchmarkServeQueryHit$$|BenchmarkServeQueryMiss$$
 GUARDED_PKGS = . ./internal/shard/ ./internal/server/
 
 bench-baseline:

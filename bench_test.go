@@ -112,7 +112,7 @@ func benchBuild(b *testing.B, ds *experiments.Dataset) {
 
 // Construction hot-path overhaul (DK_BENCH_SCALE=1.0, -benchtime 1s, same
 // machine; CSR adjacency snapshots + counting-sort refinement + parallel
-// rounds vs the map-of-byte-string baseline):
+// rounds, since made serial, vs the map-of-byte-string baseline):
 //
 //	BuildXMark/1index  before: 168.0ms 108MB 2.07M allocs   after: 78.5ms 43MB 233K allocs   (2.1x)
 //	BuildXMark/AK2     before:  19.0ms  10MB  181K allocs   after: 13.8ms  7MB 5.4K allocs   (1.4x)

@@ -143,6 +143,62 @@ func TestDocsNameOnlyWhatExists(t *testing.T) {
 	}
 }
 
+// TestArchitectureTableMatchesTree holds README.md's architecture table to
+// the tree: every row under internal/ and every name on the examples/ row
+// must be a directory, and every directory directly under internal/ or
+// examples/ must have its row or name.
+func TestArchitectureTableMatchesTree(t *testing.T) {
+	data, err := os.ReadFile("README.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, rest, ok := strings.Cut(string(data), "## Architecture\n\n```\n")
+	table, _, closed := strings.Cut(rest, "\n```")
+	if !ok || !closed {
+		t.Fatal("README.md has no fenced block under ## Architecture")
+	}
+	listed := map[string]map[string]bool{"internal": {}, "examples": {}}
+	section := ""
+	for _, line := range strings.Split(table, "\n") {
+		switch {
+		case strings.HasPrefix(line, "internal/"):
+			section = "internal"
+		case strings.HasPrefix(line, "examples/"):
+			for _, name := range strings.Split(strings.TrimSpace(strings.TrimPrefix(line, "examples/")), ",") {
+				listed["examples"][strings.TrimSpace(name)] = true
+			}
+			section = ""
+		case section == "internal" && strings.HasPrefix(line, "  ") && !strings.HasPrefix(line, "   "):
+			listed["internal"][strings.Fields(line)[0]] = true
+		case !strings.HasPrefix(line, " "):
+			section = ""
+		}
+	}
+	for dir, names := range listed {
+		entries, err := os.ReadDir(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		present := map[string]bool{}
+		for _, e := range entries {
+			if e.IsDir() {
+				present[e.Name()] = true
+				if !names[e.Name()] {
+					t.Errorf("%s/%s has no row in README.md's architecture table", dir, e.Name())
+				}
+			}
+		}
+		if len(present) == 0 {
+			t.Fatalf("no directories under %s/", dir)
+		}
+		for name := range names {
+			if !present[name] {
+				t.Errorf("README.md's architecture table lists %s/%s, which does not exist", dir, name)
+			}
+		}
+	}
+}
+
 // TestMakeRecipesNameRealTests holds `make fuzz-smoke` and `make stress` to
 // the tests they name. go test passes silently when -fuzz or -run matches
 // nothing, so every -fuzz NAME and every name of a -run 'A|B' alternation

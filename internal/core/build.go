@@ -9,7 +9,6 @@ import (
 	"dkindex/internal/graph"
 	"dkindex/internal/index"
 	"dkindex/internal/partition"
-	"dkindex/internal/workpool"
 )
 
 // DK is a D(k)-index: a structural summary whose index nodes carry
@@ -140,11 +139,8 @@ func (sc *refineScratch) refine(src partition.Labeled, reqOf func(graph.LabelID)
 
 	// Algorithm 2 main loop: round k refines blocks requiring >= k against
 	// the previous round's partition. The adjacency is fixed for the whole
-	// job, so it is snapshotted into CSR form exactly once; each round's
-	// signature and regrouping phases then fan out over the shared workpool
-	// inside Refiner.Round, and the requirement inheritance for the new
-	// blocks fans out here. All merges are in node/block order, so the
-	// result does not depend on the fan-out width.
+	// job, so it is snapshotted into CSR form exactly once, and every new
+	// block inherits the requirement of the old block it split from.
 	kmax := 0
 	for _, r := range blockReq {
 		if r > kmax {
@@ -161,11 +157,9 @@ func (sc *refineScratch) refine(src partition.Labeled, reqOf func(graph.LabelID)
 		res := sc.refiner.Round(p, sel)
 		sc.req[k%2] = slices.Grow(sc.req[k%2][:0], p.NumBlocks())[:p.NumBlocks()]
 		next := sc.req[k%2]
-		workpool.Chunks(len(next), workpool.Workers(len(next), 1<<15, 16), func(_, lo, hi int) {
-			for nb := lo; nb < hi; nb++ {
-				next[nb] = req[res.Origin[nb]] // inheritance
-			}
-		})
+		for nb := range next {
+			next[nb] = req[res.Origin[nb]] // inheritance
+		}
 		blockReq = next
 	}
 	stats.Rounds = kmax

@@ -8,7 +8,6 @@ package eval
 
 import (
 	"fmt"
-	"runtime"
 	"slices"
 	"strings"
 	"sync"
@@ -17,7 +16,6 @@ import (
 	"dkindex/internal/index"
 	"dkindex/internal/nodeset"
 	"dkindex/internal/obs"
-	"dkindex/internal/workpool"
 )
 
 // Query is a simple path query: a sequence of labels, outermost first. A
@@ -239,51 +237,6 @@ func (vs *valScratch) answer() Answer {
 		n += s.Len()
 	}
 	return Answer{sound: vs.sound, hits: vs.hits, n: n, vs: vs}
-}
-
-// validateParallelThreshold is the extent size above which validation fans
-// out across CPUs (mirroring partition's parallel refinement threshold, tuned
-// lower because validating one member costs a backward search, not a hash).
-var validateParallelThreshold = 1 << 11
-
-// validateMembers validates the members of one extent, appending those that
-// pass to dst in extent order and returning it with the number of data nodes
-// charged. validate does the same for one contiguous run of members. With
-// parallel set, an extent of validateParallelThreshold members or more is
-// split into chunks across a bounded worker pool, one validate call per
-// chunk, and the results and charges are merged in chunk order — identical
-// to one serial call when each member's charges are its own. The chunks
-// write their hits into dst's own spare room, one member-sized slot each, so
-// a pooled dst is the only buffer the fan-out uses.
-func validateMembers(dst, ext []graph.NodeID, parallel bool, validate func(dst, members []graph.NodeID) ([]graph.NodeID, int)) ([]graph.NodeID, int) {
-	if !parallel || len(ext) < validateParallelThreshold || runtime.GOMAXPROCS(0) <= 1 {
-		return validate(dst, ext)
-	}
-	// Fan out over the shared workpool budget (the same pool construction
-	// rounds draw from, so concurrent query + build traffic cannot
-	// oversubscribe the machine).
-	type chunkResult struct {
-		hits    []graph.NodeID
-		charged int
-	}
-	base := len(dst)
-	dst = slices.Grow(dst, len(ext))
-	slots := dst[base : base+len(ext)]
-	workers := workpool.Workers(len(ext), 0, 8)
-	results := make([]chunkResult, workers)
-	workpool.Chunks(len(ext), workers, func(w, lo, hi int) {
-		r := &results[w]
-		r.hits, r.charged = validate(slots[lo:lo:hi], ext[lo:hi])
-	})
-	// Chunk w's hits start at slot lo_w, at or after where they go: every
-	// earlier chunk kept at most its own members, so moving them down in
-	// chunk order never overwrites hits not yet moved.
-	charged := 0
-	for w := range results {
-		dst = append(dst, results[w].hits...)
-		charged += results[w].charged
-	}
-	return dst, charged
 }
 
 // SameResult reports whether two sorted result slices are identical; a test

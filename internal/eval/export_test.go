@@ -7,11 +7,3 @@ var (
 	RandomGraph = randomGraph
 	RandomQuery = randomQuery
 )
-
-// SetValidateParallelThreshold makes extents of n members or more validate
-// in parallel and returns the function that restores the threshold.
-func SetValidateParallelThreshold(n int) (restore func()) {
-	old := validateParallelThreshold
-	validateParallelThreshold = n
-	return func() { validateParallelThreshold = old }
-}

@@ -239,17 +239,13 @@ func FuzzTwigAgainstReference(f *testing.F) {
 	})
 }
 
-// Forcing the worker-pool path (threshold 1) must leave results and every
-// cost counter bit-identical to the serial reference: per-member validation
-// is independent and per-chunk charges are summed in chunk order.
-func TestParallelValidationBitIdentical(t *testing.T) {
-	defer eval.SetValidateParallelThreshold(1)()
-
+// On the coarsest extents, where every unsound match validates a long member
+// list, results and every cost counter must equal the reference's.
+func TestIndexMatchesReferenceOnCoarseExtents(t *testing.T) {
 	for seed := int64(0); seed < 6; seed++ {
 		g := eval.RandomGraph(seed, 300, 4, 80)
 		rng := rand.New(rand.NewSource(seed * 17))
-		// Label split has the coarsest extents, so every unsound match
-		// validates a large member list through the pool.
+		// Label split has the coarsest extents.
 		indexes := []*index.IndexGraph{
 			index.BuildLabelSplit(g),
 			index.BuildAK(g, 1),
@@ -260,7 +256,7 @@ func TestParallelValidationBitIdentical(t *testing.T) {
 				res, c := eval.Index(ig, q)
 				wantRes, wantC := oracle.Index(ig, q)
 				if !eval.SameResult(res, wantRes) || c != wantC {
-					t.Fatalf("seed %d index %d query %s: parallel %v/%+v != serial %v/%+v",
+					t.Fatalf("seed %d index %d query %s: %v/%+v, reference %v/%+v",
 						seed, ii, q.Format(g.Labels()), res, c, wantRes, wantC)
 				}
 			}
@@ -268,9 +264,7 @@ func TestParallelValidationBitIdentical(t *testing.T) {
 	}
 }
 
-func TestParallelValidationRPEBitIdentical(t *testing.T) {
-	defer eval.SetValidateParallelThreshold(1)()
-
+func TestIndexRPEMatchesReferenceOnCoarseExtents(t *testing.T) {
 	g := eval.RandomGraph(3, 300, 4, 80)
 	ig := index.BuildLabelSplit(g)
 	for _, src := range []string{"a.b", "a._*", "(a|b).c?", "b._.d"} {
@@ -282,7 +276,7 @@ func TestParallelValidationRPEBitIdentical(t *testing.T) {
 		res, cost := eval.IndexRPE(ig, c)
 		wantRes, wantCost := oracle.IndexRPE(ig, oracle.CompileRPE(e, g.Labels()))
 		if !eval.SameResult(res, wantRes) || cost != wantCost {
-			t.Fatalf("%s: parallel %+v != serial %+v", src, cost, wantCost)
+			t.Fatalf("%s: %v/%+v, reference %v/%+v", src, res, cost, wantRes, wantCost)
 		}
 	}
 }

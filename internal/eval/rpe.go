@@ -20,9 +20,7 @@ func DataRPE(g *graph.Graph, c *rpe.Compiled) ([]graph.NodeID, Cost) {
 // word the expression can produce contribute their extents wholesale; the
 // rest are validated member by member against the data graph with the
 // reversed automaton. Unbounded expressions (containing a reachable star)
-// always validate, which is conservative but exact. Validation of large
-// extents is spread across CPUs: each member's reversed-automaton search is
-// independent, so the per-chunk charges sum to the serial Cost exactly.
+// always validate, which is conservative but exact.
 func IndexRPE(ig *index.IndexGraph, c *rpe.Compiled) ([]graph.NodeID, Cost) {
 	return materialize(IndexRPETraced(ig, c, nil))
 }
@@ -58,7 +56,7 @@ func IndexRPETraced(ig *index.IndexGraph, c *rpe.Compiled, tr *obs.Trace) (Answe
 		cost.Validations++
 		vs.ext = ig.AppendExtent(vs.ext[:0], m)
 		var charged int
-		vs.hits, charged = validateMembers(vs.hits, vs.ext, true, validate)
+		vs.hits, charged = validate(vs.hits, vs.ext)
 		cost.DataNodesValidated += charged
 	}
 	ans := vs.answer()

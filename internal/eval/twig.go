@@ -420,15 +420,13 @@ func (e *twigEval) sound(ig *index.IndexGraph, m graph.NodeID) bool {
 
 // onIndex runs e's trunk over ig, e's source, and resolves every match: a
 // sound index node contributes its extent wholesale, compressed, to the
-// Answer; any other is validated member by member against
-// the data graph, by a fresh evaluator per run of members. A predicate-free
-// trunk validates large extents in parallel chunks, because each member's
-// charges are its own. A trunk with predicates validates an extent in one
-// serial run, whose members share the predicate memo, so later members ride
-// on charges earlier ones paid. The match and the validation are traced as
-// "match" and "validate" spans; nil traces are free and never change the
-// counters. each, when non-nil, hears every matched node in ascending order,
-// with whether it was validated and how many of its members the answer kept.
+// Answer; any other is validated member by member against the data graph, by
+// one fresh evaluator per extent, whose members share the predicate memo, so
+// later members ride on charges earlier ones paid. The match and the
+// validation are traced as "match" and "validate" spans; nil traces are free
+// and never change the counters. each, when non-nil, hears every matched node
+// in ascending order, with whether it was validated and how many of its
+// members the answer kept.
 func (e *twigEval) onIndex(ig *index.IndexGraph, tr *obs.Trace, each func(m graph.NodeID, validated bool, kept int)) (Answer, Cost) {
 	st := tr.StageStart()
 	matched := e.eval()
@@ -447,7 +445,6 @@ func (e *twigEval) onIndex(ig *index.IndexGraph, tr *obs.Trace, each func(m grap
 		ev.release()
 		return dst, charged
 	}
-	parallel := q.predicateFree()
 	vs := valScratchPool.Get().(*valScratch)
 	for _, m := range matched {
 		validated, kept := !e.sound(ig, m), 0
@@ -456,7 +453,7 @@ func (e *twigEval) onIndex(ig *index.IndexGraph, tr *obs.Trace, each func(m grap
 			vs.ext = ig.AppendExtent(vs.ext[:0], m)
 			before := len(vs.hits)
 			var charged int
-			vs.hits, charged = validateMembers(vs.hits, vs.ext, parallel, validate)
+			vs.hits, charged = validate(vs.hits, vs.ext)
 			c.DataNodesValidated += charged
 			kept = len(vs.hits) - before
 		} else {
@@ -472,16 +469,6 @@ func (e *twigEval) onIndex(ig *index.IndexGraph, tr *obs.Trace, each func(m grap
 	tr.EndStage("validate", st)
 	tr.RecordCost(c.IndexNodesVisited, c.DataNodesValidated, c.Validations, ans.Len())
 	return ans, c
-}
-
-// predicateFree reports whether no trunk step carries a predicate.
-func (q *Twig) predicateFree() bool {
-	for _, s := range q.Steps {
-		if len(s.Preds) > 0 {
-			return false
-		}
-	}
-	return true
 }
 
 // DataTwig evaluates a branching path query directly on the data graph.

@@ -12,13 +12,13 @@ import (
 )
 
 // The query fast path (posting-list seeding, dense frontiers, pooled
-// scratch, parallel validation) must be observationally identical to the
-// map-based evaluators of internal/oracle: same results AND the same value in every
-// Cost counter, query by query. This audit assembles the index states behind
-// every reported experiment — the Figure 4/5 before-update family, the
-// Figure 6/7 / Table 1 after-update states, and the Figure family spectrum —
-// and runs both implementations side by side over the full path, expression,
-// and twig loads.
+// scratch) must be observationally identical to the map-based evaluators of
+// internal/oracle: same results AND the same value in every Cost counter,
+// query by query. This audit assembles the index states behind every reported
+// experiment — the Figure 4/5 before-update family, the Figure 6/7 / Table 1
+// after-update states, and the Figure family spectrum — and runs both
+// implementations side by side over the full path, expression, and twig
+// loads.
 
 type auditState struct {
 	name string

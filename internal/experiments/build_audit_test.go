@@ -12,16 +12,14 @@ import (
 )
 
 // The construction fast path (CSR adjacency snapshots, counting-sort
-// signature grouping, pooled scratch, workpool fan-out) must be
-// block-identical to the signature-map refinement of internal/oracle: the
-// same partition with the same canonical block numbering. The D(k) builds
-// must equal the oracle's own Algorithms 1 and 2 (broadcast, rounds,
-// clamping, lowering and extents, none of it shared with core) node for
-// node. This audit runs both over every
+// signature grouping, pooled scratch) must be block-identical to the
+// signature-map refinement of internal/oracle: the same partition with the
+// same canonical block numbering. The D(k) builds must equal the oracle's own
+// Algorithms 1 and 2 (broadcast, rounds, clamping, lowering and extents, none
+// of it shared with core) node for node. This audit runs both over every
 // construction the experiments report — the A(k) series, 1-index, F&B, the
 // load-tuned D(k), demotion via Theorem 2, and rebuild-after-updates with
-// similarity clamping — on each dataset. Run it under -race to also check
-// the fan-out (make stress does).
+// similarity clamping — on each dataset. make stress runs it under -race.
 
 func testDblp(t *testing.T) *Dataset {
 	t.Helper()

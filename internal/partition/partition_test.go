@@ -3,7 +3,6 @@ package partition_test
 import (
 	"fmt"
 	"math/rand"
-	"runtime"
 	"testing"
 
 	"dkindex/internal/graph"
@@ -298,29 +297,5 @@ func TestDeterministicRefinement(t *testing.T) {
 		if a.BlockOf(graph.NodeID(n)) != b.BlockOf(graph.NodeID(n)) {
 			t.Fatal("KBisimulation is not deterministic (block numbering differs across runs)")
 		}
-	}
-}
-
-func TestParallelRefinementMatchesSerial(t *testing.T) {
-	// Cross the parallel threshold so the worker path runs (and, under
-	// -race, is checked), then verify bit-identical results with one CPU.
-	g := randomGraph(13, 40_000, 5, 9_000)
-	par, _ := partition.KBisimulation(g, 3)
-
-	prev := runtime.GOMAXPROCS(1)
-	ser, _ := partition.KBisimulation(g, 3)
-	runtime.GOMAXPROCS(prev)
-
-	if par.NumBlocks() != ser.NumBlocks() {
-		t.Fatalf("parallel %d blocks, serial %d", par.NumBlocks(), ser.NumBlocks())
-	}
-	for n := 0; n < g.NumNodes(); n++ {
-		if par.BlockOf(graph.NodeID(n)) != ser.BlockOf(graph.NodeID(n)) {
-			t.Fatalf("node %d: parallel block %d, serial block %d",
-				n, par.BlockOf(graph.NodeID(n)), ser.BlockOf(graph.NodeID(n)))
-		}
-	}
-	if err := par.Validate(); err != nil {
-		t.Fatal(err)
 	}
 }

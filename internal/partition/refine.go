@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"dkindex/internal/graph"
-	"dkindex/internal/workpool"
 )
 
 // Refiner runs refinement rounds against a fixed adjacency snapshot. It is
@@ -15,8 +14,8 @@ import (
 // loop, ...) creates one Refiner, which snapshots the neighbor lists into CSR
 // form once, and then every round reuses the same pooled scratch arrays —
 // signature arena, fingerprints, grouping tables — so the steady state does
-// no per-node heap allocation. Rounds are spread over the shared workpool
-// budget; results are block-identical to the signature-map refinement of
+// no per-node heap allocation. A round runs on the caller's goroutine;
+// results are block-identical to the signature-map refinement of
 // internal/oracle, which the partition tests and the build audit enforce.
 //
 // A Refiner is tied to the adjacency it last snapshotted: mutate the graph and
@@ -33,17 +32,15 @@ type Refiner struct {
 	// signature (its dedup'd sorted parent-block set) in the slots the CSR
 	// row bounds carve out — a signature can never be longer than the node's
 	// degree, so the edge array's shape is exactly the scratch budget needed.
-	arena     []BlockID
-	sigLen    []int32  // dedup'd signature length per node (-1: skipped)
-	fp        []uint64 // signature fingerprint per node
-	prov      []int32  // provisional group id per node, local to its shard
-	origin    []BlockID
-	sel       []bool
-	shardCnt  []int32
-	shardBase []int32
-	finalID   []int32
-	counts    []int32
-	cursor    []int32
+	arena   []BlockID
+	sigLen  []int32  // dedup'd signature length per node (-1: skipped)
+	fp      []uint64 // signature fingerprint per node
+	prov    []int32  // provisional group id per node, numbered in block order
+	origin  []BlockID
+	sel     []bool
+	finalID []int32
+	counts  []int32
+	cursor  []int32
 
 	// Round builds the next partition in these and takes the arrays of the
 	// partition it replaced in exchange, so from its third round on — and
@@ -81,31 +78,21 @@ func NewRefinerForward(g ChildrenAccess) *Refiner {
 	return &Refiner{csr: csr, CSRBuild: time.Since(start)}
 }
 
-// Fan-out tuning. Signature fingerprinting parallelizes over nodes, grouping
-// over blocks; both keep enough work per chunk that the merge bookkeeping
-// stays negligible, and both cap at the shard arrays' small fixed size.
-const (
-	sigMinPerWorker = 1 << 13
-	shardMinBlocks  = 1 << 10
-	maxShards       = 16
-)
-
-// shardScratch is the per-worker grouping state: an open-addressed table
-// from signature fingerprints to a representative node plus the provisional
-// group id assigned at that slot. Pooled so concurrent rounds (and rounds of
-// different jobs) reuse tables instead of reallocating.
-type shardScratch struct {
+// groupScratch is the grouping state of one round: an open-addressed table
+// from signature fingerprints to a representative node, the first member of
+// its group, whose provisional id the later members copy. Pooled so rounds —
+// of one job and of different jobs — reuse tables instead of reallocating.
+type groupScratch struct {
 	table []int32 // slot -> representative node id, -1 empty; len is a power of two
-	gid   []int32 // slot -> provisional group id of the representative
 	used  []int32 // occupied slots, reset after each block
 }
 
-var shardPool = sync.Pool{New: func() any { return &shardScratch{} }}
+var groupPool = sync.Pool{New: func() any { return &groupScratch{} }}
 
 // reserve makes the table big enough for a block of blockSize members at
 // load factor <= 1/2. Freshly grown tables come pre-cleared; reused tables
 // are cleared slot-by-slot via the used list after each block.
-func (s *shardScratch) reserve(blockSize int) {
+func (s *groupScratch) reserve(blockSize int) {
 	need := 1
 	for need < 2*blockSize {
 		need <<= 1
@@ -117,7 +104,6 @@ func (s *shardScratch) reserve(blockSize int) {
 	for i := range s.table {
 		s.table[i] = -1
 	}
-	s.gid = make([]int32, need)
 }
 
 // Round advances p by one bisimulation level over the snapshot's adjacency:
@@ -133,17 +119,16 @@ func (s *shardScratch) reserve(blockSize int) {
 // partition is the same, because stability against every previous block is
 // grouping by the full set of parent blocks).
 //
-// The round runs in three phases. Phase 1 (parallel over node ranges)
-// computes each node's signature into its arena slot and fingerprints it.
-// Phase 2 (parallel over block shards) is the counting-sort grouping: the
-// pre-round members lists already bucket nodes by old block — the first
-// counting-sort pass, maintained incrementally — so each shard only needs to
-// subdivide its blocks, probing a fingerprint table with exact signature
-// verification, assigning shard-local provisional ids. Phase 3 (sequential,
-// O(n)) renumbers provisional groups by first occurrence in node order —
-// which makes the result independent of shard boundaries and provisional
-// numbering — and rebuilds the members lists with a counting sort over new
-// block ids into one flat backing array.
+// The round runs in three phases. Phase 1, over nodes, computes each node's
+// signature into its arena slot and fingerprints it. Phase 2 is the
+// counting-sort grouping: the pre-round members lists already bucket nodes by
+// old block — the first counting-sort pass, maintained incrementally — so one
+// pass over the old blocks in block order only subdivides each block, probing
+// a fingerprint table with exact signature verification and assigning
+// provisional group ids from one counter. Phase 3, O(n), renumbers the
+// provisional groups by first occurrence in node order and rebuilds the
+// members lists with a counting sort over new block ids into one flat backing
+// array.
 func (r *Refiner) Round(p *Partition, selected func(BlockID) bool) RefineResult {
 	n := len(p.blockOf)
 	if n != r.csr.NumNodes() {
@@ -161,93 +146,74 @@ func (r *Refiner) Round(p *Partition, selected func(BlockID) bool) RefineResult 
 	}
 
 	// Phase 1: signatures + fingerprints for nodes whose block can split.
-	// Writes are per-node disjoint, so chunking is race-free by construction.
 	r.arena = grow(r.arena, r.csr.NumEdges())
 	r.sigLen = grow(r.sigLen, n)
 	r.fp = grow(r.fp, n)
 	r.prov = grow(r.prov, n)
-	workpool.Chunks(n, workpool.Workers(n, sigMinPerWorker, maxShards), func(_, lo, hi int) {
-		for i := lo; i < hi; i++ {
-			node := graph.NodeID(i)
-			b := prev[i]
-			if !r.sel[b] || len(p.members[b]) == 1 {
-				r.sigLen[i] = -1 // whole block carries over; no signature needed
-				continue
-			}
-			rowLo, rowHi := r.csr.RowBounds(node)
-			sig := r.arena[rowLo:rowLo:rowHi]
-			for _, nb := range r.csr.Row(node) {
-				sig = append(sig, prev[nb])
-			}
-			sig = sortDedupBlocks(sig)
-			r.sigLen[i] = int32(len(sig))
-			r.fp[i] = hashBlocks(sig)
+	for i := 0; i < n; i++ {
+		node := graph.NodeID(i)
+		b := prev[i]
+		if !r.sel[b] || len(p.members[b]) == 1 {
+			r.sigLen[i] = -1 // whole block carries over; no signature needed
+			continue
 		}
-	})
+		rowLo, rowHi := r.csr.RowBounds(node)
+		sig := r.arena[rowLo:rowLo:rowHi]
+		for _, nb := range r.csr.Row(node) {
+			sig = append(sig, prev[nb])
+		}
+		sig = sortDedupBlocks(sig)
+		r.sigLen[i] = int32(len(sig))
+		r.fp[i] = hashBlocks(sig)
+	}
 
-	// Phase 2: group within each old block, sharded over contiguous block
-	// ranges. Provisional ids are shard-local; phase 3 erases the shard
-	// structure, so the result does not depend on the fan-out width.
-	shardWorkers := workpool.Workers(numOld, shardMinBlocks, maxShards)
-	chunkSz := (numOld + shardWorkers - 1) / shardWorkers
-	numShards := (numOld + chunkSz - 1) / chunkSz
-	r.shardCnt = grow(r.shardCnt, numShards)
-	workpool.Chunks(numOld, shardWorkers, func(w, blo, bhi int) {
-		sc := shardPool.Get().(*shardScratch)
-		local := int32(0)
-		for b := blo; b < bhi; b++ {
-			mem := p.members[b]
-			if !r.sel[b] || len(mem) == 1 {
-				for _, m := range mem {
-					r.prov[m] = local
-				}
-				local++
-				continue
-			}
-			sc.reserve(len(mem))
-			mask := int32(len(sc.table) - 1)
+	// Phase 2: group within each old block, in block order.
+	sc := groupPool.Get().(*groupScratch)
+	total := int32(0)
+	for b := 0; b < numOld; b++ {
+		mem := p.members[b]
+		if !r.sel[b] || len(mem) == 1 {
 			for _, m := range mem {
-				h := r.fp[m]
-				idx := int32(h) & mask
-				for {
-					rep := sc.table[idx]
-					if rep < 0 {
-						sc.table[idx] = int32(m)
-						sc.gid[idx] = local
-						sc.used = append(sc.used, idx)
-						r.prov[m] = local
-						local++
-						break
-					}
-					// Fingerprints are a shortcut, not the truth: equal hashes
-					// are verified against the arena signatures, so collisions
-					// cost a compare, never a wrong merge.
-					if r.fp[rep] == h && r.sameSig(graph.NodeID(rep), m) {
-						r.prov[m] = sc.gid[idx]
-						break
-					}
-					idx = (idx + 1) & mask
-				}
+				r.prov[m] = total
 			}
-			for _, idx := range sc.used {
-				sc.table[idx] = -1
-			}
-			sc.used = sc.used[:0]
+			total++
+			continue
 		}
-		r.shardCnt[w] = local
-		shardPool.Put(sc)
-	})
+		sc.reserve(len(mem))
+		mask := int32(len(sc.table) - 1)
+		for _, m := range mem {
+			h := r.fp[m]
+			idx := int32(h) & mask
+			for {
+				rep := sc.table[idx]
+				if rep < 0 {
+					sc.table[idx] = int32(m)
+					sc.used = append(sc.used, idx)
+					r.prov[m] = total
+					total++
+					break
+				}
+				// Fingerprints are a shortcut, not the truth: equal hashes
+				// are verified against the arena signatures, so collisions
+				// cost a compare, never a wrong merge.
+				if r.fp[rep] == h && r.sameSig(graph.NodeID(rep), m) {
+					r.prov[m] = r.prov[rep]
+					break
+				}
+				idx = (idx + 1) & mask
+			}
+		}
+		for _, idx := range sc.used {
+			sc.table[idx] = -1
+		}
+		sc.used = sc.used[:0]
+	}
+	groupPool.Put(sc)
 
 	// Phase 3a: canonical renumbering. Scanning nodes 0..n-1 and assigning
 	// final ids at each group's first member gives the canonical
-	// numbering — first occurrence in node order — no matter how
-	// phase 2 numbered the groups.
-	total := int32(0)
-	r.shardBase = grow(r.shardBase, numShards)
-	for s := 0; s < numShards; s++ {
-		r.shardBase[s] = total
-		total += r.shardCnt[s]
-	}
+	// numbering — first occurrence in node order — where phase 2 numbered
+	// the groups in block order.
 	r.finalID = grow(r.finalID, int(total))
 	for i := range r.finalID {
 		r.finalID[i] = -1
@@ -256,7 +222,7 @@ func (r *Refiner) Round(p *Partition, selected func(BlockID) bool) RefineResult 
 	origin := grow(r.origin, int(total))[:0]
 	next := int32(0)
 	for i := 0; i < n; i++ {
-		g := r.shardBase[int(prev[i])/chunkSz] + r.prov[i]
+		g := r.prov[i]
 		f := r.finalID[g]
 		if f < 0 {
 			f = next

@@ -1,7 +1,6 @@
 package partition_test
 
 import (
-	"runtime"
 	"slices"
 	"testing"
 	"testing/quick"
@@ -71,29 +70,6 @@ func TestDriversMatchReference(t *testing.T) {
 		if fr != rr || !oracle.Identical(fp, rp) {
 			t.Fatalf("seed %d: FBBisimulation diverges from reference", seed)
 		}
-	}
-}
-
-// The refiner's result must not depend on the fan-out width: GOMAXPROCS=1
-// forces every phase inline, and the partitions must still be identical to
-// the parallel run's.
-func TestRefinerParallelMatchesSerial(t *testing.T) {
-	g := randomGraph(7, 110, 4, 55)
-
-	run := func() *partition.Partition {
-		p := partition.NewByLabel(g)
-		r := partition.NewRefiner(g)
-		for i := 0; i < 3; i++ {
-			r.Round(p, nil)
-		}
-		return p
-	}
-	parallel := run()
-	prev := runtime.GOMAXPROCS(1)
-	serial := run()
-	runtime.GOMAXPROCS(prev)
-	if !oracle.Identical(parallel, serial) {
-		t.Fatal("refiner result depends on GOMAXPROCS")
 	}
 }
 

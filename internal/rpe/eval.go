@@ -297,7 +297,7 @@ func (sc *matchScratch) grow() {
 // for index results. visited, when non-nil, receives each node inspected.
 //
 // It is safe to call concurrently (working state is drawn from a pool), so
-// validation of one extent can be spread across CPUs.
+// concurrent requests can share one compiled expression.
 func (c *Compiled) MatchesNode(g Source, node graph.NodeID, visited func(graph.NodeID)) bool {
 	// BFS over (node, reversed-NFA-state) pairs: polynomial in
 	// |nodes| x |states| even on cyclic graphs with starred expressions.
