@@ -5,7 +5,7 @@ GO ?= go
 DK_BENCH_SCALE ?= 1.0
 BENCHTIME ?= 2s
 
-.PHONY: all build test race vet fmt-check inline-check bench-compile bench-baseline bench-guard profile-build profile-read profile-write stress fuzz-smoke ci size clean
+.PHONY: all build test race vet fmt-check inline-check bench-compile bench-baseline bench-guard profile-build profile-read profile-cache profile-write stress fuzz-smoke ci size clean
 
 all: build test
 
@@ -125,10 +125,11 @@ inline-check:
 # nodes in place, the in-memory shard
 # engine's scatter-gather read and shard-split write paths (the engine
 # serves nothing; benchmark/probes.go times it), and one
-# /v1/query through the server's ServeHTTP as a result-cache hit and as a
-# miss), parsed to JSON. bench-guard compares future runs against it per
+# /v1/query through the server's ServeHTTP as a result-cache hit, as a
+# miss with the cache off and as a validating miss that stores its answer),
+# parsed to JSON. bench-guard compares future runs against it per
 # benchmark name on best-of-N B/op and allocs/op.
-GUARDED_BENCH = BenchmarkQueryThroughput$$|BenchmarkBuildXMark$$|BenchmarkConstructionDK$$|BenchmarkXMLLoad$$|BenchmarkCodecLoad$$|BenchmarkQueryRPE$$|BenchmarkQueryTwigDK$$|BenchmarkSnapshotQueryParallel$$|BenchmarkApplyBatchPipeline$$|BenchmarkApplyDocBatch$$|BenchmarkApplyDocBatchAfterEdges$$|BenchmarkShardQueryFanout$$|BenchmarkShardApplyBatch$$|BenchmarkServeQueryHit$$|BenchmarkServeQueryMiss$$
+GUARDED_BENCH = BenchmarkQueryThroughput$$|BenchmarkBuildXMark$$|BenchmarkConstructionDK$$|BenchmarkXMLLoad$$|BenchmarkCodecLoad$$|BenchmarkQueryRPE$$|BenchmarkQueryTwigDK$$|BenchmarkSnapshotQueryParallel$$|BenchmarkApplyBatchPipeline$$|BenchmarkApplyDocBatch$$|BenchmarkApplyDocBatchAfterEdges$$|BenchmarkShardQueryFanout$$|BenchmarkShardApplyBatch$$|BenchmarkServeQueryHit$$|BenchmarkServeQueryMiss$$|BenchmarkServeQueryStore$$
 GUARDED_PKGS = . ./internal/shard/ ./internal/server/
 
 bench-baseline:
@@ -162,6 +163,16 @@ profile-read:
 	DK_BENCH_SCALE=$(DK_BENCH_SCALE) $(GO) test -run '^$$' \
 		-bench 'BenchmarkQuery(RPE|TwigDK)$$' -benchmem -benchtime $(BENCHTIME) \
 		-cpuprofile read_cpu.prof -memprofile read_mem.prof -memprofilerate 4096 .
+
+# profile-cache captures CPU and exact allocation profiles of a validating
+# /v1/query miss that stores its answer in the result cache
+# (BenchmarkServeQueryStore). Every allocation is sampled (-memprofilerate
+# 1), so the bytes of keeping the answer can be read off by function, e.g.
+# `go tool pprof -sample_index=alloc_space -list Keep cache_mem.prof`.
+profile-cache:
+	DK_BENCH_SCALE=$(DK_BENCH_SCALE) $(GO) test -run '^$$' \
+		-bench 'BenchmarkServeQueryStore$$' -benchmem -benchtime $(BENCHTIME) \
+		-cpuprofile cache_cpu.prof -memprofile cache_mem.prof -memprofilerate 1 ./internal/server/
 
 # profile-write captures CPU and exact allocation profiles of the write path:
 # edge batches and batches of eight documents through the group-commit

@@ -3,6 +3,7 @@ package dkindex
 import (
 	"math"
 	"runtime"
+	"runtime/debug"
 	"testing"
 
 	"dkindex/internal/experiments"
@@ -345,5 +346,89 @@ func TestTwigScratchRefillCostsWhatTheQueryTouches(t *testing.T) {
 		req.Text, len(res.Nodes), res.Stats.Validations, beyond)
 	if beyond >= 64<<10 {
 		t.Errorf("the first twig Run after a collection allocates %d bytes beyond its answer, want < 64 kB", beyond)
+	}
+}
+
+// TestKeptAnswerCostsAByteAHit pins what a miss stores in the result cache:
+// its answer made only of sets, the validated hits compressed into one more
+// set at about a byte each. A validating RPE misses once with the cache on
+// and once with it off, garbage collection off; what the cache-on miss
+// allocates beyond the other must stay within 1.5 bytes per answer node (a
+// bound on its validated hits) plus a fixed allowance for the entry, its
+// list of sets and the key. While Keep copied the hits out as a plain
+// slice, at four bytes each, the difference was 5 232 bytes for the
+// query's 1 205 nodes; it is now 1 792.
+func TestKeptAnswerCostsAByteAHit(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector makes sync.Pool drop pooled scratch at random")
+	}
+	_, idx := tunedXMark(t, 0.25)
+	req := Request{Kind: KindRPE, Text: "site//name", Limit: -1}
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	missBytes := func(capacity int) (uint64, Result) {
+		best := uint64(math.MaxUint64)
+		var res Result
+		var m0, m1 runtime.MemStats
+		for range 8 {
+			idx.SetResultCache(capacity) // a cold cache, made outside the window
+			runtime.ReadMemStats(&m0)
+			r, err := idx.Run(req)
+			runtime.ReadMemStats(&m1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if r.CacheHit || r.Stats.Validations == 0 {
+				t.Fatalf("%s: want a validating miss, got %+v hit=%v", req.Text, r.Stats, r.CacheHit)
+			}
+			res, best = r, min(best, m1.TotalAlloc-m0.TotalAlloc)
+		}
+		return best, res
+	}
+	off, res := missBytes(0)
+	on, _ := missBytes(DefaultResultCacheSize)
+	if idx.ResultCacheLen() != 1 {
+		t.Fatalf("the cache holds %d entries after the miss, want 1", idx.ResultCacheLen())
+	}
+	const allowance = 512
+	kept := int64(on) - int64(off)
+	limit := int64(1.5*float64(res.Total)) + allowance
+	t.Logf("%s: %d nodes, %d validations; a miss allocates %d bytes with the cache off, %d with it on: %d kept (%.2f per node), limit %d",
+		req.Text, res.Total, res.Stats.Validations, off, on, kept, float64(kept)/float64(res.Total), limit)
+	if kept > limit {
+		t.Errorf("%s: storing the answer of %d nodes allocates %d bytes, want at most %d: the kept hits are not compressed", req.Text, res.Total, kept, limit)
+	}
+}
+
+// TestFullCacheMissKeepsNothing: a miss keeps its answer only for a store the
+// cache admits. On a full cache a validating miss allocates what the same
+// miss allocates with the cache off, plus the key it looked up; while Run
+// kept the answer before Put rejected it, it allocated the entry, the list
+// of sets and the hits beside.
+func TestFullCacheMissKeepsNothing(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector makes sync.Pool drop pooled scratch at random")
+	}
+	_, idx := tunedXMark(t, 0.25)
+	req := Request{Kind: KindRPE, Text: "site//name", Limit: -1}
+	missAllocs := func() float64 {
+		return testing.AllocsPerRun(20, func() {
+			if r, err := idx.Run(req); err != nil || r.CacheHit || r.Stats.Validations == 0 {
+				t.Fatalf("%s: want a validating miss, got %+v hit=%v err=%v", req.Text, r.Stats, r.CacheHit, err)
+			}
+		})
+	}
+	idx.SetResultCache(0)
+	off := missAllocs()
+	idx.SetResultCache(1)
+	if _, err := idx.Run(Request{Kind: KindPath, Text: "name", Limit: -1}); err != nil {
+		t.Fatal(err)
+	}
+	if n := idx.ResultCacheLen(); n != 1 {
+		t.Fatalf("the one-entry cache holds %d entries, want 1", n)
+	}
+	full := missAllocs()
+	t.Logf("%s: a miss allocates %.0f times with the cache off, %.0f on a full cache", req.Text, off, full)
+	if full > off+1 {
+		t.Errorf("%s: a miss on a full cache allocates %.0f times, %.0f with the cache off, want the key alone more: it kept an answer the cache rejects", req.Text, full, off)
 	}
 }

@@ -175,10 +175,11 @@ func Explain(ig *index.IndexGraph, q Query, each func(m graph.NodeID, validated 
 // passed validation. Extents partition the data nodes, so the parts are
 // disjoint and Len needs no merge; a caller lists what it needs with
 // AppendFirst. An Answer an evaluator returns borrows pooled scratch: it is
-// valid until Release, and Keep copies out one that owns its hits.
+// valid until Release. Keep turns one into an answer made only of sets, the
+// validated hits compressed into one more set, which borrows nothing.
 type Answer struct {
 	sound []nodeset.Set
-	hits  []graph.NodeID
+	hits  []graph.NodeID // nil in a kept answer
 	n     int
 	vs    *valScratch // the borrowed scratch; nil once released or kept
 }
@@ -203,11 +204,19 @@ func (a *Answer) Release() {
 	}
 }
 
-// Keep returns a copy of a that borrows nothing: it shares the extent sets,
-// which are immutable, and owns a copy of the hits and of the list of sets.
-// The copy pins the extents of the snapshot that answered.
+// Keep returns a copy of a that borrows nothing and is made only of sets: it
+// shares the extent sets, which are immutable, in a list of its own, and
+// stores the validated hits as one more set in the extents' succinct form,
+// about a byte per hit. The hits are disjoint from every extent, so Len and
+// AppendFirst read the kept answer as they read a. The copy pins the extents
+// of the snapshot that answered.
 func (a *Answer) Keep() Answer {
-	return Answer{sound: slices.Clone(a.sound), hits: slices.Clone(a.hits), n: a.n}
+	sets := make([]nodeset.Set, len(a.sound), len(a.sound)+min(len(a.hits), 1))
+	copy(sets, a.sound)
+	if len(a.hits) > 0 {
+		sets = append(sets, nodeset.FromSorted(a.hits))
+	}
+	return Answer{sound: sets, n: a.n}
 }
 
 // materialize lists a whole answer and releases it.

@@ -1,5 +1,7 @@
 package nodeset
 
+import "math/bits"
+
 // The varint-delta block codec. A block encodes a strictly ascending
 // sequence of low-16 values as the uvarint of the first value followed by
 // uvarints of the gaps (always >= 1). Blocks live only in memory and only this
@@ -14,6 +16,10 @@ func appendUvarint(dst []byte, v uint32) []byte {
 	}
 	return append(dst, byte(v))
 }
+
+// uvarintLen returns how many bytes appendUvarint writes for v: the one
+// sizing rule of every block, so blocks are allocated at their exact length.
+func uvarintLen(v uint32) int { return (bits.Len32(v|1) + 6) / 7 }
 
 // decodeUvarint decodes the uvarint at the front of b, returning the value
 // and its length in bytes.

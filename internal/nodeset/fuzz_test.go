@@ -10,7 +10,8 @@ import (
 
 // FuzzFromSortedAlgebra cross-checks the set kernels, Union and MergeAppend,
 // against slice oracles on fuzzer-chosen inputs, and MergeAppend of every
-// prefix length checkPrefixes tries against the full merge.
+// prefix length checkPrefixes tries against the full merge; every block
+// FromSorted and Union build must be sized exactly.
 func FuzzFromSortedAlgebra(f *testing.F) {
 	f.Add([]byte{1, 2, 3}, []byte{2, 3, 4}, uint16(1))
 	f.Add([]byte{0}, []byte{}, uint16(9))
@@ -19,9 +20,13 @@ func FuzzFromSortedAlgebra(f *testing.F) {
 		a := idsFromBytes(rawA, stride)
 		b := idsFromBytes(rawB, stride)
 		A, B := FromSorted(a), FromSorted(b)
-		if got, want := toSlice(Union(A, B)), refUnion(a, b); !slices.Equal(got, want) {
+		U := Union(A, B)
+		if got, want := toSlice(U), refUnion(a, b); !slices.Equal(got, want) {
 			t.Fatalf("Union mismatch")
 		}
+		checkExactBlocks(t, "FromSorted(a)", A)
+		checkExactBlocks(t, "FromSorted(b)", B)
+		checkExactBlocks(t, "Union", U)
 		// MergeAppend takes disjoint sets: a's members outside b, then b.
 		var onlyA []graph.NodeID
 		for _, x := range a {

@@ -54,7 +54,8 @@ func low16(id graph.NodeID) uint16 { return uint16(uint32(id)) }
 // FromSorted builds a set from strictly ascending non-negative ids. The
 // input slice is not retained; callers may reuse it. It panics on unsorted
 // or duplicate input — extents are sorted by invariant, so a violation is a
-// programming error, not data corruption.
+// programming error, not data corruption. Every slice the set holds is
+// allocated once, at its final length.
 func FromSorted(ids []graph.NodeID) Set {
 	var s Set
 	if len(ids) == 0 {
@@ -63,17 +64,22 @@ func FromSorted(ids []graph.NodeID) Set {
 	if ids[0] < 0 {
 		panic("nodeset: FromSorted with negative id")
 	}
+	chunks := 1
+	for i := 1; i < len(ids); i++ {
+		if ids[i] <= ids[i-1] {
+			panic("nodeset: FromSorted input not strictly ascending")
+		}
+		if key16(ids[i]) != key16(ids[i-1]) {
+			chunks++
+		}
+	}
+	s.keys = make([]uint16, 0, chunks)
+	s.cons = make([]container, 0, chunks)
 	for i := 0; i < len(ids); {
 		k := key16(ids[i])
 		j := i + 1
 		for j < len(ids) && key16(ids[j]) == k {
-			if ids[j] <= ids[j-1] {
-				panic("nodeset: FromSorted input not strictly ascending")
-			}
 			j++
-		}
-		if j < len(ids) && ids[j] <= ids[j-1] {
-			panic("nodeset: FromSorted input not strictly ascending")
 		}
 		s.keys = append(s.keys, k)
 		s.cons = append(s.cons, makeContainer(ids[i:j]))
@@ -84,7 +90,8 @@ func FromSorted(ids []graph.NodeID) Set {
 }
 
 // makeContainer encodes one chunk's worth of ascending ids (all sharing the
-// same high 16 bits).
+// same high 16 bits). A sparse block is sized by its gaps first and then
+// filled, so it is allocated exactly once at its encoded length.
 func makeContainer(run []graph.NodeID) container {
 	if len(run) > denseThreshold {
 		bits := make([]uint64, containerWords)
@@ -94,10 +101,14 @@ func makeContainer(run []graph.NodeID) container {
 		}
 		return container{card: len(run), bits: bits}
 	}
-	blk := make([]byte, 0, len(run)+len(run)/4+2)
-	prev := uint32(low16(run[0]))
-	blk = appendUvarint(blk, prev)
-	for _, id := range run[1:] {
+	size, prev := 0, uint32(0)
+	for _, id := range run {
+		v := uint32(low16(id))
+		size += uvarintLen(v - prev) // the first value is stored whole, as a gap from 0
+		prev = v
+	}
+	blk, prev := make([]byte, 0, size), 0
+	for _, id := range run {
 		v := uint32(low16(id))
 		blk = appendUvarint(blk, v-prev)
 		prev = v
@@ -194,7 +205,10 @@ func (c *container) iterate(base graph.NodeID, f func(graph.NodeID) bool) bool {
 	return true
 }
 
-// Stats describes a set's physical layout for memory accounting.
+// Stats describes a set's physical layout for memory accounting. Every block
+// and bitmap is allocated at exactly its encoded length (no spare capacity),
+// so the payload bytes are what the set holds on the heap, short of the
+// allocator's size-class rounding, and Bytes adds the bookkeeping estimate.
 type Stats struct {
 	// SparseContainers / DenseContainers count chunks by encoding.
 	SparseContainers int

@@ -229,3 +229,47 @@ func TestStats(t *testing.T) {
 		t.Fatalf("dense set %d bytes >= raw %d", ds.Bytes(), raw)
 	}
 }
+
+// checkExactBlocks fails when a sparse container of s holds spare capacity:
+// every varint-delta block is allocated at exactly its encoded length.
+func checkExactBlocks(t *testing.T, what string, s Set) {
+	t.Helper()
+	for i, c := range s.cons {
+		if c.blk != nil && cap(c.blk) != len(c.blk) {
+			t.Fatalf("%s: chunk %d's block has cap %d for %d bytes", what, s.keys[i], cap(c.blk), len(c.blk))
+		}
+	}
+}
+
+// TestBlocksAreSizedExactly builds sparse blocks whose gaps need one, two
+// and three varint bytes (gaps below 128, from 128 and from 16 384), through
+// FromSorted and through Union's re-encoding of a shared chunk, and checks
+// that each block is allocated at its encoded length and decodes back.
+func TestBlocksAreSizedExactly(t *testing.T) {
+	var a, b []graph.NodeID
+	for c := graph.NodeID(0); c < 3; c++ { // three chunks
+		base := c << 16
+		a = append(a, base+3, base+4, base+200, base+20_000, base+40_000, base+40_130)
+		b = append(b, base+5, base+1_000, base+17_000, base+60_000)
+	}
+	a = append(a, 5<<16+70) // a chunk of a alone, shared structurally by Union
+	A, B := FromSorted(a), FromSorted(b)
+	checkExactBlocks(t, "FromSorted(a)", A)
+	checkExactBlocks(t, "FromSorted(b)", B)
+	U := Union(A, B)
+	checkExactBlocks(t, "Union", U)
+	if got, want := toSlice(U), refUnion(a, b); !slices.Equal(got, want) {
+		t.Fatalf("Union = %v, want %v", got, want)
+	}
+	var st Stats
+	U.AddStats(&st)
+	if st.SparseContainers != 4 || st.DenseContainers != 0 {
+		t.Fatalf("want four sparse chunks, got %+v", st)
+	}
+	// Chunk 0 of the union: 3 and the gaps 1 and 1 (a byte each), 195, 800,
+	// 16 000 and 3 000 (two each), 20 000 (three), 130 (two) and 19 870
+	// (three): 19 bytes.
+	if n := len(U.cons[0].blk); n != 19 {
+		t.Fatalf("chunk 0 of the union encodes in %d bytes, want 19", n)
+	}
+}

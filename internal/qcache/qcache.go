@@ -65,6 +65,19 @@ func (c *Cache) Get(gen uint64, key string) (any, bool) {
 	return t.entries.Load(key)
 }
 
+// Admits reports whether a Put under gen would store its value now: the
+// table is gen's and not full, or older and about to be replaced. A caller
+// whose value is costly to build asks first and builds it only when
+// admitted. The answer is a hint under contention, as the bound is: a racing
+// store may fill the table or bump its generation before the Put.
+func (c *Cache) Admits(gen uint64) bool {
+	if c == nil || c.capacity <= 0 {
+		return false
+	}
+	t := c.cur.Load()
+	return t.gen < gen || t.gen == gen && t.count.Load() < int64(c.capacity)
+}
+
 // Put stores a value computed against the given generation. Stores for an
 // older generation than the current table's are dropped (the result is
 // already stale); stores for a newer one swap in a fresh table first, which

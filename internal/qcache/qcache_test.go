@@ -55,6 +55,33 @@ func TestCapacityBound(t *testing.T) {
 	}
 }
 
+// TestAdmitsAgreesWithPut: Admits says true exactly when a Put under the
+// same generation would store its value.
+func TestAdmitsAgreesWithPut(t *testing.T) {
+	c := New(2)
+	if !c.Admits(0) || !c.Admits(3) {
+		t.Fatal("an empty cache does not admit")
+	}
+	c.Put(3, "a", 1)
+	if !c.Admits(3) {
+		t.Fatal("a cache with room does not admit")
+	}
+	c.Put(3, "b", 2)
+	if c.Admits(3) {
+		t.Fatal("a full table admits")
+	}
+	if c.Admits(2) {
+		t.Fatal("a newer table admits a stale store")
+	}
+	if !c.Admits(4) {
+		t.Fatal("a full table of an older generation blocks the next one")
+	}
+	var nilCache *Cache
+	if nilCache.Admits(0) || New(0).Admits(0) {
+		t.Fatal("a nil or zero-capacity cache admits")
+	}
+}
+
 func TestDisabledAndNil(t *testing.T) {
 	var nilCache *Cache
 	nilCache.Put(0, "a", 1)

@@ -116,3 +116,25 @@ func BenchmarkServeQueryHit(b *testing.B) { benchServeQuery(b, dkindex.DefaultRe
 // BenchmarkServeQueryMiss is the same request with the result cache off:
 // parse, evaluate, encode the rows into the pooled buffer.
 func BenchmarkServeQueryMiss(b *testing.B) { benchServeQuery(b, 0) }
+
+// BenchmarkServeQueryStore is a validating miss with the result cache on:
+// parse, compile, evaluate, keep the answer in the cache and encode 100 rows.
+// Each request finds an empty cache, swapped in outside the timer, so every
+// one is a miss that stores its answer.
+func BenchmarkServeQueryStore(b *testing.B) {
+	srv, idx := tunedXMarkServer(b, benchScale())
+	w := &nullWriter{hdr: make(http.Header)}
+	r := httptest.NewRequest("GET", "/v1/query?kind=rpe&q=site%2F%2Fname&limit=100", nil)
+	serveInto(b, srv, w, r)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		idx.SetResultCache(dkindex.DefaultResultCacheSize)
+		b.StartTimer()
+		serveInto(b, srv, w, r)
+	}
+	if idx.ResultCacheLen() != 1 {
+		b.Fatalf("the cache holds %d entries after a miss, want 1", idx.ResultCacheLen())
+	}
+}

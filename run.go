@@ -126,13 +126,14 @@ const DefaultResultCacheSize = 4096
 // (256 MiB at DefaultResultCacheSize) beside the node sets it already holds.
 const MaxParkedBody = 64 << 10
 
-// cachedResult is the cache payload: the answer, kept unmerged (its extent
-// sets by reference, its validated hits copied out of the evaluator's
-// scratch), the cost of computing it and what a hit still needs from the
-// parse, all immutable once stored; and one slot for a rendering of the
-// answer, swapped atomically. The slot needs no invalidation of its own: the
-// entry belongs to one generation of one cache table and the body, like the
-// extents the answer pins, lives and dies with it.
+// cachedResult is the cache payload: the answer, kept unmerged and made only
+// of sets (its extent sets by reference, its validated hits compressed out of
+// the evaluator's scratch into one set of their own), the cost of computing
+// it and what a hit still needs from the parse, all immutable once stored;
+// and one slot for a rendering of the answer, swapped atomically. The slot
+// needs no invalidation of its own: the entry belongs to one generation of
+// one cache table and the body, like the extents the answer pins, lives and
+// dies with it.
 type cachedResult struct {
 	ans  eval.Answer
 	cost eval.Cost
@@ -314,9 +315,10 @@ func (x *Index) runOn(s *snapshot, req Request) (Result, error) {
 		x.observer.Tracer.Finish(tr)
 		x.observer.Gauge(obs.CacheEntries).Set(float64(cache.Len()))
 	}
-	// Put after noteValidation: if an auto-promotion just bumped the
-	// generation, this store is stale and the cache drops it on its own.
-	if cache != nil {
+	// Ask after noteValidation, and keep the answer only for a store the
+	// cache admits: a full table rejects it, and so does a newer one (an
+	// auto-promotion may just have bumped the generation).
+	if cache.Admits(s.gen) {
 		cache.Put(s.gen, key, &cachedResult{ans: ans.Keep(), cost: cost, path: path})
 	}
 	res := s.result(total, cost, false)
