@@ -23,7 +23,9 @@ import (
 	"dkindex/internal/datagen"
 	"dkindex/internal/eval"
 	"dkindex/internal/experiments"
+	"dkindex/internal/graph"
 	"dkindex/internal/index"
+	"dkindex/internal/nodeset"
 	"dkindex/internal/obs"
 	"dkindex/internal/rpe"
 	"dkindex/internal/xmlgraph"
@@ -575,6 +577,25 @@ func BenchmarkCodecLoad(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		if _, err := codec.LoadDK(bytes.NewReader(data)); err != nil {
 			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkEncodeExtents encodes every extent of the tuned D(k)-index with
+// nodeset.FromSorted: the part of BenchmarkCodecLoad, and of every build,
+// that the varint-block encoder decides, without the graph decoding around
+// it.
+func BenchmarkEncodeExtents(b *testing.B) {
+	ds := benchXMark(b)
+	dk := core.Build(ds.G, ds.W.Requirements())
+	exts := make([][]graph.NodeID, dk.IG.NumNodes())
+	for n := range exts {
+		exts[n] = dk.IG.Extent(graph.NodeID(n))
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for _, ext := range exts {
+			nodeset.FromSorted(ext)
 		}
 	}
 }

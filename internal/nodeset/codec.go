@@ -1,7 +1,5 @@
 package nodeset
 
-import "math/bits"
-
 // The varint-delta block codec. A block encodes a strictly ascending
 // sequence of low-16 values as the uvarint of the first value followed by
 // uvarints of the gaps (always >= 1). Blocks live only in memory and only this
@@ -10,6 +8,9 @@ import "math/bits"
 // appendUvarint appends the LEB128 encoding of v (v < 2^21 in practice:
 // low-16 values and their gaps need at most three bytes).
 func appendUvarint(dst []byte, v uint32) []byte {
+	if v < 0x80 { // most gaps: one byte, no loop
+		return append(dst, byte(v))
+	}
 	for v >= 0x80 {
 		dst = append(dst, byte(v)|0x80)
 		v >>= 7
@@ -17,9 +18,13 @@ func appendUvarint(dst []byte, v uint32) []byte {
 	return append(dst, byte(v))
 }
 
-// uvarintLen returns how many bytes appendUvarint writes for v: the one
-// sizing rule of every block, so blocks are allocated at their exact length.
-func uvarintLen(v uint32) int { return (bits.Len32(v|1) + 6) / 7 }
+// exactCopy copies a block encoded in scratch into a slice of its own whose
+// capacity is its length: both encoders end here, so no block holds slack.
+func exactCopy(blk []byte) []byte {
+	out := make([]byte, len(blk))
+	copy(out, blk)
+	return out
+}
 
 // decodeUvarint decodes the uvarint at the front of b, returning the value
 // and its length in bytes.

@@ -33,6 +33,15 @@ const denseThreshold = 4096
 // containerWords is the bitmap size in uint64 words (2^16 bits).
 const containerWords = 1 << 10
 
+// maxBlock bounds a sparse block's length: a byte per member, one more for
+// each gap of 128 or more (the gaps of a chunk sum to less than 2^16, so at
+// most 2^16/128 of them) and one more for each of 16 384 or more (at most 3).
+const maxBlock = denseThreshold + 1<<16/128 + 4
+
+// shortRun is the length up to which makeContainer encodes into scratch of
+// 3 bytes a member instead of maxBlock: most extents are this short.
+const shortRun = 64
+
 // container is one 2^16-id chunk. Exactly one of bits and blk is non-nil.
 type container struct {
 	card int      // members in this chunk, 1..65536
@@ -90,8 +99,9 @@ func FromSorted(ids []graph.NodeID) Set {
 }
 
 // makeContainer encodes one chunk's worth of ascending ids (all sharing the
-// same high 16 bits). A sparse block is sized by its gaps first and then
-// filled, so it is allocated exactly once at its encoded length.
+// same high 16 bits). A sparse block is encoded once into stack scratch and
+// copied out at its exact length; a short run takes scratch of its own size
+// bound, so it does not pay for clearing maxBlock bytes.
 func makeContainer(run []graph.NodeID) container {
 	if len(run) > denseThreshold {
 		bits := make([]uint64, containerWords)
@@ -101,19 +111,24 @@ func makeContainer(run []graph.NodeID) container {
 		}
 		return container{card: len(run), bits: bits}
 	}
-	size, prev := 0, uint32(0)
+	if len(run) <= shortRun {
+		var scratch [3 * shortRun]byte // a uvarint of a low-16 value is at most 3 bytes
+		return container{card: len(run), blk: encodeRun(scratch[:0], run)}
+	}
+	var scratch [maxBlock]byte
+	return container{card: len(run), blk: encodeRun(scratch[:0], run)}
+}
+
+// encodeRun appends run's block to the scratch blk and returns a copy of it
+// at its exact length.
+func encodeRun(blk []byte, run []graph.NodeID) []byte {
+	prev := uint32(0)
 	for _, id := range run {
 		v := uint32(low16(id))
-		size += uvarintLen(v - prev) // the first value is stored whole, as a gap from 0
+		blk = appendUvarint(blk, v-prev) // the first value is stored whole, as a gap from 0
 		prev = v
 	}
-	blk, prev := make([]byte, 0, size), 0
-	for _, id := range run {
-		v := uint32(low16(id))
-		blk = appendUvarint(blk, v-prev)
-		prev = v
-	}
-	return container{card: len(run), blk: blk}
+	return exactCopy(blk)
 }
 
 // Len returns the number of members.

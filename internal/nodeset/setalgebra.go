@@ -38,34 +38,24 @@ func (c *container) orInto(words []uint64) {
 
 // containerFromBits builds the canonical container for the chunk bitmap:
 // dense above the threshold, otherwise re-encoded as a varint-delta block,
-// sized like makeContainer's: by its gaps first, then filled. The bitmap is
-// copied, never retained; card must be its population count.
+// as makeContainer encodes one: once into stack scratch, then copied out at
+// its exact length. The bitmap is copied, never retained; card must be its
+// population count.
 func containerFromBits(words []uint64, card int) container {
 	if card > denseThreshold {
 		return container{card: card, bits: append([]uint64(nil), words...)}
 	}
-	size, prev := 0, uint32(0)
-	forBits(words, func(v uint32) {
-		size += uvarintLen(v - prev) // the first value is stored whole, as a gap from 0
-		prev = v
-	})
-	blk := make([]byte, 0, size)
-	prev = 0
-	forBits(words, func(v uint32) {
-		blk = appendUvarint(blk, v-prev)
-		prev = v
-	})
-	return container{card: card, blk: blk}
-}
-
-// forBits calls f on the position of every set bit of words, ascending.
-func forBits(words []uint64, f func(uint32)) {
+	var scratch [maxBlock]byte
+	blk, prev := scratch[:0], uint32(0)
 	for w, word := range words {
 		for word != 0 {
-			f(uint32(w<<6 + bits.TrailingZeros64(word)))
+			v := uint32(w<<6 + bits.TrailingZeros64(word))
 			word &= word - 1
+			blk = appendUvarint(blk, v-prev) // the first value is stored whole, as a gap from 0
+			prev = v
 		}
 	}
+	return container{card: card, blk: exactCopy(blk)}
 }
 
 // shareContainer returns a copy of the container struct sharing its payload

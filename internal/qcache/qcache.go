@@ -65,19 +65,6 @@ func (c *Cache) Get(gen uint64, key string) (any, bool) {
 	return t.entries.Load(key)
 }
 
-// Admits reports whether a Put under gen would store its value now: the
-// table is gen's and not full, or older and about to be replaced. A caller
-// whose value is costly to build asks first and builds it only when
-// admitted. The answer is a hint under contention, as the bound is: a racing
-// store may fill the table or bump its generation before the Put.
-func (c *Cache) Admits(gen uint64) bool {
-	if c == nil || c.capacity <= 0 {
-		return false
-	}
-	t := c.cur.Load()
-	return t.gen < gen || t.gen == gen && t.count.Load() < int64(c.capacity)
-}
-
 // Put stores a value computed against the given generation. Stores for an
 // older generation than the current table's are dropped (the result is
 // already stale); stores for a newer one swap in a fresh table first, which
@@ -85,6 +72,12 @@ func (c *Cache) Admits(gen uint64) bool {
 // store is rejected — entries are never evicted within a generation, since
 // mutation-driven invalidation already bounds entry lifetime.
 func (c *Cache) Put(gen uint64, key string, v any) {
+	c.PutFunc(gen, key, func() any { return v })
+}
+
+// PutFunc is Put for a value that is costly to build: it calls build only
+// once the store is admitted, so a store the cache rejects builds nothing.
+func (c *Cache) PutFunc(gen uint64, key string, build func() any) {
 	if c == nil || c.capacity <= 0 {
 		return
 	}
@@ -95,7 +88,7 @@ func (c *Cache) Put(gen uint64, key string, v any) {
 			if t.count.Load() >= int64(c.capacity) {
 				return
 			}
-			if _, loaded := t.entries.LoadOrStore(key, v); !loaded {
+			if _, loaded := t.entries.LoadOrStore(key, build()); !loaded {
 				t.count.Add(1)
 			}
 			return

@@ -55,30 +55,29 @@ func TestCapacityBound(t *testing.T) {
 	}
 }
 
-// TestAdmitsAgreesWithPut: Admits says true exactly when a Put under the
-// same generation would store its value.
-func TestAdmitsAgreesWithPut(t *testing.T) {
+// TestPutFuncBuildsOnlyWhatItStores: PutFunc builds its value for a store
+// it admits and for no other: not on a full table, not for a generation
+// older than the table's, not on a nil or zero-capacity cache.
+func TestPutFuncBuildsOnlyWhatItStores(t *testing.T) {
+	builds := 0
+	build := func() any { builds++; return builds }
 	c := New(2)
-	if !c.Admits(0) || !c.Admits(3) {
-		t.Fatal("an empty cache does not admit")
+	c.PutFunc(3, "a", build)
+	c.PutFunc(3, "b", build)
+	if builds != 2 || c.Len() != 2 {
+		t.Fatalf("two admitted stores built %d values, cache holds %d", builds, c.Len())
 	}
-	c.Put(3, "a", 1)
-	if !c.Admits(3) {
-		t.Fatal("a cache with room does not admit")
-	}
-	c.Put(3, "b", 2)
-	if c.Admits(3) {
-		t.Fatal("a full table admits")
-	}
-	if c.Admits(2) {
-		t.Fatal("a newer table admits a stale store")
-	}
-	if !c.Admits(4) {
-		t.Fatal("a full table of an older generation blocks the next one")
-	}
+	c.PutFunc(3, "c", build) // the table is full
+	c.PutFunc(2, "d", build) // stale
 	var nilCache *Cache
-	if nilCache.Admits(0) || New(0).Admits(0) {
-		t.Fatal("a nil or zero-capacity cache admits")
+	nilCache.PutFunc(0, "e", build)
+	New(0).PutFunc(0, "f", build)
+	if builds != 2 {
+		t.Fatalf("rejected stores built %d values", builds-2)
+	}
+	c.PutFunc(4, "g", build) // a newer generation replaces the full table
+	if v, ok := c.Get(4, "g"); !ok || v != 3 || builds != 3 {
+		t.Fatalf("the first store of a newer generation: got %v, %v after %d builds", v, ok, builds)
 	}
 }
 

@@ -315,12 +315,12 @@ func (x *Index) runOn(s *snapshot, req Request) (Result, error) {
 		x.observer.Tracer.Finish(tr)
 		x.observer.Gauge(obs.CacheEntries).Set(float64(cache.Len()))
 	}
-	// Ask after noteValidation, and keep the answer only for a store the
-	// cache admits: a full table rejects it, and so does a newer one (an
-	// auto-promotion may just have bumped the generation).
-	if cache.Admits(s.gen) {
-		cache.Put(s.gen, key, &cachedResult{ans: ans.Keep(), cost: cost, path: path})
-	}
+	// Store after noteValidation: if an auto-promotion just bumped the
+	// generation, this store is stale and the cache drops it on its own. The
+	// answer is kept only for a store the cache admits.
+	cache.PutFunc(s.gen, key, func() any {
+		return &cachedResult{ans: ans.Keep(), cost: cost, path: path}
+	})
 	res := s.result(total, cost, false)
 	res.Nodes = list(&ans, listed(req.Limit, total))
 	ans.Release()
