@@ -5,12 +5,13 @@ GO ?= go
 DK_BENCH_SCALE ?= 1.0
 BENCHTIME ?= 2s
 
-.PHONY: all build test race vet fmt-check inline-check bench-compile bench-baseline bench-guard profile-build profile-read profile-cache profile-write stress fuzz-smoke ci size clean
+.PHONY: all build test race vet fmt-check inline-check unlinked bench-compile bench-baseline bench-guard profile-build profile-read profile-cache profile-write stress fuzz-smoke ci size clean
 
 all: build test
 
 # ci chains every hygiene gate: compile, vet, formatting, the check that the
-# hot read accessors still inline, the check that the untouched benchmark
+# hot read accessors still inline, the check that every production function
+# is linked into some binary or allowed by name, the check that the untouched benchmark
 # module still builds and passes against this tree (its
 # smoke run drives all four serving workloads through the real server,
 # oracle-checked), the race-enabled test suite (which includes the replica
@@ -22,7 +23,7 @@ all: build test
 # recorded baseline.
 # Serving throughput and latency are measured by `bash benchmark/run.sh`, not
 # here.
-ci: build vet fmt-check inline-check bench-compile race fuzz-smoke stress bench-guard
+ci: build vet fmt-check inline-check unlinked bench-compile race fuzz-smoke stress bench-guard
 
 build:
 	$(GO) build ./...
@@ -113,6 +114,14 @@ inline-check:
 	echo "$$out" | grep -qE 'can inline cow\.\(\*Paged\[.*\]\)\.At$$' || { echo "no longer inlined: (*Paged[...]).At"; fail=1; }; \
 	echo "$$out" | grep -qE 'can inline cow\.\(\*Rows\[.*\]\)\.Row$$' || { echo "no longer inlined: (*Rows[...]).Row"; fail=1; }; \
 	exit $$fail
+
+# unlinked builds every command, every example and the benchmark module with
+# inlining off and fails on a production function that none of them links,
+# unless unlinked_test.go's allowlist names it with the tests that read it or
+# the reason it stays. The test file carries the `unlinked` build tag, so
+# `go test ./...` never builds it.
+unlinked:
+	$(GO) test -tags unlinked -run '^TestEveryFunctionIsLinked$$' -count 1 -v .
 
 # bench-baseline records the regression-guard baseline: several short
 # repetitions of the guarded benchmarks (query throughput, the XMark

@@ -99,8 +99,8 @@ func TestOneCommitPath(t *testing.T) {
 }
 
 // settle waits until every accepted mutation has settled and its commit has
-// returned: an ApplyAsync (the auto-promotion's door) may commit on a
-// committer goroutine after it returned.
+// returned: an ApplyBatchAsync member may commit on a committer goroutine
+// after the call returned.
 func settle(t *testing.T, idx *Index) {
 	t.Helper()
 	deadline := time.Now().Add(10 * time.Second)
@@ -116,12 +116,12 @@ func settle(t *testing.T, idx *Index) {
 	idx.mu.Unlock()
 }
 
-// TestCompactionAndAutoPromotionAreSequenced checks what the two former
-// side doors gained by becoming Mutations: each takes exactly one sequence
-// number, moves the watermark over it, counts as one commit, and reports its
-// lifecycle event after that commit — submitted with nothing in flight
-// ("direct"), and submitted while the writer mutex is held, so that it waits
-// in the queue for the committer ("batched").
+// TestCompactionAndAutoPromotionAreSequenced checks that compaction commits
+// like any other Mutation: it takes exactly one sequence number, moves the
+// watermark over it, counts as one commit, and reports its lifecycle event
+// after that commit — applied with nothing in flight ("direct"), and
+// submitted through ApplyBatchAsync while the writer mutex is held, so that
+// it waits in the queue for the committer ("batched").
 func TestCompactionAndAutoPromotionAreSequenced(t *testing.T) {
 	for _, queued := range []bool{false, true} {
 		name := "direct"
@@ -132,43 +132,19 @@ func TestCompactionAndAutoPromotionAreSequenced(t *testing.T) {
 			idx := open(t)
 			o := obs.NewObserver()
 			idx.Observe(o)
-			// submit runs a submission, with the writer mutex held when queued.
-			submit := func(f func()) {
-				if queued {
-					idx.mu.Lock()
-					defer idx.mu.Unlock()
-				}
-				f()
-			}
 			commits := o.Counter(obs.BatchCommits)
-			// step runs one state change and requires it to be exactly one
-			// sequenced commit that emitted the named event.
-			step := func(what string, ev obs.EventType, change func()) {
-				t.Helper()
-				seq, c, n := idx.LastSeq(), commits.Value(), eventTypes(o.Events.Recent(0))[ev]
-				change()
-				settle(t, idx)
-				if idx.LastSeq() != seq+1 || idx.Watermark() != seq+1 {
-					t.Errorf("%s: LastSeq %d -> %d, watermark %d, want both %d",
-						what, seq, idx.LastSeq(), idx.Watermark(), seq+1)
+			seq, c, n := idx.LastSeq(), commits.Value(), eventTypes(o.Events.Recent(0))[obs.EventCompact]
+			if queued {
+				idx.mu.Lock()
+				acks, err := idx.ApplyBatchAsync([]Mutation{{Op: MutCompact}})
+				idx.mu.Unlock()
+				if err != nil || acks[0].Err != nil {
+					t.Fatalf("compact: %v, %+v", err, acks)
 				}
-				if got := commits.Value(); got != c+1 {
-					t.Errorf("%s: %s %d -> %d, want +1", what, obs.BatchCommits.Name, c, got)
+				if acks[0].Seq != seq+1 {
+					t.Errorf("compact ack seq %d, want %d", acks[0].Seq, seq+1)
 				}
-				if got := eventTypes(o.Events.Recent(0))[ev]; got != n+1 {
-					t.Errorf("%s: %d %s events, want %d", what, got, ev, n+1)
-				}
-			}
-
-			step("compaction", obs.EventCompact, func() {
-				if queued {
-					var err error
-					submit(func() { _, err = idx.ApplyAsync(Mutation{Op: MutCompact}) })
-					if err != nil {
-						t.Fatal(err)
-					}
-					return
-				}
+			} else {
 				ack, err := idx.Apply(Mutation{Op: MutCompact})
 				if err != nil {
 					t.Fatal(err)
@@ -177,100 +153,19 @@ func TestCompactionAndAutoPromotionAreSequenced(t *testing.T) {
 					t.Errorf("compact ack = seq %d gen %d, index at seq %d gen %d",
 						ack.Seq, ack.Generation, idx.LastSeq(), idx.Generation())
 				}
-			})
-
-			idx.SetAutoPromote(1)
-			step("auto-promotion", obs.EventPromote, func() {
-				// Validates on the label-split index, so it crosses at once.
-				var err error
-				submit(func() { _, _, err = query(idx, KindPath, "director.movie.title") })
-				if err != nil {
-					t.Fatal(err)
-				}
-			})
-			// The decision is recorded once, ahead of the commit it caused.
-			decided, committed := -1, -1
-			for i, e := range o.Events.Recent(0) {
-				switch e.Type {
-				case obs.EventAutoPromote:
-					if decided >= 0 {
-						t.Error("more than one auto_promote event for one crossing")
-					}
-					decided = i
-				case obs.EventPromote:
-					committed = i
-					if e.Label != "title" || e.K != 2 {
-						t.Errorf("promote event = %+v, want label=title k=2", e)
-					}
-				}
 			}
-			if decided < 0 || committed < decided {
-				t.Errorf("auto_promote at %d, promote at %d: want the decision first", decided, committed)
+			settle(t, idx)
+			if idx.LastSeq() != seq+1 || idx.Watermark() != seq+1 {
+				t.Errorf("LastSeq %d -> %d, watermark %d, want both %d",
+					seq, idx.LastSeq(), idx.Watermark(), seq+1)
 			}
-			if _, stats, err := query(idx, KindPath, "director.movie.title"); err != nil || stats.Validations != 0 {
-				t.Errorf("after auto-promotion: %d validations, err %v", stats.Validations, err)
+			if got := commits.Value(); got != c+1 {
+				t.Errorf("%s %d -> %d, want +1", obs.BatchCommits.Name, c, got)
+			}
+			if got := eventTypes(o.Events.Recent(0))[obs.EventCompact]; got != n+1 {
+				t.Errorf("%d %s events, want %d", got, obs.EventCompact, n+1)
 			}
 		})
-	}
-}
-
-// TestAutoPromoteRetriesAfterRejectedAppend is the regression test for a
-// latch that never opened: a promotion the write-ahead log rejected used to
-// leave its label's heat fired for good, so the label could never
-// auto-promote again. Now the rejected submission zeroes the pressure and the
-// next threshold validations retry.
-func TestAutoPromoteRetriesAfterRejectedAppend(t *testing.T) {
-	const threshold = 3
-	fs := faultfs.New()
-	idx, err := LoadXMLString(moviesXML, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	st, err := CreateStore("store", idx, &StoreOptions{FS: fs})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer st.Close()
-	idx.SetAutoPromote(threshold)
-	// press repeats the validating query until it has exerted threshold
-	// validations (or stopped validating).
-	press := func() {
-		t.Helper()
-		for sum := 0; sum < threshold; {
-			_, stats, err := query(idx, KindPath, "director.movie.title")
-			if err != nil {
-				t.Fatal(err)
-			}
-			if stats.Validations == 0 {
-				return
-			}
-			sum += stats.Validations
-		}
-	}
-
-	gen := idx.Generation()
-	fs.FailAt(1, faultfs.ModeError) // the promotion's WAL append fails; the disk stays up
-	press()
-	settle(t, idx)
-	if idx.Generation() != gen || st.Appended() != 0 {
-		t.Fatalf("rejected auto-promotion published: generation %d -> %d, %d records", gen, idx.Generation(), st.Appended())
-	}
-	if idx.LastSeq() != 1 || idx.Watermark() != 1 {
-		t.Errorf("rejected auto-promotion: LastSeq %d watermark %d, want 1 and 1", idx.LastSeq(), idx.Watermark())
-	}
-
-	// The log healed; the same pressure again lands the promotion.
-	press()
-	settle(t, idx)
-	if idx.Generation() != gen+1 {
-		t.Fatalf("auto-promotion never retried: generation %d, want %d", idx.Generation(), gen+1)
-	}
-	if _, stats, err := query(idx, KindPath, "director.movie.title"); err != nil || stats.Validations != 0 {
-		t.Errorf("after the retry: %d validations, err %v", stats.Validations, err)
-	}
-	recs := walRecords(t, fs, filepath.Join("store", walName(0)))
-	if len(recs) != 1 || recs[0].Op != opPromote || !bytes.Equal(recs[0].Payload, encodePromotePayload("title", 2)) {
-		t.Errorf("wal holds %v, want one promote(title, 2)", recs)
 	}
 }
 

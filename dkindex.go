@@ -23,8 +23,8 @@
 //	ack, err := idx.Apply(dkindex.Mutation{Op: dkindex.MutAddEdge, From: 3, To: 9})
 //
 // Every read is a Request given to Run (or RunBatch); every write is a
-// Mutation given to Apply (or ApplyBatch, and their Async forms). There is no
-// second spelling of either.
+// Mutation given to Apply (or ApplyBatch, or ApplyBatchAsync when the caller
+// will not wait for durability). There is no second spelling of either.
 //
 // # Concurrency
 //
@@ -34,16 +34,16 @@
 // (Apply, ApplyBatch, Tune, Reload) serialize on an internal writer mutex,
 // build the successor state on private copies and publish it atomically,
 // bumping the snapshot generation; in-flight queries keep reading the snapshot
-// they resolved. Every state change — compaction and auto-promotion included —
-// is a Mutation settled by one commit function; Reload is the one swap that
-// is neither sequenced nor journalled, which is why a store-managed index
-// refuses it. Repeated queries are answered from a
-// generation-keyed result cache that a mutation invalidates wholesale by
-// virtue of the bump. The cache is consulted before the query text is parsed;
-// an entry carries what a hit needs of the parse and, for callers that render
-// results into bytes (Request.AcceptBody, Result.ParkBody — the HTTP server),
-// one rendering of the answer, at most MaxParkedBody bytes, that lives and
-// dies with the entry.
+// they resolved. Every state change — compaction included — is a Mutation
+// settled by one commit function; Reload is the one swap that is neither
+// sequenced nor journalled, which is why a store-managed index refuses it.
+// Repeated queries are answered from a generation-keyed result cache that a
+// mutation invalidates wholesale by virtue of the bump. The cache is
+// consulted before the query text is parsed; an entry carries what a hit
+// needs of the parse and, for callers that render results into bytes
+// (Request.AcceptBody, Result.ParkBody — the HTTP server), one rendering of
+// the answer, at most MaxParkedBody bytes, that lives and dies with the
+// entry.
 //
 // The package is a facade over the internal packages; power users can reach
 // the underlying graph and index through Graph and IG (both return the
@@ -76,9 +76,8 @@ type NodeID = graph.NodeID
 type LoadOptions = xmlgraph.Options
 
 // MaxK bounds every similarity that does not come straight from the Go API:
-// the server turns away a larger k or requirement, and mined requirements and
-// automatic promotions are clamped to it (WAL replay still accepts whatever
-// the API logged).
+// the server turns away a larger k or requirement, and mined requirements are
+// clamped to it (WAL replay still accepts whatever the API logged).
 const MaxK = core.MaxK
 
 // Index is a D(k)-index over one data graph, served through atomic
@@ -100,12 +99,6 @@ type Index struct {
 	// cache holds recent query results, keyed by snapshot generation so
 	// every mutation invalidates it wholesale. Nil when disabled.
 	cache atomic.Pointer[qcache.Cache]
-
-	// autoPromote, when positive, promotes a label once queries ending at
-	// it have validated that many times (see SetAutoPromote); heat holds
-	// the per-label pressure counters (LabelID -> *heatEntry).
-	autoPromote atomic.Int32
-	heat        atomic.Pointer[sync.Map]
 
 	// observer, when attached via Observe, receives query metrics, sampled
 	// traces and index lifecycle events. Nil costs only receiver checks.
@@ -453,97 +446,4 @@ func (x *Index) Audit(maxK int) error {
 		return err
 	}
 	return core.Audit(dk.IG, maxK)
-}
-
-// SetAutoPromote makes the index crack itself: whenever queries ending at
-// some label have required validation `threshold` times, the label is
-// promoted to cover the longest such query (up to MaxK), so subsequent
-// repeats answer straight from the summary; the query that crosses the
-// threshold does not wait for the promotion to commit. This implements the
-// paper's second future-work direction — combining the update and evaluation
-// processes — with the promoting machinery of Section 5.3. A threshold of 0
-// disables it.
-//
-// Pressure is counted lock-free on the query path (cache hits included);
-// the query that crosses the threshold records an auto_promote event — the
-// decision — and submits the promotion as ApplyAsync(MutPromote), so it is
-// sequenced, journalled, batched and observed like any other mutation. The
-// label's pressure restarts from zero at submission: a promotion the
-// write-ahead log rejects is retried after threshold more validations, and a
-// label hot enough to cross again while its promotion still waits in the
-// queue submits it twice (the second commit changes nothing). A path longer
-// than MaxK validates even after its label reached MaxK; it stops counting
-// then, so repeating it does not promote again.
-func (x *Index) SetAutoPromote(threshold int) {
-	x.autoPromote.Store(int32(threshold))
-	if threshold > 0 {
-		x.heat.CompareAndSwap(nil, &sync.Map{})
-	}
-}
-
-// heatEntry accumulates validation pressure for one label. fired latches the
-// threshold crossing so exactly one query submits the promotion.
-type heatEntry struct {
-	count  atomic.Int64
-	maxLen atomic.Int64
-	fired  atomic.Bool
-}
-
-// noteValidation records the validation pressure of one execution of a path
-// query on snapshot s (path is nil for the other kinds, which exert none) and
-// submits a promotion when the threshold is crossed. Called on the lock-free
-// query path.
-func (x *Index) noteValidation(s *snapshot, path eval.Query, validations int) {
-	threshold := int(x.autoPromote.Load())
-	if threshold <= 0 || validations == 0 || len(path) == 0 {
-		return
-	}
-	last, length := path[len(path)-1], path.Length()
-	if last == graph.InvalidLabel {
-		return
-	}
-	if length > MaxK && labelReaches(s.dk.IG, last, MaxK) {
-		return // the capped promotion has landed; another would change nothing
-	}
-	hm := x.heat.Load()
-	if hm == nil {
-		return
-	}
-	v, _ := hm.LoadOrStore(last, &heatEntry{})
-	h := v.(*heatEntry)
-	for {
-		m := h.maxLen.Load()
-		if int64(length) <= m || h.maxLen.CompareAndSwap(m, int64(length)) {
-			break
-		}
-	}
-	count := h.count.Add(int64(validations))
-	if count < int64(threshold) || !h.fired.CompareAndSwap(false, true) {
-		return
-	}
-	// The label travels by name: applyOne resolves it against the state it
-	// mutates and rejects one a Reload retired, so pressure counted on a stale
-	// snapshot can at worst cost index nodes, never answers.
-	m := Mutation{Op: MutPromote, Label: s.dk.IG.Data().Labels().Name(last), K: min(int(h.maxLen.Load()), MaxK)}
-	x.observer.RecordEvent(obs.Event{Type: obs.EventAutoPromote, Label: m.Label, K: m.K,
-		Detail: fmt.Sprintf("%d validations crossed threshold %d", count, threshold)})
-	// The outcome is not awaited, so the error is dropped: retiring the entry
-	// un-latches the label and zeroes its count whatever the commit decides.
-	// A promotion that lands stops the validations that feed it, or — for
-	// paths longer than MaxK — stops counting them; one the log rejects is
-	// retried after threshold more of them — the threshold is the back-off.
-	_, _ = x.ApplyAsync(m)
-	hm.Delete(last)
-}
-
-// labelReaches reports whether every index node labelled l has local
-// similarity at least k, so promoting l to k would change nothing.
-func labelReaches(ig *index.IndexGraph, l graph.LabelID, k int) bool {
-	nodes := ig.NodesWithLabel(l)
-	for i := range nodes.Len() {
-		if ig.K(nodes.At(i)) < k {
-			return false
-		}
-	}
-	return true
 }

@@ -562,43 +562,3 @@ func TestAudit(t *testing.T) {
 		t.Error("audit missed an unearned similarity claim")
 	}
 }
-
-func TestAutoPromote(t *testing.T) {
-	idx := open(t) // label-split: long queries validate
-	idx.SetAutoPromote(3)
-	q := "director.movie.title"
-	sawValidation := false
-	for i := 0; i < 6; i++ {
-		res, stats, err := query(idx, KindPath, q)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(res) != 2 {
-			t.Fatalf("iteration %d: %d results", i, len(res))
-		}
-		if stats.Validations > 0 {
-			sawValidation = true
-		}
-	}
-	if !sawValidation {
-		t.Fatal("precondition: query never validated")
-	}
-	// The heat threshold has fired by now; once its promotion has settled,
-	// the query answers soundly.
-	settle(t, idx)
-	_, stats, err := query(idx, KindPath, q)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if stats.Validations != 0 {
-		t.Errorf("auto-promotion did not fire; still %d validations", stats.Validations)
-	}
-	if err := idx.Audit(2); err != nil {
-		t.Errorf("auto-promoted index fails audit: %v", err)
-	}
-	// Disabled: no tracking.
-	idx.SetAutoPromote(0)
-	if _, _, err := query(idx, KindPath, "movieDB.actor.name"); err != nil {
-		t.Fatal(err)
-	}
-}

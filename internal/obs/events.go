@@ -15,7 +15,6 @@ const (
 	EventExtentSplit EventType = "extent_split"
 	EventPromote     EventType = "promote"
 	EventDemote      EventType = "demote"
-	EventAutoPromote EventType = "auto_promote"
 	EventEdgeAdd     EventType = "edge_add"
 	EventEdgeRemove  EventType = "edge_remove"
 	EventSubgraphAdd EventType = "subgraph_add"

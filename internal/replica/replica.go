@@ -93,9 +93,6 @@ type Replica struct {
 	stale   atomic.Bool   // lag exceeds MaxLag
 	caught  atomic.Bool   // reached the primary's head at least once
 
-	retries    atomic.Uint64
-	reconnects atomic.Uint64
-
 	// instance and needBootstrap are only touched by the goroutine driving
 	// Bootstrap/Run, never concurrently.
 	instance      string
@@ -146,9 +143,6 @@ func (r *Replica) Index() *dkindex.Index {
 // Applied returns the last applied global sequence.
 func (r *Replica) Applied() uint64 { return r.applied.Load() }
 
-// Head returns the primary's head global sequence as of the last response.
-func (r *Replica) Head() uint64 { return r.head.Load() }
-
 // Lag returns how many global sequences the replica trails the primary.
 func (r *Replica) Lag() uint64 {
 	if h, a := r.head.Load(), r.applied.Load(); h > a {
@@ -159,12 +153,6 @@ func (r *Replica) Lag() uint64 {
 
 // Stale reports whether the lag currently exceeds the configured bound.
 func (r *Replica) Stale() bool { return r.stale.Load() }
-
-// Retries returns how many feed requests have failed and been retried.
-func (r *Replica) Retries() uint64 { return r.retries.Load() }
-
-// Reconnects returns how many times the stream was reset and re-bootstrapped.
-func (r *Replica) Reconnects() uint64 { return r.reconnects.Load() }
 
 // Status reports (applied, head) for the serving layer's lag header.
 func (r *Replica) Status() (applied, head uint64) {
@@ -198,7 +186,7 @@ func (r *Replica) Bootstrap(ctx context.Context) error {
 		if ctx.Err() != nil {
 			return ctx.Err()
 		}
-		r.noteRetry(err)
+		r.obs.Counter(obs.ReplRetries).Inc()
 		if !r.sleep(ctx, r.jitter(backoff)) {
 			return ctx.Err()
 		}
@@ -220,7 +208,7 @@ func (r *Replica) Run(ctx context.Context) error {
 				if ctx.Err() != nil {
 					return ctx.Err()
 				}
-				r.noteRetry(err)
+				r.obs.Counter(obs.ReplRetries).Inc()
 				if !r.sleep(ctx, r.jitter(backoff)) {
 					return ctx.Err()
 				}
@@ -246,7 +234,7 @@ func (r *Replica) Run(ctx context.Context) error {
 			if ctx.Err() != nil {
 				return ctx.Err()
 			}
-			r.noteRetry(err)
+			r.obs.Counter(obs.ReplRetries).Inc()
 			if !r.sleep(ctx, r.jitter(backoff)) {
 				return ctx.Err()
 			}
@@ -445,14 +433,7 @@ func (r *Replica) updateFreshness() {
 	}
 }
 
-func (r *Replica) noteRetry(err error) {
-	r.retries.Add(1)
-	r.obs.Counter(obs.ReplRetries).Inc()
-	_ = err
-}
-
 func (r *Replica) noteReconnect(err error) {
-	r.reconnects.Add(1)
 	r.obs.Counter(obs.ReplReconnects).Inc()
 	r.obs.RecordEvent(obs.Event{Type: obs.EventReplReconnect, Detail: err.Error()})
 }

@@ -82,10 +82,8 @@ type GroupRecord = Record
 // Writer appends records to one WAL file.
 type Writer struct {
 	f      fsx.File
-	path   string
 	seq    uint64 // last acknowledged sequence number
 	off    int64  // durable end of file
-	bytes  int64  // payload+frame bytes acknowledged
 	broken bool
 	buf    []byte
 }
@@ -106,7 +104,7 @@ func Create(fs fsx.FS, path string) (*Writer, error) {
 		f.Close()
 		return nil, err
 	}
-	return &Writer{f: f, path: path, off: headerSize}, nil
+	return &Writer{f: f, off: headerSize}, nil
 }
 
 // OpenAt reopens an existing WAL for appending after a replay: the file is
@@ -129,18 +127,11 @@ func OpenAt(fs fsx.FS, path string, validSize int64, lastSeq uint64) (*Writer, e
 		f.Close()
 		return nil, err
 	}
-	return &Writer{f: f, path: path, seq: lastSeq, off: validSize}, nil
+	return &Writer{f: f, seq: lastSeq, off: validSize}, nil
 }
-
-// Path returns the file path the writer appends to.
-func (w *Writer) Path() string { return w.path }
 
 // Seq returns the last acknowledged sequence number.
 func (w *Writer) Seq() uint64 { return w.seq }
-
-// Bytes returns how many bytes of acknowledged records (frames included)
-// this writer has appended in its lifetime (not counting replayed ones).
-func (w *Writer) Bytes() int64 { return w.bytes }
 
 // AppendGroup durably appends recs as one frame with one fsync and returns
 // the frame's length. One record is written as a plain frame, several as a
@@ -169,7 +160,6 @@ func (w *Writer) AppendGroup(recs []GroupRecord) (int, error) {
 		return 0, err
 	}
 	w.off += int64(len(frame))
-	w.bytes += int64(len(frame))
 	w.seq += uint64(len(recs))
 	return len(frame), nil
 }

@@ -260,30 +260,15 @@ func (x *Index) applyBatch(ms []Mutation, wait bool) ([]Ack, error) {
 	return acks, nil
 }
 
-// ApplyAsync accepts one mutation without waiting for durability: it returns
-// as soon as the write pipeline assigned the sequence number. Observe
-// settlement by polling Watermark — once it reaches Ack.Seq, the mutation is
-// durably applied or was rejected (rejections surface in metrics and the
-// event stream, not in this Ack). The commit runs on whichever goroutine holds
-// the committer role — one of its own when no other commit is in progress —
-// so the call does not wait for it. This is also how the index writes to
-// itself — the query that crosses the SetAutoPromote threshold submits its
-// promotion here.
-func (x *Index) ApplyAsync(m Mutation) (Ack, error) {
-	acks, err := x.ApplyBatchAsync([]Mutation{m})
-	if err != nil {
-		return Ack{}, err
-	}
-	if acks[0].Err != nil {
-		return Ack{}, acks[0].Err
-	}
-	return acks[0], nil
-}
-
 // ApplyBatchAsync is ApplyBatch without the durability wait: members enter
 // the pipeline as one group and the acks report assigned sequence numbers
 // only. Submit-time validation (unknown ops, unparsable documents) is still
-// synchronous and reported per member.
+// synchronous and reported per member. Observe settlement by polling
+// Watermark — once it reaches a member's Ack.Seq, that member is durably
+// applied or was rejected (commit-time rejections surface in metrics and the
+// event stream, not in the Ack). The commit runs on whichever goroutine holds
+// the committer role — one of its own when no other commit is in progress —
+// so the call does not wait for it.
 func (x *Index) ApplyBatchAsync(ms []Mutation) ([]Ack, error) {
 	return x.applyBatch(ms, false)
 }

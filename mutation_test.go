@@ -211,12 +211,15 @@ func TestBatchingCoalesces(t *testing.T) {
 		if i%2 == 1 {
 			m = Mutation{Op: MutRemoveEdge, From: f, To: to}
 		}
-		a, err := idx.ApplyAsync(m)
+		a, err := idx.ApplyBatchAsync([]Mutation{m})
+		if err == nil {
+			err = a[0].Err
+		}
 		if err != nil {
 			idx.mu.Unlock()
 			t.Fatal(err)
 		}
-		acks = append(acks, a)
+		acks = append(acks, a[0])
 	}
 	idx.mu.Unlock()
 	settle(t, idx)
@@ -268,12 +271,12 @@ func TestGroupCommitBounds(t *testing.T) {
 	}
 
 	idx.mu.Lock()
-	_, err := idx.ApplyAsync(edge(0)) // seq 1: the committer, blocked
+	_, err := idx.ApplyBatchAsync([]Mutation{edge(0)}) // seq 1: the committer, blocked
 	if err == nil {
 		_, err = idx.ApplyBatchAsync(big) // seq 2..201
 	}
 	for i := 0; err == nil && i < maxBatch+2; i++ {
-		_, err = idx.ApplyAsync(edge(i + 1)) // seq 202..331
+		_, err = idx.ApplyBatchAsync([]Mutation{edge(i + 1)}) // seq 202..331
 	}
 	idx.mu.Unlock()
 	if err != nil {
@@ -329,19 +332,27 @@ func TestQueueStaysBoundedUnderBacklog(t *testing.T) {
 	}
 }
 
-// TestApplyAsyncSettles checks the async contract: the ack carries the
-// assigned sequence number before the commit runs, and the watermark reaches
-// it once the commit lands — also for a member the commit rejects, which
-// counts as rejected and publishes nothing.
+// TestApplyAsyncSettles checks the async contract of ApplyBatchAsync: the ack
+// carries the assigned sequence number before the commit runs, and the
+// watermark reaches it once the commit lands — also for a member the commit
+// rejects, which counts as rejected and publishes nothing.
 func TestApplyAsyncSettles(t *testing.T) {
 	idx := open(t)
 	o := obs.NewObserver()
 	idx.Observe(o)
 	rejected := o.Counter(obs.BatchRejected)
 	gen := idx.Generation()
+	// applyAsync submits m alone and returns its ack.
+	applyAsync := func(m Mutation) (Ack, error) {
+		acks, err := idx.ApplyBatchAsync([]Mutation{m})
+		if err != nil {
+			return Ack{}, err
+		}
+		return acks[0], acks[0].Err
+	}
 
 	idx.mu.Lock()
-	ack, err := idx.ApplyAsync(Mutation{Op: MutPromote, Label: "title", K: 2})
+	ack, err := applyAsync(Mutation{Op: MutPromote, Label: "title", K: 2})
 	if err == nil && (ack.Seq != 1 || ack.Watermark != 0 || idx.Watermark() != 0 || idx.Generation() != gen) {
 		err = fmt.Errorf("ack %+v, watermark %d, generation %d: committed before the writer mutex was free",
 			ack, idx.Watermark(), idx.Generation())
@@ -356,7 +367,7 @@ func TestApplyAsyncSettles(t *testing.T) {
 	}
 
 	r0 := rejected.Value()
-	ack, err = idx.ApplyAsync(Mutation{Op: MutPromote, Label: "no-such-label", K: 1})
+	ack, err = applyAsync(Mutation{Op: MutPromote, Label: "no-such-label", K: 1})
 	if err != nil {
 		t.Fatalf("rejection surfaced at acceptance: %v", err)
 	}
@@ -756,9 +767,9 @@ func TestDocumentNamesInternedOnAcceptance(t *testing.T) {
 }
 
 // TestBatchedStoreDurability drives concurrent writers through the pipeline
-// over a store, then leaves one ApplyAsync queued behind a held writer mutex
-// and closes the store: Close must wait for it, so recovery reproduces the
-// live state, that mutation included.
+// over a store, then leaves three client batches queued with nothing
+// committing them and closes the store: Close must wait for them, so recovery
+// reproduces the live state, those mutations included.
 func TestBatchedStoreDurability(t *testing.T) {
 	fs := faultfs.New()
 	idx, err := LoadXMLString(moviesXML, nil)
@@ -955,8 +966,12 @@ func TestApplyBatchStressConcurrent(t *testing.T) {
 					}
 				case 1: // async promote
 					name := g.Labels().Name(graph.LabelID(rng.Intn(g.Labels().Len())))
-					if _, err := idx.ApplyAsync(Mutation{Op: MutPromote, Label: name, K: 1 + rng.Intn(2)}); err != nil {
-						t.Errorf("writer: ApplyAsync: %v", err)
+					acks, err := idx.ApplyBatchAsync([]Mutation{{Op: MutPromote, Label: name, K: 1 + rng.Intn(2)}})
+					if err == nil {
+						err = acks[0].Err
+					}
+					if err != nil {
+						t.Errorf("writer: ApplyBatchAsync: %v", err)
 						return
 					}
 				case 2: // synchronous single edge removal

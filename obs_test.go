@@ -123,75 +123,6 @@ func TestSplitsObservedAfterDocumentInBatch(t *testing.T) {
 	}
 }
 
-// TestObserveAutoPromoteEvent drives the auto-promoting index past its
-// threshold and expects the auto_promote lifecycle event.
-func TestObserveAutoPromoteEvent(t *testing.T) {
-	idx := open(t)
-	o := obs.NewObserver()
-	idx.Observe(o)
-	idx.SetAutoPromote(1)
-
-	// The label-split index validates this query, firing promotion at once.
-	if _, stats, err := query(idx, KindPath, "director.movie.title"); err != nil {
-		t.Fatal(err)
-	} else if stats.Validations == 0 {
-		t.Fatal("expected a validating query to trigger auto-promotion")
-	}
-	counts := eventTypes(o.Events.Recent(0))
-	if counts[obs.EventAutoPromote] != 1 {
-		t.Fatalf("auto_promote events = %d, want 1 (%v)", counts[obs.EventAutoPromote], counts)
-	}
-	// Once the promotion settled, repeating the query answers soundly from
-	// the summary.
-	settle(t, idx)
-	if _, stats, err := query(idx, KindPath, "director.movie.title"); err != nil {
-		t.Fatal(err)
-	} else if stats.Validations != 0 {
-		t.Error("query still validates after auto-promotion")
-	}
-}
-
-// TestAutoPromoteKIsBounded: a validating path far longer than MaxK — 200
-// labels around a reference cycle — promotes its last label to MaxK, not to
-// the path's length, and does so once. The path matches the data, so it
-// still validates after the promotion; repeating it must not commit the same
-// promotion again (each would be a journalled write and a generation bump
-// that flushes the result cache).
-func TestAutoPromoteKIsBounded(t *testing.T) {
-	idx, err := LoadXMLString(`<r><a id="x" ref="x"><b/></a><b/></r>`, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	o := obs.NewObserver()
-	idx.Observe(o)
-	const threshold = 2
-	idx.SetAutoPromote(threshold)
-	gen := idx.Generation()
-	for i := range 3 * threshold {
-		if _, stats, err := query(idx, KindPath, strings.Repeat("a.", 199)+"b"); err != nil {
-			t.Fatal(err)
-		} else if stats.Validations == 0 {
-			t.Fatalf("repeat %d: precondition: the long path did not validate", i+1)
-		}
-		settle(t, idx)
-	}
-	if got := idx.Generation(); got != gen+1 {
-		t.Errorf("generation %d -> %d over %d repeats, want one promotion commit", gen, got, 3*threshold)
-	}
-	promoted := 0
-	for _, e := range o.Events.Recent(0) {
-		if e.Type == obs.EventAutoPromote || e.Type == obs.EventPromote {
-			promoted++
-			if e.Label != "b" || e.K != MaxK {
-				t.Errorf("%s event for %s at k=%d, want b at %d", e.Type, e.Label, e.K, MaxK)
-			}
-		}
-	}
-	if promoted != 2 {
-		t.Errorf("%d auto_promote/promote events, want one of each", promoted)
-	}
-}
-
 // TestObserveReloadEvent round-trips the index through Save/Reload and
 // expects a codec_reload event plus working instrumentation afterwards.
 func TestObserveReloadEvent(t *testing.T) {

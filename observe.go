@@ -12,8 +12,8 @@ import (
 
 // Observe attaches an observer to the index: queries feed the observer's
 // metrics and trace sampler, and every adaptation — promotion, demotion,
-// auto-promotion, edge and subgraph updates, retunes, codec reloads, and each
-// extent split they cause — is published to its lifecycle event stream.
+// edge and subgraph updates, retunes, codec reloads, and each extent split
+// they cause — is published to its lifecycle event stream.
 // Attach before sharing the index; a nil observer detaches. Unobserved
 // indexes pay only nil receiver checks on every instrumented path, and the
 // cost counters reported by queries are bit-identical with or without an

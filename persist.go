@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"sync"
 
 	"dkindex/internal/codec"
 	"dkindex/internal/fsx"
@@ -50,12 +49,12 @@ func OpenFile(path string) (*Index, error) {
 
 // Reload replaces the live index with one persisted via Save, keeping the
 // attached observer: instrumentation is re-wired onto the fresh graphs and a
-// codec_reload lifecycle event is emitted. The load recorder and auto-promote
-// heat are reset — they refer to the replaced graph's label table. On a decode
-// error the index is left untouched. Reload is the one state change that is
-// not a Mutation: it takes no sequence number, moves no watermark and is not
-// journalled, so a store-managed index refuses it — a wholesale swap would
-// diverge the durable state from the served one.
+// codec_reload lifecycle event is emitted. The load recorder is reset — it
+// refers to the replaced graph's label table. On a decode error the index is
+// left untouched. Reload is the one state change that is not a Mutation: it
+// takes no sequence number, moves no watermark and is not journalled, so a
+// store-managed index refuses it — a wholesale swap would diverge the
+// durable state from the served one.
 //
 // Decoding happens outside the writer mutex; only the swap itself blocks
 // other mutations, and queries are never blocked at all.
@@ -73,23 +72,10 @@ func (x *Index) Reload(r io.Reader) error {
 	if x.recorder.Load() != nil {
 		x.recorder.Store(workload.NewRecorder())
 	}
-	if x.heat.Load() != nil {
-		x.heat.Store(&sync.Map{})
-	}
 	x.instrument(dk)
 	x.publish(dk)
 	x.observer.RecordEvent(obs.Event{Type: obs.EventCodecReload,
 		NodesBefore: before, NodesAfter: dk.IG.NumNodes(), Wall: opWall(start)})
 	x.syncGauges()
 	return nil
-}
-
-// ReloadFile is Reload from a file path.
-func (x *Index) ReloadFile(path string) error {
-	f, err := os.Open(path)
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	return x.Reload(f)
 }

@@ -18,13 +18,12 @@ type sourceFile struct {
 	imports []string
 }
 
-// nonTestImports reads the imports of this module's non-test .go files,
-// skipping the directories named in skip. The benchmark module (its own
-// go.mod), hidden directories and testdata are not this module's code and
-// are skipped too.
-func nonTestImports(t *testing.T, skip ...string) []sourceFile {
+// walkSources calls visit with the slash-separated path of every .go file of
+// this module, test files included, skipping the directories named in skip.
+// The benchmark module (its own go.mod), hidden directories and testdata are
+// not this module's code and are skipped too.
+func walkSources(t *testing.T, skip []string, visit func(path string) error) {
 	t.Helper()
-	var files []sourceFile
 	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
 		if err != nil {
 			return err
@@ -41,14 +40,30 @@ func nonTestImports(t *testing.T, skip ...string) []sourceFile {
 			}
 			return nil
 		}
-		if !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
+		if !strings.HasSuffix(path, ".go") {
+			return nil
+		}
+		return visit(filepath.ToSlash(path))
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+}
+
+// nonTestImports reads the imports of this module's non-test .go files,
+// skipping the directories named in skip.
+func nonTestImports(t *testing.T, skip ...string) []sourceFile {
+	t.Helper()
+	var files []sourceFile
+	walkSources(t, skip, func(path string) error {
+		if strings.HasSuffix(path, "_test.go") {
 			return nil
 		}
 		f, err := parser.ParseFile(token.NewFileSet(), path, nil, parser.ImportsOnly)
 		if err != nil {
 			return err
 		}
-		file := sourceFile{path: filepath.ToSlash(path)}
+		file := sourceFile{path: path}
 		for _, imp := range f.Imports {
 			p, _ := strconv.Unquote(imp.Path.Value)
 			file.imports = append(file.imports, p)
@@ -56,9 +71,6 @@ func nonTestImports(t *testing.T, skip ...string) []sourceFile {
 		files = append(files, file)
 		return nil
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
 	if len(files) < 50 {
 		t.Fatalf("parsed only %d non-test files; the walk missed the module", len(files))
 	}
@@ -79,15 +91,18 @@ func TestNothingServesTheShardEngine(t *testing.T) {
 	}
 }
 
+// testSupport are the packages only tests import: the reference oracles the
+// kernels are audited against, the Prometheus text parser, the copy-on-write
+// isolation check and the faulty filesystem and network. `make size` counts
+// them apart from the production lines.
+var testSupport = []string{"internal/oracle", "internal/obs/promtest", "internal/cow/cowtest", "internal/faultfs", "internal/faultnet"}
+
 // TestOnlyTestsImportTestSupport keeps the test-support packages out of
-// every binary: the reference oracles the kernels are audited against, the
-// Prometheus text parser, the copy-on-write isolation check and the faulty
-// filesystem and network are imported by _test.go files only. A non-test
-// file outside those packages that imports one fails here by name.
+// every binary: they are imported by _test.go files only. A non-test file
+// outside those packages that imports one fails here by name.
 func TestOnlyTestsImportTestSupport(t *testing.T) {
-	support := []string{"internal/oracle", "internal/obs/promtest", "internal/cow/cowtest", "internal/faultfs", "internal/faultnet"}
-	for _, f := range nonTestImports(t, support...) {
-		for _, pkg := range support {
+	for _, f := range nonTestImports(t, testSupport...) {
+		for _, pkg := range testSupport {
 			if slices.Contains(f.imports, "dkindex/"+pkg) {
 				t.Errorf("%s imports dkindex/%s, which only tests may import", f.path, pkg)
 			}

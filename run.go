@@ -138,8 +138,8 @@ type cachedResult struct {
 	ans  eval.Answer
 	cost eval.Cost
 	// path is the label sequence of a KindPath query (nil for the other
-	// kinds): a hit records it in the load and feeds it to auto-promotion
-	// exactly as the evaluation that stored the entry did.
+	// kinds): a hit records it in the load exactly as the evaluation that
+	// stored the entry did.
 	path eval.Query
 	body atomic.Pointer[parkedBody]
 }
@@ -220,9 +220,8 @@ func (x *Index) ResultCacheLen() int { return x.cache.Load().Len() }
 
 // runOn evaluates one request against a resolved snapshot. This is the whole
 // read hot path: no locks are taken anywhere below — the snapshot is
-// immutable, the recorder and the auto-promote heat are atomic-counter
-// structures, and the cache is generation-keyed so it needs no invalidation
-// protocol here.
+// immutable, the recorder is an atomic-counter structure, and the cache is
+// generation-keyed so it needs no invalidation protocol here.
 func (x *Index) runOn(s *snapshot, req Request) (Result, error) {
 	kind := req.Kind
 	switch kind {
@@ -253,10 +252,6 @@ func (x *Index) runOn(s *snapshot, req Request) (Result, error) {
 		if r := x.recorder.Load(); r != nil {
 			r.Record(cr.path)
 		}
-		// Cache hits still feed auto-promotion: repeats of a validating
-		// query are exactly the pressure SetAutoPromote reacts to, and the
-		// cached cost carries the validation count of every repeat.
-		x.noteValidation(s, cr.path, cr.cost.Validations)
 		return s.hit(cr, req), nil
 	}
 
@@ -265,7 +260,7 @@ func (x *Index) runOn(s *snapshot, req Request) (Result, error) {
 	ig := s.dk.IG
 	labels := ig.Data().Labels()
 	var evalFn func(tr *obs.Trace) (eval.Answer, eval.Cost)
-	var path eval.Query // stays nil for RPEs and twigs, which feed neither the load nor auto-promotion
+	var path eval.Query // stays nil for RPEs and twigs, which the load recorder does not hear
 	switch kind {
 	case KindPath:
 		q, err := eval.ParseQuery(labels, req.Text)
@@ -309,15 +304,14 @@ func (x *Index) runOn(s *snapshot, req Request) (Result, error) {
 	}
 	ans, cost := evalFn(tr)
 	total := ans.Len()
-	x.noteValidation(s, path, cost.Validations)
 	if x.observer != nil {
 		x.observer.ObserveQuery(string(kind), time.Since(begin), costSample(cost), total)
 		x.observer.Tracer.Finish(tr)
 		x.observer.Gauge(obs.CacheEntries).Set(float64(cache.Len()))
 	}
-	// Store after noteValidation: if an auto-promotion just bumped the
-	// generation, this store is stale and the cache drops it on its own. The
-	// answer is kept only for a store the cache admits.
+	// If a commit published while this query ran, the store is stale and the
+	// cache drops it on its own. The answer is kept only for a store the cache
+	// admits.
 	cache.PutFunc(s.gen, key, func() any {
 		return &cachedResult{ans: ans.Keep(), cost: cost, path: path}
 	})

@@ -397,9 +397,6 @@ func (s *Store) Appended() uint64 {
 	return s.appended
 }
 
-// Dir returns the store's directory.
-func (s *Store) Dir() string { return s.dir }
-
 // logGroup implements mutationJournal: it durably appends the records of one
 // commit as one frame with one fsync — a group frame, which recovery replays
 // whole or not at all, or for a lone record the plain frame it has always

@@ -339,6 +339,32 @@ func TestStoreFailedAppendAbortsMutation(t *testing.T) {
 	if _, err := idx.Apply(Mutation{Op: MutPromote, Label: "title", K: 2}); err != nil {
 		t.Fatalf("mutation after aborted append failed: %v", err)
 	}
+
+	// Submitted asynchronously, a member whose append fails still settles:
+	// the watermark covers its seq, and nothing is published. The member
+	// submitted after it commits.
+	before, gen = fingerprint(t, idx), idx.Stats().Generation
+	promote := []Mutation{{Op: MutPromote, Label: "director", K: 2}}
+	fs.FailAt(1, faultfs.ModeError)
+	acks, err := idx.ApplyBatchAsync(promote)
+	if err != nil || acks[0].Err != nil {
+		t.Fatalf("async member refused at submission: %v, %+v", err, acks)
+	}
+	settle(t, idx)
+	if idx.Watermark() < acks[0].Seq {
+		t.Errorf("failed async member: watermark %d below its seq %d", idx.Watermark(), acks[0].Seq)
+	}
+	if idx.Stats().Generation != gen || fingerprint(t, idx) != before {
+		t.Error("an async member whose append failed was published")
+	}
+	if acks, err = idx.ApplyBatchAsync(promote); err != nil || acks[0].Err != nil {
+		t.Fatalf("async member after a failed append refused at submission: %v, %+v", err, acks)
+	}
+	settle(t, idx)
+	if idx.Watermark() < acks[0].Seq || idx.Stats().Generation != gen+1 {
+		t.Errorf("async member after a failed append: watermark %d (seq %d), generation %d, want %d",
+			idx.Watermark(), acks[0].Seq, idx.Stats().Generation, gen+1)
+	}
 	fs.Crash()
 	fs.Reset()
 	st2, rep := recoverStore(t, fs, "store")
@@ -346,8 +372,8 @@ func TestStoreFailedAppendAbortsMutation(t *testing.T) {
 	if got := fingerprint(t, st2.Index()); got != fingerprint(t, idx) {
 		t.Error("recovered state differs after aborted append + retry")
 	}
-	if rep.Replayed != 1 {
-		t.Errorf("replayed %d records, want 1", rep.Replayed)
+	if rep.Replayed != 2 {
+		t.Errorf("replayed %d records, want 2", rep.Replayed)
 	}
 }
 

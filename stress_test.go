@@ -30,7 +30,6 @@ func TestStressLongHaul(t *testing.T) {
 	if err := idx.Tune(80, 3); err != nil {
 		t.Fatal(err)
 	}
-	idx.SetAutoPromote(64)
 
 	rng := rand.New(rand.NewSource(2026))
 	randomQuery := func() eval.Query {
