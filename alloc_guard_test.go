@@ -386,8 +386,8 @@ func TestKeptAnswerCostsAByteAHit(t *testing.T) {
 	}
 	off, res := missBytes(0)
 	on, _ := missBytes(DefaultResultCacheSize)
-	if idx.ResultCacheLen() != 1 {
-		t.Fatalf("the cache holds %d entries after the miss, want 1", idx.ResultCacheLen())
+	if idx.Stats().CachedResults != 1 {
+		t.Fatalf("the cache holds %d entries after the miss, want 1", idx.Stats().CachedResults)
 	}
 	const allowance = 512
 	kept := int64(on) - int64(off)
@@ -423,7 +423,7 @@ func TestFullCacheMissKeepsNothing(t *testing.T) {
 	if _, err := idx.Run(Request{Kind: KindPath, Text: "name", Limit: -1}); err != nil {
 		t.Fatal(err)
 	}
-	if n := idx.ResultCacheLen(); n != 1 {
+	if n := idx.Stats().CachedResults; n != 1 {
 		t.Fatalf("the one-entry cache holds %d entries, want 1", n)
 	}
 	full := missAllocs()

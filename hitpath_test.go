@@ -213,7 +213,7 @@ func TestCacheHitKeepsTheSideEffectsOfAParse(t *testing.T) {
 	if e2 != errs+4 {
 		t.Errorf("query errors went from %v to %v, want +4", errs, e2)
 	}
-	if n := idx.ResultCacheLen(); n != 4 {
+	if n := idx.Stats().CachedResults; n != 4 {
 		t.Errorf("the cache holds %d entries, want the 4 well-formed queries", n)
 	}
 }

@@ -179,6 +179,28 @@ func TestMergeAppend(t *testing.T) {
 	checkPrefixes(t, nil, hits, []int{25})
 }
 
+// More streams than MergeAppend keeps cursors for on its stack take pooled
+// cursors, which must start at zero however far a previous merge moved them.
+func TestMergeAppendManyStreams(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	for _, nsets := range []int{64, 65, 150, 150} {
+		universe := genSorted(rng, 20000, 400000)
+		parts := make([][]graph.NodeID, nsets)
+		for _, id := range universe {
+			p := rng.Intn(nsets)
+			parts[p] = append(parts[p], id)
+		}
+		sets := make([]Set, nsets)
+		for i, part := range parts {
+			sets[i] = FromSorted(part)
+		}
+		if got := MergeAppend(nil, sets, nil, math.MaxInt); !slices.Equal(got, universe) {
+			t.Fatalf("%d streams: MergeAppend mismatch: got %d want %d members", nsets, len(got), len(universe))
+		}
+		checkPrefixes(t, sets, nil, extraCuts(rng, len(universe)))
+	}
+}
+
 // extraCuts returns a few random prefix lengths of a union of total members.
 func extraCuts(rng *rand.Rand, total int) []int {
 	return []int{rng.Intn(total + 1), rng.Intn(total + 1)}

@@ -20,6 +20,10 @@ var wordsPool = sync.Pool{New: func() any {
 	return &b
 }}
 
+// cursorsPool recycles MergeAppend's stream cursors when there are too many
+// streams for its stack array.
+var cursorsPool = sync.Pool{New: func() any { return new([]int) }}
+
 // orInto ORs the container's members into words.
 func (c *container) orInto(words []uint64) {
 	if c.bits != nil {
@@ -137,7 +141,21 @@ func MergeAppend(dst []graph.NodeID, sets []Set, extra []graph.NodeID, n int) []
 		dst = grown
 	}
 	end := len(dst) + n
-	pos := make([]int, len(sets))
+	// pos[i] is stream i's cursor: on the stack for up to 64 streams, the
+	// most a query's matched extents have come to, pooled beyond.
+	var cursors [64]int
+	var pos []int
+	if len(sets) <= len(cursors) {
+		pos = cursors[:len(sets)]
+	} else {
+		pp := cursorsPool.Get().(*[]int)
+		defer cursorsPool.Put(pp)
+		if cap(*pp) < len(sets) {
+			*pp = make([]int, len(sets))
+		}
+		pos = (*pp)[:len(sets)]
+		clear(pos)
+	}
 	ei := 0
 	for len(dst) < end {
 		// Find the smallest chunk key across all streams.

@@ -36,31 +36,15 @@ type Compiled struct {
 	rev *NFA
 }
 
-// CompileExpr compiles e against a label table.
+// CompileExpr compiles e against a label table. Both automata are built on
+// pooled scratch, so the Compiled and its tables are all a compile allocates.
 func CompileExpr(e Expr, t *graph.LabelTable) *Compiled {
 	return &Compiled{
 		Expr:   e,
 		MaxLen: MaxWordLen(e),
 		fwd:    Compile(e, t),
-		rev:    Compile(reverseExpr(e), t),
+		rev:    compile(e, t, true),
 	}
-}
-
-// reverseExpr mirrors an expression so that L(rev) = reversed L(e).
-func reverseExpr(e Expr) Expr {
-	switch x := e.(type) {
-	case Label, Wildcard:
-		return x
-	case Seq:
-		return Seq{L: reverseExpr(x.R), R: reverseExpr(x.L)}
-	case Alt:
-		return Alt{L: reverseExpr(x.L), R: reverseExpr(x.R)}
-	case Opt:
-		return Opt{X: reverseExpr(x.X)}
-	case Star:
-		return Star{X: reverseExpr(x.X)}
-	}
-	panic("rpe: unknown expression type")
 }
 
 // Eval returns all nodes of g matched by the expression: nodes n such that

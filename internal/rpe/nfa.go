@@ -2,6 +2,7 @@ package rpe
 
 import (
 	"math/bits"
+	"sync"
 
 	"dkindex/internal/graph"
 )
@@ -41,10 +42,14 @@ type NFA struct {
 }
 
 // thompson is the automaton Compile builds and tabulates: the epsilon
-// successors and consuming edges of every state.
+// successors and consuming edges of every state, and the stack closeOver
+// walks. It is scratch: only the tables tabulate derives outlive a compile,
+// so builders come from builderPool and keep their rows' storage for the
+// next one.
 type thompson struct {
-	eps  [][]int32
-	step [][]edge
+	eps   [][]int32
+	step  [][]edge
+	stack []int32
 }
 
 type edge struct {
@@ -52,23 +57,47 @@ type edge struct {
 	to    int32
 }
 
+var builderPool = sync.Pool{New: func() any { return new(thompson) }}
+
 // Compile translates an expression to an NFA, resolving label names against
 // the given table. Names the table has never seen compile to dead
 // transitions (they cannot match any node), without mutating the table.
-func Compile(e Expr, t *graph.LabelTable) *NFA {
-	var b thompson
-	end := b.build(e, t, b.newState())
+func Compile(e Expr, t *graph.LabelTable) *NFA { return compile(e, t, false) }
+
+// compile builds e's automaton on a pooled builder, or with rev the
+// automaton of e's reversal: L(rev) is the reversed words of L(e).
+func compile(e Expr, t *graph.LabelTable, rev bool) *NFA {
+	b := builderPool.Get().(*thompson)
+	defer builderPool.Put(b)
+	b.eps, b.step = b.eps[:0], b.step[:0]
+	end := b.build(e, t, b.newState(), rev)
 	return b.tabulate(end)
 }
 
+// newState adds a state with no edges, reusing the rows an earlier build
+// left beyond the current length.
 func (b *thompson) newState() int32 {
-	b.eps = append(b.eps, nil)
-	b.step = append(b.step, nil)
+	b.eps = extend(b.eps)
+	b.step = extend(b.step)
 	return int32(len(b.step) - 1)
 }
 
+// extend appends an empty row to rows, keeping the storage of the row a
+// previous build left in that slot.
+func extend[T any](rows [][]T) [][]T {
+	if n := len(rows); n < cap(rows) {
+		rows = rows[:n+1]
+		rows[n] = rows[n][:0]
+		return rows
+	}
+	return append(rows, nil)
+}
+
 // build wires e between state from and a fresh exit state, which it returns.
-func (b *thompson) build(e Expr, t *graph.LabelTable, from int32) int32 {
+// With rev it wires the reversal of e: a sequence takes its right operand
+// first, and every other operator is its own mirror. States are numbered in
+// the order a forward build of the mirrored expression numbers them.
+func (b *thompson) build(e Expr, t *graph.LabelTable, from int32, rev bool) int32 {
 	switch x := e.(type) {
 	case Label:
 		to := b.newState()
@@ -83,24 +112,28 @@ func (b *thompson) build(e Expr, t *graph.LabelTable, from int32) int32 {
 		b.step[from] = append(b.step[from], edge{label: wildLabel, to: to})
 		return to
 	case Seq:
-		mid := b.build(x.L, t, from)
-		return b.build(x.R, t, mid)
+		first, second := x.L, x.R
+		if rev {
+			first, second = second, first
+		}
+		mid := b.build(first, t, from, rev)
+		return b.build(second, t, mid, rev)
 	case Alt:
-		lEnd := b.build(x.L, t, from)
-		rEnd := b.build(x.R, t, from)
+		lEnd := b.build(x.L, t, from, rev)
+		rEnd := b.build(x.R, t, from, rev)
 		to := b.newState()
 		b.eps[lEnd] = append(b.eps[lEnd], to)
 		b.eps[rEnd] = append(b.eps[rEnd], to)
 		return to
 	case Opt:
-		end := b.build(x.X, t, from)
+		end := b.build(x.X, t, from, rev)
 		b.eps[from] = append(b.eps[from], end)
 		return end
 	case Star:
 		// from -eps-> inner ... innerEnd -eps-> from ; exit at from.
 		inner := b.newState()
 		b.eps[from] = append(b.eps[from], inner)
-		innerEnd := b.build(x.X, t, inner)
+		innerEnd := b.build(x.X, t, inner, rev)
 		b.eps[innerEnd] = append(b.eps[innerEnd], inner)
 		to := b.newState()
 		b.eps[from] = append(b.eps[from], to)
@@ -125,25 +158,23 @@ func (b *thompson) tabulate(end int32) *NFA {
 	n.target, n.start, n.final = table[:edges*w], table[edges*w:(edges+1)*w], table[(edges+1)*w:]
 	n.first = make([]int32, states+1)
 	n.label = make([]graph.LabelID, 0, edges)
-	var stack []int32
 	for q, es := range b.step {
 		n.first[q] = int32(len(n.label))
 		for _, e := range es {
 			row := n.target[len(n.label)*w:][:w]
 			n.label = append(n.label, e.label)
-			stack = b.closeOver(row, e.to, stack)
+			b.closeOver(row, e.to)
 		}
 	}
 	n.first[states] = int32(len(n.label))
 	n.final[end>>6] |= 1 << (end & 63)
-	b.closeOver(n.start, 0, stack)
+	b.closeOver(n.start, 0)
 	return n
 }
 
-// closeOver ORs the epsilon closure of state q into set; stack is scratch,
-// returned for reuse.
-func (b *thompson) closeOver(set []uint64, q int32, stack []int32) []int32 {
-	stack = append(stack[:0], q)
+// closeOver ORs the epsilon closure of state q into set.
+func (b *thompson) closeOver(set []uint64, q int32) {
+	stack := append(b.stack[:0], q)
 	set[q>>6] |= 1 << (q & 63)
 	for len(stack) > 0 {
 		q := stack[len(stack)-1]
@@ -155,7 +186,7 @@ func (b *thompson) closeOver(set []uint64, q int32, stack []int32) []int32 {
 			}
 		}
 	}
-	return stack
+	b.stack = stack
 }
 
 // NumStates returns the number of NFA states.

@@ -1,9 +1,11 @@
 package server
 
 import (
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"os"
+	"runtime"
 	"strconv"
 	"testing"
 
@@ -83,6 +85,53 @@ func TestHotReadAllocatesNoBody(t *testing.T) {
 	}
 }
 
+// TestColdMissListsIntoThePooledBuffer is the cache-off sibling of
+// TestHotReadAllocatesNoBody: a miss lists its nodes into the server's pooled
+// node buffer (Request.Dst) and encodes them into its pooled body buffer, so
+// it allocates the same objects, and the same bytes, whether its body lists
+// ten rows or a thousand. While Run listed into a slice of its own, which the
+// server copied into the body and dropped, a miss at limit=1000 allocated
+// the 4 000 bytes of that slice more than one at limit=10.
+func TestColdMissListsIntoThePooledBuffer(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector makes sync.Pool drop pooled scratch at random")
+	}
+	srv, idx := tunedXMarkServer(t, 0.25)
+	idx.SetResultCache(0)
+	w := &nullWriter{hdr: make(http.Header)}
+	miss := func(target string) (allocs float64, bytes uint64, bodyLen int) {
+		r := httptest.NewRequest("GET", target, nil)
+		serve := func() { serveInto(t, srv, w, r) }
+		allocs = testing.AllocsPerRun(50, serve) // its warm-up run grows the pooled buffers
+		// The fewest bytes of five batches: a collection that empties the
+		// pools mid-batch makes that batch regrow their scratch.
+		const runs = 10
+		bytes = math.MaxUint64
+		for range 5 {
+			var m0, m1 runtime.MemStats
+			runtime.ReadMemStats(&m0)
+			for range runs {
+				serve()
+			}
+			runtime.ReadMemStats(&m1)
+			bytes = min(bytes, (m1.TotalAlloc-m0.TotalAlloc)/runs)
+		}
+		return allocs, bytes, w.n
+	}
+	for _, q := range []string{"kind=path&q=site.people.person.name", "kind=rpe&q=site%2F%2Fitem.name", "kind=twig&q=item%5Blocation%5D.name"} {
+		small, smallBytes, smallLen := miss("/v1/query?" + q + "&limit=10")
+		large, largeBytes, largeLen := miss("/v1/query?" + q + "&limit=1000")
+		t.Logf("%s: a miss allocates %.0f times and %d bytes at limit=10 (%d-byte body), %.0f and %d at limit=1000 (%d bytes)",
+			q, small, smallBytes, smallLen, large, largeBytes, largeLen)
+		if largeLen < 10*smallLen {
+			t.Fatalf("%s: bodies of %d and %d bytes: the limits list too few rows to tell", q, smallLen, largeLen)
+		}
+		if large != small || largeBytes > smallBytes+256 {
+			t.Errorf("%s: a miss allocates %.0f times and %d bytes at limit=10 but %.0f and %d at limit=1000, want the same", q, small, smallBytes, large, largeBytes)
+		}
+	}
+}
+
 func benchScale() float64 {
 	if s := os.Getenv("DK_BENCH_SCALE"); s != "" {
 		if v, err := strconv.ParseFloat(s, 64); err == nil && v > 0 {
@@ -134,7 +183,7 @@ func BenchmarkServeQueryStore(b *testing.B) {
 		b.StartTimer()
 		serveInto(b, srv, w, r)
 	}
-	if idx.ResultCacheLen() != 1 {
-		b.Fatalf("the cache holds %d entries after a miss, want 1", idx.ResultCacheLen())
+	if idx.Stats().CachedResults != 1 {
+		b.Fatalf("the cache holds %d entries after a miss, want 1", idx.Stats().CachedResults)
 	}
 }

@@ -320,8 +320,8 @@ func parseLimit(ls string) (int, error) {
 // log with its cost counters, and writes the response. The request ID goes
 // onto the query as its origin, so a sampled trace links back to the request.
 // A cache hit whose entry holds the body an earlier request sent is a lookup
-// and a write; anything else is encoded into a pooled buffer and offered to
-// the entry.
+// and a write; anything else lists its nodes into a pooled node buffer, is
+// encoded into a pooled byte buffer and offered to the entry.
 func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	raw := r.URL.RawQuery
 	limit, err := parseLimit(queryParam(raw, "limit"))
@@ -343,9 +343,14 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, codeBadQuery, fmt.Errorf("kind= must be path, rpe or twig"))
 		return
 	}
-	req := dkindex.Request{Kind: kind, Text: text, Limit: limit, Origin: requestIDOf(w), AcceptBody: true}
+	nodes := nodesPool.Get().(*[]dkindex.NodeID)
+	defer nodesPool.Put(nodes)
+	req := dkindex.Request{Kind: kind, Text: text, Limit: limit, Origin: requestIDOf(w), AcceptBody: true, Dst: *nodes}
 	start := time.Now()
 	res, err := s.idx.Run(req)
+	if cap(res.Nodes) > cap(*nodes) {
+		*nodes = res.Nodes[:0] // keep what the listing grew to
+	}
 	entry := obs.SlowEntry{
 		Time:      start,
 		RequestID: req.Origin,
@@ -496,6 +501,10 @@ func (s *Server) handleExplain(w http.ResponseWriter, r *http.Request) {
 // body into a pooled buffer and encoding renders into one before a single
 // Write, so the JSON plumbing stops allocating per request.
 var bufPool = sync.Pool{New: func() any { return new(bytes.Buffer) }}
+
+// nodesPool recycles the node buffers GET /v1/query lists answers into
+// (Request.Dst) before encoding them into a bufPool buffer.
+var nodesPool = sync.Pool{New: func() any { return new([]dkindex.NodeID) }}
 
 // maxJSONBody bounds JSON request bodies (XML documents have their own,
 // larger bound in handleDocument).

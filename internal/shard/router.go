@@ -29,6 +29,7 @@ func (e *Engine) Run(req dkindex.Request) (dkindex.Result, error) {
 	shardReq := req
 	shardReq.Limit = shardLimit(req.Limit)
 	shardReq.AcceptBody = false // the merge needs every shard's nodes
+	shardReq.Dst = nil          // shards list concurrently, each into its own slice
 
 	per := make([]dkindex.Result, len(e.shards))
 	errs := make([]error, len(e.shards))

@@ -59,12 +59,19 @@ type Request struct {
 	// for the same number of listed nodes, the Result carries that body and
 	// no Nodes. Callers that leave it false always get Nodes.
 	AcceptBody bool
+	// Dst, when non-nil, is a buffer for the listed nodes: Run lists them
+	// into Dst[:0] when they fit its capacity, so Result.Nodes may alias it,
+	// and into a new slice of exactly the listed length when they do not. A
+	// caller that lists many answers one after another (the HTTP server)
+	// keeps one buffer for them. Nil always lists into a new slice.
+	Dst []NodeID
 }
 
 // Result is the answer to one Request.
 type Result struct {
 	// Nodes holds the matching data nodes (sorted), truncated per
-	// Request.Limit. The slice is owned by the caller.
+	// Request.Limit. The slice is owned by the caller; it shares storage
+	// with Request.Dst when that was set.
 	Nodes []NodeID
 	// Total is the full result count, regardless of Limit.
 	Total int
@@ -214,10 +221,6 @@ func (x *Index) SetResultCache(capacity int) {
 	x.cache.Store(qcache.New(capacity))
 }
 
-// ResultCacheLen returns how many results are cached for the current
-// generation.
-func (x *Index) ResultCacheLen() int { return x.cache.Load().Len() }
-
 // runOn evaluates one request against a resolved snapshot. This is the whole
 // read hot path: no locks are taken anywhere below — the snapshot is
 // immutable, the recorder is an atomic-counter structure, and the cache is
@@ -316,7 +319,7 @@ func (x *Index) runOn(s *snapshot, req Request) (Result, error) {
 		return &cachedResult{ans: ans.Keep(), cost: cost, path: path}
 	})
 	res := s.result(total, cost, false)
-	res.Nodes = list(&ans, listed(req.Limit, total))
+	res.Nodes = list(req.Dst, &ans, listed(req.Limit, total))
 	ans.Release()
 	res.Traced = tr != nil
 	return res, nil
@@ -334,14 +337,18 @@ func listed(limit, total int) int {
 	return limit
 }
 
-// list returns the first n nodes of an answer in a slice of their own, or nil
-// for none: the merge stops at what the request lists, so a count-only or
-// short request does not pay for the whole answer.
-func list(a *eval.Answer, n int) []NodeID {
+// list returns the first n nodes of an answer, or nil for none: in dst[:0]
+// when they fit its capacity, else in a slice of exactly n. The merge stops at
+// what the request lists, so a count-only or short request does not pay for
+// the whole answer.
+func list(dst []NodeID, a *eval.Answer, n int) []NodeID {
 	if n == 0 {
 		return nil
 	}
-	return a.AppendFirst(make([]NodeID, 0, n), n)
+	if cap(dst) < n {
+		dst = make([]NodeID, 0, n)
+	}
+	return a.AppendFirst(dst[:0], n)
 }
 
 // result starts the Result of an answer of total nodes; the caller adds the
@@ -369,6 +376,6 @@ func (s *snapshot) hit(cr *cachedResult, req Request) Result {
 		}
 		res.entry, res.listed = cr, n
 	}
-	res.Nodes = list(&cr.ans, n)
+	res.Nodes = list(req.Dst, &cr.ans, n)
 	return res
 }

@@ -57,7 +57,7 @@ func TestResultCacheHit(t *testing.T) {
 	if first.CacheHit {
 		t.Error("first query claims a cache hit")
 	}
-	if idx.ResultCacheLen() == 0 {
+	if idx.Stats().CachedResults == 0 {
 		t.Fatal("miss did not populate the cache")
 	}
 	second, err := idx.Run(Request{Text: "director.movie.title"})
@@ -190,8 +190,8 @@ func TestSetResultCacheDisables(t *testing.T) {
 			t.Fatal("disabled cache produced a hit")
 		}
 	}
-	if idx.ResultCacheLen() != 0 {
-		t.Errorf("disabled cache holds %d entries", idx.ResultCacheLen())
+	if idx.Stats().CachedResults != 0 {
+		t.Errorf("disabled cache holds %d entries", idx.Stats().CachedResults)
 	}
 	// Re-enabling works and caches again.
 	idx.SetResultCache(16)

@@ -22,7 +22,6 @@ import (
 // again or gone fails too, and so does a named test that does not exist or
 // does not mention the function.
 var unlinkedAllowed = map[string]string{
-	"dkindex (*Index).ResultCacheLen":          "TestResultCacheHit TestFullCacheMissKeepsNothing",
 	"dkindex (*Store).ReplStatus":              "TestReplicaConvergesUnderFaults TestReplicaCatchUpCrashSweep",
 	"internal/datagen (*DTD).ElementNames":     "TestNASADTDValid",
 	"internal/graph (*Graph).Validate":         "TestValidateCatchesNothingOnGoodGraph TestQuickFromCSRMatchesIncremental",
