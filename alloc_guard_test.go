@@ -6,6 +6,7 @@ import (
 	"runtime/debug"
 	"testing"
 
+	"dkindex/internal/cow/cowtest"
 	"dkindex/internal/experiments"
 	"dkindex/internal/graph"
 )
@@ -102,7 +103,7 @@ func TestCommitAllocationFlatInCorpusSize(t *testing.T) {
 	smallEdge, smallDoc := commitAllocBytes(t, 0.25)
 	fullEdge, fullDoc := commitAllocBytes(t, 1.0)
 	docLimit := 172_000.0
-	if raceEnabled {
+	if cowtest.RaceEnabled {
 		docLimit = 1_875_000
 	}
 	for _, c := range []struct {
@@ -117,7 +118,7 @@ func TestCommitAllocationFlatInCorpusSize(t *testing.T) {
 		if c.full >= c.limit {
 			t.Errorf("an %s commit allocates %.0f bytes at scale 1.0, want < %.0f", c.batch, c.full, c.limit)
 		}
-		if pooled := c.batch == "8-document"; c.full/c.small >= 1.5 && !(pooled && raceEnabled) {
+		if pooled := c.batch == "8-document"; c.full/c.small >= 1.5 && !(pooled && cowtest.RaceEnabled) {
 			t.Errorf("%s commit allocation grew %.2fx from scale 0.25 to 1.0, want < 1.5x", c.batch, c.full/c.small)
 		}
 	}
@@ -162,7 +163,7 @@ func TestCloneCostIsFlat(t *testing.T) {
 // merged the answer into a slice of its own and Run copied the listed nodes
 // out of it, the Run allocated 2.44 times its answer.
 func TestColdReadAllocatesItsAnswer(t *testing.T) {
-	if raceEnabled {
+	if cowtest.RaceEnabled {
 		t.Skip("the race detector makes sync.Pool drop pooled scratch at random")
 	}
 	ds, idx := tunedXMark(t, 1.0)
@@ -240,7 +241,7 @@ func coldRunBytes(t *testing.T, idx *Index, req Request) uint64 {
 // every answer into a slice of its own, the site//name Run allocated 2.44
 // times its 19 300-byte answer at any limit.
 func TestColdReadAllocatesWhatItLists(t *testing.T) {
-	if raceEnabled {
+	if cowtest.RaceEnabled {
 		t.Skip("the race detector makes sync.Pool drop pooled scratch at random")
 	}
 	_, idx := tunedXMark(t, 1.0)
@@ -359,7 +360,7 @@ func TestTwigScratchRefillCostsWhatTheQueryTouches(t *testing.T) {
 // slice, at four bytes each, the difference was 5 232 bytes for the
 // query's 1 205 nodes; it is now 1 792.
 func TestKeptAnswerCostsAByteAHit(t *testing.T) {
-	if raceEnabled {
+	if cowtest.RaceEnabled {
 		t.Skip("the race detector makes sync.Pool drop pooled scratch at random")
 	}
 	_, idx := tunedXMark(t, 0.25)
@@ -405,7 +406,7 @@ func TestKeptAnswerCostsAByteAHit(t *testing.T) {
 // kept the answer before Put rejected it, it allocated the entry, the list
 // of sets and the hits beside.
 func TestFullCacheMissKeepsNothing(t *testing.T) {
-	if raceEnabled {
+	if cowtest.RaceEnabled {
 		t.Skip("the race detector makes sync.Pool drop pooled scratch at random")
 	}
 	_, idx := tunedXMark(t, 0.25)

@@ -1,7 +1,9 @@
 // Package cowtest holds the isolation property every copy-on-write container
 // in this repository is tested against (graph.Graph, index.IndexGraph,
 // core.DK): after Clone, a write through one snapshot is never visible
-// through any other, however many generations share the written page.
+// through any other, however many generations share the written page. It
+// also says whether the race detector is on (RaceEnabled), which the
+// allocation guards on pooled scratch skip under.
 package cowtest
 
 import (

@@ -1,8 +1,8 @@
 //go:build race
 
-package rpe
+package cowtest
 
-// raceEnabled reports whether the tests were built with the race detector,
+// RaceEnabled reports whether the tests were built with the race detector,
 // under which sync.Pool drops a share of its Puts at random, so guards on
 // what pooled scratch allocates cannot hold.
-const raceEnabled = true
+const RaceEnabled = true

@@ -141,8 +141,10 @@ func MergeAppend(dst []graph.NodeID, sets []Set, extra []graph.NodeID, n int) []
 		dst = grown
 	}
 	end := len(dst) + n
-	// pos[i] is stream i's cursor: on the stack for up to 64 streams, the
-	// most a query's matched extents have come to, pooled beyond.
+	// pos[i] is stream i's cursor: on the stack for up to 64 streams, pooled
+	// beyond. A quarter of read_cold's merges take more than 64 streams (up
+	// to 244), BenchmarkServeQueryMiss's 196 (EXPERIMENTS.md, "How many
+	// streams a merge takes").
 	var cursors [64]int
 	var pos []int
 	if len(sets) <= len(cursors) {

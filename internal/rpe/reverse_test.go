@@ -6,6 +6,7 @@ import (
 	"strings"
 	"testing"
 
+	"dkindex/internal/cow/cowtest"
 	"dkindex/internal/graph"
 )
 
@@ -75,11 +76,9 @@ func TestDirectReversalMatchesMirroredTree(t *testing.T) {
 
 // TestCompileAllocatesOnlyItsTables pins what a compile costs once the
 // builder pool is warm: the Compiled and, per automaton, the NFA and its
-// three tables — nine objects, 496 bytes for site//name. Building on fresh
-// scratch with a mirrored tree for the reversal took 40 allocations and
-// 2 112 bytes.
+// three tables — nine objects, 496 bytes for site//name.
 func TestCompileAllocatesOnlyItsTables(t *testing.T) {
-	if raceEnabled {
+	if cowtest.RaceEnabled {
 		t.Skip("the race detector makes sync.Pool drop pooled scratch at random")
 	}
 	labels := graph.New().Labels()

@@ -10,6 +10,7 @@ import (
 	"testing"
 
 	"dkindex"
+	"dkindex/internal/cow/cowtest"
 	"dkindex/internal/experiments"
 )
 
@@ -89,11 +90,9 @@ func TestHotReadAllocatesNoBody(t *testing.T) {
 // TestHotReadAllocatesNoBody: a miss lists its nodes into the server's pooled
 // node buffer (Request.Dst) and encodes them into its pooled body buffer, so
 // it allocates the same objects, and the same bytes, whether its body lists
-// ten rows or a thousand. While Run listed into a slice of its own, which the
-// server copied into the body and dropped, a miss at limit=1000 allocated
-// the 4 000 bytes of that slice more than one at limit=10.
+// ten rows or a thousand.
 func TestColdMissListsIntoThePooledBuffer(t *testing.T) {
-	if raceEnabled {
+	if cowtest.RaceEnabled {
 		t.Skip("the race detector makes sync.Pool drop pooled scratch at random")
 	}
 	srv, idx := tunedXMarkServer(t, 0.25)
